@@ -19,8 +19,8 @@
 //!     [--json BENCH_budget_sweep.json]
 //! ```
 //!
-//! `--exec-mode`/`--memory-budget` spellings are shared with `hotpath`
-//! and `degradation_curve` via `benu_bench::cli`; here `--memory-budget`
+//! `--exec-mode`/`--memory-budget` spellings are shared with
+//! `degradation_curve` via `benu_bench::cli`; here `--memory-budget`
 //! *adds* one extra budget point to the sweep.
 
 use benu_bench::cli::Args;

@@ -19,8 +19,8 @@
 //! ```
 //!
 //! `--exec-mode`/`--memory-budget` come from the shared parser in
-//! `benu_bench::cli`, so this bin, `hotpath` and `budget_sweep` accept
-//! the exact same spellings.
+//! `benu_bench::cli`, so this bin and `budget_sweep` accept the exact
+//! same spellings.
 
 use benu_bench::cli::Args;
 use benu_bench::impl_to_json;

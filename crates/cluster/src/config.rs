@@ -72,10 +72,6 @@ pub struct ClusterConfig {
     /// serializing behind one worker without flooding the scheduler.
     /// The chosen value is reported as `RunOutcome::effective_tau`.
     pub tau_auto: bool,
-    /// Run engines with pooled execution buffers (steady-state
-    /// allocation-free hot loop). On by default; turning it off restores
-    /// the allocate-per-instruction baseline for A/B measurement.
-    pub pooled_buffers: bool,
     /// Per-thread triangle-cache capacity in entries.
     pub triangle_cache_entries: usize,
     /// Record per-task wall-clock durations (needed by the Fig. 9
@@ -145,7 +141,6 @@ impl Default for ClusterConfig {
             cache_shards: 8,
             tau: 500,
             tau_auto: false,
-            pooled_buffers: true,
             triangle_cache_entries: 1 << 14,
             collect_task_times: false,
             scheduler: SchedulerKind::Static,
@@ -230,12 +225,6 @@ impl ClusterConfigBuilder {
     /// [`ClusterConfigBuilder::tau`]).
     pub fn tau_auto(mut self, yes: bool) -> Self {
         self.0.tau_auto = yes;
-        self
-    }
-
-    /// Run engines with pooled execution buffers (on by default).
-    pub fn pooled_buffers(mut self, yes: bool) -> Self {
-        self.0.pooled_buffers = yes;
         self
     }
 
@@ -358,7 +347,6 @@ mod tests {
             .cache_shards(2)
             .tau(123)
             .tau_auto(true)
-            .pooled_buffers(false)
             .triangle_cache_entries(64)
             .collect_task_times(true)
             .scheduler(SchedulerKind::WorkStealing)
@@ -379,7 +367,6 @@ mod tests {
             cache_shards: 2,
             tau: 123,
             tau_auto: true,
-            pooled_buffers: false,
             triangle_cache_entries: 64,
             collect_task_times: true,
             scheduler: SchedulerKind::WorkStealing,
@@ -403,7 +390,6 @@ mod tests {
         assert_ne!(built.cache_shards, d.cache_shards);
         assert_ne!(built.tau, d.tau);
         assert_ne!(built.tau_auto, d.tau_auto);
-        assert_ne!(built.pooled_buffers, d.pooled_buffers);
         assert_ne!(built.triangle_cache_entries, d.triangle_cache_entries);
         assert_ne!(built.collect_task_times, d.collect_task_times);
         assert_ne!(built.scheduler, d.scheduler);

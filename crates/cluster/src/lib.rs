@@ -12,17 +12,21 @@
 //!   sharded across the workers;
 //! * **transport** — every worker's store traffic flows through a
 //!   [`transport::Transport`], which accounts bytes, round trips and
-//!   batched multi-gets;
+//!   batched multi-gets, and owns the one cache-fronted fetch
+//!   ([`transport::Transport::fetch_through`] and its batched sibling:
+//!   probe the cache, fetch the misses, insert);
 //! * **cache** — each logical worker owns a byte-budgeted
 //!   [`benu_cache::DbCache`] shared by its (real OS) worker threads and
 //!   *persistent across runs* (see [`Cluster::clear_caches`]);
 //! * **scheduler** — a pluggable [`schedule::Scheduler`] hands tasks to
 //!   threads: static round-robin (the paper's even shuffle) or work
 //!   stealing for skewed task sets;
-//! * **worker** — each thread runs a [`worker::Worker`] hosting a
-//!   [`benu_engine::LocalEngine`] with its private triangle cache, and
-//!   fails soft: store/task errors surface as [`WorkerError`] instead of
-//!   panics;
+//! * **worker** — each thread runs a [`worker::Worker`] loop over a
+//!   [`worker::LaneExecutor`]: the single executor (engine + private
+//!   triangle cache, DFS or hybrid, count or collect) that cluster
+//!   threads, straggler speculation and `benu-service`'s chunk execution
+//!   all run tasks through. It fails soft: store/task errors surface as
+//!   [`WorkerError`] instead of panics;
 //! * **recovery** — with a [`benu_fault::FaultPlan`] installed via
 //!   [`Cluster::set_fault_plan`], transports retry injected store faults
 //!   with capped virtual backoff, crashed workers' tasks are requeued

@@ -190,21 +190,21 @@ impl Cluster {
         // An installed cost profile overrides both degree-based paths:
         // split at an observed-cost threshold θ (reported in place of τ)
         // rather than a degree proxy.
+        let lanes = self.config.workers * self.config.threads_per_worker;
         if has_second {
             if let Some(profile) = &self.cost_profile {
-                let lanes = self.config.workers * self.config.threads_per_worker;
                 let (tasks, theta) = profile.generate_tasks(&self.degrees, lanes, second_adjacent);
                 return (tasks, theta as usize);
             }
         }
-        let tau = if !has_second {
-            0
-        } else if self.config.tau_auto {
-            let lanes = self.config.workers * self.config.threads_per_worker;
-            benu_engine::task::auto_tau(&self.degrees, lanes, second_adjacent)
-        } else {
-            self.config.tau
-        };
+        let tau = benu_engine::task::effective_tau(
+            &self.degrees,
+            has_second,
+            second_adjacent,
+            self.config.tau_auto,
+            self.config.tau,
+            lanes,
+        );
         let tasks =
             benu_engine::task::generate_tasks_from_degrees(&self.degrees, tau, second_adjacent);
         (tasks, tau)
@@ -229,7 +229,7 @@ impl Cluster {
                 builder.graph_stats(n, m)
             }
             benu_plan::EstimatorKind::ChungLu | benu_plan::EstimatorKind::Feedback => {
-                builder.chung_lu(self.chung_lu_prior())
+                builder.chung_lu(benu_plan::ChungLuEstimator::from_degrees(&self.degrees))
             }
         }
     }
@@ -245,18 +245,9 @@ impl Cluster {
         observed_plan: &ExecutionPlan,
         obs: &benu_plan::PlanObs,
     ) -> benu_plan::PlanBuilder<'p> {
-        let est = benu_plan::FeedbackEstimator::new(self.chung_lu_prior(), observed_plan, obs);
+        let prior = benu_plan::ChungLuEstimator::from_degrees(&self.degrees);
+        let est = benu_plan::FeedbackEstimator::new(prior, observed_plan, obs);
         benu_plan::PlanBuilder::new(pattern).observed_feedback(est)
-    }
-
-    /// The Chung-Lu estimator over the resident degree array.
-    fn chung_lu_prior(&self) -> benu_plan::ChungLuEstimator {
-        let max_d = self.degrees.iter().copied().max().unwrap_or(0) as usize;
-        let mut hist = vec![0usize; max_d + 1];
-        for &d in &self.degrees {
-            hist[d as usize] += 1;
-        }
-        benu_plan::ChungLuEstimator::from_degree_histogram(&hist)
     }
 
     /// Chaos hook: drops vertex `v` from every replica shard of the
@@ -538,17 +529,17 @@ impl Cluster {
                 report.busy_time += r.busy;
                 report.tasks_executed += r.executed;
                 report.thread_busy.push(r.busy);
-                report.triangle_cache.hits += r.tri_stats.hits;
-                report.triangle_cache.misses += r.tri_stats.misses;
-                report.pool += r.pool;
-                report.frontier += r.frontier;
+                report.triangle_cache.hits += r.stats.triangle_cache.hits;
+                report.triangle_cache.misses += r.stats.triangle_cache.misses;
+                report.pool += r.stats.pool;
+                report.frontier += r.stats.frontier;
                 if let Some(times) = all_task_times.as_mut() {
                     times.extend(r.task_times);
                 }
                 if let Some(records) = task_cost_records.as_mut() {
                     records.extend(r.task_costs);
                 }
-                if let (Some(all), Some(mine)) = (all_matches.as_mut(), r.matches) {
+                if let (Some(all), Some(mine)) = (all_matches.as_mut(), r.stats.matches) {
                     all.extend(mine);
                 }
             }
@@ -716,7 +707,10 @@ impl Cluster {
             peak_frontier_bytes: frontier.peak_bytes,
             task_times: all_task_times,
             recovery,
+            // Hybrid execution records no per-task cost; an all-zero
+            // profile fed back in would switch splitting off entirely.
             cost_profile: task_cost_records
+                .filter(|records| !records.is_empty())
                 .map(|records| CostProfile::from_task_costs(self.degrees.len(), records)),
         };
         if let Some(m) = all_matches.as_mut() {
@@ -1271,35 +1265,6 @@ mod tests {
         assert!(cluster.corrupt_remove_vertex(3));
         assert!(!cluster.corrupt_remove_vertex(3), "already gone");
         assert_eq!(cluster.store().num_vertices(), 5, "task list unchanged");
-    }
-
-    #[test]
-    fn pooled_and_unpooled_clusters_are_byte_identical() {
-        let g = gen::barabasi_albert(120, 4, 21);
-        let plan = PlanBuilder::new(&queries::q1()).best_plan();
-        for kind in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-            let run = |pooled: bool| {
-                let cluster = Cluster::new(
-                    &g,
-                    ClusterConfig::builder()
-                        .workers(3)
-                        .threads_per_worker(2)
-                        .scheduler(kind)
-                        .tau(20)
-                        .pooled_buffers(pooled)
-                        .build(),
-                );
-                cluster.run_collect(&plan).unwrap()
-            };
-            let (po, pm) = run(true);
-            let (uo, um) = run(false);
-            assert_eq!(po.total_matches, uo.total_matches, "{kind}: count diverged");
-            assert_eq!(pm, um, "{kind}: matches must be byte-identical");
-            assert_eq!(
-                po.metrics, uo.metrics,
-                "{kind}: instruction metrics must agree"
-            );
-        }
     }
 
     #[test]

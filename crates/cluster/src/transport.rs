@@ -18,6 +18,7 @@
 //! the worker folds into its busy-time accounting after each task (the
 //! plan stays deterministic because no fault decision reads a clock).
 
+use benu_cache::DbCache;
 use benu_fault::{FaultKind, FaultPlan, FaultingStore, RetryPolicy, StoreError};
 use benu_graph::{AdjSet, VertexId};
 use benu_kvstore::{CorruptValue, KvStore};
@@ -62,9 +63,13 @@ impl std::error::Error for TransportError {}
 /// availability failure; [`FetchError::Corrupt`] means the bytes
 /// arrived but failed to decode — permanent, since every replica
 /// mirrors the same value, so it fails fast without touching the retry
-/// budget.
+/// budget; [`FetchError::Missing`] means the store holds no value for
+/// the vertex at all (only the cache-fronted fetches report it — the raw
+/// [`Transport::fetch`] answers `Ok(None)`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FetchError {
+    /// The vertex does not exist in the store (permanent).
+    Missing(VertexId),
     /// The shard kept refusing for longer than the retry policy allows.
     Unavailable(TransportError),
     /// The stored value decoded to garbage (see
@@ -77,7 +82,7 @@ impl FetchError {
     pub fn as_unavailable(&self) -> Option<&TransportError> {
         match self {
             FetchError::Unavailable(err) => Some(err),
-            FetchError::Corrupt(_) => None,
+            _ => None,
         }
     }
 
@@ -85,7 +90,7 @@ impl FetchError {
     pub fn as_corrupt(&self) -> Option<&CorruptValue> {
         match self {
             FetchError::Corrupt(err) => Some(err),
-            FetchError::Unavailable(_) => None,
+            _ => None,
         }
     }
 }
@@ -93,6 +98,7 @@ impl FetchError {
 impl std::fmt::Display for FetchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FetchError::Missing(v) => write!(f, "vertex {v} missing from the store"),
             FetchError::Unavailable(err) => err.fmt(f),
             FetchError::Corrupt(err) => err.fmt(f),
         }
@@ -159,6 +165,42 @@ impl FaultState {
         self.backoff_nanos.fetch_add(nanos, Ordering::Relaxed);
         TASK_PENALTY_NANOS.with(|p| p.set(p.get() + nanos));
         true
+    }
+
+    /// Runs `op` under the retry policy and returns its value with the
+    /// attempt that produced it. Injected transient faults and timeouts
+    /// are retried with booked backoff (`key` seeds the jitter) until
+    /// the attempts run out; an outage — every replica persistently
+    /// dark — and a corrupt value — every replica mirrors the same
+    /// bytes — are hopeless, so they fail fast without touching the
+    /// retry budget. `named` picks the vertex an availability error
+    /// names, given the failing shard.
+    fn retrying<T>(
+        &self,
+        key: u64,
+        named: impl Fn(usize) -> VertexId,
+        op: impl Fn(u32) -> Result<T, StoreError>,
+    ) -> Result<(T, u32), FetchError> {
+        for attempt in 0..self.retry.max_attempts {
+            let fault = match op(attempt) {
+                Ok(value) => return Ok((value, attempt)),
+                Err(StoreError::Corrupt(err)) => return Err(FetchError::Corrupt(err)),
+                Err(StoreError::Fault(fault)) => fault,
+            };
+            let attempts = if fault.kind == FaultKind::Outage {
+                attempt + 1
+            } else if self.book_fault(fault.kind, key, attempt) {
+                continue;
+            } else {
+                self.retry.max_attempts
+            };
+            return Err(FetchError::Unavailable(TransportError {
+                shard: fault.shard,
+                vertex: named(fault.shard),
+                attempts,
+            }));
+        }
+        unreachable!("retry loop returns on success or exhausted attempts")
     }
 
     /// Charges the slow-shard penalty of a successful round trip.
@@ -263,38 +305,14 @@ impl Transport {
             self.account_single(wire);
             return Ok(Some(adj));
         };
-        for attempt in 0..faults.retry.max_attempts {
-            match faults.store.get(v, attempt) {
-                Ok(Some((adj, wire))) => {
-                    self.account_single(wire);
-                    faults.book_penalty(faults.store.latency_penalty_routed(v, attempt));
-                    return Ok(Some(adj));
-                }
-                Ok(None) => return Ok(None),
-                // Every replica persistently dark: retrying cannot help,
-                // so fail fast without touching the retry budget.
-                Err(StoreError::Fault(fault)) if fault.kind == FaultKind::Outage => {
-                    return Err(FetchError::Unavailable(TransportError {
-                        shard: fault.shard,
-                        vertex: v,
-                        attempts: attempt + 1,
-                    }));
-                }
-                Err(StoreError::Fault(fault)) => {
-                    if !faults.book_fault(fault.kind, v as u64, attempt) {
-                        return Err(FetchError::Unavailable(TransportError {
-                            shard: fault.shard,
-                            vertex: v,
-                            attempts: faults.retry.max_attempts,
-                        }));
-                    }
-                }
-                // Corruption is permanent — replicas mirror the same
-                // bytes, so retrying or failing over cannot help.
-                Err(StoreError::Corrupt(err)) => return Err(FetchError::Corrupt(err)),
-            }
-        }
-        unreachable!("retry loop returns on success or exhausted attempts")
+        let (value, attempt) =
+            faults.retrying(v as u64, |_| v, |attempt| faults.store.get(v, attempt))?;
+        let Some((adj, wire)) = value else {
+            return Ok(None);
+        };
+        self.account_single(wire);
+        faults.book_penalty(faults.store.latency_penalty_routed(v, attempt));
+        Ok(Some(adj))
     }
 
     /// Fetches a batch in one round trip per touched shard. Slots of
@@ -313,39 +331,97 @@ impl Transport {
         // The batch's deterministic retry key: the smallest vertex (the
         // same key the plan uses for its per-shard decisions).
         let key = vs.iter().copied().min().unwrap_or(0) as u64;
-        for attempt in 0..faults.retry.max_attempts {
-            match faults.store.get_many(vs, attempt) {
-                Ok(batch) => {
-                    faults.book_penalty(faults.store.batch_latency_penalty_routed(vs, attempt));
-                    return Ok(self.account_batch(batch));
+        let (batch, attempt) = faults.retrying(
+            key,
+            |shard| Self::batch_error_vertex(&self.store, vs, shard),
+            |attempt| faults.store.get_many(vs, attempt),
+        )?;
+        faults.book_penalty(faults.store.batch_latency_penalty_routed(vs, attempt));
+        Ok(self.account_batch(batch))
+    }
+
+    /// One adjacency set through `cache`: a hit costs nothing, a miss is
+    /// one [`Transport::fetch`] whose value is inserted before it is
+    /// returned. The fetch runs outside the cache's shard lock.
+    ///
+    /// # Errors
+    ///
+    /// See [`Transport::fetch`], plus [`FetchError::Missing`] for a
+    /// vertex the store does not hold. Nothing is cached on error.
+    pub fn fetch_through(&self, cache: &DbCache, v: VertexId) -> Result<Arc<AdjSet>, FetchError> {
+        cache.get_or_fetch(v, || self.fetch(v)?.ok_or(FetchError::Missing(v)))
+    }
+
+    /// The adjacency sets of `vs`, in order, through `cache`: every key
+    /// is probed (counting its hit or miss), the misses travel in one
+    /// [`Transport::fetch_many`], and what arrives is inserted.
+    ///
+    /// # Errors
+    ///
+    /// See [`Transport::fetch_many`]; a batch with an unknown vertex
+    /// caches the values that did arrive and reports the first
+    /// [`FetchError::Missing`] in key order.
+    pub fn fetch_many_through(
+        &self,
+        cache: &DbCache,
+        vs: &[VertexId],
+    ) -> Result<Vec<Arc<AdjSet>>, FetchError> {
+        let probed: Vec<Option<Arc<AdjSet>>> = vs.iter().map(|&v| cache.get(v)).collect();
+        let missing: Vec<VertexId> = vs
+            .iter()
+            .zip(&probed)
+            .filter_map(|(&v, hit)| hit.is_none().then_some(v))
+            .collect();
+        let mut fetched = self.fill(cache, &missing)?.into_iter();
+        Ok(probed
+            .into_iter()
+            .map(|hit| {
+                hit.or_else(|| fetched.next())
+                    .expect("one fetched set per miss")
+            })
+            .collect())
+    }
+
+    /// Warms `cache` with whichever of `vs` it does not hold yet, in one
+    /// batched fetch. The probe is a pure peek and the inserts count no
+    /// miss, so the prefetched keys' later lookups count as hits.
+    ///
+    /// # Errors
+    ///
+    /// See [`Transport::fetch_many_through`].
+    pub fn prefetch_through(&self, cache: &DbCache, vs: &[VertexId]) -> Result<(), FetchError> {
+        let missing: Vec<VertexId> = vs.iter().copied().filter(|&v| !cache.contains(v)).collect();
+        self.fill(cache, &missing).map(drop)
+    }
+
+    /// Fetches `keys` (none of them cached) in one batch and inserts
+    /// every value that arrived.
+    fn fill(&self, cache: &DbCache, keys: &[VertexId]) -> Result<Vec<Arc<AdjSet>>, FetchError> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut first_missing = None;
+        let mut out = Vec::with_capacity(keys.len());
+        for (&v, value) in keys.iter().zip(self.fetch_many(keys)?) {
+            match value {
+                Some(adj) => {
+                    cache.insert(v, Arc::clone(&adj));
+                    out.push(adj);
                 }
-                // A whole placement group is dark: hopeless this pass,
-                // fail the batch fast.
-                Err(StoreError::Fault(fault)) if fault.kind == FaultKind::Outage => {
-                    return Err(FetchError::Unavailable(TransportError {
-                        shard: fault.shard,
-                        vertex: Self::batch_error_vertex(&self.store, vs, fault.shard),
-                        attempts: attempt + 1,
-                    }));
+                None => {
+                    first_missing.get_or_insert(v);
                 }
-                Err(StoreError::Fault(fault)) => {
-                    if !faults.book_fault(fault.kind, key, attempt) {
-                        return Err(FetchError::Unavailable(TransportError {
-                            shard: fault.shard,
-                            vertex: Self::batch_error_vertex(&self.store, vs, fault.shard),
-                            attempts: faults.retry.max_attempts,
-                        }));
-                    }
-                }
-                Err(StoreError::Corrupt(err)) => return Err(FetchError::Corrupt(err)),
             }
         }
-        unreachable!("retry loop returns on success or exhausted attempts")
+        match first_missing {
+            Some(v) => Err(FetchError::Missing(v)),
+            None => Ok(out),
+        }
     }
 
     /// The first vertex of `vs` whose placement involves `shard` — the
-    /// representative named in a batch's [`TransportError`].
-    fn batch_error_vertex(store: &KvStore, vs: &[VertexId], shard: usize) -> VertexId {
+    /// representative vertex a batch failure names.
+    pub fn batch_error_vertex(store: &KvStore, vs: &[VertexId], shard: usize) -> VertexId {
         vs.iter()
             .copied()
             .find(|&v| store.placement(v).any(|s| s == shard))
@@ -478,6 +554,37 @@ mod tests {
         let kv = store.stats();
         assert_eq!(t.bytes(), kv.bytes);
         assert_eq!(t.requests(), kv.requests);
+    }
+
+    #[test]
+    fn cache_fronted_fetches_fill_the_cache_and_name_missing_vertices() {
+        let g = gen::cycle(8);
+        let t = Transport::new(Arc::new(KvStore::from_graph(&g, 2)));
+        let cache = DbCache::new(1 << 16, 2);
+        assert_eq!(t.fetch_through(&cache, 0).unwrap().len(), 2);
+        assert_eq!(t.fetch_through(&cache, 0).unwrap().len(), 2);
+        assert_eq!(t.requests(), 1, "the second lookup is a cache hit");
+        assert_eq!(t.fetch_through(&cache, 99), Err(FetchError::Missing(99)));
+        assert!(!cache.contains(99), "nothing is cached on error");
+
+        // A batch probes every key, fetches only the misses, and keeps
+        // what arrived even when one key does not exist.
+        let before = t.requests();
+        let sets = t.fetch_many_through(&cache, &[0, 1, 2]).unwrap();
+        assert_eq!(sets.len(), 3);
+        assert_eq!(t.requests() - before, 2, "1 and 2 sit on different shards");
+        assert_eq!(
+            t.fetch_many_through(&cache, &[3, 77, 4, 55]),
+            Err(FetchError::Missing(77)),
+            "the first unknown vertex in key order is named"
+        );
+        assert!(cache.contains(3) && cache.contains(4));
+
+        // Prefetching peeks: no hit or miss is counted for the probe.
+        let stats = cache.stats();
+        t.prefetch_through(&cache, &[4, 5, 6]).unwrap();
+        assert_eq!(cache.stats(), stats);
+        assert!(cache.contains(5) && cache.contains(6));
     }
 
     #[test]

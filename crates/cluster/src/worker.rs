@@ -1,9 +1,18 @@
-//! The worker thread body.
+//! The lane executor and the worker thread body.
+//!
+//! Algorithm 2 has one worker body: pull local search tasks, run the
+//! plan against the cache-fronted store, report. [`LaneExecutor`] is that
+//! body's engine half — one engine bound to one [`DataSource`], running
+//! slices of tasks in the configured [`ExecMode`] — and every runtime
+//! that executes tasks sits on it: the cluster's worker threads
+//! ([`Worker::run_thread`]), straggler speculation, and the serving
+//! layer's chunk execution in `benu-service`.
 //!
 //! Each simulated worker machine runs `threads_per_worker` OS threads,
-//! all executing [`Worker::run_thread`]: pull a task from the scheduler,
-//! optionally prefetch its frontier in one batched round trip, run it on
-//! a thread-local engine, accumulate metrics. Failures are structured —
+//! all executing [`Worker::run_thread`]: pull a task (or, under hybrid
+//! execution, a batch) from the scheduler, optionally prefetch its
+//! frontier in one batched round trip, run it on the thread's executor,
+//! accumulate metrics. Failures are structured —
 //! a vertex missing from the store, a store shard that outlasts the
 //! retry policy, or a panicking task aborts the whole run with a
 //! [`WorkerError`] carrying the task, shard and attempt context instead
@@ -15,7 +24,7 @@ use crate::config::{ClusterConfig, ExecMode};
 use crate::recovery::{RecoveryCtx, TaskFate};
 use crate::schedule::Scheduler;
 use crate::transport::{FetchError, Transport, TransportError};
-use benu_cache::DbCache;
+use benu_cache::{CacheStats, DbCache};
 use benu_engine::{
     CollectingConsumer, CompiledPlan, CountingConsumer, DataSource, FrontierEngine, FrontierStats,
     LocalEngine, MatchConsumer, MemoryBudget, PoolStats, SearchTask, TaskMetrics,
@@ -222,16 +231,6 @@ impl ErrorSlot {
     }
 }
 
-/// How a cache fill through the transport can fail.
-enum FetchFail {
-    /// The vertex genuinely does not exist (permanent).
-    Missing,
-    /// The shard's injected faults outlasted the retry policy.
-    Unavailable(TransportError),
-    /// The stored value failed to decode (permanent).
-    Corrupt(CorruptValue),
-}
-
 /// The engine's view of the data graph from inside one worker: database
 /// cache in front of the worker's [`Transport`]. Failures cannot surface
 /// through the infallible [`DataSource`] signature, so they are recorded
@@ -270,45 +269,33 @@ impl<'a> WorkerSource<'a> {
         *self.current.lock() = task;
     }
 
-    fn missing(&self, vertex: VertexId) -> Arc<AdjSet> {
-        self.errors.record(WorkerError::MissingVertex {
-            worker: self.worker,
-            vertex,
-            shard: self.transport.store().shard_of(vertex),
-            task: *self.current.lock(),
-            attempt: self.attempt,
-        });
-        Arc::new(AdjSet::new())
-    }
-
-    fn unavailable(&self, error: TransportError) -> Arc<AdjSet> {
-        self.errors.record(WorkerError::StoreUnavailable {
-            worker: self.worker,
-            error,
-            task: *self.current.lock(),
-            attempt: self.attempt,
-        });
-        Arc::new(AdjSet::new())
-    }
-
-    fn corrupt(&self, error: CorruptValue) -> Arc<AdjSet> {
-        self.errors.record(WorkerError::CorruptValue {
-            worker: self.worker,
-            error,
-            task: *self.current.lock(),
-            attempt: self.attempt,
-        });
-        Arc::new(AdjSet::new())
-    }
-
     /// Records the matching [`WorkerError`] for a failed fetch and
     /// degrades to an empty set (the run aborts before the empty result
     /// can be observed).
     fn fetch_failed(&self, error: FetchError) -> Arc<AdjSet> {
-        match error {
-            FetchError::Unavailable(err) => self.unavailable(err),
-            FetchError::Corrupt(err) => self.corrupt(err),
-        }
+        let (worker, task, attempt) = (self.worker, *self.current.lock(), self.attempt);
+        self.errors.record(match error {
+            FetchError::Missing(vertex) => WorkerError::MissingVertex {
+                worker,
+                vertex,
+                shard: self.transport.store().shard_of(vertex),
+                task,
+                attempt,
+            },
+            FetchError::Unavailable(error) => WorkerError::StoreUnavailable {
+                worker,
+                error,
+                task,
+                attempt,
+            },
+            FetchError::Corrupt(error) => WorkerError::CorruptValue {
+                worker,
+                error,
+                task,
+                attempt,
+            },
+        });
+        Arc::new(AdjSet::new())
     }
 
     /// Warms the cache for a task starting at `start`: fetches the start
@@ -319,28 +306,8 @@ impl<'a> WorkerSource<'a> {
     /// prefetching trades bytes for round trips.
     pub(crate) fn prefetch_frontier(&self, start: VertexId) {
         let adj = self.get_adj(start);
-        let missing: Vec<VertexId> = adj
-            .iter()
-            .copied()
-            .filter(|&w| !self.cache.contains(w))
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        match self.transport.fetch_many(&missing) {
-            Ok(values) => {
-                for (i, value) in values.into_iter().enumerate() {
-                    match value {
-                        Some(adj) => self.cache.insert(missing[i], adj),
-                        None => {
-                            self.missing(missing[i]);
-                        }
-                    }
-                }
-            }
-            Err(error) => {
-                self.fetch_failed(error);
-            }
+        if let Err(error) = self.transport.prefetch_through(self.cache, adj.as_slice()) {
+            self.fetch_failed(error);
         }
     }
 }
@@ -351,60 +318,156 @@ impl DataSource for WorkerSource<'_> {
     }
 
     fn get_adj(&self, v: VertexId) -> Arc<AdjSet> {
-        let fetch = self
-            .cache
-            .get_or_fetch(v, || match self.transport.fetch(v) {
-                Ok(Some(adj)) => Ok(adj),
-                Ok(None) => Err(FetchFail::Missing),
-                Err(FetchError::Unavailable(error)) => Err(FetchFail::Unavailable(error)),
-                Err(FetchError::Corrupt(error)) => Err(FetchFail::Corrupt(error)),
-            });
-        match fetch {
-            Ok(adj) => adj,
-            Err(FetchFail::Missing) => self.missing(v),
-            Err(FetchFail::Unavailable(error)) => self.unavailable(error),
-            Err(FetchFail::Corrupt(error)) => self.corrupt(error),
-        }
+        self.transport
+            .fetch_through(self.cache, v)
+            .unwrap_or_else(|error| self.fetch_failed(error))
     }
 
     fn get_adj_batch(&self, vs: &[VertexId]) -> Vec<Arc<AdjSet>> {
-        let mut out: Vec<Option<Arc<AdjSet>>> = vec![None; vs.len()];
-        let mut missing_slots = Vec::new();
-        let mut missing_keys = Vec::new();
-        for (i, &v) in vs.iter().enumerate() {
-            match self.cache.get(v) {
-                Some(adj) => out[i] = Some(adj),
-                None => {
-                    missing_slots.push(i);
-                    missing_keys.push(v);
-                }
-            }
-        }
-        if !missing_keys.is_empty() {
-            match self.transport.fetch_many(&missing_keys) {
-                Ok(values) => {
-                    for (j, value) in values.into_iter().enumerate() {
-                        out[missing_slots[j]] = Some(match value {
-                            Some(adj) => {
-                                self.cache.insert(missing_keys[j], Arc::clone(&adj));
-                                adj
-                            }
-                            None => self.missing(missing_keys[j]),
-                        });
-                    }
-                }
-                Err(error) => {
-                    let empty = self.fetch_failed(error);
-                    for &slot in &missing_slots {
-                        out[slot] = Some(Arc::clone(&empty));
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every slot filled"))
-            .collect()
+        self.transport
+            .fetch_many_through(self.cache, vs)
+            .unwrap_or_else(|error| vec![self.fetch_failed(error); vs.len()])
     }
+}
+
+/// A task that panicked inside the engine (under hybrid execution: the
+/// head of the panicking batch).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TaskPanicked(pub SearchTask);
+
+/// What a [`LaneExecutor`]'s engine accumulated over its lifetime.
+pub struct LaneStats {
+    /// The engine's private triangle-cache counters.
+    pub triangle_cache: CacheStats,
+    /// The engine's buffer-pool counters.
+    pub pool: PoolStats,
+    /// Frontier counters (all zero under [`ExecMode::Dfs`]).
+    pub frontier: FrontierStats,
+    /// Every collected embedding, when the executor was collecting.
+    pub matches: Option<Vec<Vec<VertexId>>>,
+}
+
+enum LaneEngine<'a, S: DataSource + ?Sized> {
+    Dfs(LocalEngine<'a, S>),
+    Hybrid(FrontierEngine<'a, S>),
+}
+
+/// One execution lane: an engine bound to a data source, running slices
+/// of search tasks in a fixed [`ExecMode`] and counting or collecting
+/// their matches. The single place a runtime turns `(plan, source,
+/// tasks)` into [`TaskMetrics`]; callers keep only what genuinely
+/// differs between them — where tasks come from, when to stop, and what
+/// to do with a failure.
+pub struct LaneExecutor<'a, S: DataSource + ?Sized> {
+    engine: LaneEngine<'a, S>,
+    counting: CountingConsumer,
+    collecting: Option<CollectingConsumer>,
+}
+
+impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
+    /// Binds an engine to `source`. `budget` bounds the frontier under
+    /// [`ExecMode::Hybrid`] (see [`lane_budget`]); `collect`
+    /// switches from counting matches to materialising them.
+    pub fn new(
+        compiled: &'a CompiledPlan,
+        source: &'a S,
+        order: &'a TotalOrder,
+        triangle_cache_entries: usize,
+        mode: ExecMode,
+        budget: MemoryBudget,
+        collect: bool,
+    ) -> Self {
+        let engine =
+            LocalEngine::with_triangle_cache(compiled, source, order, triangle_cache_entries);
+        // Virtual latency an earlier occupant left on this thread is
+        // not this lane's.
+        let _ = Transport::take_task_penalty();
+        LaneExecutor {
+            engine: match mode {
+                ExecMode::Dfs => LaneEngine::Dfs(engine),
+                ExecMode::Hybrid => LaneEngine::Hybrid(FrontierEngine::new(engine, budget)),
+            },
+            counting: CountingConsumer::default(),
+            collecting: collect.then(CollectingConsumer::default),
+        }
+    }
+
+    /// How many tasks to hand [`LaneExecutor::run`] at a time: one under
+    /// DFS (every task boundary is a point to stop or book at),
+    /// `hybrid_batch` under hybrid execution (sibling tasks of a batch
+    /// share their store reads).
+    pub fn stride(&self, hybrid_batch: usize) -> usize {
+        match self.engine {
+            LaneEngine::Dfs(_) => 1,
+            LaneEngine::Hybrid(_) => hybrid_batch.max(1),
+        }
+    }
+
+    /// Runs `tasks` to completion — task by task under DFS, as one
+    /// frontier batch under hybrid execution — and returns their summed
+    /// metrics with the virtual latency (retry backoff, timeout waits,
+    /// slow shards) their store traffic was charged on this thread.
+    ///
+    /// # Errors
+    ///
+    /// [`TaskPanicked`] when the engine panicked; the executor must not
+    /// be used afterwards.
+    pub fn run(&mut self, tasks: &[SearchTask]) -> Result<(TaskMetrics, Duration), TaskPanicked> {
+        let consumer: &mut dyn MatchConsumer = match &mut self.collecting {
+            Some(collecting) => collecting,
+            None => &mut self.counting,
+        };
+        let engine = &mut self.engine;
+        let mut at = 0;
+        let run = catch_unwind(AssertUnwindSafe(|| match engine {
+            LaneEngine::Dfs(engine) => {
+                let mut metrics = TaskMetrics::default();
+                for (i, &task) in tasks.iter().enumerate() {
+                    at = i;
+                    metrics += engine.run_task(task, consumer);
+                }
+                metrics
+            }
+            LaneEngine::Hybrid(frontier) => frontier.run_batch(tasks, consumer),
+        }));
+        let penalty = Transport::take_task_penalty();
+        match run {
+            Ok(metrics) => Ok((metrics, penalty)),
+            Err(_) => Err(TaskPanicked(tasks[at])),
+        }
+    }
+
+    /// Consumes the executor, returning its engine's counters and the
+    /// collected matches.
+    pub fn finish(self) -> LaneStats {
+        let matches = self.collecting.map(CollectingConsumer::into_matches);
+        match self.engine {
+            LaneEngine::Dfs(engine) => LaneStats {
+                triangle_cache: engine.triangle_cache_stats(),
+                pool: engine.pool_stats(),
+                frontier: FrontierStats::default(),
+                matches,
+            },
+            LaneEngine::Hybrid(frontier) => LaneStats {
+                triangle_cache: frontier.triangle_cache_stats(),
+                pool: frontier.pool_stats(),
+                frontier: frontier.stats(),
+                matches,
+            },
+        }
+    }
+}
+
+/// One lane's even share of a frontier byte budget split across `lanes`
+/// concurrent [`LaneExecutor`]s. `0` stays `0` (unbounded); any other
+/// budget keeps at least one byte per lane, because a share that
+/// integer-divides to zero would read as *unbounded* — the tightest
+/// budget must stay the tightest.
+pub fn lane_budget(memory_budget_bytes: usize, lanes: usize) -> MemoryBudget {
+    if memory_budget_bytes == 0 {
+        return MemoryBudget::unbounded();
+    }
+    MemoryBudget::bytes((memory_budget_bytes / lanes.max(1)).max(1))
 }
 
 /// What one thread accumulated over its share of the run.
@@ -420,27 +483,7 @@ pub struct ThreadResult {
     /// recorded when the cost profile is being collected, and only under
     /// DFS execution (the hybrid engine reports batch-level metrics).
     pub(crate) task_costs: Vec<(SearchTask, u64)>,
-    pub(crate) tri_stats: benu_cache::CacheStats,
-    pub(crate) pool: PoolStats,
-    pub(crate) frontier: FrontierStats,
-    pub(crate) matches: Option<Vec<Vec<VertexId>>>,
-}
-
-impl ThreadResult {
-    fn empty() -> Self {
-        ThreadResult {
-            metrics: TaskMetrics::default(),
-            busy: Duration::ZERO,
-            executed: 0,
-            task_times: Vec::new(),
-            timed_tasks: Vec::new(),
-            task_costs: Vec::new(),
-            tri_stats: benu_cache::CacheStats::default(),
-            pool: PoolStats::default(),
-            frontier: FrontierStats::default(),
-            matches: None,
-        }
-    }
+    pub(crate) stats: LaneStats,
 }
 
 /// Tasks pulled per hybrid batch: enough siblings to share hub fetches,
@@ -463,258 +506,153 @@ pub struct Worker<'a> {
     pub(crate) attempt: u32,
 }
 
-impl Worker<'_> {
-    /// The thread body: pulls tasks from the scheduler until exhaustion,
-    /// abort, or an injected crash of this worker. `collect` switches
-    /// from counting to materialising matches. Task durations include
-    /// the virtual latency (retry backoff, slow shards) their store
-    /// traffic was charged.
-    pub fn run_thread(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
-        match self.config.exec_mode {
-            ExecMode::Dfs => self.run_thread_dfs(collect),
-            ExecMode::Hybrid => self.run_thread_hybrid(collect),
-        }
-    }
-
-    /// Classic task-at-a-time DFS (the paper's execution model).
-    fn run_thread_dfs(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
-        let source = WorkerSource::new(
+impl<'a> Worker<'a> {
+    fn source(&self) -> WorkerSource<'a> {
+        WorkerSource::new(
             self.id,
             self.transport,
             self.cache,
             self.errors,
             self.attempt,
-        );
-        let mut engine = LocalEngine::with_triangle_cache(
+        )
+    }
+
+    /// A thread's executor. The per-worker byte budget is split evenly
+    /// across the worker's threads.
+    fn executor<'s>(
+        &'s self,
+        source: &'s WorkerSource<'a>,
+        collect: bool,
+    ) -> LaneExecutor<'s, WorkerSource<'a>> {
+        LaneExecutor::new(
             self.compiled,
-            &source,
+            source,
             self.order,
             self.config.triangle_cache_entries,
+            self.config.exec_mode,
+            lane_budget(
+                self.config.memory_budget_bytes,
+                self.config.threads_per_worker,
+            ),
+            collect,
         )
-        .with_pooling(self.config.pooled_buffers);
-        let mut counting = CountingConsumer::default();
-        let mut collecting = CollectingConsumer::default();
-        let mut result = ThreadResult::empty();
-        let prefetch = self.config.prefetch_frontier && self.config.cache_capacity_bytes > 0;
-        let record_timed = self.config.speculate_quantile.is_some();
-        let _ = Transport::take_task_penalty();
-        while !self.errors.aborted() {
-            if self.recovery.is_some_and(|rc| rc.is_dead(self.id)) {
-                break;
-            }
-            let Some(task) = self.scheduler.next(self.id) else {
+    }
+
+    /// The thread body: pulls tasks from the scheduler — one at a time
+    /// under DFS, `FRONTIER_TASK_BATCH` at a time under hybrid
+    /// execution — until exhaustion, abort, or an injected crash of this
+    /// worker, polled at every task/batch boundary. `collect` switches
+    /// from counting to materialising matches. Task durations include
+    /// the virtual latency (retry backoff, slow shards) their store
+    /// traffic was charged; a batch's duration is shared evenly by its
+    /// tasks. A batch always runs to completion before any of its tasks
+    /// is booked — frontier spills land on task boundaries — so crash
+    /// recovery requeues whole tasks in either mode.
+    pub fn run_thread(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
+        let config = self.config;
+        let source = self.source();
+        let mut executor = self.executor(&source, collect);
+        let stride = executor.stride(FRONTIER_TASK_BATCH);
+        let dfs = config.exec_mode == ExecMode::Dfs;
+        // The frontier engine already batches each level's reads across
+        // the whole batch; warming single tasks only pays under DFS.
+        let prefetch = dfs && config.prefetch_frontier && config.cache_capacity_bytes > 0;
+        // A batch reports batch-level metrics: no per-task cost exists.
+        let record_costs = dfs && config.collect_cost_profile;
+        let record_timed = config.speculate_quantile.is_some();
+        let mut metrics = TaskMetrics::default();
+        let mut busy = Duration::ZERO;
+        let mut executed = 0;
+        let (mut task_times, mut timed_tasks, mut task_costs) =
+            (Vec::new(), Vec::new(), Vec::new());
+        let mut batch = Vec::with_capacity(stride);
+        'pull: while !self.errors.aborted() && !self.recovery.is_some_and(|rc| rc.is_dead(self.id))
+        {
+            batch.clear();
+            batch.extend(std::iter::from_fn(|| self.scheduler.next(self.id)).take(stride));
+            // Error context names the batch head; a batch shares its
+            // store traffic, so a finer attribution does not exist.
+            let Some(&head) = batch.first() else {
                 break;
             };
-            source.set_current(Some(task));
+            source.set_current(Some(head));
             if prefetch {
-                source.prefetch_frontier(task.start);
+                source.prefetch_frontier(head.start);
             }
             let t0 = Instant::now();
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let consumer: &mut dyn MatchConsumer = if collect {
-                    &mut collecting
-                } else {
-                    &mut counting
+            let (run, penalty) = executor.run(&batch).map_err(|TaskPanicked(task)| {
+                let err = WorkerError::TaskPanicked {
+                    worker: self.id,
+                    task,
+                    attempt: self.attempt,
                 };
-                engine.run_task(task, consumer)
-            }));
-            let dt = t0.elapsed() + Transport::take_task_penalty();
-            match run {
-                Ok(metrics) => {
-                    result.metrics += metrics;
-                    result.executed += 1;
-                    if self.config.collect_cost_profile {
-                        result
-                            .task_costs
-                            .push((task, crate::balance::vticks(&metrics)));
-                    }
-                }
-                Err(_) => {
-                    let err = WorkerError::TaskPanicked {
-                        worker: self.id,
-                        task,
-                        attempt: self.attempt,
-                    };
-                    self.errors.record(err.clone());
-                    return Err(err);
-                }
+                self.errors.record(err.clone());
+                err
+            })?;
+            let dt = t0.elapsed() + penalty;
+            metrics += run;
+            executed += batch.len();
+            busy += dt;
+            if record_costs {
+                task_costs.push((head, crate::balance::vticks(&run)));
             }
-            result.busy += dt;
-            if self.config.collect_task_times {
-                result.task_times.push(dt);
+            let share = dt / batch.len() as u32;
+            if config.collect_task_times {
+                task_times.extend(batch.iter().map(|_| share));
             }
             if record_timed {
-                result.timed_tasks.push((task, dt));
+                timed_tasks.extend(batch.iter().map(|&t| (t, share)));
             }
             if let Some(rc) = self.recovery {
-                match rc.task_done(self.id, task) {
-                    TaskFate::Counted => {}
-                    TaskFate::Crashed => {
-                        // The machine dies at this task boundary: its
-                        // queue goes down with it.
-                        rc.requeue_all(self.scheduler.drain(self.id));
-                        break;
+                // Book every pulled task in pull order. A crash boundary
+                // kills the machine: `task_done` requeues everything
+                // booked so far, and the rest of the batch — executed
+                // but never booked — must be requeued here (the dead
+                // worker's results are discarded wholesale, so nothing
+                // double-counts). A crashing thread also takes the
+                // machine's queue down with it.
+                for (i, &task) in batch.iter().enumerate() {
+                    let fate = rc.task_done(self.id, task);
+                    if fate == TaskFate::Counted {
+                        continue;
                     }
-                    TaskFate::Lost => break,
+                    rc.requeue_all(batch[i + 1..].to_vec());
+                    if fate == TaskFate::Crashed {
+                        rc.requeue_all(self.scheduler.drain(self.id));
+                    }
+                    break 'pull;
                 }
             }
         }
         source.set_current(None);
-        result.tri_stats = engine.triangle_cache_stats();
-        result.pool = engine.pool_stats();
-        if collect {
-            result.matches = Some(collecting.into_matches());
-        }
         // Another thread may have failed while this one drained cleanly:
         // surface that error so the run aborts deterministically.
         match self.errors.first() {
             Some(err) => Err(err),
-            None => Ok(result),
+            None => Ok(ThreadResult {
+                metrics,
+                busy,
+                executed,
+                task_times,
+                timed_tasks,
+                task_costs,
+                stats: executor.finish(),
+            }),
         }
     }
 
-    /// Memory-bounded BFS/DFS hybrid: pulls tasks in batches and expands
-    /// them level-synchronously through a [`FrontierEngine`], so sibling
-    /// tasks share one deduplicated batched store read per expansion
-    /// level. The per-worker byte budget is split evenly across the
-    /// worker's threads; exceeding it makes the frontier spill back to
-    /// DFS at the current batch, which always runs to completion — crash
-    /// recovery requeues whole tasks, and spills land on task boundaries.
-    fn run_thread_hybrid(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
-        let source = WorkerSource::new(
-            self.id,
-            self.transport,
-            self.cache,
-            self.errors,
-            self.attempt,
-        );
-        let engine = LocalEngine::with_triangle_cache(
-            self.compiled,
-            &source,
-            self.order,
-            self.config.triangle_cache_entries,
-        )
-        .with_pooling(self.config.pooled_buffers);
-        let per_thread = self.config.memory_budget_bytes / self.config.threads_per_worker.max(1);
-        let mut fe = FrontierEngine::new(engine, MemoryBudget::bytes(per_thread));
-        let mut counting = CountingConsumer::default();
-        let mut collecting = CollectingConsumer::default();
-        let mut result = ThreadResult::empty();
-        let record_timed = self.config.speculate_quantile.is_some();
-        let _ = Transport::take_task_penalty();
-        'batches: while !self.errors.aborted() {
-            if self.recovery.is_some_and(|rc| rc.is_dead(self.id)) {
-                break;
-            }
-            let mut batch = Vec::new();
-            while batch.len() < FRONTIER_TASK_BATCH {
-                match self.scheduler.next(self.id) {
-                    Some(task) => batch.push(task),
-                    None => break,
-                }
-            }
-            if batch.is_empty() {
-                break;
-            }
-            // Error context names the batch head; the batch shares its
-            // store traffic, so a finer attribution does not exist.
-            source.set_current(Some(batch[0]));
-            let t0 = Instant::now();
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let consumer: &mut dyn MatchConsumer = if collect {
-                    &mut collecting
-                } else {
-                    &mut counting
-                };
-                fe.run_batch(&batch, consumer)
-            }));
-            let dt = t0.elapsed() + Transport::take_task_penalty();
-            match run {
-                Ok(metrics) => {
-                    result.metrics += metrics;
-                    result.executed += batch.len();
-                }
-                Err(_) => {
-                    let err = WorkerError::TaskPanicked {
-                        worker: self.id,
-                        task: batch[0],
-                        attempt: self.attempt,
-                    };
-                    self.errors.record(err.clone());
-                    return Err(err);
-                }
-            }
-            result.busy += dt;
-            let share = dt / batch.len() as u32;
-            if self.config.collect_task_times {
-                result.task_times.extend(batch.iter().map(|_| share));
-            }
-            if record_timed {
-                result.timed_tasks.extend(batch.iter().map(|&t| (t, share)));
-            }
-            if let Some(rc) = self.recovery {
-                // Book the whole completed batch in pull order. A crash
-                // boundary inside it kills the machine: `task_done`
-                // requeues everything booked so far, and the rest of the
-                // batch — executed but never booked — must be requeued
-                // here (the dead worker's results are discarded
-                // wholesale, so nothing double-counts).
-                for (i, &task) in batch.iter().enumerate() {
-                    match rc.task_done(self.id, task) {
-                        TaskFate::Counted => {}
-                        TaskFate::Crashed => {
-                            rc.requeue_all(batch[i + 1..].to_vec());
-                            rc.requeue_all(self.scheduler.drain(self.id));
-                            break 'batches;
-                        }
-                        TaskFate::Lost => {
-                            rc.requeue_all(batch[i + 1..].to_vec());
-                            break 'batches;
-                        }
-                    }
-                }
-            }
-        }
-        source.set_current(None);
-        result.tri_stats = fe.triangle_cache_stats();
-        result.pool = fe.pool_stats();
-        result.frontier = fe.stats();
-        if collect {
-            result.matches = Some(collecting.into_matches());
-        }
-        match self.errors.first() {
-            Some(err) => Err(err),
-            None => Ok(result),
-        }
-    }
-
-    /// Executes one task speculatively: same engine, throwaway consumer,
-    /// result discarded. Returns the attempt's duration (wall time plus
-    /// charged virtual latency), or `None` if the attempt panicked. The
-    /// caller provides a throwaway [`ErrorSlot`], so speculative store
-    /// failures never poison the completed run.
+    /// Executes one task speculatively: same executor, throwaway
+    /// consumer, result discarded. Returns the attempt's duration (wall
+    /// time plus charged virtual latency), or `None` if the attempt
+    /// panicked. The caller provides a throwaway [`ErrorSlot`], so
+    /// speculative store failures never poison the completed run.
     pub(crate) fn run_speculative(&self, task: SearchTask) -> Option<Duration> {
-        let source = WorkerSource::new(
-            self.id,
-            self.transport,
-            self.cache,
-            self.errors,
-            self.attempt,
-        );
+        let source = self.source();
         source.set_current(Some(task));
-        let mut engine = LocalEngine::with_triangle_cache(
-            self.compiled,
-            &source,
-            self.order,
-            self.config.triangle_cache_entries,
-        )
-        .with_pooling(self.config.pooled_buffers);
-        let mut consumer = CountingConsumer::default();
-        let _ = Transport::take_task_penalty();
+        let mut executor = self.executor(&source, false);
         let t0 = Instant::now();
-        let run = catch_unwind(AssertUnwindSafe(|| engine.run_task(task, &mut consumer)));
-        let dt = t0.elapsed() + Transport::take_task_penalty();
-        run.ok().map(|_| dt)
+        let (_, penalty) = executor.run(&[task]).ok()?;
+        Some(t0.elapsed() + penalty)
     }
 }
 
@@ -784,6 +722,14 @@ mod tests {
             slot.first(),
             Some(WorkerError::ThreadPanicked { worker: 1 })
         );
+    }
+
+    #[test]
+    fn lane_budget_never_rounds_a_real_budget_down_to_unbounded() {
+        assert_eq!(lane_budget(0, 4), MemoryBudget::unbounded());
+        assert_eq!(lane_budget(1 << 20, 4).limit_bytes(), 1 << 18);
+        assert_eq!(lane_budget(1, 2).limit_bytes(), 1);
+        assert_eq!(lane_budget(3, 0).limit_bytes(), 3);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::expand;
 use crate::source::DataSource;
 use crate::task::SearchTask;
 use benu_cache::{CliqueCache, TriangleCache};
-use benu_graph::ops::{intersect_into, intersect_many_into};
 use benu_graph::view;
 use benu_graph::{AdjSet, AdjView, TotalOrder, VertexId};
 use benu_plan::FilterOp;
@@ -109,8 +108,7 @@ impl TaskMetrics {
 pub struct PoolStats {
     /// `take` calls served by a recycled buffer (no allocation).
     pub hits: u64,
-    /// `take` calls that allocated a fresh buffer (pool empty or
-    /// pooling disabled).
+    /// `take` calls that allocated a fresh buffer (pool empty).
     pub misses: u64,
     /// Buffers handed back for reuse.
     pub returns: u64,
@@ -127,36 +125,15 @@ impl std::ops::AddAssign for PoolStats {
 /// A free-list of `Vec<VertexId>` buffers recycled across instructions
 /// and tasks, so the steady-state hot loop performs no allocation: every
 /// displaced `Slot::Buf` returns here instead of being dropped, and
-/// every take reuses a previous buffer's capacity. Disabled, it hands
-/// out fresh `Vec::new()`s and drops returns — the pre-pool baseline
-/// the `hotpath` bench A/Bs against.
-#[derive(Debug)]
+/// every take reuses a previous buffer's capacity.
+#[derive(Debug, Default)]
 struct BufferPool {
     free: Vec<Vec<VertexId>>,
-    enabled: bool,
     stats: PoolStats,
 }
 
 impl BufferPool {
-    fn new(enabled: bool) -> Self {
-        BufferPool {
-            free: Vec::new(),
-            enabled,
-            stats: PoolStats::default(),
-        }
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn take(&mut self) -> Vec<VertexId> {
-        if !self.enabled {
-            // Disabled pools are fully inert: no stats, always a fresh
-            // allocation, so the unpooled A/B arm reports all-zero stats.
-            return Vec::new();
-        }
         if let Some(mut buf) = self.free.pop() {
             self.stats.hits += 1;
             buf.clear();
@@ -167,7 +144,7 @@ impl BufferPool {
     }
 
     fn put(&mut self, buf: Vec<VertexId>) {
-        if self.enabled && buf.capacity() > 0 {
+        if buf.capacity() > 0 {
             self.stats.returns += 1;
             self.free.push(buf);
         }
@@ -321,20 +298,11 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
             scratch: Vec::new(),
             scratch2: Vec::new(),
             expand_f: vec![UNSET; plan.num_pattern_vertices],
-            pool: BufferPool::new(true),
+            pool: BufferPool::default(),
             adj_override: AdjOverride::default(),
             operand_regs: Vec::with_capacity(max_arity),
             order_buf: Vec::with_capacity(max_arity),
         }
-    }
-
-    /// Enables or disables the execution buffer pool (default: enabled).
-    /// Disabled, every buffer fallback allocates and displaced buffers
-    /// are dropped — the pre-pool baseline arm of the `hotpath` bench.
-    /// The produced matches are byte-identical either way.
-    pub fn with_pooling(mut self, enabled: bool) -> Self {
-        self.pool = BufferPool::new(enabled);
-        self
     }
 
     /// Buffer-pool effectiveness counters for this engine.
@@ -374,13 +342,11 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     pub fn run_task(&mut self, task: SearchTask, consumer: &mut dyn MatchConsumer) -> TaskMetrics {
         let mut metrics = TaskMetrics::default();
         self.f.fill(UNSET);
-        if self.pool.enabled() {
-            // Return the previous task's owned buffers to the pool: every
-            // plan writes a register before reading it, so the slot file
-            // carries no live state across tasks — only reusable capacity,
-            // which the pool hands back to this task's first takes.
-            self.recycle_slots();
-        }
+        // Return the previous task's owned buffers to the pool: every
+        // plan writes a register before reading it, so the slot file
+        // carries no live state across tasks — only reusable capacity,
+        // which the pool hands back to this task's first takes.
+        self.recycle_slots();
         self.step(0, &task, consumer, &mut metrics);
         metrics
     }
@@ -421,10 +387,6 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     /// extension; all zeros unless the plan uses KCache instructions).
     pub fn clique_cache_stats(&self) -> benu_cache::CacheStats {
         self.ccache.stats()
-    }
-
-    fn passes_filters(&self, x: VertexId, filters: &[CFilter]) -> bool {
-        passes_filters(self.order, &self.f, x, filters)
     }
 
     /// Stores `value` into the slot file, recycling any displaced owned
@@ -573,21 +535,14 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     let target = *target;
                     // The cache stores the raw triangle set; filters are
                     // applied per use because they depend on other
-                    // mappings.
-                    // Pooled engines intersect through the views (block
-                    // kernels when a dense operand is present); the
-                    // unpooled baseline keeps the scalar merge verbatim.
-                    let pooled = self.pool.enabled();
+                    // mappings. Misses intersect through the views
+                    // (block kernels when a dense operand is present).
                     let empty = if filters.is_empty() {
                         let (a_view, b_view) =
                             (self.slots[*a_reg].as_view(), self.slots[*b_reg].as_view());
                         let tri = self.tcache.get_or_compute(va, vb, || {
                             let mut out = Vec::new();
-                            if pooled {
-                                view::intersect_into(a_view, b_view, &mut out);
-                            } else {
-                                intersect_into(a_view.ids, b_view.ids, &mut out);
-                            }
+                            view::intersect_into(a_view, b_view, &mut out);
                             out
                         });
                         let empty = tri.is_empty();
@@ -617,11 +572,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                             vb,
                             || {
                                 let mut out = Vec::new();
-                                if pooled {
-                                    view::intersect_into(a_view, b_view, &mut out);
-                                } else {
-                                    intersect_into(a_view.ids, b_view.ids, &mut out);
-                                }
+                                view::intersect_into(a_view, b_view, &mut out);
                                 out
                             },
                             |tri| {
@@ -658,17 +609,43 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     self.key_buf.extend(verts.iter().map(|&v| self.f[v]));
                     self.key_buf.sort_unstable();
                     let target = *target;
-                    let empty = if self.pool.enabled() {
-                        // Pooled path: operands are addressed through the
-                        // slot file by index (`intersect_many_by`), so no
-                        // per-execution slice vector is materialised, and
-                        // the miss closure reuses the engine's scratch
-                        // and ordering buffers.
-                        let mut scratch = std::mem::take(&mut self.scratch);
-                        let mut order_buf = std::mem::take(&mut self.order_buf);
-                        let empty = if filters.is_empty() {
-                            let slots = &self.slots;
-                            let clique_set = self.ccache.get_or_compute(&self.key_buf, || {
+                    // Operands are addressed through the slot file by
+                    // index (`intersect_many_by`), so no per-execution
+                    // slice vector is materialised, and the miss closure
+                    // reuses the engine's scratch and ordering buffers.
+                    let mut scratch = std::mem::take(&mut self.scratch);
+                    let mut order_buf = std::mem::take(&mut self.order_buf);
+                    let empty = if filters.is_empty() {
+                        let slots = &self.slots;
+                        let clique_set = self.ccache.get_or_compute(&self.key_buf, || {
+                            let mut out = Vec::new();
+                            view::intersect_many_by(
+                                regs.len(),
+                                |i| slots[regs[i]].as_view(),
+                                &mut order_buf,
+                                &mut out,
+                                &mut scratch,
+                            );
+                            out
+                        });
+                        let empty = clique_set.is_empty();
+                        if let Some(s) = metrics.obs.slot_mut(pc) {
+                            s.candidates += 1;
+                            s.survivors += clique_set.len() as u64;
+                        }
+                        self.set_slot(target, Slot::Tri(clique_set));
+                        empty
+                    } else {
+                        let mut buf = match std::mem::take(&mut self.slots[target]) {
+                            Slot::Buf(b) => b,
+                            _ => self.pool.take(),
+                        };
+                        let slots = &self.slots;
+                        let order = self.order;
+                        let f = &self.f;
+                        let empty = self.ccache.with_or_compute(
+                            &self.key_buf,
+                            || {
                                 let mut out = Vec::new();
                                 view::intersect_many_by(
                                     regs.len(),
@@ -678,97 +655,26 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                                     &mut scratch,
                                 );
                                 out
-                            });
-                            let empty = clique_set.is_empty();
-                            if let Some(s) = metrics.obs.slot_mut(pc) {
-                                s.candidates += 1;
-                                s.survivors += clique_set.len() as u64;
-                            }
-                            self.set_slot(target, Slot::Tri(clique_set));
-                            empty
-                        } else {
-                            let mut buf = match std::mem::take(&mut self.slots[target]) {
-                                Slot::Buf(b) => b,
-                                _ => self.pool.take(),
-                            };
-                            let slots = &self.slots;
-                            let order = self.order;
-                            let f = &self.f;
-                            let empty = self.ccache.with_or_compute(
-                                &self.key_buf,
-                                || {
-                                    let mut out = Vec::new();
-                                    view::intersect_many_by(
-                                        regs.len(),
-                                        |i| slots[regs[i]].as_view(),
-                                        &mut order_buf,
-                                        &mut out,
-                                        &mut scratch,
-                                    );
-                                    out
-                                },
-                                |set| {
-                                    buf.clear();
-                                    for &x in set {
-                                        if passes_filters(order, f, x, filters) {
-                                            buf.push(x);
-                                        }
+                            },
+                            |set| {
+                                buf.clear();
+                                for &x in set {
+                                    if passes_filters(order, f, x, filters) {
+                                        buf.push(x);
                                     }
-                                    buf.is_empty()
-                                },
-                            );
-                            if let Some(s) = metrics.obs.slot_mut(pc) {
-                                s.candidates += 1;
-                                s.survivors += buf.len() as u64;
-                            }
-                            self.slots[target] = Slot::Buf(buf);
-                            empty
-                        };
-                        self.scratch = scratch;
-                        self.order_buf = order_buf;
-                        empty
-                    } else {
-                        // Baseline (pre-pool) path: a fresh operand slice
-                        // vector and fresh intersection buffers per
-                        // execution — kept verbatim as the A/B baseline.
-                        let slices: Vec<&[VertexId]> =
-                            regs.iter().map(|&r| self.slots[r].as_slice()).collect();
-                        let key = std::mem::take(&mut self.key_buf);
-                        let clique_set = self.ccache.get_or_compute(&key, || {
-                            let mut out = Vec::new();
-                            let mut scratch = Vec::new();
-                            intersect_many_into(&slices, &mut out, &mut scratch);
-                            out
-                        });
-                        self.key_buf = key;
-                        if filters.is_empty() {
-                            let empty = clique_set.is_empty();
-                            if let Some(s) = metrics.obs.slot_mut(pc) {
-                                s.candidates += 1;
-                                s.survivors += clique_set.len() as u64;
-                            }
-                            self.slots[target] = Slot::Tri(clique_set);
-                            empty
-                        } else {
-                            let mut buf = match std::mem::take(&mut self.slots[target]) {
-                                Slot::Buf(b) => b,
-                                _ => Vec::new(),
-                            };
-                            buf.clear();
-                            for &x in clique_set.iter() {
-                                if self.passes_filters(x, filters) {
-                                    buf.push(x);
                                 }
-                            }
-                            let empty = buf.is_empty();
-                            if let Some(s) = metrics.obs.slot_mut(pc) {
-                                s.candidates += 1;
-                                s.survivors += buf.len() as u64;
-                            }
-                            self.slots[target] = Slot::Buf(buf);
-                            empty
+                                buf.is_empty()
+                            },
+                        );
+                        if let Some(s) = metrics.obs.slot_mut(pc) {
+                            s.candidates += 1;
+                            s.survivors += buf.len() as u64;
                         }
+                        self.slots[target] = Slot::Buf(buf);
+                        empty
                     };
+                    self.scratch = scratch;
+                    self.order_buf = order_buf;
                     if empty {
                         return StraightEnd::Pruned;
                     }
@@ -794,54 +700,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
         buf: &mut Vec<VertexId>,
     ) {
         buf.clear();
-        if !self.pool.enabled() {
-            // Baseline (pre-pool) path: materialise the operand slice
-            // vector per execution — kept verbatim as the A/B baseline.
-            let regs: Vec<&[VertexId]> = operands
-                .iter()
-                .filter_map(|op| match op {
-                    COperand::Reg(r) => Some(self.slots[*r].as_slice()),
-                    COperand::All => None,
-                })
-                .collect();
-            match regs.len() {
-                0 => {
-                    // Pure V(G) scan with filters.
-                    for x in 0..self.source.num_vertices() as VertexId {
-                        if self.passes_filters(x, filters) {
-                            buf.push(x);
-                        }
-                    }
-                }
-                1 => {
-                    for &x in regs[0] {
-                        if self.passes_filters(x, filters) {
-                            buf.push(x);
-                        }
-                    }
-                }
-                _ => {
-                    if filters.is_empty() {
-                        let mut scratch = std::mem::take(&mut self.scratch);
-                        intersect_many_into(&regs, buf, &mut scratch);
-                        self.scratch = scratch;
-                    } else {
-                        let mut scratch = std::mem::take(&mut self.scratch);
-                        let mut scratch2 = std::mem::take(&mut self.scratch2);
-                        intersect_many_into(&regs, &mut scratch, &mut scratch2);
-                        for &x in &scratch {
-                            if self.passes_filters(x, filters) {
-                                buf.push(x);
-                            }
-                        }
-                        self.scratch = scratch;
-                        self.scratch2 = scratch2;
-                    }
-                }
-            }
-            return;
-        }
-        // Pooled path: operand registers go into a reusable index buffer
+        // Operand registers go into a reusable index buffer
         // and the kernels address the slot file through it, so no
         // per-execution `Vec<&[VertexId]>` exists.
         self.operand_regs.clear();
@@ -1217,7 +1076,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_buffers_are_reused_across_tasks() {
+    fn buffers_cycle_through_the_pool_across_tasks() {
         let g = gen::erdos_renyi_gnm(60, 250, 3);
         let p = queries::q5();
         let plan = PlanBuilder::new(&p).best_plan();
@@ -1245,12 +1104,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_unpooled_runs_are_byte_identical() {
+    fn cold_and_warm_pool_runs_match_the_reference_enumerator() {
         let g = gen::erdos_renyi_gnm(50, 200, 7);
+        let clique4 = queries::clique(4);
         let mut plans = vec![
-            ("q5", PlanBuilder::new(&queries::q5()).best_plan()),
+            (
+                "q5",
+                queries::q5(),
+                PlanBuilder::new(&queries::q5()).best_plan(),
+            ),
             (
                 "triangle/compressed",
+                queries::triangle(),
                 PlanBuilder::new(&queries::triangle())
                     .compressed(true)
                     .best_plan(),
@@ -1258,55 +1123,69 @@ mod tests {
         ];
         {
             use benu_plan::optimize::OptimizeOptions;
-            let p = queries::clique(4);
-            let base = PlanBuilder::new(&p).best_plan();
+            let base = PlanBuilder::new(&clique4).best_plan();
             plans.push((
                 "clique4/kcache",
-                PlanBuilder::new(&p)
+                clique4.clone(),
+                PlanBuilder::new(&clique4)
                     .matching_order(base.matching_order.clone())
                     .optimizations(OptimizeOptions::all_with_clique_cache())
                     .build(),
             ));
         }
-        for (name, plan) in plans {
+        for (name, pattern, plan) in plans {
             let compiled = CompiledPlan::compile(&plan);
             let source = InMemorySource::from_graph(&g);
             let order = benu_graph::TotalOrder::new(&g);
+            let expected = crate::reference::enumerate(&g, &pattern, &plan.symmetry);
 
-            let mut pooled = LocalEngine::new(&compiled, &source, &order).with_pooling(true);
-            let mut cp = CollectingConsumer::default();
-            let mp = pooled.run_all_vertices(&mut cp);
+            // First pass: every buffer take misses an empty pool.
+            let mut engine = LocalEngine::new(&compiled, &source, &order);
+            let mut cold = CollectingConsumer::default();
+            let m_cold = engine.run_all_vertices(&mut cold);
+            // Second pass on the same engine: takes are served from the
+            // recycled buffers; nothing observable may change.
+            let mut warm = CollectingConsumer::default();
+            let m_warm = engine.run_all_vertices(&mut warm);
 
-            let mut unpooled = LocalEngine::new(&compiled, &source, &order).with_pooling(false);
-            let mut cu = CollectingConsumer::default();
-            let mu = unpooled.run_all_vertices(&mut cu);
+            assert_eq!(m_cold, m_warm, "{name}: metrics diverge cold vs warm pool");
+            for (pass, consumer) in [("cold", cold), ("warm", warm)] {
+                let mut got = consumer.into_matches();
+                got.sort_unstable();
+                assert_eq!(got, expected, "{name}/{pass}: diverges from reference");
+            }
+        }
+    }
 
-            assert_eq!(mp, mu, "{name}: metrics diverge pooled vs unpooled");
-            let mut ep = cp.into_matches();
-            let mut eu = cu.into_matches();
-            ep.sort_unstable();
-            eu.sort_unstable();
-            assert_eq!(ep, eu, "{name}: embeddings diverge pooled vs unpooled");
-            assert_eq!(
-                unpooled.pool_stats(),
-                PoolStats::default(),
-                "{name}: unpooled engine must never touch the pool"
-            );
+    /// The graph's adjacency as plain sorted runs: no block sidecar, so
+    /// every intersection over it takes the scalar kernels.
+    struct SliceOnlySource<'g>(&'g Graph);
+
+    impl DataSource for SliceOnlySource<'_> {
+        fn num_vertices(&self) -> usize {
+            self.0.num_vertices()
+        }
+
+        fn get_adj(&self, v: VertexId) -> Arc<AdjSet> {
+            Arc::new(self.0.adj_set(v))
         }
     }
 
     #[test]
     fn block_kernels_engage_on_dense_graphs_and_stay_byte_identical() {
-        // Hub degrees far past DENSE_BLOCK_THRESHOLD, so the pooled
-        // engine's intersections actually cross the slice×bitset and
-        // bitset×bitset kernels while the unpooled baseline stays on the
-        // scalar merge — the representation crossing must be invisible.
+        // Hub degrees far past DENSE_BLOCK_THRESHOLD, so over the blocked
+        // source the engine's intersections actually cross the
+        // slice×bitset and bitset×bitset kernels, while the block-less
+        // source keeps the same engine on the scalar merge — the
+        // representation crossing must be invisible.
         let g = gen::barabasi_albert(120, 20, 17);
-        let source = InMemorySource::from_graph(&g);
+        let blocked = InMemorySource::from_graph(&g);
+        let scalar = SliceOnlySource(&g);
         let dense = (0..g.num_vertices() as VertexId)
-            .filter(|&v| source.get_adj(v).has_blocks())
+            .filter(|&v| blocked.get_adj(v).has_blocks())
             .count();
         assert!(dense > 0, "no vertex reached the block threshold");
+        assert!((0..g.num_vertices() as VertexId).all(|v| !scalar.get_adj(v).has_blocks()));
         for (name, plan) in [
             (
                 "triangle",
@@ -1316,18 +1195,18 @@ mod tests {
         ] {
             let compiled = CompiledPlan::compile(&plan);
             let order = benu_graph::TotalOrder::new(&g);
-            let mut pooled = LocalEngine::new(&compiled, &source, &order).with_pooling(true);
-            let mut cp = CollectingConsumer::default();
-            let mp = pooled.run_all_vertices(&mut cp);
-            let mut unpooled = LocalEngine::new(&compiled, &source, &order).with_pooling(false);
-            let mut cu = CollectingConsumer::default();
-            let mu = unpooled.run_all_vertices(&mut cu);
-            assert_eq!(mp, mu, "{name}: metrics diverge across kernels");
-            let mut ep = cp.into_matches();
-            let mut eu = cu.into_matches();
-            ep.sort_unstable();
-            eu.sort_unstable();
-            assert_eq!(ep, eu, "{name}: block kernels changed the match set");
+            let mut on_blocks = LocalEngine::new(&compiled, &blocked, &order);
+            let mut cb = CollectingConsumer::default();
+            let mb = on_blocks.run_all_vertices(&mut cb);
+            let mut on_slices = LocalEngine::new(&compiled, &scalar, &order);
+            let mut cs = CollectingConsumer::default();
+            let ms = on_slices.run_all_vertices(&mut cs);
+            assert_eq!(mb, ms, "{name}: metrics diverge across kernels");
+            let mut eb = cb.into_matches();
+            let mut es = cs.into_matches();
+            eb.sort_unstable();
+            es.sort_unstable();
+            assert_eq!(eb, es, "{name}: block kernels changed the match set");
         }
     }
 

@@ -144,7 +144,7 @@ pub struct FrontierEngine<'a, S: DataSource + ?Sized> {
 }
 
 impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
-    /// Wraps a configured engine (pooling, labels, cache capacities are
+    /// Wraps a configured engine (labels and cache capacities are
     /// inherited) with a frontier byte budget.
     pub fn new(engine: LocalEngine<'a, S>, budget: MemoryBudget) -> Self {
         FrontierEngine {

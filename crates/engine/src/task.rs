@@ -105,6 +105,27 @@ fn subtask_total(candidate_bound: usize, tau: usize) -> u32 {
         .expect("subtask count overflows u32 — raise the split threshold τ")
 }
 
+/// The split threshold a runtime generates a plan's task list with: `0`
+/// when the plan has no second pattern vertex (there is no candidate set
+/// to divide), the adaptive [`auto_tau`] choice for `lanes` execution
+/// lanes under `tau_auto`, else the static `tau`.
+pub fn effective_tau(
+    degrees: &[u32],
+    has_second: bool,
+    second_adjacent: bool,
+    tau_auto: bool,
+    tau: usize,
+    lanes: usize,
+) -> usize {
+    if !has_second {
+        0
+    } else if tau_auto {
+        auto_tau(degrees, lanes, second_adjacent)
+    } else {
+        tau
+    }
+}
+
 /// How many extra subtasks per execution lane the adaptive threshold
 /// targets (a lane is one worker thread). Keeping a handful of splits
 /// per lane balances hub-vertex skew without flooding the scheduler.

@@ -1,0 +1,64 @@
+//! The engine's steady-state allocation contract, observed through a
+//! counting `#[global_allocator]`: once the buffer pool and the triangle
+//! cache are warm, running tasks allocates nothing. A single `#[test]`
+//! so no sibling test allocates concurrently under the same counter.
+
+use benu_engine::{CompiledPlan, CountingConsumer, InMemorySource, LocalEngine};
+use benu_graph::{gen, TotalOrder};
+use benu_obs::alloc::CountingAllocator;
+use benu_pattern::queries;
+use benu_plan::PlanBuilder;
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator::new();
+
+#[test]
+fn warm_q5_tasks_allocate_nothing_and_every_take_hits_the_pool() {
+    let g = gen::barabasi_albert(150, 4, 3);
+    let plan = PlanBuilder::new(&queries::q5()).best_plan();
+    let compiled = CompiledPlan::compile(&plan);
+    let source = InMemorySource::from_graph(&g);
+    let order = TotalOrder::new(&g);
+    let tasks = benu_engine::task::generate_tasks(&g, 20, compiled.second_adjacent);
+    // Triangle cache far larger than the workload: an eviction would
+    // re-run a compute closure, which allocates the cached set.
+    let mut engine = LocalEngine::with_triangle_cache(&compiled, &source, &order, 1 << 18);
+    let mut consumer = CountingConsumer::default();
+    let mut run_pass = |engine: &mut LocalEngine<'_, InMemorySource>| -> u64 {
+        tasks
+            .iter()
+            .map(|&task| engine.run_task(task, &mut consumer).matches)
+            .sum()
+    };
+
+    let warm_matches = run_pass(&mut engine);
+    assert!(warm_matches > 0, "the workload must find q5 matches");
+    // Buffers come back to the pool in a different order than they were
+    // taken, so a recycled buffer can land where more capacity is needed
+    // than it has; each such growth is one allocation, and capacities
+    // settle within a few passes. Warm up until a pass grows nothing.
+    let settled = (0..8).any(|_| {
+        let before = ALLOC.snapshot();
+        run_pass(&mut engine);
+        ALLOC.snapshot().delta_since(&before).allocs == 0
+    });
+    assert!(settled, "buffer capacities never settled");
+    let warm_pool = engine.pool_stats();
+
+    let before = ALLOC.snapshot();
+    let steady_matches = run_pass(&mut engine);
+    let delta = ALLOC.snapshot().delta_since(&before);
+    let steady_pool = engine.pool_stats();
+
+    assert_eq!(steady_matches, warm_matches);
+    assert_eq!(
+        delta.allocs, 0,
+        "steady-state pass allocated {} times ({} bytes)",
+        delta.allocs, delta.bytes
+    );
+    assert_eq!(
+        steady_pool.misses, warm_pool.misses,
+        "every steady-state take must be a pool hit"
+    );
+    assert!(steady_pool.hits > warm_pool.hits);
+}

@@ -20,23 +20,18 @@
 //!   or faulted replicas (ring-order failover), so a whole-shard outage
 //!   is invisible to callers as long as one copy of every value
 //!   survives.
-//! * [`FaultingDataSource`] — wraps any [`benu_engine::DataSource`] with
-//!   the plan plus internal retry, so a bare engine can be chaos-tested
-//!   unmodified.
 //! * [`RetryPolicy`] — capped exponential backoff with deterministic
 //!   jitter; the wait is virtual time, charged into busy-time accounting
 //!   by the consumer instead of slept.
 //!
 //! The recovery half — per-request retry, crash-triggered task requeue,
 //! straggler speculation, and the `RecoveryReport` — lives in
-//! `benu-cluster`, which consumes these decorators.
+//! `benu-cluster`, which consumes the store decorator.
 
 pub mod plan;
 pub mod retry;
-pub mod source;
 pub mod store;
 
 pub use plan::{FaultError, FaultKind, FaultPlan, FaultPlanBuilder};
 pub use retry::RetryPolicy;
-pub use source::FaultingDataSource;
 pub use store::{FaultingStore, StoreError};

@@ -131,16 +131,6 @@ impl AdjSet {
     pub fn size_bytes(&self) -> usize {
         self.ids.len() * std::mem::size_of::<VertexId>()
     }
-
-    /// Consumes the set, returning the underlying sorted vector.
-    #[deprecated(
-        since = "0.8.0",
-        note = "borrow with `as_slice` or `view` instead; owned extraction \
-                defeats the shared dual-representation sets"
-    )]
-    pub fn into_vec(self) -> Vec<VertexId> {
-        self.ids
-    }
 }
 
 impl From<Vec<VertexId>> for AdjSet {

@@ -280,22 +280,6 @@ pub fn decode(value: &[u8]) -> Result<AdjSet, CodecError> {
     Ok(AdjSet::from_sorted(ids).with_blocks(DENSE_BLOCK_THRESHOLD))
 }
 
-/// Encodes with [`CodecKind::RawU32`].
-#[deprecated(
-    since = "0.8.0",
-    note = "use `encode(CodecKind::RawU32, ..)` or a store built with \
-            `KvStore::from_graph_with` — values are tagged now"
-)]
-pub fn encode_adj(neighbors: &[VertexId]) -> Bytes {
-    encode(CodecKind::RawU32, neighbors)
-}
-
-/// Decodes a tagged value, panicking on corrupt bytes.
-#[deprecated(since = "0.8.0", note = "use `decode`, which reports a `CodecError`")]
-pub fn decode_adj(value: &Bytes) -> AdjSet {
-    decode(value).expect("corrupt adjacency value")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,21 +414,5 @@ mod tests {
         }
         assert!("zstd".parse::<CodecKind>().is_err());
         assert_eq!(CodecKind::from_tag(0), None);
-    }
-
-    #[test]
-    fn deprecated_shims_stay_wire_compatible() {
-        #![allow(deprecated)]
-        let ids = vec![3u32, 7, 9];
-        let wire = encode_adj(&ids);
-        assert_eq!(wire, encode(CodecKind::RawU32, &ids));
-        assert_eq!(decode_adj(&wire).as_slice(), &ids[..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "corrupt")]
-    fn deprecated_decode_still_panics_on_corrupt_values() {
-        #![allow(deprecated)]
-        decode_adj(&Bytes::from_static(&[TAG_RAW_U32, 1, 2, 3]));
     }
 }

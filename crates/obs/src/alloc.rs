@@ -1,9 +1,10 @@
 //! Heap-allocation counters for performance measurement.
 //!
-//! The hotpath bench's "steady-state allocations per task ≈ 0" claim
-//! needs an observable, not an assertion: a [`CountingAllocator`] wraps
-//! the system allocator and counts every allocation event and requested
-//! byte. A bench binary installs it once:
+//! The engine's "steady-state allocations per task = 0" claim needs an
+//! observable, not an assertion: a [`CountingAllocator`] wraps the system
+//! allocator and counts every allocation event and requested byte. A
+//! test or bench binary installs it once (see
+//! `crates/engine/tests/steady_state_allocs.rs`):
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -13,11 +14,10 @@
 //!
 //! and brackets the measured region with [`CountingAllocator::snapshot`]
 //! / [`AllocSnapshot::delta_since`]. Counting is two relaxed atomic adds
-//! per allocation — cheap enough that the A/B arms of a bench can both
-//! run under it, keeping the comparison fair. This module is deliberately
-//! independent of the `noop` feature: it measures the *engine's* memory
-//! behaviour, not the observability layer's, so compiling recording out
-//! must not disable it.
+//! per allocation. This module is deliberately independent of the `noop`
+//! feature: it measures the *engine's* memory behaviour, not the
+//! observability layer's, so compiling recording out must not disable
+//! it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

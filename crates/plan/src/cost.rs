@@ -170,6 +170,19 @@ impl ChungLuEstimator {
             two_m: edges2.max(1.0),
         }
     }
+
+    /// Builds from a resident per-vertex degree array (`degrees[v]` is
+    /// the degree of vertex `v`) — the prior both runtimes calibrate
+    /// planning and feedback estimation with. Goes through the
+    /// histogram so the moments sum in the same order either way.
+    pub fn from_degrees(degrees: &[u32]) -> Self {
+        let max_d = degrees.iter().copied().max().unwrap_or(0) as usize;
+        let mut hist = vec![0usize; max_d + 1];
+        for &d in degrees {
+            hist[d as usize] += 1;
+        }
+        Self::from_degree_histogram(&hist)
+    }
 }
 
 impl CardinalityEstimator for ChungLuEstimator {

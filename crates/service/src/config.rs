@@ -40,8 +40,6 @@ pub struct ServiceConfig {
     pub memory_budget_bytes: usize,
     /// Per-chunk triangle-cache entries.
     pub triangle_cache_entries: usize,
-    /// Run engines with pooled execution buffers.
-    pub pooled_buffers: bool,
     /// Compiled plans retained by the plan cache (LRU over canonical
     /// pattern forms; 0 disables caching).
     pub plan_cache_entries: usize,
@@ -125,7 +123,6 @@ impl Default for ServiceConfig {
             exec_mode: ExecMode::Dfs,
             memory_budget_bytes: 0,
             triangle_cache_entries: 1 << 14,
-            pooled_buffers: true,
             plan_cache_entries: 32,
             chunk_tasks: 64,
             store_shards: 0,
@@ -240,12 +237,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Run engines with pooled execution buffers.
-    pub fn pooled_buffers(mut self, yes: bool) -> Self {
-        self.0.pooled_buffers = yes;
-        self
-    }
-
     /// Compiled plans retained by the plan cache.
     pub fn plan_cache_entries(mut self, n: usize) -> Self {
         self.0.plan_cache_entries = n;
@@ -357,7 +348,6 @@ mod tests {
             .exec_mode(ExecMode::Hybrid)
             .memory_budget_bytes(4 << 10)
             .triangle_cache_entries(64)
-            .pooled_buffers(false)
             .plan_cache_entries(5)
             .chunk_tasks(16)
             .store_shards(4)
@@ -382,7 +372,6 @@ mod tests {
             exec_mode: ExecMode::Hybrid,
             memory_budget_bytes: 4 << 10,
             triangle_cache_entries: 64,
-            pooled_buffers: false,
             plan_cache_entries: 5,
             chunk_tasks: 16,
             store_shards: 4,

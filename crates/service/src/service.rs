@@ -39,12 +39,10 @@ use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
 use benu_cache::{CacheObs, DbCache};
 use benu_cluster::transport::{FetchError, Transport};
+use benu_cluster::worker::{lane_budget, LaneExecutor, TaskPanicked};
 use benu_cluster::ExecMode;
-use benu_engine::{
-    CollectingConsumer, CountingConsumer, DataSource, FrontierEngine, LocalEngine, MatchConsumer,
-    MemoryBudget, SearchTask, TaskMetrics,
-};
-use benu_fault::{FaultKind, FaultingStore, RetryPolicy};
+use benu_engine::{DataSource, SearchTask, TaskMetrics};
+use benu_fault::{FaultError, FaultKind, FaultingStore, RetryPolicy};
 use benu_graph::{AdjSet, Graph, TotalOrder, VertexId};
 use benu_kvstore::KvStore;
 use benu_obs::{ObsHub, Report, ReportMode};
@@ -154,132 +152,104 @@ impl ChunkSource<'_> {
         self.error.lock().take()
     }
 
-    /// The chaos verdict for one logical access: replica failover
-    /// within an attempt, virtual backoff between attempts, fail fast
-    /// on hopeless outages — mirroring the batch transport's retry
-    /// loop, with every wait booked to virtual time, never slept.
-    fn verdict(&self, v: VertexId) -> Result<(), ServiceError> {
+    /// The chaos verdict for one logical access, decided by `route`
+    /// (decision-only — nothing is fetched): replica failover within an
+    /// attempt, virtual backoff between attempts (`key` seeds the
+    /// jitter), fail fast on hopeless outages — mirroring the batch
+    /// transport's retry loop, with every wait booked to virtual time,
+    /// never slept. `route` answers a served attempt with its slow-shard
+    /// penalty; `named` picks the vertex an error names, given the
+    /// failing shard.
+    fn verdict(
+        &self,
+        key: u64,
+        named: impl Fn(usize) -> VertexId,
+        route: impl Fn(&Chaos, u32) -> Result<Duration, FaultError>,
+    ) -> Result<(), ServiceError> {
         let Some(chaos) = self.chaos else {
             return Ok(());
         };
-        for attempt in 0..chaos.retry.max_attempts {
-            match chaos.store.route_for(v, attempt) {
-                Ok(_) => {
-                    Transport::book_virtual(chaos.store.latency_penalty_routed(v, attempt));
+        let attempts = chaos.retry.max_attempts;
+        for attempt in 0..attempts {
+            let fault = match route(chaos, attempt) {
+                Ok(penalty) => {
+                    Transport::book_virtual(penalty);
                     return Ok(());
                 }
-                Err(fault) if fault.kind == FaultKind::Outage => {
-                    return Err(ServiceError::StoreUnavailable {
-                        vertex: v,
-                        shard: fault.shard,
-                    });
-                }
-                Err(fault) => {
-                    if fault.kind == FaultKind::Timeout {
-                        Transport::book_virtual(chaos.store.plan().timeout_wait());
-                    }
-                    if attempt + 1 >= chaos.retry.max_attempts {
-                        return Err(ServiceError::RetryExhausted {
-                            vertex: v,
-                            shard: fault.shard,
-                            attempts: chaos.retry.max_attempts,
-                        });
-                    }
-                    Transport::book_virtual(chaos.retry.backoff(
-                        chaos.store.plan().seed(),
-                        v as u64,
-                        attempt + 1,
-                    ));
-                }
+                Err(fault) => fault,
+            };
+            let (vertex, shard) = (named(fault.shard), fault.shard);
+            if fault.kind == FaultKind::Outage {
+                return Err(ServiceError::StoreUnavailable { vertex, shard });
             }
+            if fault.kind == FaultKind::Timeout {
+                Transport::book_virtual(chaos.store.plan().timeout_wait());
+            }
+            if attempt + 1 >= attempts {
+                return Err(ServiceError::RetryExhausted {
+                    vertex,
+                    shard,
+                    attempts,
+                });
+            }
+            Transport::book_virtual(chaos.retry.backoff(
+                chaos.store.plan().seed(),
+                key,
+                attempt + 1,
+            ));
         }
         unreachable!("retry loop returns on success or exhausted attempts")
     }
 
-    /// The chaos verdict for one logical batch over the *full* key set
-    /// — same loop as [`ChunkSource::verdict`] at shard-batch
-    /// granularity, so a batch access draws exactly one decision stream
-    /// regardless of which keys the cache already holds.
+    /// One decision stream per vertex access.
+    fn vertex_verdict(&self, v: VertexId) -> Result<(), ServiceError> {
+        self.verdict(
+            v as u64,
+            |_| v,
+            |chaos, attempt| {
+                chaos.store.route_for(v, attempt)?;
+                Ok(chaos.store.latency_penalty_routed(v, attempt))
+            },
+        )
+    }
+
+    /// One decision stream per logical batch, over the *full* key set at
+    /// shard-batch granularity — regardless of which keys the cache
+    /// already holds.
     fn batch_verdict(&self, vs: &[VertexId]) -> Result<(), ServiceError> {
-        let Some(chaos) = self.chaos else {
-            return Ok(());
-        };
-        let key = vs.iter().copied().min().unwrap_or(0) as u64;
-        for attempt in 0..chaos.retry.max_attempts {
-            match chaos.store.route_many(vs, attempt) {
-                Ok(_) => {
-                    Transport::book_virtual(chaos.store.batch_latency_penalty_routed(vs, attempt));
-                    return Ok(());
-                }
-                Err(fault) if fault.kind == FaultKind::Outage => {
-                    return Err(ServiceError::StoreUnavailable {
-                        vertex: batch_error_vertex(self.transport.store(), vs, fault.shard),
-                        shard: fault.shard,
-                    });
-                }
-                Err(fault) => {
-                    if fault.kind == FaultKind::Timeout {
-                        Transport::book_virtual(chaos.store.plan().timeout_wait());
-                    }
-                    if attempt + 1 >= chaos.retry.max_attempts {
-                        return Err(ServiceError::RetryExhausted {
-                            vertex: batch_error_vertex(self.transport.store(), vs, fault.shard),
-                            shard: fault.shard,
-                            attempts: chaos.retry.max_attempts,
-                        });
-                    }
-                    Transport::book_virtual(chaos.retry.backoff(
-                        chaos.store.plan().seed(),
-                        key,
-                        attempt + 1,
-                    ));
-                }
-            }
-        }
-        unreachable!("retry loop returns on success or exhausted attempts")
-    }
-
-    /// One fetch through the faultless serve path: warm cache first,
-    /// then the worker's transport. A vertex missing from the resident
-    /// store (or decoding to garbage) is a data error of this query,
-    /// not a process abort.
-    fn fetch(&self, v: VertexId) -> Result<Arc<AdjSet>, ServiceError> {
-        self.verdict(v)?;
-        self.cache
-            .get_or_fetch(v, || resident_fetch(self.transport, v))
+        self.verdict(
+            vs.iter().copied().min().unwrap_or(0) as u64,
+            |shard| Transport::batch_error_vertex(self.transport.store(), vs, shard),
+            |chaos, attempt| {
+                chaos.store.route_many(vs, attempt)?;
+                Ok(chaos.store.batch_latency_penalty_routed(vs, attempt))
+            },
+        )
     }
 }
 
-/// Maps the faultless transport's error taxonomy into the service's.
-/// The serve-path transport has no fault plan, so `Unavailable` here
-/// means the store itself refused — surfaced with the transport's own
-/// attempt accounting.
-fn resident_fetch(transport: &Transport, v: VertexId) -> Result<Arc<AdjSet>, ServiceError> {
-    match transport.fetch(v) {
-        Ok(Some(adj)) => Ok(adj),
-        Ok(None) => Err(ServiceError::CorruptValue {
-            vertex: v,
+/// Maps the faultless serve-path transport's error taxonomy into the
+/// service's. A vertex missing from the resident store (or decoding to
+/// garbage) is a data error of this query, not a process abort. The
+/// transport has no fault plan, so `Unavailable` here means the store
+/// itself refused — surfaced with the transport's own attempt
+/// accounting.
+fn resident_error(err: FetchError) -> ServiceError {
+    match err {
+        FetchError::Missing(vertex) => ServiceError::CorruptValue {
+            vertex,
             detail: "missing from the resident store".into(),
-        }),
-        Err(FetchError::Corrupt(err)) => Err(ServiceError::CorruptValue {
+        },
+        FetchError::Corrupt(err) => ServiceError::CorruptValue {
             vertex: err.vertex,
             detail: err.error.to_string(),
-        }),
-        Err(FetchError::Unavailable(err)) => Err(ServiceError::RetryExhausted {
+        },
+        FetchError::Unavailable(err) => ServiceError::RetryExhausted {
             vertex: err.vertex,
             shard: err.shard,
             attempts: err.attempts,
-        }),
+        },
     }
-}
-
-/// The first vertex of `vs` whose placement involves `shard` — the
-/// representative vertex a batch failure names.
-fn batch_error_vertex(store: &KvStore, vs: &[VertexId], shard: usize) -> VertexId {
-    vs.iter()
-        .copied()
-        .find(|&v| store.placement(v).any(|s| s == shard))
-        .unwrap_or_default()
 }
 
 impl DataSource for ChunkSource<'_> {
@@ -288,67 +258,23 @@ impl DataSource for ChunkSource<'_> {
     }
 
     fn get_adj(&self, v: VertexId) -> Arc<AdjSet> {
-        match self.fetch(v) {
-            Ok(adj) => adj,
-            Err(err) => self.poison(err),
-        }
+        self.vertex_verdict(v)
+            .and_then(|()| {
+                self.transport
+                    .fetch_through(self.cache, v)
+                    .map_err(resident_error)
+            })
+            .unwrap_or_else(|err| self.poison(err))
     }
 
     fn get_adj_batch(&self, vs: &[VertexId]) -> Vec<Arc<AdjSet>> {
-        if let Err(err) = self.batch_verdict(vs) {
-            let empty = self.poison(err);
-            return vs.iter().map(|_| Arc::clone(&empty)).collect();
-        }
-        let mut out: Vec<Option<Arc<AdjSet>>> = vec![None; vs.len()];
-        let mut missing_slots = Vec::new();
-        let mut missing_keys = Vec::new();
-        for (i, &v) in vs.iter().enumerate() {
-            match self.cache.get(v) {
-                Some(adj) => out[i] = Some(adj),
-                None => {
-                    missing_slots.push(i);
-                    missing_keys.push(v);
-                }
-            }
-        }
-        if !missing_keys.is_empty() {
-            match self.transport.fetch_many(&missing_keys) {
-                Ok(values) => {
-                    for (j, value) in values.into_iter().enumerate() {
-                        out[missing_slots[j]] = Some(match value {
-                            Some(adj) => {
-                                self.cache.insert(missing_keys[j], Arc::clone(&adj));
-                                adj
-                            }
-                            None => self.poison(ServiceError::CorruptValue {
-                                vertex: missing_keys[j],
-                                detail: "missing from the resident store".into(),
-                            }),
-                        });
-                    }
-                }
-                Err(err) => {
-                    let err = match err {
-                        FetchError::Corrupt(c) => ServiceError::CorruptValue {
-                            vertex: c.vertex,
-                            detail: c.error.to_string(),
-                        },
-                        FetchError::Unavailable(t) => ServiceError::RetryExhausted {
-                            vertex: t.vertex,
-                            shard: t.shard,
-                            attempts: t.attempts,
-                        },
-                    };
-                    let empty = self.poison(err);
-                    for &slot in &missing_slots {
-                        out[slot] = Some(Arc::clone(&empty));
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every slot filled"))
-            .collect()
+        self.batch_verdict(vs)
+            .and_then(|()| {
+                self.transport
+                    .fetch_many_through(self.cache, vs)
+                    .map_err(resident_error)
+            })
+            .unwrap_or_else(|err| vec![self.poison(err); vs.len()])
     }
 }
 
@@ -879,25 +805,15 @@ impl Inner {
     /// concurrency.
     fn generate_tasks(&self, plan: &CachedPlan) -> Vec<SearchTask> {
         let second_adjacent = plan.compiled.second_adjacent;
-        let tau = if plan.compiled.second_vertex.is_none() {
-            0
-        } else if self.config.tau_auto {
-            benu_engine::task::auto_tau(&self.degrees, AUTO_TAU_VIRTUAL_LANES, second_adjacent)
-        } else {
-            self.config.tau
-        };
+        let tau = benu_engine::task::effective_tau(
+            &self.degrees,
+            plan.compiled.second_vertex.is_some(),
+            second_adjacent,
+            self.config.tau_auto,
+            self.config.tau,
+            AUTO_TAU_VIRTUAL_LANES,
+        );
         benu_engine::task::generate_tasks_from_degrees(&self.degrees, tau, second_adjacent)
-    }
-
-    /// The Chung-Lu estimator over the resident degree distribution —
-    /// the prior the feedback estimator corrects.
-    fn chung_lu_prior(&self) -> ChungLuEstimator {
-        let max_d = self.degrees.iter().copied().max().unwrap_or(0) as usize;
-        let mut hist = vec![0usize; max_d + 1];
-        for &d in &self.degrees {
-            hist[d as usize] += 1;
-        }
-        ChungLuEstimator::from_degree_histogram(&hist)
     }
 
     /// Feedback re-planning at admission: when the submitted pattern
@@ -914,7 +830,8 @@ impl Inner {
         if entry.replanned || entry.plan != current.plan || entry.obs.is_empty() {
             return None;
         }
-        let est = FeedbackEstimator::new(self.chung_lu_prior(), &entry.plan, &entry.obs);
+        let prior = ChungLuEstimator::from_degrees(&self.degrees);
+        let est = FeedbackEstimator::new(prior, &entry.plan, &entry.obs);
         let plan = PlanBuilder::new(&entry.canonical)
             .observed_feedback(est)
             .best_plan();
@@ -1048,12 +965,7 @@ impl Inner {
 /// deliberately *excluded*: a recovered fault must not shift deadline
 /// semantics, or results would depend on the fault seed.
 fn chunk_vticks(tasks: usize, m: &TaskMetrics) -> u64 {
-    tasks as u64
-        + m.enu_candidates
-        + m.dbq_executions
-        + m.int_executions
-        + m.trc_executions
-        + m.kcache_executions
+    tasks as u64 + benu_cluster::balance::vticks(m)
 }
 
 /// Remaps an embedding of the canonical pattern back to the submitted
@@ -1195,64 +1107,47 @@ fn execute_chunk(
         .map(|h| h.tracer.span(&format!("query.{}.execute", run.id)));
     let range = run.chunk_range(chunk);
     let tasks = &run.tasks[range];
-    let needs_matches = run.options.mode.needs_matches();
     let source = ChunkSource {
         transport,
         cache,
         chaos: run.chaos.as_ref(),
         error: Mutex::new(None),
     };
-    let engine = LocalEngine::with_triangle_cache(
+    // The configured frontier budget is the pool's, split evenly across
+    // its workers; a hybrid chunk is one frontier batch, so sibling
+    // tasks share deduplicated batched store reads.
+    let mut executor = LaneExecutor::new(
         &run.plan.compiled,
         &source,
         &inner.order,
         inner.config.triangle_cache_entries,
-    )
-    .with_pooling(inner.config.pooled_buffers);
-    let mut counting = CountingConsumer::default();
-    let mut collecting = CollectingConsumer::default();
+        run.exec_mode,
+        lane_budget(inner.config.memory_budget_bytes, inner.config.workers),
+        run.options.mode.needs_matches(),
+    );
     let mut metrics = TaskMetrics::default();
+    let mut penalty = Duration::ZERO;
     let mut aborted = false;
-    match run.exec_mode {
-        ExecMode::Dfs => {
-            let mut engine = engine;
-            for &task in tasks {
-                if run.terminated.load(Ordering::Acquire) {
-                    aborted = true;
-                    break;
-                }
-                // A poisoned source already decided the chunk's fate;
-                // the remaining tasks' work would be discarded anyway.
-                if source.poisoned() {
-                    break;
-                }
-                let consumer: &mut dyn MatchConsumer = if needs_matches {
-                    &mut collecting
-                } else {
-                    &mut counting
-                };
-                metrics += engine.run_task(task, consumer);
-            }
+    for slice in tasks.chunks(executor.stride(tasks.len())) {
+        if run.terminated.load(Ordering::Acquire) {
+            aborted = true;
+            break;
         }
-        ExecMode::Hybrid => {
-            // The whole chunk is one frontier batch: sibling tasks share
-            // deduplicated batched store reads, bounded per worker.
-            let budget =
-                MemoryBudget::bytes(inner.config.memory_budget_bytes / inner.config.workers);
-            let mut frontier = FrontierEngine::new(engine, budget);
-            let consumer: &mut dyn MatchConsumer = if needs_matches {
-                &mut collecting
-            } else {
-                &mut counting
-            };
-            metrics = frontier.run_batch(tasks, consumer);
+        // A poisoned source already decided the chunk's fate; the
+        // remaining tasks' work would be discarded anyway.
+        if source.poisoned() {
+            break;
         }
+        let (ran, waited) = executor.run(slice).unwrap_or_else(|TaskPanicked(task)| {
+            panic!("query {}: engine panicked on task v{}", run.id, task.start)
+        });
+        metrics += ran;
+        penalty += waited;
     }
     // Injected-fault waits (virtual backoff, timeout waits, slow-shard
-    // penalties) accumulated on this thread are observability, not
-    // query latency — draining them here keeps vticks (and deadline
-    // semantics) invariant under recovered faults.
-    let penalty = Transport::take_task_penalty();
+    // penalties) the executor drained off this thread are observability,
+    // not query latency — keeping them out of vticks keeps deadline
+    // semantics invariant under recovered faults.
     if !penalty.is_zero() {
         if let Some(hub) = &inner.obs {
             hub.registry
@@ -1274,8 +1169,10 @@ fn execute_chunk(
             commit.submit_failed(chunk, err);
         }
     } else {
-        let mut matches: Vec<Vec<VertexId>> = collecting
-            .into_matches()
+        let mut matches: Vec<Vec<VertexId>> = executor
+            .finish()
+            .matches
+            .unwrap_or_default()
             .iter()
             .map(|f| remap(f, &run.placement))
             .collect();
