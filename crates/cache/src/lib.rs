@@ -149,8 +149,7 @@ impl DbCache {
 
     /// True when `v` is currently cached. Unlike [`DbCache::get`] this
     /// does not count a hit or miss and does not touch recency — it is a
-    /// pure peek, used by prefetchers deciding what to fetch without
-    /// distorting the effectiveness statistics.
+    /// pure peek that leaves the effectiveness statistics undistorted.
     pub fn contains(&self, v: VertexId) -> bool {
         self.shards[self.shard_of(v)].lock().peek(&v).is_some()
     }

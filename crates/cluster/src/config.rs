@@ -3,7 +3,6 @@
 use crate::schedule::SchedulerKind;
 use benu_fault::RetryPolicy;
 use benu_kvstore::CodecKind;
-use benu_plan::EstimatorKind;
 
 /// How worker threads drive the execution engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,6 +47,11 @@ impl std::str::FromStr for ExecMode {
     }
 }
 
+/// Default internal shard count of a worker's database cache.
+pub const DEFAULT_CACHE_SHARDS: usize = 8;
+/// Default capacity, in entries, of an engine's private triangle cache.
+pub const DEFAULT_TRIANGLE_CACHE_ENTRIES: usize = 1 << 14;
+
 /// Shape and tuning of the simulated cluster. The defaults mirror the
 /// paper's deployment scaled to a single machine.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -80,19 +84,10 @@ pub struct ClusterConfig {
     /// Task scheduling policy (static round-robin by default, matching
     /// the paper's even shuffle).
     pub scheduler: SchedulerKind,
-    /// Prefetch each task's frontier (the start vertex's neighbourhood)
-    /// in one batched round trip before executing it. Trades bytes for
-    /// round trips; only active when the database cache is enabled.
-    pub prefetch_frontier: bool,
     /// How transports retry injected transient store faults (capped
     /// exponential backoff with deterministic jitter). Only consulted
     /// when a fault plan is installed on the cluster.
     pub retry: RetryPolicy,
-    /// Speculatively re-execute straggler tasks whose duration exceeds
-    /// this busy-time quantile (e.g. `Some(0.95)`), taking the faster
-    /// attempt's timing. `None` disables speculation. Speculative
-    /// attempts never contribute matches, so counts stay exact.
-    pub speculate_quantile: Option<f64>,
     /// Store replication factor `R`: every vertex's value lives on its
     /// primary shard plus the next `R − 1` shards in ring order, and
     /// reads fail over along that ring. `1` (the default) is the
@@ -115,13 +110,6 @@ pub struct ClusterConfig {
     /// `run.store.bytes` roughly in half on power-law graphs. Decoded
     /// sets are byte-identical across codecs.
     pub codec: CodecKind,
-    /// Which cardinality model calibrates plan compilation through
-    /// [`crate::Cluster::plan_builder`]: the paper's static Erdős–Rényi
-    /// model (the default), the degree-moment Chung-Lu model computed
-    /// from the resident degree array, or feedback-driven re-planning
-    /// from a previous run's observed per-instruction cardinalities
-    /// (Chung-Lu until an observation is supplied).
-    pub estimator: EstimatorKind,
     /// Collect a per-start-vertex observed-cost profile
     /// ([`crate::CostProfile`]) during the run, exposed as
     /// `RunOutcome::cost_profile`. Installing it back via
@@ -138,20 +126,17 @@ impl Default for ClusterConfig {
             workers: 4,
             threads_per_worker: 2,
             cache_capacity_bytes: 64 << 20,
-            cache_shards: 8,
+            cache_shards: DEFAULT_CACHE_SHARDS,
             tau: 500,
             tau_auto: false,
-            triangle_cache_entries: 1 << 14,
+            triangle_cache_entries: DEFAULT_TRIANGLE_CACHE_ENTRIES,
             collect_task_times: false,
             scheduler: SchedulerKind::Static,
-            prefetch_frontier: false,
             retry: RetryPolicy::default(),
-            speculate_quantile: None,
             replication: 1,
             exec_mode: ExecMode::Dfs,
             memory_budget_bytes: 0,
             codec: CodecKind::RawU32,
-            estimator: EstimatorKind::Er,
             collect_cost_profile: false,
         }
     }
@@ -177,12 +162,6 @@ impl ClusterConfig {
             (1..=self.workers).contains(&self.replication),
             "replication factor must be within 1..=workers (one shard per worker)"
         );
-        if let Some(q) = self.speculate_quantile {
-            assert!(
-                (0.0..1.0).contains(&q),
-                "speculation quantile must be in [0, 1)"
-            );
-        }
     }
 }
 
@@ -246,22 +225,9 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Prefetch each task's frontier in one batched round trip.
-    pub fn prefetch_frontier(mut self, yes: bool) -> Self {
-        self.0.prefetch_frontier = yes;
-        self
-    }
-
     /// Retry policy for injected transient store faults.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.0.retry = policy;
-        self
-    }
-
-    /// Busy-time quantile past which tasks are speculatively re-executed
-    /// (`None` disables speculation).
-    pub fn speculate_quantile(mut self, quantile: Option<f64>) -> Self {
-        self.0.speculate_quantile = quantile;
         self
     }
 
@@ -287,12 +253,6 @@ impl ClusterConfigBuilder {
     /// Wire codec for stored adjacency values.
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.0.codec = codec;
-        self
-    }
-
-    /// Cardinality model for plan compilation.
-    pub fn estimator(mut self, kind: EstimatorKind) -> Self {
-        self.0.estimator = kind;
         self
     }
 
@@ -350,14 +310,11 @@ mod tests {
             .triangle_cache_entries(64)
             .collect_task_times(true)
             .scheduler(SchedulerKind::WorkStealing)
-            .prefetch_frontier(true)
             .retry(retry)
-            .speculate_quantile(Some(0.9))
             .replication(2)
             .exec_mode(ExecMode::Hybrid)
             .memory_budget_bytes(1 << 20)
             .codec(CodecKind::DeltaVarint)
-            .estimator(EstimatorKind::ChungLu)
             .collect_cost_profile(true)
             .build();
         let literal = ClusterConfig {
@@ -370,14 +327,11 @@ mod tests {
             triangle_cache_entries: 64,
             collect_task_times: true,
             scheduler: SchedulerKind::WorkStealing,
-            prefetch_frontier: true,
             retry,
-            speculate_quantile: Some(0.9),
             replication: 2,
             exec_mode: ExecMode::Hybrid,
             memory_budget_bytes: 1 << 20,
             codec: CodecKind::DeltaVarint,
-            estimator: EstimatorKind::ChungLu,
             collect_cost_profile: true,
         };
         assert_eq!(built, literal);
@@ -393,14 +347,11 @@ mod tests {
         assert_ne!(built.triangle_cache_entries, d.triangle_cache_entries);
         assert_ne!(built.collect_task_times, d.collect_task_times);
         assert_ne!(built.scheduler, d.scheduler);
-        assert_ne!(built.prefetch_frontier, d.prefetch_frontier);
         assert_ne!(built.retry, d.retry);
-        assert_ne!(built.speculate_quantile, d.speculate_quantile);
         assert_ne!(built.replication, d.replication);
         assert_ne!(built.exec_mode, d.exec_mode);
         assert_ne!(built.memory_budget_bytes, d.memory_budget_bytes);
         assert_ne!(built.codec, d.codec);
-        assert_ne!(built.estimator, d.estimator);
         assert_ne!(built.collect_cost_profile, d.collect_cost_profile);
     }
 
@@ -441,12 +392,9 @@ mod tests {
     fn default_scheduler_is_the_papers_static_shuffle() {
         let c = ClusterConfig::default();
         assert_eq!(c.scheduler, SchedulerKind::Static);
-        assert!(!c.prefetch_frontier);
         let ws = ClusterConfig::builder()
             .scheduler(SchedulerKind::WorkStealing)
-            .prefetch_frontier(true)
             .build();
         assert_eq!(ws.scheduler, SchedulerKind::WorkStealing);
-        assert!(ws.prefetch_frontier);
     }
 }

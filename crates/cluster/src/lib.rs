@@ -24,16 +24,16 @@
 //! * **worker** — each thread runs a [`worker::Worker`] loop over a
 //!   [`worker::LaneExecutor`]: the single executor (engine + private
 //!   triangle cache, DFS or hybrid, count or collect) that cluster
-//!   threads, straggler speculation and `benu-service`'s chunk execution
-//!   all run tasks through. It fails soft: store/task errors surface as
+//!   threads and `benu-service`'s chunk execution both run tasks
+//!   through. It fails soft: store/task errors surface as
 //!   [`WorkerError`] instead of panics;
 //! * **recovery** — with a [`benu_fault::FaultPlan`] installed via
 //!   [`Cluster::set_fault_plan`], transports retry injected store faults
 //!   with capped virtual backoff, crashed workers' tasks are requeued
 //!   and re-executed on survivors (BENU's idempotent-task recovery,
-//!   §III-C), stragglers past [`ClusterConfig::speculate_quantile`] are
-//!   speculatively re-executed, and the whole story is summarised in the
-//!   outcome's [`RecoveryReport`];
+//!   §III-C), and the whole story is summarised in the outcome's
+//!   [`RecoveryReport`]. Stragglers are handled before they form: by
+//!   task splitting at τ (§V-B) and, optionally, work stealing;
 //! * per-worker communication bytes, cache statistics, busy time, steal
 //!   counts and optional per-task durations are reported in the
 //!   [`RunOutcome`] — exactly the measurements behind Table V, Fig. 8,
@@ -59,7 +59,10 @@ pub use benu_fault::{
     FaultError, FaultKind, FaultPlan, FaultPlanBuilder, FaultingStore, RetryPolicy, StoreError,
 };
 pub use benu_kvstore::{CodecKind, CorruptValue};
-pub use config::{ClusterConfig, ClusterConfigBuilder, ExecMode};
+pub use config::{
+    ClusterConfig, ClusterConfigBuilder, ExecMode, DEFAULT_CACHE_SHARDS,
+    DEFAULT_TRIANGLE_CACHE_ENTRIES,
+};
 pub use report::{RecoveryReport, RunOutcome, WorkerReport};
 pub use runtime::Cluster;
 pub use schedule::{Scheduler, SchedulerKind};

@@ -80,10 +80,6 @@ pub struct RecoveryReport {
     pub tasks_requeued: u64,
     /// Extra scheduler passes run to re-execute requeued tasks.
     pub recovery_passes: u64,
-    /// Straggler tasks speculatively re-executed.
-    pub speculative_launches: u64,
-    /// Speculative attempts that beat the original duration.
-    pub speculative_wins: u64,
     /// Times a store read stepped past a dead or faulted replica to try
     /// the next one in ring order (failover happens *before* any retry
     /// budget is spent).
@@ -127,8 +123,6 @@ impl RecoveryReport {
         r.set("worker_crashes", self.worker_crashes);
         r.set("tasks_requeued", self.tasks_requeued);
         r.set("recovery_passes", self.recovery_passes);
-        r.set("speculative_launches", self.speculative_launches);
-        r.set("speculative_wins", self.speculative_wins);
         r.set("failovers", self.failovers);
         r.set("failover_reads", self.failover_reads);
         r.set("shard_outages", self.shard_outages);
@@ -288,33 +282,6 @@ impl RunOutcome {
             total += w.pool;
         }
         total
-    }
-
-    /// Ratio of the busiest worker's busy time to the least busy
-    /// worker's (with `floor` as the minimum denominator, guarding
-    /// against idle workers). 1.0 = perfectly balanced; the work-stealing
-    /// scheduler exists to pull this down on skewed task sets. Returns
-    /// 0.0 — never NaN or ∞ — for a run with no workers, or with a zero
-    /// floor on a run where no worker did any work.
-    pub fn busy_ratio(&self, floor: Duration) -> f64 {
-        if self.workers.is_empty() {
-            return 0.0;
-        }
-        let max = self
-            .workers
-            .iter()
-            .map(|w| w.busy_time)
-            .max()
-            .unwrap_or(Duration::ZERO)
-            .max(floor);
-        let min = self
-            .workers
-            .iter()
-            .map(|w| w.busy_time)
-            .min()
-            .unwrap_or(Duration::ZERO)
-            .max(floor);
-        safe_ratio(max.as_secs_f64(), min.as_secs_f64())
     }
 
     /// Work imbalance: max over workers of executed *vticks* (the
@@ -543,45 +510,19 @@ mod tests {
         assert!(o.recovery.is_clean());
     }
 
-    #[test]
-    fn busy_ratio_floors_idle_workers() {
-        let o = RunOutcome {
-            workers: vec![worker(100, 0, 0, 0), worker(0, 0, 0, 0)],
-            ..RunOutcome::default()
-        };
-        let ratio = o.busy_ratio(Duration::from_millis(1));
-        assert!((ratio - 100.0).abs() < 1e-9, "100ms vs 1ms floor");
-        let balanced = RunOutcome {
-            workers: vec![worker(50, 0, 0, 0), worker(50, 0, 0, 0)],
-            ..RunOutcome::default()
-        };
-        assert!((balanced.busy_ratio(Duration::from_millis(1)) - 1.0).abs() < 1e-9);
-    }
-
     // Regression: a zero-task or zero-time run must yield finite metrics
     // (0.0), not NaN or ∞ — downstream JSON and table writers choke on
     // non-finite numbers.
     #[test]
     fn imbalance_metrics_guard_zero_work_runs() {
         let no_workers = RunOutcome::default();
-        assert_eq!(no_workers.busy_ratio(Duration::ZERO), 0.0);
-        assert_eq!(no_workers.busy_ratio(Duration::from_millis(1)), 0.0);
         assert_eq!(no_workers.load_imbalance(), 0.0);
 
         let all_idle = RunOutcome {
             workers: vec![worker(0, 0, 0, 0), worker(0, 0, 0, 0)],
             ..RunOutcome::default()
         };
-        assert_eq!(
-            all_idle.busy_ratio(Duration::ZERO),
-            0.0,
-            "zero floor over zero busy time must not divide by zero"
-        );
         assert_eq!(all_idle.load_imbalance(), 0.0);
-        assert!(all_idle.busy_ratio(Duration::ZERO).is_finite());
-        assert!(all_idle.load_imbalance().is_finite());
-        // A floored ratio over idle workers stays the benign 1.0.
-        assert!((all_idle.busy_ratio(Duration::from_millis(1)) - 1.0).abs() < 1e-9);
     }
 
     // Regression per call site: every ratio helper shares safe_ratio's
@@ -589,11 +530,7 @@ mod tests {
     #[test]
     fn ratio_helpers_share_safe_ratio_semantics() {
         let empty = RunOutcome::default();
-        for v in [
-            empty.cache_hit_rate(),
-            empty.busy_ratio(Duration::ZERO),
-            empty.load_imbalance(),
-        ] {
+        for v in [empty.cache_hit_rate(), empty.load_imbalance()] {
             assert_eq!(v, 0.0);
             assert!(v.is_finite());
         }
@@ -603,7 +540,6 @@ mod tests {
             ..RunOutcome::default()
         };
         assert!((o.cache_hit_rate() - 0.9).abs() < 1e-12);
-        assert!((o.busy_ratio(Duration::from_millis(1)) - 2.0).abs() < 1e-9);
         assert!((o.load_imbalance() - 200.0 / 150.0).abs() < 1e-9);
     }
 

@@ -11,8 +11,7 @@
 //! run also exercises BENU's recovery story: transports retry injected
 //! store faults with capped backoff, workers crash at planned task
 //! boundaries and their tasks are requeued onto survivors in extra
-//! scheduler passes, and configured straggler speculation re-executes
-//! the slowest tasks. Because tasks are idempotent and a dead worker's
+//! scheduler passes. Because tasks are idempotent and a dead worker's
 //! results are discarded wholesale, match counts are byte-identical to a
 //! fault-free run; the [`RecoveryReport`] in the outcome records what
 //! the machinery absorbed. [`Cluster::run`] returns `Err` only for
@@ -23,7 +22,6 @@ use crate::balance::CostProfile;
 use crate::config::ClusterConfig;
 use crate::recovery::RecoveryCtx;
 use crate::report::{RecoveryReport, RunOutcome, WorkerReport};
-use crate::schedule::StaticScheduler;
 use crate::transport::Transport;
 use crate::worker::{ErrorSlot, ThreadResult, Worker, WorkerError};
 use benu_cache::{CacheObs, CacheStats, DbCache};
@@ -66,8 +64,8 @@ impl Cluster {
     /// records into: the store's per-shard counters and latency
     /// histograms, the db cache tier, the engine's instruction counters,
     /// per-worker busy/steal/retry/crash events, and phase spans (store
-    /// load, plan compile, task generation, passes, speculation) on the
-    /// hub's virtual clock. Registry counters are monotonic for the
+    /// load, plan compile, task generation, passes) on the hub's virtual
+    /// clock. Registry counters are monotonic for the
     /// hub's lifetime — pass a fresh hub for per-run numbers.
     pub fn new_observed(g: &Graph, config: ClusterConfig, hub: Arc<ObsHub>) -> Self {
         Self::build(g, config, Some(hub))
@@ -88,24 +86,20 @@ impl Cluster {
             store,
             order: Arc::new(TotalOrder::new(g)),
             degrees: g.vertices().map(|v| g.degree(v) as u32).collect(),
-            caches: Self::build_caches(&config, obs.as_deref()),
+            caches: (0..config.workers)
+                .map(|_| {
+                    let mut cache = DbCache::new(config.cache_capacity_bytes, config.cache_shards);
+                    if let Some(hub) = &obs {
+                        cache.attach_obs(CacheObs::register(&hub.registry, "db"));
+                    }
+                    Arc::new(cache)
+                })
+                .collect(),
             config,
             fault_plan: None,
             cost_profile: None,
             obs,
         }
-    }
-
-    fn build_caches(config: &ClusterConfig, obs: Option<&ObsHub>) -> Vec<Arc<DbCache>> {
-        (0..config.workers)
-            .map(|_| {
-                let mut cache = DbCache::new(config.cache_capacity_bytes, config.cache_shards);
-                if let Some(hub) = obs {
-                    cache.attach_obs(CacheObs::register(&hub.registry, "db"));
-                }
-                Arc::new(cache)
-            })
-            .collect()
     }
 
     /// The observability hub, when this cluster was built with
@@ -167,21 +161,6 @@ impl Cluster {
         }
     }
 
-    /// Reconfigures the cluster in place. The store sharding stays as
-    /// loaded; execution parameters change, and the per-machine caches
-    /// are rebuilt (cold) only when the new configuration changes their
-    /// shape (worker count, capacity or shard count).
-    pub fn set_config(&mut self, config: ClusterConfig) {
-        config.validate();
-        let reshape = config.workers != self.config.workers
-            || config.cache_capacity_bytes != self.config.cache_capacity_bytes
-            || config.cache_shards != self.config.cache_shards;
-        if reshape {
-            self.caches = Self::build_caches(&config, self.obs.as_deref());
-        }
-        self.config = config;
-    }
-
     /// Generates the (split) task list for a compiled plan through the
     /// engine's single §V-B implementation, returning the tasks and the
     /// split threshold actually used (static `tau`, or the adaptive
@@ -208,46 +187,6 @@ impl Cluster {
         let tasks =
             benu_engine::task::generate_tasks_from_degrees(&self.degrees, tau, second_adjacent);
         (tasks, tau)
-    }
-
-    /// A [`PlanBuilder`](benu_plan::PlanBuilder) calibrated per the
-    /// configured [`ClusterConfig::estimator`] from the resident graph
-    /// statistics: `(N, M)` for the Erdős–Rényi model, the degree
-    /// histogram's moments for Chung-Lu. [`EstimatorKind::Feedback`]
-    /// falls back to the Chung-Lu prior here — use
-    /// [`Cluster::plan_builder_with_feedback`] once a run has produced
-    /// an observation.
-    pub fn plan_builder<'p>(
-        &self,
-        pattern: &'p benu_pattern::Pattern,
-    ) -> benu_plan::PlanBuilder<'p> {
-        let builder = benu_plan::PlanBuilder::new(pattern);
-        match self.config.estimator {
-            benu_plan::EstimatorKind::Er => {
-                let n = self.degrees.len();
-                let m = self.degrees.iter().map(|&d| d as usize).sum::<usize>() / 2;
-                builder.graph_stats(n, m)
-            }
-            benu_plan::EstimatorKind::ChungLu | benu_plan::EstimatorKind::Feedback => {
-                builder.chung_lu(benu_plan::ChungLuEstimator::from_degrees(&self.degrees))
-            }
-        }
-    }
-
-    /// A plan builder calibrated with a [`benu_plan::FeedbackEstimator`]:
-    /// the cluster's Chung-Lu prior corrected by the per-instruction
-    /// cardinalities (`RunOutcome::metrics.obs`) observed while running
-    /// `observed_plan`. Deterministic given the observation, so repeat
-    /// compilations re-rank candidate plans identically.
-    pub fn plan_builder_with_feedback<'p>(
-        &self,
-        pattern: &'p benu_pattern::Pattern,
-        observed_plan: &ExecutionPlan,
-        obs: &benu_plan::PlanObs,
-    ) -> benu_plan::PlanBuilder<'p> {
-        let prior = benu_plan::ChungLuEstimator::from_degrees(&self.degrees);
-        let est = benu_plan::FeedbackEstimator::new(prior, observed_plan, obs);
-        benu_plan::PlanBuilder::new(pattern).observed_feedback(est)
     }
 
     /// Chaos hook: drops vertex `v` from every replica shard of the
@@ -497,21 +436,6 @@ impl Cluster {
         }
         let elapsed = started.elapsed();
 
-        // Per-task timings for straggler speculation. Snapshotted here,
-        // but the speculation itself runs *below*, only after every
-        // worker, store and fault counter has been read: speculative
-        // attempts are discarded, so their traffic, retries and virtual
-        // latency must not leak into the report of the real run.
-        let timed: Vec<(SearchTask, Duration)> = if self.config.speculate_quantile.is_some() {
-            merged
-                .iter()
-                .flatten()
-                .flat_map(|r| r.timed_tasks.iter().copied())
-                .collect()
-        } else {
-            Vec::new()
-        };
-
         let mut reports: Vec<WorkerReport> = Vec::with_capacity(p);
         let mut all_matches: Option<Matches> = collect.then(Vec::new);
         let mut all_task_times = self.config.collect_task_times.then(Vec::new);
@@ -584,60 +508,7 @@ impl Cluster {
                 .filter(|&s| (1..=attempt).any(|pass| plan.outage_at(s, pass)))
                 .count() as u64;
         }
-        // Store-level totals, also read before speculation runs.
         let kv = self.store.stats();
-
-        // Straggler speculation: re-execute every surviving task whose
-        // duration exceeded the configured busy-time quantile, round
-        // robin over the live workers. Results are discarded (tasks are
-        // idempotent; counts must not change) — only the timing race is
-        // interesting, and a real cluster would overlap it with the tail
-        // of the run, so it is excluded from `elapsed` and from every
-        // counter snapshotted above; only the launch/win tallies enter
-        // the report.
-        let spec_span = self
-            .config
-            .speculate_quantile
-            .and_then(|_| self.obs.as_ref().map(|h| h.tracer.span("speculation")));
-        if let Some(q) = self.config.speculate_quantile {
-            let alive: Vec<usize> = (0..p)
-                .filter(|&w| recovery_ctx.as_ref().is_none_or(|rc| !rc.is_dead(w)))
-                .collect();
-            if timed.len() >= 2 && !alive.is_empty() {
-                let mut durations: Vec<Duration> = timed.iter().map(|&(_, d)| d).collect();
-                durations.sort_unstable();
-                let threshold = durations[((durations.len() - 1) as f64 * q) as usize];
-                let spec_errors = ErrorSlot::new();
-                let idle = StaticScheduler::new(vec![Vec::new(); p]);
-                for (i, (task, original)) in timed
-                    .into_iter()
-                    .filter(|&(_, d)| d > threshold)
-                    .enumerate()
-                {
-                    let w = alive[i % alive.len()];
-                    let worker = Worker {
-                        id: w,
-                        scheduler: &idle,
-                        transport: &transports[w],
-                        cache: &self.caches[w],
-                        order: &self.order,
-                        compiled: &compiled,
-                        config: &self.config,
-                        errors: &spec_errors,
-                        recovery: None,
-                        attempt: attempt + 1,
-                    };
-                    recovery.speculative_launches += 1;
-                    if let Some(dt) = worker.run_speculative(task) {
-                        if dt < original {
-                            recovery.speculative_wins += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        drop(spec_span);
 
         let mut metrics = benu_engine::TaskMetrics::default();
         let mut frontier = benu_engine::FrontierStats::default();
@@ -809,40 +680,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_builder_honours_configured_estimator() {
-        let g = gen::barabasi_albert(200, 4, 7);
-        for kind in [
-            benu_plan::EstimatorKind::Er,
-            benu_plan::EstimatorKind::ChungLu,
-            benu_plan::EstimatorKind::Feedback,
-        ] {
-            let cluster = Cluster::new(
-                &g,
-                ClusterConfig::builder().workers(1).estimator(kind).build(),
-            );
-            for (name, p) in queries::evaluation_queries() {
-                let plan = cluster.plan_builder(&p).best_plan();
-                plan.validate()
-                    .unwrap_or_else(|e| panic!("{kind} {name}: {e}"));
-            }
-        }
-    }
-
-    #[test]
     fn feedback_replanning_is_deterministic_and_count_preserving() {
         let g = gen::barabasi_albert(250, 4, 9);
         let pattern = queries::q1();
-        let cluster = Cluster::new(
-            &g,
-            ClusterConfig::builder()
-                .workers(2)
-                .threads_per_worker(2)
-                .estimator(benu_plan::EstimatorKind::Feedback)
-                .build(),
-        );
+        let cluster = small_cluster(&g, 2, 2);
+        let prior = benu_plan::ChungLuEstimator::from_graph(&g);
         // Cold plan: Chung-Lu prior (no observation yet). Must be
         // uncompressed so every enumeration level records a slot.
-        let cold = cluster.plan_builder(&pattern).best_plan();
+        let cold = PlanBuilder::new(&pattern)
+            .chung_lu(prior.clone())
+            .best_plan();
         let expected = benu_engine::count_embeddings(&cold, &g);
         let outcome = cluster.run(&cold).unwrap();
         assert_eq!(outcome.total_matches, expected);
@@ -852,16 +699,18 @@ mod tests {
         );
 
         // Warm plan: re-planned from the observed cardinalities.
-        let warm = cluster
-            .plan_builder_with_feedback(&pattern, &cold, &outcome.metrics.obs)
-            .best_plan();
+        let replan = || {
+            let est = benu_plan::FeedbackEstimator::new(prior.clone(), &cold, &outcome.metrics.obs);
+            PlanBuilder::new(&pattern)
+                .observed_feedback(est)
+                .best_plan()
+        };
+        let warm = replan();
         warm.validate().unwrap();
         assert_eq!(cluster.run(&warm).unwrap().total_matches, expected);
 
         // Byte-determinism of re-planning: same observation, same plan.
-        let warm2 = cluster
-            .plan_builder_with_feedback(&pattern, &cold, &outcome.metrics.obs)
-            .best_plan();
+        let warm2 = replan();
         assert_eq!(warm.matching_order, warm2.matching_order);
         assert_eq!(warm.instructions, warm2.instructions);
     }
@@ -924,7 +773,7 @@ mod tests {
         assert_eq!(outcome.communication_bytes(), outcome.kv.bytes);
         assert!(outcome.kv.requests > 0);
         // Cache misses equal values served by the store (round trips and
-        // keys coincide here because nothing batches without prefetch).
+        // keys coincide here because DFS execution never batches).
         let misses: u64 = outcome.workers.iter().map(|w| w.cache.misses).sum();
         assert_eq!(misses, outcome.kv.keys);
         assert_eq!(outcome.kv.keys, outcome.kv.requests);
@@ -1084,11 +933,14 @@ mod tests {
         assert_eq!(stat.total_matches, ws.total_matches);
         assert_eq!(stat.total_steals(), 0);
         assert!(ws.total_steals() > 0, "idle workers must have stolen");
-        let floor = Duration::from_micros(50);
-        let (r_stat, r_ws) = (stat.busy_ratio(floor), ws.busy_ratio(floor));
+        // Deterministic work (vticks), not wall-clock busy time. Static
+        // leaves one of four workers every clique task and the others
+        // one store probe per isolated vertex: max/mean just under 4.
+        let (i_stat, i_ws) = (stat.work_imbalance(), ws.work_imbalance());
+        assert!(i_stat > 3.9, "static must park the work on worker 0");
         assert!(
-            r_ws < r_stat,
-            "work stealing must improve the max/min busy ratio (static {r_stat:.1}, ws {r_ws:.1})"
+            i_ws < i_stat,
+            "work stealing must improve the work imbalance (static {i_stat:.2}, ws {i_ws:.2})"
         );
         // Migration must be visible in the per-worker reports.
         let moved = ws.workers.iter().any(|w| w.tasks_executed != w.tasks);
@@ -1122,108 +974,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prefetch_cuts_round_trips_without_changing_bytes_accounting() {
-        let g = gen::barabasi_albert(200, 5, 11);
-        let plan = PlanBuilder::new(&queries::triangle()).best_plan();
-        let run = |prefetch: bool| {
-            let cluster = Cluster::new(
-                &g,
-                ClusterConfig::builder()
-                    .workers(2)
-                    .threads_per_worker(1)
-                    .cache_capacity_bytes(64 << 20)
-                    .prefetch_frontier(prefetch)
-                    .build(),
-            );
-            cluster.run(&plan).unwrap()
-        };
-        let plain = run(false);
-        let prefetched = run(true);
-        assert_eq!(plain.total_matches, prefetched.total_matches);
-        assert!(prefetched.workers.iter().any(|w| w.batch_round_trips > 0));
-        assert!(
-            prefetched.kv.requests < plain.kv.requests,
-            "batched prefetch must lower round trips ({} vs {})",
-            prefetched.kv.requests,
-            plain.kv.requests
-        );
-        // Bytes still reconcile between worker and store accounting.
-        assert_eq!(prefetched.communication_bytes(), prefetched.kv.bytes);
+    /// A small cluster over `g` with the given scheduler, for the two
+    /// store-corruption matrices below.
+    fn corruptible_cluster(g: &Graph, kind: SchedulerKind) -> Cluster {
+        Cluster::new(
+            g,
+            ClusterConfig::builder()
+                .workers(2)
+                .threads_per_worker(1)
+                .cache_capacity_bytes(1 << 20)
+                .scheduler(kind)
+                .build(),
+        )
     }
 
-    /// The missing-vertex chaos matrix: a vertex dropped from the store
-    /// (while the task list still names it) must surface the structured
-    /// `MissingVertex` error — never a panic, never a silent undercount —
-    /// identically across single-get and batched-prefetch fetch paths
-    /// and across both schedulers.
+    /// A vertex dropped from the store (while the task list still names
+    /// it) must surface the structured `MissingVertex` error — never a
+    /// panic, never a silent undercount — under both schedulers.
     #[test]
-    fn missing_vertex_is_structured_across_prefetch_and_schedulers() {
+    fn missing_vertex_is_structured_across_schedulers() {
         let g = gen::barabasi_albert(80, 3, 13);
         let plan = PlanBuilder::new(&queries::triangle()).best_plan();
         let corrupted: VertexId = 7;
         for kind in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-            for prefetch in [false, true] {
-                let mut cluster = Cluster::new(
-                    &g,
-                    ClusterConfig::builder()
-                        .workers(2)
-                        .threads_per_worker(1)
-                        .cache_capacity_bytes(1 << 20)
-                        .prefetch_frontier(prefetch)
-                        .scheduler(kind)
-                        .build(),
-                );
-                assert!(cluster.corrupt_remove_vertex(corrupted));
-                match cluster.run(&plan) {
-                    Err(WorkerError::MissingVertex { vertex, .. }) => {
-                        assert_eq!(
-                            vertex, corrupted,
-                            "{kind} prefetch={prefetch}: wrong vertex blamed"
-                        );
-                    }
-                    other => {
-                        panic!("{kind} prefetch={prefetch}: expected MissingVertex, got {other:?}")
-                    }
+            let mut cluster = corruptible_cluster(&g, kind);
+            assert!(cluster.corrupt_remove_vertex(corrupted));
+            match cluster.run(&plan) {
+                Err(WorkerError::MissingVertex { vertex, .. }) => {
+                    assert_eq!(vertex, corrupted, "{kind}: wrong vertex blamed");
                 }
+                other => panic!("{kind}: expected MissingVertex, got {other:?}"),
             }
         }
     }
 
-    /// The corrupt-value chaos matrix: a vertex whose stored bytes rot
-    /// (on every replica) must surface the structured `CorruptValue`
-    /// error — never a panic, never a silent undercount — identically
-    /// across single-get and batched-prefetch fetch paths and across
-    /// both schedulers.
+    /// A vertex whose stored bytes rot (on every replica) must surface
+    /// the structured `CorruptValue` error — never a panic, never a
+    /// silent undercount — under both schedulers.
     #[test]
-    fn corrupt_value_is_structured_across_prefetch_and_schedulers() {
+    fn corrupt_value_is_structured_across_schedulers() {
         let g = gen::barabasi_albert(80, 3, 13);
         let plan = PlanBuilder::new(&queries::triangle()).best_plan();
         let rotten: VertexId = 7;
         for kind in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-            for prefetch in [false, true] {
-                let mut cluster = Cluster::new(
-                    &g,
-                    ClusterConfig::builder()
-                        .workers(2)
-                        .threads_per_worker(1)
-                        .cache_capacity_bytes(1 << 20)
-                        .prefetch_frontier(prefetch)
-                        .scheduler(kind)
-                        .build(),
-                );
-                assert!(cluster.corrupt_value(rotten));
-                match cluster.run(&plan) {
-                    Err(WorkerError::CorruptValue { error, .. }) => {
-                        assert_eq!(
-                            error.vertex, rotten,
-                            "{kind} prefetch={prefetch}: wrong vertex blamed"
-                        );
-                    }
-                    other => {
-                        panic!("{kind} prefetch={prefetch}: expected CorruptValue, got {other:?}")
-                    }
+            let mut cluster = corruptible_cluster(&g, kind);
+            assert!(cluster.corrupt_value(rotten));
+            match cluster.run(&plan) {
+                Err(WorkerError::CorruptValue { error, .. }) => {
+                    assert_eq!(error.vertex, rotten, "{kind}: wrong vertex blamed");
                 }
+                other => panic!("{kind}: expected CorruptValue, got {other:?}"),
             }
         }
     }
@@ -1402,47 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_does_not_skew_recovery_or_store_accounting() {
-        // Regression: speculative attempts are discarded, so their store
-        // traffic, injected faults, retries and virtual latency must not
-        // inflate the report of the real run.
-        let g = gen::erdos_renyi_gnm(60, 220, 5);
-        let query = PlanBuilder::new(&queries::triangle()).best_plan();
-        let run = |speculate: Option<f64>| {
-            let mut cluster = Cluster::new(
-                &g,
-                ClusterConfig::builder()
-                    .workers(2)
-                    .threads_per_worker(1)
-                    .cache_capacity_bytes(0)
-                    .speculate_quantile(speculate)
-                    .build(),
-            );
-            cluster.set_fault_plan(Some(FaultPlan::builder(77).transient_rate(0.05).build()));
-            cluster.run(&query).unwrap()
-        };
-        let plain = run(None);
-        let spec = run(Some(0.5));
-        assert_eq!(plain.total_matches, spec.total_matches);
-        assert!(spec.recovery.speculative_launches > 0);
-        assert_eq!(
-            plain.recovery.transient_faults,
-            spec.recovery.transient_faults
-        );
-        assert_eq!(plain.recovery.retries, spec.recovery.retries);
-        assert_eq!(
-            plain.recovery.backoff_virtual,
-            spec.recovery.backoff_virtual
-        );
-        assert_eq!(plain.communication_bytes(), spec.communication_bytes());
-        assert_eq!(
-            plain.kv.requests, spec.kv.requests,
-            "speculative store traffic must not enter the run's totals"
-        );
-        assert_eq!(spec.communication_bytes(), spec.kv.bytes);
-    }
-
-    #[test]
     fn combined_faults_survive_under_both_schedulers() {
         let g = gen::erdos_renyi_gnm(80, 300, 9);
         let query = PlanBuilder::new(&queries::q1()).best_plan();
@@ -1537,34 +1296,6 @@ mod tests {
             wall < penalty,
             "penalties are virtual: wall {wall:?} must undercut charged {penalty:?}"
         );
-    }
-
-    #[test]
-    fn speculation_reexecutes_stragglers_without_changing_counts() {
-        let g = gen::barabasi_albert(150, 4, 23);
-        let query = PlanBuilder::new(&queries::triangle()).best_plan();
-        let expected = benu_engine::count_embeddings(&query, &g);
-        let cluster = Cluster::new(
-            &g,
-            ClusterConfig::builder()
-                .workers(2)
-                .threads_per_worker(1)
-                .speculate_quantile(Some(0.9))
-                .build(),
-        );
-        let outcome = cluster.run(&query).unwrap();
-        assert_eq!(
-            outcome.total_matches, expected,
-            "speculation changed counts"
-        );
-        let spec = outcome.recovery.speculative_launches;
-        assert!(spec > 0, "a 0.9 quantile must leave stragglers to chase");
-        assert!(
-            (spec as usize) < outcome.total_tasks / 2,
-            "only the tail may be speculated ({spec} of {})",
-            outcome.total_tasks
-        );
-        assert!(outcome.recovery.speculative_wins <= spec);
     }
 
     #[test]

@@ -382,18 +382,6 @@ impl Transport {
             .collect())
     }
 
-    /// Warms `cache` with whichever of `vs` it does not hold yet, in one
-    /// batched fetch. The probe is a pure peek and the inserts count no
-    /// miss, so the prefetched keys' later lookups count as hits.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transport::fetch_many_through`].
-    pub fn prefetch_through(&self, cache: &DbCache, vs: &[VertexId]) -> Result<(), FetchError> {
-        let missing: Vec<VertexId> = vs.iter().copied().filter(|&v| !cache.contains(v)).collect();
-        self.fill(cache, &missing).map(drop)
-    }
-
     /// Fetches `keys` (none of them cached) in one batch and inserts
     /// every value that arrived.
     fn fill(&self, cache: &DbCache, keys: &[VertexId]) -> Result<Vec<Arc<AdjSet>>, FetchError> {
@@ -579,12 +567,6 @@ mod tests {
             "the first unknown vertex in key order is named"
         );
         assert!(cache.contains(3) && cache.contains(4));
-
-        // Prefetching peeks: no hit or miss is counted for the probe.
-        let stats = cache.stats();
-        t.prefetch_through(&cache, &[4, 5, 6]).unwrap();
-        assert_eq!(cache.stats(), stats);
-        assert!(cache.contains(5) && cache.contains(6));
     }
 
     #[test]

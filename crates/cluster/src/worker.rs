@@ -5,14 +5,13 @@
 //! body's engine half — one engine bound to one [`DataSource`], running
 //! slices of tasks in the configured [`ExecMode`] — and every runtime
 //! that executes tasks sits on it: the cluster's worker threads
-//! ([`Worker::run_thread`]), straggler speculation, and the serving
-//! layer's chunk execution in `benu-service`.
+//! ([`Worker::run_thread`]) and the serving layer's chunk execution in
+//! `benu-service`.
 //!
 //! Each simulated worker machine runs `threads_per_worker` OS threads,
 //! all executing [`Worker::run_thread`]: pull a task (or, under hybrid
-//! execution, a batch) from the scheduler, optionally prefetch its
-//! frontier in one batched round trip, run it on the thread's executor,
-//! accumulate metrics. Failures are structured —
+//! execution, a batch) from the scheduler, run it on the thread's
+//! executor, accumulate metrics. Failures are structured —
 //! a vertex missing from the store, a store shard that outlasts the
 //! retry policy, or a panicking task aborts the whole run with a
 //! [`WorkerError`] carrying the task, shard and attempt context instead
@@ -297,19 +296,6 @@ impl<'a> WorkerSource<'a> {
         });
         Arc::new(AdjSet::new())
     }
-
-    /// Warms the cache for a task starting at `start`: fetches the start
-    /// vertex, then pulls all its uncached neighbours in one batched
-    /// round trip. Prefetched entries enter the cache without counting a
-    /// miss (their later lookups count as hits); the byte accounting is
-    /// exact either way. May fetch neighbours the task never expands —
-    /// prefetching trades bytes for round trips.
-    pub(crate) fn prefetch_frontier(&self, start: VertexId) {
-        let adj = self.get_adj(start);
-        if let Err(error) = self.transport.prefetch_through(self.cache, adj.as_slice()) {
-            self.fetch_failed(error);
-        }
-    }
 }
 
 impl DataSource for WorkerSource<'_> {
@@ -476,9 +462,6 @@ pub struct ThreadResult {
     pub(crate) busy: Duration,
     pub(crate) executed: usize,
     pub(crate) task_times: Vec<Duration>,
-    /// Per-task durations with task identity; only recorded when
-    /// straggler speculation is configured.
-    pub(crate) timed_tasks: Vec<(SearchTask, Duration)>,
     /// Per-task deterministic costs (vticks) with task identity; only
     /// recorded when the cost profile is being collected, and only under
     /// DFS execution (the hybrid engine reports batch-level metrics).
@@ -506,38 +489,7 @@ pub struct Worker<'a> {
     pub(crate) attempt: u32,
 }
 
-impl<'a> Worker<'a> {
-    fn source(&self) -> WorkerSource<'a> {
-        WorkerSource::new(
-            self.id,
-            self.transport,
-            self.cache,
-            self.errors,
-            self.attempt,
-        )
-    }
-
-    /// A thread's executor. The per-worker byte budget is split evenly
-    /// across the worker's threads.
-    fn executor<'s>(
-        &'s self,
-        source: &'s WorkerSource<'a>,
-        collect: bool,
-    ) -> LaneExecutor<'s, WorkerSource<'a>> {
-        LaneExecutor::new(
-            self.compiled,
-            source,
-            self.order,
-            self.config.triangle_cache_entries,
-            self.config.exec_mode,
-            lane_budget(
-                self.config.memory_budget_bytes,
-                self.config.threads_per_worker,
-            ),
-            collect,
-        )
-    }
-
+impl Worker<'_> {
     /// The thread body: pulls tasks from the scheduler — one at a time
     /// under DFS, `FRONTIER_TASK_BATCH` at a time under hybrid
     /// execution — until exhaustion, abort, or an injected crash of this
@@ -547,24 +499,33 @@ impl<'a> Worker<'a> {
     /// traffic was charged; a batch's duration is shared evenly by its
     /// tasks. A batch always runs to completion before any of its tasks
     /// is booked — frontier spills land on task boundaries — so crash
-    /// recovery requeues whole tasks in either mode.
+    /// recovery requeues whole tasks in either mode. The per-worker
+    /// frontier byte budget is split evenly across the worker's threads.
     pub fn run_thread(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
         let config = self.config;
-        let source = self.source();
-        let mut executor = self.executor(&source, collect);
+        let source = WorkerSource::new(
+            self.id,
+            self.transport,
+            self.cache,
+            self.errors,
+            self.attempt,
+        );
+        let mut executor = LaneExecutor::new(
+            self.compiled,
+            &source,
+            self.order,
+            config.triangle_cache_entries,
+            config.exec_mode,
+            lane_budget(config.memory_budget_bytes, config.threads_per_worker),
+            collect,
+        );
         let stride = executor.stride(FRONTIER_TASK_BATCH);
-        let dfs = config.exec_mode == ExecMode::Dfs;
-        // The frontier engine already batches each level's reads across
-        // the whole batch; warming single tasks only pays under DFS.
-        let prefetch = dfs && config.prefetch_frontier && config.cache_capacity_bytes > 0;
         // A batch reports batch-level metrics: no per-task cost exists.
-        let record_costs = dfs && config.collect_cost_profile;
-        let record_timed = config.speculate_quantile.is_some();
+        let record_costs = config.exec_mode == ExecMode::Dfs && config.collect_cost_profile;
         let mut metrics = TaskMetrics::default();
         let mut busy = Duration::ZERO;
         let mut executed = 0;
-        let (mut task_times, mut timed_tasks, mut task_costs) =
-            (Vec::new(), Vec::new(), Vec::new());
+        let (mut task_times, mut task_costs) = (Vec::new(), Vec::new());
         let mut batch = Vec::with_capacity(stride);
         'pull: while !self.errors.aborted() && !self.recovery.is_some_and(|rc| rc.is_dead(self.id))
         {
@@ -576,9 +537,6 @@ impl<'a> Worker<'a> {
                 break;
             };
             source.set_current(Some(head));
-            if prefetch {
-                source.prefetch_frontier(head.start);
-            }
             let t0 = Instant::now();
             let (run, penalty) = executor.run(&batch).map_err(|TaskPanicked(task)| {
                 let err = WorkerError::TaskPanicked {
@@ -596,12 +554,9 @@ impl<'a> Worker<'a> {
             if record_costs {
                 task_costs.push((head, crate::balance::vticks(&run)));
             }
-            let share = dt / batch.len() as u32;
             if config.collect_task_times {
+                let share = dt / batch.len() as u32;
                 task_times.extend(batch.iter().map(|_| share));
-            }
-            if record_timed {
-                timed_tasks.extend(batch.iter().map(|&t| (t, share)));
             }
             if let Some(rc) = self.recovery {
                 // Book every pulled task in pull order. A crash boundary
@@ -634,25 +589,10 @@ impl<'a> Worker<'a> {
                 busy,
                 executed,
                 task_times,
-                timed_tasks,
                 task_costs,
                 stats: executor.finish(),
             }),
         }
-    }
-
-    /// Executes one task speculatively: same executor, throwaway
-    /// consumer, result discarded. Returns the attempt's duration (wall
-    /// time plus charged virtual latency), or `None` if the attempt
-    /// panicked. The caller provides a throwaway [`ErrorSlot`], so
-    /// speculative store failures never poison the completed run.
-    pub(crate) fn run_speculative(&self, task: SearchTask) -> Option<Duration> {
-        let source = self.source();
-        source.set_current(Some(task));
-        let mut executor = self.executor(&source, false);
-        let t0 = Instant::now();
-        let (_, penalty) = executor.run(&[task]).ok()?;
-        Some(t0.elapsed() + penalty)
     }
 }
 
@@ -745,24 +685,6 @@ mod tests {
         // shard (1 on shard 1, 2 on shard 0 → 2 round trips).
         assert_eq!(transport.requests() - before, 2);
         assert_eq!(transport.batch_round_trips(), 2);
-    }
-
-    #[test]
-    fn prefetch_warms_the_cache_in_one_batched_trip() {
-        let (transport, cache, errors) = harness(1);
-        let source = WorkerSource::new(0, &transport, &cache, &errors, 1);
-        source.prefetch_frontier(0);
-        // Start vertex + its 4 neighbours are now cached.
-        for v in 0..5 {
-            assert!(cache.contains(v));
-        }
-        // 1 single fetch for the start + 1 batched trip (single shard).
-        assert_eq!(transport.requests(), 2);
-        assert_eq!(transport.batch_round_trips(), 1);
-        // Re-prefetching is free.
-        source.prefetch_frontier(0);
-        assert_eq!(transport.requests(), 2);
-        assert!(!errors.aborted());
     }
 
     #[test]

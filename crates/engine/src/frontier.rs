@@ -1,8 +1,8 @@
 //! Memory-bounded BFS/DFS hybrid execution (HUGE-style, see PAPERS.md).
 //!
 //! The DFS interpreter in [`exec`](crate::exec) touches the store one
-//! `GetAdj` at a time, so batching only ever amortises round trips
-//! *within* one task's prefetch. The [`FrontierEngine`] instead expands a
+//! `GetAdj` at a time, so no round trip ever serves more than one
+//! lookup. The [`FrontierEngine`] instead expands a
 //! whole batch of tasks level-synchronously: it keeps a *frontier* of
 //! partial embeddings per pattern depth, gathers every adjacency set the
 //! next straight-line segment will query across the entire frontier, and

@@ -25,8 +25,8 @@
 //!   by the consumer instead of slept.
 //!
 //! The recovery half — per-request retry, crash-triggered task requeue,
-//! straggler speculation, and the `RecoveryReport` — lives in
-//! `benu-cluster`, which consumes the store decorator.
+//! and the `RecoveryReport` — lives in `benu-cluster`, which consumes
+//! the store decorator.
 
 pub mod plan;
 pub mod retry;

@@ -98,55 +98,6 @@ impl core::ops::AddAssign for PlanObs {
     }
 }
 
-/// Which cardinality estimator plan search should use.
-///
-/// `Feedback` asks for feedback-driven re-planning where an observation
-/// is available; callers fall back to the Chung-Lu prior when none has
-/// been recorded yet.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EstimatorKind {
-    /// Static Erdős–Rényi model from `(N, M)` (paper §IV-C).
-    #[default]
-    Er,
-    /// Static degree-moment (Chung-Lu) model.
-    ChungLu,
-    /// Chung-Lu prior blended with observed per-instruction cardinalities
-    /// from a previous run; Chung-Lu until an observation exists.
-    Feedback,
-}
-
-impl EstimatorKind {
-    /// Stable lowercase name (used in configs and reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EstimatorKind::Er => "er",
-            EstimatorKind::ChungLu => "chung-lu",
-            EstimatorKind::Feedback => "feedback",
-        }
-    }
-}
-
-impl core::fmt::Display for EstimatorKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl core::str::FromStr for EstimatorKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "er" => Ok(EstimatorKind::Er),
-            "chung-lu" | "chung_lu" | "cl" => Ok(EstimatorKind::ChungLu),
-            "feedback" | "fb" => Ok(EstimatorKind::Feedback),
-            other => Err(format!(
-                "unknown estimator '{other}' (expected er | chung-lu | feedback)"
-            )),
-        }
-    }
-}
-
 /// Counts the linear extensions of the symmetry-breaking partial order
 /// restricted to the vertices of `mask`, via the standard subset DP.
 /// Returns `None` when the restriction has more than 20 vertices (2^20
@@ -361,19 +312,6 @@ mod tests {
         assert_eq!(a.totals(), (6, 6));
         // Out-of-range slots are ignored, not panicked on.
         assert!(a.slot_mut(MAX_OBS_SLOTS).is_none());
-    }
-
-    #[test]
-    fn estimator_kind_round_trips() {
-        for kind in [
-            EstimatorKind::Er,
-            EstimatorKind::ChungLu,
-            EstimatorKind::Feedback,
-        ] {
-            assert_eq!(kind.name().parse::<EstimatorKind>().unwrap(), kind);
-        }
-        assert!("bogus".parse::<EstimatorKind>().is_err());
-        assert_eq!(EstimatorKind::default(), EstimatorKind::Er);
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod vcbc;
 
 pub use builder::PlanBuilder;
 pub use cost::{CardinalityEstimator, ChungLuEstimator, GraphStatsEstimator};
-pub use feedback::{EstimatorKind, FeedbackEstimator, PlanObs, SlotObs, MAX_OBS_SLOTS};
+pub use feedback::{FeedbackEstimator, PlanObs, SlotObs, MAX_OBS_SLOTS};
 pub use ir::{ExecutionPlan, FilterCond, FilterOp, Instruction, ResultItem, SetVar};
 pub use search::{BestPlanResult, SearchStats};

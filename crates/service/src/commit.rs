@@ -6,7 +6,7 @@
 //! order. [`CommitState`] buffers out-of-order arrivals and commits
 //! strictly in chunk order; budgets are evaluated only at commit
 //! boundaries, so a budgeted query terminates at the same point in the
-//! stream regardless of worker count, scheduler, or execution mode:
+//! stream regardless of worker count, grant order, or execution mode:
 //!
 //! * the virtual-time deadline is a *pre*-commit check (a chunk whose
 //!   commit would start at or past the deadline is dropped, so a

@@ -1,9 +1,8 @@
 //! Serving-layer configuration.
 
-use benu_cluster::{CodecKind, ExecMode, SchedulerKind};
+use benu_cluster::{CodecKind, ExecMode};
 use benu_fault::{FaultPlan, RetryPolicy};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Shape and tuning of the query service. One service owns one resident
 /// data graph: a sharded [`benu_kvstore::KvStore`] plus one warm
@@ -16,8 +15,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Database-cache capacity per worker, in bytes.
     pub cache_capacity_bytes: usize,
-    /// Internal shard count of each worker's cache.
-    pub cache_shards: usize,
     /// Task-splitting threshold τ applied to every query (0 disables
     /// splitting) unless [`ServiceConfig::tau_auto`] is set.
     pub tau: usize,
@@ -27,27 +24,16 @@ pub struct ServiceConfig {
     /// so the task list, chunk boundaries and virtual-time accounting
     /// are identical at any concurrency.
     pub tau_auto: bool,
-    /// Within-query chunk placement policy. [`SchedulerKind::Static`]
-    /// pins a query's chunks to lanes round-robin;
-    /// [`SchedulerKind::WorkStealing`] lets idle lanes steal them. The
-    /// *cross*-query policy is always weighted round-robin (see
-    /// `fair`); this knob only shapes intra-query balance.
-    pub scheduler: SchedulerKind,
-    /// Default execution mode for queries that don't override it.
+    /// Execution mode of every query.
     pub exec_mode: ExecMode,
     /// Per-worker frontier byte budget for hybrid execution (0 =
     /// unbounded).
     pub memory_budget_bytes: usize,
-    /// Per-chunk triangle-cache entries.
-    pub triangle_cache_entries: usize,
-    /// Compiled plans retained by the plan cache (LRU over canonical
-    /// pattern forms; 0 disables caching).
-    pub plan_cache_entries: usize,
     /// Tasks per scheduling chunk — the pull, fairness and budget-commit
     /// granularity. A worker books at most one chunk before the fair
     /// queue may rotate to another query, and budgets are evaluated at
     /// chunk boundaries so committed results are independent of worker
-    /// count and scheduler choice.
+    /// count.
     pub chunk_tasks: usize,
     /// Shard count of the resident store (0 = one shard per worker).
     /// Sharding is a property of the *deployment*, not of the local
@@ -106,9 +92,6 @@ pub struct ServiceConfig {
     /// submit–wait–submit sequence is byte-deterministic. Off by
     /// default.
     pub feedback_replanning: bool,
-    /// Backstop poll interval of the worker/waiter condvar signals: a
-    /// missed wakeup degrades to a poll at this cadence, never a hang.
-    pub signal_poll: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -116,14 +99,10 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             cache_capacity_bytes: 64 << 20,
-            cache_shards: 8,
             tau: 0,
             tau_auto: true,
-            scheduler: SchedulerKind::WorkStealing,
             exec_mode: ExecMode::Dfs,
             memory_budget_bytes: 0,
-            triangle_cache_entries: 1 << 14,
-            plan_cache_entries: 32,
             chunk_tasks: 64,
             store_shards: 0,
             replication: 1,
@@ -135,7 +114,6 @@ impl Default for ServiceConfig {
             admission_deadline_aware: false,
             graceful_degradation: false,
             feedback_replanning: false,
-            signal_poll: Duration::from_millis(10),
         }
     }
 }
@@ -159,19 +137,14 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero workers, cache shards or chunk size, or a
-    /// replication factor outside `1..=store shards`.
+    /// Panics on zero workers or chunk size, or a replication factor
+    /// outside `1..=store shards`.
     pub fn validate(&self) {
         assert!(self.workers >= 1, "need at least one worker");
-        assert!(self.cache_shards >= 1, "need at least one cache shard");
         assert!(self.chunk_tasks >= 1, "need at least one task per chunk");
         assert!(
             (1..=self.resolved_store_shards()).contains(&self.replication),
             "replication factor must be within 1..=store shards"
-        );
-        assert!(
-            !self.signal_poll.is_zero(),
-            "signal poll interval must be positive (it is the missed-wakeup backstop)"
         );
         self.retry.validate();
     }
@@ -194,12 +167,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Internal cache shard count.
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.0.cache_shards = n;
-        self
-    }
-
     /// Task-splitting threshold τ (disables the adaptive choice).
     pub fn tau(mut self, tau: usize) -> Self {
         self.0.tau = tau;
@@ -213,13 +180,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Within-query chunk placement policy.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.0.scheduler = kind;
-        self
-    }
-
-    /// Default execution mode.
+    /// Execution mode of every query.
     pub fn exec_mode(mut self, mode: ExecMode) -> Self {
         self.0.exec_mode = mode;
         self
@@ -228,18 +189,6 @@ impl ServiceConfigBuilder {
     /// Per-worker frontier byte budget for hybrid execution.
     pub fn memory_budget_bytes(mut self, n: usize) -> Self {
         self.0.memory_budget_bytes = n;
-        self
-    }
-
-    /// Per-chunk triangle-cache entries.
-    pub fn triangle_cache_entries(mut self, n: usize) -> Self {
-        self.0.triangle_cache_entries = n;
-        self
-    }
-
-    /// Compiled plans retained by the plan cache.
-    pub fn plan_cache_entries(mut self, n: usize) -> Self {
-        self.0.plan_cache_entries = n;
         self
     }
 
@@ -309,12 +258,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Backstop poll interval of the condvar signals.
-    pub fn signal_poll(mut self, poll: Duration) -> Self {
-        self.0.signal_poll = poll;
-        self
-    }
-
     /// Finishes the builder.
     ///
     /// # Panics
@@ -341,14 +284,10 @@ mod tests {
         let built = ServiceConfig::builder()
             .workers(3)
             .cache_capacity_bytes(1 << 20)
-            .cache_shards(2)
             .tau(25)
             .tau_auto(false)
-            .scheduler(SchedulerKind::Static)
             .exec_mode(ExecMode::Hybrid)
             .memory_budget_bytes(4 << 10)
-            .triangle_cache_entries(64)
-            .plan_cache_entries(5)
             .chunk_tasks(16)
             .store_shards(4)
             .replication(2)
@@ -360,19 +299,14 @@ mod tests {
             .admission_deadline_aware(true)
             .graceful_degradation(true)
             .feedback_replanning(true)
-            .signal_poll(Duration::from_millis(2))
             .build();
         let literal = ServiceConfig {
             workers: 3,
             cache_capacity_bytes: 1 << 20,
-            cache_shards: 2,
             tau: 25,
             tau_auto: false,
-            scheduler: SchedulerKind::Static,
             exec_mode: ExecMode::Hybrid,
             memory_budget_bytes: 4 << 10,
-            triangle_cache_entries: 64,
-            plan_cache_entries: 5,
             chunk_tasks: 16,
             store_shards: 4,
             replication: 2,
@@ -384,15 +318,8 @@ mod tests {
             admission_deadline_aware: true,
             graceful_degradation: true,
             feedback_replanning: true,
-            signal_poll: Duration::from_millis(2),
         };
         assert_eq!(built, literal, "every builder method must land");
-    }
-
-    #[test]
-    #[should_panic(expected = "poll interval must be positive")]
-    fn zero_signal_poll_is_rejected() {
-        ServiceConfig::builder().signal_poll(Duration::ZERO).build();
     }
 
     #[test]

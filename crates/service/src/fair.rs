@@ -10,15 +10,14 @@
 //! `FRONTIER_TASK_BATCH` worker loop of the batch cluster never needed
 //! (it is single-query) but a multi-tenant pool does.
 //!
-//! *Within* a query, chunk placement follows the cluster's
-//! [`SchedulerKind`] semantics layered per query: `Static` pins chunks
-//! to lanes round-robin with no migration; `WorkStealing` lets an idle
-//! lane steal from its query's longest lane. Grant order is
-//! intentionally free (it depends on worker timing); result determinism
-//! comes from the in-order commit pipeline, not from grant order.
+//! *Within* a query, chunks have no lane affinity: each query holds one
+//! queue of un-granted chunks, and whichever live lane asks next is
+//! handed the lowest index — which also keeps the in-order commit
+//! pipeline's pending buffer as short as it can be. Which lane runs
+//! which chunk is intentionally free (it depends on worker timing);
+//! result determinism comes from the commit pipeline, not from grants.
 
 use crate::query::QueryId;
-use benu_cluster::SchedulerKind;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
@@ -28,22 +27,21 @@ struct Entry<T> {
     weight: u32,
     /// Chunks left in this round-robin turn; refilled from `weight`.
     credit: u32,
-    kind: SchedulerKind,
-    lanes: Vec<VecDeque<usize>>,
-    remaining: usize,
+    /// Un-granted chunks, next to grant first. Never empty: an entry
+    /// leaves the rotation with its last grant.
+    chunks: VecDeque<usize>,
 }
 
 impl<T> Entry<T> {
-    /// Takes one chunk for `lane` under the entry's placement policy.
-    fn take(&mut self, lane: usize) -> Option<usize> {
-        if let Some(chunk) = self.lanes[lane].pop_front() {
-            return Some(chunk);
+    fn new(id: QueryId, payload: T, weight: u32, chunks: VecDeque<usize>) -> Self {
+        let weight = weight.max(1);
+        Entry {
+            id,
+            payload,
+            weight,
+            credit: weight,
+            chunks,
         }
-        if self.kind == SchedulerKind::WorkStealing {
-            let victim = (0..self.lanes.len()).max_by_key(|&l| self.lanes[l].len())?;
-            return self.lanes[victim].pop_back();
-        }
-        None
     }
 }
 
@@ -54,20 +52,8 @@ struct State<T> {
     /// turn" — that is what guarantees a late admission is served within
     /// one chunk of the running query instead of waiting a full cycle.
     cursor: usize,
-    /// Lanes whose worker crashed. Dead lanes receive no placements and
-    /// grant no chunks; their queued work migrates to survivors.
+    /// Lanes whose worker crashed; they are granted nothing.
     dead: Vec<bool>,
-}
-
-impl<T> State<T> {
-    fn alive_lanes(&self) -> Vec<usize> {
-        let alive: Vec<usize> = (0..self.dead.len()).filter(|&l| !self.dead[l]).collect();
-        debug_assert!(
-            !alive.is_empty(),
-            "admission must stop before the pool dies"
-        );
-        alive
-    }
 }
 
 /// The fair cross-query queue. `T` is the per-query payload handed back
@@ -87,81 +73,42 @@ impl<T: Clone> FairQueue<T> {
         }
     }
 
-    /// Admits a query with `chunks` chunks distributed round-robin over
-    /// the surviving lanes (the cluster's even initial shuffle, skipping
-    /// crashed lanes).
-    pub(crate) fn admit(
-        &self,
-        id: QueryId,
-        payload: T,
-        weight: u32,
-        kind: SchedulerKind,
-        chunks: usize,
-    ) {
-        let state = &mut *self.state.lock();
-        let alive = state.alive_lanes();
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); state.dead.len()];
-        for chunk in 0..chunks {
-            queues[alive[chunk % alive.len()]].push_back(chunk);
+    /// Admits a query with chunks `0..chunks` (nothing to grant, nothing
+    /// admitted).
+    pub(crate) fn admit(&self, id: QueryId, payload: T, weight: u32, chunks: usize) {
+        if chunks > 0 {
+            let entry = Entry::new(id, payload, weight, (0..chunks).collect());
+            self.state.lock().entries.push(entry);
         }
-        let weight = weight.max(1);
-        state.entries.push(Entry {
-            id,
-            payload,
-            weight,
-            credit: weight,
-            kind,
-            lanes: queues,
-            remaining: chunks,
-        });
     }
 
-    /// Grants `lane` one chunk: the cursor entry first, then — if it has
-    /// nothing this lane can take — the next entries in admission order.
-    /// Serving the cursor entry consumes one credit; an exhausted credit
-    /// (or an emptied entry) rotates the cursor.
+    /// Grants `lane` the next chunk of the entry whose turn it is. The
+    /// grant consumes one credit; an exhausted credit (or an emptied
+    /// entry) rotates the cursor. A dead lane is granted nothing.
     pub(crate) fn next(&self, lane: usize) -> Option<(T, usize)> {
         let state = &mut *self.state.lock();
-        if state.dead[lane] {
-            return None;
-        }
-        let len = state.entries.len();
-        if len == 0 {
+        if state.dead[lane] || state.entries.is_empty() {
             return None;
         }
         // A past-the-end cursor wraps to 0 only now that nothing was
         // admitted behind it.
-        let cur = state.cursor % len;
-        for offset in 0..len {
-            let idx = (cur + offset) % len;
-            let Some(chunk) = state.entries[idx].take(lane) else {
-                continue;
-            };
-            let entry = &mut state.entries[idx];
-            let payload = entry.payload.clone();
-            entry.remaining -= 1;
-            entry.credit -= 1;
-            let exhausted_turn = entry.credit == 0;
-            if exhausted_turn {
-                entry.credit = entry.weight;
-            }
-            state.cursor = if entry.remaining == 0 {
-                state.entries.remove(idx);
-                // A removed cursor entry passes the turn to its
-                // successor, which just shifted into `cur`.
-                if idx < cur {
-                    cur - 1
-                } else {
-                    cur
-                }
-            } else if idx == cur && exhausted_turn {
-                cur + 1
-            } else {
-                cur
-            };
-            return Some((payload, chunk));
+        let cur = state.cursor % state.entries.len();
+        let entry = &mut state.entries[cur];
+        let chunk = entry.chunks.pop_front().expect("entries are never empty");
+        let payload = entry.payload.clone();
+        entry.credit -= 1;
+        let exhausted_turn = entry.credit == 0;
+        if exhausted_turn {
+            entry.credit = entry.weight;
         }
-        None
+        if entry.chunks.is_empty() {
+            // The successor shifts into `cur` and inherits the turn.
+            state.entries.remove(cur);
+            state.cursor = cur;
+        } else {
+            state.cursor = cur + usize::from(exhausted_turn);
+        }
+        Some((payload, chunk))
     }
 
     /// Removes a query's un-granted chunks (cancellation, budget
@@ -171,8 +118,7 @@ impl<T: Clone> FairQueue<T> {
         let Some(idx) = state.entries.iter().position(|e| e.id == id) else {
             return 0;
         };
-        let released = state.entries[idx].remaining;
-        state.entries.remove(idx);
+        let released = state.entries.remove(idx).chunks.len();
         if idx < state.cursor {
             state.cursor -= 1;
         }
@@ -181,87 +127,35 @@ impl<T: Clone> FairQueue<T> {
 
     /// Total un-granted chunks across every admitted query.
     pub(crate) fn depth(&self) -> usize {
-        self.state.lock().entries.iter().map(|e| e.remaining).sum()
+        let state = self.state.lock();
+        state.entries.iter().map(|e| e.chunks.len()).sum()
     }
 
-    /// Marks `lane` dead and migrates its queued chunks onto survivors —
-    /// crash recovery overrides `Static` pinning by design (a pinned
-    /// chunk on a dead lane would otherwise never execute). Returns how
-    /// many queued chunks migrated. A dead pool (no survivors) migrates
-    /// nothing; the caller fails the affected queries instead.
-    pub(crate) fn fail_lane(&self, lane: usize) -> usize {
-        let state = &mut *self.state.lock();
-        if state.dead[lane] {
-            return 0;
-        }
-        state.dead[lane] = true;
-        let alive: Vec<usize> = (0..state.dead.len()).filter(|&l| !state.dead[l]).collect();
-        if alive.is_empty() {
-            return 0;
-        }
-        let mut moved = 0;
-        for entry in &mut state.entries {
-            let orphans: Vec<usize> = entry.lanes[lane].drain(..).collect();
-            for chunk in orphans {
-                entry.lanes[alive[moved % alive.len()]].push_back(chunk);
-                moved += 1;
-            }
-        }
-        moved
+    /// Marks `lane` dead. Nothing is pinned to a lane, so every queued
+    /// chunk stays grantable to the survivors.
+    pub(crate) fn fail_lane(&self, lane: usize) {
+        self.state.lock().dead[lane] = true;
     }
 
     /// Puts back a chunk that was granted but never executed (its worker
-    /// crashed holding it). The chunk lands at the *front* of a surviving
-    /// lane of its query — re-execution order does not matter for results
-    /// (the commit pipeline is in-order), only that the chunk runs. If
-    /// the query's entry was already retired from the rotation (its last
+    /// crashed holding it), as its query's next grant — it is the lowest
+    /// uncommitted index, so the commit pipeline is waiting on it. If the
+    /// query's entry was already retired from the rotation (its last
     /// chunk had been granted), a fresh single-chunk entry is admitted.
-    pub(crate) fn requeue(
-        &self,
-        id: QueryId,
-        payload: T,
-        weight: u32,
-        kind: SchedulerKind,
-        chunk: usize,
-    ) {
+    pub(crate) fn requeue(&self, id: QueryId, payload: T, weight: u32, chunk: usize) {
         let state = &mut *self.state.lock();
-        let alive = state.alive_lanes();
-        // Shortest surviving queue keeps the migrated load even.
-        let target = *alive
-            .iter()
-            .min_by_key(|&&l| {
-                state
-                    .entries
-                    .iter()
-                    .map(|e| e.lanes[l].len())
-                    .sum::<usize>()
-            })
-            .expect("at least one survivor");
-        if let Some(entry) = state.entries.iter_mut().find(|e| e.id == id) {
-            entry.lanes[target].push_front(chunk);
-            entry.remaining += 1;
-            return;
+        match state.entries.iter_mut().find(|e| e.id == id) {
+            Some(entry) => entry.chunks.push_front(chunk),
+            None => state
+                .entries
+                .push(Entry::new(id, payload, weight, VecDeque::from([chunk]))),
         }
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); state.dead.len()];
-        queues[target].push_back(chunk);
-        let weight = weight.max(1);
-        state.entries.push(Entry {
-            id,
-            payload,
-            weight,
-            credit: weight,
-            kind,
-            lanes: queues,
-            remaining: 1,
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const WS: SchedulerKind = SchedulerKind::WorkStealing;
 
     fn ids(q: &FairQueue<QueryId>, lane: usize, n: usize) -> Vec<QueryId> {
         (0..n)
@@ -272,8 +166,8 @@ mod tests {
     #[test]
     fn round_robin_alternates_queries() {
         let q = FairQueue::new(1);
-        q.admit(0, 0, 1, WS, 4);
-        q.admit(1, 1, 1, WS, 4);
+        q.admit(0, 0, 1, 4);
+        q.admit(1, 1, 1, 4);
         assert_eq!(ids(&q, 0, 8), vec![0, 1, 0, 1, 0, 1, 0, 1]);
         assert!(q.next(0).is_none());
     }
@@ -283,9 +177,9 @@ mod tests {
         // The batch-boundary fairness regression: after one chunk of the
         // running query, a newly admitted query gets the next grant.
         let q = FairQueue::new(1);
-        q.admit(0, 0, 1, WS, 10);
+        q.admit(0, 0, 1, 10);
         assert_eq!(q.next(0).unwrap().0, 0);
-        q.admit(1, 1, 1, WS, 1);
+        q.admit(1, 1, 1, 1);
         assert_eq!(q.next(0).unwrap().0, 1, "B must preempt A's next grant");
         assert_eq!(q.next(0).unwrap().0, 0);
     }
@@ -293,36 +187,28 @@ mod tests {
     #[test]
     fn weights_scale_grants_per_round() {
         let q = FairQueue::new(1);
-        q.admit(0, 0, 2, WS, 6);
-        q.admit(1, 1, 1, WS, 3);
+        q.admit(0, 0, 2, 6);
+        q.admit(1, 1, 1, 3);
         assert_eq!(ids(&q, 0, 9), vec![0, 0, 1, 0, 0, 1, 0, 0, 1]);
     }
 
     #[test]
-    fn static_lanes_stay_pinned_and_stealing_migrates() {
-        let pinned = FairQueue::new(2);
-        pinned.admit(0, 0, 1, SchedulerKind::Static, 4);
-        // Chunks 0,2 pin to lane 0; 1,3 to lane 1. Lane 0 cannot take
-        // lane 1's chunks.
-        assert_eq!(pinned.next(0).unwrap().1, 0);
-        assert_eq!(pinned.next(0).unwrap().1, 2);
-        assert!(pinned.next(0).is_none());
-        assert_eq!(pinned.next(1).unwrap().1, 1);
-
-        let stealing = FairQueue::new(2);
-        stealing.admit(0, 0, 1, WS, 4);
-        assert_eq!(
-            ids(&stealing, 0, 4),
-            vec![0, 0, 0, 0],
-            "lane 0 steals the rest"
-        );
+    fn chunks_are_granted_in_index_order_to_whichever_lane_asks() {
+        let q = FairQueue::new(3);
+        q.admit(0, 0, 1, 6);
+        let granted: Vec<usize> = [2, 0, 0, 1, 2, 1]
+            .into_iter()
+            .map(|lane| q.next(lane).unwrap().1)
+            .collect();
+        assert_eq!(granted, vec![0, 1, 2, 3, 4, 5]);
+        assert!(q.next(0).is_none());
     }
 
     #[test]
     fn drain_releases_remaining_chunks() {
         let q = FairQueue::new(1);
-        q.admit(0, 0, 1, WS, 5);
-        q.admit(1, 1, 1, WS, 5);
+        q.admit(0, 0, 1, 5);
+        q.admit(1, 1, 1, 5);
         assert_eq!(q.depth(), 10);
         q.next(0);
         assert_eq!(q.drain(0), 4);
@@ -332,27 +218,23 @@ mod tests {
     }
 
     #[test]
-    fn failed_lane_migrates_even_pinned_chunks() {
+    fn failed_lane_is_granted_nothing_and_strands_nothing() {
         let q = FairQueue::new(2);
-        q.admit(0, 0, 1, SchedulerKind::Static, 4);
-        assert_eq!(q.next(1).unwrap().1, 1);
-        // Lane 1 dies holding nothing; its queued chunk 3 must migrate
-        // to lane 0 despite Static pinning.
-        assert_eq!(q.fail_lane(1), 1);
+        q.admit(0, 0, 1, 4);
+        assert_eq!(q.next(1).unwrap().1, 0);
+        q.fail_lane(1);
+        assert_eq!(q.depth(), 3, "no chunk was pinned to the dead lane");
         assert!(q.next(1).is_none(), "a dead lane grants nothing");
         let granted: Vec<usize> = (0..3).map(|_| q.next(0).unwrap().1).collect();
-        let mut sorted = granted.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 2, 3]);
+        assert_eq!(granted, vec![1, 2, 3]);
         assert!(q.next(0).is_none());
-        assert_eq!(q.fail_lane(1), 0, "failing twice is a no-op");
     }
 
     #[test]
     fn dead_lanes_receive_no_new_placements() {
         let q = FairQueue::new(2);
         q.fail_lane(0);
-        q.admit(0, 0, 1, SchedulerKind::Static, 3);
+        q.admit(0, 0, 1, 3);
         assert!(q.next(0).is_none());
         assert_eq!(ids(&q, 1, 3), vec![0, 0, 0], "all chunks land on lane 1");
     }
@@ -360,14 +242,14 @@ mod tests {
     #[test]
     fn requeue_revives_a_granted_chunk() {
         let q = FairQueue::new(2);
-        q.admit(7, 7, 1, WS, 2);
+        q.admit(7, 7, 1, 2);
         let (_, c0) = q.next(0).unwrap();
         let (_, c1) = q.next(1).unwrap();
         assert!(q.next(0).is_none(), "entry retired: all chunks granted");
         // Lane 1 crashes mid-chunk: its chunk comes back even though the
         // entry left the rotation.
         q.fail_lane(1);
-        q.requeue(7, 7, 1, WS, c1);
+        q.requeue(7, 7, 1, c1);
         assert_eq!(q.depth(), 1);
         assert_eq!(q.next(0).unwrap(), (7, c1));
         assert_ne!(c0, c1);
@@ -375,9 +257,9 @@ mod tests {
         // And with the entry still live, the chunk rejoins it rather
         // than duplicating the query.
         let q = FairQueue::new(1);
-        q.admit(3, 3, 1, WS, 3);
+        q.admit(3, 3, 1, 3);
         let (_, first) = q.next(0).unwrap();
-        q.requeue(3, 3, 1, WS, first);
+        q.requeue(3, 3, 1, first);
         assert_eq!(q.depth(), 3);
         assert_eq!(
             q.next(0).unwrap().1,

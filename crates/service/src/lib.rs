@@ -17,13 +17,13 @@
 //!   plan search and compilation.
 //! * **Fair cross-query scheduling** (`fair`): work is granted in
 //!   bounded *chunks* through a weighted round-robin over admitted
-//!   queries; within a query, chunks follow the configured
-//!   [`benu_cluster::SchedulerKind`] (static lanes or work stealing).
+//!   queries; within a query, the next chunk in task order goes to
+//!   whichever worker asks first.
 //! * **Deterministic budgets** (`commit`): deadlines (in virtual
 //!   ticks), match caps, `TopK` and seeded `Sample` modes are enforced
 //!   in the worker loop as early termination — evaluated at in-order
 //!   chunk-commit boundaries, so results and terminal statuses are
-//!   identical at any concurrency, scheduler and execution mode.
+//!   identical at any concurrency and execution mode.
 //! * **Observability**: per-query compile/queue/execute spans on the
 //!   virtual clock and `service.*` registry counters, all reportable
 //!   through [`QueryService::report`].

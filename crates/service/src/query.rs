@@ -1,7 +1,6 @@
 //! Query identities, per-query options (budgets, result modes) and the
 //! structured results the service hands back.
 
-use benu_cluster::ExecMode;
 use benu_engine::TaskMetrics;
 use benu_graph::VertexId;
 use std::time::Duration;
@@ -56,7 +55,7 @@ impl ResultMode {
 /// Per-query admission options: result mode, fair-share weight and
 /// budgets. Budgets are evaluated deterministically at chunk-commit
 /// boundaries in task order, so a budgeted query reports the same
-/// result at any concurrency level, scheduler or execution mode.
+/// result at any concurrency level or execution mode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Result mode (see [`ResultMode`]).
@@ -72,9 +71,6 @@ pub struct QueryOptions {
     /// Cap on committed matches; crossing it clamps the count and
     /// terminates with [`Terminal::MaxMatchesReached`].
     pub max_matches: Option<u64>,
-    /// Execution-mode override for this query (service default when
-    /// `None`).
-    pub exec_mode: Option<ExecMode>,
 }
 
 impl Default for QueryOptions {
@@ -84,7 +80,6 @@ impl Default for QueryOptions {
             weight: 1,
             deadline_vticks: None,
             max_matches: None,
-            exec_mode: None,
         }
     }
 }
@@ -116,12 +111,6 @@ impl QueryOptions {
     /// Caps the number of committed matches.
     pub fn max_matches(mut self, max: u64) -> Self {
         self.max_matches = Some(max);
-        self
-    }
-
-    /// Overrides the execution mode for this query.
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = Some(mode);
         self
     }
 }
@@ -254,13 +243,11 @@ mod tests {
             .mode(ResultMode::TopK(5))
             .weight(0)
             .deadline_vticks(100)
-            .max_matches(7)
-            .exec_mode(ExecMode::Hybrid);
+            .max_matches(7);
         assert_eq!(o.mode, ResultMode::TopK(5));
         assert_eq!(o.weight, 1, "weight clamps to >= 1");
         assert_eq!(o.deadline_vticks, Some(100));
         assert_eq!(o.max_matches, Some(7));
-        assert_eq!(o.exec_mode, Some(ExecMode::Hybrid));
     }
 
     #[test]

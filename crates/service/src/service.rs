@@ -16,8 +16,8 @@
 //! Determinism contract: a query's terminal status, match count,
 //! committed match stream and virtual-time latency are a pure function
 //! of `(graph, pattern, options, chunk_tasks)` — independent of worker
-//! count, scheduler kind, execution mode, and whatever else is running
-//! concurrently. See DESIGN.md §4h.
+//! count, execution mode, and whatever else is running concurrently.
+//! See DESIGN.md §4h.
 //!
 //! Resilience contract (DESIGN.md §4j): with a
 //! [`crate::ServiceConfig::fault_plan`] installed, every failure on the
@@ -40,7 +40,7 @@ use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
 use benu_cache::{CacheObs, DbCache};
 use benu_cluster::transport::{FetchError, Transport};
 use benu_cluster::worker::{lane_budget, LaneExecutor, TaskPanicked};
-use benu_cluster::ExecMode;
+use benu_cluster::{DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES};
 use benu_engine::{DataSource, SearchTask, TaskMetrics};
 use benu_fault::{FaultError, FaultKind, FaultingStore, RetryPolicy};
 use benu_graph::{AdjSet, Graph, TotalOrder, VertexId};
@@ -54,6 +54,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Compiled plans the plan cache retains (LRU over canonical forms).
+const PLAN_CACHE_ENTRIES: usize = 32;
+
+/// Backstop poll interval of the worker/waiter condvar signals: a missed
+/// wakeup degrades to a poll at this cadence, never a hang.
+const SIGNAL_POLL: Duration = Duration::from_millis(10);
 
 /// A condvar-backed edge-triggered signal: `notify` bumps a generation,
 /// `wait_past` sleeps until the generation moves (with a timeout
@@ -81,13 +88,14 @@ impl Signal {
         *self.generation.lock().expect("signal mutex")
     }
 
-    /// Blocks until the generation moves past `seen` or `poll` elapses.
+    /// Blocks until the generation moves past `seen` or [`SIGNAL_POLL`]
+    /// elapses.
     /// Condvar waits can wake spuriously; the loop re-checks the
     /// generation and keeps waiting out the *remaining* window, so a
     /// spurious wakeup costs nothing instead of silently converting the
     /// wait into a busy retry.
-    fn wait_past(&self, seen: u64, poll: Duration) {
-        let deadline = Instant::now() + poll;
+    fn wait_past(&self, seen: u64) {
+        let deadline = Instant::now() + SIGNAL_POLL;
         let mut guard = self.generation.lock().expect("signal mutex");
         while *guard == seen {
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
@@ -289,7 +297,6 @@ struct RunState {
 struct QueryRun {
     id: QueryId,
     options: QueryOptions,
-    exec_mode: ExecMode,
     plan: Arc<CachedPlan>,
     /// `placement[i]` = submitted-pattern vertex at canonical position
     /// `i` (plans are compiled for the canonical numbering).
@@ -431,7 +438,7 @@ impl QueryService {
         };
         let caches = (0..config.workers)
             .map(|_| {
-                let mut cache = DbCache::new(config.cache_capacity_bytes, config.cache_shards);
+                let mut cache = DbCache::new(config.cache_capacity_bytes, DEFAULT_CACHE_SHARDS);
                 if let Some(hub) = &obs {
                     cache.attach_obs(CacheObs::register(&hub.registry, "db"));
                 }
@@ -444,7 +451,7 @@ impl QueryService {
             degrees: g.vertices().map(|v| g.degree(v) as u32).collect(),
             graph_edges: g.num_edges(),
             caches,
-            plan_cache: PlanCache::new(config.plan_cache_entries),
+            plan_cache: PlanCache::new(PLAN_CACHE_ENTRIES),
             feedback: Mutex::new(Vec::new()),
             replans: AtomicU64::new(0),
             queue: crate::fair::FairQueue::new(config.workers),
@@ -503,7 +510,7 @@ impl QueryService {
     /// task lists are a deterministic function of the submission order.
     ///
     /// Admission control runs under the same lock against the backlog
-    /// snapshot (see [`crate::admission`]): a shed query settles
+    /// snapshot (see `admission`): a shed query settles
     /// immediately as [`Terminal::Rejected`] without executing, and a
     /// submission into a fully dead worker pool settles as
     /// [`Terminal::Failed`]\([`ServiceError::WorkerLost`]). Both are
@@ -530,7 +537,6 @@ impl QueryService {
         } else {
             plan
         };
-        let exec_mode = options.exec_mode.unwrap_or(inner.config.exec_mode);
         let tasks = inner.generate_tasks(&plan);
         let total_chunks = tasks.len().div_ceil(inner.config.chunk_tasks);
         let commit = CommitState::new(
@@ -549,7 +555,6 @@ impl QueryService {
         let run = Arc::new(QueryRun {
             id,
             options,
-            exec_mode,
             plan,
             placement,
             tasks,
@@ -630,13 +635,9 @@ impl QueryService {
                 AdmissionVerdict::Admit => {
                     run.counted.store(true, Ordering::Release);
                     inner.inflight.fetch_add(1, Ordering::AcqRel);
-                    inner.queue.admit(
-                        id,
-                        Arc::clone(&run),
-                        weight,
-                        inner.config.scheduler,
-                        total_chunks,
-                    );
+                    inner
+                        .queue
+                        .admit(id, Arc::clone(&run), weight, total_chunks);
                     inner.sync_queue_depth();
                     inner.work.notify();
                 }
@@ -697,16 +698,14 @@ impl QueryService {
             if let Some(result) = &run.state.lock().result {
                 return result.clone();
             }
-            self.inner
-                .done
-                .wait_past(seen, self.inner.config.signal_poll);
+            self.inner.done.wait_past(seen);
         }
     }
 
     /// The service's report subtree. `Deterministic` mode is built
     /// purely from commit-pipeline state — admission counters, plan
     /// cache, one entry per terminated query — and is identical across
-    /// worker counts, schedulers and execution modes. `Full` mode adds
+    /// worker counts and execution modes. `Full` mode adds
     /// wall-clock latencies and merges the hub's registry/trace report
     /// when the service is observed.
     pub fn report(&self, mode: ReportMode) -> Report {
@@ -1004,16 +1003,16 @@ fn worker_loop(inner: Arc<Inner>, lane: usize) {
                 executed += 1;
             }
             None if inner.shutdown.load(Ordering::Acquire) => break,
-            None => inner.work.wait_past(seen, inner.config.signal_poll),
+            None => inner.work.wait_past(seen),
         }
     }
 }
 
 /// An injected worker crash, caught at the grant boundary while the
 /// worker holds one unexecuted chunk. With survivors the crash is
-/// invisible to results: the lane's queued chunks migrate
-/// ([`crate::fair::FairQueue::fail_lane`]) and the held chunk is
-/// requeued for byte-identical re-execution (it never ran, and chaos
+/// invisible to results: the lane is granted nothing more
+/// (`FairQueue::fail_lane`) and the held chunk is requeued for
+/// byte-identical re-execution (it never ran, and chaos
 /// decisions are stateless per chunk). With no survivors every
 /// non-terminal query fails with [`ServiceError::WorkerLost`] — a
 /// structured terminal, not a hang and not an abort.
@@ -1034,13 +1033,9 @@ fn crash_worker(inner: &Inner, lane: usize, run: &Arc<QueryRun>, chunk: usize) {
             }
             inner.after_state_change(run, &mut state);
         } else {
-            inner.queue.requeue(
-                run.id,
-                Arc::clone(run),
-                run.options.weight,
-                inner.config.scheduler,
-                chunk,
-            );
+            inner
+                .queue
+                .requeue(run.id, Arc::clone(run), run.options.weight, chunk);
             inner.requeued_chunks.fetch_add(1, Ordering::Relaxed);
             if let Some(hub) = &inner.obs {
                 hub.registry.counter("service.requeued_chunks").inc();
@@ -1120,8 +1115,8 @@ fn execute_chunk(
         &run.plan.compiled,
         &source,
         &inner.order,
-        inner.config.triangle_cache_entries,
-        run.exec_mode,
+        DEFAULT_TRIANGLE_CACHE_ENTRIES,
+        inner.config.exec_mode,
         lane_budget(inner.config.memory_budget_bytes, inner.config.workers),
         run.options.mode.needs_matches(),
     );

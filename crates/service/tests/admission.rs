@@ -8,7 +8,6 @@
 //! nothing, leaves no trace in the fair queue, and completes
 //! identically when resubmitted after the backlog drains.
 
-use benu_cluster::SchedulerKind;
 use benu_graph::gen;
 use benu_obs::ReportMode;
 use benu_pattern::queries;
@@ -229,7 +228,6 @@ fn weighted_fairness_survives_sibling_failure_and_recovery() {
     let config = || {
         ServiceConfig::builder()
             .workers(4)
-            .scheduler(SchedulerKind::WorkStealing)
             .store_shards(4)
             .chunk_tasks(16)
             .fault_plan(
@@ -246,7 +244,6 @@ fn weighted_fairness_survives_sibling_failure_and_recovery() {
     };
     let faultless = mix(ServiceConfig::builder()
         .workers(4)
-        .scheduler(SchedulerKind::WorkStealing)
         .store_shards(4)
         .chunk_tasks(16)
         .build())

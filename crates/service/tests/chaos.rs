@@ -1,7 +1,7 @@
 //! Satellite: the service chaos suite.
 //!
 //! Seeded fault injection against the serving layer, crossed over
-//! worker counts, schedulers and execution modes. The resilience
+//! worker counts and execution modes. The resilience
 //! contract under test (DESIGN.md §4j):
 //!
 //! * recovered faults (transients, timeouts, replica failover, worker
@@ -12,12 +12,12 @@
 //!   in), never a panic and never a sibling;
 //! * which queries fail, and with what, is a pure function of the
 //!   fault seed and the execution mode's access granularity —
-//!   identical across worker counts, schedulers and replays. (DFS
+//!   identical across worker counts and replays. (DFS
 //!   draws one fault decision per vertex access, hybrid one per
 //!   deduplicated shard batch, so *failure* outcomes are compared
 //!   within a mode; *recovered* runs are identical across modes too.)
 
-use benu_cluster::{ExecMode, SchedulerKind};
+use benu_cluster::ExecMode;
 use benu_graph::gen;
 use benu_pattern::queries;
 use benu_service::{
@@ -32,10 +32,9 @@ fn graph() -> benu_graph::Graph {
 /// Store sharding is pinned: fault decisions are keyed by `(shard,
 /// vertex)`, so a fixed deployment shape is what makes failure outcomes
 /// comparable across worker counts.
-fn base(workers: usize, scheduler: SchedulerKind, exec_mode: ExecMode) -> ServiceConfigBuilder {
+fn base(workers: usize, exec_mode: ExecMode) -> ServiceConfigBuilder {
     ServiceConfig::builder()
         .workers(workers)
-        .scheduler(scheduler)
         .exec_mode(exec_mode)
         .store_shards(4)
         .chunk_tasks(16)
@@ -81,29 +80,27 @@ fn surface(r: &QueryResult) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// Runs the mix for one execution mode under every (workers, scheduler)
-/// combination of `make` and asserts the full result surfaces —
+/// Runs the mix for one execution mode under every worker count of
+/// `make` and asserts the full result surfaces —
 /// including failures, degradations and their error payloads — are
 /// identical everywhere. Returns the (verified common) result set.
 fn mode_invariant(
     exec_mode: ExecMode,
-    make: impl Fn(usize, SchedulerKind, ExecMode) -> ServiceConfig,
+    make: impl Fn(usize, ExecMode) -> ServiceConfig,
 ) -> Vec<QueryResult> {
     let mut baseline: Option<Vec<QueryResult>> = None;
     for workers in [1, 4] {
-        for scheduler in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-            let results = run_mix(make(workers, scheduler, exec_mode));
-            match &baseline {
-                None => baseline = Some(results),
-                Some(expect) => {
-                    for (got, want) in results.iter().zip(expect) {
-                        assert_eq!(
-                            surface(got),
-                            surface(want),
-                            "query {} diverged at workers={workers} {scheduler} {exec_mode:?}",
-                            got.id
-                        );
-                    }
+        let results = run_mix(make(workers, exec_mode));
+        match &baseline {
+            None => baseline = Some(results),
+            Some(expect) => {
+                for (got, want) in results.iter().zip(expect) {
+                    assert_eq!(
+                        surface(got),
+                        surface(want),
+                        "query {} diverged at workers={workers} {exec_mode:?}",
+                        got.id
+                    );
                 }
             }
         }
@@ -113,17 +110,17 @@ fn mode_invariant(
 
 #[test]
 fn recovered_transients_and_timeouts_are_invisible() {
-    let faultless = run_mix(base(4, SchedulerKind::WorkStealing, ExecMode::Dfs).build());
+    let faultless = run_mix(base(4, ExecMode::Dfs).build());
     // Recovered faults leave no trace, so the matrix extends across
     // execution modes too: every configuration must equal the faultless
     // baseline byte-for-byte, virtual latency included.
     for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
-        let faulted = mode_invariant(exec_mode, |workers, scheduler, exec_mode| {
+        let faulted = mode_invariant(exec_mode, |workers, exec_mode| {
             let plan = FaultPlan::builder(11)
                 .transient_rate(0.02)
                 .timeout_rate(0.02)
                 .build();
-            base(workers, scheduler, exec_mode).fault_plan(plan).build()
+            base(workers, exec_mode).fault_plan(plan).build()
         });
         for (got, want) in faulted.iter().zip(&faultless) {
             assert_eq!(
@@ -145,9 +142,9 @@ fn retry_exhaustion_fails_only_affected_queries_deterministically() {
     // Two attempts against a moderate fault rate: each query draws its
     // own scoped decision stream, so some queries exhaust the budget
     // and some survive — a per-query outcome, not a service-wide one.
-    let results = mode_invariant(ExecMode::Dfs, |workers, scheduler, exec_mode| {
+    let results = mode_invariant(ExecMode::Dfs, |workers, exec_mode| {
         let plan = FaultPlan::builder(23).transient_rate(0.06).build();
-        base(workers, scheduler, exec_mode)
+        base(workers, exec_mode)
             .fault_plan(plan)
             .retry(RetryPolicy {
                 max_attempts: 2,
@@ -184,7 +181,7 @@ fn retry_exhaustion_fails_only_affected_queries_deterministically() {
     }
     // Survivors are byte-identical to the faultless run — recovered
     // retries leave no trace in results or virtual latency.
-    let faultless = run_mix(base(4, SchedulerKind::WorkStealing, ExecMode::Dfs).build());
+    let faultless = run_mix(base(4, ExecMode::Dfs).build());
     for r in &completed {
         let want = &faultless[r.id as usize];
         assert_eq!(surface(r), surface(want), "survivor {} diverged", r.id);
@@ -196,10 +193,10 @@ fn hybrid_batch_faults_surface_the_same_taxonomy() {
     // Hybrid draws one fault decision per deduplicated shard batch; a
     // rate hot enough to exhaust two attempts across a chunk's batches
     // fails queries with the same structured error, deterministically
-    // across workers and schedulers.
-    let results = mode_invariant(ExecMode::Hybrid, |workers, scheduler, exec_mode| {
+    // across worker counts.
+    let results = mode_invariant(ExecMode::Hybrid, |workers, exec_mode| {
         let plan = FaultPlan::builder(31).transient_rate(0.45).build();
-        base(workers, scheduler, exec_mode)
+        base(workers, exec_mode)
             .fault_plan(plan)
             .retry(RetryPolicy {
                 max_attempts: 2,
@@ -223,9 +220,9 @@ fn hybrid_batch_faults_surface_the_same_taxonomy() {
 #[test]
 fn unreplicated_shard_outage_fails_queries_with_structured_errors() {
     for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
-        let results = mode_invariant(exec_mode, |workers, scheduler, exec_mode| {
+        let results = mode_invariant(exec_mode, |workers, exec_mode| {
             let plan = FaultPlan::builder(5).shard_outage(0, 1).build();
-            base(workers, scheduler, exec_mode).fault_plan(plan).build()
+            base(workers, exec_mode).fault_plan(plan).build()
         });
         for r in &results {
             match &r.terminal {
@@ -247,11 +244,11 @@ fn unreplicated_shard_outage_fails_queries_with_structured_errors() {
 
 #[test]
 fn graceful_degradation_turns_the_outage_into_partial_results() {
-    let faultless = run_mix(base(4, SchedulerKind::WorkStealing, ExecMode::Dfs).build());
+    let faultless = run_mix(base(4, ExecMode::Dfs).build());
     for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
-        let results = mode_invariant(exec_mode, |workers, scheduler, exec_mode| {
+        let results = mode_invariant(exec_mode, |workers, exec_mode| {
             let plan = FaultPlan::builder(5).shard_outage(0, 1).build();
-            base(workers, scheduler, exec_mode)
+            base(workers, exec_mode)
                 .fault_plan(plan)
                 .graceful_degradation(true)
                 .build()
@@ -290,10 +287,10 @@ fn replication_masks_the_outage_entirely() {
     // Same dark shard, but every placement group has a live replica:
     // failover serves the request and results are byte-identical to the
     // faultless run — no failure, no degradation, no vtick drift.
-    let faultless = run_mix(base(4, SchedulerKind::WorkStealing, ExecMode::Dfs).build());
+    let faultless = run_mix(base(4, ExecMode::Dfs).build());
     let plan = FaultPlan::builder(5).shard_outage(0, 1).build();
     let results = run_mix(
-        base(4, SchedulerKind::WorkStealing, ExecMode::Dfs)
+        base(4, ExecMode::Dfs)
             .replication(2)
             .fault_plan(plan)
             .build(),
@@ -305,26 +302,19 @@ fn replication_masks_the_outage_entirely() {
 
 #[test]
 fn worker_crashes_with_survivors_are_invisible() {
-    let faultless = run_mix(base(4, SchedulerKind::WorkStealing, ExecMode::Dfs).build());
-    // Crashed lanes hand their queued chunks to survivors and the
-    // chunks they died holding re-execute elsewhere — byte-exact.
+    let faultless = run_mix(base(4, ExecMode::Dfs).build());
+    // Survivors serve the backlog and the chunks a crashed lane died
+    // holding re-execute elsewhere — byte-exact.
     let plan = FaultPlan::builder(7).crash(1, 1).crash(2, 2).build();
     for workers in [2, 4] {
-        for scheduler in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-            for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
-                let results = run_mix(
-                    base(workers, scheduler, exec_mode)
-                        .fault_plan(plan.clone())
-                        .build(),
+        for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
+            let results = run_mix(base(workers, exec_mode).fault_plan(plan.clone()).build());
+            for (got, want) in results.iter().zip(&faultless) {
+                assert_eq!(
+                    surface(got),
+                    surface(want),
+                    "crash recovery must be byte-exact at workers={workers} {exec_mode:?}"
                 );
-                for (got, want) in results.iter().zip(&faultless) {
-                    assert_eq!(
-                        surface(got),
-                        surface(want),
-                        "crash recovery must be byte-exact at workers={workers} \
-                         {scheduler} {exec_mode:?}"
-                    );
-                }
             }
         }
     }

@@ -3,14 +3,14 @@
 //! The same seed and query mix must produce identical per-query results
 //! — terminal status, match count, committed match stream, virtual-time
 //! latency — and an identical deterministic report at every concurrency
-//! level, under both schedulers, and across both execution modes. This
+//! level and across both execution modes. This
 //! is the serving-layer extension of the cluster's
 //! `hybrid_equivalence` suite: budgets and result modes are enforced at
 //! deterministic chunk-commit boundaries, so even *truncating* queries
 //! (deadlines, match caps, TopK) cut the stream at the same point
 //! everywhere.
 
-use benu_cluster::{ExecMode, SchedulerKind};
+use benu_cluster::ExecMode;
 use benu_graph::gen;
 use benu_obs::ReportMode;
 use benu_pattern::queries;
@@ -66,36 +66,28 @@ fn run_mix(config: ServiceConfig) -> (Vec<QueryResult>, benu_obs::Report) {
 }
 
 #[test]
-fn results_are_identical_across_concurrency_schedulers_and_modes() {
+fn results_are_identical_across_concurrency_and_modes() {
     let base = ServiceConfig::builder().chunk_tasks(16);
     let mut baseline: Option<(Vec<QueryResult>, benu_obs::Report)> = None;
     for workers in [1, 3] {
-        for scheduler in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-            for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
-                let config = base
-                    .clone()
-                    .workers(workers)
-                    .scheduler(scheduler)
-                    .exec_mode(exec_mode)
-                    .build();
-                let (results, report) = run_mix(config);
-                match &baseline {
-                    None => baseline = Some((results, report)),
-                    Some((expect_results, expect_report)) => {
-                        for (got, want) in results.iter().zip(expect_results) {
-                            assert_eq!(
-                                surface(got),
-                                surface(want),
-                                "query {} diverged at workers={workers} {scheduler} {exec_mode:?}",
-                                got.id
-                            );
-                        }
+        for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
+            let config = base.clone().workers(workers).exec_mode(exec_mode).build();
+            let (results, report) = run_mix(config);
+            match &baseline {
+                None => baseline = Some((results, report)),
+                Some((expect_results, expect_report)) => {
+                    for (got, want) in results.iter().zip(expect_results) {
                         assert_eq!(
-                            &report, expect_report,
-                            "deterministic report diverged at workers={workers} \
-                             {scheduler} {exec_mode:?}"
+                            surface(got),
+                            surface(want),
+                            "query {} diverged at workers={workers} {exec_mode:?}",
+                            got.id
                         );
                     }
+                    assert_eq!(
+                        &report, expect_report,
+                        "deterministic report diverged at workers={workers} {exec_mode:?}"
+                    );
                 }
             }
         }
