@@ -32,7 +32,6 @@ use benu_graph::datasets::Dataset;
 use benu_graph::Graph;
 use benu_obs::safe_ratio;
 use benu_pattern::queries;
-use benu_plan::optimize::OptimizeOptions;
 use benu_plan::{ExecutionPlan, PlanBuilder};
 
 /// The swept budgets: spill-forcing tiny through unbounded (0).
@@ -148,20 +147,12 @@ fn main() {
         }
     }
 
-    let workloads = [
-        ("q5", queries::q5(), OptimizeOptions::all()),
-        (
-            "clique4",
-            queries::clique(4),
-            OptimizeOptions::all_with_clique_cache(),
-        ),
-    ];
+    let workloads = [("q5", queries::q5()), ("clique4", queries::clique(4))];
 
     let mut rows: Vec<Row> = Vec::new();
-    for (name, pattern, opts) in &workloads {
+    for (name, pattern) in &workloads {
         let plan = PlanBuilder::new(pattern)
             .graph_stats(g.num_vertices(), g.num_edges())
-            .optimizations(*opts)
             .compressed(false)
             .best_plan();
 

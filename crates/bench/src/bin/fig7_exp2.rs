@@ -16,7 +16,7 @@ use benu_bench::{load_dataset, print_table, secs};
 use benu_cluster::{Cluster, ClusterConfig};
 use benu_graph::datasets::Dataset;
 use benu_pattern::queries;
-use benu_plan::optimize::OptimizeOptions;
+use benu_plan::optimize::OptLevel;
 use benu_plan::PlanBuilder;
 
 struct Row {
@@ -50,28 +50,6 @@ fn main() {
             .build(),
     );
 
-    let stages: [(&str, OptimizeOptions); 4] = [
-        ("raw", OptimizeOptions::none()),
-        (
-            "+opt1",
-            OptimizeOptions {
-                cse: true,
-                reorder: false,
-                triangle_cache: false,
-                clique_cache: false,
-            },
-        ),
-        (
-            "+opt2",
-            OptimizeOptions {
-                cse: true,
-                reorder: true,
-                triangle_cache: false,
-                clique_cache: false,
-            },
-        ),
-        ("+opt3", OptimizeOptions::all()),
-    ];
     let cases = [
         ("(a) q2 uncompressed", queries::q2(), false),
         ("(b) q4 uncompressed", queries::q4(), false),
@@ -95,10 +73,11 @@ fn main() {
         };
         let mut row = vec![case.to_string()];
         let mut reference_count = None;
-        for (stage, opts) in &stages {
+        for level in OptLevel::LADDER {
+            let stage = level.label();
             let plan = PlanBuilder::new(pattern)
                 .matching_order(best_order.clone())
-                .optimizations(*opts)
+                .optimizations(level)
                 .compressed(*compressed)
                 .build();
             // Fresh cache per stage: the fixture compares plan quality,
@@ -124,7 +103,9 @@ fn main() {
         "\nFig. 7 — execution time with cumulative plan optimizations ({}, scale {scale}):",
         dataset.abbrev()
     );
-    print_table(&["case", "raw", "+opt1", "+opt2", "+opt3"], &rows);
+    let mut header = vec!["case"];
+    header.extend(OptLevel::LADDER.map(OptLevel::label));
+    print_table(&header, &rows);
     println!(
         "\npaper shape: Opt2 (reordering) helps everywhere; Opt1 helps where a\n\
          common subexpression exists (q4-like cases); Opt3 helps where\n\

@@ -57,8 +57,7 @@ pub struct CacheObs {
 }
 
 impl CacheObs {
-    /// Registers the three counters of `tier` (e.g. `"db"`,
-    /// `"triangle"`, `"clique"`).
+    /// Registers the three counters of `tier` (e.g. `"db"`, `"triangle"`).
     pub fn register(registry: &Registry, tier: &str) -> Self {
         CacheObs {
             hits: registry.counter(&format!("cache.{tier}.hits")),
@@ -308,112 +307,6 @@ impl TriangleCache {
     }
 }
 
-/// The per-thread *clique cache* — the paper's proposed generalization of
-/// the triangle cache (§IV-B: "The triangle cache technique could be
-/// extended to other kinds of frequent motifs, like cliques"). Maps a
-/// sorted k-tuple of data vertices (a k-clique instance) to the shared
-/// common-neighbour set `∩_i Γ(v_i)`, i.e. the vertices completing a
-/// (k+1)-clique. Entry-count budgeted, since clique sets are far more
-/// numerous than triangle sets.
-#[derive(Debug)]
-pub struct CliqueCache {
-    lru: Lru<Vec<VertexId>, Arc<Vec<VertexId>>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl CliqueCache {
-    /// Creates a cache holding at most `max_entries` clique sets.
-    pub fn new(max_entries: usize) -> Self {
-        CliqueCache {
-            lru: Lru::new(max_entries as u64),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Looks up the common-neighbour set of the clique `key` (must be
-    /// sorted ascending) or computes and caches it.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `key` is not sorted.
-    pub fn get_or_compute(
-        &mut self,
-        key: &[VertexId],
-        compute: impl FnOnce() -> Vec<VertexId>,
-    ) -> Arc<Vec<VertexId>> {
-        debug_assert!(
-            key.windows(2).all(|w| w[0] < w[1]),
-            "clique key must be sorted"
-        );
-        // Borrow-generic LRU lookup: probing with the slice key directly
-        // avoids allocating an owned `Vec` per lookup (the owned key is
-        // only materialised on the miss path, where it must be stored).
-        if let Some(v) = self.lru.get(key) {
-            self.hits += 1;
-            return Arc::clone(v);
-        }
-        self.misses += 1;
-        let value = Arc::new(compute());
-        self.lru.insert(key.to_vec(), Arc::clone(&value), 1);
-        value
-    }
-
-    /// Like [`CliqueCache::get_or_compute`] but hands the clique set to
-    /// `use_set` by borrow instead of returning an `Arc` clone. The hit
-    /// path performs no allocation at all (slice-keyed lookup, no
-    /// refcount traffic); the owned key is cloned only on a miss.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `key` is not sorted.
-    pub fn with_or_compute<R>(
-        &mut self,
-        key: &[VertexId],
-        compute: impl FnOnce() -> Vec<VertexId>,
-        use_set: impl FnOnce(&[VertexId]) -> R,
-    ) -> R {
-        debug_assert!(
-            key.windows(2).all(|w| w[0] < w[1]),
-            "clique key must be sorted"
-        );
-        if let Some(v) = self.lru.get(key) {
-            self.hits += 1;
-            return use_set(v);
-        }
-        self.misses += 1;
-        let value = compute();
-        let r = use_set(&value);
-        self.lru.insert(key.to_vec(), Arc::new(value), 1);
-        r
-    }
-
-    /// Effectiveness counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: 0,
-        }
-    }
-
-    /// Number of cached clique sets.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Drops all entries.
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,40 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn clique_cache_hits_on_repeated_key() {
-        let mut cc = CliqueCache::new(8);
-        let a = cc.get_or_compute(&[1, 5, 9], || vec![10, 20]);
-        let b = cc.get_or_compute(&[1, 5, 9], || panic!("must hit"));
-        assert_eq!(a, b);
-        assert_eq!(cc.stats().hits, 1);
-        assert_eq!(cc.len(), 1);
-    }
-
-    #[test]
-    fn clique_cache_distinguishes_arity() {
-        let mut cc = CliqueCache::new(8);
-        cc.get_or_compute(&[1, 2], || vec![3]);
-        let three = cc.get_or_compute(&[1, 2, 3], || vec![4]);
-        assert_eq!(*three, vec![4]);
-        assert_eq!(cc.len(), 2);
-    }
-
-    #[test]
-    fn clique_cache_evicts_at_capacity() {
-        let mut cc = CliqueCache::new(2);
-        cc.get_or_compute(&[0, 1, 2], || vec![9]);
-        cc.get_or_compute(&[0, 1, 3], || vec![9]);
-        cc.get_or_compute(&[0, 1, 4], || vec![9]);
-        assert_eq!(cc.len(), 2);
-        let mut recomputed = false;
-        cc.get_or_compute(&[0, 1, 2], || {
-            recomputed = true;
-            vec![9]
-        });
-        assert!(recomputed);
-    }
-
-    #[test]
     fn triangle_with_or_compute_borrows_without_arc_clone() {
         let mut tc = TriangleCache::new(4);
         let arc = tc.get_or_compute(1, 2, || vec![7, 8]);
@@ -574,20 +433,6 @@ mod tests {
             |_| (),
         );
         assert!(recomputed);
-    }
-
-    #[test]
-    fn clique_with_or_compute_hits_via_slice_key() {
-        let mut cc = CliqueCache::new(8);
-        cc.get_or_compute(&[2, 4, 6], || vec![9, 10]);
-        let n = cc.with_or_compute(&[2, 4, 6], || panic!("must hit"), |s| s.len());
-        assert_eq!(n, 2);
-        assert_eq!(cc.stats().hits, 1);
-        // A miss through the borrow API still populates the cache.
-        let n = cc.with_or_compute(&[1, 3], || vec![5], |s| s.len());
-        assert_eq!(n, 1);
-        assert_eq!(cc.len(), 2);
-        cc.get_or_compute(&[1, 3], || panic!("cached by with_or_compute"));
     }
 
     #[test]

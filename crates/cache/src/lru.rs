@@ -8,7 +8,6 @@
 //! insert (never cached) — matching the intuition that a single adjacency
 //! set larger than the configured cache should not wipe the cache.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -96,15 +95,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     }
 
     /// Looks up a key, promoting it to most-recently-used on a hit.
-    ///
-    /// Borrow-generic like `HashMap::get`, so a `Lru<Vec<T>, V>` can be
-    /// probed with a `&[T]` — the clique cache relies on this to look up
-    /// slice keys without allocating an owned key per probe.
-    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Eq + Hash + ?Sized,
-    {
+    pub fn get(&mut self, key: &K) -> Option<&V> {
         let idx = *self.map.get(key)?;
         if idx != self.head {
             self.detach(idx);
@@ -113,12 +104,8 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         Some(&self.nodes[idx].value)
     }
 
-    /// Peeks without promoting (borrow-generic like [`Lru::get`]).
-    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Eq + Hash + ?Sized,
-    {
+    /// Peeks without promoting.
+    pub fn peek(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|&idx| &self.nodes[idx].value)
     }
 
@@ -284,18 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_key_lookup_matches_owned_key() {
-        let mut lru: Lru<Vec<u32>, u32> = Lru::new(10);
-        lru.insert(vec![1, 2, 3], 42, 1);
-        // Probe with a slice — no owned Vec key needed.
-        let key: &[u32] = &[1, 2, 3];
-        assert_eq!(lru.peek(key), Some(&42));
-        assert_eq!(lru.get(key), Some(&42));
-        let missing: &[u32] = &[1, 2];
-        assert_eq!(lru.get(missing), None);
-    }
-
-    #[test]
     fn clear_empties_cache() {
         let mut lru: Lru<u32, ()> = Lru::new(10);
         lru.insert(1, (), 1);
@@ -314,7 +289,7 @@ mod tests {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             let key = state % 97;
             let cost = 1 + (state >> 8) % 9;
-            if state % 3 == 0 {
+            if state.is_multiple_of(3) {
                 lru.get(&key);
             } else {
                 lru.insert(key, state, cost as u64);

@@ -19,7 +19,7 @@
 //!   light tail.
 //!
 //! Cost is measured in *vticks* — the engine's deterministic instruction
-//! counters (ENU candidates + DBQ + INT + TRC + KCC executions) — so a
+//! counters (ENU candidates + DBQ + INT + TRC executions) — so a
 //! profile, and every decision derived from it, is a pure function of
 //! the run that produced it.
 
@@ -31,7 +31,7 @@ use benu_graph::VertexId;
 /// instruction counters, which are independent of wall clock, caching
 /// and pooling.
 pub fn vticks(m: &TaskMetrics) -> u64 {
-    m.enu_candidates + m.dbq_executions + m.int_executions + m.trc_executions + m.kcache_executions
+    m.enu_candidates + m.dbq_executions + m.int_executions + m.trc_executions
 }
 
 /// Per-start-vertex observed execution cost from a completed run, in

@@ -349,7 +349,6 @@ impl RunOutcome {
         engine.set("dbq_executions", m.dbq_executions);
         engine.set("int_executions", m.int_executions);
         engine.set("trc_executions", m.trc_executions);
-        engine.set("kcache_executions", m.kcache_executions);
         engine.set("enu_candidates", m.enu_candidates);
         engine.set("obs_candidates", m.obs.totals().0);
         engine.set("obs_survivors", m.obs.totals().1);

@@ -57,14 +57,6 @@ pub enum CInstr {
         target: usize,
         filters: Vec<CFilter>,
     },
-    /// Clique-cached `slot[target] := ∩_v Γ(f[v])`, filtered (the §IV-B
-    /// future-work extension).
-    KCache {
-        verts: Vec<usize>,
-        regs: Vec<usize>,
-        target: usize,
-        filters: Vec<CFilter>,
-    },
     /// Emit a match (or compressed code).
     Report,
 }
@@ -202,29 +194,6 @@ impl CompiledPlan {
                             .collect(),
                     });
                 }
-                Instruction::KCache {
-                    target,
-                    verts,
-                    filters,
-                } => {
-                    let regs: Vec<usize> = verts
-                        .iter()
-                        .map(|&v| *reg_of.get(&SetVar::Adj(v)).expect("A_v defined"))
-                        .collect();
-                    let target = alloc(*target, &mut reg_of);
-                    instrs.push(CInstr::KCache {
-                        verts: verts.clone(),
-                        regs,
-                        target,
-                        filters: filters
-                            .iter()
-                            .map(|f| CFilter {
-                                op: f.op,
-                                vertex: f.vertex,
-                            })
-                            .collect(),
-                    });
-                }
                 Instruction::ReportMatch { items } => {
                     report_items = items
                         .iter()
@@ -317,7 +286,7 @@ impl CompiledPlan {
                 CInstr::GetAdj { .. } => InstrKind::Dbq,
                 CInstr::Intersect { .. } => InstrKind::Int,
                 CInstr::Foreach { .. } => InstrKind::Enu,
-                CInstr::TCache { .. } | CInstr::KCache { .. } => InstrKind::Trc,
+                CInstr::TCache { .. } => InstrKind::Trc,
                 CInstr::Report => InstrKind::Res,
             };
             *counts.entry(kind).or_insert(0) += 1;
@@ -393,8 +362,7 @@ mod tests {
             match i {
                 CInstr::GetAdj { target, .. }
                 | CInstr::Intersect { target, .. }
-                | CInstr::TCache { target, .. }
-                | CInstr::KCache { target, .. } => seen[*target] = true,
+                | CInstr::TCache { target, .. } => seen[*target] = true,
                 _ => {}
             }
         }

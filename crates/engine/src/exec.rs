@@ -15,7 +15,7 @@ use crate::consumer::MatchConsumer;
 use crate::expand;
 use crate::source::DataSource;
 use crate::task::SearchTask;
-use benu_cache::{CliqueCache, TriangleCache};
+use benu_cache::TriangleCache;
 use benu_graph::view;
 use benu_graph::{AdjSet, AdjView, TotalOrder, VertexId};
 use benu_plan::FilterOp;
@@ -43,10 +43,6 @@ pub struct TaskMetrics {
     pub int_executions: u64,
     /// TRC instruction executions.
     pub trc_executions: u64,
-    /// KCache (clique-cache, §IV-B extension) instruction executions.
-    /// Counted separately from `trc_executions` so clique-cached plans do
-    /// not inflate the triangle-cache numbers.
-    pub kcache_executions: u64,
     /// Candidate vertices iterated by ENU (`Foreach`) loops — the raw
     /// backtracking branch count before label filtering.
     pub enu_candidates: u64,
@@ -66,7 +62,6 @@ impl std::ops::AddAssign for TaskMetrics {
         self.dbq_executions += rhs.dbq_executions;
         self.int_executions += rhs.int_executions;
         self.trc_executions += rhs.trc_executions;
-        self.kcache_executions += rhs.kcache_executions;
         self.enu_candidates += rhs.enu_candidates;
         self.obs += rhs.obs;
     }
@@ -89,9 +84,6 @@ impl TaskMetrics {
         registry
             .counter("engine.trc_executions")
             .add(self.trc_executions);
-        registry
-            .counter("engine.kcache_executions")
-            .add(self.kcache_executions);
         registry
             .counter("engine.enu_candidates")
             .add(self.enu_candidates);
@@ -239,8 +231,6 @@ pub struct LocalEngine<'a, S: DataSource + ?Sized> {
     pub(crate) source: &'a S,
     order: &'a TotalOrder,
     tcache: TriangleCache,
-    ccache: CliqueCache,
-    key_buf: Vec<VertexId>,
     data_labels: Option<&'a [u32]>,
     label_scratch: Vec<Vec<VertexId>>,
     pub(crate) f: Vec<VertexId>,
@@ -270,27 +260,22 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
         order: &'a TotalOrder,
         tcache_entries: usize,
     ) -> Self {
-        // Pre-size the small index/key buffers from plan metadata so
-        // even their first use allocates nothing mid-task.
-        let mut max_key = 0usize;
-        let mut max_arity = 0usize;
-        for instr in &plan.instrs {
-            match instr {
-                CInstr::Intersect { operands, .. } => max_arity = max_arity.max(operands.len()),
-                CInstr::KCache { verts, regs, .. } => {
-                    max_key = max_key.max(verts.len());
-                    max_arity = max_arity.max(regs.len());
-                }
-                _ => {}
-            }
-        }
+        // Pre-size the small index buffers from plan metadata so even
+        // their first use allocates nothing mid-task.
+        let max_arity = plan
+            .instrs
+            .iter()
+            .map(|instr| match instr {
+                CInstr::Intersect { operands, .. } => operands.len(),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
         LocalEngine {
             plan,
             source,
             order,
             tcache: TriangleCache::new(tcache_entries),
-            ccache: CliqueCache::new(tcache_entries),
-            key_buf: Vec::with_capacity(max_key),
             data_labels: None,
             label_scratch: Vec::new(),
             f: vec![UNSET; plan.num_pattern_vertices],
@@ -381,12 +366,6 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     /// Triangle-cache statistics of this engine's thread.
     pub fn triangle_cache_stats(&self) -> benu_cache::CacheStats {
         self.tcache.stats()
-    }
-
-    /// Clique-cache statistics of this engine's thread (the §IV-B
-    /// extension; all zeros unless the plan uses KCache instructions).
-    pub fn clique_cache_stats(&self) -> benu_cache::CacheStats {
-        self.ccache.stats()
     }
 
     /// Stores `value` into the slot file, recycling any displaced owned
@@ -592,89 +571,6 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                         self.slots[target] = Slot::Buf(buf);
                         empty
                     };
-                    if empty {
-                        return StraightEnd::Pruned;
-                    }
-                }
-                CInstr::KCache {
-                    verts,
-                    regs,
-                    target,
-                    filters,
-                } => {
-                    metrics.kcache_executions += 1;
-                    // The cache key is the sorted tuple of mapped data
-                    // vertices — the clique instance's identity.
-                    self.key_buf.clear();
-                    self.key_buf.extend(verts.iter().map(|&v| self.f[v]));
-                    self.key_buf.sort_unstable();
-                    let target = *target;
-                    // Operands are addressed through the slot file by
-                    // index (`intersect_many_by`), so no per-execution
-                    // slice vector is materialised, and the miss closure
-                    // reuses the engine's scratch and ordering buffers.
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    let mut order_buf = std::mem::take(&mut self.order_buf);
-                    let empty = if filters.is_empty() {
-                        let slots = &self.slots;
-                        let clique_set = self.ccache.get_or_compute(&self.key_buf, || {
-                            let mut out = Vec::new();
-                            view::intersect_many_by(
-                                regs.len(),
-                                |i| slots[regs[i]].as_view(),
-                                &mut order_buf,
-                                &mut out,
-                                &mut scratch,
-                            );
-                            out
-                        });
-                        let empty = clique_set.is_empty();
-                        if let Some(s) = metrics.obs.slot_mut(pc) {
-                            s.candidates += 1;
-                            s.survivors += clique_set.len() as u64;
-                        }
-                        self.set_slot(target, Slot::Tri(clique_set));
-                        empty
-                    } else {
-                        let mut buf = match std::mem::take(&mut self.slots[target]) {
-                            Slot::Buf(b) => b,
-                            _ => self.pool.take(),
-                        };
-                        let slots = &self.slots;
-                        let order = self.order;
-                        let f = &self.f;
-                        let empty = self.ccache.with_or_compute(
-                            &self.key_buf,
-                            || {
-                                let mut out = Vec::new();
-                                view::intersect_many_by(
-                                    regs.len(),
-                                    |i| slots[regs[i]].as_view(),
-                                    &mut order_buf,
-                                    &mut out,
-                                    &mut scratch,
-                                );
-                                out
-                            },
-                            |set| {
-                                buf.clear();
-                                for &x in set {
-                                    if passes_filters(order, f, x, filters) {
-                                        buf.push(x);
-                                    }
-                                }
-                                buf.is_empty()
-                            },
-                        );
-                        if let Some(s) = metrics.obs.slot_mut(pc) {
-                            s.candidates += 1;
-                            s.survivors += buf.len() as u64;
-                        }
-                        self.slots[target] = Slot::Buf(buf);
-                        empty
-                    };
-                    self.scratch = scratch;
-                    self.order_buf = order_buf;
                     if empty {
                         return StraightEnd::Pruned;
                     }
@@ -935,7 +831,7 @@ mod tests {
         let g = gen::complete(4);
         let p = queries::triangle();
         let plan = PlanBuilder::new(&p)
-            .optimizations(benu_plan::optimize::OptimizeOptions::none())
+            .optimizations(benu_plan::optimize::OptLevel::Raw)
             .matching_order(vec![0, 1, 2])
             .build();
         let compiled = CompiledPlan::compile(&plan);
@@ -971,6 +867,11 @@ mod tests {
             registry.counter("engine.dbq_executions").get(),
             m.dbq_executions
         );
+        assert!(m.trc_executions > 0, "the triangle plan is TRC-backed");
+        assert_eq!(
+            registry.counter("engine.trc_executions").get(),
+            m.trc_executions
+        );
         assert_eq!(
             registry.counter("engine.enu_candidates").get(),
             m.enu_candidates
@@ -1000,57 +901,6 @@ mod tests {
         let mut c = CountingConsumer::default();
         engine.run_all_vertices(&mut c);
         assert!(engine.triangle_cache_stats().hits > 0);
-    }
-
-    #[test]
-    fn clique_cache_extension_preserves_counts() {
-        use benu_plan::optimize::OptimizeOptions;
-        let g = gen::chung_lu_power_law(benu_graph::gen::PowerLawConfig {
-            n: 60,
-            m: 260,
-            gamma: 2.3,
-            clustering: 0.5,
-            seed: 41,
-        });
-        for (name, p) in [
-            ("clique4", queries::clique(4)),
-            ("clique5", queries::clique(5)),
-            ("q2", queries::q2()),
-            ("q4", queries::q4()),
-            ("q9", queries::q9()),
-        ] {
-            let base = PlanBuilder::new(&p).best_plan();
-            let expected = crate::count_embeddings(&base, &g);
-            let extended = PlanBuilder::new(&p)
-                .matching_order(base.matching_order.clone())
-                .optimizations(OptimizeOptions::all_with_clique_cache())
-                .build();
-            assert_eq!(
-                crate::count_embeddings(&extended, &g),
-                expected,
-                "{name}: clique cache changed the count"
-            );
-        }
-    }
-
-    #[test]
-    fn clique_cache_stats_reported() {
-        use benu_plan::optimize::OptimizeOptions;
-        let g = gen::complete(10);
-        let p = queries::clique(5);
-        let plan = PlanBuilder::new(&p)
-            .matching_order(vec![0, 1, 2, 3, 4])
-            .optimizations(OptimizeOptions::all_with_clique_cache())
-            .build();
-        let compiled = CompiledPlan::compile(&plan);
-        let source = InMemorySource::from_graph(&g);
-        let order = benu_graph::TotalOrder::new(&g);
-        let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
-        let m = engine.run_all_vertices(&mut c);
-        assert_eq!(m.matches, 252); // C(10,5)
-        let stats = engine.clique_cache_stats();
-        assert!(stats.misses > 0, "KCache instructions executed");
     }
 
     #[test]
@@ -1106,8 +956,13 @@ mod tests {
     #[test]
     fn cold_and_warm_pool_runs_match_the_reference_enumerator() {
         let g = gen::erdos_renyi_gnm(50, 200, 7);
-        let clique4 = queries::clique(4);
-        let mut plans = vec![
+        // Fig. 3e: the one catalogue plan whose TCache sits under another
+        // loop and carries filters.
+        let demo = PlanBuilder::new(&queries::demo_pattern())
+            .matching_order(vec![0, 2, 4, 1, 5, 3])
+            .build();
+        assert_eq!(demo.count_kind(benu_plan::ir::InstrKind::Trc), 2);
+        let plans = [
             (
                 "q5",
                 queries::q5(),
@@ -1120,19 +975,8 @@ mod tests {
                     .compressed(true)
                     .best_plan(),
             ),
+            ("demo/trc", queries::demo_pattern(), demo),
         ];
-        {
-            use benu_plan::optimize::OptimizeOptions;
-            let base = PlanBuilder::new(&clique4).best_plan();
-            plans.push((
-                "clique4/kcache",
-                clique4.clone(),
-                PlanBuilder::new(&clique4)
-                    .matching_order(base.matching_order.clone())
-                    .optimizations(OptimizeOptions::all_with_clique_cache())
-                    .build(),
-            ));
-        }
         for (name, pattern, plan) in plans {
             let compiled = CompiledPlan::compile(&plan);
             let source = InMemorySource::from_graph(&g);
@@ -1208,51 +1052,5 @@ mod tests {
             es.sort_unstable();
             assert_eq!(eb, es, "{name}: block kernels changed the match set");
         }
-    }
-
-    #[test]
-    fn kcache_has_its_own_counter() {
-        use benu_plan::optimize::OptimizeOptions;
-        let g = gen::complete(10);
-        let p = queries::clique(5);
-        let plan = PlanBuilder::new(&p)
-            .matching_order(vec![0, 1, 2, 3, 4])
-            .optimizations(OptimizeOptions::all_with_clique_cache())
-            .build();
-        let compiled = CompiledPlan::compile(&plan);
-        let source = InMemorySource::from_graph(&g);
-        let order = benu_graph::TotalOrder::new(&g);
-        let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
-        let m = engine.run_all_vertices(&mut c);
-        assert!(
-            m.kcache_executions > 0,
-            "clique-cached plan must count KCache executions"
-        );
-
-        // A plan with no clique cache must leave the counter at zero even
-        // when the triangle cache is busy (the misattribution this fixes).
-        let plan2 = PlanBuilder::new(&queries::demo_pattern())
-            .matching_order(vec![0, 2, 4, 1, 5, 3])
-            .build();
-        let compiled2 = CompiledPlan::compile(&plan2);
-        let g2 = gen::complete(8);
-        let source2 = InMemorySource::from_graph(&g2);
-        let order2 = benu_graph::TotalOrder::new(&g2);
-        let mut engine2 = LocalEngine::new(&compiled2, &source2, &order2);
-        let m2 = engine2.run_all_vertices(&mut c);
-        assert!(m2.trc_executions > 0);
-        assert_eq!(m2.kcache_executions, 0);
-
-        let registry = benu_obs::Registry::new();
-        m.record_into(&registry);
-        assert_eq!(
-            registry.counter("engine.kcache_executions").get(),
-            m.kcache_executions
-        );
-        assert_eq!(
-            registry.counter("engine.trc_executions").get(),
-            m.trc_executions
-        );
     }
 }

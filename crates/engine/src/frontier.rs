@@ -101,7 +101,7 @@ enum FrSlot {
     Adj(Arc<AdjSet>),
     /// A frozen set buffer: either an owned intersection result promoted
     /// to an `Arc` at freeze time (charged, thawed back into the pool at
-    /// batch end) or a shared triangle/clique set passing through.
+    /// batch end) or a shared triangle set passing through.
     Frozen(Arc<Vec<VertexId>>),
 }
 
@@ -167,11 +167,6 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
     /// Triangle-cache statistics of the wrapped engine.
     pub fn triangle_cache_stats(&self) -> benu_cache::CacheStats {
         self.engine.triangle_cache_stats()
-    }
-
-    /// Clique-cache statistics of the wrapped engine.
-    pub fn clique_cache_stats(&self) -> benu_cache::CacheStats {
-        self.engine.clique_cache_stats()
     }
 
     /// Unwraps the inner engine.
@@ -419,9 +414,12 @@ mod tests {
     use benu_plan::PlanBuilder;
 
     fn catalogue_plans() -> Vec<(&'static str, benu_plan::ExecutionPlan)> {
-        use benu_plan::optimize::OptimizeOptions;
-        let clique4 = queries::clique(4);
-        let base = PlanBuilder::new(&clique4).best_plan();
+        // Fig. 3e: the one catalogue plan whose TCache sits under another
+        // loop and carries filters.
+        let demo = PlanBuilder::new(&queries::demo_pattern())
+            .matching_order(vec![0, 2, 4, 1, 5, 3])
+            .build();
+        assert_eq!(demo.count_kind(benu_plan::ir::InstrKind::Trc), 2);
         vec![
             ("q5", PlanBuilder::new(&queries::q5()).best_plan()),
             (
@@ -430,13 +428,7 @@ mod tests {
                     .compressed(true)
                     .best_plan(),
             ),
-            (
-                "clique4/kcache",
-                PlanBuilder::new(&clique4)
-                    .matching_order(base.matching_order.clone())
-                    .optimizations(OptimizeOptions::all_with_clique_cache())
-                    .build(),
-            ),
+            ("demo/trc", demo),
         ]
     }
 

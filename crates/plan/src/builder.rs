@@ -16,7 +16,7 @@ use crate::cost::{CardinalityEstimator, ChungLuEstimator, GraphStatsEstimator};
 use crate::feedback::FeedbackEstimator;
 use crate::generate::raw_plan;
 use crate::ir::ExecutionPlan;
-use crate::optimize::{optimize, OptimizeOptions};
+use crate::optimize::{optimize, OptLevel};
 use crate::search::{best_plan, BestPlanResult};
 use crate::vcbc::compress;
 use benu_pattern::{Pattern, PatternVertex, SymmetryBreaking};
@@ -67,7 +67,7 @@ impl CardinalityEstimator for EstimatorChoice {
 pub struct PlanBuilder<'a> {
     pattern: &'a Pattern,
     estimator: EstimatorChoice,
-    opts: OptimizeOptions,
+    level: OptLevel,
     compressed: bool,
     symmetry: Option<SymmetryBreaking>,
     order: Option<Vec<PatternVertex>>,
@@ -89,7 +89,7 @@ impl<'a> PlanBuilder<'a> {
         PlanBuilder {
             pattern,
             estimator: EstimatorChoice::Stats(GraphStatsEstimator::generic()),
-            opts: OptimizeOptions::all(),
+            level: OptLevel::Opt3,
             compressed: false,
             symmetry: None,
             order: None,
@@ -125,9 +125,10 @@ impl<'a> PlanBuilder<'a> {
         self
     }
 
-    /// Selects which optimizations to apply (default: all).
-    pub fn optimizations(mut self, opts: OptimizeOptions) -> Self {
-        self.opts = opts;
+    /// Selects how many of the paper's optimizations to apply (default:
+    /// [`OptLevel::Opt3`], all of them).
+    pub fn optimizations(mut self, level: OptLevel) -> Self {
+        self.level = level;
         self
     }
 
@@ -168,7 +169,7 @@ impl<'a> PlanBuilder<'a> {
             .unwrap_or_else(|| (0..self.pattern.num_vertices()).collect());
         let sb = self.symmetry_or_default();
         let mut plan = raw_plan(self.pattern, &order, &sb);
-        optimize(&mut plan, self.opts);
+        optimize(&mut plan, self.level);
         if self.compressed {
             compress(&mut plan);
         }
@@ -198,18 +199,13 @@ impl<'a> PlanBuilder<'a> {
     /// needed.
     pub fn best_plan_result(&self) -> BestPlanResult {
         let mut result = best_plan(self.pattern, &self.estimator);
-        if let Some(sb) = &self.symmetry {
-            // Re-derive the plan under the overridden symmetry with the
-            // winning order.
-            let order = result.plan.matching_order.clone();
-            let mut plan = raw_plan(self.pattern, &order, sb);
-            optimize(&mut plan, self.opts);
-            result.plan = plan;
-        } else if self.opts != OptimizeOptions::all() {
+        if self.symmetry.is_some() || self.level != OptLevel::Opt3 {
+            // Re-derive the plan under the overridden symmetry / level
+            // with the winning order.
             let order = result.plan.matching_order.clone();
             let sb = self.symmetry_or_default();
             let mut plan = raw_plan(self.pattern, &order, &sb);
-            optimize(&mut plan, self.opts);
+            optimize(&mut plan, self.level);
             result.plan = plan;
         }
         result
@@ -245,7 +241,7 @@ mod tests {
         let p = queries::demo_pattern();
         let raw = PlanBuilder::new(&p)
             .matching_order(vec![0, 2, 4, 1, 5, 3])
-            .optimizations(OptimizeOptions::none())
+            .optimizations(OptLevel::Raw)
             .build();
         assert_eq!(raw.count_kind(InstrKind::Trc), 0);
         assert_eq!(raw.instructions.len(), 18);

@@ -281,7 +281,7 @@ pub fn mask_vertices(mask: u64) -> impl Iterator<Item = usize> {
 mod tests {
     use super::*;
     use crate::generate::raw_plan;
-    use crate::optimize::{optimize, OptimizeOptions};
+    use crate::optimize::{optimize, OptLevel};
     use benu_pattern::{queries, SymmetryBreaking};
 
     #[test]
@@ -352,15 +352,7 @@ mod tests {
         let est = GraphStatsEstimator::new(10_000, 1_000_000);
         let raw = raw_plan(&p, &order, &sb);
         let mut opt = raw.clone();
-        optimize(
-            &mut opt,
-            OptimizeOptions {
-                cse: true,
-                reorder: true,
-                triangle_cache: false,
-                clique_cache: false,
-            },
-        );
+        optimize(&mut opt, OptLevel::Opt2);
         assert!(
             estimate_computation_cost(&opt, &est) < estimate_computation_cost(&raw, &est),
             "hoisting must reduce modeled computation"

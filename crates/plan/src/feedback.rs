@@ -34,7 +34,7 @@ pub struct SlotObs {
     /// inputs for DBQ/INT/TRC (one execution each).
     pub candidates: u64,
     /// Elements that survived: label-filter passes for ENU, output-set
-    /// sizes for DBQ/INT/TRC/KCC.
+    /// sizes for DBQ/INT/TRC.
     pub survivors: u64,
 }
 

@@ -133,19 +133,6 @@ pub enum Instruction {
         /// INT instruction this TRC replaced).
         filters: Vec<FilterCond>,
     },
-    /// KCC — `target := KCache(f_{v1..vk}, A_{v1..vk})`: the clique-cache
-    /// generalization of TRC proposed as future work in §IV-B. The
-    /// vertices form a k-clique in the pattern, so the cached set holds
-    /// the data vertices completing a (k+1)-clique with their images.
-    KCache {
-        /// The variable that stores the cached common-neighbour set.
-        target: SetVar,
-        /// The pattern vertices whose adjacency sets are intersected
-        /// (sorted, `k ≥ 3`; `k = 2` stays a TRC instruction).
-        verts: Vec<PatternVertex>,
-        /// Filtering conditions applied per use (never cached).
-        filters: Vec<FilterCond>,
-    },
     /// RES — `f := ReportMatch(items)`.
     ReportMatch {
         /// One entry per pattern vertex, in pattern-vertex index order.
@@ -172,15 +159,14 @@ pub enum InstrKind {
 }
 
 impl Instruction {
-    /// This instruction's kind. `KCache` ranks and costs as TRC — it is
-    /// the same cache-backed intersection, generalized.
+    /// This instruction's kind.
     pub fn kind(&self) -> InstrKind {
         match self {
             Instruction::Init { .. } => InstrKind::Ini,
             Instruction::GetAdj { .. } => InstrKind::Dbq,
             Instruction::Intersect { .. } => InstrKind::Int,
             Instruction::Foreach { .. } => InstrKind::Enu,
-            Instruction::TCache { .. } | Instruction::KCache { .. } => InstrKind::Trc,
+            Instruction::TCache { .. } => InstrKind::Trc,
             Instruction::ReportMatch { .. } => InstrKind::Res,
         }
     }
@@ -188,9 +174,9 @@ impl Instruction {
     /// The set variable this instruction defines, if any.
     pub fn defined_set(&self) -> Option<SetVar> {
         match self {
-            Instruction::Intersect { target, .. }
-            | Instruction::TCache { target, .. }
-            | Instruction::KCache { target, .. } => Some(*target),
+            Instruction::Intersect { target, .. } | Instruction::TCache { target, .. } => {
+                Some(*target)
+            }
             Instruction::GetAdj { vertex } => Some(SetVar::Adj(*vertex)),
             _ => None,
         }
@@ -210,7 +196,6 @@ impl Instruction {
             Instruction::Intersect { operands, .. } => operands.clone(),
             Instruction::Foreach { source, .. } => vec![*source],
             Instruction::TCache { a, b, .. } => vec![SetVar::Adj(*a), SetVar::Adj(*b)],
-            Instruction::KCache { verts, .. } => verts.iter().map(|&v| SetVar::Adj(v)).collect(),
             Instruction::ReportMatch { items } => items
                 .iter()
                 .filter_map(|it| match it {
@@ -230,11 +215,6 @@ impl Instruction {
             Instruction::Intersect { filters, .. } => filters.iter().map(|f| f.vertex).collect(),
             Instruction::TCache { a, b, filters, .. } => {
                 let mut v = vec![*a, *b];
-                v.extend(filters.iter().map(|f| f.vertex));
-                v
-            }
-            Instruction::KCache { verts, filters, .. } => {
-                let mut v = verts.clone();
                 v.extend(filters.iter().map(|f| f.vertex));
                 v
             }

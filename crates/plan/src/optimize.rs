@@ -1,18 +1,19 @@
 //! Execution-plan optimizations (paper §IV-B).
 //!
-//! Three semantics-preserving rewrites are applied to a raw plan:
+//! Three semantics-preserving rewrites are applied to a raw plan, in a
+//! fixed order; [`OptLevel`] names how far up that ladder a plan goes:
 //!
-//! * **Optimization 1 — common-subexpression elimination** (`cse`):
-//!   operand combinations shared by several INT instructions are hoisted
-//!   into fresh temporaries (largest first, then most frequent, then first
-//!   appearing), Apriori-style.
-//! * **Optimization 2 — instruction reordering** (`reorder`): INT
-//!   instructions are flattened to at most two operands, a dependency
+//! * **Optimization 1 — common-subexpression elimination**
+//!   ([`OptLevel::Opt1`]): operand combinations shared by several INT
+//!   instructions are hoisted into fresh temporaries (largest first, then
+//!   most frequent, then first appearing), Apriori-style.
+//! * **Optimization 2 — instruction reordering** ([`OptLevel::Opt2`]):
+//!   INT instructions are flattened to at most two operands, a dependency
 //!   graph is built, and a ranked topological sort
 //!   (`INI < INT < TRC < DBQ < ENU < RES`, ties by original position)
 //!   hoists cheap instructions out of as many enumeration loops as
 //!   dependencies allow.
-//! * **Optimization 3 — triangle caching** (`triangle_cache`): a
+//! * **Optimization 3 — triangle caching** ([`OptLevel::Opt3`]): a
 //!   two-operand intersection `Intersect(A_i, A_j)` where one endpoint is
 //!   the start vertex and the other is its pattern neighbour enumerates
 //!   triangles around the start vertex; it is rewritten into a TRC
@@ -22,71 +23,60 @@ use crate::generate::uni_operand_elimination;
 use crate::ir::{ExecutionPlan, InstrKind, Instruction, SetVar};
 use std::collections::HashMap;
 
-/// Which optimizations to apply; the paper's evaluation (Exp-2) ablates
-/// them cumulatively.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptimizeOptions {
+/// How many of the paper's optimizations to apply. The levels are
+/// cumulative, as in the paper's ablation (Exp-2 / Fig. 7): each one
+/// applies every pass of the levels below it first.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd)]
+pub enum OptLevel {
+    /// The raw plan of §IV-A, no rewriting.
+    Raw,
     /// Optimization 1: common-subexpression elimination.
-    pub cse: bool,
-    /// Optimization 2: flatten + dependency-ranked reordering.
-    pub reorder: bool,
-    /// Optimization 3: triangle-cache rewriting.
-    pub triangle_cache: bool,
-    /// Extension (paper §IV-B future work): generalize the cache to
-    /// k-cliques — intersections whose operands compose adjacency sets of
-    /// a pattern clique are served from a per-thread clique cache.
-    /// Off by default (the paper's configuration).
-    pub clique_cache: bool,
+    Opt1,
+    /// Optimizations 1–2: plus flatten + dependency-ranked reordering.
+    Opt2,
+    /// Optimizations 1–3: plus triangle-cache rewriting (the paper's
+    /// configuration).
+    #[default]
+    Opt3,
 }
 
-impl OptimizeOptions {
-    /// All of the paper's optimizations on (its default configuration;
-    /// the clique-cache extension stays off).
-    pub fn all() -> Self {
-        OptimizeOptions {
-            cse: true,
-            reorder: true,
-            triangle_cache: true,
-            clique_cache: false,
-        }
-    }
+impl OptLevel {
+    /// Every level, lowest first.
+    pub const LADDER: [OptLevel; 4] = [
+        OptLevel::Raw,
+        OptLevel::Opt1,
+        OptLevel::Opt2,
+        OptLevel::Opt3,
+    ];
 
-    /// The paper's optimizations plus the clique-cache extension.
-    pub fn all_with_clique_cache() -> Self {
-        OptimizeOptions {
-            clique_cache: true,
-            ..OptimizeOptions::all()
-        }
-    }
-
-    /// No optimizations (raw plan).
-    pub fn none() -> Self {
-        OptimizeOptions {
-            cse: false,
-            reorder: false,
-            triangle_cache: false,
-            clique_cache: false,
+    /// The stage name Fig. 7 uses for this level.
+    pub fn label(self) -> &'static str {
+        match self {
+            OptLevel::Raw => "raw",
+            OptLevel::Opt1 => "+opt1",
+            OptLevel::Opt2 => "+opt2",
+            OptLevel::Opt3 => "+opt3",
         }
     }
 }
 
-/// Applies the selected optimizations in the paper's order
-/// (Opt1 → Opt2 → Opt3).
-pub fn optimize(plan: &mut ExecutionPlan, opts: OptimizeOptions) {
-    if opts.cse {
-        eliminate_common_subexpressions(plan);
+/// Applies every optimization up to `level` in the paper's order
+/// (Opt1 → Opt2 → Opt3). Debug builds validate the plan after each pass,
+/// so a pass that breaks define-before-use is the one the assertion names.
+pub fn optimize(plan: &mut ExecutionPlan, level: OptLevel) {
+    type Pass = fn(&mut ExecutionPlan);
+    const PASSES: [(OptLevel, &str, Pass); 4] = [
+        (OptLevel::Opt1, "cse", eliminate_common_subexpressions),
+        (OptLevel::Opt2, "flatten", flatten_intersections),
+        (OptLevel::Opt2, "reorder", reorder_instructions),
+        (OptLevel::Opt3, "triangle cache", apply_triangle_cache),
+    ];
+    for (rung, name, pass) in PASSES {
+        if rung <= level {
+            pass(plan);
+            debug_assert_eq!(plan.validate(), Ok(()), "after the {name} pass");
+        }
     }
-    if opts.reorder {
-        flatten_intersections(plan);
-        reorder_instructions(plan);
-    }
-    if opts.triangle_cache {
-        apply_triangle_cache(plan);
-    }
-    if opts.clique_cache {
-        apply_clique_cache(plan);
-    }
-    debug_assert_eq!(plan.validate(), Ok(()));
 }
 
 /// Optimization 1. Repeatedly finds the best common operand combination
@@ -353,98 +343,6 @@ pub fn apply_triangle_cache(plan: &mut ExecutionPlan) {
     }
 }
 
-/// Extension of Optimization 3 to k-cliques (the paper's §IV-B future
-/// work): an intersection whose value is a pure composition
-/// `∩_{v∈S} A_v` with `S` a clique of `P` (|S| ≥ 3) computes the set of
-/// vertices completing a (|S|+1)-clique with the mapped images — it is
-/// rewritten to read the per-thread clique cache.
-///
-/// Filtered intersections are rewritten too (the raw composition is
-/// cached, filters apply per use), but an instruction is only rewritten
-/// when *its own result* equals the raw composition or a filtered view of
-/// it — i.e. its operands' compositions are all pure.
-pub fn apply_clique_cache(plan: &mut ExecutionPlan) {
-    use std::collections::BTreeSet;
-    let pattern = plan.pattern.clone();
-    // Composition of each set variable: Some(set of pattern vertices whose
-    // adjacency sets it intersects) if it is a pure unfiltered
-    // composition, None otherwise.
-    let mut composition: HashMap<SetVar, Option<BTreeSet<usize>>> = HashMap::new();
-    let compose = |operands: &[SetVar],
-                   composition: &HashMap<SetVar, Option<BTreeSet<usize>>>|
-     -> Option<BTreeSet<usize>> {
-        let mut all = BTreeSet::new();
-        for op in operands {
-            match op {
-                SetVar::Adj(v) => {
-                    all.insert(*v);
-                }
-                SetVar::AllVertices => return None,
-                other => match composition.get(other) {
-                    Some(Some(s)) => all.extend(s.iter().copied()),
-                    _ => return None,
-                },
-            }
-        }
-        Some(all)
-    };
-    let is_clique = |s: &BTreeSet<usize>| {
-        let verts: Vec<usize> = s.iter().copied().collect();
-        verts
-            .iter()
-            .enumerate()
-            .all(|(i, &a)| verts[i + 1..].iter().all(|&b| pattern.has_edge(a, b)))
-    };
-
-    for instr in plan.instructions.iter_mut() {
-        match instr {
-            Instruction::TCache {
-                target,
-                a,
-                b,
-                filters,
-            } => {
-                let comp: BTreeSet<usize> = [*a, *b].into_iter().collect();
-                let pure = filters.is_empty();
-                composition.insert(*target, pure.then_some(comp));
-            }
-            Instruction::Intersect {
-                target,
-                operands,
-                filters,
-            } => {
-                let comp = compose(operands, &composition);
-                if let Some(comp) = &comp {
-                    if comp.len() >= 3 && is_clique(comp) {
-                        let verts: Vec<usize> = comp.iter().copied().collect();
-                        let new_instr = Instruction::KCache {
-                            target: *target,
-                            verts,
-                            filters: std::mem::take(filters),
-                        };
-                        let pure = matches!(&new_instr, Instruction::KCache { filters, .. } if filters.is_empty());
-                        composition.insert(*target, pure.then(|| comp.clone()));
-                        *instr = new_instr;
-                        continue;
-                    }
-                }
-                let pure = filters.is_empty();
-                composition.insert(*target, if pure { comp } else { None });
-            }
-            Instruction::KCache {
-                target,
-                verts,
-                filters,
-            } => {
-                let comp: BTreeSet<usize> = verts.iter().copied().collect();
-                let pure = filters.is_empty();
-                composition.insert(*target, pure.then_some(comp));
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,22 +350,17 @@ mod tests {
     use crate::ir::{FilterCond, ResultItem};
     use benu_pattern::{queries, SymmetryBreaking};
 
-    fn demo_plan(opts: OptimizeOptions) -> ExecutionPlan {
+    fn demo_plan(level: OptLevel) -> ExecutionPlan {
         let p = queries::demo_pattern();
         let sb = SymmetryBreaking::compute(&p);
         let mut plan = raw_plan(&p, &[0, 2, 4, 1, 5, 3], &sb);
-        optimize(&mut plan, opts);
+        optimize(&mut plan, level);
         plan
     }
 
     #[test]
     fn cse_reproduces_fig_3c() {
-        let plan = demo_plan(OptimizeOptions {
-            cse: true,
-            reorder: false,
-            triangle_cache: false,
-            clique_cache: false,
-        });
+        let plan = demo_plan(OptLevel::Opt1);
         // The common subexpression {A1, A3} (0-based {A0, A2}) is hoisted
         // into the fresh temporary T7 = Tmp(6)...
         let tmp6 = plan
@@ -503,12 +396,7 @@ mod tests {
 
     #[test]
     fn reorder_reproduces_fig_3d() {
-        let plan = demo_plan(OptimizeOptions {
-            cse: true,
-            reorder: true,
-            triangle_cache: false,
-            clique_cache: false,
-        });
+        let plan = demo_plan(OptLevel::Opt2);
         // Expected instruction sequence derived in the paper's Fig. 3d
         // (0-based variable names; T7→Tmp6, T6→Tmp5, T4→Tmp3).
         use Instruction as I;
@@ -521,7 +409,6 @@ mod tests {
                 I::Intersect { target, .. } => format!("{target:?}"),
                 I::Foreach { vertex, .. } => format!("f{vertex}"),
                 I::TCache { target, .. } => format!("TC{target:?}"),
-                I::KCache { target, .. } => format!("KC{target:?}"),
                 I::ReportMatch { .. } => "RES".into(),
             })
             .collect();
@@ -542,7 +429,7 @@ mod tests {
 
     #[test]
     fn triangle_cache_reproduces_fig_3e() {
-        let plan = demo_plan(OptimizeOptions::all());
+        let plan = demo_plan(OptLevel::Opt3);
         // Exactly the two triangle-enumerating intersections become TRC.
         let trcs: Vec<_> = plan
             .instructions
@@ -558,12 +445,18 @@ mod tests {
     }
 
     #[test]
+    fn ladder_adds_trc_only_at_the_top_rung() {
+        let trcs = OptLevel::LADDER.map(|level| demo_plan(level).count_kind(InstrKind::Trc));
+        assert_eq!(trcs, [0, 0, 0, 2]);
+    }
+
+    #[test]
     fn triangle_cache_requires_pattern_adjacency() {
         // 5-cycle has no triangles: no INT may become TRC.
         let p = queries::q5();
         let sb = SymmetryBreaking::compute(&p);
         let mut plan = raw_plan(&p, &[0, 1, 2, 3, 4], &sb);
-        optimize(&mut plan, OptimizeOptions::all());
+        optimize(&mut plan, OptLevel::Opt3);
         assert_eq!(plan.count_kind(InstrKind::Trc), 0);
     }
 
@@ -572,7 +465,7 @@ mod tests {
         let p = queries::triangle();
         let sb = SymmetryBreaking::compute(&p);
         let mut plan = raw_plan(&p, &[0, 1, 2], &sb);
-        optimize(&mut plan, OptimizeOptions::all());
+        optimize(&mut plan, OptLevel::Opt3);
         // T2 := Intersect(A0, A1) qualifies (u0 is the start, u1 its
         // neighbour); the symmetry filters stay on the separate refined
         // candidate C2 := Intersect(T2)[≻f0, ≻f1].
@@ -633,15 +526,7 @@ mod tests {
                 .cloned()
                 .collect();
             let mut opt = raw.clone();
-            optimize(
-                &mut opt,
-                OptimizeOptions {
-                    cse: true,
-                    reorder: true,
-                    triangle_cache: false,
-                    clique_cache: false,
-                },
-            );
+            optimize(&mut opt, OptLevel::Opt2);
             let opt_seq: Vec<_> = opt
                 .instructions
                 .iter()
@@ -658,7 +543,7 @@ mod tests {
             let sb = SymmetryBreaking::compute(&p);
             let order: Vec<_> = (0..p.num_vertices()).collect();
             let mut plan = raw_plan(&p, &order, &sb);
-            optimize(&mut plan, OptimizeOptions::all());
+            optimize(&mut plan, OptLevel::Opt3);
             plan.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
             // RES still reports every pattern vertex.
             if let Some(Instruction::ReportMatch { items }) = plan.instructions.last() {
@@ -694,69 +579,8 @@ mod tests {
     }
 
     #[test]
-    fn clique_cache_rewrites_clique_compositions() {
-        // K5's plan chains TCache(A1,A2) with A3, A4: the chained
-        // intersections compose {1,2,3}, {1,2,3,4} — both pattern cliques.
-        let p = queries::clique(5);
-        let sb = SymmetryBreaking::compute(&p);
-        let mut plan = raw_plan(&p, &[0, 1, 2, 3, 4], &sb);
-        optimize(&mut plan, OptimizeOptions::all_with_clique_cache());
-        let kcaches: Vec<Vec<usize>> = plan
-            .instructions
-            .iter()
-            .filter_map(|i| match i {
-                Instruction::KCache { verts, .. } => Some(verts.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            kcaches.contains(&vec![0, 1, 2]),
-            "triangle composition cached: {kcaches:?}"
-        );
-        plan.validate().unwrap();
-    }
-
-    #[test]
-    fn clique_cache_skips_non_clique_compositions() {
-        // q5 (5-cycle) has no pattern triangles, so no composition is a
-        // clique of size >= 3.
-        let p = queries::q5();
-        let sb = SymmetryBreaking::compute(&p);
-        let mut plan = raw_plan(&p, &[0, 1, 2, 3, 4], &sb);
-        optimize(&mut plan, OptimizeOptions::all_with_clique_cache());
-        assert!(!plan
-            .instructions
-            .iter()
-            .any(|i| matches!(i, Instruction::KCache { .. })));
-    }
-
-    #[test]
-    fn clique_cache_never_rewrites_through_filtered_values() {
-        // A filtered intersection's value is not the pure composition; its
-        // consumers must not be rewritten into cache reads.
-        for (name, p) in queries::catalogue() {
-            let sb = SymmetryBreaking::compute(&p);
-            let order: Vec<_> = (0..p.num_vertices()).collect();
-            let mut plan = raw_plan(&p, &order, &sb);
-            optimize(&mut plan, OptimizeOptions::all_with_clique_cache());
-            plan.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
-            // Every KCache instruction's vertex set is truly a clique.
-            for instr in &plan.instructions {
-                if let Instruction::KCache { verts, .. } = instr {
-                    assert!(verts.len() >= 3);
-                    for (i, &a) in verts.iter().enumerate() {
-                        for &b in &verts[i + 1..] {
-                            assert!(p.has_edge(a, b), "{name}: non-clique cached");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn filters_survive_cse_and_reorder() {
-        let plan = demo_plan(OptimizeOptions::all());
+        let plan = demo_plan(OptLevel::Opt3);
         // C5 keeps the symmetry-breaking condition ≻ f3 (u3 < u5).
         let c4 = plan
             .instructions

@@ -82,22 +82,6 @@ pub fn render(plan: &ExecutionPlan) -> String {
                     filters_suffix(filters)
                 );
             }
-            Instruction::KCache {
-                target,
-                verts,
-                filters,
-            } => {
-                let fs: Vec<_> = verts.iter().map(|v| format!("f{}", v + 1)).collect();
-                let adjs: Vec<_> = verts.iter().map(|v| format!("A{}", v + 1)).collect();
-                let _ = writeln!(
-                    out,
-                    "{} := KCache({},{}){}",
-                    set_name(*target),
-                    fs.join(","),
-                    adjs.join(","),
-                    filters_suffix(filters)
-                );
-            }
             Instruction::ReportMatch { items } => {
                 let parts: Vec<_> = items
                     .iter()
@@ -123,7 +107,7 @@ impl std::fmt::Display for ExecutionPlan {
 mod tests {
     use super::*;
     use crate::generate::raw_plan;
-    use crate::optimize::{optimize, OptimizeOptions};
+    use crate::optimize::{optimize, OptLevel};
     use benu_pattern::{queries, SymmetryBreaking};
 
     #[test]
@@ -131,7 +115,7 @@ mod tests {
         let p = queries::demo_pattern();
         let sb = SymmetryBreaking::compute(&p);
         let mut plan = raw_plan(&p, &[0, 2, 4, 1, 5, 3], &sb);
-        optimize(&mut plan, OptimizeOptions::all());
+        optimize(&mut plan, OptLevel::Opt3);
         let text = render(&plan);
         assert!(text.contains("f1 := Init(start)"), "{text}");
         assert!(text.contains("A1 := GetAdj(f1)"), "{text}");

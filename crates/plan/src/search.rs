@@ -19,7 +19,7 @@
 use crate::cost::{estimate_computation_cost, CardinalityEstimator};
 use crate::generate::raw_plan;
 use crate::ir::ExecutionPlan;
-use crate::optimize::{optimize, OptimizeOptions};
+use crate::optimize::{optimize, OptLevel};
 use benu_pattern::se::SyntacticEquivalence;
 use benu_pattern::{Pattern, PatternVertex, SymmetryBreaking};
 use std::time::{Duration, Instant};
@@ -93,7 +93,7 @@ pub fn best_plan(pattern: &Pattern, estimator: &dyn CardinalityEstimator) -> Bes
     let beta = ctx.candidates.len();
     for order in &ctx.candidates {
         let mut plan = raw_plan(pattern, order, &symmetry);
-        optimize(&mut plan, OptimizeOptions::all());
+        optimize(&mut plan, OptLevel::Opt3);
         let cost = estimate_computation_cost(&plan, estimator);
         if best.as_ref().is_none_or(|(_, c)| cost < *c) {
             best = Some((plan, cost));

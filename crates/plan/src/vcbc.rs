@@ -96,14 +96,14 @@ mod tests {
     use super::*;
     use crate::generate::raw_plan;
     use crate::ir::InstrKind;
-    use crate::optimize::{optimize, OptimizeOptions};
+    use crate::optimize::{optimize, OptLevel};
     use benu_pattern::{queries, SymmetryBreaking};
 
     fn demo_compressed() -> (ExecutionPlan, usize) {
         let p = queries::demo_pattern();
         let sb = SymmetryBreaking::compute(&p);
         let mut plan = raw_plan(&p, &[0, 2, 4, 1, 5, 3], &sb);
-        optimize(&mut plan, OptimizeOptions::all());
+        optimize(&mut plan, OptLevel::Opt3);
         let k = compress(&mut plan);
         (plan, k)
     }

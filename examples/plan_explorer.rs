@@ -12,7 +12,7 @@
 
 use benu::pattern::{queries, SymmetryBreaking};
 use benu::plan::cost::{estimate_communication_cost, estimate_computation_cost};
-use benu::plan::optimize::OptimizeOptions;
+use benu::plan::optimize::OptLevel;
 use benu::plan::vcbc;
 use benu::plan::{GraphStatsEstimator, PlanBuilder};
 
@@ -49,32 +49,16 @@ fn main() {
         order.iter().map(|v| v + 1).collect::<Vec<_>>()
     );
 
-    let stages: [(&str, OptimizeOptions); 4] = [
-        ("raw plan (Fig. 3b)", OptimizeOptions::none()),
-        (
-            "+ Opt1: common subexpression elimination (Fig. 3c)",
-            OptimizeOptions {
-                cse: true,
-                reorder: false,
-                triangle_cache: false,
-                clique_cache: false,
-            },
-        ),
-        (
-            "+ Opt2: instruction reordering (Fig. 3d)",
-            OptimizeOptions {
-                cse: true,
-                reorder: true,
-                triangle_cache: false,
-                clique_cache: false,
-            },
-        ),
-        ("+ Opt3: triangle caching (Fig. 3e)", OptimizeOptions::all()),
+    let figures = [
+        "raw plan (Fig. 3b)",
+        "+ Opt1: common subexpression elimination (Fig. 3c)",
+        "+ Opt2: instruction reordering (Fig. 3d)",
+        "+ Opt3: triangle caching (Fig. 3e)",
     ];
-    for (label, opts) in stages {
+    for (label, level) in figures.into_iter().zip(OptLevel::LADDER) {
         let plan = PlanBuilder::new(&pattern)
             .matching_order(order.clone())
-            .optimizations(opts)
+            .optimizations(level)
             .build();
         println!("=== {label}");
         println!("{plan}");

@@ -105,7 +105,7 @@ fn forced_matching_orders_all_give_the_same_count() {
 
 #[test]
 fn optimization_levels_preserve_semantics() {
-    use benu::plan::optimize::OptimizeOptions;
+    use benu::plan::optimize::OptLevel;
     let g = gen::chung_lu_power_law(gen::PowerLawConfig {
         n: 50,
         m: 200,
@@ -113,30 +113,15 @@ fn optimization_levels_preserve_semantics() {
         clustering: 0.5,
         seed: 3,
     });
-    let levels = [
-        OptimizeOptions::none(),
-        OptimizeOptions {
-            cse: true,
-            reorder: false,
-            triangle_cache: false,
-            clique_cache: false,
-        },
-        OptimizeOptions {
-            cse: true,
-            reorder: true,
-            triangle_cache: false,
-            clique_cache: false,
-        },
-        OptimizeOptions::all(),
-    ];
     for (qname, p) in queries::evaluation_queries() {
         let expected = reference::count_subgraphs(&g, &p);
-        for (i, opts) in levels.iter().enumerate() {
-            let plan = PlanBuilder::new(&p).optimizations(*opts).build();
+        for level in OptLevel::LADDER {
+            let plan = PlanBuilder::new(&p).optimizations(level).build();
             assert_eq!(
                 benu::engine::count_embeddings(&plan, &g),
                 expected,
-                "{qname} at optimization level {i}"
+                "{qname} at optimization level {}",
+                level.label()
             );
         }
     }

@@ -44,16 +44,15 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         .build()
 }
 
+/// One run's total count and its collected match set.
+type Collected = (u64, Vec<Vec<VertexId>>);
+
 fn run_pair(
     g: &Graph,
     plan: &ExecutionPlan,
     kind: SchedulerKind,
     seed: u64,
-) -> (
-    (u64, Vec<Vec<VertexId>>),
-    (u64, Vec<Vec<VertexId>>),
-    benu::cluster::RecoveryReport,
-) {
+) -> (Collected, Collected, benu::cluster::RecoveryReport) {
     let clean_cluster = Cluster::new(g, config(kind));
     let (clean, clean_matches) = clean_cluster.run_collect(plan).expect("fault-free run");
 

@@ -5,7 +5,7 @@
 use benu::graph::{Graph, TotalOrder};
 use benu::pattern::{queries, SymmetryBreaking};
 use benu::plan::ir::InstrKind;
-use benu::plan::optimize::OptimizeOptions;
+use benu::plan::optimize::OptLevel;
 use benu::plan::PlanBuilder;
 
 fn demo_graph() -> Graph {
@@ -56,28 +56,11 @@ fn duplicate_matches_and_symmetry_breaking() {
 fn fig3_pipeline_is_semantics_preserving_on_the_demo_graph() {
     let g = demo_graph();
     let p = queries::demo_pattern();
-    let stages = [
-        OptimizeOptions::none(),
-        OptimizeOptions {
-            cse: true,
-            reorder: false,
-            triangle_cache: false,
-            clique_cache: false,
-        },
-        OptimizeOptions {
-            cse: true,
-            reorder: true,
-            triangle_cache: false,
-            clique_cache: false,
-        },
-        OptimizeOptions::all(),
-        OptimizeOptions::all_with_clique_cache(),
-    ];
     let mut results = Vec::new();
-    for opts in stages {
+    for level in OptLevel::LADDER {
         let plan = PlanBuilder::new(&p)
             .matching_order(vec![0, 2, 4, 1, 5, 3])
-            .optimizations(opts)
+            .optimizations(level)
             .build();
         results.push(benu::engine::collect_embeddings(&plan, &g));
     }
@@ -93,7 +76,7 @@ fn raw_plan_instruction_counts() {
     let p = queries::demo_pattern();
     let plan = PlanBuilder::new(&p)
         .matching_order(vec![0, 2, 4, 1, 5, 3])
-        .optimizations(OptimizeOptions::none())
+        .optimizations(OptLevel::Raw)
         .build();
     assert_eq!(plan.instructions.len(), 18);
     assert_eq!(plan.count_kind(InstrKind::Dbq), 3); // A1, A3, A5 only

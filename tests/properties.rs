@@ -16,7 +16,7 @@ use benu::engine::reference;
 use benu::graph::{gen, ops, Graph};
 use benu::pattern::automorphism::automorphism_count;
 use benu::pattern::{queries, Pattern, SymmetryBreaking};
-use benu::plan::optimize::OptimizeOptions;
+use benu::plan::optimize::OptLevel;
 use benu::plan::PlanBuilder;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -76,11 +76,11 @@ fn optimizations_never_change_the_match_multiset() {
         }
         let raw = PlanBuilder::new(&p)
             .matching_order(order.clone())
-            .optimizations(OptimizeOptions::none())
+            .optimizations(OptLevel::Raw)
             .build();
         let opt = PlanBuilder::new(&p)
             .matching_order(order)
-            .optimizations(OptimizeOptions::all())
+            .optimizations(OptLevel::Opt3)
             .build();
         assert_eq!(
             benu::engine::collect_embeddings(&raw, &g),
