@@ -5,7 +5,14 @@
 //!   worker threads of a machine, byte-budgeted, LRU-evicted; it exploits
 //!   both intra-task locality (backtracking revisits the same
 //!   neighbourhood) and inter-task locality (hot high-degree vertices are
-//!   queried by many tasks) to trade memory for communication.
+//!   queried by many tasks) to trade memory for communication. The
+//!   engine answers a task's repeats of its *own* fetches from a
+//!   task-scoped table in front of this cache — only while
+//!   [`DbCache::residency_epoch`] says nothing was evicted since — and
+//!   reports them as this tier's hits (DESIGN.md §4f), so the probes
+//!   that reach the shards are first touches and cross-task reuse; the
+//!   hit / miss / eviction counters live in the shards, under the locks
+//!   those probes hold.
 //! * [`TriangleCache`] — the per-thread cache behind TRC instructions,
 //!   keyed by a data edge `[f_i, f_j]` and holding the triangle set
 //!   `Γ(f_i) ∩ Γ(f_j)`.
@@ -75,14 +82,27 @@ impl CacheObs {
     }
 }
 
+/// One lock's worth of the database cache: its slice of the key space
+/// and the probes that landed on it.
+#[derive(Debug)]
+struct Shard {
+    lru: Lru<VertexId, Arc<AdjSet>>,
+    stats: CacheStats,
+}
+
 /// The per-machine database cache: a sharded, byte-budgeted LRU over
 /// adjacency sets, safe to share across worker threads.
+///
+/// The effectiveness counters are sharded with the keys and live under
+/// the shard locks: a probe already owns its shard's lock and writes its
+/// LRU links, so counting there is a plain add on memory the probe holds
+/// anyway, and probes of different shards write no common cache line.
 #[derive(Debug)]
 pub struct DbCache {
-    shards: Vec<Mutex<Lru<VertexId, Arc<AdjSet>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    shards: Vec<Mutex<Shard>>,
+    /// Bumped whenever a set handed to [`DbCache::insert`] stops being
+    /// (or never becomes) resident; see [`DbCache::residency_epoch`].
+    epoch: AtomicU64,
     obs: Option<CacheObs>,
 }
 
@@ -100,11 +120,14 @@ impl DbCache {
         let per_shard = capacity_bytes / num_shards;
         DbCache {
             shards: (0..num_shards)
-                .map(|_| Mutex::new(Lru::new(per_shard as u64)))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        lru: Lru::new(per_shard as u64),
+                        stats: CacheStats::default(),
+                    })
+                })
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
             obs: None,
         }
     }
@@ -125,44 +148,42 @@ impl DbCache {
     /// Looks up `v`, counting a hit or miss.
     pub fn get(&self, v: VertexId) -> Option<Arc<AdjSet>> {
         let mut shard = self.shards[self.shard_of(v)].lock();
-        match shard.get(&v) {
-            Some(adj) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let adj = Arc::clone(adj);
-                drop(shard);
-                if let Some(obs) = &self.obs {
-                    obs.hits.inc();
-                }
-                Some(adj)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                drop(shard);
-                if let Some(obs) = &self.obs {
-                    obs.misses.inc();
-                }
-                None
+        let found = shard.lru.get(&v).map(Arc::clone);
+        match found {
+            Some(_) => shard.stats.hits += 1,
+            None => shard.stats.misses += 1,
+        }
+        drop(shard);
+        if let Some(obs) = &self.obs {
+            match found {
+                Some(_) => obs.hits.inc(),
+                None => obs.misses.inc(),
             }
         }
+        found
     }
 
     /// True when `v` is currently cached. Unlike [`DbCache::get`] this
     /// does not count a hit or miss and does not touch recency — it is a
     /// pure peek that leaves the effectiveness statistics undistorted.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.shards[self.shard_of(v)].lock().peek(&v).is_some()
+        self.shards[self.shard_of(v)].lock().lru.peek(&v).is_some()
     }
 
     /// Inserts the adjacency set of `v`, evicting LRU entries as needed.
     pub fn insert(&self, v: VertexId, adj: Arc<AdjSet>) {
         let cost = (adj.size_bytes() + ENTRY_OVERHEAD_BYTES) as u64;
         let mut shard = self.shards[self.shard_of(v)].lock();
-        let evicted = shard.insert(v, adj, cost);
+        let rejected = cost > shard.lru.capacity();
+        let evicted = shard.lru.insert(v, adj, cost) as u64;
+        shard.stats.evictions += evicted;
         drop(shard);
+        if evicted > 0 || rejected {
+            self.epoch.fetch_add(1, Ordering::Relaxed);
+        }
         if evicted > 0 {
-            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
             if let Some(obs) = &self.obs {
-                obs.evictions.add(evicted as u64);
+                obs.evictions.add(evicted);
             }
         }
     }
@@ -184,23 +205,40 @@ impl DbCache {
         Ok(adj)
     }
 
-    /// Effectiveness counters.
+    /// A stamp that is unchanged exactly as long as every set inserted
+    /// since it was read is still resident: it moves on each eviction,
+    /// on each insert the budget rejects, and on [`DbCache::clear`]. A
+    /// reader that kept a handle to a set it got through this cache may
+    /// treat a repeat lookup as the hit it would have been while the
+    /// stamp stands — and must come back here once it moves, so a handle
+    /// never stands in for capacity the cache does not have. A plain
+    /// relaxed counter: it orders nothing, a racing eviction is seen one
+    /// lookup later at worst.
+    pub fn residency_epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// Effectiveness counters, summed over the shards.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.shards
+            .iter()
+            .fold(CacheStats::default(), |mut total, shard| {
+                let stats = shard.lock().stats;
+                total.hits += stats.hits;
+                total.misses += stats.misses;
+                total.evictions += stats.evictions;
+                total
+            })
     }
 
     /// Bytes currently held (cost units including entry overhead).
     pub fn used_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().used_cost()).sum()
+        self.shards.iter().map(|s| s.lock().lru.used_cost()).sum()
     }
 
     /// Number of cached adjacency sets.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().lru.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -211,11 +249,11 @@ impl DbCache {
     /// Drops all entries and resets the counters.
     pub fn clear(&self) {
         for s in &self.shards {
-            s.lock().clear();
+            let mut shard = s.lock();
+            shard.lru.clear();
+            shard.stats = CacheStats::default();
         }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -224,7 +262,10 @@ impl DbCache {
 /// `Γ(a) ∩ Γ(b)`. Entry-count budgeted.
 #[derive(Debug)]
 pub struct TriangleCache {
-    lru: Lru<(VertexId, VertexId), Arc<Vec<VertexId>>>,
+    lru: Lru<(VertexId, VertexId), Arc<[VertexId]>>,
+    /// Where a miss computes its set: the cached value is an exact-size
+    /// copy (one allocation), the growth stays in this reused buffer.
+    scratch: Vec<VertexId>,
     hits: u64,
     misses: u64,
 }
@@ -234,26 +275,29 @@ impl TriangleCache {
     pub fn new(max_entries: usize) -> Self {
         TriangleCache {
             lru: Lru::new(max_entries as u64),
+            scratch: Vec::new(),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Looks up the triangle set of edge `(a, b)` or computes and caches
-    /// it.
+    /// Looks up the triangle set of edge `(a, b)`, or has `compute` write
+    /// it into the (cleared) buffer it is handed and caches a copy.
     pub fn get_or_compute(
         &mut self,
         a: VertexId,
         b: VertexId,
-        compute: impl FnOnce() -> Vec<VertexId>,
-    ) -> Arc<Vec<VertexId>> {
+        compute: impl FnOnce(&mut Vec<VertexId>),
+    ) -> Arc<[VertexId]> {
         let key = (a.min(b), a.max(b));
         if let Some(v) = self.lru.get(&key) {
             self.hits += 1;
             return Arc::clone(v);
         }
         self.misses += 1;
-        let value = Arc::new(compute());
+        self.scratch.clear();
+        compute(&mut self.scratch);
+        let value: Arc<[VertexId]> = Arc::from(self.scratch.as_slice());
         self.lru.insert(key, Arc::clone(&value), 1);
         value
     }
@@ -267,7 +311,7 @@ impl TriangleCache {
         &mut self,
         a: VertexId,
         b: VertexId,
-        compute: impl FnOnce() -> Vec<VertexId>,
+        compute: impl FnOnce(&mut Vec<VertexId>),
         use_set: impl FnOnce(&[VertexId]) -> R,
     ) -> R {
         let key = (a.min(b), a.max(b));
@@ -276,9 +320,10 @@ impl TriangleCache {
             return use_set(v);
         }
         self.misses += 1;
-        let value = compute();
-        let r = use_set(&value);
-        self.lru.insert(key, Arc::new(value), 1);
+        self.scratch.clear();
+        compute(&mut self.scratch);
+        let r = use_set(&self.scratch);
+        self.lru.insert(key, Arc::from(self.scratch.as_slice()), 1);
         r
     }
 
@@ -382,8 +427,8 @@ mod tests {
     #[test]
     fn triangle_cache_normalises_edge_order() {
         let mut tc = TriangleCache::new(16);
-        let first = tc.get_or_compute(5, 2, || vec![10, 11]);
-        let second = tc.get_or_compute(2, 5, || panic!("must hit"));
+        let first = tc.get_or_compute(5, 2, |out| out.extend([10, 11]));
+        let second = tc.get_or_compute(2, 5, |_| panic!("must hit"));
         assert_eq!(first, second);
         assert_eq!(tc.stats().hits, 1);
         assert_eq!(tc.len(), 1);
@@ -392,14 +437,14 @@ mod tests {
     #[test]
     fn triangle_cache_evicts_at_capacity() {
         let mut tc = TriangleCache::new(2);
-        tc.get_or_compute(0, 1, || vec![1]);
-        tc.get_or_compute(0, 2, || vec![2]);
-        tc.get_or_compute(0, 3, || vec![3]); // evicts (0,1)
+        tc.get_or_compute(0, 1, |out| out.push(1));
+        tc.get_or_compute(0, 2, |out| out.push(2));
+        tc.get_or_compute(0, 3, |out| out.push(3)); // evicts (0,1)
         assert_eq!(tc.len(), 2);
         let mut recomputed = false;
-        tc.get_or_compute(0, 1, || {
+        tc.get_or_compute(0, 1, |out| {
             recomputed = true;
-            vec![1]
+            out.push(1)
         });
         assert!(recomputed);
     }
@@ -407,9 +452,9 @@ mod tests {
     #[test]
     fn triangle_with_or_compute_borrows_without_arc_clone() {
         let mut tc = TriangleCache::new(4);
-        let arc = tc.get_or_compute(1, 2, || vec![7, 8]);
+        let arc = tc.get_or_compute(1, 2, |out| out.extend([7, 8]));
         assert_eq!(Arc::strong_count(&arc), 2); // caller + cache
-        let sum: u32 = tc.with_or_compute(2, 1, || panic!("must hit"), |s| s.iter().sum());
+        let sum: u32 = tc.with_or_compute(2, 1, |_| panic!("must hit"), |s| s.iter().sum());
         assert_eq!(sum, 15);
         assert_eq!(Arc::strong_count(&arc), 2, "borrow path clones no Arc");
         assert_eq!(tc.stats().hits, 1);
@@ -418,7 +463,7 @@ mod tests {
     #[test]
     fn triangle_with_or_compute_works_at_zero_capacity() {
         let mut tc = TriangleCache::new(0);
-        let len = tc.with_or_compute(3, 4, || vec![1, 2, 3], |s| s.len());
+        let len = tc.with_or_compute(3, 4, |out| out.extend([1, 2, 3]), |s| s.len());
         assert_eq!(len, 3);
         assert!(tc.is_empty(), "oversized entry is not retained");
         // Second call recomputes (nothing was cached).
@@ -426,9 +471,9 @@ mod tests {
         tc.with_or_compute(
             3,
             4,
-            || {
+            |out| {
                 recomputed = true;
-                vec![1, 2, 3]
+                out.extend([1, 2, 3])
             },
             |_| (),
         );
@@ -468,11 +513,65 @@ mod tests {
         let registry = benu_obs::Registry::new();
         let obs = CacheObs::register(&registry, "triangle");
         let mut tc = TriangleCache::new(4);
-        tc.get_or_compute(1, 2, || vec![3]);
-        tc.get_or_compute(2, 1, || unreachable!());
+        tc.get_or_compute(1, 2, |out| out.push(3));
+        tc.get_or_compute(2, 1, |_| unreachable!());
         obs.record_stats(&tc.stats());
         assert_eq!(registry.counter("cache.triangle.hits").get(), 1);
         assert_eq!(registry.counter("cache.triangle.misses").get(), 1);
+    }
+
+    #[test]
+    fn residency_epoch_moves_exactly_when_an_inserted_set_is_not_resident() {
+        let cache = DbCache::new(200, 1);
+        let epoch = cache.residency_epoch();
+        cache.insert(1, adj(&[1, 2, 3]));
+        cache.get(1);
+        cache.get(9);
+        assert_eq!(
+            cache.residency_epoch(),
+            epoch,
+            "hits and misses evict nothing"
+        );
+        cache.insert(2, adj(&(0..30).collect::<Vec<_>>())); // evicts 1
+        assert!(!cache.contains(1));
+        let after_eviction = cache.residency_epoch();
+        assert_ne!(after_eviction, epoch);
+        cache.insert(3, adj(&(0..100).collect::<Vec<_>>())); // over budget
+        assert!(!cache.contains(3));
+        let after_rejection = cache.residency_epoch();
+        assert_ne!(after_rejection, after_eviction);
+        cache.clear();
+        assert_ne!(cache.residency_epoch(), after_rejection);
+    }
+
+    #[test]
+    fn shard_counters_lose_no_probe_and_clear_to_zero() {
+        // Counters live with the shards: summed, they must account for
+        // every probe of every thread, and `clear` must reset them all.
+        const THREADS: u32 = 4;
+        const PROBES: u32 = 2_000;
+        let cache = DbCache::new(1 << 20, 8);
+        for v in 0..64 {
+            cache.insert(v, adj(&[v]));
+        }
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PROBES {
+                        // Half the keys are cached, half are not.
+                        cache.get((i * 7 + t) % 128);
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, (THREADS * PROBES) as u64);
+        assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
+        cache.clear();
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

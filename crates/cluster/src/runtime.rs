@@ -448,7 +448,9 @@ impl Cluster {
                 steals: steals[w],
                 ..WorkerReport::default()
             };
+            let mut lane_hits = 0;
             for r in results {
+                lane_hits += r.stats.db_cache_hits;
                 report.metrics += r.metrics;
                 report.busy_time += r.busy;
                 report.tasks_executed += r.executed;
@@ -468,14 +470,20 @@ impl Cluster {
                 }
             }
             // Per-run cache effectiveness: delta against the persistent
-            // cache's counters at run start.
+            // cache's counters at run start, plus the tier's hits the
+            // lanes answered themselves.
             let now = self.caches[w].stats();
             let before = cache_stats_before[w];
             report.cache = CacheStats {
-                hits: now.hits - before.hits,
+                hits: now.hits - before.hits + lane_hits,
                 misses: now.misses - before.misses,
                 evictions: now.evictions - before.evictions,
             };
+            if let Some(hub) = &self.obs {
+                // The shared cache mirrors its own probes as they
+                // happen; the lanes' share of the tier arrives in bulk.
+                hub.registry.counter("cache.db.hits").add(lane_hits);
+            }
             report.comm_bytes = transports[w].bytes();
             report.comm_requests = transports[w].requests();
             report.batch_round_trips = transports[w].batch_round_trips();

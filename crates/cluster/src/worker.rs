@@ -314,6 +314,10 @@ impl DataSource for WorkerSource<'_> {
             .fetch_many_through(self.cache, vs)
             .unwrap_or_else(|error| vec![self.fetch_failed(error); vs.len()])
     }
+
+    fn residency_epoch(&self) -> u64 {
+        self.cache.residency_epoch()
+    }
 }
 
 /// A task that panicked inside the engine (under hybrid execution: the
@@ -325,6 +329,10 @@ pub struct TaskPanicked(pub SearchTask);
 pub struct LaneStats {
     /// The engine's private triangle-cache counters.
     pub triangle_cache: CacheStats,
+    /// DBQs the engine answered from the adjacency sets its running task
+    /// already held: hits of the database-cache tier the shared
+    /// [`DbCache`] never saw, added to that tier's count by the caller.
+    pub db_cache_hits: u64,
     /// The engine's buffer-pool counters.
     pub pool: PoolStats,
     /// Frontier counters (all zero under [`ExecMode::Dfs`]).
@@ -430,12 +438,14 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
         match self.engine {
             LaneEngine::Dfs(engine) => LaneStats {
                 triangle_cache: engine.triangle_cache_stats(),
+                db_cache_hits: engine.adj_table_hits(),
                 pool: engine.pool_stats(),
                 frontier: FrontierStats::default(),
                 matches,
             },
             LaneEngine::Hybrid(frontier) => LaneStats {
                 triangle_cache: frontier.triangle_cache_stats(),
+                db_cache_hits: frontier.adj_table_hits(),
                 pool: frontier.pool_stats(),
                 frontier: frontier.stats(),
                 matches,

@@ -1,0 +1,89 @@
+//! What the database-cache tier reports once the engine answers a task's
+//! repeated DBQs from the adjacency sets the task already holds: the
+//! tier's hit count still covers every DBQ, and what the shared cache
+//! fetches and evicts is what its capacity implies.
+
+use benu_cluster::{Cluster, ClusterConfig};
+use benu_graph::gen;
+use benu_obs::ObsHub;
+use benu_pattern::queries;
+use benu_plan::PlanBuilder;
+use std::sync::Arc;
+
+/// Under DFS every DBQ is exactly one of: answered by the lane's own
+/// table, a shared-cache hit, a shared-cache miss. The lanes' hits reach
+/// the worker reports and the registry in bulk; dropping them breaks the
+/// sum.
+#[test]
+fn every_dbq_is_a_hit_or_a_miss_of_the_db_cache_tier() {
+    let g = gen::barabasi_albert(150, 8, 5);
+    let plan = PlanBuilder::new(&queries::clique(4)).best_plan();
+    for threads in [1, 2] {
+        let hub = Arc::new(ObsHub::new());
+        let config = ClusterConfig::builder()
+            .workers(1)
+            .threads_per_worker(threads)
+            .build();
+        let outcome = Cluster::new_observed(&g, config, Arc::clone(&hub))
+            .run(&plan)
+            .unwrap();
+        let hits: u64 = outcome.workers.iter().map(|w| w.cache.hits).sum();
+        let misses: u64 = outcome.workers.iter().map(|w| w.cache.misses).sum();
+        assert_eq!(
+            hits + misses,
+            outcome.metrics.dbq_executions,
+            "{threads} thread(s): {hits} hits + {misses} misses"
+        );
+        // Each vertex is fetched once per thread at most, and clique4
+        // re-queries the same vertices all the way down a task.
+        assert!(misses <= (threads * g.num_vertices()) as u64);
+        assert!(outcome.cache_hit_rate() > 0.9);
+        let reg = &hub.registry;
+        assert_eq!(reg.counter("cache.db.hits").get(), hits);
+        assert_eq!(reg.counter("cache.db.misses").get(), misses);
+    }
+}
+
+/// The lane's table is dropped whenever the cache evicts, so a cache
+/// far smaller than the working set fetches and evicts exactly what it
+/// did before the table existed (values pinned at the parent commit): a
+/// handle kept past an eviction would skip re-fetches and read fewer
+/// bytes.
+#[test]
+fn cold_cache_traffic_is_what_it_was_without_the_lane_table() {
+    let g = gen::barabasi_albert(400, 6, 9);
+    let plan = PlanBuilder::new(&queries::triangle()).best_plan();
+    let config = ClusterConfig::builder()
+        .workers(1)
+        .threads_per_worker(1)
+        .cache_capacity_bytes(8 << 10)
+        .build();
+    let outcome = Cluster::new(&g, config).run(&plan).unwrap();
+    let evictions: u64 = outcome.workers.iter().map(|w| w.cache.evictions).sum();
+    let misses: u64 = outcome.workers.iter().map(|w| w.cache.misses).sum();
+    assert_eq!(
+        (outcome.communication_bytes(), misses, evictions),
+        (144_830, 1_750, 1_686),
+        "bytes, misses, evictions"
+    );
+}
+
+/// Exp-3's zero-capacity point is the paper's no-cache baseline: every
+/// DBQ is a store read, however often a task repeats a vertex. The
+/// lane's table must not turn a task's repeats into hits the cache could
+/// not have served.
+#[test]
+fn a_disabled_cache_sends_every_dbq_to_the_store() {
+    let g = gen::barabasi_albert(150, 8, 5);
+    let plan = PlanBuilder::new(&queries::clique(4)).best_plan();
+    let config = ClusterConfig::builder()
+        .workers(1)
+        .threads_per_worker(2)
+        .cache_capacity_bytes(0)
+        .build();
+    let outcome = Cluster::new(&g, config).run(&plan).unwrap();
+    let hits: u64 = outcome.workers.iter().map(|w| w.cache.hits).sum();
+    let misses: u64 = outcome.workers.iter().map(|w| w.cache.misses).sum();
+    assert_eq!((hits, misses), (0, outcome.metrics.dbq_executions));
+    assert_eq!(outcome.kv.keys, outcome.metrics.dbq_executions);
+}

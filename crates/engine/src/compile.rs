@@ -5,18 +5,69 @@
 //! compiled form also precomputes everything the VCBC expansion step needs
 //! (which registers hold image sets, and the pairwise constraints between
 //! non-cover vertices).
+//!
+//! Compilation also decides, from the plan's shape alone, which fused
+//! forms the interpreter may run (DESIGN.md §4f): every instruction's
+//! filters are split by operator into [`CFilters`], so an execution folds
+//! them into one rank window instead of walking a condition list per
+//! element, and the `ENU ; RES` tail of an uncompressed plan (with the
+//! single-operand `INT` feeding it) is marked `tail`, so a consumer that
+//! takes no matches has it counted instead of looped. The instruction
+//! list itself stays one-to-one with the plan's: whether a marked form
+//! engages is decided per task, and observation slots keep their indices.
 
 use benu_plan::ir::InstrKind;
-use benu_plan::{ExecutionPlan, FilterOp, Instruction, ResultItem, SetVar};
+use benu_plan::{ExecutionPlan, FilterCond, FilterOp, Instruction, ResultItem, SetVar};
 use std::collections::HashMap;
 
-/// A compiled filter condition against `f[vertex]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CFilter {
-    /// Comparison operator.
-    pub op: FilterOp,
-    /// Pattern vertex whose mapping is compared against.
-    pub vertex: usize,
+/// An instruction's filter conditions, split by operator: the pattern
+/// vertices whose mappings `f[v]` a candidate `x` is compared against.
+/// `≺` is a total order on distinct ranks, so one execution folds
+/// `greater` and `less` into a single rank window
+/// (`max rank(f[v]) < rank(x) < min rank(f[v])`); only `not_equal` stays
+/// a list, and it is short or empty.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CFilters {
+    /// The `greater` vertices, then the `less`, then the `not_equal`
+    /// (one allocation, and `CInstr` stays as wide as it was).
+    vertices: Box<[usize]>,
+    less_at: u32,
+    not_equal_at: u32,
+}
+
+impl CFilters {
+    fn compile(filters: &[FilterCond]) -> Self {
+        let of = |op| filters.iter().filter(move |f| f.op == op).map(|f| f.vertex);
+        let greater = of(FilterOp::Greater).count();
+        CFilters {
+            vertices: of(FilterOp::Greater)
+                .chain(of(FilterOp::Less))
+                .chain(of(FilterOp::NotEqual))
+                .collect(),
+            less_at: greater as u32,
+            not_equal_at: (greater + of(FilterOp::Less).count()) as u32,
+        }
+    }
+
+    /// `f[v] ≺ x` for every `v` here.
+    pub fn greater(&self) -> &[usize] {
+        &self.vertices[..self.less_at as usize]
+    }
+
+    /// `x ≺ f[v]` for every `v` here.
+    pub fn less(&self) -> &[usize] {
+        &self.vertices[self.less_at as usize..self.not_equal_at as usize]
+    }
+
+    /// `x ≠ f[v]` for every `v` here.
+    pub fn not_equal(&self) -> &[usize] {
+        &self.vertices[self.not_equal_at as usize..]
+    }
+
+    /// True when every candidate passes.
+    pub fn is_empty(&self) -> bool {
+        self.vertices.is_empty()
+    }
 }
 
 /// An operand of a compiled intersection.
@@ -35,18 +86,26 @@ pub enum CInstr {
     Init { vertex: usize },
     /// `slot[target] := source.get_adj(f[vertex])`.
     GetAdj { vertex: usize, target: usize },
-    /// `slot[target] := ∩ operands, filtered`.
+    /// `slot[target] := ∩ operands, filtered`. `tail` marks the
+    /// single-register filtered copy whose only reader is the `tail`
+    /// `Foreach` right after it: counted, never written, when the
+    /// consumer takes no matches.
     Intersect {
         target: usize,
         operands: Vec<COperand>,
-        filters: Vec<CFilter>,
+        filters: CFilters,
+        tail: bool,
     },
     /// Loop `f[vertex]` over `slot[source]`; `is_second` marks the
-    /// split-point enumeration of the second pattern vertex.
+    /// split-point enumeration of the second pattern vertex. `tail`
+    /// marks the last loop of an uncompressed plan over an unlabeled
+    /// vertex — its body is exactly `Report`, so for a consumer that
+    /// takes no matches the loop is its (split-respecting) length.
     Foreach {
         vertex: usize,
         source: usize,
         is_second: bool,
+        tail: bool,
     },
     /// Triangle-cached `slot[target] := Γ(f[a]) ∩ Γ(f[b])`, filtered.
     TCache {
@@ -55,7 +114,7 @@ pub enum CInstr {
         a_reg: usize,
         b_reg: usize,
         target: usize,
-        filters: Vec<CFilter>,
+        filters: CFilters,
     },
     /// Emit a match (or compressed code).
     Report,
@@ -153,13 +212,8 @@ impl CompiledPlan {
                     instrs.push(CInstr::Intersect {
                         target,
                         operands,
-                        filters: filters
-                            .iter()
-                            .map(|f| CFilter {
-                                op: f.op,
-                                vertex: f.vertex,
-                            })
-                            .collect(),
+                        filters: CFilters::compile(filters),
+                        tail: false,
                     });
                 }
                 Instruction::Foreach { vertex, source } => {
@@ -168,6 +222,7 @@ impl CompiledPlan {
                         vertex: *vertex,
                         source,
                         is_second: Some(*vertex) == plan.matching_order.get(1).copied(),
+                        tail: false,
                     });
                 }
                 Instruction::TCache {
@@ -185,13 +240,7 @@ impl CompiledPlan {
                         a_reg,
                         b_reg,
                         target,
-                        filters: filters
-                            .iter()
-                            .map(|f| CFilter {
-                                op: f.op,
-                                vertex: f.vertex,
-                            })
-                            .collect(),
+                        filters: CFilters::compile(filters),
                     });
                 }
                 Instruction::ReportMatch { items } => {
@@ -208,6 +257,8 @@ impl CompiledPlan {
                 }
             }
         }
+
+        mark_tail(&mut instrs, plan);
 
         let expansion = plan.compressed.then(|| {
             let k = benu_pattern::cover::cover_prefix_len(&plan.pattern, &plan.matching_order);
@@ -292,6 +343,36 @@ impl CompiledPlan {
             *counts.entry(kind).or_insert(0) += 1;
         }
         counts
+    }
+}
+
+/// Marks the countable tail of an uncompressed plan: `ENU(f_k over C) ;
+/// RES` with `f_k` unlabeled, and the `C := INT(T)[filters]` right
+/// before it when `T` is its one register operand. `C` is defined
+/// directly before its loop and only `RES` follows, so nothing else can
+/// read it.
+fn mark_tail(instrs: &mut [CInstr], plan: &ExecutionPlan) {
+    let [.., int, CInstr::Foreach {
+        vertex,
+        source,
+        tail,
+        ..
+    }, CInstr::Report] = instrs
+    else {
+        return;
+    };
+    if plan.compressed || plan.pattern.label(*vertex).is_some() {
+        return;
+    }
+    *tail = true;
+    if let CInstr::Intersect {
+        target,
+        operands,
+        tail,
+        ..
+    } = int
+    {
+        *tail = target == source && matches!(operands[..], [COperand::Reg(_)]);
     }
 }
 

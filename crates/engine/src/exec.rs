@@ -9,8 +9,17 @@
 //! * an empty intersection result aborts the current branch immediately —
 //!   the "doomed-to-fail partial match" pruning that motivates on-demand
 //!   shuffling.
+//!
+//! Three things keep the loop down to the paper's own work (DESIGN.md
+//! §4f). Filters run as one rank `Window` folded per execution, not as
+//! a condition list walked per element. The `tail` forms marked by
+//! [`crate::compile`] are counted instead of looped whenever the
+//! consumer takes no matches — every [`TaskMetrics`] counter reads what
+//! the loop would have written. And a DBQ for a vertex the running task
+//! already fetched is answered from the engine's own `AdjTable`
+//! without touching the shared database cache.
 
-use crate::compile::{CFilter, CInstr, COperand, CompiledPlan};
+use crate::compile::{CFilters, CInstr, COperand, CompiledPlan};
 use crate::consumer::MatchConsumer;
 use crate::expand;
 use crate::source::DataSource;
@@ -18,7 +27,7 @@ use crate::task::SearchTask;
 use benu_cache::TriangleCache;
 use benu_graph::view;
 use benu_graph::{AdjSet, AdjView, TotalOrder, VertexId};
-use benu_plan::FilterOp;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Marker for an unmapped pattern vertex.
@@ -143,20 +152,113 @@ impl BufferPool {
     }
 }
 
-/// Filter check as a free function over the borrowed pieces it actually
-/// reads (`order`, the partial mapping `f`), so callers can run it while
-/// other engine fields — a cache, the slot file — are mutably borrowed.
-#[inline]
-fn passes_filters(order: &TotalOrder, f: &[VertexId], x: VertexId, filters: &[CFilter]) -> bool {
-    filters.iter().all(|fc| {
-        let fv = f[fc.vertex];
-        debug_assert_ne!(fv, UNSET, "filter references unmapped vertex");
-        match fc.op {
-            FilterOp::Less => order.less(x, fv),
-            FilterOp::Greater => order.less(fv, x),
-            FilterOp::NotEqual => x != fv,
+/// One execution's fold of an instruction's [`CFilters`] under the
+/// current partial mapping: `x` passes iff `lo ≤ rank(x) < hi` and it
+/// differs from every `not_equal` mapping — one rank load and two
+/// compares per element however many order conditions the plan carries.
+/// Built over the borrowed pieces it reads (`order`, `f`), so callers can
+/// run it while other engine fields — a cache, the slot file — are
+/// mutably borrowed.
+struct Window<'a> {
+    order: &'a TotalOrder,
+    f: &'a [VertexId],
+    not_equal: &'a [usize],
+    lo: u32,
+    hi: u32,
+}
+
+impl<'a> Window<'a> {
+    fn fold(order: &'a TotalOrder, f: &'a [VertexId], filters: &'a CFilters) -> Self {
+        // Ranks are distinct and below `u32::MAX` (`VertexId::MAX` is
+        // `UNSET`), so `rank + 1` cannot overflow and the open upper end
+        // admits every vertex.
+        let rank = |&v: &usize| order.rank(f[v]);
+        Window {
+            order,
+            f,
+            not_equal: filters.not_equal(),
+            lo: (filters.greater().iter())
+                .map(|v| rank(v) + 1)
+                .max()
+                .unwrap_or(0),
+            hi: filters.less().iter().map(rank).min().unwrap_or(u32::MAX),
         }
-    })
+    }
+
+    #[inline]
+    fn admits(&self, x: VertexId) -> bool {
+        let r = self.order.rank(x);
+        self.lo <= r && r < self.hi && self.not_equal.iter().all(|&v| self.f[v] != x)
+    }
+}
+
+/// The candidates an ENU iterates out of `len`: the task's slice of them
+/// at the split point, all of them everywhere else.
+#[inline]
+pub(crate) fn enu_range(is_second: bool, task: &SearchTask, len: usize) -> Range<usize> {
+    match (is_second, task.split) {
+        (true, Some(split)) => split.range(len),
+        _ => 0..len,
+    }
+}
+
+/// Entries of the [`AdjTable`], sized on the ledger's `clique_dense`
+/// (280 hot vertices, 98.7 % of DBQs repeat one the task holds):
+/// halving it costs a tenth of a repetition's time, doubling it buys 2 %.
+const ADJ_TABLE_ENTRIES: usize = 32;
+
+/// The adjacency sets the running task already holds: a direct-mapped
+/// table of `Arc` handles in front of the data source, owned by the
+/// engine and emptied at every task start. Backtracking re-issues a DBQ
+/// for the same data vertex once per enclosing branch; answering the
+/// repeat here costs no shard lock, no LRU splice and no write to memory
+/// another thread reads.
+///
+/// A repeat is answered only under the [`DataSource::residency_epoch`]
+/// its handle was fetched under: once the source's cache evicts (or
+/// declines to keep) anything, the table is dropped and the lookups go
+/// back to the cache. So a table hit is always a lookup the database
+/// cache would have hit — `hits` is added to that tier's count when the
+/// lane finishes — and the table never stands in for capacity the cache
+/// does not have: what is fetched from the store is what would be
+/// without it.
+#[derive(Debug, Default)]
+struct AdjTable {
+    entries: [Option<(VertexId, Arc<AdjSet>)>; ADJ_TABLE_ENTRIES],
+    epoch: u64,
+    hits: u64,
+}
+
+impl AdjTable {
+    fn clear(&mut self) {
+        self.entries.fill(None);
+    }
+
+    #[inline]
+    fn get_or_fetch<S: DataSource + ?Sized>(&mut self, v: VertexId, source: &S) -> Arc<AdjSet> {
+        let epoch = source.residency_epoch();
+        if epoch != self.epoch {
+            self.clear();
+            self.epoch = epoch;
+        }
+        // Indexed by the low id bits: a neighbourhood's ids spread evenly
+        // over them (a multiplicative hash left 29 % more of
+        // `clique_dense`'s repeats to the shared cache).
+        let entry = &mut self.entries[v as usize % ADJ_TABLE_ENTRIES];
+        match entry {
+            Some((held, adj)) if *held == v => {
+                self.hits += 1;
+                Arc::clone(adj)
+            }
+            _ => {
+                // Kept under the stamp read above: if this very fetch
+                // evicts, the next lookup sees the newer stamp.
+                let adj = source.get_adj(v);
+                *entry = Some((v, Arc::clone(&adj)));
+                adj
+            }
+        }
+    }
 }
 
 /// A register slot holding a set value.
@@ -170,7 +272,10 @@ pub(crate) enum Slot {
     /// Shared adjacency set from the data source.
     Adj(Arc<AdjSet>),
     /// Shared triangle set from the triangle cache.
-    Tri(Arc<Vec<VertexId>>),
+    Tri(Arc<[VertexId]>),
+    /// A frontier level's frozen intersection result, shared by the
+    /// level's entries (see [`crate::frontier`]).
+    Frozen(Arc<Vec<VertexId>>),
 }
 
 impl Slot {
@@ -180,6 +285,7 @@ impl Slot {
             Slot::Buf(v) => v,
             Slot::Adj(a) => a.as_slice(),
             Slot::Tri(t) => t,
+            Slot::Frozen(v) => v,
         }
     }
 
@@ -189,10 +295,8 @@ impl Slot {
     /// sets are slice-only.
     pub(crate) fn as_view(&self) -> AdjView<'_> {
         match self {
-            Slot::Empty => panic!("read of undefined register (plan validated, so this is a bug)"),
-            Slot::Buf(v) => AdjView::from_slice(v),
             Slot::Adj(a) => a.view(),
-            Slot::Tri(t) => AdjView::from_slice(t),
+            other => AdjView::from_slice(other.as_slice()),
         }
     }
 }
@@ -202,6 +306,11 @@ impl Slot {
 /// a `GetAdj` whose data vertex is present in the map is served from it
 /// instead of issuing a per-vertex source lookup. Disabled (the DFS
 /// default), the hot path pays one predictable branch and nothing else.
+///
+/// It stays a map beside the [`AdjTable`] rather than one structure with
+/// it because it must be lossless: a level's vertex that a direct-mapped
+/// table had dropped would fall through to a point get, and the store
+/// round trips of a hybrid run would no longer be the batched reads'.
 #[derive(Debug, Default)]
 pub(crate) struct AdjOverride {
     pub(crate) map: std::collections::HashMap<VertexId, Arc<AdjSet>>,
@@ -240,6 +349,7 @@ pub struct LocalEngine<'a, S: DataSource + ?Sized> {
     expand_f: Vec<VertexId>,
     pool: BufferPool,
     pub(crate) adj_override: AdjOverride,
+    adj_table: AdjTable,
     /// Reusable operand-register index buffer (`Intersect`).
     operand_regs: Vec<usize>,
     /// Reusable smallest-first ordering buffer for `intersect_many_by`.
@@ -285,6 +395,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
             expand_f: vec![UNSET; plan.num_pattern_vertices],
             pool: BufferPool::default(),
             adj_override: AdjOverride::default(),
+            adj_table: AdjTable::default(),
             operand_regs: Vec::with_capacity(max_arity),
             order_buf: Vec::with_capacity(max_arity),
         }
@@ -323,10 +434,24 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
         }
     }
 
+    /// DBQs this engine answered from its task-scoped `AdjTable`
+    /// instead of the data source: hits of the database-cache tier that
+    /// the shared cache never saw.
+    pub fn adj_table_hits(&self) -> u64 {
+        self.adj_table.hits
+    }
+
+    /// Forgets the adjacency sets held for the previous task (or, under
+    /// the frontier driver, batch).
+    pub(crate) fn clear_adj_table(&mut self) {
+        self.adj_table.clear();
+    }
+
     /// Runs one local search task, reporting into `consumer`.
     pub fn run_task(&mut self, task: SearchTask, consumer: &mut dyn MatchConsumer) -> TaskMetrics {
         let mut metrics = TaskMetrics::default();
         self.f.fill(UNSET);
+        self.adj_table.clear();
         // Return the previous task's owned buffers to the pool: every
         // plan writes a register before reading it, so the slot file
         // carries no live state across tasks — only reusable capacity,
@@ -394,10 +519,16 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     vertex,
                     source,
                     is_second,
+                    tail,
                 } = &plan.instrs[fpc]
                 else {
                     unreachable!("exec_straight stops only at Foreach")
                 };
+                if *tail && !consumer.needs_matches() {
+                    let len = self.slots[*source].as_slice().len();
+                    count_tail_enu(fpc, *is_second, task, len, metrics);
+                    return;
+                }
                 let vertex = *vertex;
                 // Take the candidate set out of its slot for the
                 // duration of the loop; nothing below reads it (its
@@ -405,21 +536,11 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                 // plans, where this vertex has no Foreach at all).
                 let slot = std::mem::take(&mut self.slots[*source]);
                 let items = slot.as_slice();
-                let range = match (is_second, task.split) {
-                    (true, Some(split)) => split.range(items.len()),
-                    _ => 0..items.len(),
-                };
-                // Iterate by index to keep `self` free for recursion.
-                let considered = (range.end - range.start) as u64;
+                let items = &items[enu_range(*is_second, task, items.len())];
+                let considered = items.len() as u64;
                 metrics.enu_candidates += considered;
                 let mut survivors = 0u64;
-                for i in range {
-                    let x = match &slot {
-                        Slot::Buf(v) => v[i],
-                        Slot::Adj(a) => a.as_slice()[i],
-                        Slot::Tri(t) => t[i],
-                        Slot::Empty => unreachable!(),
-                    };
+                for &x in items {
                     if !self.label_ok(vertex, x) {
                         continue;
                     }
@@ -465,13 +586,13 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     metrics.dbq_executions += 1;
                     let v = self.f[*vertex];
                     debug_assert_ne!(v, UNSET);
-                    let adj = if self.adj_override.enabled {
-                        match self.adj_override.map.get(&v) {
-                            Some(a) => Arc::clone(a),
-                            None => self.source.get_adj(v),
-                        }
-                    } else {
-                        self.source.get_adj(v)
+                    let batched = match self.adj_override.enabled {
+                        true => self.adj_override.map.get(&v),
+                        false => None,
+                    };
+                    let adj = match batched {
+                        Some(adj) => Arc::clone(adj),
+                        None => self.adj_table.get_or_fetch(v, self.source),
                     };
                     if let Some(s) = metrics.obs.slot_mut(pc) {
                         s.candidates += 1;
@@ -483,8 +604,31 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     target,
                     operands,
                     filters,
+                    tail,
                 } => {
                     metrics.int_executions += 1;
+                    if *tail && !consumer.needs_matches() {
+                        // `C := INT(T)[filters] ; ENU(C) ; RES`: count
+                        // the passing elements, write nothing.
+                        let COperand::Reg(t) = operands[0] else {
+                            unreachable!("tail INT has one register operand")
+                        };
+                        let window = Window::fold(self.order, &self.f, filters);
+                        let items = self.slots[t].as_slice();
+                        let passing = items.iter().filter(|&&x| window.admits(x)).count();
+                        if let Some(s) = metrics.obs.slot_mut(pc) {
+                            s.candidates += 1;
+                            s.survivors += passing as u64;
+                        }
+                        if passing == 0 {
+                            return StraightEnd::Pruned;
+                        }
+                        let CInstr::Foreach { is_second, .. } = &plan.instrs[pc + 1] else {
+                            unreachable!("tail INT feeds the tail ENU")
+                        };
+                        count_tail_enu(pc + 1, *is_second, task, passing, metrics);
+                        return StraightEnd::Done;
+                    }
                     let target = *target;
                     let mut buf = match std::mem::take(&mut self.slots[target]) {
                         Slot::Buf(b) => b,
@@ -519,10 +663,8 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     let empty = if filters.is_empty() {
                         let (a_view, b_view) =
                             (self.slots[*a_reg].as_view(), self.slots[*b_reg].as_view());
-                        let tri = self.tcache.get_or_compute(va, vb, || {
-                            let mut out = Vec::new();
-                            view::intersect_into(a_view, b_view, &mut out);
-                            out
+                        let tri = self.tcache.get_or_compute(va, vb, |out| {
+                            view::intersect_into(a_view, b_view, out)
                         });
                         let empty = tri.is_empty();
                         if let Some(s) = metrics.obs.slot_mut(pc) {
@@ -544,23 +686,14 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                         };
                         let (a_view, b_view) =
                             (self.slots[*a_reg].as_view(), self.slots[*b_reg].as_view());
-                        let order = self.order;
-                        let f = &self.f;
+                        let window = Window::fold(self.order, &self.f, filters);
                         let empty = self.tcache.with_or_compute(
                             va,
                             vb,
-                            || {
-                                let mut out = Vec::new();
-                                view::intersect_into(a_view, b_view, &mut out);
-                                out
-                            },
+                            |out| view::intersect_into(a_view, b_view, out),
                             |tri| {
                                 buf.clear();
-                                for &x in tri {
-                                    if passes_filters(order, f, x, filters) {
-                                        buf.push(x);
-                                    }
-                                }
+                                buf.extend(tri.iter().filter(|&&x| window.admits(x)));
                                 buf.is_empty()
                             },
                         );
@@ -592,10 +725,11 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
     fn compute_intersection(
         &mut self,
         operands: &[COperand],
-        filters: &[CFilter],
+        filters: &CFilters,
         buf: &mut Vec<VertexId>,
     ) {
         buf.clear();
+        let window = Window::fold(self.order, &self.f, filters);
         // Operand registers go into a reusable index buffer
         // and the kernels address the slot file through it, so no
         // per-execution `Vec<&[VertexId]>` exists.
@@ -608,23 +742,12 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
         match self.operand_regs.len() {
             0 => {
                 // Pure V(G) scan with filters.
-                let order = self.order;
-                let f = &self.f;
-                for x in 0..self.source.num_vertices() as VertexId {
-                    if passes_filters(order, f, x, filters) {
-                        buf.push(x);
-                    }
-                }
+                let all = 0..self.source.num_vertices() as VertexId;
+                buf.extend(all.filter(|&x| window.admits(x)));
             }
             1 => {
-                let slice = self.slots[self.operand_regs[0]].as_slice();
-                let order = self.order;
-                let f = &self.f;
-                for &x in slice {
-                    if passes_filters(order, f, x, filters) {
-                        buf.push(x);
-                    }
-                }
+                let items = self.slots[self.operand_regs[0]].as_slice();
+                buf.extend(items.iter().filter(|&&x| window.admits(x)));
             }
             k => {
                 let mut scratch = std::mem::take(&mut self.scratch);
@@ -652,13 +775,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                             &mut scratch2,
                         );
                     }
-                    let order = self.order;
-                    let f = &self.f;
-                    for &x in &scratch {
-                        if passes_filters(order, f, x, filters) {
-                            buf.push(x);
-                        }
-                    }
+                    buf.extend(scratch.iter().filter(|&&x| window.admits(x)));
                     self.scratch2 = scratch2;
                 }
                 self.scratch = scratch;
@@ -724,6 +841,26 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                 self.label_scratch = label_scratch;
             }
         }
+    }
+}
+
+/// The `ENU ; RES` tail counted instead of looped: over `len` candidates
+/// of an unlabeled vertex every considered candidate survives and
+/// reports exactly one match, so each counter advances by the
+/// (split-respecting) range length — what the loop would have written.
+fn count_tail_enu(
+    fpc: usize,
+    is_second: bool,
+    task: &SearchTask,
+    len: usize,
+    metrics: &mut TaskMetrics,
+) {
+    let considered = enu_range(is_second, task, len).len() as u64;
+    metrics.enu_candidates += considered;
+    metrics.matches += considered;
+    if let Some(s) = metrics.obs.slot_mut(fpc) {
+        s.candidates += considered;
+        s.survivors += considered;
     }
 }
 

@@ -29,7 +29,7 @@
 
 use crate::compile::{CInstr, CompiledPlan};
 use crate::consumer::MatchConsumer;
-use crate::exec::{LocalEngine, PoolStats, Slot, StraightEnd, TaskMetrics, UNSET};
+use crate::exec::{enu_range, LocalEngine, PoolStats, Slot, StraightEnd, TaskMetrics, UNSET};
 use crate::source::DataSource;
 use crate::task::SearchTask;
 use benu_graph::{AdjSet, VertexId};
@@ -99,9 +99,11 @@ enum FrSlot {
     Empty,
     /// Shared adjacency set (cheap `Arc` pass-through, never charged).
     Adj(Arc<AdjSet>),
-    /// A frozen set buffer: either an owned intersection result promoted
-    /// to an `Arc` at freeze time (charged, thawed back into the pool at
-    /// batch end) or a shared triangle set passing through.
+    /// Shared triangle set, passing through like `Adj`.
+    Tri(Arc<[VertexId]>),
+    /// A frozen set buffer: an owned intersection result promoted to an
+    /// `Arc` at freeze time (charged, thawed back into the pool at batch
+    /// end).
     Frozen(Arc<Vec<VertexId>>),
 }
 
@@ -110,6 +112,7 @@ impl FrSlot {
         match self {
             FrSlot::Empty => panic!("read of undefined frontier register"),
             FrSlot::Adj(a) => a.as_slice(),
+            FrSlot::Tri(t) => t,
             FrSlot::Frozen(v) => v,
         }
     }
@@ -169,6 +172,11 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
         self.engine.triangle_cache_stats()
     }
 
+    /// DBQs the wrapped engine answered from its own adjacency table.
+    pub fn adj_table_hits(&self) -> u64 {
+        self.engine.adj_table_hits()
+    }
+
     /// Unwraps the inner engine.
     pub fn into_inner(self) -> LocalEngine<'a, S> {
         self.engine
@@ -188,6 +196,10 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
         if tasks.is_empty() {
             return metrics;
         }
+        // The batch is the unit the engine's adjacency table is scoped to
+        // here: `run_task` never runs. It sits behind the override map,
+        // so it only ever answers the point gets of a spill drain.
+        self.engine.clear_adj_table();
         let plan = self.engine.plan;
         let root_snap = Arc::new(Snapshot {
             slots: vec![FrSlot::Empty; plan.num_slots],
@@ -275,20 +287,17 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
                             vertex,
                             source,
                             is_second,
+                            ..
                         } = &plan.instrs[fpc]
                         else {
                             unreachable!("exec_straight stops only at Foreach")
                         };
                         let items = snap.slots[*source].as_slice();
-                        let range = match (is_second, task.split) {
-                            (true, Some(split)) => split.range(items.len()),
-                            _ => 0..items.len(),
-                        };
-                        let considered = (range.end - range.start) as u64;
+                        let range = enu_range(*is_second, &task, items.len());
+                        let considered = range.len() as u64;
                         metrics.enu_candidates += considered;
                         let mut survivors = 0u64;
-                        for i in range.clone() {
-                            let x = items[i];
+                        for &x in &items[range] {
                             if !self.engine.label_ok(*vertex, x) {
                                 continue;
                             }
@@ -347,7 +356,8 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
             let value = match fs {
                 FrSlot::Empty => Slot::Empty,
                 FrSlot::Adj(a) => Slot::Adj(Arc::clone(a)),
-                FrSlot::Frozen(v) => Slot::Tri(Arc::clone(v)),
+                FrSlot::Tri(t) => Slot::Tri(Arc::clone(t)),
+                FrSlot::Frozen(v) => Slot::Frozen(Arc::clone(v)),
             };
             // `set_slot` recycles any displaced owned buffer.
             self.engine.set_slot(i, value);
@@ -365,7 +375,8 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
             .map(|s| match std::mem::take(s) {
                 Slot::Empty => FrSlot::Empty,
                 Slot::Adj(a) => FrSlot::Adj(a),
-                Slot::Tri(t) => FrSlot::Frozen(t),
+                Slot::Tri(t) => FrSlot::Tri(t),
+                Slot::Frozen(v) => FrSlot::Frozen(v),
                 Slot::Buf(v) => {
                     owned += v.len() * std::mem::size_of::<VertexId>();
                     FrSlot::Frozen(Arc::new(v))

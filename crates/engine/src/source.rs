@@ -37,6 +37,18 @@ pub trait DataSource: Sync {
     fn get_adj_batch(&self, vs: &[VertexId]) -> Vec<Arc<AdjSet>> {
         vs.iter().map(|&v| self.get_adj(v)).collect()
     }
+
+    /// A stamp that stands while every set this source handed out would
+    /// still be answered without a store read (for a cache-fronted
+    /// source, [`DbCache::residency_epoch`]). The engine answers a
+    /// task's repeated DBQ from the handle it already holds only under
+    /// the stamp the handle was fetched under, so its handles never
+    /// stand in for cache capacity the source does not have. A source
+    /// that evicts nothing — or a wrapper that only observes — keeps the
+    /// default.
+    fn residency_epoch(&self) -> u64 {
+        0
+    }
 }
 
 /// The whole data graph resident in memory as shared adjacency sets.
@@ -171,6 +183,10 @@ impl DataSource for KvSource {
         out.into_iter()
             .map(|slot| slot.expect("every slot filled"))
             .collect()
+    }
+
+    fn residency_epoch(&self) -> u64 {
+        self.cache.residency_epoch()
     }
 }
 

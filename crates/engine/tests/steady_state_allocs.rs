@@ -1,6 +1,7 @@
 //! The engine's steady-state allocation contract, observed through a
 //! counting `#[global_allocator]`: once the buffer pool and the triangle
-//! cache are warm, running tasks allocates nothing. A single `#[test]`
+//! cache are warm, running tasks allocates nothing, and a triangle-cache
+//! miss allocates its cached value and nothing else. A single `#[test]`
 //! so no sibling test allocates concurrently under the same counter.
 
 use benu_engine::{CompiledPlan, CountingConsumer, InMemorySource, LocalEngine};
@@ -13,6 +14,11 @@ use benu_plan::PlanBuilder;
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 #[test]
+fn steady_state_allocations() {
+    warm_q5_tasks_allocate_nothing_and_every_take_hits_the_pool();
+    clique5_allocates_once_per_triangle_cache_miss();
+}
+
 fn warm_q5_tasks_allocate_nothing_and_every_take_hits_the_pool() {
     let g = gen::barabasi_albert(150, 4, 3);
     let plan = PlanBuilder::new(&queries::q5()).best_plan();
@@ -61,4 +67,43 @@ fn warm_q5_tasks_allocate_nothing_and_every_take_hits_the_pool() {
         "every steady-state take must be a pool hit"
     );
     assert!(steady_pool.hits > warm_pool.hits);
+}
+
+/// clique5 on a dense graph with the triangle cache switched off, so
+/// every TRC of every pass is a miss: the one thing a settled pass may
+/// allocate is each miss's exact-size set (it used to grow a fresh `Vec`
+/// by pushes and box it — about five allocations a miss).
+fn clique5_allocates_once_per_triangle_cache_miss() {
+    let g = gen::erdos_renyi_gnm(60, 900, 7);
+    let plan = PlanBuilder::new(&queries::clique(5)).best_plan();
+    let compiled = CompiledPlan::compile(&plan);
+    let source = InMemorySource::from_graph(&g);
+    let order = TotalOrder::new(&g);
+    let tasks = benu_engine::task::generate_tasks(&g, 20, compiled.second_adjacent);
+    let mut engine = LocalEngine::with_triangle_cache(&compiled, &source, &order, 0);
+    let mut consumer = CountingConsumer::default();
+    let mut run_pass = |engine: &mut LocalEngine<'_, InMemorySource>| -> (u64, u64, u64) {
+        let misses_before = engine.triangle_cache_stats().misses;
+        let before = ALLOC.snapshot();
+        let matches: u64 = tasks
+            .iter()
+            .map(|&task| engine.run_task(task, &mut consumer).matches)
+            .sum();
+        let allocs = ALLOC.snapshot().delta_since(&before).allocs;
+        let misses = engine.triangle_cache_stats().misses - misses_before;
+        (matches, allocs, misses)
+    };
+
+    let (warm_matches, _, _) = run_pass(&mut engine);
+    assert!(warm_matches > 0, "the workload must find 5-cliques");
+    let settled = (0..8)
+        .map(|_| run_pass(&mut engine))
+        .find(|&(_, allocs, misses)| allocs <= misses);
+    let (matches, allocs, misses) = settled.expect("buffer capacities never settled");
+    assert_eq!(matches, warm_matches);
+    assert!(misses > 100, "the plan must be TRC-backed: {misses} misses");
+    assert_eq!(
+        allocs, misses,
+        "a settled pass allocates exactly its triangle-cache misses' values"
+    );
 }

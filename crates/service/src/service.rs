@@ -284,6 +284,10 @@ impl DataSource for ChunkSource<'_> {
             })
             .unwrap_or_else(|err| vec![self.poison(err); vs.len()])
     }
+
+    fn residency_epoch(&self) -> u64 {
+        self.cache.residency_epoch()
+    }
 }
 
 /// Mutable per-query state behind one lock: the commit pipeline while
@@ -1151,6 +1155,14 @@ fn execute_chunk(
         }
     }
     let error = source.take_error();
+    let lane = executor.finish();
+    if let Some(hub) = &inner.obs {
+        // DBQs the lane answered from what its task already held are
+        // hits of the db-cache tier the shared cache never saw.
+        hub.registry
+            .counter("cache.db.hits")
+            .add(lane.db_cache_hits);
+    }
     let mut state = run.state.lock();
     if aborted {
         if let Some(commit) = state.commit.as_mut() {
@@ -1164,8 +1176,7 @@ fn execute_chunk(
             commit.submit_failed(chunk, err);
         }
     } else {
-        let mut matches: Vec<Vec<VertexId>> = executor
-            .finish()
+        let mut matches: Vec<Vec<VertexId>> = lane
             .matches
             .unwrap_or_default()
             .iter()
