@@ -11,8 +11,8 @@
 //! * **store** — the data graph lives in a [`benu_kvstore::KvStore`]
 //!   sharded across the workers;
 //! * **transport** — every worker's store traffic flows through a
-//!   [`transport::Transport`], which accounts bytes, round trips and
-//!   batched multi-gets, and owns the one cache-fronted fetch
+//!   faultless [`transport::Transport`], which accounts bytes, round
+//!   trips and batched multi-gets, and owns the one cache-fronted fetch
 //!   ([`transport::Transport::fetch_through`] and its batched sibling:
 //!   probe the cache, fetch the misses, insert);
 //! * **cache** — each logical worker owns a byte-budgeted
@@ -22,18 +22,21 @@
 //!   threads: static round-robin (the paper's even shuffle) or work
 //!   stealing for skewed task sets;
 //! * **worker** — each thread runs a [`worker::Worker`] loop over a
-//!   [`worker::LaneExecutor`]: the single executor (engine + private
-//!   triangle cache, DFS or hybrid, count or collect) that cluster
-//!   threads and `benu-service`'s chunk execution both run tasks
-//!   through. It fails soft: store/task errors surface as
-//!   [`WorkerError`] instead of panics;
+//!   [`worker::LaneExecutor`] bound to a [`worker::LaneSource`]: the
+//!   single executor (engine + private triangle cache, DFS or hybrid,
+//!   count or collect) and the single read path (fault gate → cache →
+//!   transport) that cluster threads and `benu-service`'s chunk
+//!   execution both run tasks through. It fails soft: store/task errors
+//!   surface as [`WorkerError`] instead of panics;
 //! * **recovery** — with a [`benu_fault::FaultPlan`] installed via
-//!   [`Cluster::set_fault_plan`], transports retry injected store faults
-//!   with capped virtual backoff, crashed workers' tasks are requeued
-//!   and re-executed on survivors (BENU's idempotent-task recovery,
-//!   §III-C), and the whole story is summarised in the outcome's
-//!   [`RecoveryReport`]. Stragglers are handled before they form: by
-//!   task splitting at τ (§V-B) and, optionally, work stealing;
+//!   [`Cluster::set_fault_plan`], each machine's [`gate::FaultGate`]
+//!   decides every injected store fault per logical adjacency access,
+//!   *in front of* the cache, and retries with capped virtual backoff;
+//!   crashed workers' tasks are requeued and re-executed on survivors
+//!   (BENU's idempotent-task recovery, §III-C), and the whole story is
+//!   summarised in the outcome's [`RecoveryReport`]. Stragglers are
+//!   handled before they form: by task splitting at τ (§V-B) and,
+//!   optionally, work stealing;
 //! * per-worker communication bytes, cache statistics, busy time, steal
 //!   counts and optional per-task durations are reported in the
 //!   [`RunOutcome`] — exactly the measurements behind Table V, Fig. 8,
@@ -42,6 +45,7 @@
 pub mod analysis;
 pub mod balance;
 pub mod config;
+pub mod gate;
 mod recovery;
 pub mod report;
 pub mod runtime;
@@ -49,15 +53,8 @@ pub mod schedule;
 pub mod transport;
 pub mod worker;
 
-// Everything a non-`Cluster` owner needs to build its own fault-aware
-// [`transport::Transport`]s ([`transport::Transport::with_faults`]):
-// the plan, the retry policy, and the routed store decorator — so a
-// serving layer can reuse the exact retry/failover machinery the batch
-// runtime runs on.
 pub use balance::CostProfile;
-pub use benu_fault::{
-    FaultError, FaultKind, FaultPlan, FaultPlanBuilder, FaultingStore, RetryPolicy, StoreError,
-};
+pub use benu_fault::{FaultError, FaultKind, FaultPlan, FaultPlanBuilder, RetryPolicy};
 pub use benu_kvstore::{CodecKind, CorruptValue};
 pub use config::{
     ClusterConfig, ClusterConfigBuilder, ExecMode, DEFAULT_CACHE_SHARDS,

@@ -8,8 +8,8 @@
 //! "Runtime layering" for the full picture.
 //!
 //! With a [`FaultPlan`] installed (see [`Cluster::set_fault_plan`]), a
-//! run also exercises BENU's recovery story: transports retry injected
-//! store faults with capped backoff, workers crash at planned task
+//! run also exercises BENU's recovery story: each worker's [`FaultGate`]
+//! retries injected store faults with capped backoff, workers crash at planned task
 //! boundaries and their tasks are requeued onto survivors in extra
 //! scheduler passes. Because tasks are idempotent and a dead worker's
 //! results are discarded wholesale, match counts are byte-identical to a
@@ -20,6 +20,7 @@
 
 use crate::balance::CostProfile;
 use crate::config::ClusterConfig;
+use crate::gate::FaultGate;
 use crate::recovery::RecoveryCtx;
 use crate::report::{RecoveryReport, RunOutcome, WorkerReport};
 use crate::transport::Transport;
@@ -279,15 +280,19 @@ impl Cluster {
 
         self.store.reset_stats();
         let transports: Vec<Transport> = (0..p)
-            .map(|_| match &self.fault_plan {
-                Some(plan) => Transport::with_faults(
-                    Arc::clone(&self.store),
-                    Arc::clone(plan),
-                    self.config.retry,
-                ),
-                None => Transport::new(Arc::clone(&self.store)),
-            })
+            .map(|_| Transport::new(Arc::clone(&self.store)))
             .collect();
+        // One gate per worker machine: its verdicts stand in front of
+        // the machine's cache, shared by the machine's threads.
+        let gates: Option<Vec<FaultGate>> = self.fault_plan.as_ref().map(|plan| {
+            (0..p)
+                .map(|_| {
+                    FaultGate::new(Arc::clone(&self.store), Arc::clone(plan), self.config.retry)
+                })
+                .collect()
+        });
+        let absorbed =
+            || -> Vec<RecoveryReport> { gates.iter().flatten().map(FaultGate::absorbed).collect() };
         let cache_stats_before: Vec<CacheStats> = self.caches.iter().map(|c| c.stats()).collect();
         let errors = ErrorSlot::new();
         let started = Instant::now();
@@ -301,10 +306,10 @@ impl Cluster {
         // spans advance by per-pass deltas, so trace timestamps are a
         // deterministic function of the fault seed, never the wall clock.
         let mut virtual_charged = Duration::ZERO;
-        let virtual_total = |transports: &[Transport]| -> Duration {
-            transports
+        let virtual_total = || -> Duration {
+            absorbed()
                 .iter()
-                .map(|t| t.backoff_virtual() + t.timeout_virtual() + t.slow_virtual())
+                .map(|a| a.backoff_virtual + a.timeout_wait_virtual + a.slow_penalty_virtual)
                 .sum()
         };
 
@@ -321,9 +326,9 @@ impl Cluster {
                 h.tracer.span(&name)
             });
             // Shard-outage decisions are pass-scoped: advance every
-            // transport's view at the barrier, before any thread runs.
-            for t in &transports {
-                t.set_pass(attempt);
+            // gate's view at the barrier, before any thread runs.
+            for gate in gates.iter().flatten() {
+                gate.set_pass(attempt);
             }
             let alive_before: Vec<bool> = (0..p)
                 .map(|w| recovery_ctx.as_ref().is_none_or(|rc| !rc.is_dead(w)))
@@ -348,6 +353,7 @@ impl Cluster {
                             compiled: &compiled,
                             config: &self.config,
                             errors: &errors,
+                            gate: gates.as_ref().map(|gates| &gates[w]),
                             recovery: recovery_ctx.as_ref(),
                             attempt,
                         };
@@ -405,7 +411,7 @@ impl Cluster {
             if let Some(hub) = &self.obs {
                 // Charge this pass's injected virtual latency into the
                 // trace clock before the pass span closes.
-                let now = virtual_total(&transports);
+                let now = virtual_total();
                 hub.tracer
                     .clock()
                     .advance((now - virtual_charged).as_nanos() as u64);
@@ -494,15 +500,16 @@ impl Cluster {
             recovery_passes,
             ..RecoveryReport::default()
         };
-        for t in &transports {
-            recovery.transient_faults += t.transient_faults();
-            recovery.timeouts += t.timeouts();
-            recovery.retries += t.retries();
-            recovery.backoff_virtual += t.backoff_virtual();
-            recovery.timeout_wait_virtual += t.timeout_virtual();
-            recovery.slow_penalty_virtual += t.slow_virtual();
-            recovery.failovers += t.failovers();
-            recovery.failover_reads += t.failover_reads();
+        let absorbed = absorbed();
+        for a in &absorbed {
+            recovery.transient_faults += a.transient_faults;
+            recovery.timeouts += a.timeouts;
+            recovery.retries += a.retries;
+            recovery.backoff_virtual += a.backoff_virtual;
+            recovery.timeout_wait_virtual += a.timeout_wait_virtual;
+            recovery.slow_penalty_virtual += a.slow_penalty_virtual;
+            recovery.failovers += a.failovers;
+            recovery.failover_reads += a.failover_reads;
         }
         if let Some(rc) = &recovery_ctx {
             recovery.worker_crashes = rc.crashes();
@@ -540,8 +547,9 @@ impl Cluster {
                 reg.counter_wall(&format!("worker.{w}.busy_nanos"))
                     .add(report.busy_time.as_nanos() as u64);
             }
-            for (w, t) in transports.iter().enumerate() {
-                reg.counter(&format!("worker.{w}.retries")).add(t.retries());
+            for w in 0..p {
+                let retries = absorbed.get(w).map_or(0, |a| a.retries);
+                reg.counter(&format!("worker.{w}.retries")).add(retries);
                 if recovery_ctx.as_ref().is_some_and(|rc| rc.is_dead(w)) {
                     reg.counter(&format!("worker.{w}.crashes")).inc();
                 }

@@ -1,12 +1,13 @@
-//! The lane executor and the worker thread body.
+//! The lane source, the lane executor and the worker thread body.
 //!
 //! Algorithm 2 has one worker body: pull local search tasks, run the
-//! plan against the cache-fronted store, report. [`LaneExecutor`] is that
-//! body's engine half — one engine bound to one [`DataSource`], running
-//! slices of tasks in the configured [`ExecMode`] — and every runtime
-//! that executes tasks sits on it: the cluster's worker threads
-//! ([`Worker::run_thread`]) and the serving layer's chunk execution in
-//! `benu-service`.
+//! plan against the cache-fronted store, report. [`LaneSource`] is that
+//! body's read path — fault gate, database cache, transport, in that
+//! order — and [`LaneExecutor`] its engine half — one engine bound to
+//! one [`DataSource`], running slices of tasks in the configured
+//! [`ExecMode`]. Every runtime that executes tasks sits on the pair: the
+//! cluster's worker threads ([`Worker::run_thread`]) and the serving
+//! layer's chunk execution in `benu-service`.
 //!
 //! Each simulated worker machine runs `threads_per_worker` OS threads,
 //! all executing [`Worker::run_thread`]: pull a task (or, under hybrid
@@ -20,6 +21,7 @@
 //! the runtime re-executes the lost tasks in a recovery pass.
 
 use crate::config::{ClusterConfig, ExecMode};
+use crate::gate::FaultGate;
 use crate::recovery::{RecoveryCtx, TaskFate};
 use crate::schedule::Scheduler;
 use crate::transport::{FetchError, Transport, TransportError};
@@ -29,11 +31,11 @@ use benu_engine::{
     LocalEngine, MatchConsumer, MemoryBudget, PoolStats, SearchTask, TaskMetrics,
 };
 use benu_graph::{AdjSet, TotalOrder, VertexId};
-use benu_kvstore::CorruptValue;
+use benu_kvstore::{CorruptValue, KvStore};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Renders the task context of an error: `task v3`, `task v3[2/5]`, or
@@ -125,6 +127,43 @@ pub enum WorkerError {
         /// Tasks that were awaiting re-execution.
         outstanding: usize,
     },
+}
+
+impl WorkerError {
+    /// The error for a lane access of `worker` that failed while `task`
+    /// (under hybrid execution: the batch `task` heads — a batch shares
+    /// its store traffic, so a finer attribution does not exist) ran as
+    /// execution `attempt`.
+    pub(crate) fn from_fetch(
+        error: FetchError,
+        store: &KvStore,
+        worker: usize,
+        task: SearchTask,
+        attempt: u32,
+    ) -> Self {
+        let task = Some(task);
+        match error {
+            FetchError::Missing(vertex) => WorkerError::MissingVertex {
+                worker,
+                vertex,
+                shard: store.shard_of(vertex),
+                task,
+                attempt,
+            },
+            FetchError::Unavailable(error) => WorkerError::StoreUnavailable {
+                worker,
+                error,
+                task,
+                attempt,
+            },
+            FetchError::Corrupt(error) => WorkerError::CorruptValue {
+                worker,
+                error,
+                task,
+                attempt,
+            },
+        }
+    }
 }
 
 impl std::fmt::Display for WorkerError {
@@ -230,89 +269,77 @@ impl ErrorSlot {
     }
 }
 
-/// The engine's view of the data graph from inside one worker: database
-/// cache in front of the worker's [`Transport`]. Failures cannot surface
-/// through the infallible [`DataSource`] signature, so they are recorded
-/// in the [`ErrorSlot`] — with the current task, shard and attempt as
-/// context — and answered with an empty adjacency set; the run aborts
-/// before the bogus empty result can be observed as a match count.
-pub(crate) struct WorkerSource<'a> {
-    worker: usize,
+/// The engine's view of the data graph from inside one execution lane:
+/// the fault gate's verdict first (when a fault plan is installed), then
+/// the machine's database cache, then — on a miss — the [`Transport`],
+/// reading the replica the verdict routed to. The one [`DataSource`]
+/// both runtimes execute against.
+///
+/// Failures cannot surface through the infallible [`DataSource`]
+/// signature, so the first one is parked here as the raw [`FetchError`]
+/// and answered with an empty adjacency set, which unwinds the engine
+/// cheaply; the lane's owner checks [`LaneSource::error`] after each
+/// slice of tasks and maps it into its own taxonomy before the bogus
+/// empty result can be observed as a match count.
+pub struct LaneSource<'a> {
     transport: &'a Transport,
     cache: &'a DbCache,
-    errors: &'a ErrorSlot,
-    attempt: u32,
-    current: Mutex<Option<SearchTask>>,
+    gate: Option<&'a FaultGate>,
+    error: OnceLock<FetchError>,
 }
 
-impl<'a> WorkerSource<'a> {
-    pub(crate) fn new(
-        worker: usize,
-        transport: &'a Transport,
-        cache: &'a DbCache,
-        errors: &'a ErrorSlot,
-        attempt: u32,
-    ) -> Self {
-        WorkerSource {
-            worker,
+impl<'a> LaneSource<'a> {
+    /// A lane's read path over `cache` and `transport`, gated by `gate`
+    /// when faults are being injected.
+    pub fn new(transport: &'a Transport, cache: &'a DbCache, gate: Option<&'a FaultGate>) -> Self {
+        LaneSource {
             transport,
             cache,
-            errors,
-            attempt,
-            current: Mutex::new(None),
+            gate,
+            error: OnceLock::new(),
         }
     }
 
-    /// Sets the task whose fetches are in flight (error context).
-    pub(crate) fn set_current(&self, task: Option<SearchTask>) {
-        *self.current.lock() = task;
+    /// The first access that failed, if any.
+    pub fn error(&self) -> Option<FetchError> {
+        self.error.get().copied()
     }
 
-    /// Records the matching [`WorkerError`] for a failed fetch and
-    /// degrades to an empty set (the run aborts before the empty result
-    /// can be observed).
-    fn fetch_failed(&self, error: FetchError) -> Arc<AdjSet> {
-        let (worker, task, attempt) = (self.worker, *self.current.lock(), self.attempt);
-        self.errors.record(match error {
-            FetchError::Missing(vertex) => WorkerError::MissingVertex {
-                worker,
-                vertex,
-                shard: self.transport.store().shard_of(vertex),
-                task,
-                attempt,
-            },
-            FetchError::Unavailable(error) => WorkerError::StoreUnavailable {
-                worker,
-                error,
-                task,
-                attempt,
-            },
-            FetchError::Corrupt(error) => WorkerError::CorruptValue {
-                worker,
-                error,
-                task,
-                attempt,
-            },
-        });
+    /// Parks `error` if it is the first and degrades to an empty set.
+    fn failed(&self, error: FetchError) -> Arc<AdjSet> {
+        let _ = self.error.set(error);
         Arc::new(AdjSet::new())
     }
 }
 
-impl DataSource for WorkerSource<'_> {
+impl DataSource for LaneSource<'_> {
     fn num_vertices(&self) -> usize {
         self.transport.store().num_vertices()
     }
 
     fn get_adj(&self, v: VertexId) -> Arc<AdjSet> {
-        self.transport
-            .fetch_through(self.cache, v)
-            .unwrap_or_else(|error| self.fetch_failed(error))
+        let fetched = match self.gate {
+            None => self.transport.fetch_through(self.cache, v, 0),
+            Some(gate) => gate
+                .verdict(v)
+                .map_err(FetchError::from)
+                .and_then(|replica| self.transport.fetch_through(self.cache, v, replica)),
+        };
+        fetched.unwrap_or_else(|error| self.failed(error))
     }
 
     fn get_adj_batch(&self, vs: &[VertexId]) -> Vec<Arc<AdjSet>> {
-        self.transport
-            .fetch_many_through(self.cache, vs)
-            .unwrap_or_else(|error| vec![self.fetch_failed(error); vs.len()])
+        let fetched = match self.gate {
+            None => self.transport.fetch_many_through(self.cache, vs, |_| 0),
+            Some(gate) => gate
+                .verdict_many(vs)
+                .map_err(FetchError::from)
+                .and_then(|route| {
+                    self.transport
+                        .fetch_many_through(self.cache, vs, |primary| route[primary])
+                }),
+        };
+        fetched.unwrap_or_else(|error| vec![self.failed(error); vs.len()])
     }
 
     fn residency_epoch(&self) -> u64 {
@@ -375,7 +402,7 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
             LocalEngine::with_triangle_cache(compiled, source, order, triangle_cache_entries);
         // Virtual latency an earlier occupant left on this thread is
         // not this lane's.
-        let _ = Transport::take_task_penalty();
+        let _ = FaultGate::take_task_penalty();
         LaneExecutor {
             engine: match mode {
                 ExecMode::Dfs => LaneEngine::Dfs(engine),
@@ -405,7 +432,8 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     /// # Errors
     ///
     /// [`TaskPanicked`] when the engine panicked; the executor must not
-    /// be used afterwards.
+    /// run again afterwards ([`LaneExecutor::finish`] still reports what
+    /// it counted).
     pub fn run(&mut self, tasks: &[SearchTask]) -> Result<(TaskMetrics, Duration), TaskPanicked> {
         let consumer: &mut dyn MatchConsumer = match &mut self.collecting {
             Some(collecting) => collecting,
@@ -424,7 +452,7 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
             }
             LaneEngine::Hybrid(frontier) => frontier.run_batch(tasks, consumer),
         }));
-        let penalty = Transport::take_task_penalty();
+        let penalty = FaultGate::take_task_penalty();
         match run {
             Ok(metrics) => Ok((metrics, penalty)),
             Err(_) => Err(TaskPanicked(tasks[at])),
@@ -493,6 +521,8 @@ pub struct Worker<'a> {
     pub(crate) compiled: &'a CompiledPlan,
     pub(crate) config: &'a ClusterConfig,
     pub(crate) errors: &'a ErrorSlot,
+    /// The machine's fault gate; `None` when no fault plan is installed.
+    pub(crate) gate: Option<&'a FaultGate>,
     /// Crash bookkeeping; `None` when no fault plan is installed.
     pub(crate) recovery: Option<&'a RecoveryCtx>,
     /// Execution attempt this pass runs as (1 = first pass).
@@ -500,6 +530,12 @@ pub struct Worker<'a> {
 }
 
 impl Worker<'_> {
+    /// Records `err` as the run's failure and hands it back.
+    fn fail(&self, err: WorkerError) -> WorkerError {
+        self.errors.record(err.clone());
+        err
+    }
+
     /// The thread body: pulls tasks from the scheduler — one at a time
     /// under DFS, `FRONTIER_TASK_BATCH` at a time under hybrid
     /// execution — until exhaustion, abort, or an injected crash of this
@@ -513,13 +549,7 @@ impl Worker<'_> {
     /// frontier byte budget is split evenly across the worker's threads.
     pub fn run_thread(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
         let config = self.config;
-        let source = WorkerSource::new(
-            self.id,
-            self.transport,
-            self.cache,
-            self.errors,
-            self.attempt,
-        );
+        let source = LaneSource::new(self.transport, self.cache, self.gate);
         let mut executor = LaneExecutor::new(
             self.compiled,
             &source,
@@ -541,22 +571,27 @@ impl Worker<'_> {
         {
             batch.clear();
             batch.extend(std::iter::from_fn(|| self.scheduler.next(self.id)).take(stride));
-            // Error context names the batch head; a batch shares its
-            // store traffic, so a finer attribution does not exist.
             let Some(&head) = batch.first() else {
                 break;
             };
-            source.set_current(Some(head));
             let t0 = Instant::now();
             let (run, penalty) = executor.run(&batch).map_err(|TaskPanicked(task)| {
-                let err = WorkerError::TaskPanicked {
+                self.fail(WorkerError::TaskPanicked {
                     worker: self.id,
                     task,
                     attempt: self.attempt,
-                };
-                self.errors.record(err.clone());
-                err
+                })
             })?;
+            if let Some(error) = source.error() {
+                let store = self.transport.store();
+                return Err(self.fail(WorkerError::from_fetch(
+                    error,
+                    store,
+                    self.id,
+                    head,
+                    self.attempt,
+                )));
+            }
             let dt = t0.elapsed() + penalty;
             metrics += run;
             executed += batch.len();
@@ -589,7 +624,6 @@ impl Worker<'_> {
                 }
             }
         }
-        source.set_current(None);
         // Another thread may have failed while this one drained cleanly:
         // surface that error so the run aborts deterministically.
         match self.errors.first() {
@@ -610,56 +644,55 @@ impl Worker<'_> {
 mod tests {
     use super::*;
     use benu_engine::SplitSpec;
+    use benu_fault::{FaultKind, FaultPlan, RetryPolicy};
     use benu_graph::gen;
-    use benu_kvstore::KvStore;
 
-    fn harness(shards: usize) -> (Transport, DbCache, ErrorSlot) {
+    fn harness(shards: usize) -> (Transport, DbCache) {
         let g = gen::complete(5);
         (
             Transport::new(Arc::new(KvStore::from_graph(&g, shards))),
             DbCache::new(1 << 16, 2),
-            ErrorSlot::new(),
         )
     }
 
-    #[test]
-    fn missing_vertex_records_error_and_returns_empty_set() {
-        let (transport, cache, errors) = harness(2);
-        let source = WorkerSource::new(3, &transport, &cache, &errors, 1);
-        let adj = source.get_adj(99);
-        assert!(adj.is_empty());
-        assert!(errors.aborted());
-        assert_eq!(
-            errors.first(),
-            Some(WorkerError::MissingVertex {
-                worker: 3,
-                vertex: 99,
-                shard: 1,
-                task: None,
-                attempt: 1,
-            })
-        );
+    fn gate(store: &Arc<KvStore>, plan: FaultPlan, retry: RetryPolicy) -> FaultGate {
+        let _ = FaultGate::take_task_penalty();
+        FaultGate::new(Arc::clone(store), Arc::new(plan), retry)
     }
 
     #[test]
-    fn errors_carry_the_current_task_context() {
-        let (transport, cache, errors) = harness(2);
-        let source = WorkerSource::new(0, &transport, &cache, &errors, 2);
+    fn missing_vertex_parks_the_error_and_returns_empty_set() {
+        let (transport, cache) = harness(2);
+        let source = LaneSource::new(&transport, &cache, None);
+        assert!(source.get_adj(0).len() == 4 && source.error().is_none());
+        assert!(source.get_adj(99).is_empty());
+        assert_eq!(source.error(), Some(FetchError::Missing(99)));
+        // First error wins; later accesses still serve.
+        assert!(source
+            .get_adj_batch(&[1, 77])
+            .iter()
+            .all(|adj| adj.is_empty()));
+        assert_eq!(source.get_adj(1).len(), 4);
+        assert_eq!(source.error(), Some(FetchError::Missing(99)));
+    }
+
+    #[test]
+    fn fetch_errors_carry_worker_task_and_attempt_context() {
+        let (transport, _) = harness(2);
         let task = SearchTask {
             start: 3,
             split: Some(SplitSpec { index: 1, total: 5 }),
         };
-        source.set_current(Some(task));
-        source.get_adj(42);
-        match errors.first() {
-            Some(WorkerError::MissingVertex {
-                task: t, attempt, ..
-            }) => {
-                assert_eq!(t, Some(task));
-                assert_eq!(attempt, 2);
+        assert_eq!(
+            WorkerError::from_fetch(FetchError::Missing(99), transport.store(), 3, task, 2),
+            WorkerError::MissingVertex {
+                worker: 3,
+                vertex: 99,
+                shard: 1,
+                task: Some(task),
+                attempt: 2,
             }
-            other => panic!("expected MissingVertex, got {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -684,8 +717,8 @@ mod tests {
 
     #[test]
     fn batch_lookup_serves_cache_hits_without_round_trips() {
-        let (transport, cache, errors) = harness(2);
-        let source = WorkerSource::new(0, &transport, &cache, &errors, 1);
+        let (transport, cache) = harness(2);
+        let source = LaneSource::new(&transport, &cache, None);
         source.get_adj(0);
         let before = transport.requests();
         let sets = source.get_adj_batch(&[0, 1, 2]);
@@ -698,39 +731,113 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_store_records_unavailable_with_context() {
-        use benu_fault::{FaultPlan, RetryPolicy};
-        let g = gen::complete(5);
-        let transport = Transport::with_faults(
-            Arc::new(KvStore::from_graph(&g, 1)),
-            Arc::new(FaultPlan::builder(0).transient_rate(0.995).build()),
+    fn gated_source_retries_to_success_and_reconciles_with_the_store() {
+        let store = Arc::new(KvStore::from_graph(&gen::complete(16), 4));
+        let gate = gate(
+            &store,
+            FaultPlan::builder(12).transient_rate(0.4).build(),
+            RetryPolicy::default(),
+        );
+        let transport = Transport::new(Arc::clone(&store));
+        let cache = DbCache::new(0, 2);
+        let source = LaneSource::new(&transport, &cache, Some(&gate));
+        for v in 0..16u32 {
+            assert_eq!(source.get_adj(v).len(), 15);
+        }
+        assert_eq!(source.error(), None);
+        let absorbed = gate.absorbed();
+        assert!(
+            absorbed.transient_faults > 0,
+            "rate 0.4 over 16 gets must fault"
+        );
+        assert_eq!(absorbed.retries, absorbed.transient_faults);
+        assert!(absorbed.backoff_virtual > Duration::ZERO);
+        assert_eq!(
+            FaultGate::take_task_penalty(),
+            absorbed.backoff_virtual,
+            "backoff is charged to the calling thread"
+        );
+        // Accounting still reconciles: refused attempts never reached
+        // the store.
+        assert_eq!(transport.bytes(), store.stats().bytes);
+        assert_eq!(transport.requests(), store.stats().requests);
+        assert_eq!(transport.requests(), 16);
+    }
+
+    #[test]
+    fn gated_source_rides_out_a_shard_outage_on_the_mirror() {
+        let store = Arc::new(KvStore::from_graph_replicated(&gen::complete(16), 4, 2));
+        let gate = gate(
+            &store,
+            FaultPlan::builder(0).shard_outage(0, 1).build(),
+            RetryPolicy::default(),
+        );
+        let transport = Transport::new(Arc::clone(&store));
+        let cache = DbCache::new(0, 2);
+        let source = LaneSource::new(&transport, &cache, Some(&gate));
+        for v in 0..16u32 {
+            assert_eq!(source.get_adj(v).len(), 15);
+        }
+        let absorbed = gate.absorbed();
+        assert_eq!(
+            absorbed.retries, 0,
+            "failover happens before the retry budget"
+        );
+        assert_eq!(absorbed.transient_faults, 0);
+        assert!(absorbed.failovers > 0);
+        assert_eq!(
+            absorbed.failover_reads, 4,
+            "the four shard-0 vertices are served by the mirror"
+        );
+        // Accounting reconciles: every serving round trip is real, and
+        // the miss path read the replica the verdict routed to.
+        assert_eq!(transport.bytes(), store.stats().bytes);
+        assert_eq!(transport.requests(), store.stats().requests);
+        assert_eq!(store.shard_stats(0).requests, 0, "the dark shard is silent");
+        // Batches too: {0, 4} fail over to shard 1, which also serves 1.
+        let before = transport.requests();
+        assert_eq!(source.get_adj_batch(&[0, 4, 1, 2]).len(), 4);
+        assert_eq!(transport.requests() - before, 2, "serving shards {{1, 2}}");
+        assert_eq!(store.shard_stats(0).requests, 0);
+        assert_eq!(source.error(), None);
+    }
+
+    #[test]
+    fn exhausted_gate_parks_unavailable_and_maps_with_context() {
+        let store = Arc::new(KvStore::from_graph(&gen::complete(5), 1));
+        let gate = gate(
+            &store,
+            FaultPlan::builder(0).transient_rate(0.995).build(),
             RetryPolicy {
                 max_attempts: 2,
                 ..RetryPolicy::default()
             },
         );
+        let transport = Transport::new(Arc::clone(&store));
         let cache = DbCache::new(0, 2);
-        let errors = ErrorSlot::new();
-        let source = WorkerSource::new(1, &transport, &cache, &errors, 1);
-        source.set_current(Some(SearchTask::whole(4)));
-        for v in 0..5 {
-            source.get_adj(v);
-        }
-        assert!(errors.aborted(), "rate 0.995 with 2 attempts must exhaust");
-        match errors.first() {
-            Some(WorkerError::StoreUnavailable {
-                worker,
+        let source = LaneSource::new(&transport, &cache, Some(&gate));
+        let v = (0..5)
+            .find(|&v| source.get_adj(v).is_empty())
+            .expect("rate 0.995 with 2 attempts must exhaust somewhere");
+        let error = TransportError {
+            shard: 0,
+            vertex: v,
+            attempts: 2,
+            kind: FaultKind::Transient,
+        };
+        assert_eq!(source.error(), Some(FetchError::Unavailable(error)));
+        assert!(error.to_string().contains("after 2 attempts"));
+        let task = SearchTask::whole(4);
+        assert_eq!(
+            WorkerError::from_fetch(source.error().unwrap(), &store, 1, task, 1),
+            WorkerError::StoreUnavailable {
+                worker: 1,
                 error,
-                task,
-                ..
-            }) => {
-                assert_eq!(worker, 1);
-                assert_eq!(error.attempts, 2);
-                assert_eq!(task, Some(SearchTask::whole(4)));
+                task: Some(task),
+                attempt: 1,
             }
-            other => panic!("expected StoreUnavailable, got {other:?}"),
-        }
-        let _ = Transport::take_task_penalty();
+        );
+        let _ = FaultGate::take_task_penalty();
     }
 
     #[test]
@@ -761,6 +868,7 @@ mod tests {
                 shard: 3,
                 vertex: 9,
                 attempts: 8,
+                kind: FaultKind::Timeout,
             },
             task: None,
             attempt: 1,
@@ -792,31 +900,58 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_value_records_structured_error_and_degrades() {
-        let g = gen::complete(5);
-        let mut store = KvStore::from_graph(&g, 2);
-        assert!(store.corrupt_value(2));
-        let transport = Transport::new(Arc::new(store));
+    fn corrupt_values_fail_fast_without_touching_the_retry_budget() {
+        let g = gen::cycle(6);
+        let mut store = KvStore::from_graph_replicated(&g, 2, 2);
+        assert!(store.corrupt_value(3));
+        let store = Arc::new(store);
+        let transport = Transport::new(Arc::clone(&store));
         let cache = DbCache::new(1 << 16, 2);
-        let errors = ErrorSlot::new();
-        let source = WorkerSource::new(4, &transport, &cache, &errors, 1);
-        source.set_current(Some(SearchTask::whole(2)));
-        let adj = source.get_adj(2);
-        assert!(adj.is_empty(), "corrupt fetch degrades to an empty set");
-        assert!(errors.aborted());
-        match errors.first() {
-            Some(WorkerError::CorruptValue {
-                worker,
+        // Ungated: a structured error, not a panic, and an empty set.
+        let plain = LaneSource::new(&transport, &cache, None);
+        assert!(plain.get_adj(3).is_empty(), "corrupt fetch degrades");
+        let err = plain.error().expect("decode failure is parked");
+        assert!(matches!(err, FetchError::Corrupt(corrupt) if corrupt.vertex == 3));
+        assert!(err.to_string().contains("corrupt value for vertex 3"));
+        // Gated: corruption never burns retry budget — every replica
+        // mirrors the same bytes, so retrying cannot help.
+        let gate = gate(&store, FaultPlan::benign(0), RetryPolicy::default());
+        let gated = LaneSource::new(&transport, &cache, Some(&gate));
+        assert!(gated.get_adj_batch(&[0, 3])[1].is_empty());
+        assert_eq!(gated.error(), Some(err));
+        assert_eq!(gate.absorbed().retries, 0);
+        // Healthy keys still serve, and the mapping keeps the context.
+        assert_eq!(gated.get_adj(0).len(), 2);
+        let task = SearchTask::whole(2);
+        match WorkerError::from_fetch(err, &store, 4, task, 1) {
+            WorkerError::CorruptValue {
+                worker: 4,
                 error,
-                task,
-                attempt,
-            }) => {
-                assert_eq!(worker, 4);
-                assert_eq!(error.vertex, 2);
-                assert_eq!(task, Some(SearchTask::whole(2)));
-                assert_eq!(attempt, 1);
-            }
+                task: Some(named),
+                attempt: 1,
+            } => assert_eq!((error.vertex, named), (3, task)),
             other => panic!("expected CorruptValue, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn benign_gate_matches_the_ungated_source() {
+        let g = gen::barabasi_albert(40, 3, 7);
+        let store = Arc::new(KvStore::from_graph(&g, 2));
+        let gate = gate(&store, FaultPlan::benign(0), RetryPolicy::default());
+        let (plain_t, gated_t) = (
+            Transport::new(Arc::clone(&store)),
+            Transport::new(Arc::clone(&store)),
+        );
+        let (plain_c, gated_c) = (DbCache::new(1 << 16, 2), DbCache::new(1 << 16, 2));
+        let plain = LaneSource::new(&plain_t, &plain_c, None);
+        let gated = LaneSource::new(&gated_t, &gated_c, Some(&gate));
+        for v in 0..41u32 {
+            assert_eq!(plain.get_adj(v), gated.get_adj(v));
+        }
+        assert_eq!(plain.error(), gated.error(), "40 is missing from both");
+        assert_eq!(plain_t.bytes(), gated_t.bytes());
+        assert!(gate.absorbed().is_clean());
+        assert_eq!(FaultGate::take_task_penalty(), Duration::ZERO);
     }
 }

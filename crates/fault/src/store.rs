@@ -1,79 +1,35 @@
-//! The fault-injecting store decorator.
+//! The fault router: a [`FaultPlan`]'s decisions over a store's layout.
 //!
-//! [`FaultingStore`] wraps a [`KvStore`] and consults the [`FaultPlan`]
-//! *before* touching it: a faulted round trip fails without reaching the
-//! store, so the store's request/byte accounting keeps reconciling with
-//! the transport's (failed attempts transfer nothing). The wrapped API is
-//! attempt-aware — callers pass the attempt number so the plan can make
-//! independent decisions per retry.
+//! [`FaultingStore`] pairs a [`KvStore`]'s placement (shard count,
+//! replication ring) with a [`FaultPlan`] and answers one question per
+//! access: *which replica serves this attempt, or why can none?* It is
+//! decision-only — nothing is fetched here. The caller (the cluster's
+//! fault gate) asks before it reads, so a refused attempt never reaches
+//! the store and the store's request/byte accounting keeps reconciling
+//! with the transport's. The API is attempt-aware — callers pass the
+//! attempt number so the plan can make independent decisions per retry.
 //!
 //! # Failover routing
 //!
-//! When the wrapped store is replicated, every request is *routed*: the
-//! decorator walks the key's placement ring (primary first, mirrors in
-//! order) and serves from the first replica the plan lets answer. A
-//! faulted or dark primary is therefore masked by a healthy mirror
-//! without the caller ever seeing an error — only when *every* replica
-//! refuses does the request fail, and the error kind then tells the
-//! retry layer whether waiting can help ([`FaultKind::Outage`] means all
-//! copies are persistently dark, so it cannot). The routing decision is
-//! a pure function of `(plan, key, attempt, pass)`, keeping failover as
+//! When the store is replicated, every access is *routed*: the router
+//! walks the key's placement ring (primary first, mirrors in order) and
+//! names the first replica the plan lets answer. A faulted or dark
+//! primary is therefore masked by a healthy mirror without the caller
+//! ever seeing an error — only when *every* replica refuses does the
+//! access fail, and the error kind then tells the retry layer whether
+//! waiting can help ([`FaultKind::Outage`] means all copies are
+//! persistently dark, so it cannot). The routing decision is a pure
+//! function of `(plan, key, attempt, pass)`, keeping failover as
 //! replayable as every other fault decision.
 
 use crate::plan::{FaultError, FaultKind, FaultPlan};
-use benu_graph::{AdjSet, VertexId};
-use benu_kvstore::{BatchOutcome, CorruptValue, KvStore};
+use benu_graph::VertexId;
+use benu_kvstore::KvStore;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Why a routed read failed: either the fault plan refused every
-/// replica (retryable unless the kind is [`FaultKind::Outage`]), or the
-/// serving replica's bytes failed to decode (never retryable — every
-/// replica mirrors the same value, so a corrupt read cannot be waited
-/// out).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreError {
-    /// Every replica refused per the fault plan.
-    Fault(FaultError),
-    /// The serving replica's stored bytes are damaged.
-    Corrupt(CorruptValue),
-}
-
-impl StoreError {
-    /// The injected-fault view of the error, if that is what it is.
-    pub fn as_fault(&self) -> Option<&FaultError> {
-        match self {
-            StoreError::Fault(err) => Some(err),
-            StoreError::Corrupt(_) => None,
-        }
-    }
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Fault(err) => err.fmt(f),
-            StoreError::Corrupt(err) => err.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<FaultError> for StoreError {
-    fn from(err: FaultError) -> Self {
-        StoreError::Fault(err)
-    }
-}
-
-impl From<CorruptValue> for StoreError {
-    fn from(err: CorruptValue) -> Self {
-        StoreError::Corrupt(err)
-    }
-}
-
-/// A [`KvStore`] with a [`FaultPlan`] in front of it.
+/// A [`FaultPlan`]'s routing decisions over a [`KvStore`]'s layout.
 pub struct FaultingStore {
     store: Arc<KvStore>,
     plan: Arc<FaultPlan>,
@@ -94,7 +50,7 @@ struct Scan {
 }
 
 impl FaultingStore {
-    /// Puts `plan` in front of `store`.
+    /// Routes accesses to `store`'s layout by `plan`.
     pub fn new(store: Arc<KvStore>, plan: Arc<FaultPlan>) -> Self {
         FaultingStore {
             store,
@@ -106,7 +62,7 @@ impl FaultingStore {
         }
     }
 
-    /// The wrapped store.
+    /// The store whose layout is routed over.
     pub fn store(&self) -> &Arc<KvStore> {
         &self.store
     }
@@ -116,7 +72,7 @@ impl FaultingStore {
         &self.plan
     }
 
-    /// Faults injected through this decorator so far. Counts errors that
+    /// Faults injected through this router so far. Counts errors that
     /// actually surfaced to the caller — a primary fault masked by a
     /// replica read shows up in [`FaultingStore::failover_attempts`]
     /// instead, keeping this counter reconciled with the retry layer's.
@@ -130,7 +86,7 @@ impl FaultingStore {
         self.failover_attempts.load(Ordering::Relaxed)
     }
 
-    /// Round trips served by a non-primary replica.
+    /// Accesses routed to a non-primary replica.
     pub fn failover_reads(&self) -> u64 {
         self.failover_reads.load(Ordering::Relaxed)
     }
@@ -193,69 +149,18 @@ impl FaultingStore {
         }
     }
 
-    /// Scan plus accounting: failover counters reflect served requests,
-    /// `injected` reflects surfaced errors.
-    fn route(
-        &self,
-        primary: usize,
-        key: u64,
-        attempt: u32,
-        pass: u32,
-    ) -> Result<usize, FaultError> {
-        let scan = self.scan(primary, key, attempt, pass);
-        match scan.outcome {
-            Ok(offset) => {
-                if scan.skipped > 0 {
-                    self.failover_attempts
-                        .fetch_add(scan.skipped, Ordering::Relaxed);
-                }
-                if offset > 0 {
-                    self.failover_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(offset)
-            }
-            Err(err) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Err(err)
-            }
-        }
-    }
-
-    /// The routing decision for the `attempt`-th try at fetching `v`,
-    /// *without* touching the store: the replica offset that serves, or
-    /// the fault that refuses every replica (retryable unless its kind
-    /// is [`FaultKind::Outage`]). Failover/injection counters are
-    /// booked. Public so decision-only consumers — e.g. a serving layer
-    /// that fronts the store with its own cache — can evaluate the
-    /// plan's verdict on every *logical* access, independent of what
-    /// their cache happens to hold, and keep failure outcomes a pure
-    /// function of the seed.
-    pub fn route_for(&self, v: VertexId, attempt: u32) -> Result<usize, FaultError> {
-        let primary = self.store.shard_of(v);
-        self.route(primary, v as u64, attempt, self.pass())
-    }
-
-    /// The `attempt`-th try at fetching `v`, returning the decoded set
-    /// together with the wire bytes it cost. `Ok(None)` means the
-    /// vertex genuinely does not exist (a permanent condition —
-    /// retrying cannot help); [`StoreError::Fault`] is an injected
-    /// fault, retryable unless its kind is [`FaultKind::Outage`] (every
-    /// replica persistently dark); [`StoreError::Corrupt`] means the
-    /// serving replica's bytes are rotten — also permanent, since every
-    /// replica mirrors the same value.
-    pub fn get(&self, v: VertexId, attempt: u32) -> Result<Option<(Arc<AdjSet>, u64)>, StoreError> {
-        let offset = self.route_for(v, attempt)?;
-        Ok(self.store.try_get_replica(v, offset)?)
-    }
-
-    /// The per-primary-group routing decision of a batched multi-get
-    /// over `keys`, *without* touching the store: `route[primary]` is
-    /// the replica offset serving that group. Decisions are keyed by
-    /// the smallest vertex primarily owned by each shard; if any group
-    /// cannot be served from any replica the whole batch fails as a
-    /// unit (an all-dark group makes it hopeless — [`FaultKind::Outage`]
-    /// — otherwise the first retryable error is carried home).
-    /// Failover/injection counters are booked.
+    /// The per-primary-group routing decision of the `attempt`-th try at
+    /// a batched multi-get over `keys`: `route[primary]` is the replica
+    /// offset serving that group, or the fault that refuses the batch
+    /// (retryable unless its kind is [`FaultKind::Outage`]). Decisions
+    /// are keyed by the smallest vertex primarily owned by each shard;
+    /// if any group cannot be served from any replica the whole batch
+    /// fails as a unit (an all-dark group makes it hopeless, otherwise
+    /// the first retryable error is carried home). Failover counters
+    /// reflect served accesses, `injected` surfaced errors. Nothing is
+    /// fetched, so a caller that fronts the store with a cache can ask
+    /// on every *logical* access, independent of what the cache happens
+    /// to hold, and keep failure outcomes a pure function of the seed.
     pub fn route_many(&self, keys: &[VertexId], attempt: u32) -> Result<Vec<usize>, FaultError> {
         let pass = self.pass();
         let mut route: Vec<usize> = vec![0; self.store.num_shards()];
@@ -293,50 +198,18 @@ impl FaultingStore {
         Ok(route)
     }
 
-    /// The `attempt`-th try at a batched multi-get: the
-    /// [`FaultingStore::route_many`] decision followed by the actual
-    /// reads, regrouped by serving shard — a failed-over batch still
-    /// costs one round trip per surviving shard touched.
-    pub fn get_many(&self, keys: &[VertexId], attempt: u32) -> Result<BatchOutcome, StoreError> {
-        let route = self.route_many(keys, attempt)?;
-        Ok(self
-            .store
-            .try_get_many_routed(keys, |primary| route[primary])?)
-    }
-
-    /// The extra virtual latency a successful round trip to `shard` pays
-    /// (zero for healthy shards).
-    pub fn latency_penalty(&self, shard: usize) -> Duration {
-        self.plan.latency_penalty(shard)
-    }
-
-    /// The slow-shard penalty of the successful fetch of `v` at
-    /// `attempt`, charged against the replica that actually served it —
-    /// failing over away from a slow-and-faulty primary also escapes its
-    /// latency. Re-runs the (pure) routing scan, so it must be called
-    /// with the same `attempt` as the fetch it prices.
-    pub fn latency_penalty_routed(&self, v: VertexId, attempt: u32) -> Duration {
-        let primary = self.store.shard_of(v);
-        match self.scan(primary, v as u64, attempt, self.pass()).outcome {
-            Ok(offset) => self
-                .plan
-                .latency_penalty(self.store.replica_shard(v, offset)),
-            Err(_) => Duration::ZERO,
-        }
+    /// [`FaultingStore::route_many`] for the single vertex `v` — a batch
+    /// of one, keyed by `v`: the replica offset that serves it.
+    pub fn route_for(&self, v: VertexId, attempt: u32) -> Result<usize, FaultError> {
+        Ok(self.route_many(&[v], attempt)?[self.store.shard_of(v)])
     }
 
     /// The total slow-shard penalty of a successful batch over `keys`
-    /// (one round trip per touched shard).
-    pub fn batch_latency_penalty(&self, keys: &[VertexId]) -> Duration {
-        touched_shards(&self.store, keys)
-            .into_iter()
-            .map(|(shard, _)| self.plan.latency_penalty(shard))
-            .sum()
-    }
-
-    /// Routed variant of [`FaultingStore::batch_latency_penalty`]: each
-    /// primary-shard group pays the penalty of the replica that served
-    /// it at `attempt`.
+    /// at `attempt`: one round trip per touched primary-shard group,
+    /// each paying the penalty of the replica that served it — failing
+    /// over away from a slow-and-faulty primary also escapes its
+    /// latency. Re-runs the (pure) routing scan, so it must be called
+    /// with the same `attempt` as the decision it prices.
     pub fn batch_latency_penalty_routed(&self, keys: &[VertexId], attempt: u32) -> Duration {
         let pass = self.pass();
         let num_shards = self.store.num_shards();
@@ -379,53 +252,39 @@ mod tests {
     }
 
     #[test]
-    fn benign_plan_is_a_passthrough() {
-        let s = store(2);
-        let f = FaultingStore::new(Arc::clone(&s), Arc::new(FaultPlan::benign(0)));
-        let (adj, wire) = f.get(0, 0).unwrap().unwrap();
-        assert_eq!(adj.len(), 7);
-        assert_eq!(wire, 1 + 7 * 4, "tagged raw-u32 wire bytes");
-        assert!(f.get(99, 0).unwrap().is_none(), "missing stays missing");
-        let batch = f.get_many(&[0, 1, 2], 0).unwrap();
-        assert_eq!(batch.values.len(), 3);
+    fn benign_plan_routes_every_access_to_the_primary() {
+        let f = FaultingStore::new(store(2), Arc::new(FaultPlan::benign(0)));
+        assert_eq!(f.route_for(0, 0), Ok(0));
+        assert_eq!(f.route_for(99, 0), Ok(0), "existence is the store's call");
+        assert_eq!(f.route_many(&[0, 1, 2], 0), Ok(vec![0, 0]));
         assert_eq!(f.injected(), 0);
+        assert_eq!(f.failover_attempts(), 0);
     }
 
     #[test]
-    fn injected_faults_never_touch_the_store() {
-        let s = store(1);
+    fn surfaced_faults_are_counted_as_injected() {
         let plan = Arc::new(FaultPlan::builder(11).transient_rate(0.9).build());
-        let f = FaultingStore::new(Arc::clone(&s), plan);
-        let mut faults = 0;
-        for v in 0..8u32 {
-            if f.get(v, 0).is_err() {
-                faults += 1;
-            }
-        }
+        let f = FaultingStore::new(store(1), plan);
+        let faults = (0..8u32).filter(|&v| f.route_for(v, 0).is_err()).count();
         assert!(faults > 0, "rate 0.9 must fault something");
-        assert_eq!(f.injected(), faults);
-        // The store only accounted the successful fetches.
-        assert_eq!(s.stats().requests, 8 - faults);
+        assert_eq!(f.injected(), faults as u64);
     }
 
     #[test]
-    fn batch_faults_fail_as_a_unit() {
+    fn batch_decisions_fail_as_a_unit_and_replay() {
         let s = store(4);
         let plan = Arc::new(FaultPlan::builder(2).transient_rate(0.5).build());
         let f = FaultingStore::new(Arc::clone(&s), plan);
         let keys: Vec<VertexId> = (0..8).collect();
-        // Deterministic: either the whole batch fails (store untouched)
-        // or it succeeds wholesale.
-        match f.get_many(&keys, 0) {
-            Ok(batch) => assert_eq!(batch.values.iter().filter(|v| v.is_some()).count(), 8),
-            Err(_) => assert_eq!(s.stats().requests, 0),
+        // Deterministic: either the whole batch is refused (one surfaced
+        // fault) or every group is routed.
+        match f.route_many(&keys, 0) {
+            Ok(route) => assert_eq!(route, vec![0; 4]),
+            Err(_) => assert_eq!(f.injected(), 1),
         }
         // Same decision on a replay.
-        let replay = FaultingStore::new(Arc::clone(&s), Arc::clone(f.plan()));
-        assert_eq!(
-            f.get_many(&keys, 1).is_err(),
-            replay.get_many(&keys, 1).is_err()
-        );
+        let replay = FaultingStore::new(s, Arc::clone(f.plan()));
+        assert_eq!(f.route_many(&keys, 1), replay.route_many(&keys, 1));
     }
 
     fn replicated_store(shards: usize, replication: usize) -> Arc<KvStore> {
@@ -438,26 +297,21 @@ mod tests {
 
     #[test]
     fn primary_outage_fails_over_to_the_mirror() {
-        let s = replicated_store(4, 2);
         let plan = Arc::new(FaultPlan::builder(0).shard_outage(0, 1).build());
-        let f = FaultingStore::new(Arc::clone(&s), plan);
+        let f = FaultingStore::new(replicated_store(4, 2), plan);
         // Vertex 0's primary (shard 0) is dark; its mirror on shard 1
         // serves without surfacing an error.
-        let (adj, _) = f.get(0, 0).unwrap().unwrap();
-        assert_eq!(adj.len(), 7);
+        assert_eq!(f.route_for(0, 0), Ok(1));
         assert_eq!(f.injected(), 0, "masked faults never surface");
         assert_eq!(f.failover_attempts(), 1);
         assert_eq!(f.failover_reads(), 1);
-        assert_eq!(s.shard_stats(0).requests, 0, "dark shard untouched");
-        assert_eq!(s.shard_stats(1).requests, 1);
-        // A vertex primarily off the dark shard reads straight through.
-        f.get(1, 0).unwrap().unwrap();
+        // A vertex primarily off the dark shard routes straight through.
+        assert_eq!(f.route_for(1, 0), Ok(0));
         assert_eq!(f.failover_reads(), 1);
     }
 
     #[test]
     fn all_replicas_dark_surfaces_an_outage() {
-        let s = replicated_store(4, 2);
         // Vertex 0's whole placement group {0, 1} is dark.
         let plan = Arc::new(
             FaultPlan::builder(0)
@@ -465,26 +319,21 @@ mod tests {
                 .shard_outage(1, 1)
                 .build(),
         );
-        let f = FaultingStore::new(Arc::clone(&s), plan);
-        let err = f.get(0, 0).unwrap_err();
-        assert_eq!(err.as_fault().unwrap().kind, FaultKind::Outage);
+        let f = FaultingStore::new(replicated_store(4, 2), plan);
+        assert_eq!(f.route_for(0, 0).unwrap_err().kind, FaultKind::Outage);
         assert_eq!(f.injected(), 1);
         assert_eq!(f.failover_reads(), 0, "nothing was served");
         // Vertex 2's placement {2, 3} survives untouched.
-        assert!(f.get(2, 0).is_ok());
+        assert!(f.route_for(2, 0).is_ok());
     }
 
     #[test]
     fn outage_onset_respects_the_pass() {
-        let s = replicated_store(2, 1);
         let plan = Arc::new(FaultPlan::builder(0).shard_outage(0, 2).build());
-        let f = FaultingStore::new(Arc::clone(&s), plan);
-        assert!(f.get(0, 0).is_ok(), "pass 1 predates the outage");
+        let f = FaultingStore::new(replicated_store(2, 1), plan);
+        assert!(f.route_for(0, 0).is_ok(), "pass 1 predates the outage");
         f.set_pass(2);
-        assert_eq!(
-            f.get(0, 5).unwrap_err().as_fault().unwrap().kind,
-            FaultKind::Outage
-        );
+        assert_eq!(f.route_for(0, 5).unwrap_err().kind, FaultKind::Outage);
         assert_eq!(
             f.failover_attempts(),
             0,
@@ -494,7 +343,6 @@ mod tests {
 
     #[test]
     fn mixed_outage_and_transient_errors_stay_retryable() {
-        let s = replicated_store(4, 2);
         // Primary dark; mirror healthy but heavily fault-injected. The
         // surfaced error must be retryable (the mirror can recover), and
         // some attempt must eventually be served by it.
@@ -504,16 +352,17 @@ mod tests {
                 .transient_rate(0.5)
                 .build(),
         );
-        let f = FaultingStore::new(Arc::clone(&s), plan);
+        let f = FaultingStore::new(replicated_store(4, 2), plan);
         let mut served = false;
         for attempt in 0..64 {
-            match f.get(0, attempt) {
-                Ok(_) => {
+            match f.route_for(0, attempt) {
+                Ok(offset) => {
+                    assert_eq!(offset, 1, "only the mirror can serve");
                     served = true;
                     break;
                 }
                 Err(err) => assert_ne!(
-                    err.as_fault().unwrap().kind,
+                    err.kind,
                     FaultKind::Outage,
                     "a live mirror keeps the error retryable"
                 ),
@@ -525,32 +374,28 @@ mod tests {
 
     #[test]
     fn batches_fail_over_per_primary_group() {
-        let s = replicated_store(4, 2);
         let plan = Arc::new(FaultPlan::builder(0).shard_outage(0, 1).build());
-        let f = FaultingStore::new(Arc::clone(&s), plan);
+        let f = FaultingStore::new(replicated_store(4, 2), plan);
         // Primaries: 0, 4 on shard 0 (dark, fails over to 1); 1, 5 on
-        // shard 1; 2 on shard 2. Serving shards: {1, 2} = 2 round trips.
-        let batch = f.get_many(&[0, 4, 1, 5, 2], 0).unwrap();
-        assert_eq!(batch.round_trips, 2);
-        assert_eq!(batch.values.iter().filter(|v| v.is_some()).count(), 5);
+        // shard 1; 2 on shard 2.
+        assert_eq!(f.route_many(&[0, 4, 1, 5, 2], 0), Ok(vec![1, 0, 0, 0]));
         assert_eq!(f.failover_reads(), 1, "one group failed over");
-        assert_eq!(s.shard_stats(0).requests, 0);
     }
 
     #[test]
     fn batch_with_a_hopeless_group_fails_fast_as_outage() {
-        let s = replicated_store(4, 2);
         let plan = Arc::new(
             FaultPlan::builder(0)
                 .shard_outage(0, 1)
                 .shard_outage(1, 1)
                 .build(),
         );
-        let f = FaultingStore::new(Arc::clone(&s), plan);
-        // Vertex 0's group {0, 1} is all dark; vertex 2's group is fine.
-        let err = f.get_many(&[0, 2], 0).unwrap_err();
-        assert_eq!(err.as_fault().unwrap().kind, FaultKind::Outage);
-        assert_eq!(s.stats().requests, 0, "the batch fails as a unit");
+        let f = FaultingStore::new(replicated_store(4, 2), plan);
+        // Vertex 0's group {0, 1} is all dark; vertex 2's group is fine:
+        // the batch is refused as a unit.
+        let err = f.route_many(&[0, 2], 0).unwrap_err();
+        assert_eq!(err.kind, FaultKind::Outage);
+        assert_eq!(f.injected(), 1);
     }
 
     #[test]
@@ -569,7 +414,7 @@ mod tests {
         // Vertex 0 is served by shard 1: it pays shard 1's penalty, not
         // the dark primary's.
         assert_eq!(
-            f.latency_penalty_routed(0, 0),
+            f.batch_latency_penalty_routed(&[0], 0),
             Duration::from_micros(100),
             "the failover read pays the mirror's penalty"
         );
@@ -582,7 +427,6 @@ mod tests {
 
     #[test]
     fn slow_shard_penalties_accumulate_per_touched_shard() {
-        let s = store(4);
         let plan = Arc::new(
             FaultPlan::builder(0)
                 .base_latency(Duration::from_micros(100))
@@ -590,11 +434,14 @@ mod tests {
                 .slow_shard(1, 2.0)
                 .build(),
         );
-        let f = FaultingStore::new(s, plan);
-        assert_eq!(f.latency_penalty(0), Duration::from_micros(200));
+        let f = FaultingStore::new(store(4), plan);
+        assert_eq!(
+            f.batch_latency_penalty_routed(&[0], 0),
+            Duration::from_micros(200)
+        );
         // Batch touching shards 0, 1 and 2: 200µs + 100µs + 0.
         assert_eq!(
-            f.batch_latency_penalty(&[0, 4, 1, 2]),
+            f.batch_latency_penalty_routed(&[0, 4, 1, 2], 0),
             Duration::from_micros(300)
         );
     }

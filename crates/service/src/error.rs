@@ -9,6 +9,9 @@
 //! while every other in-flight query keeps running. Nothing on the
 //! request path panics.
 
+use benu_cluster::transport::FetchError;
+use benu_cluster::FaultKind;
+use benu_engine::SearchTask;
 use benu_graph::VertexId;
 
 /// Why one query failed. Carried inside [`crate::Terminal::Failed`];
@@ -49,6 +52,15 @@ pub enum ServiceError {
         /// What was wrong with it (stable, human-readable).
         detail: String,
     },
+    /// The engine panicked while running one of this query's tasks — a
+    /// bug, or a pattern the resident graph cannot answer (labels
+    /// against an unlabelled store). The chunk's executor is discarded
+    /// and the serving worker carries on with the next grant.
+    TaskPanicked {
+        /// The task whose execution panicked (under hybrid execution:
+        /// the head of the panicking batch).
+        task: SearchTask,
+    },
     /// The serving worker executing this query's chunk crashed and no
     /// survivor could take the work over (the whole pool is dead).
     /// While survivors remain, a crash never surfaces: the uncommitted
@@ -68,6 +80,7 @@ impl ServiceError {
             ServiceError::RetryExhausted { .. } => "retry_exhausted",
             ServiceError::StoreUnavailable { .. } => "store_unavailable",
             ServiceError::CorruptValue { .. } => "corrupt_value",
+            ServiceError::TaskPanicked { .. } => "task_panicked",
             ServiceError::WorkerLost { .. } => "worker_lost",
         }
     }
@@ -107,6 +120,9 @@ impl std::fmt::Display for ServiceError {
             ServiceError::CorruptValue { vertex, detail } => {
                 write!(f, "unusable value for vertex {vertex}: {detail}")
             }
+            ServiceError::TaskPanicked { task } => {
+                write!(f, "engine panicked on task v{}", task.start)
+            }
             ServiceError::WorkerLost { lane, chunk } => write!(
                 f,
                 "serving worker {lane} crashed on chunk {chunk} with no survivors"
@@ -116,6 +132,37 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+/// Maps the lane source's error taxonomy into the service's. A vertex
+/// missing from the resident store (or decoding to garbage) is a data
+/// error of this query, not a process abort; an availability failure is
+/// a hopeless outage or an exhausted retry budget, by the kind of the
+/// fault that refused last.
+impl From<FetchError> for ServiceError {
+    fn from(err: FetchError) -> Self {
+        match err {
+            FetchError::Missing(vertex) => ServiceError::CorruptValue {
+                vertex,
+                detail: "missing from the resident store".into(),
+            },
+            FetchError::Corrupt(err) => ServiceError::CorruptValue {
+                vertex: err.vertex,
+                detail: err.error.to_string(),
+            },
+            FetchError::Unavailable(err) if err.kind == FaultKind::Outage => {
+                ServiceError::StoreUnavailable {
+                    vertex: err.vertex,
+                    shard: err.shard,
+                }
+            }
+            FetchError::Unavailable(err) => ServiceError::RetryExhausted {
+                vertex: err.vertex,
+                shard: err.shard,
+                attempts: err.attempts,
+            },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -138,13 +185,38 @@ mod tests {
                 detail: "missing from the resident store".into(),
             },
             ServiceError::WorkerLost { lane: 0, chunk: 9 },
+            ServiceError::TaskPanicked {
+                task: SearchTask::whole(6),
+            },
         ];
         assert_eq!(errs[0].name(), "retry_exhausted");
         assert_eq!(errs[1].name(), "store_unavailable");
         assert_eq!(errs[2].name(), "corrupt_value");
         assert_eq!(errs[3].name(), "worker_lost");
+        assert_eq!(errs[4].name(), "task_panicked");
+        assert_eq!(errs[4].to_string(), "engine panicked on task v6");
         assert!(errs[0].to_string().contains("after 8 attempts"));
         assert!(errs[2].to_string().contains("vertex 5"));
+    }
+
+    #[test]
+    fn availability_errors_map_by_the_kind_that_refused_last() {
+        let gave_up = |kind| {
+            ServiceError::from(FetchError::Unavailable(benu_cluster::TransportError {
+                shard: 2,
+                vertex: 4,
+                attempts: 1,
+                kind,
+            }))
+        };
+        assert_eq!(gave_up(FaultKind::Outage).name(), "store_unavailable");
+        // One attempt spent is not what makes an outage: a no-retry
+        // policy exhausts after one attempt too.
+        assert_eq!(gave_up(FaultKind::Timeout).name(), "retry_exhausted");
+        assert_eq!(
+            ServiceError::from(FetchError::Missing(5)).name(),
+            "corrupt_value"
+        );
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! request path maps onto a structured [`ServiceError`] that settles
 //! *one* query — never a panic, never a sibling. Fault decisions are
 //! evaluated per logical adjacency access *in front of* the warm cache
-//! ([`FaultingStore::route_for`] is decision-only), so which chunks of
-//! which queries fail is a pure function of the per-query scoped fault
-//! seed, independent of cache state and thread timing. A crashed
+//! (the query's [`FaultGate`], consulted first by every
+//! [`LaneSource`]), so which chunks of which queries fail is a pure
+//! function of the per-query scoped fault seed, independent of cache
+//! state and thread timing. A crashed
 //! serving worker's uncommitted chunk is requeued onto survivors and
 //! re-executed byte-identically; only a fully dead pool surfaces
 //! [`ServiceError::WorkerLost`].
@@ -38,12 +39,12 @@ use crate::error::ServiceError;
 use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
 use benu_cache::{CacheObs, DbCache};
-use benu_cluster::transport::{FetchError, Transport};
-use benu_cluster::worker::{lane_budget, LaneExecutor, TaskPanicked};
+use benu_cluster::gate::FaultGate;
+use benu_cluster::transport::Transport;
+use benu_cluster::worker::{lane_budget, LaneExecutor, LaneSource, TaskPanicked};
 use benu_cluster::{DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES};
-use benu_engine::{DataSource, SearchTask, TaskMetrics};
-use benu_fault::{FaultError, FaultKind, FaultingStore, RetryPolicy};
-use benu_graph::{AdjSet, Graph, TotalOrder, VertexId};
+use benu_engine::{SearchTask, TaskMetrics};
+use benu_graph::{Graph, TotalOrder, VertexId};
 use benu_kvstore::KvStore;
 use benu_obs::{ObsHub, Report, ReportMode};
 use benu_pattern::canonical::fingerprint;
@@ -113,183 +114,6 @@ impl Signal {
     }
 }
 
-/// Per-query fault state, built at admission from the service fault
-/// plan scoped by query id: each query draws its own per-request
-/// decision stream while structural faults (outages, slow shards,
-/// crashes) stay shared.
-struct Chaos {
-    store: FaultingStore,
-    retry: RetryPolicy,
-}
-
-/// The engine's view of the resident graph while one worker executes
-/// one chunk: the worker's persistent cache in front of its faultless
-/// store transport, with the query's chaos verdicts evaluated *before*
-/// the cache on every logical access. Decisions are decision-only
-/// ([`FaultingStore::route_for`]) so a cache hit and a cache miss see
-/// the same fault stream — per-chunk failure outcomes stay a pure
-/// function of the fault seed even though the caches are warm and
-/// shared across queries.
-///
-/// [`DataSource`] cannot return errors, so the first error is parked in
-/// a slot (first-error-wins), the access returns an empty adjacency set
-/// to unwind the engine cheaply, and the worker converts the poisoned
-/// slot into [`CommitState::submit_failed`] after the chunk.
-struct ChunkSource<'a> {
-    transport: &'a Transport,
-    cache: &'a DbCache,
-    chaos: Option<&'a Chaos>,
-    error: Mutex<Option<ServiceError>>,
-}
-
-impl ChunkSource<'_> {
-    /// Parks the first error and hands back the empty-set sentinel.
-    fn poison(&self, err: ServiceError) -> Arc<AdjSet> {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        Arc::new(AdjSet::new())
-    }
-
-    fn poisoned(&self) -> bool {
-        self.error.lock().is_some()
-    }
-
-    fn take_error(&self) -> Option<ServiceError> {
-        self.error.lock().take()
-    }
-
-    /// The chaos verdict for one logical access, decided by `route`
-    /// (decision-only — nothing is fetched): replica failover within an
-    /// attempt, virtual backoff between attempts (`key` seeds the
-    /// jitter), fail fast on hopeless outages — mirroring the batch
-    /// transport's retry loop, with every wait booked to virtual time,
-    /// never slept. `route` answers a served attempt with its slow-shard
-    /// penalty; `named` picks the vertex an error names, given the
-    /// failing shard.
-    fn verdict(
-        &self,
-        key: u64,
-        named: impl Fn(usize) -> VertexId,
-        route: impl Fn(&Chaos, u32) -> Result<Duration, FaultError>,
-    ) -> Result<(), ServiceError> {
-        let Some(chaos) = self.chaos else {
-            return Ok(());
-        };
-        let attempts = chaos.retry.max_attempts;
-        for attempt in 0..attempts {
-            let fault = match route(chaos, attempt) {
-                Ok(penalty) => {
-                    Transport::book_virtual(penalty);
-                    return Ok(());
-                }
-                Err(fault) => fault,
-            };
-            let (vertex, shard) = (named(fault.shard), fault.shard);
-            if fault.kind == FaultKind::Outage {
-                return Err(ServiceError::StoreUnavailable { vertex, shard });
-            }
-            if fault.kind == FaultKind::Timeout {
-                Transport::book_virtual(chaos.store.plan().timeout_wait());
-            }
-            if attempt + 1 >= attempts {
-                return Err(ServiceError::RetryExhausted {
-                    vertex,
-                    shard,
-                    attempts,
-                });
-            }
-            Transport::book_virtual(chaos.retry.backoff(
-                chaos.store.plan().seed(),
-                key,
-                attempt + 1,
-            ));
-        }
-        unreachable!("retry loop returns on success or exhausted attempts")
-    }
-
-    /// One decision stream per vertex access.
-    fn vertex_verdict(&self, v: VertexId) -> Result<(), ServiceError> {
-        self.verdict(
-            v as u64,
-            |_| v,
-            |chaos, attempt| {
-                chaos.store.route_for(v, attempt)?;
-                Ok(chaos.store.latency_penalty_routed(v, attempt))
-            },
-        )
-    }
-
-    /// One decision stream per logical batch, over the *full* key set at
-    /// shard-batch granularity — regardless of which keys the cache
-    /// already holds.
-    fn batch_verdict(&self, vs: &[VertexId]) -> Result<(), ServiceError> {
-        self.verdict(
-            vs.iter().copied().min().unwrap_or(0) as u64,
-            |shard| Transport::batch_error_vertex(self.transport.store(), vs, shard),
-            |chaos, attempt| {
-                chaos.store.route_many(vs, attempt)?;
-                Ok(chaos.store.batch_latency_penalty_routed(vs, attempt))
-            },
-        )
-    }
-}
-
-/// Maps the faultless serve-path transport's error taxonomy into the
-/// service's. A vertex missing from the resident store (or decoding to
-/// garbage) is a data error of this query, not a process abort. The
-/// transport has no fault plan, so `Unavailable` here means the store
-/// itself refused — surfaced with the transport's own attempt
-/// accounting.
-fn resident_error(err: FetchError) -> ServiceError {
-    match err {
-        FetchError::Missing(vertex) => ServiceError::CorruptValue {
-            vertex,
-            detail: "missing from the resident store".into(),
-        },
-        FetchError::Corrupt(err) => ServiceError::CorruptValue {
-            vertex: err.vertex,
-            detail: err.error.to_string(),
-        },
-        FetchError::Unavailable(err) => ServiceError::RetryExhausted {
-            vertex: err.vertex,
-            shard: err.shard,
-            attempts: err.attempts,
-        },
-    }
-}
-
-impl DataSource for ChunkSource<'_> {
-    fn num_vertices(&self) -> usize {
-        self.transport.store().num_vertices()
-    }
-
-    fn get_adj(&self, v: VertexId) -> Arc<AdjSet> {
-        self.vertex_verdict(v)
-            .and_then(|()| {
-                self.transport
-                    .fetch_through(self.cache, v)
-                    .map_err(resident_error)
-            })
-            .unwrap_or_else(|err| self.poison(err))
-    }
-
-    fn get_adj_batch(&self, vs: &[VertexId]) -> Vec<Arc<AdjSet>> {
-        self.batch_verdict(vs)
-            .and_then(|()| {
-                self.transport
-                    .fetch_many_through(self.cache, vs)
-                    .map_err(resident_error)
-            })
-            .unwrap_or_else(|err| vec![self.poison(err); vs.len()])
-    }
-
-    fn residency_epoch(&self) -> u64 {
-        self.cache.residency_epoch()
-    }
-}
-
 /// Mutable per-query state behind one lock: the commit pipeline while
 /// the query runs, the final result once it terminates.
 struct RunState {
@@ -309,9 +133,11 @@ struct QueryRun {
     chunk_tasks: usize,
     plan_cache_hit: bool,
     submitted_at: Instant,
-    /// Per-query fault state (scoped plan + retry policy); `None`
-    /// serves faultlessly.
-    chaos: Option<Chaos>,
+    /// The query's fault gate, over the service fault plan scoped by
+    /// query id: each query draws its own per-request decision stream
+    /// while structural faults (outages, slow shards, crashes) stay
+    /// shared. `None` serves faultlessly.
+    gate: Option<FaultGate>,
     /// First chunk granted — flips `Queued` to `Running`.
     started: AtomicBool,
     /// Terminal decided: workers skip granted chunks and abort DFS
@@ -550,9 +376,12 @@ impl QueryService {
             options.max_matches,
             inner.config.graceful_degradation,
         );
-        let chaos = inner.config.fault_plan.as_ref().map(|plan| Chaos {
-            store: FaultingStore::new(Arc::clone(&inner.store), Arc::new(plan.scoped(id))),
-            retry: inner.config.retry,
+        let gate = inner.config.fault_plan.as_ref().map(|plan| {
+            FaultGate::new(
+                Arc::clone(&inner.store),
+                Arc::new(plan.scoped(id)),
+                inner.config.retry,
+            )
         });
         let weight = options.weight;
         let deadline = options.deadline_vticks;
@@ -565,7 +394,7 @@ impl QueryService {
             chunk_tasks: inner.config.chunk_tasks,
             plan_cache_hit: hit,
             submitted_at: Instant::now(),
-            chaos,
+            gate,
             started: AtomicBool::new(false),
             terminated: AtomicBool::new(false),
             counted: AtomicBool::new(false),
@@ -1082,8 +911,9 @@ fn crash_worker(inner: &Inner, lane: usize, run: &Arc<QueryRun>, chunk: usize) {
 /// Executes one granted chunk and feeds the outcome to the query's
 /// commit pipeline. A chunk of a terminated query is skipped (or, for
 /// DFS, aborted at the next task boundary) and accounted as discarded;
-/// a chunk whose access stream hit an unrecoverable fault reports
-/// [`CommitState::submit_failed`] instead of results.
+/// a chunk whose access stream hit an unrecoverable fault — or whose
+/// engine panicked — reports [`CommitState::submit_failed`] instead of
+/// results.
 fn execute_chunk(
     inner: &Inner,
     transport: &Transport,
@@ -1106,12 +936,7 @@ fn execute_chunk(
         .map(|h| h.tracer.span(&format!("query.{}.execute", run.id)));
     let range = run.chunk_range(chunk);
     let tasks = &run.tasks[range];
-    let source = ChunkSource {
-        transport,
-        cache,
-        chaos: run.chaos.as_ref(),
-        error: Mutex::new(None),
-    };
+    let source = LaneSource::new(transport, cache, run.gate.as_ref());
     // The configured frontier budget is the pool's, split evenly across
     // its workers; a hybrid chunk is one frontier batch, so sibling
     // tasks share deduplicated batched store reads.
@@ -1127,21 +952,29 @@ fn execute_chunk(
     let mut metrics = TaskMetrics::default();
     let mut penalty = Duration::ZERO;
     let mut aborted = false;
+    let mut panicked = None;
     for slice in tasks.chunks(executor.stride(tasks.len())) {
         if run.terminated.load(Ordering::Acquire) {
             aborted = true;
             break;
         }
-        // A poisoned source already decided the chunk's fate; the
+        // A failed access already decided the chunk's fate; the
         // remaining tasks' work would be discarded anyway.
-        if source.poisoned() {
+        if source.error().is_some() {
             break;
         }
-        let (ran, waited) = executor.run(slice).unwrap_or_else(|TaskPanicked(task)| {
-            panic!("query {}: engine panicked on task v{}", run.id, task.start)
-        });
-        metrics += ran;
-        penalty += waited;
+        match executor.run(slice) {
+            Ok((ran, waited)) => {
+                metrics += ran;
+                penalty += waited;
+            }
+            // The engine is in an unknown state: this executor runs
+            // nothing more, the lane keeps serving.
+            Err(TaskPanicked(task)) => {
+                panicked = Some(ServiceError::TaskPanicked { task });
+                break;
+            }
+        }
     }
     // Injected-fault waits (virtual backoff, timeout waits, slow-shard
     // penalties) the executor drained off this thread are observability,
@@ -1154,7 +987,7 @@ fn execute_chunk(
                 .add(penalty.as_nanos() as u64);
         }
     }
-    let error = source.take_error();
+    let error = panicked.or_else(|| source.error().map(ServiceError::from));
     let lane = executor.finish();
     if let Some(hub) = &inner.obs {
         // DBQs the lane answered from what its task already held are
@@ -1170,7 +1003,7 @@ fn execute_chunk(
         }
     } else if let Some(err) = error {
         // Whatever partial matches the engine produced before the
-        // poison are dropped with the chunk: a failed chunk contributes
+        // failure are dropped with the chunk: a failed chunk contributes
         // nothing, which is what keeps failure outcomes deterministic.
         if let Some(commit) = state.commit.as_mut() {
             commit.submit_failed(chunk, err);

@@ -488,3 +488,58 @@ fn seeded_chaos_scenario_replays_identically() {
         assert_eq!(surface(a), surface(b), "replay diverged on query {}", a.id);
     }
 }
+
+/// An engine panic on the request path is one query's failure, not a
+/// lane's death: a labeled pattern against the (unlabelled) resident
+/// store trips the engine's data-label `expect`; the query must settle
+/// `Failed(TaskPanicked)` and every lane must keep serving. With one
+/// worker the lane that panicked is the only lane there is, so the
+/// follow-up queries prove it survived.
+#[test]
+fn an_engine_panic_fails_one_query_and_the_lane_keeps_serving() {
+    use benu_service::QueryStatus;
+    use std::time::{Duration, Instant};
+
+    let g = graph();
+    let plan = benu_plan::PlanBuilder::new(&queries::triangle()).best_plan();
+    let expected = benu_engine::count_embeddings(&plan, &g);
+    for workers in [1, 2] {
+        let service = QueryService::new(&g, base(workers, ExecMode::Dfs).build());
+        let labeled = service.submit(
+            &queries::triangle().with_labels(vec![0, 1, 2]),
+            QueryOptions::new(),
+        );
+        // `wait` would hang forever on a dead lane: poll with a deadline.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let result = loop {
+            if let Some(QueryStatus::Finished(result)) = service.status(labeled) {
+                break result;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "workers={workers}: the panicking query never settled"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        match &result.terminal {
+            Terminal::Failed(err @ ServiceError::TaskPanicked { .. }) => {
+                assert_eq!(err.name(), "task_panicked");
+            }
+            other => panic!("workers={workers}: expected TaskPanicked, got {other:?}"),
+        }
+        assert_eq!(
+            result.matches_found, 0,
+            "a failed chunk contributes nothing"
+        );
+        // Every lane is still pulling chunks: the follow-ups complete
+        // with the solo count.
+        let ids: Vec<_> = (0..2 * workers)
+            .map(|_| service.submit(&queries::triangle(), QueryOptions::new()))
+            .collect();
+        for id in ids {
+            let r = service.wait(id);
+            assert_eq!(r.terminal, Terminal::Completed, "workers={workers}");
+            assert_eq!(r.matches_found, expected, "workers={workers}");
+        }
+    }
+}

@@ -8,7 +8,9 @@
 //! Barabási–Albert, star) and both schedulers, over a deterministic fan
 //! of fault seeds.
 
-use benu::cluster::{Cluster, ClusterConfig, SchedulerKind, WorkerError};
+use benu::cluster::{
+    Cluster, ClusterConfig, RecoveryReport, RunOutcome, SchedulerKind, WorkerError,
+};
 use benu::fault::{FaultPlan, RetryPolicy};
 use benu::graph::{gen, Graph, VertexId};
 use benu::pattern::queries;
@@ -52,7 +54,7 @@ fn run_pair(
     plan: &ExecutionPlan,
     kind: SchedulerKind,
     seed: u64,
-) -> (Collected, Collected, benu::cluster::RecoveryReport) {
+) -> (Collected, Collected, RecoveryReport) {
     let clean_cluster = Cluster::new(g, config(kind));
     let (clean, clean_matches) = clean_cluster.run_collect(plan).expect("fault-free run");
 
@@ -132,6 +134,80 @@ fn same_seed_replay_is_deterministic() {
     assert!(
         a.recovery.faults_injected() > 0,
         "the replay test must see faults"
+    );
+}
+
+/// What the fault gate's position buys: verdicts are drawn per logical
+/// adjacency access in front of the cache, so under DFS with a cache
+/// that evicts nothing the absorbed faults and their virtual-time cost
+/// are a function of the plan and the task list alone — not of which
+/// thread ran a task, which thread missed first, or how warm the cache
+/// was. (With the fault layer behind the cache, a warm cache drew no
+/// faults at all.)
+#[test]
+fn replay_is_independent_of_threads_and_cache_warmth() {
+    use SchedulerKind::{Static, WorkStealing};
+    let g = gen::barabasi_albert(90, 4, 21);
+    let query = PlanBuilder::new(&queries::q1()).best_plan();
+    let cluster = |threads: usize, kind: SchedulerKind, faulty: bool| {
+        let mut cluster = Cluster::new(
+            &g,
+            ClusterConfig::builder()
+                .workers(3)
+                .threads_per_worker(threads)
+                .cache_capacity_bytes(1 << 24) // holds the whole graph
+                .tau(16)
+                .scheduler(kind)
+                .build(),
+        );
+        cluster.set_fault_plan(faulty.then(|| {
+            FaultPlan::builder(19)
+                .transient_rate(0.03)
+                .timeout_rate(0.01)
+                .build()
+        }));
+        cluster
+    };
+    let expected = cluster(2, Static, false).run(&query).unwrap();
+    let check = |arm: &str, outcome: RunOutcome, want: &RecoveryReport| {
+        assert_eq!(outcome.total_matches, expected.total_matches, "{arm}");
+        assert_eq!(&outcome.recovery, want, "{arm}");
+    };
+
+    // (a) Run to run, two racing threads per worker, cold caches.
+    let two = cluster(2, Static, true);
+    let cold = two.run(&query).unwrap();
+    assert_eq!(cold.total_matches, expected.total_matches);
+    assert!(cold.recovery.transient_faults > 0 && cold.recovery.timeouts > 0);
+    assert!(cold.recovery.backoff_virtual > std::time::Duration::ZERO);
+    let want = &cold.recovery;
+    check(
+        "run to run",
+        cluster(2, Static, true).run(&query).unwrap(),
+        want,
+    );
+
+    // (b) The same cluster again, caches now warm: no store traffic is
+    // left to fault, the verdicts are all still drawn.
+    let warm = two.run(&query).unwrap();
+    assert_eq!(warm.kv.requests, 0, "the second run is served from cache");
+    check("warm vs cold", warm, want);
+    two.clear_caches();
+    check("cleared", two.run(&query).unwrap(), want);
+
+    // (c) One thread per worker draws the same weather as two.
+    check(
+        "1 vs 2 threads",
+        cluster(1, Static, true).run(&query).unwrap(),
+        want,
+    );
+
+    // (d) Nor does it matter which worker a task ran on: store-fault
+    // decisions are keyed by the access, not by who makes it.
+    check(
+        "work stealing",
+        cluster(2, WorkStealing, true).run(&query).unwrap(),
+        want,
     );
 }
 
