@@ -108,7 +108,7 @@ fn run_arm(
         .cache_capacity_bytes(0)
         .tau(base.tau)
         .scheduler(base.scheduler)
-        .codec(base.codec)
+        .codec(base.data.codec)
         .exec_mode(mode)
         .memory_budget_bytes(budget)
         .build();

@@ -260,7 +260,7 @@ fn run_outage_sweep(
     report: &mut BenchReport,
 ) {
     assert!(
-        config.replication >= 2,
+        config.data.replication >= 2,
         "--shard-outage needs --replication >= 2 (a single-copy store \
          cannot survive a dark shard)"
     );
@@ -320,7 +320,7 @@ fn run_outage_sweep(
 
     println!(
         "\nDegradation curve — shard-outage sweep (R = {}):",
-        config.replication
+        config.data.replication
     );
     let rows: Vec<Vec<String>> = points
         .iter()

@@ -2,13 +2,11 @@
 //! return the quantities the paper's tables report.
 
 use crate::impl_to_json;
-use crate::json::ToJson;
 use benu_baselines::{starjoin, wcoj, BaselineOutcome};
 use benu_cluster::{Cluster, RunOutcome};
 use benu_graph::Graph;
 use benu_pattern::Pattern;
 use benu_plan::PlanBuilder;
-use std::time::Duration;
 
 /// One table cell: execution time and cumulative communication.
 #[derive(Clone, Copy, Debug)]
@@ -111,16 +109,6 @@ pub fn wcoj_cell(g: &Graph, pattern: &Pattern, mode: wcoj::WcojMode, memory_cap:
         },
     );
     baseline_cell(&outcome)
-}
-
-/// Writes a record set as pretty JSON to `path`.
-pub fn write_json<T: ToJson + ?Sized>(path: &str, value: &T) -> std::io::Result<()> {
-    std::fs::write(path, value.to_json().render_pretty())
-}
-
-/// Helper: a `Duration` from fractional seconds.
-pub fn duration_s(s: f64) -> Duration {
-    Duration::from_secs_f64(s)
 }
 
 #[cfg(test)]

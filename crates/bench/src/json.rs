@@ -1,224 +1,54 @@
-//! A minimal JSON writer for the experiment binaries' `--json` dumps.
+//! `--json` dumps: conversion of the experiment binaries' records into
+//! the one report value tree.
 //!
 //! The build environment is offline, so instead of `serde`/`serde_json`
-//! the harness uses this hand-rolled value tree plus the
-//! [`impl_to_json!`](crate::impl_to_json) macro, which derives
-//! [`ToJson`] for the flat record
-//! structs each binary defines. Output is pretty-printed,
-//! deterministic-order JSON — exactly what the plotting scripts consume.
+//! the harness has [`ToJson`] — conversion into a [`benu_obs::Value`],
+//! which renders itself canonically ([`Value::render_json`]:
+//! pretty-printed, deterministic-order JSON, exactly what the plotting
+//! scripts consume) — plus the [`impl_to_json!`](crate::impl_to_json)
+//! macro, which derives [`ToJson`] for the flat record structs each
+//! binary defines.
 
-/// A JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An unsigned integer (kept exact; never rendered in float form).
-    UInt(u64),
-    /// A signed integer.
-    Int(i64),
-    /// A float (non-finite values render as `null`, as serde_json does).
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Object(Vec<(String, Json)>),
-}
+pub use benu_obs::{Report, Value};
 
-impl Json {
-    /// Pretty-prints with two-space indentation and a trailing newline.
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(n) => out.push_str(&n.to_string()),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Float(f) => {
-                if f.is_finite() {
-                    out.push_str(&format!("{f}"));
-                    // Keep floats visibly float-typed for consumers.
-                    if !out.ends_with(|c: char| !c.is_ascii_digit())
-                        && !format!("{f}").contains('.')
-                    {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Conversion into a [`Json`] value (the `Serialize` stand-in).
+/// Conversion into a report [`Value`] (the `Serialize` stand-in).
 pub trait ToJson {
-    /// The JSON representation.
-    fn to_json(&self) -> Json;
+    /// The value-tree representation.
+    fn to_json(&self) -> Value;
 }
 
-macro_rules! impl_to_json_uint {
+/// The scalars a record field can hold: exactly the types the report
+/// tree already converts from.
+macro_rules! impl_to_json_scalar {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::UInt(*self as u64)
+            fn to_json(&self) -> Value {
+                Value::from(self.clone())
             }
         }
     )*};
 }
 
-macro_rules! impl_to_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(*self as i64)
-            }
-        }
-    )*};
-}
-
-impl_to_json_uint!(u8, u16, u32, u64, usize);
-impl_to_json_int!(i8, i16, i32, i64, isize);
-
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self)
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self as f64)
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-}
+impl_to_json_scalar!(u32, u64, usize, i64, f64, bool, String);
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(ToJson::to_json).collect())
+    fn to_json(&self) -> Value {
+        Value::List(self.iter().map(ToJson::to_json).collect())
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Value {
         match self {
             Some(v) => v.to_json(),
-            None => Json::Null,
+            None => Value::Null,
         }
     }
 }
 
-impl ToJson for benu_obs::Value {
-    fn to_json(&self) -> Json {
-        use benu_obs::Value;
-        match self {
-            Value::Bool(b) => Json::Bool(*b),
-            Value::UInt(n) => Json::UInt(*n),
-            Value::Int(n) => Json::Int(*n),
-            Value::Float(f) => Json::Float(*f),
-            Value::Str(s) => Json::Str(s.clone()),
-            Value::List(items) => Json::Array(items.iter().map(ToJson::to_json).collect()),
-            Value::Tree(t) => t.to_json(),
-        }
-    }
-}
-
-impl ToJson for benu_obs::Report {
-    fn to_json(&self) -> Json {
-        Json::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+impl ToJson for Report {
+    fn to_json(&self) -> Value {
+        Value::Tree(self.clone())
     }
 }
 
@@ -232,15 +62,15 @@ impl ToJson for benu_obs::Report {
 macro_rules! impl_to_json {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Object(vec![
-                    $(
-                        (
-                            stringify!($field).to_string(),
-                            $crate::json::ToJson::to_json(&self.$field),
-                        ),
-                    )+
-                ])
+            fn to_json(&self) -> $crate::json::Value {
+                let mut fields = $crate::json::Report::new();
+                $(
+                    fields.set(
+                        stringify!($field),
+                        $crate::json::ToJson::to_json(&self.$field),
+                    );
+                )+
+                $crate::json::Value::Tree(fields)
             }
         }
     };
@@ -255,13 +85,15 @@ mod tests {
         count: u64,
         ratio: f64,
         busy: Vec<f64>,
+        skipped: Option<u32>,
     }
 
     impl_to_json!(Row {
         name,
         count,
         ratio,
-        busy
+        busy,
+        skipped
     });
 
     #[test]
@@ -271,18 +103,13 @@ mod tests {
             count: 42,
             ratio: 1.5,
             busy: vec![0.25, 0.75],
+            skipped: None,
         };
-        let json = row.to_json().render_pretty();
-        assert!(json.contains("\"name\": \"q1\""));
-        assert!(json.contains("\"count\": 42"));
-        assert!(json.contains("\"ratio\": 1.5"));
-        assert!(json.contains("0.75"));
-    }
-
-    #[test]
-    fn escapes_strings() {
-        let j = Json::Str("a\"b\\c\nd".into()).render_pretty();
-        assert_eq!(j, "\"a\\\"b\\\\c\\nd\"\n");
+        assert_eq!(
+            row.to_json().render_json(),
+            "{\n  \"name\": \"q1\",\n  \"count\": 42,\n  \"ratio\": 1.5,\n  \
+             \"busy\": [\n    0.25,\n    0.75\n  ],\n  \"skipped\": null\n}\n"
+        );
     }
 
     #[test]
@@ -292,20 +119,11 @@ mod tests {
             count: 1,
             ratio: 0.5,
             busy: vec![],
+            skipped: Some(3),
         }];
-        let json = rows.to_json().render_pretty();
+        let json = rows.to_json().render_json();
         assert!(json.starts_with("[\n"));
         assert!(json.contains("\"busy\": []"));
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        assert_eq!(Json::Float(f64::NAN).render_pretty(), "null\n");
-    }
-
-    #[test]
-    fn integers_stay_exact() {
-        let big = u64::MAX;
-        assert_eq!(big.to_json().render_pretty().trim(), big.to_string());
+        assert!(json.contains("\"skipped\": 3"));
     }
 }

@@ -9,8 +9,7 @@
 //! (`tests/report_schema.rs`) pins this schema; bump [`SCHEMA`] when
 //! changing it.
 
-use crate::json::{Json, ToJson};
-use benu_obs::{Report, Value};
+use crate::json::{Report, ToJson, Value};
 
 /// The schema tag every unified dump carries.
 pub const SCHEMA: &str = "benu/report-v1";
@@ -20,7 +19,7 @@ pub const SCHEMA: &str = "benu/report-v1";
 pub struct BenchReport {
     bench: String,
     params: Report,
-    rows: Vec<Json>,
+    rows: Vec<Value>,
 }
 
 impl BenchReport {
@@ -50,11 +49,15 @@ impl BenchReport {
     /// per-layer breakdown next to their headline columns.
     pub fn push_row_with_run(&mut self, row: &(impl ToJson + ?Sized), run: &Report) -> &mut Self {
         let mut fields = match row.to_json() {
-            Json::Object(fields) => fields,
-            other => vec![("row".to_string(), other)],
+            Value::Tree(fields) => fields,
+            other => {
+                let mut fields = Report::new();
+                fields.set("row", other);
+                fields
+            }
         };
-        fields.push(("run".to_string(), run.to_json()));
-        self.rows.push(Json::Object(fields));
+        fields.set_tree("run", run.clone());
+        self.rows.push(Value::Tree(fields));
         self
     }
 
@@ -68,19 +71,19 @@ impl BenchReport {
         self.rows.is_empty()
     }
 
-    /// Renders the canonical envelope.
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-            ("bench".to_string(), Json::Str(self.bench.clone())),
-            ("params".to_string(), self.params.to_json()),
-            ("rows".to_string(), Json::Array(self.rows.clone())),
-        ])
+    /// The canonical envelope.
+    pub fn to_json(&self) -> Value {
+        let mut envelope = Report::new();
+        envelope.set("schema", SCHEMA);
+        envelope.set("bench", self.bench.as_str());
+        envelope.set_tree("params", self.params.clone());
+        envelope.set("rows", Value::List(self.rows.clone()));
+        Value::Tree(envelope)
     }
 
     /// Writes the envelope as pretty JSON to `path`.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().render_pretty())
+        std::fs::write(path, self.to_json().render_json())
     }
 }
 
@@ -96,7 +99,7 @@ mod tests {
         row.set("matches", 42u64);
         report.push_row(&row);
         assert_eq!(report.len(), 1);
-        let json = report.to_json().render_pretty();
+        let json = report.to_json().render_json();
         assert!(json.contains("\"schema\": \"benu/report-v1\""));
         assert!(json.contains("\"bench\": \"demo\""));
         assert!(json.contains("\"scale\": 0.5"));
@@ -117,34 +120,9 @@ mod tests {
         let mut run = Report::new();
         run.set("total_matches", 99u64);
         report.push_row_with_run(&row, &run);
-        let json = report.to_json().render_pretty();
+        let json = report.to_json().render_json();
         assert!(json.contains("\"variant\": \"tau\""));
         assert!(json.contains("\"run\": {"));
         assert!(json.contains("\"total_matches\": 99"));
-    }
-
-    #[test]
-    fn obs_report_values_round_trip_to_json() {
-        let mut r = Report::new();
-        r.set("flag", true);
-        r.set("count", 7u64);
-        r.set("delta", -3i64);
-        r.set("ratio", 0.25);
-        r.set("name", "x");
-        r.set("list", Value::List(vec![Value::UInt(1), Value::UInt(2)]));
-        let mut inner = Report::new();
-        inner.set("k", 9u64);
-        r.set_tree("tree", inner);
-        let json = r.to_json().render_pretty();
-        for needle in [
-            "\"flag\": true",
-            "\"count\": 7",
-            "\"delta\": -3",
-            "\"ratio\": 0.25",
-            "\"name\": \"x\"",
-            "\"k\": 9",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
     }
 }

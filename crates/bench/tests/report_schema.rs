@@ -49,7 +49,7 @@ fn render_snapshot() -> String {
         .param("fault_seed", 42u64)
         .param("transient_rate", 0.03);
     report.push_row(&run);
-    report.to_json().render_pretty()
+    report.to_json().render_json()
 }
 
 #[test]

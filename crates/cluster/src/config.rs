@@ -52,17 +52,90 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// Default capacity, in entries, of an engine's private triangle cache.
 pub const DEFAULT_TRIANGLE_CACHE_ENTRIES: usize = 1 << 14;
 
+/// The data plane both runtimes sit on (paper §III, Fig. 2): what the
+/// sharded store holds, how big the per-machine cache in front of it is,
+/// how reads survive faults, and how lanes drive the engine over it.
+/// Embedded as `data` in both [`ClusterConfig`] and
+/// `benu_service::ServiceConfig`, so one deployment is described once;
+/// [`crate::Resident::load`] is its only consumer.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DataPath {
+    /// Database-cache capacity per worker, in bytes (the paper gives each
+    /// reducer 30 GB).
+    pub cache_capacity_bytes: usize,
+    /// Store replication factor `R`: every vertex's value lives on its
+    /// primary shard plus the next `R − 1` shards in ring order, and
+    /// reads fail over along that ring. `1` (the default) is the
+    /// single-copy store; `R ≥ 2` survives whole-shard outages as long
+    /// as one replica of every placement group remains. Fixed at graph
+    /// load, like the shard count.
+    pub replication: usize,
+    /// Wire codec for stored adjacency values. Fixed at graph load, like
+    /// the shard count; every replica of a value carries the same bytes.
+    /// [`CodecKind::RawU32`] (the default) stores ids verbatim;
+    /// [`CodecKind::DeltaVarint`] delta-encodes the sorted lists, cutting
+    /// `run.store.bytes` roughly in half on power-law graphs. Decoded
+    /// sets are byte-identical across codecs.
+    pub codec: CodecKind,
+    /// How fault gates retry injected transient store faults and
+    /// timeouts (capped exponential backoff with deterministic jitter,
+    /// virtual time — never slept). Only consulted when a fault plan is
+    /// installed.
+    pub retry: RetryPolicy,
+    /// How lanes drive the engine: classic task-at-a-time DFS (the
+    /// default) or the memory-bounded BFS/DFS hybrid with
+    /// frontier-batched store reads.
+    pub exec_mode: ExecMode,
+    /// Frontier byte budget for [`ExecMode::Hybrid`]; `0` means
+    /// unbounded, and it is ignored under [`ExecMode::Dfs`]. One rule in
+    /// both runtimes: this is the budget of whatever shares it — a worker
+    /// machine's threads in the cluster, the pool's lanes in the service
+    /// — split evenly by [`crate::Resident::executor`], which never
+    /// rounds a real budget down to unbounded.
+    pub memory_budget_bytes: usize,
+}
+
+impl Default for DataPath {
+    fn default() -> Self {
+        DataPath {
+            cache_capacity_bytes: 64 << 20,
+            replication: 1,
+            codec: CodecKind::RawU32,
+            retry: RetryPolicy::default(),
+            exec_mode: ExecMode::Dfs,
+            memory_budget_bytes: 0,
+        }
+    }
+}
+
+impl DataPath {
+    /// Validates invariants against the deployment's store shard count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid retry policy or a replication factor outside
+    /// `1..=shards`.
+    pub fn validate(&self, shards: usize) {
+        self.retry.validate();
+        assert!(
+            (1..=shards).contains(&self.replication),
+            "replication factor must be within 1..=store shards"
+        );
+    }
+}
+
 /// Shape and tuning of the simulated cluster. The defaults mirror the
 /// paper's deployment scaled to a single machine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterConfig {
-    /// Number of logical worker machines (the paper uses 16).
+    /// Number of logical worker machines (the paper uses 16); the store
+    /// has one shard per worker.
     pub workers: usize,
     /// Working threads per worker (the paper uses 24).
     pub threads_per_worker: usize,
-    /// Database-cache capacity per worker, in bytes (the paper gives each
-    /// reducer 30 GB).
-    pub cache_capacity_bytes: usize,
+    /// The shared data plane: store layout, cache capacity, retry policy
+    /// and execution mode (builder setters forward into it).
+    pub data: DataPath,
     /// Internal shard count of each worker's cache (contention tuning
     /// only).
     pub cache_shards: usize,
@@ -84,32 +157,6 @@ pub struct ClusterConfig {
     /// Task scheduling policy (static round-robin by default, matching
     /// the paper's even shuffle).
     pub scheduler: SchedulerKind,
-    /// How transports retry injected transient store faults (capped
-    /// exponential backoff with deterministic jitter). Only consulted
-    /// when a fault plan is installed on the cluster.
-    pub retry: RetryPolicy,
-    /// Store replication factor `R`: every vertex's value lives on its
-    /// primary shard plus the next `R − 1` shards in ring order, and
-    /// reads fail over along that ring. `1` (the default) is the
-    /// single-copy store; `R ≥ 2` survives whole-shard outages as long
-    /// as one replica of every placement group remains. Fixed at graph
-    /// load, like the shard count.
-    pub replication: usize,
-    /// How worker threads drive the engine: classic task-at-a-time DFS
-    /// (the default) or the memory-bounded BFS/DFS hybrid with
-    /// frontier-batched store reads.
-    pub exec_mode: ExecMode,
-    /// Per-worker frontier byte budget for [`ExecMode::Hybrid`] (split
-    /// evenly across the worker's threads); `0` means unbounded. Ignored
-    /// under [`ExecMode::Dfs`].
-    pub memory_budget_bytes: usize,
-    /// Wire codec for stored adjacency values. Fixed at graph load, like
-    /// the shard count; every replica of a value carries the same bytes.
-    /// [`CodecKind::RawU32`] (the default) stores ids verbatim;
-    /// [`CodecKind::DeltaVarint`] delta-encodes the sorted lists, cutting
-    /// `run.store.bytes` roughly in half on power-law graphs. Decoded
-    /// sets are byte-identical across codecs.
-    pub codec: CodecKind,
     /// Collect a per-start-vertex observed-cost profile
     /// ([`crate::CostProfile`]) during the run, exposed as
     /// `RunOutcome::cost_profile`. Installing it back via
@@ -125,18 +172,13 @@ impl Default for ClusterConfig {
         ClusterConfig {
             workers: 4,
             threads_per_worker: 2,
-            cache_capacity_bytes: 64 << 20,
+            data: DataPath::default(),
             cache_shards: DEFAULT_CACHE_SHARDS,
             tau: 500,
             tau_auto: false,
             triangle_cache_entries: DEFAULT_TRIANGLE_CACHE_ENTRIES,
             collect_task_times: false,
             scheduler: SchedulerKind::Static,
-            retry: RetryPolicy::default(),
-            replication: 1,
-            exec_mode: ExecMode::Dfs,
-            memory_budget_bytes: 0,
-            codec: CodecKind::RawU32,
             collect_cost_profile: false,
         }
     }
@@ -152,16 +194,13 @@ impl ClusterConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero workers, threads or cache shards.
+    /// Panics on zero workers, threads or cache shards, or an invalid
+    /// [`DataPath`] (one store shard per worker).
     pub fn validate(&self) {
         assert!(self.workers >= 1, "need at least one worker");
         assert!(self.threads_per_worker >= 1, "need at least one thread");
         assert!(self.cache_shards >= 1, "need at least one cache shard");
-        self.retry.validate();
-        assert!(
-            (1..=self.workers).contains(&self.replication),
-            "replication factor must be within 1..=workers (one shard per worker)"
-        );
+        self.data.validate(self.workers);
     }
 }
 
@@ -184,7 +223,7 @@ impl ClusterConfigBuilder {
 
     /// Per-worker database-cache capacity in bytes.
     pub fn cache_capacity_bytes(mut self, n: usize) -> Self {
-        self.0.cache_capacity_bytes = n;
+        self.0.data.cache_capacity_bytes = n;
         self
     }
 
@@ -227,32 +266,32 @@ impl ClusterConfigBuilder {
 
     /// Retry policy for injected transient store faults.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.0.retry = policy;
+        self.0.data.retry = policy;
         self
     }
 
     /// Store replication factor `R` (ring placement; `1` = single copy).
     pub fn replication(mut self, r: usize) -> Self {
-        self.0.replication = r;
+        self.0.data.replication = r;
         self
     }
 
     /// Engine driving mode (DFS or the memory-bounded hybrid).
     pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.0.exec_mode = mode;
+        self.0.data.exec_mode = mode;
         self
     }
 
-    /// Per-worker frontier byte budget for hybrid execution (`0` =
-    /// unbounded).
+    /// Frontier byte budget of one worker machine for hybrid execution,
+    /// shared by its threads (`0` = unbounded).
     pub fn memory_budget_bytes(mut self, n: usize) -> Self {
-        self.0.memory_budget_bytes = n;
+        self.0.data.memory_budget_bytes = n;
         self
     }
 
     /// Wire codec for stored adjacency values.
     pub fn codec(mut self, codec: CodecKind) -> Self {
-        self.0.codec = codec;
+        self.0.data.codec = codec;
         self
     }
 
@@ -287,51 +326,54 @@ mod tests {
             .build();
         assert_eq!(c.workers, 16);
         assert_eq!(c.threads_per_worker, 24);
-        assert_eq!(c.cache_capacity_bytes, 30 << 30);
+        assert_eq!(c.data.cache_capacity_bytes, 30 << 30);
     }
 
-    // API-audit completeness: every public `ClusterConfig` field must be
-    // settable through the builder. A fully-non-default config built
-    // fluently must equal the same config written as a struct literal —
-    // adding a field without a builder method breaks this test.
+    // API-audit completeness: every public `ClusterConfig` field —
+    // `data.*` included — must be settable through the builder. A
+    // fully-non-default config built fluently must equal the same config
+    // written as a struct literal — adding a field without a builder
+    // method breaks this test.
     #[test]
     fn builder_covers_every_public_field() {
-        let retry = RetryPolicy {
-            max_attempts: 7,
-            ..RetryPolicy::default()
+        let data = DataPath {
+            cache_capacity_bytes: 1 << 22,
+            replication: 2,
+            codec: CodecKind::DeltaVarint,
+            retry: RetryPolicy {
+                max_attempts: 7,
+                ..RetryPolicy::default()
+            },
+            exec_mode: ExecMode::Hybrid,
+            memory_budget_bytes: 1 << 20,
         };
         let built = ClusterConfig::builder()
             .workers(5)
             .threads_per_worker(3)
-            .cache_capacity_bytes(1 << 22)
+            .cache_capacity_bytes(data.cache_capacity_bytes)
             .cache_shards(2)
             .tau(123)
             .tau_auto(true)
             .triangle_cache_entries(64)
             .collect_task_times(true)
             .scheduler(SchedulerKind::WorkStealing)
-            .retry(retry)
-            .replication(2)
-            .exec_mode(ExecMode::Hybrid)
-            .memory_budget_bytes(1 << 20)
-            .codec(CodecKind::DeltaVarint)
+            .retry(data.retry)
+            .replication(data.replication)
+            .exec_mode(data.exec_mode)
+            .memory_budget_bytes(data.memory_budget_bytes)
+            .codec(data.codec)
             .collect_cost_profile(true)
             .build();
         let literal = ClusterConfig {
             workers: 5,
             threads_per_worker: 3,
-            cache_capacity_bytes: 1 << 22,
+            data,
             cache_shards: 2,
             tau: 123,
             tau_auto: true,
             triangle_cache_entries: 64,
             collect_task_times: true,
             scheduler: SchedulerKind::WorkStealing,
-            retry,
-            replication: 2,
-            exec_mode: ExecMode::Hybrid,
-            memory_budget_bytes: 1 << 20,
-            codec: CodecKind::DeltaVarint,
             collect_cost_profile: true,
         };
         assert_eq!(built, literal);
@@ -340,18 +382,18 @@ mod tests {
         let d = ClusterConfig::default();
         assert_ne!(built.workers, d.workers);
         assert_ne!(built.threads_per_worker, d.threads_per_worker);
-        assert_ne!(built.cache_capacity_bytes, d.cache_capacity_bytes);
+        assert_ne!(built.data.cache_capacity_bytes, d.data.cache_capacity_bytes);
+        assert_ne!(built.data.replication, d.data.replication);
+        assert_ne!(built.data.codec, d.data.codec);
+        assert_ne!(built.data.retry, d.data.retry);
+        assert_ne!(built.data.exec_mode, d.data.exec_mode);
+        assert_ne!(built.data.memory_budget_bytes, d.data.memory_budget_bytes);
         assert_ne!(built.cache_shards, d.cache_shards);
         assert_ne!(built.tau, d.tau);
         assert_ne!(built.tau_auto, d.tau_auto);
         assert_ne!(built.triangle_cache_entries, d.triangle_cache_entries);
         assert_ne!(built.collect_task_times, d.collect_task_times);
         assert_ne!(built.scheduler, d.scheduler);
-        assert_ne!(built.retry, d.retry);
-        assert_ne!(built.replication, d.replication);
-        assert_ne!(built.exec_mode, d.exec_mode);
-        assert_ne!(built.memory_budget_bytes, d.memory_budget_bytes);
-        assert_ne!(built.codec, d.codec);
         assert_ne!(built.collect_cost_profile, d.collect_cost_profile);
     }
 

@@ -8,6 +8,11 @@
 //!
 //! This crate reproduces that topology in one process, layered as:
 //!
+//! * **resident** — one [`Resident`] is the loaded deployment, described
+//!   by one [`DataPath`]: it owns the store, the per-worker caches, the
+//!   total order and degree array, and is the only place either runtime
+//!   (this crate's [`Cluster`], `benu-service`'s `QueryService`) loads a
+//!   graph, splits a task list, builds a fault gate or binds a lane;
 //! * **store** — the data graph lives in a [`benu_kvstore::KvStore`]
 //!   sharded across the workers;
 //! * **transport** — every worker's store traffic flows through a
@@ -48,6 +53,7 @@ pub mod config;
 pub mod gate;
 mod recovery;
 pub mod report;
+pub mod resident;
 pub mod runtime;
 pub mod schedule;
 pub mod transport;
@@ -57,10 +63,11 @@ pub use balance::CostProfile;
 pub use benu_fault::{FaultError, FaultKind, FaultPlan, FaultPlanBuilder, RetryPolicy};
 pub use benu_kvstore::{CodecKind, CorruptValue};
 pub use config::{
-    ClusterConfig, ClusterConfigBuilder, ExecMode, DEFAULT_CACHE_SHARDS,
+    ClusterConfig, ClusterConfigBuilder, DataPath, ExecMode, DEFAULT_CACHE_SHARDS,
     DEFAULT_TRIANGLE_CACHE_ENTRIES,
 };
 pub use report::{RecoveryReport, RunOutcome, WorkerReport};
+pub use resident::{Resident, Split};
 pub use runtime::Cluster;
 pub use schedule::{Scheduler, SchedulerKind};
 pub use transport::{FetchError, TransportError};

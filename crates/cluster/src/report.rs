@@ -147,12 +147,6 @@ impl RecoveryReport {
         self.transient_faults + self.timeouts + self.worker_crashes
     }
 
-    /// Faults the run absorbed without failing. On a successful run this
-    /// is every injected fault (see the type docs).
-    pub fn faults_survived(&self) -> u64 {
-        self.faults_injected()
-    }
-
     /// True if nothing was injected and nothing had to recover.
     pub fn is_clean(&self) -> bool {
         *self == RecoveryReport::default()
@@ -622,7 +616,6 @@ mod tests {
             ..RecoveryReport::default()
         };
         assert_eq!(r.faults_injected(), 8);
-        assert_eq!(r.faults_survived(), 8);
         assert!(!r.is_clean());
         assert!(RecoveryReport::default().is_clean());
     }

@@ -1,11 +1,12 @@
 //! The cluster executor.
 //!
-//! `Cluster` wires the runtime layers together: a [`Scheduler`](crate::Scheduler) hands
-//! tasks to worker threads, each worker's [`Transport`] carries its store
-//! traffic (with byte/round-trip accounting), and each worker machine
-//! owns a persistent [`DbCache`] that survives across `run` calls — the
-//! paper's long-lived per-machine database cache. See DESIGN.md
-//! "Runtime layering" for the full picture.
+//! `Cluster` is a [`Resident`] deployment — the sharded store and one
+//! persistent database cache per worker machine, surviving across `run`
+//! calls — plus the batch runtime over it: a
+//! [`Scheduler`](crate::Scheduler) hands tasks to worker threads and each
+//! worker's [`Transport`] carries its store traffic (with
+//! byte/round-trip accounting). See DESIGN.md "Runtime layering" for the
+//! full picture.
 //!
 //! With a [`FaultPlan`] installed (see [`Cluster::set_fault_plan`]), a
 //! run also exercises BENU's recovery story: each worker's [`FaultGate`]
@@ -23,13 +24,13 @@ use crate::config::ClusterConfig;
 use crate::gate::FaultGate;
 use crate::recovery::RecoveryCtx;
 use crate::report::{RecoveryReport, RunOutcome, WorkerReport};
+use crate::resident::{Resident, Split};
 use crate::transport::Transport;
 use crate::worker::{ErrorSlot, ThreadResult, Worker, WorkerError};
-use benu_cache::{CacheObs, CacheStats, DbCache};
+use benu_cache::{CacheObs, CacheStats};
 use benu_engine::SearchTask;
 use benu_fault::FaultPlan;
-use benu_graph::{Graph, TotalOrder, VertexId};
-use benu_kvstore::KvStore;
+use benu_graph::{Graph, VertexId};
 use benu_obs::ObsHub;
 use benu_plan::ExecutionPlan;
 use std::sync::Arc;
@@ -37,20 +38,16 @@ use std::time::{Duration, Instant};
 
 type Matches = Vec<Vec<VertexId>>;
 
-/// A loaded cluster: the data graph resident in the sharded store, ready
-/// to run any number of plans. Each worker machine's database cache is
-/// created once and persists across runs (warm caches), mirroring the
-/// paper's long-lived reducer processes; call [`Cluster::clear_caches`]
-/// for a cold-cache run.
+/// A loaded cluster: a [`Resident`] deployment — the data graph in the
+/// sharded store, one persistent database cache per worker machine
+/// (warm across runs, mirroring the paper's long-lived reducer
+/// processes; [`Cluster::clear_caches`] for a cold-cache run) — plus the
+/// scheduler and pass loop that run any number of plans over it.
 pub struct Cluster {
-    store: Arc<KvStore>,
-    order: Arc<TotalOrder>,
-    degrees: Vec<u32>,
-    caches: Vec<Arc<DbCache>>,
+    resident: Resident,
     config: ClusterConfig,
     fault_plan: Option<Arc<FaultPlan>>,
     cost_profile: Option<Arc<CostProfile>>,
-    obs: Option<Arc<ObsHub>>,
 }
 
 impl Cluster {
@@ -74,39 +71,19 @@ impl Cluster {
 
     fn build(g: &Graph, config: ClusterConfig, obs: Option<Arc<ObsHub>>) -> Self {
         config.validate();
-        let store = {
-            let _span = obs.as_ref().map(|h| h.tracer.span("store_load"));
-            let mut store =
-                KvStore::from_graph_with(g, config.workers, config.replication, config.codec);
-            if let Some(hub) = &obs {
-                store.attach_obs(&hub.registry);
-            }
-            Arc::new(store)
-        };
         Cluster {
-            store,
-            order: Arc::new(TotalOrder::new(g)),
-            degrees: g.vertices().map(|v| g.degree(v) as u32).collect(),
-            caches: (0..config.workers)
-                .map(|_| {
-                    let mut cache = DbCache::new(config.cache_capacity_bytes, config.cache_shards);
-                    if let Some(hub) = &obs {
-                        cache.attach_obs(CacheObs::register(&hub.registry, "db"));
-                    }
-                    Arc::new(cache)
-                })
-                .collect(),
+            resident: Resident::load(
+                g,
+                config.workers,
+                config.workers,
+                &config.data,
+                config.cache_shards,
+                obs,
+            ),
             config,
             fault_plan: None,
             cost_profile: None,
-            obs,
         }
-    }
-
-    /// The observability hub, when this cluster was built with
-    /// [`Cluster::new_observed`].
-    pub fn obs(&self) -> Option<&Arc<ObsHub>> {
-        self.obs.as_ref()
     }
 
     /// The active configuration.
@@ -114,27 +91,23 @@ impl Cluster {
         &self.config
     }
 
-    /// The underlying store (for capacity/size queries).
-    pub fn store(&self) -> &KvStore {
-        &self.store
+    /// The loaded deployment: store, caches, order, task split.
+    pub fn resident(&self) -> &Resident {
+        &self.resident
     }
 
-    /// The persistent per-machine database caches.
-    pub fn caches(&self) -> &[Arc<DbCache>] {
-        &self.caches
+    /// Mutable access to the deployment, for [`Resident::corrupt`]
+    /// between runs.
+    pub fn resident_mut(&mut self) -> &mut Resident {
+        &mut self.resident
     }
 
     /// Installs (or removes, with `None`) the fault plan subsequent runs
     /// inject from. Transient faults and timeouts are retried per the
-    /// configured [`ClusterConfig::retry`] policy; planned worker
+    /// configured [`crate::DataPath::retry`] policy; planned worker
     /// crashes trigger task requeue and re-execution.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan.map(Arc::new);
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_deref()
     }
 
     /// Installs (or removes, with `None`) an observed-cost profile from a
@@ -148,69 +121,22 @@ impl Cluster {
         self.cost_profile = profile.map(Arc::new);
     }
 
-    /// The installed cost profile, if any.
-    pub fn cost_profile(&self) -> Option<&CostProfile> {
-        self.cost_profile.as_deref()
-    }
-
     /// Drops every cached adjacency set and resets the cache counters —
     /// the cold-cache starting point of the Exp-3 ablation. Run-to-run
     /// warmth is otherwise deliberate.
     pub fn clear_caches(&self) {
-        for cache in &self.caches {
-            cache.clear();
-        }
+        self.resident.clear_caches();
     }
 
-    /// Generates the (split) task list for a compiled plan through the
-    /// engine's single §V-B implementation, returning the tasks and the
-    /// split threshold actually used (static `tau`, or the adaptive
-    /// choice under `tau_auto`).
-    fn generate_tasks(&self, second_adjacent: bool, has_second: bool) -> (Vec<SearchTask>, usize) {
-        // An installed cost profile overrides both degree-based paths:
-        // split at an observed-cost threshold θ (reported in place of τ)
-        // rather than a degree proxy.
+    /// How this cluster splits tasks: an installed cost profile overrides
+    /// both degree-based policies.
+    fn split(&self) -> Split<'_> {
         let lanes = self.config.workers * self.config.threads_per_worker;
-        if has_second {
-            if let Some(profile) = &self.cost_profile {
-                let (tasks, theta) = profile.generate_tasks(&self.degrees, lanes, second_adjacent);
-                return (tasks, theta as usize);
-            }
+        match &self.cost_profile {
+            Some(profile) => Split::Observed { profile, lanes },
+            None if self.config.tau_auto => Split::Auto { lanes },
+            None => Split::Fixed(self.config.tau),
         }
-        let tau = benu_engine::task::effective_tau(
-            &self.degrees,
-            has_second,
-            second_adjacent,
-            self.config.tau_auto,
-            self.config.tau,
-            lanes,
-        );
-        let tasks =
-            benu_engine::task::generate_tasks_from_degrees(&self.degrees, tau, second_adjacent);
-        (tasks, tau)
-    }
-
-    /// Chaos hook: drops vertex `v` from every replica shard of the
-    /// loaded store while the degree array (and thus the task list)
-    /// still names it — the store-vs-graph disagreement the structured
-    /// `MissingVertex` error path exists to surface. Only callable
-    /// between runs (the store must not be shared with a running pass).
-    /// Returns true if the vertex was present.
-    pub fn corrupt_remove_vertex(&mut self, v: VertexId) -> bool {
-        Arc::get_mut(&mut self.store)
-            .expect("corrupt_remove_vertex requires exclusive store access (no run in flight)")
-            .remove_vertex(v)
-    }
-
-    /// Chaos hook: overwrites vertex `v`'s stored value with undecodable
-    /// bytes on every replica shard — the data rot the structured
-    /// `CorruptValue` error path exists to surface (a corrupt shard must
-    /// degrade like any other store fault, not panic the run). Only
-    /// callable between runs. Returns true if the vertex was present.
-    pub fn corrupt_value(&mut self, v: VertexId) -> bool {
-        Arc::get_mut(&mut self.store)
-            .expect("corrupt_value requires exclusive store access (no run in flight)")
-            .corrupt_value(v)
     }
 
     /// Runs `plan`, counting matches (Algorithm 2 lines 3–8). Store
@@ -246,13 +172,15 @@ impl Cluster {
         plan: &ExecutionPlan,
         collect: bool,
     ) -> Result<(RunOutcome, Option<Matches>), WorkerError> {
+        let resident = &self.resident;
+        let obs = resident.obs();
         let compiled = {
-            let _span = self.obs.as_ref().map(|h| h.tracer.span("plan_compile"));
+            let _span = obs.map(|h| h.tracer.span("plan_compile"));
             benu_engine::CompiledPlan::compile(plan)
         };
         let (tasks, effective_tau) = {
-            let _span = self.obs.as_ref().map(|h| h.tracer.span("task_generation"));
-            self.generate_tasks(compiled.second_adjacent, compiled.second_vertex.is_some())
+            let _span = obs.map(|h| h.tracer.span("task_generation"));
+            resident.tasks(&compiled, self.split())
         };
         let total_tasks = tasks.len();
         let p = self.config.workers;
@@ -278,22 +206,18 @@ impl Cluster {
             }
         };
 
-        self.store.reset_stats();
-        let transports: Vec<Transport> = (0..p)
-            .map(|_| Transport::new(Arc::clone(&self.store)))
-            .collect();
+        resident.store().reset_stats();
+        let transports: Vec<Transport> = (0..p).map(|_| resident.transport()).collect();
         // One gate per worker machine: its verdicts stand in front of
         // the machine's cache, shared by the machine's threads.
-        let gates: Option<Vec<FaultGate>> = self.fault_plan.as_ref().map(|plan| {
-            (0..p)
-                .map(|_| {
-                    FaultGate::new(Arc::clone(&self.store), Arc::clone(plan), self.config.retry)
-                })
-                .collect()
-        });
+        let gates: Option<Vec<FaultGate>> = self
+            .fault_plan
+            .as_ref()
+            .map(|plan| (0..p).map(|_| resident.gate(Arc::clone(plan))).collect());
         let absorbed =
             || -> Vec<RecoveryReport> { gates.iter().flatten().map(FaultGate::absorbed).collect() };
-        let cache_stats_before: Vec<CacheStats> = self.caches.iter().map(|c| c.stats()).collect();
+        let cache_stats_before: Vec<CacheStats> =
+            resident.caches().iter().map(|c| c.stats()).collect();
         let errors = ErrorSlot::new();
         let started = Instant::now();
 
@@ -317,7 +241,7 @@ impl Cluster {
         // lost tasks come back via the requeue and run in another pass
         // on the survivors (BENU's regenerate-and-re-execute recovery).
         loop {
-            let pass_span = self.obs.as_ref().map(|h| {
+            let pass_span = obs.map(|h| {
                 let name = if attempt == 1 {
                     "pass.0".to_string()
                 } else {
@@ -348,8 +272,7 @@ impl Cluster {
                             id: w,
                             scheduler: scheduler.as_ref(),
                             transport,
-                            cache: &self.caches[w],
-                            order: &self.order,
+                            resident,
                             compiled: &compiled,
                             config: &self.config,
                             errors: &errors,
@@ -408,7 +331,7 @@ impl Cluster {
                 rc.commit_merged();
             }
 
-            if let Some(hub) = &self.obs {
+            if let Some(hub) = obs {
                 // Charge this pass's injected virtual latency into the
                 // trace clock before the pass span closes.
                 let now = virtual_total();
@@ -478,14 +401,14 @@ impl Cluster {
             // Per-run cache effectiveness: delta against the persistent
             // cache's counters at run start, plus the tier's hits the
             // lanes answered themselves.
-            let now = self.caches[w].stats();
+            let now = resident.caches()[w].stats();
             let before = cache_stats_before[w];
             report.cache = CacheStats {
                 hits: now.hits - before.hits + lane_hits,
                 misses: now.misses - before.misses,
                 evictions: now.evictions - before.evictions,
             };
-            if let Some(hub) = &self.obs {
+            if let Some(hub) = obs {
                 // The shared cache mirrors its own probes as they
                 // happen; the lanes' share of the tier arrives in bulk.
                 hub.registry.counter("cache.db.hits").add(lane_hits);
@@ -519,11 +442,11 @@ impl Cluster {
             // Distinct shards the plan held dark during any pass this
             // run actually executed — a pure function of (plan, passes),
             // so replays agree on it.
-            recovery.shard_outages = (0..self.store.num_shards())
+            recovery.shard_outages = (0..resident.store().num_shards())
                 .filter(|&s| (1..=attempt).any(|pass| plan.outage_at(s, pass)))
                 .count() as u64;
         }
-        let kv = self.store.stats();
+        let kv = resident.store().stats();
 
         let mut metrics = benu_engine::TaskMetrics::default();
         let mut frontier = benu_engine::FrontierStats::default();
@@ -531,7 +454,7 @@ impl Cluster {
             metrics += r.metrics;
             frontier += r.frontier;
         }
-        if let Some(hub) = &self.obs {
+        if let Some(hub) = obs {
             let reg = &hub.registry;
             // Engine instruction counters, summed across the run.
             metrics.record_into(reg);
@@ -587,8 +510,8 @@ impl Cluster {
             total_tasks,
             effective_tau,
             scheduler: self.config.scheduler,
-            exec_mode: self.config.exec_mode,
-            codec: self.config.codec,
+            exec_mode: self.config.data.exec_mode,
+            codec: self.config.data.codec,
             frontier_expansions: frontier.expansions,
             spill_events: frontier.spill_events,
             peak_frontier_bytes: frontier.peak_bytes,
@@ -598,7 +521,7 @@ impl Cluster {
             // profile fed back in would switch splitting off entirely.
             cost_profile: task_cost_records
                 .filter(|records| !records.is_empty())
-                .map(|records| CostProfile::from_task_costs(self.degrees.len(), records)),
+                .map(|records| CostProfile::from_task_costs(resident.degrees().len(), records)),
         };
         if let Some(m) = all_matches.as_mut() {
             m.sort_unstable();
@@ -990,54 +913,45 @@ mod tests {
         }
     }
 
-    /// A small cluster over `g` with the given scheduler, for the two
-    /// store-corruption matrices below.
-    fn corruptible_cluster(g: &Graph, kind: SchedulerKind) -> Cluster {
-        Cluster::new(
-            g,
-            ClusterConfig::builder()
-                .workers(2)
-                .threads_per_worker(1)
-                .cache_capacity_bytes(1 << 20)
-                .scheduler(kind)
-                .build(),
-        )
-    }
-
-    /// A vertex dropped from the store (while the task list still names
-    /// it) must surface the structured `MissingVertex` error — never a
-    /// panic, never a silent undercount — under both schedulers.
+    /// Store damage applied through [`Resident::corrupt`] (while the task
+    /// list still names the vertex) must surface structured errors —
+    /// never a panic, never a silent undercount — under both schedulers:
+    /// a dropped vertex as `MissingVertex`, rotten bytes (on every
+    /// replica) as `CorruptValue`.
     #[test]
-    fn missing_vertex_is_structured_across_schedulers() {
+    fn store_corruption_is_structured_across_schedulers() {
         let g = gen::barabasi_albert(80, 3, 13);
         let plan = PlanBuilder::new(&queries::triangle()).best_plan();
-        let corrupted: VertexId = 7;
+        let damaged: VertexId = 7;
         for kind in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-            let mut cluster = corruptible_cluster(&g, kind);
-            assert!(cluster.corrupt_remove_vertex(corrupted));
-            match cluster.run(&plan) {
+            let cluster = || {
+                Cluster::new(
+                    &g,
+                    ClusterConfig::builder()
+                        .workers(2)
+                        .threads_per_worker(1)
+                        .cache_capacity_bytes(1 << 20)
+                        .scheduler(kind)
+                        .build(),
+                )
+            };
+            let mut missing = cluster();
+            missing
+                .resident_mut()
+                .corrupt(|store| assert!(store.remove_vertex(damaged)));
+            match missing.run(&plan) {
                 Err(WorkerError::MissingVertex { vertex, .. }) => {
-                    assert_eq!(vertex, corrupted, "{kind}: wrong vertex blamed");
+                    assert_eq!(vertex, damaged, "{kind}: wrong vertex blamed");
                 }
                 other => panic!("{kind}: expected MissingVertex, got {other:?}"),
             }
-        }
-    }
-
-    /// A vertex whose stored bytes rot (on every replica) must surface
-    /// the structured `CorruptValue` error — never a panic, never a
-    /// silent undercount — under both schedulers.
-    #[test]
-    fn corrupt_value_is_structured_across_schedulers() {
-        let g = gen::barabasi_albert(80, 3, 13);
-        let plan = PlanBuilder::new(&queries::triangle()).best_plan();
-        let rotten: VertexId = 7;
-        for kind in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-            let mut cluster = corruptible_cluster(&g, kind);
-            assert!(cluster.corrupt_value(rotten));
-            match cluster.run(&plan) {
+            let mut rotten = cluster();
+            rotten
+                .resident_mut()
+                .corrupt(|store| assert!(store.corrupt_value(damaged)));
+            match rotten.run(&plan) {
                 Err(WorkerError::CorruptValue { error, .. }) => {
-                    assert_eq!(error.vertex, rotten, "{kind}: wrong vertex blamed");
+                    assert_eq!(error.vertex, damaged, "{kind}: wrong vertex blamed");
                 }
                 other => panic!("{kind}: expected CorruptValue, got {other:?}"),
             }
@@ -1072,15 +986,6 @@ mod tests {
         );
         // The compressed wire volume still reconciles with the store.
         assert_eq!(delta.communication_bytes(), delta.kv.bytes);
-    }
-
-    #[test]
-    fn corruption_requires_exclusive_store_and_reports_absence() {
-        let g = gen::complete(5);
-        let mut cluster = small_cluster(&g, 2, 1);
-        assert!(cluster.corrupt_remove_vertex(3));
-        assert!(!cluster.corrupt_remove_vertex(3), "already gone");
-        assert_eq!(cluster.store().num_vertices(), 5, "task list unchanged");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use crate::config::{ClusterConfig, ExecMode};
 use crate::gate::FaultGate;
 use crate::recovery::{RecoveryCtx, TaskFate};
+use crate::resident::Resident;
 use crate::schedule::Scheduler;
 use crate::transport::{FetchError, Transport, TransportError};
 use benu_cache::{CacheStats, DbCache};
@@ -387,8 +388,10 @@ pub struct LaneExecutor<'a, S: DataSource + ?Sized> {
 
 impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     /// Binds an engine to `source`. `budget` bounds the frontier under
-    /// [`ExecMode::Hybrid`] (see [`lane_budget`]); `collect`
-    /// switches from counting matches to materialising them.
+    /// [`ExecMode::Hybrid`]; `collect` switches from counting matches to
+    /// materialising them. Runtimes get their lanes from
+    /// [`Resident::executor`], which supplies the order, the mode and the
+    /// lane's share of the budget.
     pub fn new(
         compiled: &'a CompiledPlan,
         source: &'a S,
@@ -482,18 +485,6 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     }
 }
 
-/// One lane's even share of a frontier byte budget split across `lanes`
-/// concurrent [`LaneExecutor`]s. `0` stays `0` (unbounded); any other
-/// budget keeps at least one byte per lane, because a share that
-/// integer-divides to zero would read as *unbounded* — the tightest
-/// budget must stay the tightest.
-pub fn lane_budget(memory_budget_bytes: usize, lanes: usize) -> MemoryBudget {
-    if memory_budget_bytes == 0 {
-        return MemoryBudget::unbounded();
-    }
-    MemoryBudget::bytes((memory_budget_bytes / lanes.max(1)).max(1))
-}
-
 /// What one thread accumulated over its share of the run.
 pub struct ThreadResult {
     pub(crate) metrics: TaskMetrics,
@@ -516,8 +507,7 @@ pub struct Worker<'a> {
     pub(crate) id: usize,
     pub(crate) scheduler: &'a dyn Scheduler,
     pub(crate) transport: &'a Transport,
-    pub(crate) cache: &'a DbCache,
-    pub(crate) order: &'a TotalOrder,
+    pub(crate) resident: &'a Resident,
     pub(crate) compiled: &'a CompiledPlan,
     pub(crate) config: &'a ClusterConfig,
     pub(crate) errors: &'a ErrorSlot,
@@ -545,23 +535,22 @@ impl Worker<'_> {
     /// traffic was charged; a batch's duration is shared evenly by its
     /// tasks. A batch always runs to completion before any of its tasks
     /// is booked — frontier spills land on task boundaries — so crash
-    /// recovery requeues whole tasks in either mode. The per-worker
-    /// frontier byte budget is split evenly across the worker's threads.
+    /// recovery requeues whole tasks in either mode. The machine's
+    /// frontier byte budget is shared by its threads.
     pub fn run_thread(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
         let config = self.config;
-        let source = LaneSource::new(self.transport, self.cache, self.gate);
-        let mut executor = LaneExecutor::new(
+        let cache = &self.resident.caches()[self.id];
+        let source = LaneSource::new(self.transport, cache, self.gate);
+        let mut executor = self.resident.executor(
             self.compiled,
             &source,
-            self.order,
             config.triangle_cache_entries,
-            config.exec_mode,
-            lane_budget(config.memory_budget_bytes, config.threads_per_worker),
+            config.threads_per_worker,
             collect,
         );
         let stride = executor.stride(FRONTIER_TASK_BATCH);
         // A batch reports batch-level metrics: no per-task cost exists.
-        let record_costs = config.exec_mode == ExecMode::Dfs && config.collect_cost_profile;
+        let record_costs = config.data.exec_mode == ExecMode::Dfs && config.collect_cost_profile;
         let mut metrics = TaskMetrics::default();
         let mut busy = Duration::ZERO;
         let mut executed = 0;
@@ -705,14 +694,6 @@ mod tests {
             slot.first(),
             Some(WorkerError::ThreadPanicked { worker: 1 })
         );
-    }
-
-    #[test]
-    fn lane_budget_never_rounds_a_real_budget_down_to_unbounded() {
-        assert_eq!(lane_budget(0, 4), MemoryBudget::unbounded());
-        assert_eq!(lane_budget(1 << 20, 4).limit_bytes(), 1 << 18);
-        assert_eq!(lane_budget(1, 2).limit_bytes(), 1);
-        assert_eq!(lane_budget(3, 0).limit_bytes(), 3);
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of (not yet deduplicated) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalises into a CSR [`Graph`].
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();

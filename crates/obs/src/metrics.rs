@@ -258,7 +258,7 @@ pub fn snapshot_report(snapshot: &MetricsSnapshot) -> Report {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, (Arc<Counter>, bool)>,
-    gauges: BTreeMap<String, (Arc<Gauge>, bool)>,
+    gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, (Arc<Histogram>, bool)>,
 }
 
@@ -298,25 +298,15 @@ impl Registry {
         )
     }
 
-    /// The gauge named `name`, created on first use.
+    /// The gauge named `name`, created on first use. Gauges are levels,
+    /// never timings, so there is no wall-clock variant.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.gauge_with(name, false)
-    }
-
-    /// A wall-clock-derived gauge (excluded from deterministic
-    /// snapshots).
-    pub fn gauge_wall(&self, name: &str) -> Arc<Gauge> {
-        self.gauge_with(name, true)
-    }
-
-    fn gauge_with(&self, name: &str, wall: bool) -> Arc<Gauge> {
         let mut inner = self.inner.lock().expect("registry poisoned");
         Arc::clone(
-            &inner
+            inner
                 .gauges
                 .entry(name.to_string())
-                .or_insert_with(|| (Arc::new(Gauge::new()), wall))
-                .0,
+                .or_insert_with(|| Arc::new(Gauge::new())),
         )
     }
 
@@ -362,10 +352,8 @@ impl Registry {
                 out.insert(name.clone(), MetricValue::Counter(c.get()));
             }
         }
-        for (name, (g, wall)) in &inner.gauges {
-            if include_wall || !wall {
-                out.insert(name.clone(), MetricValue::Gauge(g.get()));
-            }
+        for (name, g) in &inner.gauges {
+            out.insert(name.clone(), MetricValue::Gauge(g.get()));
         }
         for (name, (h, wall)) in &inner.histograms {
             if include_wall || !wall {

@@ -4,13 +4,15 @@
 //! [`Value`]s; a value can itself be a nested tree, so a whole run's
 //! measurements — store stats, cache tiers, per-worker counters, trace
 //! events — merge into one structure with one serialisation surface
-//! (`benu-bench::json` renders it canonically). Insertion order is
-//! preserved so the emitting layer controls field order and snapshots
-//! stay byte-stable.
+//! ([`Value::render_json`], the canonical JSON encoding every bench dump
+//! uses). Insertion order is preserved so the emitting layer controls
+//! field order and snapshots stay byte-stable.
 
 /// One value in a [`Report`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
+    /// An absent value (`null`).
+    Null,
     /// A boolean.
     Bool(bool),
     /// An unsigned integer (counters, counts, bytes).
@@ -71,6 +73,89 @@ impl From<Report> for Value {
     fn from(v: Report) -> Self {
         Value::Tree(v)
     }
+}
+
+impl Value {
+    /// The canonical JSON encoding: pretty-printed with two-space
+    /// indentation, keys in insertion order, a trailing newline.
+    /// Unsigned integers stay exact, floats stay visibly float-typed
+    /// (`1.0`, never `1`), and non-finite floats render as `null`.
+    pub fn render_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_json(&self, out: &mut String, indent: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::UInt(n) => out.push_str(&n.to_string()),
+            Value::Int(n) => out.push_str(&n.to_string()),
+            Value::Float(f) if f.is_finite() => {
+                let text = f.to_string();
+                out.push_str(&text);
+                if !text.contains('.') {
+                    out.push_str(".0");
+                }
+            }
+            Value::Float(_) => out.push_str("null"),
+            Value::Str(s) => write_json_str(out, s),
+            Value::List(items) => write_json_seq(out, indent, '[', ']', items, |out, item| {
+                item.write_json(out, indent + 1);
+            }),
+            Value::Tree(tree) => {
+                write_json_seq(out, indent, '{', '}', &tree.entries, |out, (key, value)| {
+                    write_json_str(out, key);
+                    out.push_str(": ");
+                    value.write_json(out, indent + 1);
+                })
+            }
+        }
+    }
+}
+
+/// Writes `items` one per line between `open` and `close`, indented one
+/// level deeper than `indent` (`[]` / `{}` when empty).
+fn write_json_seq<T>(
+    out: &mut String,
+    indent: usize,
+    open: char,
+    close: char,
+    items: &[T],
+    mut write_item: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('\n');
+        out.push_str(&"  ".repeat(indent + 1));
+        write_item(out, item);
+    }
+    if !items.is_empty() {
+        out.push('\n');
+        out.push_str(&"  ".repeat(indent));
+    }
+    out.push(close);
+}
+
+fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// An insertion-ordered key → [`Value`] tree. Setting an existing key
@@ -171,14 +256,6 @@ impl Report {
     }
 }
 
-impl<'a> IntoIterator for &'a Report {
-    type Item = &'a (String, Value);
-    type IntoIter = std::slice::Iter<'a, (String, Value)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,5 +298,32 @@ mod tests {
         let keys: Vec<&str> = a.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["x", "y", "z"]);
         assert_eq!(a.get_u64("y"), Some(20));
+    }
+
+    #[test]
+    fn json_rendering_is_canonical() {
+        let mut inner = Report::new();
+        inner.set("k", 9u64);
+        let mut r = Report::new();
+        r.set("flag", true);
+        r.set("big", u64::MAX);
+        r.set("delta", -3i64);
+        r.set("ratio", 0.25);
+        r.set("whole", 2.0);
+        r.set("nan", f64::NAN);
+        r.set("none", Value::Null);
+        r.set("name", "a\"b\\c\nd");
+        r.set("list", Value::List(vec![Value::UInt(1), Value::UInt(2)]));
+        r.set("empty", Value::List(Vec::new()));
+        r.set_tree("tree", inner);
+        r.set_tree("bare", Report::new());
+        let expected = format!(
+            "{{\n  \"flag\": true,\n  \"big\": {},\n  \"delta\": -3,\n  \"ratio\": 0.25,\n  \
+             \"whole\": 2.0,\n  \"nan\": null,\n  \"none\": null,\n  \
+             \"name\": \"a\\\"b\\\\c\\nd\",\n  \"list\": [\n    1,\n    2\n  ],\n  \
+             \"empty\": [],\n  \"tree\": {{\n    \"k\": 9\n  }},\n  \"bare\": {{}}\n}}\n",
+            u64::MAX
+        );
+        assert_eq!(Value::Tree(r).render_json(), expected);
     }
 }

@@ -7,7 +7,7 @@
 //! and, for a concrete matching order, the shortest prefix that covers
 //! every pattern edge.
 
-use crate::pattern::{BitIter, Pattern, PatternVertex};
+use crate::pattern::{Pattern, PatternVertex};
 
 /// True iff the vertex set `mask` covers every edge of `p`.
 pub fn is_vertex_cover(p: &Pattern, mask: u64) -> bool {
@@ -70,11 +70,6 @@ pub fn cover_prefix_len(p: &Pattern, order: &[PatternVertex]) -> usize {
 /// The non-cover vertices of a prefix cover, in matching-order position.
 pub fn non_cover_vertices(order: &[PatternVertex], cover_len: usize) -> Vec<PatternVertex> {
     order[cover_len..].to_vec()
-}
-
-/// Iterates the vertices of a cover mask.
-pub fn cover_vertices(mask: u64) -> impl Iterator<Item = PatternVertex> {
-    BitIter(mask)
 }
 
 #[cfg(test)]

@@ -43,11 +43,6 @@ impl SyntacticEquivalence {
         (self.rows[u] >> v) & 1 == 1
     }
 
-    /// Bitmask of vertices equivalent to `u` (including `u`).
-    pub fn class_mask(&self, u: PatternVertex) -> u64 {
-        self.rows[u]
-    }
-
     /// Number of pattern vertices.
     pub fn len(&self) -> usize {
         self.n

@@ -227,11 +227,6 @@ impl FeedbackEstimator {
         }
     }
 
-    /// Number of prefix masks with direct observations.
-    pub fn observed_masks(&self) -> usize {
-        self.observed.len()
-    }
-
     /// The geometric-mean per-edge correction factor ρ.
     pub fn correction(&self) -> f64 {
         self.rho

@@ -29,13 +29,6 @@ pub enum SetVar {
     AllVertices,
 }
 
-impl SetVar {
-    /// True if this is an adjacency-set variable `A_i`.
-    pub fn is_adj(self) -> bool {
-        matches!(self, SetVar::Adj(_))
-    }
-}
-
 /// Comparison operator of a filtering condition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FilterOp {

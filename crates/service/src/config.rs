@@ -1,34 +1,28 @@
 //! Serving-layer configuration.
 
-use benu_cluster::{CodecKind, ExecMode};
+use benu_cluster::{CodecKind, DataPath, ExecMode};
 use benu_fault::{FaultPlan, RetryPolicy};
 use std::sync::Arc;
 
-/// Shape and tuning of the query service. One service owns one resident
-/// data graph: a sharded [`benu_kvstore::KvStore`] plus one warm
-/// database cache per serving worker, shared by every admitted query.
+/// Shape and tuning of the query service. One service owns one
+/// [`benu_cluster::Resident`] deployment: a sharded
+/// [`benu_kvstore::KvStore`] plus one warm database cache per serving
+/// worker, shared by every admitted query. Task splitting is not
+/// configurable: every query's task list is split at the adaptive τ for
+/// a fixed virtual lane count, so it is identical at any concurrency.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceConfig {
     /// Serving worker threads. Each worker owns a persistent database
     /// cache (warm across queries) and one store transport, mirroring a
     /// machine of the batch cluster.
     pub workers: usize,
-    /// Database-cache capacity per worker, in bytes.
-    pub cache_capacity_bytes: usize,
-    /// Task-splitting threshold τ applied to every query (0 disables
-    /// splitting) unless [`ServiceConfig::tau_auto`] is set.
-    pub tau: usize,
-    /// Pick τ per query from the degree distribution (recommended: the
-    /// adaptive choice splits heavy-start tasks for balance). The
-    /// adaptive τ targets a fixed virtual lane count — not `workers` —
-    /// so the task list, chunk boundaries and virtual-time accounting
-    /// are identical at any concurrency.
-    pub tau_auto: bool,
-    /// Execution mode of every query.
-    pub exec_mode: ExecMode,
-    /// Per-worker frontier byte budget for hybrid execution (0 =
-    /// unbounded).
-    pub memory_budget_bytes: usize,
+    /// The data plane, described exactly as the batch cluster describes
+    /// it: cache capacity per worker, store replication and codec
+    /// (fixed when the resident graph is loaded), the retry policy for
+    /// injected faults (ignored without a fault plan), and the execution
+    /// mode and pool-wide frontier budget of every query. Builder
+    /// setters forward into it.
+    pub data: DataPath,
     /// Tasks per scheduling chunk — the pull, fairness and budget-commit
     /// granularity. A worker books at most one chunk before the fair
     /// queue may rotate to another query, and budgets are evaluated at
@@ -41,13 +35,6 @@ pub struct ServiceConfig {
     /// vertex)`, so pinning this makes failure outcomes — not just
     /// results — identical across worker counts.
     pub store_shards: usize,
-    /// Store replication factor (shards ring-replicate as in the batch
-    /// cluster).
-    pub replication: usize,
-    /// Wire codec for stored adjacency values, fixed when the resident
-    /// graph is loaded. Every query served afterwards reads the same
-    /// bytes; decoded sets are byte-identical across codecs.
-    pub codec: CodecKind,
     /// Deterministic fault injection for the serving data path. Each
     /// admitted query draws its own per-request decision stream
     /// ([`FaultPlan::scoped`] by query id) while structural faults —
@@ -55,10 +42,6 @@ pub struct ServiceConfig {
     /// set of queries a given seed fails is reproducible regardless of
     /// thread timing or cache state. `None` serves faultlessly.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// How serving workers retry injected transient faults and
-    /// timeouts (virtual backoff, never slept). Ignored without a
-    /// fault plan.
-    pub retry: RetryPolicy,
     /// Admission cap on queries that are admitted but not yet terminal
     /// (0 = unbounded). A submission over the cap is shed with
     /// [`crate::Terminal::Rejected`] instead of queued.
@@ -98,17 +81,10 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 4,
-            cache_capacity_bytes: 64 << 20,
-            tau: 0,
-            tau_auto: true,
-            exec_mode: ExecMode::Dfs,
-            memory_budget_bytes: 0,
+            data: DataPath::default(),
             chunk_tasks: 64,
             store_shards: 0,
-            replication: 1,
-            codec: CodecKind::RawU32,
             fault_plan: None,
-            retry: RetryPolicy::default(),
             max_inflight_queries: 0,
             max_queued_chunks: 0,
             admission_deadline_aware: false,
@@ -137,16 +113,12 @@ impl ServiceConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero workers or chunk size, or a replication factor
-    /// outside `1..=store shards`.
+    /// Panics on zero workers or chunk size, or an invalid [`DataPath`]
+    /// (replication factor outside `1..=store shards`, bad retry policy).
     pub fn validate(&self) {
         assert!(self.workers >= 1, "need at least one worker");
         assert!(self.chunk_tasks >= 1, "need at least one task per chunk");
-        assert!(
-            (1..=self.resolved_store_shards()).contains(&self.replication),
-            "replication factor must be within 1..=store shards"
-        );
-        self.retry.validate();
+        self.data.validate(self.resolved_store_shards());
     }
 }
 
@@ -163,32 +135,20 @@ impl ServiceConfigBuilder {
 
     /// Per-worker database-cache capacity in bytes.
     pub fn cache_capacity_bytes(mut self, n: usize) -> Self {
-        self.0.cache_capacity_bytes = n;
-        self
-    }
-
-    /// Task-splitting threshold τ (disables the adaptive choice).
-    pub fn tau(mut self, tau: usize) -> Self {
-        self.0.tau = tau;
-        self.0.tau_auto = false;
-        self
-    }
-
-    /// Pick τ adaptively from the degree distribution.
-    pub fn tau_auto(mut self, yes: bool) -> Self {
-        self.0.tau_auto = yes;
+        self.0.data.cache_capacity_bytes = n;
         self
     }
 
     /// Execution mode of every query.
     pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.0.exec_mode = mode;
+        self.0.data.exec_mode = mode;
         self
     }
 
-    /// Per-worker frontier byte budget for hybrid execution.
+    /// Frontier byte budget of the whole pool for hybrid execution,
+    /// shared by its workers (`0` = unbounded).
     pub fn memory_budget_bytes(mut self, n: usize) -> Self {
-        self.0.memory_budget_bytes = n;
+        self.0.data.memory_budget_bytes = n;
         self
     }
 
@@ -206,13 +166,13 @@ impl ServiceConfigBuilder {
 
     /// Store replication factor.
     pub fn replication(mut self, r: usize) -> Self {
-        self.0.replication = r;
+        self.0.data.replication = r;
         self
     }
 
     /// Wire codec for stored adjacency values.
     pub fn codec(mut self, codec: CodecKind) -> Self {
-        self.0.codec = codec;
+        self.0.data.codec = codec;
         self
     }
 
@@ -224,7 +184,7 @@ impl ServiceConfigBuilder {
 
     /// Retry policy for injected transient faults and timeouts.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.0.retry = retry;
+        self.0.data.retry = retry;
         self
     }
 
@@ -277,23 +237,28 @@ mod tests {
     #[test]
     fn builder_covers_every_field() {
         let plan = FaultPlan::builder(9).transient_rate(0.01).build();
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
+        let data = DataPath {
+            cache_capacity_bytes: 1 << 20,
+            replication: 2,
+            codec: CodecKind::DeltaVarint,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::default()
+            },
+            exec_mode: ExecMode::Hybrid,
+            memory_budget_bytes: 4 << 10,
         };
         let built = ServiceConfig::builder()
             .workers(3)
-            .cache_capacity_bytes(1 << 20)
-            .tau(25)
-            .tau_auto(false)
-            .exec_mode(ExecMode::Hybrid)
-            .memory_budget_bytes(4 << 10)
+            .cache_capacity_bytes(data.cache_capacity_bytes)
+            .exec_mode(data.exec_mode)
+            .memory_budget_bytes(data.memory_budget_bytes)
             .chunk_tasks(16)
             .store_shards(4)
-            .replication(2)
-            .codec(CodecKind::DeltaVarint)
+            .replication(data.replication)
+            .codec(data.codec)
             .fault_plan(plan.clone())
-            .retry(retry)
+            .retry(data.retry)
             .max_inflight_queries(8)
             .max_queued_chunks(100)
             .admission_deadline_aware(true)
@@ -302,17 +267,10 @@ mod tests {
             .build();
         let literal = ServiceConfig {
             workers: 3,
-            cache_capacity_bytes: 1 << 20,
-            tau: 25,
-            tau_auto: false,
-            exec_mode: ExecMode::Hybrid,
-            memory_budget_bytes: 4 << 10,
+            data,
             chunk_tasks: 16,
             store_shards: 4,
-            replication: 2,
-            codec: CodecKind::DeltaVarint,
             fault_plan: Some(Arc::new(plan)),
-            retry,
             max_inflight_queries: 8,
             max_queued_chunks: 100,
             admission_deadline_aware: true,
@@ -320,6 +278,24 @@ mod tests {
             feedback_replanning: true,
         };
         assert_eq!(built, literal, "every builder method must land");
+        let d = DataPath::default();
+        assert_ne!(data.cache_capacity_bytes, d.cache_capacity_bytes);
+        assert_ne!(data.replication, d.replication);
+        assert_ne!(data.codec, d.codec);
+        assert_ne!(data.retry, d.retry);
+        assert_ne!(data.exec_mode, d.exec_mode);
+        assert_ne!(data.memory_budget_bytes, d.memory_budget_bytes);
+        // One data plane, two front doors: the same values set through
+        // the batch cluster's builder describe the same `DataPath`.
+        let batch = benu_cluster::ClusterConfig::builder()
+            .cache_capacity_bytes(data.cache_capacity_bytes)
+            .replication(data.replication)
+            .codec(data.codec)
+            .retry(data.retry)
+            .exec_mode(data.exec_mode)
+            .memory_budget_bytes(data.memory_budget_bytes)
+            .build();
+        assert_eq!(batch.data, built.data);
     }
 
     #[test]

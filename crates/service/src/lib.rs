@@ -3,10 +3,12 @@
 //!
 //! The batch layers (`benu-cluster`) answer one query per run. This
 //! crate adds the session front end a serving deployment needs: one
-//! resident data graph — sharded [`benu_kvstore::KvStore`] plus warm
-//! per-worker [`benu_cache::DbCache`]s — shared by many concurrent
-//! pattern queries, each submitted with its own result mode, fair-share
-//! weight and budgets.
+//! [`benu_cluster::Resident`] data graph — sharded
+//! [`benu_kvstore::KvStore`] plus warm per-worker
+//! [`benu_cache::DbCache`]s, loaded and described ([`DataPath`]) exactly
+//! as the batch cluster's — shared by many concurrent pattern queries,
+//! each submitted with its own result mode, fair-share weight and
+//! budgets.
 //!
 //! The moving parts:
 //!
@@ -68,10 +70,10 @@ mod plan_cache;
 mod query;
 mod service;
 
-pub use benu_cluster::CodecKind;
+pub use benu_cluster::{CodecKind, DataPath};
 pub use benu_fault::{FaultPlan, FaultPlanBuilder, RetryPolicy};
 pub use config::{ServiceConfig, ServiceConfigBuilder};
 pub use error::ServiceError;
 pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 pub use query::{QueryId, QueryOptions, QueryResult, QueryStatus, ResultMode, Terminal};
-pub use service::QueryService;
+pub use service::{QueryService, AUTO_TAU_VIRTUAL_LANES};

@@ -1,13 +1,14 @@
 //! The query service: admission, worker pool, commit, reporting.
 //!
-//! One [`QueryService`] owns a resident data graph — a sharded
-//! [`KvStore`] plus one persistent per-worker [`DbCache`] — and serves
-//! any number of concurrent pattern queries against it. Admission
+//! One [`QueryService`] owns a [`Resident`] deployment — the data graph
+//! in a sharded store plus one persistent database cache per worker,
+//! the same layer the batch [`benu_cluster::Cluster`] runs on — and
+//! serves any number of concurrent pattern queries against it. Admission
 //! compiles (or plan-cache-resolves) the pattern, evaluates the
 //! [`crate::admission`] gates against the current backlog, generates
-//! the split task list exactly as the batch [`benu_cluster::Cluster`]
-//! would, and enqueues fixed task-index-range *chunks* into the
-//! weighted round-robin [`crate::fair`] queue. Worker threads pull one
+//! the split task list through [`Resident::tasks`], and enqueues fixed
+//! task-index-range *chunks* into the weighted round-robin
+//! [`crate::fair`] queue. Worker threads pull one
 //! chunk at a time — the cross-query fairness granularity — execute it
 //! with the regular engine (DFS task-at-a-time, or the memory-bounded
 //! hybrid as one frontier batch), and hand the outcome to the query's
@@ -38,13 +39,13 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
-use benu_cache::{CacheObs, DbCache};
+use benu_cache::DbCache;
 use benu_cluster::gate::FaultGate;
 use benu_cluster::transport::Transport;
-use benu_cluster::worker::{lane_budget, LaneExecutor, LaneSource, TaskPanicked};
-use benu_cluster::{DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES};
+use benu_cluster::worker::{LaneSource, TaskPanicked};
+use benu_cluster::{Resident, Split, DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES};
 use benu_engine::{SearchTask, TaskMetrics};
-use benu_graph::{Graph, TotalOrder, VertexId};
+use benu_graph::{Graph, VertexId};
 use benu_kvstore::KvStore;
 use benu_obs::{ObsHub, Report, ReportMode};
 use benu_pattern::canonical::fingerprint;
@@ -58,6 +59,15 @@ use std::time::{Duration, Instant};
 
 /// Compiled plans the plan cache retains (LRU over canonical forms).
 const PLAN_CACHE_ENTRIES: usize = 32;
+
+/// The service's one task-split policy: every query's task list is split
+/// at the adaptive τ for this many *virtual* lanes — deliberately not the
+/// worker count. The task list fixes chunk boundaries, and chunk
+/// boundaries fix where budgets are evaluated and how many virtual ticks
+/// a query accrues — all part of the determinism contract ("identical
+/// results at any concurrency"), so τ must be a pure function of the
+/// graph and the plan.
+pub const AUTO_TAU_VIRTUAL_LANES: usize = 8;
 
 /// Backstop poll interval of the worker/waiter condvar signals: a missed
 /// wakeup degrades to a poll at this cadence, never a hang.
@@ -172,11 +182,7 @@ struct FeedbackEntry {
 
 struct Inner {
     config: ServiceConfig,
-    store: Arc<KvStore>,
-    order: Arc<TotalOrder>,
-    degrees: Vec<u32>,
-    graph_edges: usize,
-    caches: Vec<Arc<DbCache>>,
+    resident: Resident,
     plan_cache: PlanCache,
     /// Observed-stats store keyed by the plan cache's canonical hash
     /// (innermost lock — taken under `queries` and query-state locks,
@@ -185,7 +191,6 @@ struct Inner {
     replans: AtomicU64,
     queue: crate::fair::FairQueue<Arc<QueryRun>>,
     queries: Mutex<Vec<Arc<QueryRun>>>,
-    obs: Option<Arc<ObsHub>>,
     shutdown: AtomicBool,
     work: Signal,
     done: Signal,
@@ -215,15 +220,11 @@ pub struct QueryService {
     threads: Vec<JoinHandle<()>>,
 }
 
-/// A store mutation applied between loading the resident graph and
-/// starting the worker pool (chaos-test hook).
-type StoreRot<'a> = Box<dyn FnOnce(&mut KvStore) + 'a>;
-
 impl QueryService {
     /// Loads `g` into the service's sharded store and starts the worker
     /// pool.
     pub fn new(g: &Graph, config: ServiceConfig) -> Self {
-        Self::build(g, config, None, None)
+        Self::serve(Self::load(g, &config, None), config)
     }
 
     /// Like [`QueryService::new`], with an observability hub: store and
@@ -231,62 +232,40 @@ impl QueryService {
     /// on its virtual-clock tracer, and `service.*` counters mirror the
     /// admission lifecycle.
     pub fn new_observed(g: &Graph, config: ServiceConfig, hub: Arc<ObsHub>) -> Self {
-        Self::build(g, config, Some(hub), None)
+        Self::serve(Self::load(g, &config, Some(hub)), config)
     }
 
     /// Like [`QueryService::new`], applying `rot` to the resident store
-    /// after load and before serving. A chaos-test hook: corrupt or
-    /// drop stored values and assert the request path fails the
-    /// affected *query* (structured [`ServiceError`]) instead of the
-    /// process.
+    /// ([`Resident::corrupt`]) after load and before serving. A
+    /// chaos-test hook: corrupt or drop stored values and assert the
+    /// request path fails the affected *query* (structured
+    /// [`ServiceError`]) instead of the process.
     pub fn new_corrupted(g: &Graph, config: ServiceConfig, rot: impl FnOnce(&mut KvStore)) -> Self {
-        Self::build(g, config, None, Some(Box::new(rot)))
+        let mut resident = Self::load(g, &config, None);
+        resident.corrupt(rot);
+        Self::serve(resident, config)
     }
 
-    fn build(
-        g: &Graph,
-        config: ServiceConfig,
-        obs: Option<Arc<ObsHub>>,
-        rot: Option<StoreRot<'_>>,
-    ) -> Self {
+    fn load(g: &Graph, config: &ServiceConfig, obs: Option<Arc<ObsHub>>) -> Resident {
         config.validate();
-        let store = {
-            let _span = obs.as_ref().map(|h| h.tracer.span("store_load"));
-            let mut store = KvStore::from_graph_with(
-                g,
-                config.resolved_store_shards(),
-                config.replication,
-                config.codec,
-            );
-            if let Some(rot) = rot {
-                rot(&mut store);
-            }
-            if let Some(hub) = &obs {
-                store.attach_obs(&hub.registry);
-            }
-            Arc::new(store)
-        };
-        let caches = (0..config.workers)
-            .map(|_| {
-                let mut cache = DbCache::new(config.cache_capacity_bytes, DEFAULT_CACHE_SHARDS);
-                if let Some(hub) = &obs {
-                    cache.attach_obs(CacheObs::register(&hub.registry, "db"));
-                }
-                Arc::new(cache)
-            })
-            .collect();
+        Resident::load(
+            g,
+            config.resolved_store_shards(),
+            config.workers,
+            &config.data,
+            DEFAULT_CACHE_SHARDS,
+            obs,
+        )
+    }
+
+    fn serve(resident: Resident, config: ServiceConfig) -> Self {
         let inner = Arc::new(Inner {
-            store,
-            order: Arc::new(TotalOrder::new(g)),
-            degrees: g.vertices().map(|v| g.degree(v) as u32).collect(),
-            graph_edges: g.num_edges(),
-            caches,
+            resident,
             plan_cache: PlanCache::new(PLAN_CACHE_ENTRIES),
             feedback: Mutex::new(Vec::new()),
             replans: AtomicU64::new(0),
             queue: crate::fair::FairQueue::new(config.workers),
             queries: Mutex::new(Vec::new()),
-            obs,
             shutdown: AtomicBool::new(false),
             work: Signal::new(),
             done: Signal::new(),
@@ -313,9 +292,9 @@ impl QueryService {
         QueryService { inner, threads }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.inner.config
+    /// The loaded deployment every query is served from.
+    pub fn resident(&self) -> &Resident {
+        &self.inner.resident
     }
 
     /// Plan-cache counters.
@@ -349,14 +328,16 @@ impl QueryService {
         let inner = &*self.inner;
         let mut queries = inner.queries.lock();
         let id = queries.len() as QueryId;
+        let resident = &inner.resident;
         let (plan, placement, hit) = {
-            let _span = inner
-                .obs
-                .as_ref()
+            let _span = resident
+                .obs()
                 .map(|h| h.tracer.span(&format!("query.{id}.compile")));
-            inner
-                .plan_cache
-                .get_or_compile(pattern, inner.store.num_vertices(), inner.graph_edges)
+            inner.plan_cache.get_or_compile(
+                pattern,
+                resident.store().num_vertices(),
+                resident.num_edges(),
+            )
         };
         // Feedback re-planning: a repeat submission of an observed
         // pattern class swaps in a plan re-ranked from the recorded
@@ -367,7 +348,10 @@ impl QueryService {
         } else {
             plan
         };
-        let tasks = inner.generate_tasks(&plan);
+        let split = Split::Auto {
+            lanes: AUTO_TAU_VIRTUAL_LANES,
+        };
+        let (tasks, _tau) = resident.tasks(&plan.compiled, split);
         let total_chunks = tasks.len().div_ceil(inner.config.chunk_tasks);
         let commit = CommitState::new(
             total_chunks,
@@ -376,13 +360,11 @@ impl QueryService {
             options.max_matches,
             inner.config.graceful_degradation,
         );
-        let gate = inner.config.fault_plan.as_ref().map(|plan| {
-            FaultGate::new(
-                Arc::clone(&inner.store),
-                Arc::new(plan.scoped(id)),
-                inner.config.retry,
-            )
-        });
+        let gate = inner
+            .config
+            .fault_plan
+            .as_ref()
+            .map(|plan| resident.gate(Arc::new(plan.scoped(id))));
         let weight = options.weight;
         let deadline = options.deadline_vticks;
         let run = Arc::new(QueryRun {
@@ -405,7 +387,7 @@ impl QueryService {
         });
         queries.push(Arc::clone(&run));
         inner.admitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(hub) = &inner.obs {
+        if let Some(hub) = resident.obs() {
             hub.registry.counter("service.admitted").inc();
             if hit {
                 hub.registry.counter("service.plan_cache.hits").inc();
@@ -603,7 +585,7 @@ impl QueryService {
         let mut report = Report::new();
         report.set_tree("service", service);
         if mode == ReportMode::Full {
-            if let Some(hub) = &inner.obs {
+            if let Some(hub) = inner.resident.obs() {
                 report.merge(hub.report(mode));
             }
         }
@@ -621,33 +603,7 @@ impl Drop for QueryService {
     }
 }
 
-/// Lane parameter fed to the adaptive τ choice, deliberately *not* the
-/// worker count: the task list fixes chunk boundaries, and chunk
-/// boundaries fix where budgets are evaluated and how many virtual
-/// ticks a query accrues — all part of the determinism contract
-/// ("identical results at any concurrency"), so τ must be a pure
-/// function of the graph and the plan.
-const AUTO_TAU_VIRTUAL_LANES: usize = 8;
-
 impl Inner {
-    /// The §V-B task list for a cached plan, exactly as the batch
-    /// cluster generates it — except that adaptive τ targets a fixed
-    /// virtual lane count instead of `workers`, keeping the task list
-    /// (and with it vticks and budget boundaries) identical at any
-    /// concurrency.
-    fn generate_tasks(&self, plan: &CachedPlan) -> Vec<SearchTask> {
-        let second_adjacent = plan.compiled.second_adjacent;
-        let tau = benu_engine::task::effective_tau(
-            &self.degrees,
-            plan.compiled.second_vertex.is_some(),
-            second_adjacent,
-            self.config.tau_auto,
-            self.config.tau,
-            AUTO_TAU_VIRTUAL_LANES,
-        );
-        benu_engine::task::generate_tasks_from_degrees(&self.degrees, tau, second_adjacent)
-    }
-
     /// Feedback re-planning at admission: when the submitted pattern
     /// class has an observation recorded against exactly the cached
     /// plan and has not been re-planned yet, recompile with the
@@ -662,14 +618,14 @@ impl Inner {
         if entry.replanned || entry.plan != current.plan || entry.obs.is_empty() {
             return None;
         }
-        let prior = ChungLuEstimator::from_degrees(&self.degrees);
+        let prior = ChungLuEstimator::from_degrees(self.resident.degrees());
         let est = FeedbackEstimator::new(prior, &entry.plan, &entry.obs);
         let plan = PlanBuilder::new(&entry.canonical)
             .observed_feedback(est)
             .best_plan();
         entry.replanned = true;
         self.replans.fetch_add(1, Ordering::Relaxed);
-        if let Some(hub) = &self.obs {
+        if let Some(hub) = self.resident.obs() {
             hub.registry.counter("service.feedback.replans").inc();
         }
         Some(self.plan_cache.replace(entry.canonical.clone(), plan))
@@ -701,7 +657,7 @@ impl Inner {
     }
 
     fn sync_queue_depth(&self) {
-        if let Some(hub) = &self.obs {
+        if let Some(hub) = self.resident.obs() {
             hub.registry
                 .gauge("service.queue_depth")
                 .set(self.queue.depth() as i64);
@@ -755,7 +711,7 @@ impl Inner {
                 "service.rejected"
             }
         };
-        if let Some(hub) = &self.obs {
+        if let Some(hub) = self.resident.obs() {
             hub.registry.counter(counter).inc();
             // Committed work only — the deterministic share of the run.
             out.metrics.record_into(&hub.registry);
@@ -811,8 +767,8 @@ fn remap(f: &[VertexId], placement: &[PatternVertex]) -> Vec<VertexId> {
 }
 
 fn worker_loop(inner: Arc<Inner>, lane: usize) {
-    let transport = Transport::new(Arc::clone(&inner.store));
-    let cache = Arc::clone(&inner.caches[lane]);
+    let transport = inner.resident.transport();
+    let cache = &inner.resident.caches()[lane];
     // An injected crash takes effect at chunk granularity: after
     // `crash_at` executed chunks, the next granted chunk triggers the
     // crash — the worker dies holding an unexecuted chunk, which is
@@ -832,7 +788,7 @@ fn worker_loop(inner: Arc<Inner>, lane: usize) {
                     return;
                 }
                 inner.sync_queue_depth();
-                execute_chunk(&inner, &transport, &cache, &run, chunk);
+                execute_chunk(&inner, &transport, cache, &run, chunk);
                 executed += 1;
             }
             None if inner.shutdown.load(Ordering::Acquire) => break,
@@ -853,7 +809,7 @@ fn crash_worker(inner: &Inner, lane: usize, run: &Arc<QueryRun>, chunk: usize) {
     let survivors = inner.alive.fetch_sub(1, Ordering::AcqRel) - 1;
     inner.dead_lane.store(lane, Ordering::Release);
     inner.queue.fail_lane(lane);
-    if let Some(hub) = &inner.obs {
+    if let Some(hub) = inner.resident.obs() {
         hub.registry.counter("service.worker_crashes").inc();
     }
     if survivors > 0 {
@@ -870,7 +826,7 @@ fn crash_worker(inner: &Inner, lane: usize, run: &Arc<QueryRun>, chunk: usize) {
                 .queue
                 .requeue(run.id, Arc::clone(run), run.options.weight, chunk);
             inner.requeued_chunks.fetch_add(1, Ordering::Relaxed);
-            if let Some(hub) = &inner.obs {
+            if let Some(hub) = inner.resident.obs() {
                 hub.registry.counter("service.requeued_chunks").inc();
             }
         }
@@ -917,7 +873,7 @@ fn crash_worker(inner: &Inner, lane: usize, run: &Arc<QueryRun>, chunk: usize) {
 fn execute_chunk(
     inner: &Inner,
     transport: &Transport,
-    cache: &Arc<DbCache>,
+    cache: &DbCache,
     run: &Arc<QueryRun>,
     chunk: usize,
 ) {
@@ -931,22 +887,20 @@ fn execute_chunk(
         return;
     }
     let _span = inner
-        .obs
-        .as_ref()
+        .resident
+        .obs()
         .map(|h| h.tracer.span(&format!("query.{}.execute", run.id)));
     let range = run.chunk_range(chunk);
     let tasks = &run.tasks[range];
     let source = LaneSource::new(transport, cache, run.gate.as_ref());
-    // The configured frontier budget is the pool's, split evenly across
-    // its workers; a hybrid chunk is one frontier batch, so sibling
-    // tasks share deduplicated batched store reads.
-    let mut executor = LaneExecutor::new(
+    // The configured frontier budget is the pool's, shared by its
+    // workers; a hybrid chunk is one frontier batch, so sibling tasks
+    // share deduplicated batched store reads.
+    let mut executor = inner.resident.executor(
         &run.plan.compiled,
         &source,
-        &inner.order,
         DEFAULT_TRIANGLE_CACHE_ENTRIES,
-        inner.config.exec_mode,
-        lane_budget(inner.config.memory_budget_bytes, inner.config.workers),
+        inner.config.workers,
         run.options.mode.needs_matches(),
     );
     let mut metrics = TaskMetrics::default();
@@ -981,7 +935,7 @@ fn execute_chunk(
     // not query latency — keeping them out of vticks keeps deadline
     // semantics invariant under recovered faults.
     if !penalty.is_zero() {
-        if let Some(hub) = &inner.obs {
+        if let Some(hub) = inner.resident.obs() {
             hub.registry
                 .counter("service.fault_penalty_nanos")
                 .add(penalty.as_nanos() as u64);
@@ -989,7 +943,7 @@ fn execute_chunk(
     }
     let error = panicked.or_else(|| source.error().map(ServiceError::from));
     let lane = executor.finish();
-    if let Some(hub) = &inner.obs {
+    if let Some(hub) = inner.resident.obs() {
         // DBQs the lane answered from what its task already held are
         // hits of the db-cache tier the shared cache never saw.
         hub.registry
@@ -1023,7 +977,7 @@ fn execute_chunk(
             vticks: chunk_vticks(tasks.len(), &metrics),
             metrics,
         };
-        if let Some(hub) = &inner.obs {
+        if let Some(hub) = inner.resident.obs() {
             hub.tracer.clock().advance(executed.vticks);
         }
         if let Some(commit) = state.commit.as_mut() {

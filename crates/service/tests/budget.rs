@@ -1,9 +1,10 @@
 //! The frontier byte budget in the serving layer.
 //!
-//! `memory_budget_bytes` is the pool's budget, split evenly across the
-//! workers by the same `benu_cluster::worker::lane_budget` the batch
-//! runtime uses (whose unit test pins that a share never rounds down to
-//! zero, i.e. to *unbounded*). The service exposes no spill counter, so
+//! `DataPath::memory_budget_bytes` is the budget of whatever shares it —
+//! here the pool, split evenly across its workers by the same
+//! `benu_cluster::Resident::executor` the batch runtime gets its lanes
+//! from (whose unit test pins that a share never rounds down to zero,
+//! i.e. to *unbounded*). The service exposes no spill counter, so
 //! what is checked here is the other half of the contract: hybrid chunks
 //! that spill on every level still commit exactly what DFS commits.
 

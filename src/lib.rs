@@ -17,14 +17,19 @@
 //! * [`cache`] — the per-machine LRU database cache and per-thread
 //!   triangle cache.
 //! * [`engine`] — the backtracking interpreter executing compiled plans.
-//! * [`fault`] — deterministic fault injection: seeded fault plans
-//!   (transient store errors, timeouts, slow shards, worker crashes) and
-//!   the retry policy the cluster recovers with.
-//! * [`cluster`] — the simulated shared-nothing cluster: task generation,
-//!   task splitting, workers, fault recovery and metrics.
-//! * [`service`] — the concurrent multi-query serving layer: one resident
-//!   store shared by many queries, with a canonical-pattern plan cache,
-//!   weighted fair scheduling, and deterministic per-query budgets.
+//! * [`fault`] — deterministic fault injection, decisions only: seeded
+//!   fault plans (transient store errors, timeouts, slow shards, worker
+//!   crashes, shard outages) and the retry policy recovery runs under.
+//!   It knows no store; [`cluster::gate::FaultGate`] applies it to one.
+//! * [`cluster`] — the simulated shared-nothing cluster. One
+//!   [`cluster::Resident`] is the loaded deployment (sharded store,
+//!   per-worker caches, total order, task split, fault gates), described
+//!   by one [`cluster::DataPath`]; [`cluster::Cluster`] adds the batch
+//!   runtime over it: scheduler, workers, fault recovery and metrics.
+//! * [`service`] — the concurrent multi-query serving layer over the same
+//!   [`cluster::Resident`]: one resident store shared by many queries,
+//!   with a canonical-pattern plan cache, weighted fair scheduling, and
+//!   deterministic per-query budgets.
 //! * [`obs`] — structured observability: the lock-light metrics registry,
 //!   virtual-time span tracing, and the unified [`obs::Report`] tree
 //!   every run serialises to.
@@ -86,7 +91,7 @@ pub use benu_service as service;
 
 /// Convenience re-exports covering the common end-to-end workflow.
 pub mod prelude {
-    pub use benu_cluster::{Cluster, ClusterConfig, RunOutcome};
+    pub use benu_cluster::{Cluster, ClusterConfig, DataPath, RunOutcome};
     pub use benu_engine::LocalEngine;
     pub use benu_fault::{FaultPlan, RetryPolicy};
     pub use benu_graph::{AdjSet, AdjView, Graph, GraphBuilder, TotalOrder, VertexId};

@@ -151,13 +151,13 @@ fn kv_store_round_trip_through_cluster() {
     let g = gen::barabasi_albert(100, 3, 7);
     let cluster = Cluster::new(&g, ClusterConfig::builder().workers(4).build());
     for v in g.vertices() {
-        let adj = cluster.store().get_unaccounted(v).unwrap();
+        let adj = cluster.resident().store().get_unaccounted(v).unwrap();
         assert_eq!(adj.as_slice(), g.neighbors(v));
     }
     // Stored values are the raw adjacency payload behind a one-byte
     // codec tag (raw-u32 is the default), one tag per vertex.
     assert_eq!(
-        cluster.store().total_value_bytes(),
+        cluster.resident().store().total_value_bytes(),
         g.adjacency_bytes() + g.num_vertices()
     );
 }
