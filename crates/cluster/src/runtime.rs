@@ -28,15 +28,13 @@ use crate::resident::{Resident, Split};
 use crate::transport::Transport;
 use crate::worker::{ErrorSlot, ThreadResult, Worker, WorkerError};
 use benu_cache::{CacheObs, CacheStats};
-use benu_engine::SearchTask;
+use benu_engine::{MatchSet, SearchTask};
 use benu_fault::FaultPlan;
-use benu_graph::{Graph, VertexId};
+use benu_graph::Graph;
 use benu_obs::ObsHub;
 use benu_plan::ExecutionPlan;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-type Matches = Vec<Vec<VertexId>>;
 
 /// A loaded cluster: a [`Resident`] deployment — the data graph in the
 /// sharded store, one persistent database cache per worker machine
@@ -156,22 +154,25 @@ impl Cluster {
         Ok(self.run_inner(plan, false)?.0)
     }
 
-    /// Runs `plan` and additionally collects every (expanded) embedding.
-    /// Intended for correctness tests and small graphs.
+    /// Runs `plan` and additionally collects every (expanded) embedding,
+    /// sorted. Each lane collects into one buffer and sorts it on its own
+    /// thread; the buffers are then merged into one of exactly the final
+    /// size. The high-water mark is the lanes' buffers (grown by
+    /// doubling) plus that merged buffer — about twice the embeddings'
+    /// own bytes, with no per-embedding allocation anywhere.
     ///
     /// # Errors
     ///
     /// See [`Cluster::run`].
-    pub fn run_collect(&self, plan: &ExecutionPlan) -> Result<(RunOutcome, Matches), WorkerError> {
-        let (outcome, matches) = self.run_inner(plan, true)?;
-        Ok((outcome, matches.unwrap_or_default()))
+    pub fn run_collect(&self, plan: &ExecutionPlan) -> Result<(RunOutcome, MatchSet), WorkerError> {
+        self.run_inner(plan, true)
     }
 
     fn run_inner(
         &self,
         plan: &ExecutionPlan,
         collect: bool,
-    ) -> Result<(RunOutcome, Option<Matches>), WorkerError> {
+    ) -> Result<(RunOutcome, MatchSet), WorkerError> {
         let resident = &self.resident;
         let obs = resident.obs();
         let compiled = {
@@ -366,7 +367,7 @@ impl Cluster {
         let elapsed = started.elapsed();
 
         let mut reports: Vec<WorkerReport> = Vec::with_capacity(p);
-        let mut all_matches: Option<Matches> = collect.then(Vec::new);
+        let mut lane_matches: Vec<MatchSet> = Vec::new();
         let mut all_task_times = self.config.collect_task_times.then(Vec::new);
         let mut task_cost_records: Option<Vec<(SearchTask, u64)>> =
             self.config.collect_cost_profile.then(Vec::new);
@@ -394,9 +395,7 @@ impl Cluster {
                 if let Some(records) = task_cost_records.as_mut() {
                     records.extend(r.task_costs);
                 }
-                if let (Some(all), Some(mine)) = (all_matches.as_mut(), r.stats.matches) {
-                    all.extend(mine);
-                }
+                lane_matches.extend(r.stats.matches);
             }
             // Per-run cache effectiveness: delta against the persistent
             // cache's counters at run start, plus the tier's hits the
@@ -523,19 +522,17 @@ impl Cluster {
                 .filter(|records| !records.is_empty())
                 .map(|records| CostProfile::from_task_costs(resident.degrees().len(), records)),
         };
-        if let Some(m) = all_matches.as_mut() {
-            m.sort_unstable();
-        }
-        Ok((outcome, all_matches))
+        Ok((outcome, MatchSet::merge_sorted(lane_matches)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecMode;
     use crate::schedule::SchedulerKind;
     use benu_fault::RetryPolicy;
-    use benu_graph::gen;
+    use benu_graph::{gen, VertexId};
     use benu_pattern::queries;
     use benu_plan::PlanBuilder;
     use std::time::Duration;
@@ -693,13 +690,38 @@ mod tests {
 
     #[test]
     fn collected_matches_agree_with_sequential_engine() {
-        let g = gen::erdos_renyi_gnm(40, 150, 21);
-        let plan = PlanBuilder::new(&queries::triangle()).best_plan();
-        let cluster = small_cluster(&g, 3, 2);
-        let (outcome, matches) = cluster.run_collect(&plan).unwrap();
-        let expected = benu_engine::collect_embeddings(&plan, &g);
-        assert_eq!(matches, expected);
-        assert_eq!(outcome.total_matches as usize, matches.len());
+        // One lane, two lanes of one worker, six lanes of three: the
+        // merge sees one part, two, and many — and must give the rows of
+        // a single sorted engine pass, in order, in either execution mode.
+        let g = gen::barabasi_albert(400, 5, 21);
+        let patterns = [
+            ("chordal_square", queries::chordal_square()),
+            ("q4", queries::q4()),
+            ("q5", queries::q5()),
+        ];
+        for (name, pattern) in &patterns {
+            for compressed in [false, true] {
+                let plan = PlanBuilder::new(pattern).compressed(compressed).best_plan();
+                let expected = benu_engine::collect_embeddings(&plan, &g);
+                assert!(!expected.is_empty(), "{name}: nothing to collect");
+                for (workers, threads) in [(1, 1), (1, 2), (3, 2)] {
+                    for mode in [ExecMode::Dfs, ExecMode::Hybrid] {
+                        let config = ClusterConfig::builder()
+                            .workers(workers)
+                            .threads_per_worker(threads)
+                            .tau(20)
+                            .exec_mode(mode)
+                            .build();
+                        let (outcome, matches) =
+                            Cluster::new(&g, config).run_collect(&plan).unwrap();
+                        let ctx =
+                            format!("{name} compressed={compressed} {workers}x{threads} {mode:?}");
+                        assert_eq!(outcome.total_matches as usize, matches.len(), "{ctx}");
+                        assert!(matches == expected, "{ctx}: rows or order diverged");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::transport::{FetchError, Transport, TransportError};
 use benu_cache::{CacheStats, DbCache};
 use benu_engine::{
     CollectingConsumer, CompiledPlan, CountingConsumer, DataSource, FrontierEngine, FrontierStats,
-    LocalEngine, MatchConsumer, MemoryBudget, PoolStats, SearchTask, TaskMetrics,
+    LocalEngine, MatchConsumer, MatchSet, MemoryBudget, PoolStats, SearchTask, TaskMetrics,
 };
 use benu_graph::{AdjSet, TotalOrder, VertexId};
 use benu_kvstore::{CorruptValue, KvStore};
@@ -365,8 +365,9 @@ pub struct LaneStats {
     pub pool: PoolStats,
     /// Frontier counters (all zero under [`ExecMode::Dfs`]).
     pub frontier: FrontierStats,
-    /// Every collected embedding, when the executor was collecting.
-    pub matches: Option<Vec<Vec<VertexId>>>,
+    /// Every collected embedding, sorted, when the executor was
+    /// collecting.
+    pub matches: Option<MatchSet>,
 }
 
 enum LaneEngine<'a, S: DataSource + ?Sized> {
@@ -463,9 +464,15 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     }
 
     /// Consumes the executor, returning its engine's counters and the
-    /// collected matches.
+    /// collected matches — sorted here, on the lane's own thread, so
+    /// sibling lanes sort in parallel and whoever gathers them only
+    /// merges.
     pub fn finish(self) -> LaneStats {
-        let matches = self.collecting.map(CollectingConsumer::into_matches);
+        let matches = self.collecting.map(|collecting| {
+            let mut matches = collecting.into_matches();
+            matches.sort();
+            matches
+        });
         match self.engine {
             LaneEngine::Dfs(engine) => LaneStats {
                 triangle_cache: engine.triangle_cache_stats(),

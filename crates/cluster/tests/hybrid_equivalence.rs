@@ -10,8 +10,9 @@
 //! same-seed replay of the frontier/spill report.
 
 use benu_cluster::{Cluster, ClusterConfig, ExecMode, RunOutcome, SchedulerKind};
+use benu_engine::MatchSet;
 use benu_fault::FaultPlan;
-use benu_graph::{Graph, VertexId};
+use benu_graph::Graph;
 use benu_pattern::queries;
 use benu_plan::{ExecutionPlan, PlanBuilder};
 
@@ -50,7 +51,7 @@ fn run(
     mode: ExecMode,
     budget: usize,
     faults: Option<FaultPlan>,
-) -> (RunOutcome, Vec<Vec<VertexId>>) {
+) -> (RunOutcome, MatchSet) {
     let mut cluster = Cluster::new(g, config(scheduler, mode, budget, faults.is_some()));
     cluster.set_fault_plan(faults);
     cluster.run_collect(plan).expect("run must survive")

@@ -1,5 +1,6 @@
 //! Match consumers — where RES instructions deliver their results.
 
+use crate::matches::MatchSet;
 use benu_graph::VertexId;
 
 /// Receives matches from the engine.
@@ -38,27 +39,27 @@ impl MatchConsumer for CountingConsumer {
     }
 }
 
-/// Collects every match into memory. Intended for tests and small runs.
+/// Collects every match into one [`MatchSet`], in emission order.
 #[derive(Clone, Debug, Default)]
 pub struct CollectingConsumer {
-    matches: Vec<Vec<VertexId>>,
+    matches: MatchSet,
 }
 
 impl CollectingConsumer {
     /// The collected matches.
-    pub fn matches(&self) -> &[Vec<VertexId>] {
+    pub fn matches(&self) -> &MatchSet {
         &self.matches
     }
 
     /// Consumes the collector.
-    pub fn into_matches(self) -> Vec<Vec<VertexId>> {
+    pub fn into_matches(self) -> MatchSet {
         self.matches
     }
 }
 
 impl MatchConsumer for CollectingConsumer {
     fn on_match(&mut self, f: &[VertexId]) {
-        self.matches.push(f.to_vec());
+        self.matches.push(f);
     }
 }
 

@@ -36,6 +36,11 @@ pub(crate) const UNSET: VertexId = VertexId::MAX;
 /// Default capacity of the per-thread triangle cache (entries).
 pub const DEFAULT_TRIANGLE_CACHE_ENTRIES: usize = 1 << 14;
 
+/// Image sets of a compressed code whose slices `report` holds on the
+/// stack. Only a plan with more non-cover vertices — a pattern of ten or
+/// more — pays a vector per code for them.
+const INLINE_IMAGES: usize = 8;
+
 /// Per-run metrics accumulated by the engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TaskMetrics {
@@ -342,6 +347,7 @@ pub struct LocalEngine<'a, S: DataSource + ?Sized> {
     tcache: TriangleCache,
     data_labels: Option<&'a [u32]>,
     label_scratch: Vec<Vec<VertexId>>,
+    count_scratch: expand::CountScratch,
     pub(crate) f: Vec<VertexId>,
     pub(crate) slots: Vec<Slot>,
     scratch: Vec<VertexId>,
@@ -388,6 +394,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
             tcache: TriangleCache::new(tcache_entries),
             data_labels: None,
             label_scratch: Vec::new(),
+            count_scratch: expand::CountScratch::default(),
             f: vec![UNSET; plan.num_pattern_vertices],
             slots: (0..plan.num_slots).map(|_| Slot::Empty).collect(),
             scratch: Vec::new(),
@@ -797,8 +804,8 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                 // Label-filter the image sets of labeled non-cover
                 // vertices into scratch buffers.
                 let mut label_scratch = std::mem::take(&mut self.label_scratch);
+                let mut count_scratch = std::mem::take(&mut self.count_scratch);
                 label_scratch.resize_with(info.non_cover.len(), Vec::new);
-                let mut images: Vec<&[VertexId]> = Vec::with_capacity(info.image_reg.len());
                 for (t, &r) in info.image_reg.iter().enumerate() {
                     let raw = self.slots[r].as_slice();
                     let u = info.non_cover[t];
@@ -812,33 +819,42 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                         }
                     }
                 }
+                // The slices borrow the slot file, so they cannot be kept
+                // in the engine between codes: they sit on the stack.
+                let mut inline: [&[VertexId]; INLINE_IMAGES] = [&[]; INLINE_IMAGES];
+                let mut spilled = Vec::new();
+                let images: &mut [&[VertexId]] = match inline.get_mut(..info.image_reg.len()) {
+                    Some(images) => images,
+                    None => {
+                        spilled.resize(info.image_reg.len(), &[][..]);
+                        &mut spilled
+                    }
+                };
                 for (t, &r) in info.image_reg.iter().enumerate() {
                     let u = info.non_cover[t];
-                    if plan.labels[u].is_some() {
-                        images.push(&label_scratch[t]);
+                    images[t] = if plan.labels[u].is_some() {
+                        &label_scratch[t]
                     } else {
-                        images.push(self.slots[r].as_slice());
-                    }
+                        self.slots[r].as_slice()
+                    };
                 }
                 // Instruction-level pruning already rejects empty image
                 // sets, so every emitted code encodes ≥ 0 embeddings.
-                let count = expand::count_code_embeddings(info, &images, self.order);
-                if count == 0 {
-                    return;
+                let count =
+                    expand::count_code_embeddings(info, images, self.order, &mut count_scratch);
+                if count > 0 {
+                    metrics.codes += 1;
+                    metrics.matches += count;
+                    let helve_len = plan.num_pattern_vertices - info.non_cover.len();
+                    let image_entries: usize = images.iter().map(|s| s.len()).sum();
+                    metrics.code_bytes += (4 * (helve_len + image_entries)) as u64;
+                    if consumer.needs_matches() {
+                        self.expand_f.copy_from_slice(&self.f);
+                        expand::expand_code(info, images, self.order, &mut self.expand_f, consumer);
+                    }
                 }
-                metrics.codes += 1;
-                metrics.matches += count;
-                let helve_len = plan.num_pattern_vertices - info.non_cover.len();
-                let image_entries: usize = images.iter().map(|s| s.len()).sum();
-                metrics.code_bytes += (4 * (helve_len + image_entries)) as u64;
-                if consumer.needs_matches() {
-                    self.expand_f.copy_from_slice(&self.f);
-                    expand::expand_code(info, &images, self.order, &mut self.expand_f, &mut |f| {
-                        consumer.on_match(f)
-                    });
-                }
-                drop(images);
                 self.label_scratch = label_scratch;
+                self.count_scratch = count_scratch;
             }
         }
     }
@@ -1054,7 +1070,7 @@ mod tests {
         assert_eq!(m.matches, 10);
         assert_eq!(c.matches().len(), 10);
         assert!(m.codes > 0 && m.codes <= 10, "codes compress the output");
-        for matched in c.matches() {
+        for matched in c.matches().rows() {
             // Every reported triple really is a triangle.
             assert!(g.has_edge(matched[0], matched[1]));
             assert!(g.has_edge(matched[1], matched[2]));
@@ -1132,8 +1148,12 @@ mod tests {
             assert_eq!(m_cold, m_warm, "{name}: metrics diverge cold vs warm pool");
             for (pass, consumer) in [("cold", cold), ("warm", warm)] {
                 let mut got = consumer.into_matches();
-                got.sort_unstable();
-                assert_eq!(got, expected, "{name}/{pass}: diverges from reference");
+                got.sort();
+                assert_eq!(
+                    got.to_vecs(),
+                    expected,
+                    "{name}/{pass}: diverges from reference"
+                );
             }
         }
     }
@@ -1185,8 +1205,8 @@ mod tests {
             assert_eq!(mb, ms, "{name}: metrics diverge across kernels");
             let mut eb = cb.into_matches();
             let mut es = cs.into_matches();
-            eb.sort_unstable();
-            es.sort_unstable();
+            eb.sort();
+            es.sort();
             assert_eq!(eb, es, "{name}: block kernels changed the match set");
         }
     }

@@ -16,8 +16,18 @@
 //!   pattern vertices such as star leaves or clique tails.
 
 use crate::compile::ExpansionInfo;
+use crate::consumer::MatchConsumer;
 use benu_graph::ops::intersect_count;
 use benu_graph::{TotalOrder, VertexId};
+
+/// The component partition [`count_code_embeddings`] builds per code,
+/// kept by the caller so that counting a code allocates nothing once the
+/// buffers have grown to the plan's non-cover count.
+#[derive(Debug, Default)]
+pub struct CountScratch {
+    comp: Vec<usize>,
+    members: Vec<usize>,
+}
 
 /// Counts the embeddings encoded by one compressed code whose image sets
 /// are `images[t]` for `info.non_cover[t]`.
@@ -25,6 +35,7 @@ pub fn count_code_embeddings(
     info: &ExpansionInfo,
     images: &[&[VertexId]],
     order: &TotalOrder,
+    scratch: &mut CountScratch,
 ) -> u64 {
     let t = info.non_cover.len();
     if t == 0 {
@@ -35,13 +46,15 @@ pub fn count_code_embeddings(
     }
     // Partition positions into components connected by "may interact":
     // overlapping image sets or an order constraint.
-    let mut comp = (0..t).collect::<Vec<usize>>();
+    let CountScratch { comp, members } = scratch;
+    comp.clear();
+    comp.extend(0..t);
     for a in 0..t {
         for b in (a + 1)..t {
             let interacting =
                 info.pair_order[a][b].is_some() || intersect_count(images[a], images[b]) > 0;
             if interacting {
-                let (ra, rb) = (root(&mut comp, a), root(&mut comp, b));
+                let (ra, rb) = (root(comp, a), root(comp, b));
                 if ra != rb {
                     comp[ra.max(rb)] = ra.min(rb);
                 }
@@ -50,11 +63,12 @@ pub fn count_code_embeddings(
     }
     let mut total = 1u64;
     for c in 0..t {
-        if root(&mut comp, c) != c {
+        if root(comp, c) != c {
             continue;
         }
-        let members: Vec<usize> = (0..t).filter(|&x| root(&mut comp, x) == c).collect();
-        total = total.saturating_mul(count_component(info, images, order, &members));
+        members.clear();
+        members.extend((0..t).filter(|&x| root(comp, x) == c));
+        total = total.saturating_mul(count_component(info, images, order, members));
     }
     total
 }
@@ -225,16 +239,16 @@ fn count_backtrack(
 }
 
 /// Enumerates the embeddings of one code, writing each non-cover mapping
-/// into `f` and invoking `emit` (cover vertices must already be set in
-/// `f`).
+/// into `f` and handing it to `consumer` (cover vertices must already be
+/// set in `f`).
 pub fn expand_code(
     info: &ExpansionInfo,
     images: &[&[VertexId]],
     order: &TotalOrder,
     f: &mut [VertexId],
-    emit: &mut dyn FnMut(&[VertexId]),
+    consumer: &mut dyn MatchConsumer,
 ) {
-    expand_rec(info, images, order, f, 0, emit);
+    expand_rec(info, images, order, f, 0, consumer);
 }
 
 fn expand_rec(
@@ -243,10 +257,10 @@ fn expand_rec(
     order: &TotalOrder,
     f: &mut [VertexId],
     depth: usize,
-    emit: &mut dyn FnMut(&[VertexId]),
+    consumer: &mut dyn MatchConsumer,
 ) {
     if depth == info.non_cover.len() {
-        emit(f);
+        consumer.on_match(f);
         return;
     }
     let cur_vertex = info.non_cover[depth];
@@ -271,7 +285,7 @@ fn expand_rec(
             }
         }
         f[cur_vertex] = x;
-        expand_rec(info, images, order, f, depth + 1, emit);
+        expand_rec(info, images, order, f, depth + 1, consumer);
     }
     f[cur_vertex] = VertexId::MAX;
 }
@@ -292,6 +306,15 @@ fn binomial(n: u64, k: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consumer::CollectingConsumer;
+
+    fn count_code_embeddings(
+        info: &ExpansionInfo,
+        images: &[&[VertexId]],
+        order: &TotalOrder,
+    ) -> u64 {
+        super::count_code_embeddings(info, images, order, &mut CountScratch::default())
+    }
 
     fn info(non_cover: Vec<usize>, pairs: &[(usize, usize, Option<bool>)]) -> ExpansionInfo {
         let t = non_cover.len();
@@ -375,13 +398,11 @@ mod tests {
         let count = count_code_embeddings(&i, &[&a, &b], &order);
         let mut f = vec![u32::MAX; 3];
         f[1] = 9; // pretend cover vertex
-        let mut seen = Vec::new();
-        expand_code(&i, &[&a, &b], &order, &mut f, &mut |f| {
-            seen.push(f.to_vec())
-        });
-        assert_eq!(seen.len() as u64, count);
+        let mut seen = CollectingConsumer::default();
+        expand_code(&i, &[&a, &b], &order, &mut f, &mut seen);
+        assert_eq!(seen.matches().len() as u64, count);
         // Every emitted embedding respects injectivity.
-        for m in &seen {
+        for m in seen.matches().rows() {
             assert_ne!(m[0], m[2]);
         }
     }
@@ -393,11 +414,9 @@ mod tests {
         let a: Vec<u32> = vec![1, 2, 3];
         assert_eq!(count_code_embeddings(&i, &[&a, &a], &order), 3);
         let mut f = vec![u32::MAX; 2];
-        let mut seen = Vec::new();
-        expand_code(&i, &[&a, &a], &order, &mut f, &mut |f| {
-            seen.push(f.to_vec())
-        });
-        assert!(seen.iter().all(|m| m[1] < m[0]));
+        let mut seen = CollectingConsumer::default();
+        expand_code(&i, &[&a, &a], &order, &mut f, &mut seen);
+        assert!(seen.matches().rows().all(|m| m[1] < m[0]));
     }
 
     #[test]
@@ -410,6 +429,9 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state
         };
+        // One scratch across every case, as the engine holds it: a count
+        // must not depend on what the previous code left behind.
+        let mut scratch = CountScratch::default();
         for t in 2..=4usize {
             for _case in 0..30 {
                 let sets: Vec<Vec<u32>> = (0..t)
@@ -424,7 +446,7 @@ mod tests {
                 let slices: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
                 let i = info((0..t).collect(), &[]);
                 let order = identity_order(10);
-                let via_ie = count_code_embeddings(&i, &slices, &order);
+                let via_ie = super::count_code_embeddings(&i, &slices, &order, &mut scratch);
                 // Direct backtracking for the ground truth.
                 let mut chosen = Vec::new();
                 let members: Vec<usize> = (0..t).collect();

@@ -417,6 +417,7 @@ mod tests {
     use super::*;
     use crate::compile::CompiledPlan;
     use crate::consumer::{CollectingConsumer, CountingConsumer};
+    use crate::matches::MatchSet;
     use crate::source::{InMemorySource, KvSource};
     use benu_cache::DbCache;
     use benu_graph::{gen, Graph, TotalOrder};
@@ -447,7 +448,7 @@ mod tests {
         compiled: &CompiledPlan,
         g: &Graph,
         tasks: &[SearchTask],
-    ) -> (TaskMetrics, Vec<Vec<VertexId>>) {
+    ) -> (TaskMetrics, MatchSet) {
         let source = InMemorySource::from_graph(g);
         let order = TotalOrder::new(g);
         let mut engine = LocalEngine::new(compiled, &source, &order);
@@ -457,7 +458,7 @@ mod tests {
             total += engine.run_task(t, &mut c);
         }
         let mut m = c.into_matches();
-        m.sort_unstable();
+        m.sort();
         (total, m)
     }
 
@@ -466,7 +467,7 @@ mod tests {
         g: &Graph,
         tasks: &[SearchTask],
         budget: MemoryBudget,
-    ) -> (TaskMetrics, Vec<Vec<VertexId>>, FrontierStats) {
+    ) -> (TaskMetrics, MatchSet, FrontierStats) {
         let source = InMemorySource::from_graph(g);
         let order = TotalOrder::new(g);
         let engine = LocalEngine::new(compiled, &source, &order);
@@ -474,7 +475,7 @@ mod tests {
         let mut c = CollectingConsumer::default();
         let metrics = fe.run_batch(tasks, &mut c);
         let mut m = c.into_matches();
-        m.sort_unstable();
+        m.sort();
         (metrics, m, fe.stats())
     }
 

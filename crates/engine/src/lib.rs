@@ -17,6 +17,8 @@
 //! * [`source`] — data sources: an in-memory graph and the KV-store +
 //!   DB-cache stack of the paper's architecture.
 //! * [`consumer`] — match consumers (counting, collecting, callbacks).
+//! * [`mod@matches`] — [`MatchSet`], collected embeddings as rows of one
+//!   buffer.
 //! * [`frontier`] — the memory-bounded BFS/DFS hybrid driver with
 //!   frontier-batched store reads.
 //! * [`expand`] — VCBC code expansion and embedding counting.
@@ -30,6 +32,7 @@ pub mod consumer;
 pub mod exec;
 pub mod expand;
 pub mod frontier;
+pub mod matches;
 pub mod reference;
 pub mod source;
 pub mod task;
@@ -38,6 +41,7 @@ pub use compile::CompiledPlan;
 pub use consumer::{CollectingConsumer, CountingConsumer, FnConsumer, MatchConsumer};
 pub use exec::{LocalEngine, PoolStats, TaskMetrics};
 pub use frontier::{FrontierEngine, FrontierStats, MemoryBudget};
+pub use matches::MatchSet;
 pub use source::{DataSource, InMemorySource, KvSource};
 pub use task::{SearchTask, SplitSpec};
 
@@ -68,9 +72,9 @@ pub fn count_labeled_embeddings(plan: &ExecutionPlan, g: &Graph, data_labels: &[
     engine.run_all_vertices(&mut consumer).matches
 }
 
-/// Convenience: collects all embeddings of `plan` in `g`, each as a
-/// `Vec` indexed by pattern vertex.
-pub fn collect_embeddings(plan: &ExecutionPlan, g: &Graph) -> Vec<Vec<benu_graph::VertexId>> {
+/// Convenience: collects all embeddings of `plan` in `g`, sorted, each
+/// row indexed by pattern vertex.
+pub fn collect_embeddings(plan: &ExecutionPlan, g: &Graph) -> MatchSet {
     let compiled = CompiledPlan::compile(plan);
     let source = InMemorySource::from_graph(g);
     let order = TotalOrder::new(g);
@@ -78,6 +82,6 @@ pub fn collect_embeddings(plan: &ExecutionPlan, g: &Graph) -> Vec<Vec<benu_graph
     let mut consumer = CollectingConsumer::default();
     engine.run_all_vertices(&mut consumer);
     let mut out = consumer.into_matches();
-    out.sort_unstable();
+    out.sort();
     out
 }

@@ -193,7 +193,7 @@ mod tests {
             let expected = enumerate(&g, &p, &sb);
             let plan = benu_plan::PlanBuilder::new(&p).best_plan();
             let got = crate::collect_embeddings(&plan, &g);
-            assert_eq!(got, expected, "{name}: full match sets");
+            assert_eq!(got.to_vecs(), expected, "{name}: full match sets");
         }
     }
 }

@@ -142,8 +142,12 @@ fn check(what: &str, plan: &ExecutionPlan, g: &Graph, data_labels: &[u32], tau: 
     let mut collected = CollectingConsumer::default();
     let general = inputs.dfs(&mut collected);
     let mut matches = collected.into_matches();
-    matches.sort_unstable();
-    assert_eq!(matches, expected, "{what}: DFS collecting vs reference");
+    matches.sort();
+    assert_eq!(
+        matches.to_vecs(),
+        expected,
+        "{what}: DFS collecting vs reference"
+    );
     assert_eq!(general.matches, expected.len() as u64, "{what}: count");
 
     let counted = inputs.dfs(&mut CountingConsumer::default());
@@ -159,8 +163,12 @@ fn check(what: &str, plan: &ExecutionPlan, g: &Graph, data_labels: &[u32], tau: 
         let metrics = inputs.frontier(budget, &mut collected);
         assert_eq!(metrics, general, "{what}: frontier collecting at {label}");
         let mut matches = collected.into_matches();
-        matches.sort_unstable();
-        assert_eq!(matches, expected, "{what}: frontier matches at {label}");
+        matches.sort();
+        assert_eq!(
+            matches.to_vecs(),
+            expected,
+            "{what}: frontier matches at {label}"
+        );
     }
 }
 

@@ -1,10 +1,14 @@
 //! The engine's steady-state allocation contract, observed through a
 //! counting `#[global_allocator]`: once the buffer pool and the triangle
 //! cache are warm, running tasks allocates nothing, and a triangle-cache
-//! miss allocates its cached value and nothing else. A single `#[test]`
-//! so no sibling test allocates concurrently under the same counter.
+//! miss allocates its cached value and nothing else; collecting the
+//! embeddings of a compressed plan adds the growth of one buffer, not an
+//! allocation per embedding or per code. A single `#[test]` so no
+//! sibling test allocates concurrently under the same counter.
 
-use benu_engine::{CompiledPlan, CountingConsumer, InMemorySource, LocalEngine};
+use benu_engine::{
+    CollectingConsumer, CompiledPlan, CountingConsumer, InMemorySource, LocalEngine,
+};
 use benu_graph::{gen, TotalOrder};
 use benu_obs::alloc::CountingAllocator;
 use benu_pattern::queries;
@@ -17,6 +21,7 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 fn steady_state_allocations() {
     warm_q5_tasks_allocate_nothing_and_every_take_hits_the_pool();
     clique5_allocates_once_per_triangle_cache_miss();
+    collecting_a_compressed_plan_allocates_for_buffer_growth_only();
 }
 
 fn warm_q5_tasks_allocate_nothing_and_every_take_hits_the_pool() {
@@ -105,5 +110,45 @@ fn clique5_allocates_once_per_triangle_cache_miss() {
     assert_eq!(
         allocs, misses,
         "a settled pass allocates exactly its triangle-cache misses' values"
+    );
+}
+
+/// chordal_square under a VCBC-compressed plan, every embedding expanded
+/// into a fresh `CollectingConsumer` per pass: a settled pass allocates
+/// only as the consumer's one buffer doubles — ⌈log₂ rows⌉ and a small
+/// constant, however many codes and embeddings went by.
+fn collecting_a_compressed_plan_allocates_for_buffer_growth_only() {
+    let g = gen::barabasi_albert(1000, 8, 3);
+    let plan = PlanBuilder::new(&queries::chordal_square())
+        .compressed(true)
+        .best_plan();
+    let compiled = CompiledPlan::compile(&plan);
+    assert!(compiled.expansion.is_some(), "the plan must emit codes");
+    let source = InMemorySource::from_graph(&g);
+    let order = TotalOrder::new(&g);
+    let tasks = benu_engine::task::generate_tasks(&g, 20, compiled.second_adjacent);
+    let mut engine = LocalEngine::with_triangle_cache(&compiled, &source, &order, 1 << 18);
+    let run_pass = |engine: &mut LocalEngine<'_, InMemorySource>| -> (u64, usize, u64) {
+        let before = ALLOC.snapshot();
+        let mut consumer = CollectingConsumer::default();
+        let codes: u64 = tasks
+            .iter()
+            .map(|&task| engine.run_task(task, &mut consumer).codes)
+            .sum();
+        let allocs = ALLOC.snapshot().delta_since(&before).allocs;
+        (codes, consumer.matches().len(), allocs)
+    };
+
+    let (codes, rows, _) = run_pass(&mut engine);
+    assert!(
+        codes > 1_000 && rows as u64 > 4 * codes,
+        "{codes} codes, {rows} rows"
+    );
+    let growth = u64::from(rows.next_power_of_two().trailing_zeros());
+    let (again_codes, again_rows, allocs) = run_pass(&mut engine);
+    assert_eq!((again_codes, again_rows), (codes, rows));
+    assert!(
+        allocs <= growth + 4,
+        "second pass: {allocs} allocations for {rows} rows out of {codes} codes"
     );
 }

@@ -21,8 +21,7 @@
 
 use crate::error::ServiceError;
 use crate::query::{ResultMode, Terminal};
-use benu_engine::TaskMetrics;
-use benu_graph::VertexId;
+use benu_engine::{MatchSet, TaskMetrics};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -33,7 +32,7 @@ pub(crate) struct ExecutedChunk {
     /// Chunk index in `0..total_chunks`.
     pub chunk: usize,
     /// Matches in submitted numbering, sorted (empty for `CountOnly`).
-    pub matches: Vec<Vec<VertexId>>,
+    pub matches: MatchSet,
     /// Matches found by the chunk (equals `matches.len()` whenever the
     /// mode materialises).
     pub count: u64,
@@ -61,7 +60,7 @@ enum ChunkOutcome {
 pub(crate) struct CommitOutcome {
     pub terminal: Terminal,
     pub matches_found: u64,
-    pub matches: Vec<Vec<VertexId>>,
+    pub matches: MatchSet,
     pub vticks: u64,
     pub committed: usize,
     pub discarded: usize,
@@ -76,15 +75,15 @@ pub(crate) enum Sink {
     /// Count only; nothing materialised.
     Count,
     /// Keep everything.
-    Collect(Vec<Vec<VertexId>>),
+    Collect(MatchSet),
     /// Keep the first `k` of the deterministic stream.
-    TopK { k: usize, kept: Vec<Vec<VertexId>> },
+    TopK { k: usize, kept: MatchSet },
     /// Algorithm-R reservoir over the deterministic stream.
     Sample {
         n: usize,
         rng: ChaCha8Rng,
         seen: u64,
-        reservoir: Vec<Vec<VertexId>>,
+        reservoir: MatchSet,
     },
 }
 
@@ -92,16 +91,16 @@ impl Sink {
     fn new(mode: &ResultMode) -> Self {
         match *mode {
             ResultMode::CountOnly => Sink::Count,
-            ResultMode::Collect => Sink::Collect(Vec::new()),
+            ResultMode::Collect => Sink::Collect(MatchSet::default()),
             ResultMode::TopK(k) => Sink::TopK {
                 k,
-                kept: Vec::new(),
+                kept: MatchSet::default(),
             },
             ResultMode::Sample { n, seed } => Sink::Sample {
                 n,
                 rng: ChaCha8Rng::seed_from_u64(seed),
                 seen: 0,
-                reservoir: Vec::new(),
+                reservoir: MatchSet::default(),
             },
         }
     }
@@ -114,37 +113,38 @@ impl Sink {
         }
     }
 
-    fn accept(&mut self, m: Vec<VertexId>) {
+    /// Takes the first `take` rows of a committing chunk. The caller has
+    /// already clamped `take` to [`Sink::remaining`], so the keeping
+    /// sinks append the prefix as one copy; only the reservoir looks at
+    /// rows one by one.
+    fn accept(&mut self, chunk: &MatchSet, take: usize) {
         match self {
             Sink::Count => {}
-            Sink::Collect(all) => all.push(m),
-            Sink::TopK { k, kept } => {
-                if kept.len() < *k {
-                    kept.push(m);
-                }
-            }
+            Sink::Collect(kept) | Sink::TopK { kept, .. } => kept.extend_prefix(chunk, take),
             Sink::Sample {
                 n,
                 rng,
                 seen,
                 reservoir,
             } => {
-                *seen += 1;
-                if reservoir.len() < *n {
-                    reservoir.push(m);
-                } else if *n > 0 {
-                    let j = rng.next_u64() % *seen;
-                    if (j as usize) < *n {
-                        reservoir[j as usize] = m;
+                for m in chunk.rows().take(take) {
+                    *seen += 1;
+                    if reservoir.len() < *n {
+                        reservoir.push(m);
+                    } else if *n > 0 {
+                        let j = rng.next_u64() % *seen;
+                        if (j as usize) < *n {
+                            reservoir.set_row(j as usize, m);
+                        }
                     }
                 }
             }
         }
     }
 
-    fn into_matches(self) -> Vec<Vec<VertexId>> {
+    fn into_matches(self) -> MatchSet {
         match self {
-            Sink::Count => Vec::new(),
+            Sink::Count => MatchSet::default(),
             Sink::Collect(all) => all,
             Sink::TopK { kept, .. } => kept,
             Sink::Sample { reservoir, .. } => reservoir,
@@ -302,9 +302,7 @@ impl CommitState {
                 capped = true;
             }
         }
-        for m in chunk.matches.into_iter().take(take as usize) {
-            self.sink.accept(m);
-        }
+        self.sink.accept(&chunk.matches, take as usize);
         self.matches_found += take;
         self.vticks += chunk.vticks;
         self.metrics += chunk.metrics;
@@ -380,8 +378,11 @@ impl CommitState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use benu_graph::VertexId;
 
-    fn chunk(i: usize, matches: Vec<Vec<VertexId>>, vticks: u64) -> ExecutedChunk {
+    /// A chunk whose matches are the one-vertex rows `[v]`.
+    fn chunk(i: usize, rows: impl IntoIterator<Item = VertexId>, vticks: u64) -> ExecutedChunk {
+        let matches = set(rows);
         ExecutedChunk {
             chunk: i,
             count: matches.len() as u64,
@@ -391,8 +392,10 @@ mod tests {
         }
     }
 
-    fn m(v: VertexId) -> Vec<VertexId> {
-        vec![v]
+    fn set(rows: impl IntoIterator<Item = VertexId>) -> MatchSet {
+        let mut matches = MatchSet::default();
+        rows.into_iter().for_each(|v| matches.push(&[v]));
+        matches
     }
 
     fn outage(v: VertexId, shard: usize) -> ServiceError {
@@ -402,19 +405,15 @@ mod tests {
     #[test]
     fn out_of_order_submission_commits_in_order() {
         let mut s = CommitState::new(3, &ResultMode::Collect, None, None, false);
-        s.submit(chunk(2, vec![m(2)], 1));
-        s.submit(chunk(0, vec![m(0)], 1));
+        s.submit(chunk(2, [2], 1));
+        s.submit(chunk(0, [0], 1));
         assert!(s.terminal().is_none(), "chunk 1 still outstanding");
-        s.submit(chunk(1, vec![m(1)], 1));
+        s.submit(chunk(1, [1], 1));
         assert!(s.is_complete());
         let out = s.finish();
         assert_eq!(out.terminal, Terminal::Completed);
         assert_eq!(out.matches_found, 3);
-        assert_eq!(
-            out.matches,
-            vec![m(0), m(1), m(2)],
-            "stream is chunk-ordered"
-        );
+        assert_eq!(out.matches, set([0, 1, 2]), "stream is chunk-ordered");
         assert_eq!(out.vticks, 3);
     }
 
@@ -423,8 +422,8 @@ mod tests {
         // Deadline 2: chunk 0 (2 ticks) commits, chunk 1 hits the
         // boundary and is dropped — a deadline of 0 would commit nothing.
         let mut s = CommitState::new(2, &ResultMode::CountOnly, Some(2), None, false);
-        s.submit(chunk(0, vec![m(0), m(1)], 2));
-        s.submit(chunk(1, vec![m(2)], 1));
+        s.submit(chunk(0, [0, 1], 2));
+        s.submit(chunk(1, [2], 1));
         assert!(s.is_complete());
         let out = s.finish();
         assert_eq!(out.terminal, Terminal::DeadlineExceeded);
@@ -445,36 +444,35 @@ mod tests {
     #[test]
     fn max_matches_clamps_within_the_boundary_chunk() {
         let mut s = CommitState::new(2, &ResultMode::Collect, None, Some(3), false);
-        s.submit(chunk(0, vec![m(0), m(1)], 1));
+        s.submit(chunk(0, [0, 1], 1));
         assert!(s.terminal().is_none(), "2 of 3 committed");
-        s.submit(chunk(1, vec![m(2), m(3), m(4)], 1));
+        s.submit(chunk(1, [2, 3, 4], 1));
         assert_eq!(s.terminal(), Some(&Terminal::MaxMatchesReached));
         let out = s.finish();
         assert_eq!(out.matches_found, 3, "count clamps at the cap");
-        assert_eq!(out.matches, vec![m(0), m(1), m(2)], "prefix of the stream");
+        assert_eq!(out.matches, set([0, 1, 2]), "prefix of the stream");
     }
 
     #[test]
     fn topk_satisfied_is_completed_not_partial() {
         let mut s = CommitState::new(3, &ResultMode::TopK(2), None, None, false);
-        s.submit(chunk(0, vec![m(0), m(1), m(2)], 1));
+        s.submit(chunk(0, [0, 1, 2], 1));
         assert_eq!(s.terminal(), Some(&Terminal::Completed));
         s.skip(2); // the drained remainder
         let out = s.finish();
         assert_eq!(out.terminal, Terminal::Completed);
         assert_eq!(out.matches_found, 2);
-        assert_eq!(out.matches, vec![m(0), m(1)]);
+        assert_eq!(out.matches, set([0, 1]));
         assert!(!out.exhaustive, "LIMIT-style completion is not exhaustive");
     }
 
     #[test]
     fn sample_is_a_function_of_stream_and_seed() {
-        let stream: Vec<Vec<VertexId>> = (0..100).map(m).collect();
-        let run = |chunks: &[&[Vec<VertexId>]]| {
+        let run = |chunks: &[std::ops::Range<VertexId>]| {
             let mode = ResultMode::Sample { n: 5, seed: 42 };
             let mut s = CommitState::new(chunks.len(), &mode, None, None, false);
             for (i, c) in chunks.iter().enumerate() {
-                s.submit(chunk(i, c.to_vec(), 1));
+                s.submit(chunk(i, c.clone(), 1));
             }
             let out = s.finish();
             assert_eq!(out.terminal, Terminal::Completed);
@@ -482,8 +480,8 @@ mod tests {
             out.matches
         };
         // Same stream, different chunking ⇒ same reservoir.
-        let a = run(&[&stream[..30], &stream[30..]]);
-        let b = run(&[&stream[..70], &stream[70..90], &stream[90..]]);
+        let a = run(&[0..30, 30..100]);
+        let b = run(&[0..70, 70..90, 90..100]);
         assert_eq!(a, b);
         assert_eq!(a.len(), 5);
     }
@@ -491,10 +489,10 @@ mod tests {
     #[test]
     fn cancellation_discards_pending_and_late_chunks() {
         let mut s = CommitState::new(3, &ResultMode::CountOnly, None, None, false);
-        s.submit(chunk(2, vec![m(0)], 1)); // pending, out of order
+        s.submit(chunk(2, [0], 1)); // pending, out of order
         assert!(s.set_terminal(Terminal::Cancelled), "first transition wins");
         assert!(!s.set_terminal(Terminal::Completed));
-        s.submit(chunk(0, vec![m(1)], 1)); // in-flight arrival after cancel
+        s.submit(chunk(0, [1], 1)); // in-flight arrival after cancel
         s.skip(1); // drained from the queue
         assert!(s.is_complete());
         let out = s.finish();
@@ -511,7 +509,7 @@ mod tests {
         s.submit_failed(2, outage(20, 2));
         s.submit_failed(1, outage(10, 1));
         assert!(s.terminal().is_none(), "chunk 0 still outstanding");
-        s.submit(chunk(0, vec![m(0)], 1));
+        s.submit(chunk(0, [0], 1));
         assert_eq!(s.terminal(), Some(&Terminal::Failed(outage(10, 1))));
         s.skip(1); // the drained remainder
         assert!(s.is_complete());
@@ -528,14 +526,14 @@ mod tests {
     #[test]
     fn degradation_skips_dark_chunks_and_keeps_committing() {
         let mut s = CommitState::new(4, &ResultMode::Collect, None, None, true);
-        s.submit(chunk(0, vec![m(0)], 1));
+        s.submit(chunk(0, [0], 1));
         s.submit_failed(1, outage(10, 3));
-        s.submit(chunk(2, vec![m(2)], 1));
+        s.submit(chunk(2, [2], 1));
         s.submit_failed(3, outage(11, 1));
         assert!(s.is_complete());
         let out = s.finish();
         assert_eq!(out.terminal, Terminal::DegradedPartial);
-        assert_eq!(out.matches, vec![m(0), m(2)], "reachable chunks committed");
+        assert_eq!(out.matches, set([0, 2]), "reachable chunks committed");
         assert_eq!(out.vticks, 2, "dark chunks cost no virtual time");
         assert_eq!((out.committed, out.discarded), (2, 2));
         assert_eq!(out.dark_shards, vec![1, 3], "sorted, deduplicated");
@@ -560,7 +558,7 @@ mod tests {
         // The failing chunk sits past the deadline boundary: the query is
         // DeadlineExceeded (budget semantics are fault-independent).
         let mut s = CommitState::new(2, &ResultMode::CountOnly, Some(1), None, false);
-        s.submit(chunk(0, vec![m(0)], 1));
+        s.submit(chunk(0, [0], 1));
         s.submit_failed(1, outage(9, 0));
         assert!(s.is_complete());
         assert_eq!(s.finish().terminal, Terminal::DeadlineExceeded);

@@ -71,6 +71,7 @@ mod query;
 mod service;
 
 pub use benu_cluster::{CodecKind, DataPath};
+pub use benu_engine::MatchSet;
 pub use benu_fault::{FaultPlan, FaultPlanBuilder, RetryPolicy};
 pub use config::{ServiceConfig, ServiceConfigBuilder};
 pub use error::ServiceError;

@@ -1,8 +1,7 @@
 //! Query identities, per-query options (budgets, result modes) and the
 //! structured results the service hands back.
 
-use benu_engine::TaskMetrics;
-use benu_graph::VertexId;
+use benu_engine::{MatchSet, TaskMetrics};
 use std::time::Duration;
 
 /// Identifies one submitted query for the lifetime of a service
@@ -193,10 +192,11 @@ pub struct QueryResult {
     /// `MaxMatchesReached` it equals the cap; for `Cancelled` /
     /// `DeadlineExceeded` it covers committed chunks only.
     pub matches_found: u64,
-    /// Materialised embeddings per the result mode, indexed by the
+    /// Materialised embeddings per the result mode, one row each of one
+    /// flat buffer (`matches.rows()`, `matches.get(i)`), indexed by the
     /// *submitted* pattern's vertex numbering (plan-cache remapping is
     /// internal). Empty for `CountOnly`.
-    pub matches: Vec<Vec<VertexId>>,
+    pub matches: MatchSet,
     /// Committed virtual-time ticks — the query's deterministic
     /// latency measure.
     pub vticks: u64,

@@ -45,7 +45,7 @@ use benu_cluster::transport::Transport;
 use benu_cluster::worker::{LaneSource, TaskPanicked};
 use benu_cluster::{Resident, Split, DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES};
 use benu_engine::{SearchTask, TaskMetrics};
-use benu_graph::{Graph, VertexId};
+use benu_graph::Graph;
 use benu_kvstore::KvStore;
 use benu_obs::{ObsHub, Report, ReportMode};
 use benu_pattern::canonical::fingerprint;
@@ -756,16 +756,6 @@ fn chunk_vticks(tasks: usize, m: &TaskMetrics) -> u64 {
     tasks as u64 + benu_cluster::balance::vticks(m)
 }
 
-/// Remaps an embedding of the canonical pattern back to the submitted
-/// numbering: `out[placement[i]] = f[i]`.
-fn remap(f: &[VertexId], placement: &[PatternVertex]) -> Vec<VertexId> {
-    let mut out = vec![0; f.len()];
-    for (i, &v) in f.iter().enumerate() {
-        out[placement[i]] = v;
-    }
-    out
-}
-
 fn worker_loop(inner: Arc<Inner>, lane: usize) {
     let transport = inner.resident.transport();
     let cache = &inner.resident.caches()[lane];
@@ -950,6 +940,19 @@ fn execute_chunk(
             .counter("cache.db.hits")
             .add(lane.db_cache_hits);
     }
+    // The lane's rows are embeddings of the canonical pattern: permute
+    // each in place back to the submitted numbering
+    // (`row[placement[i]] = f[i]`), then restore sorted order — the
+    // chunk's rows never live in a second buffer.
+    let mut matches = lane.matches.unwrap_or_default();
+    let mut row = vec![0; run.placement.len()];
+    for i in 0..matches.len() {
+        for (&v, &to) in matches.get(i).iter().zip(&run.placement) {
+            row[to] = v;
+        }
+        matches.set_row(i, &row);
+    }
+    matches.sort();
     let mut state = run.state.lock();
     if aborted {
         if let Some(commit) = state.commit.as_mut() {
@@ -963,13 +966,6 @@ fn execute_chunk(
             commit.submit_failed(chunk, err);
         }
     } else {
-        let mut matches: Vec<Vec<VertexId>> = lane
-            .matches
-            .unwrap_or_default()
-            .iter()
-            .map(|f| remap(f, &run.placement))
-            .collect();
-        matches.sort_unstable();
         let executed = ExecutedChunk {
             chunk,
             count: metrics.matches,

@@ -165,9 +165,9 @@ fn collected_streams_are_sorted_and_complete() {
     let pattern = queries::triangle();
     let plan = benu_plan::PlanBuilder::new(&pattern).best_plan();
     let mut expected = benu_engine::collect_embeddings(&plan, &g);
-    expected.sort_unstable();
+    expected.sort();
     let id = service.submit(&pattern, QueryOptions::new().mode(ResultMode::Collect));
     let mut got = service.wait(id).matches;
-    got.sort_unstable();
+    got.sort();
     assert_eq!(got, expected);
 }

@@ -52,8 +52,8 @@ fn repeat_queries_replan_once_and_preserve_counts() {
     // The re-planned matching order may enumerate in a different stream
     // order; the embedding *set* must be identical.
     let (mut c, mut w) = (cold.matches.clone(), warm.matches.clone());
-    c.sort_unstable();
-    w.sort_unstable();
+    c.sort();
+    w.sort();
     assert_eq!(w, c, "same embeddings, order aside");
 
     // A relabeled pattern of the same class rides the replanned entry —

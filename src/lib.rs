@@ -73,9 +73,16 @@
 //!     QueryOptions::new().mode(ResultMode::TopK(5)),
 //! );
 //! assert_eq!(service.wait(count).matches_found, 20); // C(6,3) in K6
-//! assert_eq!(service.wait(capped).matches.len(), 5);
+//! // `matches` is an [`engine::MatchSet`]: the embeddings as sorted rows
+//! // of one flat buffer, read with `len()` / `rows()` / `get(i)`.
+//! let capped = service.wait(capped).matches;
+//! assert_eq!(capped.len(), 5);
+//! assert!(capped.rows().all(|row| row.len() == 3));
 //! assert_eq!(service.plan_cache_stats().hits, 1);
 //! ```
+//!
+//! [`cluster::Cluster::run_collect`] returns the same type for a batch
+//! run: every embedding, sorted, in one buffer.
 
 pub use benu_baselines as baselines;
 pub use benu_cache as cache;
@@ -92,7 +99,7 @@ pub use benu_service as service;
 /// Convenience re-exports covering the common end-to-end workflow.
 pub mod prelude {
     pub use benu_cluster::{Cluster, ClusterConfig, DataPath, RunOutcome};
-    pub use benu_engine::LocalEngine;
+    pub use benu_engine::{LocalEngine, MatchSet};
     pub use benu_fault::{FaultPlan, RetryPolicy};
     pub use benu_graph::{AdjSet, AdjView, Graph, GraphBuilder, TotalOrder, VertexId};
     pub use benu_kvstore::{CodecKind, KvStore};

@@ -75,7 +75,7 @@ fn demo_graph_contains_the_papers_match() {
     let plan = PlanBuilder::new(&p).best_plan();
     let matches = benu::engine::collect_embeddings(&plan, &g);
     assert!(
-        matches.contains(&vec![0, 1, 2, 3, 4, 7]),
+        matches.rows().any(|row| row == [0, 1, 2, 3, 4, 7]),
         "paper match missing from {matches:?}"
     );
 }
@@ -142,7 +142,7 @@ fn cluster_collects_the_reference_match_set() {
     );
     let plan = PlanBuilder::new(&p).best_plan();
     let (_, matches) = cluster.run_collect(&plan).unwrap();
-    assert_eq!(matches, expected);
+    assert_eq!(matches.to_vecs(), expected);
 }
 
 #[test]

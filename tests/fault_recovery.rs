@@ -11,8 +11,9 @@
 use benu::cluster::{
     Cluster, ClusterConfig, RecoveryReport, RunOutcome, SchedulerKind, WorkerError,
 };
+use benu::engine::MatchSet;
 use benu::fault::{FaultPlan, RetryPolicy};
-use benu::graph::{gen, Graph, VertexId};
+use benu::graph::{gen, Graph};
 use benu::pattern::queries;
 use benu::plan::{ExecutionPlan, PlanBuilder};
 
@@ -47,7 +48,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 }
 
 /// One run's total count and its collected match set.
-type Collected = (u64, Vec<Vec<VertexId>>);
+type Collected = (u64, MatchSet);
 
 fn run_pair(
     g: &Graph,
