@@ -141,7 +141,7 @@ fn main() {
                 .threads_per_worker(1)
                 .cache_capacity_bytes(64 << 20)
                 .tau(tau)
-                .collect_task_times(true)
+                .collect_task_profile(true)
                 .build(),
         );
         let outcome = cluster.run(&plan).expect("cluster run failed");
@@ -206,7 +206,7 @@ fn main() {
             .threads_per_worker(1)
             .cache_capacity_bytes(64 << 20)
             .tau_auto(true)
-            .collect_cost_profile(true)
+            .collect_task_profile(true)
             .build();
         let mut cluster = Cluster::new(&g, config);
         let degree_arm = cluster.run(&plan).expect("degree arm failed");

@@ -104,7 +104,7 @@ fn main() {
                     .threads_per_worker(2)
                     .cache_capacity_bytes(64 << 20)
                     .tau(tau_value)
-                    .collect_task_times(true)
+                    .collect_task_profile(true)
                     .scheduler(kind)
                     .build(),
                 Arc::clone(&hub),

@@ -36,7 +36,7 @@ pub fn vticks(m: &TaskMetrics) -> u64 {
 
 /// Per-start-vertex observed execution cost from a completed run, in
 /// vticks. Built by the cluster when
-/// [`ClusterConfig::collect_cost_profile`](crate::ClusterConfig::collect_cost_profile)
+/// [`ClusterConfig::collect_task_profile`](crate::ClusterConfig::collect_task_profile)
 /// is set; install it back with
 /// [`Cluster::set_cost_profile`](crate::Cluster::set_cost_profile) to
 /// switch splitting and placement to observed costs.

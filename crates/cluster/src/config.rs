@@ -1,6 +1,6 @@
 //! Cluster configuration.
 
-use crate::schedule::SchedulerKind;
+use crate::pool::SchedulerKind;
 use benu_fault::RetryPolicy;
 use benu_kvstore::CodecKind;
 
@@ -151,20 +151,19 @@ pub struct ClusterConfig {
     pub tau_auto: bool,
     /// Per-thread triangle-cache capacity in entries.
     pub triangle_cache_entries: usize,
-    /// Record per-task wall-clock durations (needed by the Fig. 9
-    /// harness; off by default to keep runs lean).
-    pub collect_task_times: bool,
+    /// Record one entry per task in the lane loop — the task, its share
+    /// of wall time and, under DFS, its deterministic cost in vticks —
+    /// from which `RunOutcome::task_times` (Fig. 9/10 harnesses) and
+    /// `RunOutcome::cost_profile` ([`crate::CostProfile`], fed back via
+    /// [`crate::Cluster::set_cost_profile`] to drive splitting and
+    /// placement from observed cost) are derived. Off by default: on a
+    /// warm enumeration an always-on record would be several times
+    /// everything else a run allocates (it quadruples the ledger's
+    /// `enum_warm` peak heap).
+    pub collect_task_profile: bool,
     /// Task scheduling policy (static round-robin by default, matching
     /// the paper's even shuffle).
     pub scheduler: SchedulerKind,
-    /// Collect a per-start-vertex observed-cost profile
-    /// ([`crate::CostProfile`]) during the run, exposed as
-    /// `RunOutcome::cost_profile`. Installing it back via
-    /// [`crate::Cluster::set_cost_profile`] switches task splitting and
-    /// initial placement from degree-based `auto_tau` to observed-cost
-    /// driven. DFS execution only (the hybrid engine reports batch-level
-    /// metrics); off by default.
-    pub collect_cost_profile: bool,
 }
 
 impl Default for ClusterConfig {
@@ -177,9 +176,8 @@ impl Default for ClusterConfig {
             tau: 500,
             tau_auto: false,
             triangle_cache_entries: DEFAULT_TRIANGLE_CACHE_ENTRIES,
-            collect_task_times: false,
+            collect_task_profile: false,
             scheduler: SchedulerKind::Static,
-            collect_cost_profile: false,
         }
     }
 }
@@ -252,9 +250,9 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Record per-task durations.
-    pub fn collect_task_times(mut self, yes: bool) -> Self {
-        self.0.collect_task_times = yes;
+    /// Record the per-task profile (durations and observed costs).
+    pub fn collect_task_profile(mut self, yes: bool) -> Self {
+        self.0.collect_task_profile = yes;
         self
     }
 
@@ -292,12 +290,6 @@ impl ClusterConfigBuilder {
     /// Wire codec for stored adjacency values.
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.0.data.codec = codec;
-        self
-    }
-
-    /// Collect the per-start-vertex observed-cost profile during runs.
-    pub fn collect_cost_profile(mut self, yes: bool) -> Self {
-        self.0.collect_cost_profile = yes;
         self
     }
 
@@ -355,14 +347,13 @@ mod tests {
             .tau(123)
             .tau_auto(true)
             .triangle_cache_entries(64)
-            .collect_task_times(true)
+            .collect_task_profile(true)
             .scheduler(SchedulerKind::WorkStealing)
             .retry(data.retry)
             .replication(data.replication)
             .exec_mode(data.exec_mode)
             .memory_budget_bytes(data.memory_budget_bytes)
             .codec(data.codec)
-            .collect_cost_profile(true)
             .build();
         let literal = ClusterConfig {
             workers: 5,
@@ -372,9 +363,8 @@ mod tests {
             tau: 123,
             tau_auto: true,
             triangle_cache_entries: 64,
-            collect_task_times: true,
+            collect_task_profile: true,
             scheduler: SchedulerKind::WorkStealing,
-            collect_cost_profile: true,
         };
         assert_eq!(built, literal);
         // Every field above differs from its default, so a builder
@@ -392,9 +382,8 @@ mod tests {
         assert_ne!(built.tau, d.tau);
         assert_ne!(built.tau_auto, d.tau_auto);
         assert_ne!(built.triangle_cache_entries, d.triangle_cache_entries);
-        assert_ne!(built.collect_task_times, d.collect_task_times);
+        assert_ne!(built.collect_task_profile, d.collect_task_profile);
         assert_ne!(built.scheduler, d.scheduler);
-        assert_ne!(built.collect_cost_profile, d.collect_cost_profile);
     }
 
     #[test]

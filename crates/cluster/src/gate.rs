@@ -26,7 +26,7 @@
 //! fail, and the error kind then tells the retry loop whether waiting
 //! can help ([`FaultKind::Outage`] means all copies are persistently
 //! dark, so it cannot). The routing decision is a pure function of
-//! `(plan, key, attempt, pass)`, keeping failover as replayable as every
+//! `(plan, key, attempt, epoch)`, keeping failover as replayable as every
 //! other fault decision.
 //!
 //! Backoff waits, timeout waits and slow-shard latency are **virtual
@@ -35,9 +35,9 @@
 //! task (the plan stays deterministic because no fault decision reads a
 //! clock).
 //!
-//! Both runtimes get their gates from [`crate::Resident::gate`]:
-//! `Cluster::run` one per worker machine, `benu-service` one per
-//! admitted query (over the plan scoped to that query).
+//! Every job gets its gates from [`crate::Resident::gate`]: a batch run
+//! one per worker machine, `benu-service` one per admitted query (over
+//! the plan scoped to that query).
 
 use crate::report::RecoveryReport;
 use crate::transport::TransportError;
@@ -62,10 +62,11 @@ pub struct FaultGate {
     store: Arc<KvStore>,
     plan: Arc<FaultPlan>,
     retry: RetryPolicy,
-    /// The execution pass outage decisions are evaluated against
-    /// (1-based; advanced at pass barriers, so no access is ever in
-    /// flight across a change and a relaxed store is enough).
-    pass: AtomicU32,
+    /// The crash epoch outage windows are evaluated against (1-based,
+    /// +1 per [`FaultGate::advance_epoch`]). It publishes no other data
+    /// — an attempt reads it once and decides against whichever epoch it
+    /// saw — so relaxed accesses are enough.
+    epoch: AtomicU32,
     transient: AtomicU64,
     timeouts: AtomicU64,
     retries: AtomicU64,
@@ -96,7 +97,7 @@ impl FaultGate {
             store,
             plan,
             retry,
-            pass: AtomicU32::new(1),
+            epoch: AtomicU32::new(1),
             transient: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -108,10 +109,11 @@ impl FaultGate {
         }
     }
 
-    /// Advances the execution pass shard-outage decisions are evaluated
-    /// against (1-based). Called by the runtime at pass barriers.
-    pub fn set_pass(&self, pass: u32) {
-        self.pass.store(pass, Ordering::Relaxed);
+    /// Moves shard-outage decisions on to the next crash epoch — the
+    /// `pass` of [`FaultPlan::outage_at`]. A batch run advances its gates
+    /// each time a dead machine's chunks go back to the survivors.
+    pub fn advance_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drains the virtual latency charged to the current thread since
@@ -133,7 +135,7 @@ impl FaultGate {
     }
 
     /// Walks `primary`'s placement ring and decides which replica offset
-    /// (if any) serves the request keyed by `key` at `(attempt, pass)`,
+    /// (if any) serves the request keyed by `key` at `(attempt, epoch)`,
     /// with the number of dead or faulted replicas stepped past.
     ///
     /// The error carried home when every replica refuses is retryable
@@ -145,7 +147,7 @@ impl FaultGate {
         primary: usize,
         key: u64,
         attempt: u32,
-        pass: u32,
+        epoch: u32,
     ) -> (Result<usize, FaultError>, u64) {
         let num_shards = self.store.num_shards();
         let mut skipped = 0u64;
@@ -153,7 +155,7 @@ impl FaultGate {
         let mut last: Option<FaultError> = None;
         for offset in 0..self.store.replication() {
             let shard = (primary + offset) % num_shards;
-            let fault = if self.plan.outage_at(shard, pass) {
+            let fault = if self.plan.outage_at(shard, epoch) {
                 Some(FaultKind::Outage)
             } else {
                 self.plan.fault_for(shard, key, attempt)
@@ -184,7 +186,7 @@ impl FaultGate {
     /// away from a slow-and-faulty primary also escapes its latency.
     /// Pure: no counter is touched.
     fn route(&self, vs: &[VertexId], attempt: u32) -> Result<Route, FaultError> {
-        let pass = self.pass.load(Ordering::Relaxed);
+        let epoch = self.epoch.load(Ordering::Relaxed);
         let num_shards = self.store.num_shards();
         let mut route = Route {
             offsets: vec![0; num_shards],
@@ -195,7 +197,7 @@ impl FaultGate {
         let mut retryable: Option<FaultError> = None;
         let mut hopeless: Option<FaultError> = None;
         for (primary, key) in touched_shards(&self.store, vs) {
-            let (outcome, skipped) = self.scan(primary, key, attempt, pass);
+            let (outcome, skipped) = self.scan(primary, key, attempt, epoch);
             match outcome {
                 Ok(offset) => {
                     route.skipped += skipped;
@@ -422,19 +424,19 @@ mod tests {
     }
 
     #[test]
-    fn outage_onset_follows_set_pass() {
+    fn outage_windows_follow_the_epoch() {
         let gate = gate(
             KvStore::from_graph(&gen::complete(8), 4),
-            FaultPlan::builder(0).shard_outage(2, 2).build(),
+            FaultPlan::builder(0).shard_outage_window(2, 2, 3).build(),
             RetryPolicy::default(),
         );
-        assert!(gate.verdict(2).is_ok(), "pass 1 predates the outage");
-        gate.set_pass(2);
+        assert!(gate.verdict(2).is_ok(), "epoch 1 predates the outage");
+        gate.advance_epoch();
         assert!(gate.verdict(2).is_err());
-        gate.set_pass(1);
+        gate.advance_epoch();
         assert!(
             gate.verdict(2).is_ok(),
-            "windowing is driven purely by the pass"
+            "windowing is driven purely by the epoch"
         );
     }
 

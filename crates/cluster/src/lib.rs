@@ -10,7 +10,7 @@
 //!
 //! * **resident** — one [`Resident`] is the loaded deployment, described
 //!   by one [`DataPath`]: it owns the store, the per-worker caches, the
-//!   total order and degree array, and is the only place either runtime
+//!   total order and degree array, and is the only place either front
 //!   (this crate's [`Cluster`], `benu-service`'s `QueryService`) loads a
 //!   graph, splits a task list, builds a fault gate or binds a lane;
 //! * **store** — the data graph lives in a [`benu_kvstore::KvStore`]
@@ -23,27 +23,32 @@
 //! * **cache** — each logical worker owns a byte-budgeted
 //!   [`benu_cache::DbCache`] shared by its (real OS) worker threads and
 //!   *persistent across runs* (see [`Cluster::clear_caches`]);
-//! * **scheduler** — a pluggable [`schedule::Scheduler`] hands tasks to
-//!   threads: static round-robin (the paper's even shuffle) or work
-//!   stealing for skewed task sets;
-//! * **worker** — each thread runs a [`worker::Worker`] loop over a
-//!   [`worker::LaneExecutor`] bound to a [`worker::LaneSource`]: the
+//! * **pool** — the one runtime ([`pool`]): a *job* is a plan plus a task
+//!   list cut into chunks; one queue grants chunks to *lanes* (one per
+//!   thread of a machine) by weighted round-robin across jobs and, within
+//!   a job, by each chunk's home machine — [`SchedulerKind::Static`], the
+//!   paper's even shuffle, or [`SchedulerKind::WorkStealing`] for skewed
+//!   task sets; [`pool::lane_loop`] runs a granted chunk on a
+//!   [`worker::LaneExecutor`] bound to a [`worker::LaneSource`] — the
 //!   single executor (engine + private triangle cache, DFS or hybrid,
 //!   count or collect) and the single read path (fault gate → cache →
-//!   transport) that cluster threads and `benu-service`'s chunk
-//!   execution both run tasks through. It fails soft: store/task errors
-//!   surface as [`WorkerError`] instead of panics;
-//! * **recovery** — with a [`benu_fault::FaultPlan`] installed via
-//!   [`Cluster::set_fault_plan`], each machine's [`gate::FaultGate`]
+//!   transport) — and hands the outcome over, per chunk or once at the
+//!   end of the lane's visit as the job asks. It fails soft: store/task
+//!   errors reach the job as values, and a machine that dies — at a
+//!   boundary a [`benu_fault::FaultPlan`] plans, or because a lane
+//!   unwound — has every chunk it had not handed over re-executed on the
+//!   survivors (BENU's idempotent-task recovery, §III-C). [`Cluster::run`]
+//!   is one job on a pool of scoped lanes; `benu-service` keeps a pool
+//!   for its life and admits one job per query;
+//! * **gate** — with a fault plan installed (via
+//!   [`Cluster::set_fault_plan`]), each machine's [`gate::FaultGate`]
 //!   decides every injected store fault per logical adjacency access,
 //!   *in front of* the cache, and retries with capped virtual backoff;
-//!   crashed workers' tasks are requeued and re-executed on survivors
-//!   (BENU's idempotent-task recovery, §III-C), and the whole story is
-//!   summarised in the outcome's [`RecoveryReport`]. Stragglers are
-//!   handled before they form: by task splitting at τ (§V-B) and,
-//!   optionally, work stealing;
+//!   the whole story is summarised in the outcome's [`RecoveryReport`].
+//!   Stragglers are handled before they form: by task splitting at τ
+//!   (§V-B) and, optionally, work stealing;
 //! * per-worker communication bytes, cache statistics, busy time, steal
-//!   counts and optional per-task durations are reported in the
+//!   counts and an optional per-task profile are reported in the
 //!   [`RunOutcome`] — exactly the measurements behind Table V, Fig. 8,
 //!   Fig. 9 and Fig. 10.
 
@@ -51,11 +56,10 @@ pub mod analysis;
 pub mod balance;
 pub mod config;
 pub mod gate;
-mod recovery;
+pub mod pool;
 pub mod report;
 pub mod resident;
 pub mod runtime;
-pub mod schedule;
 pub mod transport;
 pub mod worker;
 
@@ -66,9 +70,9 @@ pub use config::{
     ClusterConfig, ClusterConfigBuilder, DataPath, ExecMode, DEFAULT_CACHE_SHARDS,
     DEFAULT_TRIANGLE_CACHE_ENTRIES,
 };
+pub use pool::SchedulerKind;
 pub use report::{RecoveryReport, RunOutcome, WorkerReport};
 pub use resident::{Resident, Split};
 pub use runtime::Cluster;
-pub use schedule::{Scheduler, SchedulerKind};
 pub use transport::{FetchError, TransportError};
 pub use worker::WorkerError;

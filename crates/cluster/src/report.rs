@@ -10,7 +10,7 @@
 
 use crate::balance::{self, CostProfile};
 use crate::config::ExecMode;
-use crate::schedule::SchedulerKind;
+use crate::pool::SchedulerKind;
 use benu_cache::CacheStats;
 use benu_engine::{FrontierStats, PoolStats, TaskMetrics};
 use benu_kvstore::KvStats;
@@ -22,11 +22,12 @@ use std::time::Duration;
 pub struct WorkerReport {
     /// Worker index.
     pub worker: usize,
-    /// Number of (sub)tasks initially assigned to this worker by the
-    /// round-robin shuffle.
+    /// Number of (sub)tasks homed on this worker by the round-robin
+    /// shuffle (or the observed-cost placement).
     pub tasks: usize,
-    /// Number of (sub)tasks this worker actually executed. Equal to
-    /// `tasks` under the static scheduler; under work stealing the
+    /// Number of (sub)tasks this worker executed and handed over (a
+    /// worker that crashed hands over nothing). Equal to `tasks` under
+    /// the static scheduler in a crash-free run; under work stealing the
     /// difference is migration.
     pub tasks_executed: usize,
     /// Tasks this worker stole from other workers' queues (zero under
@@ -40,8 +41,9 @@ pub struct WorkerReport {
     /// Sum of task durations across the worker's threads — the "reducer
     /// load" of Fig. 9b.
     pub busy_time: Duration,
-    /// Per-thread busy times; the maximum across the cluster is the
-    /// simulated makespan on dedicated machines.
+    /// Busy time of each lane visit — one per thread, unless a crash
+    /// handed an idle lane more work; the maximum across the cluster is
+    /// the simulated makespan on dedicated machines.
     pub thread_busy: Vec<Duration>,
     /// Bytes fetched from the distributed store by this worker (cache
     /// misses only) — the per-worker communication cost.
@@ -62,7 +64,7 @@ pub struct WorkerReport {
 /// What the fault-recovery machinery did during a run. All zeros for a
 /// run without an installed fault plan. Whenever `Cluster::run` returns
 /// `Ok`, every injected fault was survived: transients and timeouts were
-/// retried to success, crashes were absorbed by requeueing — so
+/// retried to success, crashes were absorbed by re-execution — so
 /// "survived" equals [`RecoveryReport::faults_injected`] by construction,
 /// and the match counts are byte-identical to a fault-free run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,11 +76,13 @@ pub struct RecoveryReport {
     /// Retries issued by the transports (each fault survived costs
     /// attempts − 1 of these).
     pub retries: u64,
-    /// Worker machines that crashed at a task boundary.
+    /// Worker machines that crashed at a chunk boundary.
     pub worker_crashes: u64,
-    /// Tasks whose results died with a worker and were re-executed.
+    /// Tasks handed back to the survivors: what a dead worker had run
+    /// plus what was still queued at its home.
     pub tasks_requeued: u64,
-    /// Extra scheduler passes run to re-execute requeued tasks.
+    /// Crash epochs after the first: the times a dead worker's chunks
+    /// went back to the survivors.
     pub recovery_passes: u64,
     /// Times a store read stepped past a dead or faulted replica to try
     /// the next one in ring order (failover happens *before* any retry
@@ -219,13 +223,15 @@ pub struct RunOutcome {
     pub spill_events: u64,
     /// Largest charged frontier footprint of any single thread, in bytes.
     pub peak_frontier_bytes: u64,
-    /// Per-task durations, when requested in the configuration.
+    /// Per-task durations, when
+    /// [`ClusterConfig::collect_task_profile`](crate::ClusterConfig::collect_task_profile)
+    /// is set.
     pub task_times: Option<Vec<Duration>>,
     /// What fault injection and recovery did (all zeros without a fault
     /// plan).
     pub recovery: RecoveryReport,
     /// Per-start-vertex observed costs, collected when
-    /// [`ClusterConfig::collect_cost_profile`](crate::ClusterConfig::collect_cost_profile)
+    /// [`ClusterConfig::collect_task_profile`](crate::ClusterConfig::collect_task_profile)
     /// is set (DFS execution only). Feed it back via
     /// [`Cluster::set_cost_profile`](crate::Cluster::set_cost_profile) to
     /// drive the next run's splitting and placement from observed cost.
@@ -320,9 +326,19 @@ impl RunOutcome {
     /// every bench bin serialises (schema `benu/report-v1`, see
     /// DESIGN.md "Observability"). [`ReportMode::Deterministic`] drops
     /// every wall-clock-derived field (elapsed, makespan, busy times,
-    /// imbalance ratios, task times); the remaining tree is
-    /// byte-identical across two executions of the same seeded run on a
-    /// 1-worker × 1-thread static-scheduler cluster.
+    /// imbalance ratios, task times). Of what remains, the match, code
+    /// and task counts, `effective_tau` and the engine's instruction and
+    /// cardinality counters are the same for every execution of the same
+    /// seeded run on any cluster; the buffer-pool, frontier, per-worker
+    /// and store subtrees additionally need the static scheduler with
+    /// one thread per worker (which lane runs a task, and which misses a
+    /// cold cache first, is timing); the `recovery` subtree replays as
+    /// DESIGN.md "Runtime — What replays" spells out: whole under a
+    /// crash-free plan at any thread count, its crash fields
+    /// (`worker_crashes`, `tasks_requeued`, `recovery_passes`,
+    /// `shard_outages`) at any thread count under the static scheduler
+    /// when one machine crashes, the rest of it at one thread per
+    /// worker.
     pub fn report(&self, mode: ReportMode) -> Report {
         let mut r = Report::new();
         r.set("total_matches", self.total_matches);

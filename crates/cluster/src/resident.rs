@@ -6,14 +6,15 @@
 //! [`Resident`] is that plane, loaded — the store, the total order and
 //! degree array task generation and symmetry breaking read, the
 //! per-worker cache tier, and the observability hub every layer records
-//! into. Both runtimes are clients of it: the batch [`crate::Cluster`]
-//! adds a scheduler and a pass loop, `benu-service` a queue and a commit
+//! into. Both fronts are clients of it: the batch [`crate::Cluster`]
+//! turns a plan into one job on the lane pool ([`crate::pool`]),
+//! `benu-service` admits one per query and adds admission and a commit
 //! pipeline. Everything that touches what is resident goes through here
 //! — loading ([`Resident::load`]), the chaos hook
 //! ([`Resident::corrupt`]), fault gates ([`Resident::gate`]), the §V-B
 //! task split ([`Resident::tasks`]) and lane construction
-//! ([`Resident::executor`]) — so the two runtimes cannot drift apart on
-//! any of it.
+//! ([`Resident::executor`]) — so the two cannot drift apart on any of
+//! it.
 
 use crate::balance::CostProfile;
 use crate::config::DataPath;
@@ -206,7 +207,7 @@ impl Resident {
     /// One execution lane over `source` in the deployment's
     /// [`DataPath::exec_mode`]. `sharers` is how many lanes share
     /// [`DataPath::memory_budget_bytes`] — a worker machine's threads in
-    /// the cluster, the pool's workers in the service — and the lane
+    /// a batch run, the pool's workers in the service — and the lane
     /// gets an even share; `collect` switches from counting matches to
     /// materialising them.
     pub fn executor<'a, S: DataSource + ?Sized>(

@@ -1,51 +1,178 @@
-//! The cluster executor.
+//! The batch runtime: one plan, one job on the lane pool.
 //!
 //! `Cluster` is a [`Resident`] deployment — the sharded store and one
 //! persistent database cache per worker machine, surviving across `run`
-//! calls — plus the batch runtime over it: a
-//! [`Scheduler`](crate::Scheduler) hands tasks to worker threads and each
-//! worker's [`Transport`] carries its store traffic (with
-//! byte/round-trip accounting). See DESIGN.md "Runtime layering" for the
-//! full picture.
+//! calls — plus what turns a plan into a [`Job`]: the §V-B split, the
+//! paper's even shuffle (or longest-first placement from an observed
+//! [`CostProfile`]) that gives every task a home machine, chunks of up
+//! to [`CHUNK_TASKS`] consecutive tasks of one home, and one [`Transport`]
+//! (and, with a [`FaultPlan`], one [`FaultGate`]) per machine. A run
+//! admits that job to a [`Pool`] of its own, spawns `workers ×
+//! threads_per_worker` scoped lanes on [`pool::lane_loop`] for the
+//! duration of the call, and assembles the [`RunOutcome`] from what the
+//! lanes handed over. See DESIGN.md "Runtime".
 //!
 //! With a [`FaultPlan`] installed (see [`Cluster::set_fault_plan`]), a
-//! run also exercises BENU's recovery story: each worker's [`FaultGate`]
-//! retries injected store faults with capped backoff, workers crash at planned task
-//! boundaries and their tasks are requeued onto survivors in extra
-//! scheduler passes. Because tasks are idempotent and a dead worker's
-//! results are discarded wholesale, match counts are byte-identical to a
-//! fault-free run; the [`RecoveryReport`] in the outcome records what
-//! the machinery absorbed. [`Cluster::run`] returns `Err` only for
-//! unrecoverable faults (a shard outage outlasting the retry policy, or
-//! every worker crashing).
+//! run also exercises BENU's recovery story: each machine's gate retries
+//! injected store faults with capped backoff, and a machine that reaches
+//! its planned crash boundary dies with everything it ran — the pool
+//! hands its chunks to the survivors and this job drops its results.
+//! Because tasks are idempotent and a dead machine's results are
+//! discarded wholesale, match counts are byte-identical to a fault-free
+//! run; the [`RecoveryReport`] in the outcome records what the machinery
+//! absorbed. [`Cluster::run`] returns `Err` only for unrecoverable
+//! faults (a shard outage outlasting the retry policy, or every worker
+//! crashing).
 
 use crate::balance::CostProfile;
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, ExecMode};
 use crate::gate::FaultGate;
-use crate::recovery::RecoveryCtx;
+use crate::pool::{
+    self, HandOver, Job, Lane, LaneFault, LanePart, Outcome, Pool, Spec, CHUNK_TASKS,
+};
 use crate::report::{RecoveryReport, RunOutcome, WorkerReport};
 use crate::resident::{Resident, Split};
 use crate::transport::Transport;
-use crate::worker::{ErrorSlot, ThreadResult, Worker, WorkerError};
+use crate::worker::WorkerError;
 use benu_cache::{CacheObs, CacheStats};
-use benu_engine::{MatchSet, SearchTask};
+use benu_engine::{CompiledPlan, MatchSet, SearchTask};
 use benu_fault::FaultPlan;
 use benu_graph::Graph;
 use benu_obs::ObsHub;
 use benu_plan::ExecutionPlan;
+use parking_lot::Mutex;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Chunks a DFS run cuts per lane (at most [`CHUNK_TASKS`] tasks each).
+const DFS_CHUNKS_PER_LANE: usize = 64;
 
 /// A loaded cluster: a [`Resident`] deployment — the data graph in the
 /// sharded store, one persistent database cache per worker machine
 /// (warm across runs, mirroring the paper's long-lived reducer
-/// processes; [`Cluster::clear_caches`] for a cold-cache run) — plus the
-/// scheduler and pass loop that run any number of plans over it.
+/// processes; [`Cluster::clear_caches`] for a cold-cache run) — that
+/// runs any number of plans, each as one job on the lane pool.
 pub struct Cluster {
     resident: Resident,
     config: ClusterConfig,
     fault_plan: Option<Arc<FaultPlan>>,
     cost_profile: Option<Arc<CostProfile>>,
+}
+
+/// What the lanes of one run have reported so far.
+struct Progress {
+    /// The first unrecoverable failure; the run returns it.
+    error: Option<WorkerError>,
+    /// Per machine, what each visit of its lanes handed over. A machine
+    /// that died did not outlive the job: its parts are never read.
+    parts: Vec<Vec<LanePart>>,
+    steals: Vec<u64>,
+    tasks_requeued: u64,
+    /// The crash epoch: 1 + machines whose chunks went back so far.
+    epoch: u32,
+}
+
+/// One `run` call as a [`Job`]: the plan, the task list laid out home by
+/// home and cut into chunks, and per machine the transport and gate its
+/// lanes read through.
+struct BatchJob<'a> {
+    resident: &'a Resident,
+    compiled: &'a CompiledPlan,
+    tasks: Vec<SearchTask>,
+    /// Chunk `c` is `tasks[bounds[c]..bounds[c + 1]]`: the shares lie end
+    /// to end and each is cut front to back.
+    bounds: Vec<usize>,
+    transports: Vec<Transport>,
+    gates: Option<Vec<FaultGate>>,
+    collect: bool,
+    profile: bool,
+    stop: AtomicBool,
+    progress: Mutex<Progress>,
+}
+
+impl BatchJob<'_> {
+    fn range(&self, chunk: usize) -> Range<usize> {
+        self.bounds[chunk]..self.bounds[chunk + 1]
+    }
+
+    fn tasks_in(&self, chunks: &[usize]) -> usize {
+        chunks.iter().map(|&c| self.range(c).len()).sum()
+    }
+
+    /// Records `error` if it is the first and stops the run: lanes drop
+    /// what they are running and every chunk still queued.
+    fn fail(&self, error: WorkerError) {
+        self.progress.lock().error.get_or_insert(error);
+        self.stop.store(true, Ordering::Release);
+    }
+}
+
+impl Job for &BatchJob<'_> {
+    fn spec(&self) -> Spec<'_> {
+        Spec {
+            plan: self.compiled,
+            collect: self.collect,
+            profile: self.profile,
+            hand_over: HandOver::AtEnd,
+        }
+    }
+
+    fn start(&self, machine: usize, chunk: usize, stolen: bool) -> &[SearchTask] {
+        let range = self.range(chunk);
+        if stolen {
+            self.progress.lock().steals[machine] += range.len() as u64;
+        }
+        &self.tasks[range]
+    }
+
+    fn reads(&self, machine: usize) -> (&Transport, Option<&FaultGate>) {
+        let gate = self.gates.as_ref().map(|gates| &gates[machine]);
+        (&self.transports[machine], gate)
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    fn chunk_done(&self, worker: usize, _chunk: usize, outcome: Outcome) {
+        // Completed chunks arrive with their lane's part; a dropped one
+        // belongs to a run that is already failing.
+        let Outcome::Failed(fault) = outcome else {
+            return;
+        };
+        let attempt = self.progress.lock().epoch;
+        self.fail(match fault {
+            LaneFault::Fetch { error, task } => {
+                WorkerError::from_fetch(error, self.resident.store(), worker, task, attempt)
+            }
+            LaneFault::Panicked(task) => WorkerError::TaskPanicked {
+                worker,
+                task,
+                attempt,
+            },
+        });
+    }
+
+    fn lane_done(&self, machine: usize, part: LanePart) {
+        self.progress.lock().parts[machine].push(part);
+    }
+
+    fn handed_back(&self, _machine: usize, chunks: &[usize]) {
+        let mut progress = self.progress.lock();
+        progress.tasks_requeued += self.tasks_in(chunks) as u64;
+        progress.epoch += 1;
+        for gate in self.gates.iter().flatten() {
+            gate.advance_epoch();
+        }
+    }
+
+    fn lost(&self, _machine: usize, chunks: &[usize]) {
+        self.fail(WorkerError::ClusterLost {
+            outstanding: self.tasks_in(chunks),
+        });
+    }
 }
 
 impl Cluster {
@@ -60,8 +187,8 @@ impl Cluster {
     /// records into: the store's per-shard counters and latency
     /// histograms, the db cache tier, the engine's instruction counters,
     /// per-worker busy/steal/retry/crash events, and phase spans (store
-    /// load, plan compile, task generation, passes) on the hub's virtual
-    /// clock. Registry counters are monotonic for the
+    /// load, plan compile, task generation, execution) on the hub's
+    /// virtual clock. Registry counters are monotonic for the
     /// hub's lifetime — pass a fresh hub for per-run numbers.
     pub fn new_observed(g: &Graph, config: ClusterConfig, hub: Arc<ObsHub>) -> Self {
         Self::build(g, config, Some(hub))
@@ -103,18 +230,18 @@ impl Cluster {
     /// Installs (or removes, with `None`) the fault plan subsequent runs
     /// inject from. Transient faults and timeouts are retried per the
     /// configured [`crate::DataPath::retry`] policy; planned worker
-    /// crashes trigger task requeue and re-execution.
+    /// crashes hand the dead machine's chunks to the survivors.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan.map(Arc::new);
     }
 
     /// Installs (or removes, with `None`) an observed-cost profile from a
-    /// previous run (see [`ClusterConfig::collect_cost_profile`]).
+    /// previous run (see [`ClusterConfig::collect_task_profile`]).
     /// Subsequent runs split tasks at an observed-cost threshold instead
     /// of the degree proxy, place them longest-first onto the least
-    /// loaded worker, and order each queue heaviest-first (the steal
-    /// priority). All decisions are pure functions of the profile, so
-    /// runs stay deterministic under the static scheduler.
+    /// loaded worker, and order each worker's share heaviest-first (the
+    /// steal priority). All decisions are pure functions of the profile,
+    /// so runs stay deterministic under the static scheduler.
     pub fn set_cost_profile(&mut self, profile: Option<CostProfile>) {
         self.cost_profile = profile.map(Arc::new);
     }
@@ -140,7 +267,9 @@ impl Cluster {
     /// Runs `plan`, counting matches (Algorithm 2 lines 3–8). Store
     /// counters are reset at entry so the outcome reflects this run only;
     /// cache contents persist from earlier runs (cache *stats* in the
-    /// outcome are per-run deltas).
+    /// outcome are per-run deltas). Concurrent runs on one cluster each
+    /// return their exact count; the store and cache counters they
+    /// report are then shared between them.
     ///
     /// # Errors
     ///
@@ -148,8 +277,8 @@ impl Cluster {
     /// store does not hold, a task panics, an injected shard outage
     /// outlasts the retry policy, or every worker crashes with work
     /// still queued. Faults the recovery machinery absorbs (retried
-    /// transients, requeued crashes) do not error — they are reported in
-    /// [`RunOutcome::recovery`].
+    /// transients, re-executed crashes) do not error — they are reported
+    /// in [`RunOutcome::recovery`].
     pub fn run(&self, plan: &ExecutionPlan) -> Result<RunOutcome, WorkerError> {
         Ok(self.run_inner(plan, false)?.0)
     }
@@ -177,7 +306,7 @@ impl Cluster {
         let obs = resident.obs();
         let compiled = {
             let _span = obs.map(|h| h.tracer.span("plan_compile"));
-            benu_engine::CompiledPlan::compile(plan)
+            CompiledPlan::compile(plan)
         };
         let (tasks, effective_tau) = {
             let _span = obs.map(|h| h.tracer.span("task_generation"));
@@ -186,216 +315,161 @@ impl Cluster {
         let total_tasks = tasks.len();
         let p = self.config.workers;
 
-        let recovery_ctx = self
-            .fault_plan
-            .as_ref()
-            .map(|plan| RecoveryCtx::new(Arc::clone(plan), p));
-
-        // Initial assignment. Default: round robin — the even shuffle of
-        // tasks to reducers. With a cost profile installed: longest-
-        // processing-time-first onto the least-loaded worker, each queue
-        // ordered heaviest-first (the steal priority). The scheduler
-        // decides whether tasks may migrate afterwards.
-        let mut pending: Vec<Vec<SearchTask>> = match &self.cost_profile {
+        // Homes. Default: round robin — the even shuffle of tasks to
+        // reducers. With a cost profile installed: longest-processing-
+        // time-first onto the least-loaded worker, each share ordered
+        // heaviest-first (the steal priority). The scheduler decides
+        // whether chunks may migrate afterwards.
+        let shares: Vec<Vec<SearchTask>> = match &self.cost_profile {
             Some(profile) => profile.assign_lpt(tasks, p),
             None => {
-                let mut queues: Vec<Vec<SearchTask>> = vec![Vec::new(); p];
+                let mut shares: Vec<Vec<SearchTask>> = vec![Vec::new(); p];
                 for (i, t) in tasks.into_iter().enumerate() {
-                    queues[i % p].push(t);
+                    shares[i % p].push(t);
                 }
-                queues
+                shares
             }
         };
+        let assigned: Vec<usize> = shares.iter().map(Vec::len).collect();
+        // A hybrid chunk is one frontier batch — its length decides which
+        // fetches siblings share — so it is fixed. Under DFS a chunk is
+        // only a scheduling quantum: short enough that every lane gets
+        // `DFS_CHUNKS_PER_LANE` of them, so the last lane running holds
+        // the others up for a few percent of the run at most.
+        let chunk_len = match self.config.data.exec_mode {
+            ExecMode::Hybrid => CHUNK_TASKS,
+            ExecMode::Dfs => {
+                let lanes = p * self.config.threads_per_worker;
+                (total_tasks / (lanes * DFS_CHUNKS_PER_LANE)).clamp(1, CHUNK_TASKS)
+            }
+        };
+        let mut tasks = Vec::with_capacity(total_tasks);
+        let mut bounds = Vec::new();
+        let mut homes = Vec::new();
+        for (w, share) in shares.into_iter().enumerate() {
+            let end = tasks.len() + share.len();
+            for start in (tasks.len()..end).step_by(chunk_len) {
+                bounds.push(start);
+                homes.push(Some(w));
+            }
+            tasks.extend(share);
+        }
+        bounds.push(total_tasks);
 
         resident.store().reset_stats();
-        let transports: Vec<Transport> = (0..p).map(|_| resident.transport()).collect();
-        // One gate per worker machine: its verdicts stand in front of
-        // the machine's cache, shared by the machine's threads.
-        let gates: Option<Vec<FaultGate>> = self
-            .fault_plan
-            .as_ref()
-            .map(|plan| (0..p).map(|_| resident.gate(Arc::clone(plan))).collect());
-        let absorbed =
-            || -> Vec<RecoveryReport> { gates.iter().flatten().map(FaultGate::absorbed).collect() };
+        let job = BatchJob {
+            resident,
+            compiled: &compiled,
+            tasks,
+            bounds,
+            transports: (0..p).map(|_| resident.transport()).collect(),
+            // One gate per worker machine: its verdicts stand in front of
+            // the machine's cache, shared by the machine's threads.
+            gates: self
+                .fault_plan
+                .as_ref()
+                .map(|plan| (0..p).map(|_| resident.gate(Arc::clone(plan))).collect()),
+            collect,
+            profile: self.config.collect_task_profile,
+            stop: AtomicBool::new(false),
+            progress: Mutex::new(Progress {
+                error: None,
+                parts: (0..p).map(|_| Vec::new()).collect(),
+                steals: vec![0; p],
+                tasks_requeued: 0,
+                epoch: 1,
+            }),
+        };
         let cache_stats_before: Vec<CacheStats> =
             resident.caches().iter().map(|c| c.stats()).collect();
-        let errors = ErrorSlot::new();
-        let started = Instant::now();
+        let pool = Pool::new(p, self.config.scheduler, self.fault_plan.clone());
+        pool.admit(0, &job, 1, homes.into_iter().enumerate())
+            .expect("a new pool has every machine alive");
+        pool.close();
 
-        let mut merged: Vec<Vec<ThreadResult>> = (0..p).map(|_| Vec::new()).collect();
-        let mut assigned = vec![0usize; p];
-        let mut steals = vec![0u64; p];
-        let mut recovery_passes = 0u64;
-        let mut attempt: u32 = 1;
-        // Virtual fault latency already charged into the tracer's clock;
-        // spans advance by per-pass deltas, so trace timestamps are a
-        // deterministic function of the fault seed, never the wall clock.
-        let mut virtual_charged = Duration::ZERO;
-        let virtual_total = || -> Duration {
-            absorbed()
+        let run_span = obs.map(|h| h.tracer.span("pass.0"));
+        let started = Instant::now();
+        let mut panicked = None;
+        std::thread::scope(|scope| {
+            let lanes: Vec<_> = (0..p * self.config.threads_per_worker)
+                .map(|i| {
+                    let lane = Lane {
+                        machine: i / self.config.threads_per_worker,
+                        triangle_cache_entries: self.config.triangle_cache_entries,
+                        sharers: self.config.threads_per_worker,
+                    };
+                    let pool = &pool;
+                    (
+                        lane.machine,
+                        scope.spawn(move || pool::lane_loop(pool, resident, lane)),
+                    )
+                })
+                .collect();
+            for (worker, lane) in lanes {
+                if lane.join().is_err() {
+                    panicked.get_or_insert(WorkerError::ThreadPanicked { worker });
+                }
+            }
+        });
+        let elapsed = started.elapsed();
+        let dead: Vec<bool> = (0..p).map(|w| pool.is_dead(w)).collect();
+        drop(pool);
+
+        let BatchJob {
+            transports,
+            gates,
+            progress,
+            ..
+        } = job;
+        let progress = progress.into_inner();
+        if let Some(err) = progress.error.or(panicked) {
+            return Err(err);
+        }
+        let absorbed: Vec<RecoveryReport> =
+            gates.iter().flatten().map(FaultGate::absorbed).collect();
+        if let Some(hub) = obs {
+            // Charge the run's injected virtual latency into the trace
+            // clock before its span closes: trace timestamps are a
+            // deterministic function of the fault seed, never the wall
+            // clock.
+            let virtual_total: Duration = absorbed
                 .iter()
                 .map(|a| a.backoff_virtual + a.timeout_wait_virtual + a.slow_penalty_virtual)
-                .sum()
-        };
-
-        // Pass loop: run every queued task; if a worker crashed, its
-        // lost tasks come back via the requeue and run in another pass
-        // on the survivors (BENU's regenerate-and-re-execute recovery).
-        loop {
-            let pass_span = obs.map(|h| {
-                let name = if attempt == 1 {
-                    "pass.0".to_string()
-                } else {
-                    format!("recovery_pass.{}", attempt - 1)
-                };
-                h.tracer.span(&name)
-            });
-            // Shard-outage decisions are pass-scoped: advance every
-            // gate's view at the barrier, before any thread runs.
-            for gate in gates.iter().flatten() {
-                gate.set_pass(attempt);
-            }
-            let alive_before: Vec<bool> = (0..p)
-                .map(|w| recovery_ctx.as_ref().is_none_or(|rc| !rc.is_dead(w)))
-                .collect();
-            let scheduler = self.config.scheduler.build(pending);
-            let mut pass_results: Vec<Vec<Result<ThreadResult, WorkerError>>> =
-                (0..p).map(|_| Vec::new()).collect();
-
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(p * self.config.threads_per_worker);
-                for (w, transport) in transports.iter().enumerate() {
-                    if !alive_before[w] {
-                        continue;
-                    }
-                    for _ in 0..self.config.threads_per_worker {
-                        let worker = Worker {
-                            id: w,
-                            scheduler: scheduler.as_ref(),
-                            transport,
-                            resident,
-                            compiled: &compiled,
-                            config: &self.config,
-                            errors: &errors,
-                            gate: gates.as_ref().map(|gates| &gates[w]),
-                            recovery: recovery_ctx.as_ref(),
-                            attempt,
-                        };
-                        handles.push((w, scope.spawn(move || worker.run_thread(collect))));
-                    }
-                }
-                for (w, handle) in handles {
-                    let result = handle
-                        .join()
-                        .unwrap_or(Err(WorkerError::ThreadPanicked { worker: w }));
-                    pass_results[w].push(result);
-                }
-            });
-
-            if let Some(err) = errors.first() {
-                return Err(err);
-            }
-            for w in 0..p {
-                assigned[w] += scheduler.assigned(w);
-                steals[w] += scheduler.steals(w);
-            }
-            for (w, results) in pass_results.into_iter().enumerate() {
-                // A worker that died this pass takes its results down
-                // with the machine; every task it touched is already in
-                // the requeue, so nothing is counted twice.
-                if recovery_ctx.as_ref().is_some_and(|rc| rc.is_dead(w)) {
-                    continue;
-                }
-                for result in results {
-                    merged[w].push(result?);
-                }
-            }
-
-            if let Some(rc) = &recovery_ctx {
-                // No threads are running now. Under work stealing, a
-                // thread of a crashing worker can steal from a victim
-                // and append the remainder to its own queue *after* the
-                // crashing sibling drained it — those tasks would be
-                // stranded in the dead queue (never drained again) and
-                // silently dropped. Sweep every dead worker's queue into
-                // the requeue before the pass's scheduler is discarded.
-                for w in 0..p {
-                    if rc.is_dead(w) {
-                        rc.requeue_all(scheduler.drain(w));
-                    }
-                }
-                // The results merged above are durable from here on — a
-                // later crash of a surviving worker can only lose work
-                // from its own pass — so commit them: leaving them in
-                // the executed pools would requeue (and double-count)
-                // them on that later crash.
-                rc.commit_merged();
-            }
-
-            if let Some(hub) = obs {
-                // Charge this pass's injected virtual latency into the
-                // trace clock before the pass span closes.
-                let now = virtual_total();
-                hub.tracer
-                    .clock()
-                    .advance((now - virtual_charged).as_nanos() as u64);
-                virtual_charged = now;
-            }
-            drop(pass_span);
-
-            let requeued = recovery_ctx
-                .as_ref()
-                .map(|rc| rc.take_requeue())
-                .unwrap_or_default();
-            if requeued.is_empty() {
-                break;
-            }
-            let rc = recovery_ctx.as_ref().expect("requeue implies a fault plan");
-            let alive: Vec<usize> = (0..p).filter(|&w| !rc.is_dead(w)).collect();
-            if alive.is_empty() {
-                return Err(WorkerError::ClusterLost {
-                    outstanding: requeued.len(),
-                });
-            }
-            recovery_passes += 1;
-            attempt += 1;
-            pending = vec![Vec::new(); p];
-            for (i, t) in requeued.into_iter().enumerate() {
-                pending[alive[i % alive.len()]].push(t);
-            }
+                .sum();
+            hub.tracer.clock().advance(virtual_total.as_nanos() as u64);
         }
-        let elapsed = started.elapsed();
+        drop(run_span);
 
         let mut reports: Vec<WorkerReport> = Vec::with_capacity(p);
         let mut lane_matches: Vec<MatchSet> = Vec::new();
-        let mut all_task_times = self.config.collect_task_times.then(Vec::new);
-        let mut task_cost_records: Option<Vec<(SearchTask, u64)>> =
-            self.config.collect_cost_profile.then(Vec::new);
-        for (w, results) in merged.into_iter().enumerate() {
+        let mut records = self.config.collect_task_profile.then(Vec::new);
+        for (w, mut parts) in progress.parts.into_iter().enumerate() {
+            if dead[w] {
+                // The dead machine's results are discarded wholesale:
+                // every chunk it ran, the survivors ran again.
+                parts.clear();
+            }
             let mut report = WorkerReport {
                 worker: w,
                 tasks: assigned[w],
-                steals: steals[w],
+                steals: progress.steals[w],
                 ..WorkerReport::default()
             };
             let mut lane_hits = 0;
-            for r in results {
-                lane_hits += r.stats.db_cache_hits;
-                report.metrics += r.metrics;
-                report.busy_time += r.busy;
-                report.tasks_executed += r.executed;
-                report.thread_busy.push(r.busy);
-                report.triangle_cache.hits += r.stats.triangle_cache.hits;
-                report.triangle_cache.misses += r.stats.triangle_cache.misses;
-                report.pool += r.stats.pool;
-                report.frontier += r.stats.frontier;
-                if let Some(times) = all_task_times.as_mut() {
-                    times.extend(r.task_times);
+            for part in parts {
+                lane_hits += part.stats.db_cache_hits;
+                report.metrics += part.metrics;
+                report.busy_time += part.busy;
+                report.tasks_executed += part.executed;
+                report.thread_busy.push(part.busy);
+                report.triangle_cache.hits += part.stats.triangle_cache.hits;
+                report.triangle_cache.misses += part.stats.triangle_cache.misses;
+                report.pool += part.stats.pool;
+                report.frontier += part.stats.frontier;
+                if let Some(records) = records.as_mut() {
+                    records.extend(part.records);
                 }
-                if let Some(records) = task_cost_records.as_mut() {
-                    records.extend(r.task_costs);
-                }
-                lane_matches.extend(r.stats.matches);
+                lane_matches.extend(part.stats.matches);
             }
             // Per-run cache effectiveness: delta against the persistent
             // cache's counters at run start, plus the tier's hits the
@@ -419,10 +493,11 @@ impl Cluster {
         }
 
         let mut recovery = RecoveryReport {
-            recovery_passes,
+            worker_crashes: dead.iter().filter(|&&dead| dead).count() as u64,
+            tasks_requeued: progress.tasks_requeued,
+            recovery_passes: u64::from(progress.epoch - 1),
             ..RecoveryReport::default()
         };
-        let absorbed = absorbed();
         for a in &absorbed {
             recovery.transient_faults += a.transient_faults;
             recovery.timeouts += a.timeouts;
@@ -433,16 +508,12 @@ impl Cluster {
             recovery.failovers += a.failovers;
             recovery.failover_reads += a.failover_reads;
         }
-        if let Some(rc) = &recovery_ctx {
-            recovery.worker_crashes = rc.crashes();
-            recovery.tasks_requeued = rc.total_requeued();
-        }
         if let Some(plan) = &self.fault_plan {
-            // Distinct shards the plan held dark during any pass this
-            // run actually executed — a pure function of (plan, passes),
-            // so replays agree on it.
+            // Distinct shards the plan held dark during any epoch this
+            // run reached — a pure function of (plan, epochs), so replays
+            // agree on it.
             recovery.shard_outages = (0..resident.store().num_shards())
-                .filter(|&s| (1..=attempt).any(|pass| plan.outage_at(s, pass)))
+                .filter(|&s| (1..=progress.epoch).any(|epoch| plan.outage_at(s, epoch)))
                 .count() as u64;
         }
         let kv = resident.store().stats();
@@ -469,10 +540,10 @@ impl Cluster {
                 reg.counter_wall(&format!("worker.{w}.busy_nanos"))
                     .add(report.busy_time.as_nanos() as u64);
             }
-            for w in 0..p {
+            for (w, &died) in dead.iter().enumerate() {
                 let retries = absorbed.get(w).map_or(0, |a| a.retries);
                 reg.counter(&format!("worker.{w}.retries")).add(retries);
-                if recovery_ctx.as_ref().is_some_and(|rc| rc.is_dead(w)) {
+                if died {
                     reg.counter(&format!("worker.{w}.crashes")).inc();
                 }
             }
@@ -514,13 +585,21 @@ impl Cluster {
             frontier_expansions: frontier.expansions,
             spill_events: frontier.spill_events,
             peak_frontier_bytes: frontier.peak_bytes,
-            task_times: all_task_times,
+            task_times: records
+                .as_ref()
+                .map(|records| records.iter().map(|r| r.wall).collect()),
             recovery,
             // Hybrid execution records no per-task cost; an all-zero
             // profile fed back in would switch splitting off entirely.
-            cost_profile: task_cost_records
-                .filter(|records| !records.is_empty())
-                .map(|records| CostProfile::from_task_costs(resident.degrees().len(), records)),
+            cost_profile: records
+                .map(|records| {
+                    records
+                        .iter()
+                        .filter_map(|r| Some((r.task, r.vticks?)))
+                        .collect::<Vec<_>>()
+                })
+                .filter(|costs| !costs.is_empty())
+                .map(|costs| CostProfile::from_task_costs(resident.degrees().len(), costs)),
         };
         Ok((outcome, MatchSet::merge_sorted(lane_matches)))
     }
@@ -529,8 +608,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecMode;
-    use crate::schedule::SchedulerKind;
+    use crate::pool::SchedulerKind;
     use benu_fault::RetryPolicy;
     use benu_graph::{gen, VertexId};
     use benu_pattern::queries;
@@ -570,7 +648,7 @@ mod tests {
             .workers(4)
             .threads_per_worker(1)
             .tau_auto(true)
-            .collect_cost_profile(true)
+            .collect_task_profile(true)
             .build();
 
         // Pass 1: degree-driven auto τ, collecting per-task costs.
@@ -600,7 +678,7 @@ mod tests {
                 .workers(4)
                 .threads_per_worker(1)
                 .tau_auto(true)
-                .collect_cost_profile(true)
+                .collect_task_profile(true)
                 .build(),
         );
         // Re-derive pass 1's profile on the fresh cluster to mirror the
@@ -827,7 +905,7 @@ mod tests {
             ClusterConfig::builder()
                 .workers(2)
                 .threads_per_worker(1)
-                .collect_task_times(true)
+                .collect_task_profile(true)
                 .build(),
         );
         let outcome = cluster.run(&plan).unwrap();

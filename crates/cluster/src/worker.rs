@@ -1,30 +1,22 @@
-//! The lane source, the lane executor and the worker thread body.
+//! The lane source, the lane executor and the batch run's error type.
 //!
 //! Algorithm 2 has one worker body: pull local search tasks, run the
 //! plan against the cache-fronted store, report. [`LaneSource`] is that
 //! body's read path — fault gate, database cache, transport, in that
 //! order — and [`LaneExecutor`] its engine half — one engine bound to
 //! one [`DataSource`], running slices of tasks in the configured
-//! [`ExecMode`]. Every runtime that executes tasks sits on the pair: the
-//! cluster's worker threads ([`Worker::run_thread`]) and the serving
-//! layer's chunk execution in `benu-service`.
+//! [`ExecMode`], and the one place an engine panic is caught. The loop
+//! around the pair is [`crate::pool::lane_loop`], for every runtime.
 //!
-//! Each simulated worker machine runs `threads_per_worker` OS threads,
-//! all executing [`Worker::run_thread`]: pull a task (or, under hybrid
-//! execution, a batch) from the scheduler, run it on the thread's
-//! executor, accumulate metrics. Failures are structured —
-//! a vertex missing from the store, a store shard that outlasts the
-//! retry policy, or a panicking task aborts the whole run with a
-//! [`WorkerError`] carrying the task, shard and attempt context instead
-//! of poisoning a thread join. Injected worker crashes are *not* errors:
-//! the thread books them with the run's `RecoveryCtx` and stops, and
-//! the runtime re-executes the lost tasks in a recovery pass.
+//! Failures are structured — a vertex missing from the store, a store
+//! shard that outlasts the retry policy, or a panicking task aborts a
+//! batch run with a [`WorkerError`] carrying the task, shard and attempt
+//! context instead of poisoning a thread join. Injected worker crashes
+//! are *not* errors: the pool hands the dead machine's chunks to the
+//! survivors.
 
-use crate::config::{ClusterConfig, ExecMode};
+use crate::config::ExecMode;
 use crate::gate::FaultGate;
-use crate::recovery::{RecoveryCtx, TaskFate};
-use crate::resident::Resident;
-use crate::schedule::Scheduler;
 use crate::transport::{FetchError, Transport, TransportError};
 use benu_cache::{CacheStats, DbCache};
 use benu_engine::{
@@ -33,11 +25,9 @@ use benu_engine::{
 };
 use benu_graph::{AdjSet, TotalOrder, VertexId};
 use benu_kvstore::{CorruptValue, KvStore};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Renders the task context of an error: `task v3`, `task v3[2/5]`, or
 /// `no task` for failures outside task execution.
@@ -60,8 +50,9 @@ impl std::fmt::Display for TaskLabel {
 
 /// Why a cluster run aborted. Every variant names the worker; task-level
 /// failures additionally carry the task being executed, the shard
-/// involved and the execution attempt (1 = first pass, +1 per recovery
-/// pass), so a one-line log message localises the failure.
+/// involved and the execution attempt (the run's crash epoch: 1, +1 per
+/// machine whose chunks went back to the survivors), so a one-line log
+/// message localises the failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WorkerError {
     /// A task queried a vertex the store does not hold — the data graph
@@ -75,7 +66,7 @@ pub enum WorkerError {
         shard: usize,
         /// The task being executed, if the failure happened inside one.
         task: Option<SearchTask>,
-        /// The execution attempt (1-based; >1 means a recovery pass).
+        /// The execution attempt (1-based; >1 means after a crash).
         attempt: u32,
     },
     /// A store request failed past every recovery the configuration
@@ -123,7 +114,7 @@ pub enum WorkerError {
         worker: usize,
     },
     /// Every worker crashed with work still queued — nothing is left to
-    /// run the recovery pass on.
+    /// re-execute it on.
     ClusterLost {
         /// Tasks that were awaiting re-execution.
         outstanding: usize,
@@ -234,54 +225,18 @@ impl std::fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
-/// First-error slot shared by every thread of a run. Recording an error
-/// raises the abort flag; threads poll it between tasks and bail out, so
-/// one failure drains the whole cluster quickly but cleanly.
-pub(crate) struct ErrorSlot {
-    error: Mutex<Option<WorkerError>>,
-    abort: AtomicBool,
-}
-
-impl ErrorSlot {
-    pub(crate) fn new() -> Self {
-        ErrorSlot {
-            error: Mutex::new(None),
-            abort: AtomicBool::new(false),
-        }
-    }
-
-    /// Records `err` if it is the first, and raises the abort flag.
-    pub(crate) fn record(&self, err: WorkerError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        self.abort.store(true, Ordering::Release);
-    }
-
-    /// True once any thread has failed.
-    pub(crate) fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Acquire)
-    }
-
-    /// The first recorded error, if any.
-    pub(crate) fn first(&self) -> Option<WorkerError> {
-        self.error.lock().clone()
-    }
-}
-
 /// The engine's view of the data graph from inside one execution lane:
 /// the fault gate's verdict first (when a fault plan is installed), then
 /// the machine's database cache, then — on a miss — the [`Transport`],
 /// reading the replica the verdict routed to. The one [`DataSource`]
-/// both runtimes execute against.
+/// every lane executes against.
 ///
 /// Failures cannot surface through the infallible [`DataSource`]
 /// signature, so the first one is parked here as the raw [`FetchError`]
 /// and answered with an empty adjacency set, which unwinds the engine
-/// cheaply; the lane's owner checks [`LaneSource::error`] after each
-/// slice of tasks and maps it into its own taxonomy before the bogus
-/// empty result can be observed as a match count.
+/// cheaply; the lane loop checks [`LaneSource::error`] after each slice
+/// of tasks and fails the chunk before the bogus empty result can be
+/// observed as a match count.
 pub struct LaneSource<'a> {
     transport: &'a Transport,
     cache: &'a DbCache,
@@ -354,6 +309,7 @@ impl DataSource for LaneSource<'_> {
 pub struct TaskPanicked(pub SearchTask);
 
 /// What a [`LaneExecutor`]'s engine accumulated over its lifetime.
+#[derive(Default)]
 pub struct LaneStats {
     /// The engine's private triangle-cache counters.
     pub triangle_cache: CacheStats,
@@ -377,10 +333,8 @@ enum LaneEngine<'a, S: DataSource + ?Sized> {
 
 /// One execution lane: an engine bound to a data source, running slices
 /// of search tasks in a fixed [`ExecMode`] and counting or collecting
-/// their matches. The single place a runtime turns `(plan, source,
-/// tasks)` into [`TaskMetrics`]; callers keep only what genuinely
-/// differs between them — where tasks come from, when to stop, and what
-/// to do with a failure.
+/// their matches. The single place `(plan, source, tasks)` becomes
+/// [`TaskMetrics`], and the one unwind boundary around the engine.
 pub struct LaneExecutor<'a, S: DataSource + ?Sized> {
     engine: LaneEngine<'a, S>,
     counting: CountingConsumer,
@@ -390,9 +344,9 @@ pub struct LaneExecutor<'a, S: DataSource + ?Sized> {
 impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     /// Binds an engine to `source`. `budget` bounds the frontier under
     /// [`ExecMode::Hybrid`]; `collect` switches from counting matches to
-    /// materialising them. Runtimes get their lanes from
-    /// [`Resident::executor`], which supplies the order, the mode and the
-    /// lane's share of the budget.
+    /// materialising them. The lane loop gets its executors from
+    /// [`crate::Resident::executor`], which supplies the order, the mode
+    /// and the lane's share of the budget.
     pub fn new(
         compiled: &'a CompiledPlan,
         source: &'a S,
@@ -418,7 +372,7 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     }
 
     /// How many tasks to hand [`LaneExecutor::run`] at a time: one under
-    /// DFS (every task boundary is a point to stop or book at),
+    /// DFS (every task boundary is a point to stop at),
     /// `hybrid_batch` under hybrid execution (sibling tasks of a batch
     /// share their store reads).
     pub fn stride(&self, hybrid_batch: usize) -> usize {
@@ -463,6 +417,16 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
         }
     }
 
+    /// Takes the embeddings collected since the last call, in engine
+    /// order — a chunk's rows, for a job that hands over per chunk.
+    /// Empty when the executor is counting.
+    pub fn take_rows(&mut self) -> MatchSet {
+        self.collecting
+            .as_mut()
+            .map(|collecting| std::mem::take(collecting).into_matches())
+            .unwrap_or_default()
+    }
+
     /// Consumes the executor, returning its engine's counters and the
     /// collected matches — sorted here, on the lane's own thread, so
     /// sibling lanes sort in parallel and whoever gathers them only
@@ -488,150 +452,6 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
                 frontier: frontier.stats(),
                 matches,
             },
-        }
-    }
-}
-
-/// What one thread accumulated over its share of the run.
-pub struct ThreadResult {
-    pub(crate) metrics: TaskMetrics,
-    pub(crate) busy: Duration,
-    pub(crate) executed: usize,
-    pub(crate) task_times: Vec<Duration>,
-    /// Per-task deterministic costs (vticks) with task identity; only
-    /// recorded when the cost profile is being collected, and only under
-    /// DFS execution (the hybrid engine reports batch-level metrics).
-    pub(crate) task_costs: Vec<(SearchTask, u64)>,
-    pub(crate) stats: LaneStats,
-}
-
-/// Tasks pulled per hybrid batch: enough siblings to share hub fetches,
-/// small enough that a crash loses little booked work.
-const FRONTIER_TASK_BATCH: usize = 64;
-
-/// One worker machine's execution context, shared by its threads.
-pub struct Worker<'a> {
-    pub(crate) id: usize,
-    pub(crate) scheduler: &'a dyn Scheduler,
-    pub(crate) transport: &'a Transport,
-    pub(crate) resident: &'a Resident,
-    pub(crate) compiled: &'a CompiledPlan,
-    pub(crate) config: &'a ClusterConfig,
-    pub(crate) errors: &'a ErrorSlot,
-    /// The machine's fault gate; `None` when no fault plan is installed.
-    pub(crate) gate: Option<&'a FaultGate>,
-    /// Crash bookkeeping; `None` when no fault plan is installed.
-    pub(crate) recovery: Option<&'a RecoveryCtx>,
-    /// Execution attempt this pass runs as (1 = first pass).
-    pub(crate) attempt: u32,
-}
-
-impl Worker<'_> {
-    /// Records `err` as the run's failure and hands it back.
-    fn fail(&self, err: WorkerError) -> WorkerError {
-        self.errors.record(err.clone());
-        err
-    }
-
-    /// The thread body: pulls tasks from the scheduler — one at a time
-    /// under DFS, `FRONTIER_TASK_BATCH` at a time under hybrid
-    /// execution — until exhaustion, abort, or an injected crash of this
-    /// worker, polled at every task/batch boundary. `collect` switches
-    /// from counting to materialising matches. Task durations include
-    /// the virtual latency (retry backoff, slow shards) their store
-    /// traffic was charged; a batch's duration is shared evenly by its
-    /// tasks. A batch always runs to completion before any of its tasks
-    /// is booked — frontier spills land on task boundaries — so crash
-    /// recovery requeues whole tasks in either mode. The machine's
-    /// frontier byte budget is shared by its threads.
-    pub fn run_thread(&self, collect: bool) -> Result<ThreadResult, WorkerError> {
-        let config = self.config;
-        let cache = &self.resident.caches()[self.id];
-        let source = LaneSource::new(self.transport, cache, self.gate);
-        let mut executor = self.resident.executor(
-            self.compiled,
-            &source,
-            config.triangle_cache_entries,
-            config.threads_per_worker,
-            collect,
-        );
-        let stride = executor.stride(FRONTIER_TASK_BATCH);
-        // A batch reports batch-level metrics: no per-task cost exists.
-        let record_costs = config.data.exec_mode == ExecMode::Dfs && config.collect_cost_profile;
-        let mut metrics = TaskMetrics::default();
-        let mut busy = Duration::ZERO;
-        let mut executed = 0;
-        let (mut task_times, mut task_costs) = (Vec::new(), Vec::new());
-        let mut batch = Vec::with_capacity(stride);
-        'pull: while !self.errors.aborted() && !self.recovery.is_some_and(|rc| rc.is_dead(self.id))
-        {
-            batch.clear();
-            batch.extend(std::iter::from_fn(|| self.scheduler.next(self.id)).take(stride));
-            let Some(&head) = batch.first() else {
-                break;
-            };
-            let t0 = Instant::now();
-            let (run, penalty) = executor.run(&batch).map_err(|TaskPanicked(task)| {
-                self.fail(WorkerError::TaskPanicked {
-                    worker: self.id,
-                    task,
-                    attempt: self.attempt,
-                })
-            })?;
-            if let Some(error) = source.error() {
-                let store = self.transport.store();
-                return Err(self.fail(WorkerError::from_fetch(
-                    error,
-                    store,
-                    self.id,
-                    head,
-                    self.attempt,
-                )));
-            }
-            let dt = t0.elapsed() + penalty;
-            metrics += run;
-            executed += batch.len();
-            busy += dt;
-            if record_costs {
-                task_costs.push((head, crate::balance::vticks(&run)));
-            }
-            if config.collect_task_times {
-                let share = dt / batch.len() as u32;
-                task_times.extend(batch.iter().map(|_| share));
-            }
-            if let Some(rc) = self.recovery {
-                // Book every pulled task in pull order. A crash boundary
-                // kills the machine: `task_done` requeues everything
-                // booked so far, and the rest of the batch — executed
-                // but never booked — must be requeued here (the dead
-                // worker's results are discarded wholesale, so nothing
-                // double-counts). A crashing thread also takes the
-                // machine's queue down with it.
-                for (i, &task) in batch.iter().enumerate() {
-                    let fate = rc.task_done(self.id, task);
-                    if fate == TaskFate::Counted {
-                        continue;
-                    }
-                    rc.requeue_all(batch[i + 1..].to_vec());
-                    if fate == TaskFate::Crashed {
-                        rc.requeue_all(self.scheduler.drain(self.id));
-                    }
-                    break 'pull;
-                }
-            }
-        }
-        // Another thread may have failed while this one drained cleanly:
-        // surface that error so the run aborts deterministically.
-        match self.errors.first() {
-            Some(err) => Err(err),
-            None => Ok(ThreadResult {
-                metrics,
-                busy,
-                executed,
-                task_times,
-                task_costs,
-                stats: executor.finish(),
-            }),
         }
     }
 }
@@ -688,18 +508,6 @@ mod tests {
                 task: Some(task),
                 attempt: 2,
             }
-        );
-    }
-
-    #[test]
-    fn error_slot_keeps_the_first_error() {
-        let slot = ErrorSlot::new();
-        assert!(!slot.aborted());
-        slot.record(WorkerError::ThreadPanicked { worker: 1 });
-        slot.record(WorkerError::ThreadPanicked { worker: 2 });
-        assert_eq!(
-            slot.first(),
-            Some(WorkerError::ThreadPanicked { worker: 1 })
         );
     }
 

@@ -20,7 +20,7 @@ fn hybrid_runs_report_no_cost_profile_and_dfs_profiles_still_split() {
             .threads_per_worker(1)
             .tau_auto(true)
             .exec_mode(mode)
-            .collect_cost_profile(true)
+            .collect_task_profile(true)
             .build()
     };
     let hybrid = Cluster::new(&g, config(ExecMode::Hybrid))

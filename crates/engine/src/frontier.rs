@@ -19,8 +19,8 @@
 //! DFS step machinery. A spill therefore degrades throughput to
 //! the DFS baseline but can never abort, and — crucially for crash
 //! recovery — a batch always runs to completion before any of its tasks
-//! is booked with the `RecoveryCtx`, so spills land on task boundaries
-//! and whole-task requeueing stays sound.
+//! is handed over, so spills land on task boundaries and re-executing
+//! whole chunks stays sound.
 //!
 //! Frozen intermediate buffers are pool-backed: level snapshots freeze
 //! the engine's owned `Slot::Buf` registers into shared `Arc`s, and at

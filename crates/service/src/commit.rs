@@ -344,12 +344,6 @@ impl CommitState {
         self.terminal.as_ref()
     }
 
-    /// The next chunk index eligible to commit — the first chunk whose
-    /// work is lost when the whole worker pool dies.
-    pub(crate) fn next_chunk(&self) -> usize {
-        self.next
-    }
-
     /// Every chunk accounted for — the query can finalise.
     pub(crate) fn is_complete(&self) -> bool {
         self.terminal.is_some() && self.committed + self.discarded + self.dark == self.total_chunks

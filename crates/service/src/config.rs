@@ -82,7 +82,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             data: DataPath::default(),
-            chunk_tasks: 64,
+            chunk_tasks: benu_cluster::pool::CHUNK_TASKS,
             store_shards: 0,
             fault_plan: None,
             max_inflight_queries: 0,

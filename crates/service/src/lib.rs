@@ -17,15 +17,17 @@
 //!   automorphism-canonical form ([`benu_pattern::canonical`]), so any
 //!   relabeling or automorphic image of an already-served pattern skips
 //!   plan search and compilation.
-//! * **Fair cross-query scheduling** (`fair`): work is granted in
-//!   bounded *chunks* through a weighted round-robin over admitted
-//!   queries; within a query, the next chunk in task order goes to
+//! * **One runtime** ([`benu_cluster::pool`]): an admitted query is a
+//!   job on the same lane pool a batch `Cluster::run` uses; the service's
+//!   workers are its lanes. Work is granted in bounded *chunks* through
+//!   a weighted round-robin over admitted queries (cross-query
+//!   fairness); within a query, the next chunk in task order goes to
 //!   whichever worker asks first.
 //! * **Deterministic budgets** (`commit`): deadlines (in virtual
 //!   ticks), match caps, `TopK` and seeded `Sample` modes are enforced
-//!   in the worker loop as early termination — evaluated at in-order
-//!   chunk-commit boundaries, so results and terminal statuses are
-//!   identical at any concurrency and execution mode.
+//!   as early termination — evaluated at in-order chunk-commit
+//!   boundaries, so results and terminal statuses are identical at any
+//!   concurrency and execution mode.
 //! * **Observability**: per-query compile/queue/execute spans on the
 //!   virtual clock and `service.*` registry counters, all reportable
 //!   through [`QueryService::report`].
@@ -34,9 +36,9 @@
 //!   settles exactly one query with a structured [`ServiceError`] —
 //!   retry with virtual backoff and replica failover first, then
 //!   [`Terminal::Failed`], or [`Terminal::DegradedPartial`] when
-//!   [`ServiceConfig`] opts into absorbing shard outages. Crashed
-//!   serving workers hand their uncommitted chunks to survivors with
-//!   byte-identical results. Admission control sheds work over the
+//!   [`ServiceConfig`] opts into absorbing shard outages. A crashed
+//!   serving worker's un-handed-over chunk goes back to the survivors
+//!   with byte-identical results. Admission control sheds work over the
 //!   configured backlog caps as [`Terminal::Rejected`] before anything
 //!   executes. Nothing on the request path panics.
 //!
@@ -65,7 +67,6 @@ mod admission;
 mod commit;
 mod config;
 mod error;
-mod fair;
 mod plan_cache;
 mod query;
 mod service;

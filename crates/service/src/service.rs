@@ -1,4 +1,5 @@
-//! The query service: admission, worker pool, commit, reporting.
+//! The query service: admission, commit, reporting — and one job per
+//! query on the lane pool.
 //!
 //! One [`QueryService`] owns a [`Resident`] deployment — the data graph
 //! in a sharded store plus one persistent database cache per worker,
@@ -6,31 +7,34 @@
 //! serves any number of concurrent pattern queries against it. Admission
 //! compiles (or plan-cache-resolves) the pattern, evaluates the
 //! [`crate::admission`] gates against the current backlog, generates
-//! the split task list through [`Resident::tasks`], and enqueues fixed
-//! task-index-range *chunks* into the weighted round-robin
-//! [`crate::fair`] queue. Worker threads pull one
-//! chunk at a time — the cross-query fairness granularity — execute it
-//! with the regular engine (DFS task-at-a-time, or the memory-bounded
-//! hybrid as one frontier batch), and hand the outcome to the query's
-//! [`CommitState`], which enforces in-order commit and every budget.
+//! the split task list through [`Resident::tasks`], and admits the query
+//! to the service's [`Pool`] as a [`Job`] of fixed task-index-range
+//! *chunks* without a home machine. The service's lanes — one thread per
+//! worker, running [`pool::lane_loop`] for the service's life — are
+//! granted one chunk at a time (the cross-query fairness granularity),
+//! run it with the regular engine (DFS task-at-a-time, or the
+//! memory-bounded hybrid as one frontier batch), and hand it over
+//! *per chunk*: the query's job permutes and sorts the chunk's rows and
+//! feeds the outcome to its [`CommitState`], which enforces in-order
+//! commit and every budget.
 //!
 //! Determinism contract: a query's terminal status, match count,
 //! committed match stream and virtual-time latency are a pure function
 //! of `(graph, pattern, options, chunk_tasks)` — independent of worker
 //! count, execution mode, and whatever else is running concurrently.
-//! See DESIGN.md §4h.
+//! See DESIGN.md "Runtime" and §4h.
 //!
 //! Resilience contract (DESIGN.md §4j): with a
 //! [`crate::ServiceConfig::fault_plan`] installed, every failure on the
 //! request path maps onto a structured [`ServiceError`] that settles
 //! *one* query — never a panic, never a sibling. Fault decisions are
 //! evaluated per logical adjacency access *in front of* the warm cache
-//! (the query's [`FaultGate`], consulted first by every
-//! [`LaneSource`]), so which chunks of which queries fail is a pure
-//! function of the per-query scoped fault seed, independent of cache
-//! state and thread timing. A crashed
-//! serving worker's uncommitted chunk is requeued onto survivors and
-//! re-executed byte-identically; only a fully dead pool surfaces
+//! (the query's [`FaultGate`], consulted first by every lane source), so
+//! which chunks of which queries fail is a pure function of the
+//! per-query scoped fault seed, independent of cache state and thread
+//! timing. A serving worker that crashes dies by the pool's one crash
+//! rule: the chunk it had not handed over goes back to the survivors and
+//! is re-executed byte-identically; only a fully dead pool surfaces
 //! [`ServiceError::WorkerLost`].
 
 use crate::admission::{self, AdmissionCaps, AdmissionVerdict, LoadSnapshot};
@@ -39,10 +43,12 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
-use benu_cache::DbCache;
+use benu_cache::CacheObs;
 use benu_cluster::gate::FaultGate;
+use benu_cluster::pool::{
+    self, HandOver, Job, Lane, LaneFault, LanePart, Outcome, Pool, SchedulerKind, Spec,
+};
 use benu_cluster::transport::Transport;
-use benu_cluster::worker::{LaneSource, TaskPanicked};
 use benu_cluster::{Resident, Split, DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES};
 use benu_engine::{SearchTask, TaskMetrics};
 use benu_graph::Graph;
@@ -53,9 +59,9 @@ use benu_pattern::{Pattern, PatternVertex};
 use benu_plan::{ChungLuEstimator, ExecutionPlan, FeedbackEstimator, PlanBuilder, PlanObs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Compiled plans the plan cache retains (LRU over canonical forms).
 const PLAN_CACHE_ENTRIES: usize = 32;
@@ -68,61 +74,6 @@ const PLAN_CACHE_ENTRIES: usize = 32;
 /// results at any concurrency"), so τ must be a pure function of the
 /// graph and the plan.
 pub const AUTO_TAU_VIRTUAL_LANES: usize = 8;
-
-/// Backstop poll interval of the worker/waiter condvar signals: a missed
-/// wakeup degrades to a poll at this cadence, never a hang.
-const SIGNAL_POLL: Duration = Duration::from_millis(10);
-
-/// A condvar-backed edge-triggered signal: `notify` bumps a generation,
-/// `wait_past` sleeps until the generation moves (with a timeout
-/// backstop so a missed wakeup degrades to a short poll, never a hang).
-struct Signal {
-    generation: std::sync::Mutex<u64>,
-    cv: std::sync::Condvar,
-}
-
-impl Signal {
-    fn new() -> Self {
-        Signal {
-            generation: std::sync::Mutex::new(0),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn notify(&self) {
-        let mut generation = self.generation.lock().expect("signal mutex");
-        *generation += 1;
-        self.cv.notify_all();
-    }
-
-    fn current(&self) -> u64 {
-        *self.generation.lock().expect("signal mutex")
-    }
-
-    /// Blocks until the generation moves past `seen` or [`SIGNAL_POLL`]
-    /// elapses.
-    /// Condvar waits can wake spuriously; the loop re-checks the
-    /// generation and keeps waiting out the *remaining* window, so a
-    /// spurious wakeup costs nothing instead of silently converting the
-    /// wait into a busy retry.
-    fn wait_past(&self, seen: u64) {
-        let deadline = Instant::now() + SIGNAL_POLL;
-        let mut guard = self.generation.lock().expect("signal mutex");
-        while *guard == seen {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return;
-            };
-            let (g, timeout) = self
-                .cv
-                .wait_timeout(guard, remaining)
-                .expect("signal mutex");
-            guard = g;
-            if timeout.timed_out() {
-                return;
-            }
-        }
-    }
-}
 
 /// Mutable per-query state behind one lock: the commit pipeline while
 /// the query runs, the final result once it terminates.
@@ -156,10 +107,18 @@ struct QueryRun {
     /// Counted against the inflight cap (admitted past the gates and
     /// not yet finalised).
     counted: AtomicBool,
-    state: Mutex<RunState>,
+    state: std::sync::Mutex<RunState>,
+    /// Signalled, under `state`, when the result is in.
+    settled: Condvar,
 }
 
 impl QueryRun {
+    /// The commit pipeline or the result, whatever a lane that unwound
+    /// holding the lock left of it.
+    fn state(&self) -> MutexGuard<'_, RunState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The task-index range of `chunk`.
     fn chunk_range(&self, chunk: usize) -> std::ops::Range<usize> {
         let start = chunk * self.chunk_tasks;
@@ -189,16 +148,13 @@ struct Inner {
     /// never the reverse).
     feedback: Mutex<Vec<FeedbackEntry>>,
     replans: AtomicU64,
-    queue: crate::fair::FairQueue<Arc<QueryRun>>,
+    /// The chunk queue and liveness of the service's lanes; every
+    /// admitted query is a [`Ticket`] on it.
+    pool: Pool<Ticket>,
+    /// One store transport per serving worker.
+    transports: Vec<Transport>,
     queries: Mutex<Vec<Arc<QueryRun>>>,
-    shutdown: AtomicBool,
-    work: Signal,
-    done: Signal,
     completions: AtomicU64,
-    /// Surviving (not crashed) serving workers.
-    alive: AtomicUsize,
-    /// The most recent crashed lane — named by pool-dead rejections.
-    dead_lane: AtomicUsize,
     /// Queries admitted past the gates and not yet finalised.
     inflight: AtomicUsize,
     admitted: AtomicU64,
@@ -214,7 +170,7 @@ struct Inner {
 /// The serving front end. See the module docs; construct with
 /// [`QueryService::new`], submit with [`QueryService::submit`], and
 /// collect with [`QueryService::wait`]. Dropping the service drains the
-/// queue and joins the worker pool.
+/// queue and joins its lanes.
 pub struct QueryService {
     inner: Arc<Inner>,
     threads: Vec<JoinHandle<()>>,
@@ -260,18 +216,19 @@ impl QueryService {
 
     fn serve(resident: Resident, config: ServiceConfig) -> Self {
         let inner = Arc::new(Inner {
-            resident,
             plan_cache: PlanCache::new(PLAN_CACHE_ENTRIES),
             feedback: Mutex::new(Vec::new()),
             replans: AtomicU64::new(0),
-            queue: crate::fair::FairQueue::new(config.workers),
+            // Chunks have no home machine, so the grant policy for homed
+            // chunks never applies.
+            pool: Pool::new(
+                config.workers,
+                SchedulerKind::Static,
+                config.fault_plan.clone(),
+            ),
+            transports: (0..config.workers).map(|_| resident.transport()).collect(),
             queries: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-            work: Signal::new(),
-            done: Signal::new(),
             completions: AtomicU64::new(0),
-            alive: AtomicUsize::new(config.workers),
-            dead_lane: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             admitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -281,12 +238,29 @@ impl QueryService {
             degraded: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             requeued_chunks: AtomicU64::new(0),
+            resident,
             config,
         });
         let threads = (0..inner.config.workers)
-            .map(|lane| {
+            .map(|machine| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(inner, lane))
+                // The configured frontier budget is the pool's, shared by
+                // its workers.
+                let lane = Lane {
+                    machine,
+                    triangle_cache_entries: DEFAULT_TRIANGLE_CACHE_ENTRIES,
+                    sharers: inner.config.workers,
+                };
+                std::thread::spawn(move || {
+                    pool::lane_loop(&inner.pool, &inner.resident, lane);
+                    // A lane leaves at shutdown or because its worker
+                    // crashed.
+                    if inner.pool.is_dead(machine) {
+                        if let Some(hub) = inner.resident.obs() {
+                            hub.registry.counter("service.worker_crashes").inc();
+                        }
+                    }
+                })
             })
             .collect();
         QueryService { inner, threads }
@@ -310,7 +284,7 @@ impl QueryService {
 
     /// Un-granted chunks currently queued across every admitted query.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.depth()
+        self.inner.pool.depth()
     }
 
     /// Admits `pattern` and returns its [`QueryId`]. Plan resolution
@@ -380,10 +354,11 @@ impl QueryService {
             started: AtomicBool::new(false),
             terminated: AtomicBool::new(false),
             counted: AtomicBool::new(false),
-            state: Mutex::new(RunState {
+            state: std::sync::Mutex::new(RunState {
                 commit: Some(commit),
                 result: None,
             }),
+            settled: Condvar::new(),
         });
         queries.push(Arc::clone(&run));
         inner.admitted.fetch_add(1, Ordering::Relaxed);
@@ -394,7 +369,7 @@ impl QueryService {
             }
             let _queued = hub.tracer.span(&format!("query.{id}.queue"));
         }
-        let mut state = run.state.lock();
+        let mut state = run.state();
         if state
             .commit
             .as_ref()
@@ -409,19 +384,6 @@ impl QueryService {
                 .expect("commit present until finalised")
                 .skip(total_chunks);
             inner.after_state_change(&run, &mut state);
-        } else if inner.alive.load(Ordering::Acquire) == 0 {
-            // The whole pool crashed: nothing can execute this query
-            // and nothing ever will.
-            let commit = state
-                .commit
-                .as_mut()
-                .expect("commit present until finalised");
-            commit.set_terminal(Terminal::Failed(ServiceError::WorkerLost {
-                lane: inner.dead_lane.load(Ordering::Acquire),
-                chunk: 0,
-            }));
-            commit.skip(total_chunks);
-            inner.after_state_change(&run, &mut state);
         } else {
             let verdict = admission::evaluate(
                 AdmissionCaps {
@@ -432,30 +394,40 @@ impl QueryService {
                 },
                 LoadSnapshot {
                     inflight_queries: inner.inflight.load(Ordering::Acquire),
-                    queued_chunks: inner.queue.depth(),
+                    queued_chunks: inner.pool.depth(),
                 },
                 total_chunks,
                 deadline,
             );
-            match verdict {
+            let refused = match verdict {
                 AdmissionVerdict::Shed { retry_after_vticks } => {
-                    let commit = state
-                        .commit
-                        .as_mut()
-                        .expect("commit present until finalised");
-                    commit.set_terminal(Terminal::Rejected { retry_after_vticks });
-                    commit.skip(total_chunks);
-                    inner.after_state_change(&run, &mut state);
+                    Some(Terminal::Rejected { retry_after_vticks })
                 }
                 AdmissionVerdict::Admit => {
                     run.counted.store(true, Ordering::Release);
                     inner.inflight.fetch_add(1, Ordering::AcqRel);
-                    inner
-                        .queue
-                        .admit(id, Arc::clone(&run), weight, total_chunks);
+                    let ticket = Ticket {
+                        inner: Arc::clone(&self.inner),
+                        run: Arc::clone(&run),
+                    };
+                    let chunks = (0..total_chunks).map(|chunk| (chunk, None));
+                    let admitted = inner.pool.admit(id, ticket, weight, chunks);
                     inner.sync_queue_depth();
-                    inner.work.notify();
+                    // The whole pool crashed: nothing can execute this
+                    // query and nothing ever will.
+                    admitted
+                        .err()
+                        .map(|lane| Terminal::Failed(ServiceError::WorkerLost { lane, chunk: 0 }))
                 }
+            };
+            if let Some(terminal) = refused {
+                let commit = state
+                    .commit
+                    .as_mut()
+                    .expect("commit present until finalised");
+                commit.set_terminal(terminal);
+                commit.skip(total_chunks);
+                inner.after_state_change(&run, &mut state);
             }
         }
         drop(state);
@@ -466,7 +438,7 @@ impl QueryService {
     /// Non-blocking lifecycle view; `None` for an unknown id.
     pub fn status(&self, id: QueryId) -> Option<QueryStatus> {
         let run = Arc::clone(self.inner.queries.lock().get(id as usize)?);
-        let state = run.state.lock();
+        let state = run.state();
         Some(match &state.result {
             Some(result) => QueryStatus::Finished(result.clone()),
             None if run.started.load(Ordering::Acquire) => QueryStatus::Running,
@@ -484,7 +456,7 @@ impl QueryService {
         let Some(run) = self.inner.queries.lock().get(id as usize).map(Arc::clone) else {
             return false;
         };
-        let mut state = run.state.lock();
+        let mut state = run.state();
         let Some(commit) = state.commit.as_mut() else {
             return false;
         };
@@ -508,12 +480,15 @@ impl QueryService {
                 .get(id as usize)
                 .expect("unknown query id"),
         );
+        let mut state = run.state();
         loop {
-            let seen = self.inner.done.current();
-            if let Some(result) = &run.state.lock().result {
+            if let Some(result) = &state.result {
                 return result.clone();
             }
-            self.inner.done.wait_past(seen);
+            state = run
+                .settled
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -536,10 +511,13 @@ impl QueryService {
         service.set("failed", inner.failed.load(Ordering::Relaxed));
         service.set("degraded", inner.degraded.load(Ordering::Relaxed));
         service.set("rejected", inner.rejected.load(Ordering::Relaxed));
-        service.set("queue_depth", inner.queue.depth());
+        service.set("queue_depth", inner.pool.depth());
         if mode == ReportMode::Full {
-            // Requeue counts depend on where the crash cut the grant
-            // stream — real observability, not deterministic surface.
+            // Which chunk a crash finds a worker holding depends on the
+            // grant stream — real observability, not deterministic
+            // surface.
+            let crashed = (0..inner.config.workers).filter(|&w| inner.pool.is_dead(w));
+            service.set("worker_crashes", crashed.count());
             service.set(
                 "requeued_chunks",
                 inner.requeued_chunks.load(Ordering::Relaxed),
@@ -554,7 +532,7 @@ impl QueryService {
         service.set_tree("plan_cache", plan_cache);
         service.set("feedback_replans", inner.replans.load(Ordering::Relaxed));
         for run in inner.queries.lock().iter() {
-            let state = run.state.lock();
+            let state = run.state();
             let Some(result) = &state.result else {
                 continue;
             };
@@ -595,8 +573,7 @@ impl QueryService {
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.work.notify();
+        self.inner.pool.close();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -660,7 +637,7 @@ impl Inner {
         if let Some(hub) = self.resident.obs() {
             hub.registry
                 .gauge("service.queue_depth")
-                .set(self.queue.depth() as i64);
+                .set(self.pool.depth() as i64);
         }
     }
 
@@ -673,7 +650,7 @@ impl Inner {
             .as_mut()
             .expect("commit present until finalised");
         if commit.terminal().is_some() && !run.terminated.swap(true, Ordering::AcqRel) {
-            let released = self.queue.drain(run.id);
+            let released = self.pool.drain(run.id);
             commit.skip(released);
             self.sync_queue_depth();
         }
@@ -741,7 +718,7 @@ impl Inner {
             metrics: out.metrics,
             wall: run.submitted_at.elapsed(),
         });
-        self.done.notify();
+        run.settled.notify_all();
     }
 }
 
@@ -756,229 +733,153 @@ fn chunk_vticks(tasks: usize, m: &TaskMetrics) -> u64 {
     tasks as u64 + benu_cluster::balance::vticks(m)
 }
 
-fn worker_loop(inner: Arc<Inner>, lane: usize) {
-    let transport = inner.resident.transport();
-    let cache = &inner.resident.caches()[lane];
-    // An injected crash takes effect at chunk granularity: after
-    // `crash_at` executed chunks, the next granted chunk triggers the
-    // crash — the worker dies holding an unexecuted chunk, which is
-    // exactly the recovery case worth exercising.
-    let crash_at = inner
-        .config
-        .fault_plan
-        .as_ref()
-        .and_then(|p| p.crash_after(lane));
-    let mut executed: u64 = 0;
-    loop {
-        let seen = inner.work.current();
-        match inner.queue.next(lane) {
-            Some((run, chunk)) => {
-                if crash_at.is_some_and(|after| executed >= after) {
-                    crash_worker(&inner, lane, &run, chunk);
-                    return;
+/// One admitted query as the pool sees it: the query and the service
+/// its outcomes are booked with. Tickets live in the queue and in lanes'
+/// hands only while the query has chunks outstanding.
+#[derive(Clone)]
+struct Ticket {
+    inner: Arc<Inner>,
+    run: Arc<QueryRun>,
+}
+
+impl Job for Ticket {
+    fn spec(&self) -> Spec<'_> {
+        Spec {
+            plan: &self.run.plan.compiled,
+            collect: self.run.options.mode.needs_matches(),
+            profile: false,
+            // Budgets are evaluated over the in-order chunk stream.
+            hand_over: HandOver::PerChunk,
+        }
+    }
+
+    fn start(&self, _machine: usize, chunk: usize, _stolen: bool) -> &[SearchTask] {
+        self.run.started.store(true, Ordering::Release);
+        self.inner.sync_queue_depth();
+        &self.run.tasks[self.run.chunk_range(chunk)]
+    }
+
+    fn reads(&self, machine: usize) -> (&Transport, Option<&FaultGate>) {
+        (&self.inner.transports[machine], self.run.gate.as_ref())
+    }
+
+    /// Terminal decided: granted chunks are skipped, a DFS chunk aborts
+    /// at its next task boundary.
+    fn stopped(&self) -> bool {
+        self.run.terminated.load(Ordering::Acquire)
+    }
+
+    /// Feeds one chunk's outcome to the query's commit pipeline. A chunk
+    /// of a terminated query is accounted as discarded; a chunk whose
+    /// access stream hit an unrecoverable fault — or whose engine
+    /// panicked — reports [`CommitState::submit_failed`] instead of
+    /// results: whatever partial matches the engine produced before the
+    /// failure went with its executor, which is what keeps failure
+    /// outcomes deterministic.
+    fn chunk_done(&self, _machine: usize, chunk: usize, outcome: Outcome) {
+        let (inner, run) = (&*self.inner, &self.run);
+        let executed = match outcome {
+            Outcome::Dropped => None,
+            Outcome::Failed(fault) => Some(Err(match fault {
+                LaneFault::Fetch { error, .. } => ServiceError::from(error),
+                LaneFault::Panicked(task) => ServiceError::TaskPanicked { task },
+            })),
+            Outcome::Done { metrics, mut rows } => {
+                // The lane's rows are embeddings of the canonical
+                // pattern: permute each in place back to the submitted
+                // numbering (`row[placement[i]] = f[i]`), then restore
+                // sorted order — the chunk's rows never live in a second
+                // buffer, and none of this runs for a chunk that is not
+                // delivered.
+                let mut row = vec![0; run.placement.len()];
+                for i in 0..rows.len() {
+                    for (&v, &to) in rows.get(i).iter().zip(&run.placement) {
+                        row[to] = v;
+                    }
+                    rows.set_row(i, &row);
                 }
-                inner.sync_queue_depth();
-                execute_chunk(&inner, &transport, cache, &run, chunk);
-                executed += 1;
+                rows.sort();
+                Some(Ok(ExecutedChunk {
+                    chunk,
+                    count: metrics.matches,
+                    matches: rows,
+                    vticks: chunk_vticks(run.chunk_range(chunk).len(), &metrics),
+                    metrics,
+                }))
             }
-            None if inner.shutdown.load(Ordering::Acquire) => break,
-            None => inner.work.wait_past(seen),
-        }
-    }
-}
-
-/// An injected worker crash, caught at the grant boundary while the
-/// worker holds one unexecuted chunk. With survivors the crash is
-/// invisible to results: the lane is granted nothing more
-/// (`FairQueue::fail_lane`) and the held chunk is requeued for
-/// byte-identical re-execution (it never ran, and chaos
-/// decisions are stateless per chunk). With no survivors every
-/// non-terminal query fails with [`ServiceError::WorkerLost`] — a
-/// structured terminal, not a hang and not an abort.
-fn crash_worker(inner: &Inner, lane: usize, run: &Arc<QueryRun>, chunk: usize) {
-    let survivors = inner.alive.fetch_sub(1, Ordering::AcqRel) - 1;
-    inner.dead_lane.store(lane, Ordering::Release);
-    inner.queue.fail_lane(lane);
-    if let Some(hub) = inner.resident.obs() {
-        hub.registry.counter("service.worker_crashes").inc();
-    }
-    if survivors > 0 {
-        if run.terminated.load(Ordering::Acquire) {
-            // The query settled while we held its chunk: account the
-            // grant as discarded rather than putting dead work back.
-            let mut state = run.state.lock();
-            if let Some(commit) = state.commit.as_mut() {
-                commit.skip(1);
-            }
-            inner.after_state_change(run, &mut state);
-        } else {
-            inner
-                .queue
-                .requeue(run.id, Arc::clone(run), run.options.weight, chunk);
-            inner.requeued_chunks.fetch_add(1, Ordering::Relaxed);
-            if let Some(hub) = inner.resident.obs() {
-                hub.registry.counter("service.requeued_chunks").inc();
-            }
-        }
-        inner.sync_queue_depth();
-        inner.work.notify();
-        return;
-    }
-    // Last worker down: no survivor can ever run the backlog. Fail every
-    // non-terminal query; the holder's error names its held chunk,
-    // siblings' name their next uncommitted chunk.
-    let queries = inner.queries.lock();
-    for q in queries.iter() {
-        let mut state = q.state.lock();
-        let Some(commit) = state.commit.as_mut() else {
-            continue;
         };
-        if commit.terminal().is_none() {
-            let failed_chunk = if q.id == run.id {
-                chunk
-            } else {
-                commit.next_chunk()
-            };
-            commit.set_terminal(Terminal::Failed(ServiceError::WorkerLost {
-                lane,
-                chunk: failed_chunk,
-            }));
-        }
-        if q.id == run.id {
-            // The chunk dying in our hands is accounted as discarded.
-            commit.skip(1);
-        }
-        inner.after_state_change(q, &mut state);
-    }
-    inner.sync_queue_depth();
-    inner.work.notify();
-}
-
-/// Executes one granted chunk and feeds the outcome to the query's
-/// commit pipeline. A chunk of a terminated query is skipped (or, for
-/// DFS, aborted at the next task boundary) and accounted as discarded;
-/// a chunk whose access stream hit an unrecoverable fault — or whose
-/// engine panicked — reports [`CommitState::submit_failed`] instead of
-/// results.
-fn execute_chunk(
-    inner: &Inner,
-    transport: &Transport,
-    cache: &DbCache,
-    run: &Arc<QueryRun>,
-    chunk: usize,
-) {
-    run.started.store(true, Ordering::Release);
-    if run.terminated.load(Ordering::Acquire) {
-        let mut state = run.state.lock();
+        let obs = inner.resident.obs().filter(|_| executed.is_some());
+        let _span = obs.map(|h| h.tracer.span(&format!("query.{}.execute", run.id)));
+        let mut state = run.state();
         if let Some(commit) = state.commit.as_mut() {
-            commit.skip(1);
+            match executed {
+                None => commit.skip(1),
+                Some(Ok(executed)) => {
+                    if let Some(hub) = obs {
+                        hub.tracer.clock().advance(executed.vticks);
+                    }
+                    commit.submit(executed);
+                }
+                Some(Err(error)) => commit.submit_failed(chunk, error),
+            }
         }
         inner.after_state_change(run, &mut state);
-        return;
     }
-    let _span = inner
-        .resident
-        .obs()
-        .map(|h| h.tracer.span(&format!("query.{}.execute", run.id)));
-    let range = run.chunk_range(chunk);
-    let tasks = &run.tasks[range];
-    let source = LaneSource::new(transport, cache, run.gate.as_ref());
-    // The configured frontier budget is the pool's, shared by its
-    // workers; a hybrid chunk is one frontier batch, so sibling tasks
-    // share deduplicated batched store reads.
-    let mut executor = inner.resident.executor(
-        &run.plan.compiled,
-        &source,
-        DEFAULT_TRIANGLE_CACHE_ENTRIES,
-        inner.config.workers,
-        run.options.mode.needs_matches(),
-    );
-    let mut metrics = TaskMetrics::default();
-    let mut penalty = Duration::ZERO;
-    let mut aborted = false;
-    let mut panicked = None;
-    for slice in tasks.chunks(executor.stride(tasks.len())) {
-        if run.terminated.load(Ordering::Acquire) {
-            aborted = true;
-            break;
-        }
-        // A failed access already decided the chunk's fate; the
-        // remaining tasks' work would be discarded anyway.
-        if source.error().is_some() {
-            break;
-        }
-        match executor.run(slice) {
-            Ok((ran, waited)) => {
-                metrics += ran;
-                penalty += waited;
-            }
-            // The engine is in an unknown state: this executor runs
-            // nothing more, the lane keeps serving.
-            Err(TaskPanicked(task)) => {
-                panicked = Some(ServiceError::TaskPanicked { task });
-                break;
-            }
-        }
-    }
-    // Injected-fault waits (virtual backoff, timeout waits, slow-shard
-    // penalties) the executor drained off this thread are observability,
-    // not query latency — keeping them out of vticks keeps deadline
-    // semantics invariant under recovered faults.
-    if !penalty.is_zero() {
-        if let Some(hub) = inner.resident.obs() {
-            hub.registry
-                .counter("service.fault_penalty_nanos")
-                .add(penalty.as_nanos() as u64);
-        }
-    }
-    let error = panicked.or_else(|| source.error().map(ServiceError::from));
-    let lane = executor.finish();
-    if let Some(hub) = inner.resident.obs() {
+
+    fn lane_done(&self, _machine: usize, part: LanePart) {
+        let Some(hub) = self.inner.resident.obs() else {
+            return;
+        };
         // DBQs the lane answered from what its task already held are
         // hits of the db-cache tier the shared cache never saw.
         hub.registry
             .counter("cache.db.hits")
-            .add(lane.db_cache_hits);
+            .add(part.stats.db_cache_hits);
+        CacheObs::register(&hub.registry, "triangle").record_stats(&part.stats.triangle_cache);
+        // Injected-fault waits (virtual backoff, timeout waits,
+        // slow-shard penalties) are observability, not query latency —
+        // keeping them out of vticks keeps deadline semantics invariant
+        // under recovered faults.
+        hub.registry
+            .counter("service.fault_penalty_nanos")
+            .add(part.penalty.as_nanos() as u64);
     }
-    // The lane's rows are embeddings of the canonical pattern: permute
-    // each in place back to the submitted numbering
-    // (`row[placement[i]] = f[i]`), then restore sorted order — the
-    // chunk's rows never live in a second buffer.
-    let mut matches = lane.matches.unwrap_or_default();
-    let mut row = vec![0; run.placement.len()];
-    for i in 0..matches.len() {
-        for (&v, &to) in matches.get(i).iter().zip(&run.placement) {
-            row[to] = v;
+
+    /// A serving worker died holding this query's chunk and survivors
+    /// remain: the crash is invisible to results. The chunk re-executes
+    /// byte-identically — fault decisions are stateless per access, and
+    /// the query's gate stays in epoch 1 for exactly that reason. (If
+    /// the query settled meanwhile, the survivor that is granted the
+    /// chunk drops it.)
+    fn handed_back(&self, _machine: usize, chunks: &[usize]) {
+        let requeued = chunks.len() as u64;
+        self.inner
+            .requeued_chunks
+            .fetch_add(requeued, Ordering::Relaxed);
+        if let Some(hub) = self.inner.resident.obs() {
+            hub.registry
+                .counter("service.requeued_chunks")
+                .add(requeued);
         }
-        matches.set_row(i, &row);
+        self.inner.sync_queue_depth();
     }
-    matches.sort();
-    let mut state = run.state.lock();
-    if aborted {
+
+    /// The last serving worker died: no survivor can ever run this
+    /// query's outstanding chunks. It fails with
+    /// [`ServiceError::WorkerLost`] — a structured terminal, not a hang
+    /// and not an abort — naming its lowest outstanding chunk (the one
+    /// its commit pipeline is waiting on).
+    fn lost(&self, machine: usize, chunks: &[usize]) {
+        let mut state = self.run.state();
         if let Some(commit) = state.commit.as_mut() {
-            commit.skip(1);
+            let chunk = chunks.iter().copied().min().unwrap_or_default();
+            commit.set_terminal(Terminal::Failed(ServiceError::WorkerLost {
+                lane: machine,
+                chunk,
+            }));
+            commit.skip(chunks.len());
         }
-    } else if let Some(err) = error {
-        // Whatever partial matches the engine produced before the
-        // failure are dropped with the chunk: a failed chunk contributes
-        // nothing, which is what keeps failure outcomes deterministic.
-        if let Some(commit) = state.commit.as_mut() {
-            commit.submit_failed(chunk, err);
-        }
-    } else {
-        let executed = ExecutedChunk {
-            chunk,
-            count: metrics.matches,
-            matches,
-            vticks: chunk_vticks(tasks.len(), &metrics),
-            metrics,
-        };
-        if let Some(hub) = inner.resident.obs() {
-            hub.tracer.clock().advance(executed.vticks);
-        }
-        if let Some(commit) = state.commit.as_mut() {
-            commit.submit(executed);
-        }
+        self.inner.after_state_change(&self.run, &mut state);
+        self.inner.sync_queue_depth();
     }
-    inner.after_state_change(run, &mut state);
 }

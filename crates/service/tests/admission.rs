@@ -233,7 +233,7 @@ fn weighted_fairness_survives_sibling_failure_and_recovery() {
             .fault_plan(
                 FaultPlan::builder(23)
                     .transient_rate(0.06)
-                    .crash(1, 1)
+                    .crash(1, 16) // one 16-task chunk in
                     .build(),
             )
             .retry(RetryPolicy {

@@ -304,8 +304,10 @@ fn replication_masks_the_outage_entirely() {
 fn worker_crashes_with_survivors_are_invisible() {
     let faultless = run_mix(base(4, ExecMode::Dfs).build());
     // Survivors serve the backlog and the chunks a crashed lane died
-    // holding re-execute elsewhere — byte-exact.
-    let plan = FaultPlan::builder(7).crash(1, 1).crash(2, 2).build();
+    // holding re-execute elsewhere — byte-exact. Crash boundaries count
+    // tasks: lane 1 dies at the end of its first 16-task chunk, lane 2
+    // at the end of its second, each holding the chunk it just ran.
+    let plan = FaultPlan::builder(7).crash(1, 16).crash(2, 32).build();
     for workers in [2, 4] {
         for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
             let results = run_mix(base(workers, exec_mode).fault_plan(plan.clone()).build());
@@ -323,7 +325,9 @@ fn worker_crashes_with_survivors_are_invisible() {
 #[test]
 fn dead_pool_surfaces_worker_lost_instead_of_hanging() {
     let g = graph();
-    let plan = FaultPlan::builder(3).crash(0, 1).build();
+    // 8-task chunks, crash after 9 tasks: the worker hands its first
+    // chunk over and dies at the boundary of the second, holding it.
+    let plan = FaultPlan::builder(3).crash(0, 9).build();
     let service = QueryService::new(
         &g,
         ServiceConfig::builder()
@@ -343,7 +347,7 @@ fn dead_pool_surfaces_worker_lost_instead_of_hanging() {
     }
     assert_eq!(
         result.chunks_committed, 1,
-        "the one chunk executed before the crash still committed"
+        "the one chunk handed over before the crash still committed"
     );
     // The pool is gone: later submissions settle immediately with the
     // same structured error instead of queueing forever.
@@ -422,7 +426,7 @@ fn seeded_chaos_scenario_replays_identically() {
             .transient_rate(0.03)
             .timeout_rate(0.01)
             .shard_outage(2, 1)
-            .crash(3, 2)
+            .crash(3, 32) // two 16-task chunks in
             .build();
         let service = QueryService::new(
             &g,

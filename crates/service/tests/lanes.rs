@@ -1,0 +1,124 @@
+//! One lane loop under two fronts.
+//!
+//! The batch cluster and the query service run their tasks through the
+//! same `benu_cluster::pool::lane_loop`; what differs is who owns the
+//! lanes and when a lane hands over. These tests look at the seam from
+//! the service's side: the same fault plan gives the same answers on
+//! both fronts, and a lane keeps one executor for as long as it is
+//! granted chunks of the same query.
+
+use benu_cluster::{Cluster, ClusterConfig, ExecMode};
+use benu_graph::gen;
+use benu_obs::{ObsHub, ReportMode};
+use benu_pattern::queries;
+use benu_plan::PlanBuilder;
+use benu_service::{FaultPlan, QueryOptions, QueryService, ResultMode, ServiceConfig, Terminal};
+use std::sync::Arc;
+
+/// 1 % transient store faults and machine 1 dying five tasks in.
+fn weather() -> FaultPlan {
+    FaultPlan::builder(29)
+        .transient_rate(0.01)
+        .crash(1, 5)
+        .build()
+}
+
+#[test]
+fn one_fault_plan_gives_the_fault_free_count_on_both_fronts() {
+    let g = gen::barabasi_albert(400, 5, 31);
+    for (name, pattern) in [
+        ("triangle", queries::triangle()),
+        ("q4", queries::q4()),
+        ("chordal_square", queries::chordal_square()),
+    ] {
+        let plan = PlanBuilder::new(&pattern).best_plan();
+        let expected = benu_engine::count_embeddings(&plan, &g);
+        for mode in [ExecMode::Dfs, ExecMode::Hybrid] {
+            let ctx = format!("{name} {mode:?}");
+
+            let mut cluster = Cluster::new(
+                &g,
+                ClusterConfig::builder()
+                    .workers(3)
+                    .threads_per_worker(1)
+                    .replication(2)
+                    .exec_mode(mode)
+                    .build(),
+            );
+            cluster.set_fault_plan(Some(weather()));
+            let outcome = cluster.run(&plan).expect("the plan is survivable");
+            assert_eq!(outcome.total_matches, expected, "{ctx}: cluster");
+            assert_eq!(outcome.recovery.worker_crashes, 1, "{ctx}: cluster");
+
+            // 16-task chunks: every lane is granted some of the few dozen,
+            // so worker 1 reaches its boundary.
+            let service = QueryService::new(
+                &g,
+                ServiceConfig::builder()
+                    .workers(3)
+                    .replication(2)
+                    .exec_mode(mode)
+                    .chunk_tasks(16)
+                    .fault_plan(weather())
+                    .build(),
+            );
+            // Which lane is granted what is up to the host's scheduler: a
+            // query can be over before lane 1 ran five tasks, so keep
+            // serving until it has.
+            let mut crashes = Some(0);
+            for _ in 0..50 {
+                let id = service.submit(&pattern, QueryOptions::new());
+                let result = service.wait(id);
+                assert_eq!(result.terminal, Terminal::Completed, "{ctx}: service");
+                assert_eq!(result.matches_found, expected, "{ctx}: service");
+                crashes = service
+                    .report(ReportMode::Full)
+                    .get_u64("service/worker_crashes");
+                if crashes != Some(0) {
+                    break;
+                }
+            }
+            assert_eq!(crashes, Some(1), "{ctx}: service");
+        }
+    }
+}
+
+/// Triangle-cache misses of one query served by one lane.
+fn triangle_misses(chunk_tasks: usize) -> (u64, usize) {
+    let g = gen::barabasi_albert(400, 6, 5);
+    let hub = Arc::new(ObsHub::new());
+    let service = QueryService::new_observed(
+        &g,
+        ServiceConfig::builder()
+            .workers(1)
+            .chunk_tasks(chunk_tasks)
+            .build(),
+        Arc::clone(&hub),
+    );
+    let id = service.submit(
+        &queries::clique(4),
+        QueryOptions::new().mode(ResultMode::Collect),
+    );
+    let result = service.wait(id);
+    assert_eq!(result.terminal, Terminal::Completed);
+    // A lane reports its executor's counters when its visit ends; joining
+    // the lanes makes sure it has.
+    drop(service);
+    (
+        hub.registry.counter("cache.triangle.misses").get(),
+        result.chunks_committed,
+    )
+}
+
+#[test]
+fn a_solo_query_keeps_one_executor_across_its_chunks() {
+    // One chunk is one executor by construction; dozens of chunks granted
+    // back to back to the only lane must miss exactly as often — the
+    // misses of one cold triangle cache, not of one per chunk.
+    let (whole, one) = triangle_misses(1 << 20);
+    let (chunked, many) = triangle_misses(16);
+    assert_eq!(one, 1);
+    assert!(many > 20, "{many} chunks");
+    assert!(whole > 0, "clique4 must use the triangle cache");
+    assert_eq!(chunked, whole);
+}

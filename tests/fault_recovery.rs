@@ -113,29 +113,56 @@ fn compressed_plans_survive_faults_identically() {
 
 #[test]
 fn same_seed_replay_is_deterministic() {
-    // Determinism scope: static scheduler, one thread per worker.
-    let g = gen::erdos_renyi_gnm(50, 180, 13);
+    // Static scheduler; 400 tasks, so every worker's share is three
+    // chunks and worker 1's second lane is mid-chunk when the first
+    // reaches the crash boundary.
+    let g = gen::erdos_renyi_gnm(400, 1600, 13);
     let query = PlanBuilder::new(&queries::triangle()).best_plan();
-    let run = || {
-        let mut cluster = Cluster::new(
-            &g,
-            ClusterConfig::builder()
-                .workers(3)
-                .threads_per_worker(1)
-                .cache_capacity_bytes(0)
-                .build(),
+    for threads in [1, 2] {
+        let run = || {
+            let mut cluster = Cluster::new(
+                &g,
+                ClusterConfig::builder()
+                    .workers(3)
+                    .threads_per_worker(threads)
+                    .cache_capacity_bytes(0)
+                    .build(),
+            );
+            cluster.set_fault_plan(Some(chaos_plan(4)));
+            cluster.run(&query).expect("survivable plan")
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.total_matches, b.total_matches);
+        assert!(
+            a.recovery.faults_injected() > 0,
+            "the replay test must see faults"
         );
-        cluster.set_fault_plan(Some(chaos_plan(4)));
-        cluster.run(&query).expect("survivable plan")
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.recovery, b.recovery, "replay must reproduce the report");
-    assert_eq!(a.total_matches, b.total_matches);
-    assert!(
-        a.recovery.faults_injected() > 0,
-        "the replay test must see faults"
-    );
+        // What the crash did replays at any lane count: the machine dies
+        // at its first chunk boundary whichever lane gets there, and
+        // everything homed on it goes back.
+        let crash = |r: &RecoveryReport| {
+            (
+                r.worker_crashes,
+                r.tasks_requeued,
+                r.recovery_passes,
+                r.shard_outages,
+            )
+        };
+        assert_eq!(
+            crash(&a.recovery),
+            crash(&b.recovery),
+            "{threads} thread(s)"
+        );
+        assert_eq!(a.recovery.worker_crashes, 1);
+        assert!(a.recovery.tasks_requeued > 128, "the whole share goes back");
+        // What the gates absorbed also counts the accesses of the chunk
+        // the dying machine's other lane was in the middle of, so the
+        // whole report replays at one lane per machine.
+        if threads == 1 {
+            assert_eq!(a.recovery, b.recovery, "replay must reproduce the report");
+        }
+    }
 }
 
 /// What the fault gate's position buys: verdicts are drawn per logical
