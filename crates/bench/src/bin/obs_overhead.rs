@@ -1,12 +1,10 @@
-//! Observability-overhead A/B — enumeration throughput with the metrics
-//! registry attached vs a bare cluster, on the fig9 workload.
+//! Observability-overhead A/B — enumeration throughput with an
+//! `ObsHub` attached vs a bare cluster, on the fig9 workload.
 //!
 //! The acceptance bar for `benu-obs` is < 3% throughput regression on
 //! this workload. Two arms run the identical plan on identical clusters;
-//! the only difference is whether an `ObsHub` is attached. Compiling the
-//! workspace with `--features benu-obs/noop` turns the observed arm's
-//! recording into no-ops, isolating the cost of the call sites
-//! themselves; `recording` in the output says which build ran.
+//! the only difference is whether an `ObsHub` (phase spans, the store's
+//! two histograms) is attached.
 //!
 //! ```text
 //! cargo run --release -p benu-bench --bin obs_overhead -- \
@@ -104,13 +102,8 @@ fn main() {
     let overhead_pct = 100.0 * (benu_obs::safe_ratio(obs_s, bare_s) - 1.0);
 
     println!(
-        "\nObservability overhead — {qname} on {} (scale {scale}, best of {iters}, recording {}):",
-        dataset.abbrev(),
-        if benu_obs::recording_enabled() {
-            "on"
-        } else {
-            "noop"
-        }
+        "\nObservability overhead — {qname} on {} (scale {scale}, best of {iters}):",
+        dataset.abbrev()
     );
     let rows: Vec<Vec<String>> = arms
         .iter()
@@ -132,7 +125,6 @@ fn main() {
             .param("scale", scale)
             .param("query", qname.as_str())
             .param("iters", iters as u64)
-            .param("recording", benu_obs::recording_enabled())
             .param("overhead_pct", overhead_pct);
         for a in &arms {
             report.push_row(a);

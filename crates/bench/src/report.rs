@@ -1,4 +1,4 @@
-//! The unified bench report envelope (schema `benu/report-v1`).
+//! The unified bench report envelope (schema `benu/report-v2`).
 //!
 //! Every experiment binary's `--json` dump is one [`BenchReport`]: the
 //! schema tag, the bench name, the parameters the run was invoked with,
@@ -12,7 +12,7 @@
 use crate::json::{Report, ToJson, Value};
 
 /// The schema tag every unified dump carries.
-pub const SCHEMA: &str = "benu/report-v1";
+pub const SCHEMA: &str = "benu/report-v2";
 
 /// One bench invocation's machine-readable output.
 #[derive(Clone, Debug, Default)]
@@ -100,7 +100,7 @@ mod tests {
         report.push_row(&row);
         assert_eq!(report.len(), 1);
         let json = report.to_json().render_json();
-        assert!(json.contains("\"schema\": \"benu/report-v1\""));
+        assert!(json.contains("\"schema\": \"benu/report-v2\""));
         assert!(json.contains("\"bench\": \"demo\""));
         assert!(json.contains("\"scale\": 0.5"));
         assert!(json.contains("\"matches\": 42"));

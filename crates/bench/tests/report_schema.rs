@@ -14,13 +14,13 @@ use benu_bench::report::BenchReport;
 use benu_cluster::{Cluster, ClusterConfig, SchedulerKind};
 use benu_fault::FaultPlan;
 use benu_graph::gen;
-use benu_obs::{ObsHub, ReportMode};
+use benu_obs::{ObsHub, Report, ReportMode};
 use benu_pattern::queries;
 use benu_plan::PlanBuilder;
 use std::sync::Arc;
 
-/// One deterministic faulted run rendered to the canonical JSON text.
-fn render_snapshot() -> String {
+/// One deterministic faulted run as the report row the snapshot holds.
+fn snapshot_row() -> Report {
     let g = gen::complete(6);
     let pattern = queries::triangle();
     let plan = PlanBuilder::new(&pattern)
@@ -42,13 +42,18 @@ fn render_snapshot() -> String {
 
     let mut run = outcome.report(ReportMode::Deterministic);
     run.merge(hub.report(ReportMode::Deterministic));
+    run
+}
+
+/// That row in the `BenchReport` envelope, as canonical JSON text.
+fn render_snapshot() -> String {
     let mut report = BenchReport::new("report_schema");
     report
         .param("graph", "complete6")
         .param("query", "triangle")
         .param("fault_seed", 42u64)
         .param("transient_rate", 0.03);
-    report.push_row(&run);
+    report.push_row(&snapshot_row());
     report.to_json().render_json()
 }
 
@@ -81,7 +86,7 @@ fn snapshot_is_byte_identical_across_executions() {
 fn snapshot_carries_every_layers_subtree() {
     let rendered = render_snapshot();
     for needle in [
-        "\"schema\": \"benu/report-v1\"",
+        "\"schema\": \"benu/report-v2\"",
         "\"engine\"",
         "\"store\"",
         "\"workers\"",
@@ -93,7 +98,23 @@ fn snapshot_carries_every_layers_subtree() {
         "\"pool\"",
         "\"frontier\"",
         "\"deduped_keys\"",
+        "\"shards\"",
     ] {
         assert!(rendered.contains(needle), "missing {needle}");
     }
+}
+
+/// Counted once, reported once: the hub's `metrics` subtree holds only
+/// what no typed struct carries — the store's deterministic histogram —
+/// so a counter mirrored back into the registry shows up here as a new
+/// key before it shows up as a second source of truth.
+#[test]
+fn the_metrics_subtree_is_the_one_histogram_and_repeats_nothing() {
+    let row = snapshot_row();
+    let metrics = row.get_tree("metrics").expect("metrics subtree");
+    let keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["store.value_bytes"]);
+    let histogram = metrics.get_tree("store.value_bytes").unwrap();
+    assert_eq!(histogram.get_u64("count"), row.get_u64("store/keys"));
+    assert_eq!(histogram.get_u64("sum"), row.get_u64("store/bytes"));
 }

@@ -22,7 +22,7 @@
 pub mod lru;
 
 use benu_graph::{AdjSet, VertexId};
-use benu_obs::{safe_ratio, Counter, Registry};
+use benu_obs::safe_ratio;
 use lru::Lru;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,33 +52,11 @@ impl CacheStats {
     }
 }
 
-/// Registry handles for one cache tier (`cache.{tier}.hits` / `.misses`
-/// / `.evictions`). Shared caches record on the hot path; per-thread
-/// caches record their [`CacheStats`] in bulk at merge time via
-/// [`CacheObs::record_stats`].
-#[derive(Clone, Debug)]
-pub struct CacheObs {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-}
-
-impl CacheObs {
-    /// Registers the three counters of `tier` (e.g. `"db"`, `"triangle"`).
-    pub fn register(registry: &Registry, tier: &str) -> Self {
-        CacheObs {
-            hits: registry.counter(&format!("cache.{tier}.hits")),
-            misses: registry.counter(&format!("cache.{tier}.misses")),
-            evictions: registry.counter(&format!("cache.{tier}.evictions")),
-        }
-    }
-
-    /// Adds a whole [`CacheStats`] delta at once (per-thread caches are
-    /// merged at thread exit, not per lookup).
-    pub fn record_stats(&self, stats: &CacheStats) {
-        self.hits.add(stats.hits);
-        self.misses.add(stats.misses);
-        self.evictions.add(stats.evictions);
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.hits += rhs.hits;
+        self.misses += rhs.misses;
+        self.evictions += rhs.evictions;
     }
 }
 
@@ -103,7 +81,6 @@ pub struct DbCache {
     /// Bumped whenever a set handed to [`DbCache::insert`] stops being
     /// (or never becomes) resident; see [`DbCache::residency_epoch`].
     epoch: AtomicU64,
-    obs: Option<CacheObs>,
 }
 
 impl DbCache {
@@ -128,16 +105,7 @@ impl DbCache {
                 })
                 .collect(),
             epoch: AtomicU64::new(0),
-            obs: None,
         }
-    }
-
-    /// Attaches registry handles (tier counters) recorded alongside the
-    /// cache's own stats. Must be called before the cache is shared.
-    /// Unlike [`DbCache::clear`]-reset local stats, the registry
-    /// counters are monotonic for the registry's lifetime.
-    pub fn attach_obs(&mut self, obs: CacheObs) {
-        self.obs = Some(obs);
     }
 
     fn shard_of(&self, v: VertexId) -> usize {
@@ -152,13 +120,6 @@ impl DbCache {
         match found {
             Some(_) => shard.stats.hits += 1,
             None => shard.stats.misses += 1,
-        }
-        drop(shard);
-        if let Some(obs) = &self.obs {
-            match found {
-                Some(_) => obs.hits.inc(),
-                None => obs.misses.inc(),
-            }
         }
         found
     }
@@ -180,11 +141,6 @@ impl DbCache {
         drop(shard);
         if evicted > 0 || rejected {
             self.epoch.fetch_add(1, Ordering::Relaxed);
-        }
-        if evicted > 0 {
-            if let Some(obs) = &self.obs {
-                obs.evictions.add(evicted);
-            }
         }
     }
 
@@ -223,10 +179,7 @@ impl DbCache {
         self.shards
             .iter()
             .fold(CacheStats::default(), |mut total, shard| {
-                let stats = shard.lock().stats;
-                total.hits += stats.hits;
-                total.misses += stats.misses;
-                total.evictions += stats.evictions;
+                total += shard.lock().stats;
                 total
             })
     }
@@ -266,8 +219,7 @@ pub struct TriangleCache {
     /// Where a miss computes its set: the cached value is an exact-size
     /// copy (one allocation), the growth stays in this reused buffer.
     scratch: Vec<VertexId>,
-    hits: u64,
-    misses: u64,
+    stats: CacheStats,
 }
 
 impl TriangleCache {
@@ -276,8 +228,7 @@ impl TriangleCache {
         TriangleCache {
             lru: Lru::new(max_entries as u64),
             scratch: Vec::new(),
-            hits: 0,
-            misses: 0,
+            stats: CacheStats::default(),
         }
     }
 
@@ -291,14 +242,14 @@ impl TriangleCache {
     ) -> Arc<[VertexId]> {
         let key = (a.min(b), a.max(b));
         if let Some(v) = self.lru.get(&key) {
-            self.hits += 1;
+            self.stats.hits += 1;
             return Arc::clone(v);
         }
-        self.misses += 1;
+        self.stats.misses += 1;
         self.scratch.clear();
         compute(&mut self.scratch);
         let value: Arc<[VertexId]> = Arc::from(self.scratch.as_slice());
-        self.lru.insert(key, Arc::clone(&value), 1);
+        self.stats.evictions += self.lru.insert(key, Arc::clone(&value), 1) as u64;
         value
     }
 
@@ -316,24 +267,20 @@ impl TriangleCache {
     ) -> R {
         let key = (a.min(b), a.max(b));
         if let Some(v) = self.lru.get(&key) {
-            self.hits += 1;
+            self.stats.hits += 1;
             return use_set(v);
         }
-        self.misses += 1;
+        self.stats.misses += 1;
         self.scratch.clear();
         compute(&mut self.scratch);
         let r = use_set(&self.scratch);
-        self.lru.insert(key, Arc::from(self.scratch.as_slice()), 1);
+        self.stats.evictions += self.lru.insert(key, Arc::from(self.scratch.as_slice()), 1) as u64;
         r
     }
 
     /// Effectiveness counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: 0,
-        }
+        self.stats
     }
 
     /// Number of cached triangle sets.
@@ -441,12 +388,17 @@ mod tests {
         tc.get_or_compute(0, 2, |out| out.push(2));
         tc.get_or_compute(0, 3, |out| out.push(3)); // evicts (0,1)
         assert_eq!(tc.len(), 2);
+        assert_eq!(tc.stats().evictions, 1);
         let mut recomputed = false;
         tc.get_or_compute(0, 1, |out| {
             recomputed = true;
             out.push(1)
         });
         assert!(recomputed);
+        // The borrow path evicts through the same add.
+        tc.with_or_compute(0, 4, |out| out.push(4), |_| ());
+        assert_eq!(tc.stats().evictions, 3);
+        assert_eq!(tc.stats().misses, 5);
     }
 
     #[test]
@@ -492,32 +444,6 @@ mod tests {
         };
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
         assert!(stats.hit_rate().is_finite());
-    }
-
-    #[test]
-    fn attached_obs_mirrors_db_cache_counters() {
-        let registry = benu_obs::Registry::new();
-        let mut cache = DbCache::new(1 << 16, 2);
-        cache.attach_obs(CacheObs::register(&registry, "db"));
-        cache.get(7); // miss
-        cache.insert(7, adj(&[1, 2]));
-        cache.get(7); // hit
-        assert_eq!(registry.counter("cache.db.hits").get(), 1);
-        assert_eq!(registry.counter("cache.db.misses").get(), 1);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn per_thread_tiers_record_stats_in_bulk() {
-        let registry = benu_obs::Registry::new();
-        let obs = CacheObs::register(&registry, "triangle");
-        let mut tc = TriangleCache::new(4);
-        tc.get_or_compute(1, 2, |out| out.push(3));
-        tc.get_or_compute(2, 1, |_| unreachable!());
-        obs.record_stats(&tc.stats());
-        assert_eq!(registry.counter("cache.triangle.hits").get(), 1);
-        assert_eq!(registry.counter("cache.triangle.misses").get(), 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::balance::{self, CostProfile};
 use crate::config::ExecMode;
 use crate::pool::SchedulerKind;
+use crate::worker::LaneStats;
 use benu_cache::CacheStats;
 use benu_engine::{FrontierStats, PoolStats, TaskMetrics};
 use benu_kvstore::KvStats;
@@ -115,6 +116,35 @@ fn cache_report(stats: &CacheStats) -> Report {
     r
 }
 
+fn pool_report(pool: &PoolStats) -> Report {
+    let mut r = Report::new();
+    r.set("hits", pool.hits);
+    r.set("misses", pool.misses);
+    r.set("returns", pool.returns);
+    r
+}
+
+fn frontier_report(frontier: &FrontierStats) -> Report {
+    let mut r = Report::new();
+    r.set("expansions", frontier.expansions);
+    r.set("spill_events", frontier.spill_events);
+    r.set("peak_bytes", frontier.peak_bytes);
+    r
+}
+
+/// What lanes' private engines counted, as a report subtree: the
+/// db-cache hits their tasks answered themselves, and the triangle
+/// cache, buffer pool and frontier in the shapes [`RunOutcome::report`]
+/// gives them.
+pub fn lane_stats_report(stats: &LaneStats) -> Report {
+    let mut r = Report::new();
+    r.set("db_cache_hits", stats.db_cache_hits);
+    r.set_tree("triangle_cache", cache_report(&stats.triangle_cache));
+    r.set_tree("pool", pool_report(&stats.pool));
+    r.set_tree("frontier", frontier_report(&stats.frontier));
+    r
+}
+
 impl RecoveryReport {
     /// This report as a unified subtree. Everything here — including the
     /// *virtual* durations, which are deterministic functions of the
@@ -204,6 +234,8 @@ pub struct RunOutcome {
     pub workers: Vec<WorkerReport>,
     /// Store-level totals (cross-check of the per-worker sums).
     pub kv: KvStats,
+    /// The same counters per store shard, in shard order.
+    pub kv_shards: Vec<KvStats>,
     /// Total tasks executed (after splitting).
     pub total_tasks: usize,
     /// The split threshold τ the run actually used: the static
@@ -323,7 +355,7 @@ impl RunOutcome {
     }
 
     /// This outcome as the unified report tree — the canonical shape
-    /// every bench bin serialises (schema `benu/report-v1`, see
+    /// every bench bin serialises (schema `benu/report-v2`, see
     /// DESIGN.md "Observability"). [`ReportMode::Deterministic`] drops
     /// every wall-clock-derived field (elapsed, makespan, busy times,
     /// imbalance ratios, task times). Of what remains, the match, code
@@ -370,25 +402,35 @@ impl RunOutcome {
             obs.set_tree(&format!("slot_{pc:02}"), s);
         }
         engine.set_tree("obs", obs);
-        let pool = self.pool_stats();
-        let mut pool_tree = Report::new();
-        pool_tree.set("hits", pool.hits);
-        pool_tree.set("misses", pool.misses);
-        pool_tree.set("returns", pool.returns);
-        engine.set_tree("pool", pool_tree);
-        let mut frontier = Report::new();
-        frontier.set("expansions", self.frontier_expansions);
-        frontier.set("spill_events", self.spill_events);
-        frontier.set("peak_bytes", self.peak_frontier_bytes);
-        engine.set_tree("frontier", frontier);
+        engine.set_tree("pool", pool_report(&self.pool_stats()));
+        let frontier = FrontierStats {
+            expansions: self.frontier_expansions,
+            spill_events: self.spill_events,
+            peak_bytes: self.peak_frontier_bytes,
+        };
+        engine.set_tree("frontier", frontier_report(&frontier));
         r.set_tree("engine", engine);
 
+        let kv_tree = |kv: &KvStats| {
+            let mut t = Report::new();
+            t.set("requests", kv.requests);
+            t.set("keys", kv.keys);
+            t.set("bytes", kv.bytes);
+            t.set("deduped_keys", kv.deduped_keys);
+            t
+        };
         let mut store = Report::new();
         store.set("codec", self.codec.name());
-        store.set("requests", self.kv.requests);
-        store.set("keys", self.kv.keys);
-        store.set("bytes", self.kv.bytes);
-        store.set("deduped_keys", self.kv.deduped_keys);
+        store.merge(kv_tree(&self.kv));
+        store.set(
+            "shards",
+            Value::List(
+                self.kv_shards
+                    .iter()
+                    .map(|s| Value::Tree(kv_tree(s)))
+                    .collect(),
+            ),
+        );
         r.set_tree("store", store);
 
         r.set(

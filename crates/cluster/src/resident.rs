@@ -5,8 +5,8 @@
 //! machine in front of it, and a task list split at τ (§V-B). A
 //! [`Resident`] is that plane, loaded — the store, the total order and
 //! degree array task generation and symmetry breaking read, the
-//! per-worker cache tier, and the observability hub every layer records
-//! into. Both fronts are clients of it: the batch [`crate::Cluster`]
+//! per-worker cache tier, and — when loaded with one — the hub that
+//! takes the phase spans and the store's two histograms. Both fronts are clients of it: the batch [`crate::Cluster`]
 //! turns a plan into one job on the lane pool ([`crate::pool`]),
 //! `benu-service` admits one per query and adds admission and a commit
 //! pipeline. Everything that touches what is resident goes through here
@@ -21,7 +21,7 @@ use crate::config::DataPath;
 use crate::gate::FaultGate;
 use crate::transport::Transport;
 use crate::worker::LaneExecutor;
-use benu_cache::{CacheObs, DbCache};
+use benu_cache::DbCache;
 use benu_engine::task::{effective_tau, generate_tasks_from_degrees};
 use benu_engine::{CompiledPlan, DataSource, MemoryBudget, SearchTask};
 use benu_fault::FaultPlan;
@@ -69,8 +69,10 @@ impl Resident {
     /// the pattern-independent preprocessing) laid out and encoded per
     /// `data`, and creates one database cache of `cache_shards` internal
     /// shards per worker. With `obs`, the load runs inside a
-    /// `store_load` span and the store and cache tiers record into the
-    /// hub's registry.
+    /// `store_load` span and the store records its value-size and
+    /// latency histograms into the hub's registry; the store's and the
+    /// caches' counts stay where they are read from
+    /// ([`KvStore::stats`], [`DbCache::stats`]).
     ///
     /// # Panics
     ///
@@ -93,13 +95,7 @@ impl Resident {
             Arc::new(store)
         };
         let caches = (0..workers)
-            .map(|_| {
-                let mut cache = DbCache::new(data.cache_capacity_bytes, cache_shards);
-                if let Some(hub) = &obs {
-                    cache.attach_obs(CacheObs::register(&hub.registry, "db"));
-                }
-                Arc::new(cache)
-            })
+            .map(|_| Arc::new(DbCache::new(data.cache_capacity_bytes, cache_shards)))
             .collect();
         Resident {
             store,

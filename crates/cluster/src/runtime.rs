@@ -34,7 +34,7 @@ use crate::report::{RecoveryReport, RunOutcome, WorkerReport};
 use crate::resident::{Resident, Split};
 use crate::transport::Transport;
 use crate::worker::WorkerError;
-use benu_cache::{CacheObs, CacheStats};
+use benu_cache::CacheStats;
 use benu_engine::{CompiledPlan, MatchSet, SearchTask};
 use benu_fault::FaultPlan;
 use benu_graph::Graph;
@@ -183,13 +183,13 @@ impl Cluster {
         Self::build(g, config, None)
     }
 
-    /// Like [`Cluster::new`], with an observability hub every layer
-    /// records into: the store's per-shard counters and latency
-    /// histograms, the db cache tier, the engine's instruction counters,
-    /// per-worker busy/steal/retry/crash events, and phase spans (store
+    /// Like [`Cluster::new`], with an observability hub that receives
+    /// what the typed [`RunOutcome`] cannot carry: phase spans (store
     /// load, plan compile, task generation, execution) on the hub's
-    /// virtual clock. Registry counters are monotonic for the
-    /// hub's lifetime — pass a fresh hub for per-run numbers.
+    /// virtual clock, which each run's injected fault latency advances,
+    /// and the store's value-size and request-latency histograms. The
+    /// histograms accumulate for the hub's lifetime — pass a fresh hub
+    /// for per-run numbers. Every count is in the [`RunOutcome`].
     pub fn new_observed(g: &Graph, config: ClusterConfig, hub: Arc<ObsHub>) -> Self {
         Self::build(g, config, Some(hub))
     }
@@ -462,8 +462,7 @@ impl Cluster {
                 report.busy_time += part.busy;
                 report.tasks_executed += part.executed;
                 report.thread_busy.push(part.busy);
-                report.triangle_cache.hits += part.stats.triangle_cache.hits;
-                report.triangle_cache.misses += part.stats.triangle_cache.misses;
+                report.triangle_cache += part.stats.triangle_cache;
                 report.pool += part.stats.pool;
                 report.frontier += part.stats.frontier;
                 if let Some(records) = records.as_mut() {
@@ -481,11 +480,6 @@ impl Cluster {
                 misses: now.misses - before.misses,
                 evictions: now.evictions - before.evictions,
             };
-            if let Some(hub) = obs {
-                // The shared cache mirrors its own probes as they
-                // happen; the lanes' share of the tier arrives in bulk.
-                hub.registry.counter("cache.db.hits").add(lane_hits);
-            }
             report.comm_bytes = transports[w].bytes();
             report.comm_requests = transports[w].requests();
             report.batch_round_trips = transports[w].batch_round_trips();
@@ -524,52 +518,6 @@ impl Cluster {
             metrics += r.metrics;
             frontier += r.frontier;
         }
-        if let Some(hub) = obs {
-            let reg = &hub.registry;
-            // Engine instruction counters, summed across the run.
-            metrics.record_into(reg);
-            // Per-thread triangle caches, merged per worker.
-            let tri_obs = CacheObs::register(reg, "triangle");
-            for report in &reports {
-                tri_obs.record_stats(&report.triangle_cache);
-                let w = report.worker;
-                reg.counter(&format!("worker.{w}.tasks_executed"))
-                    .add(report.tasks_executed as u64);
-                reg.counter(&format!("worker.{w}.steals"))
-                    .add(report.steals);
-                reg.counter_wall(&format!("worker.{w}.busy_nanos"))
-                    .add(report.busy_time.as_nanos() as u64);
-            }
-            for (w, &died) in dead.iter().enumerate() {
-                let retries = absorbed.get(w).map_or(0, |a| a.retries);
-                reg.counter(&format!("worker.{w}.retries")).add(retries);
-                if died {
-                    reg.counter(&format!("worker.{w}.crashes")).inc();
-                }
-            }
-            reg.counter("fault.transient_faults")
-                .add(recovery.transient_faults);
-            reg.counter("fault.timeouts").add(recovery.timeouts);
-            reg.counter("fault.retries").add(recovery.retries);
-            reg.counter("fault.worker_crashes")
-                .add(recovery.worker_crashes);
-            reg.counter("fault.tasks_requeued")
-                .add(recovery.tasks_requeued);
-            reg.counter("fault.recovery_passes")
-                .add(recovery.recovery_passes);
-            reg.counter("fault.shard_outages")
-                .add(recovery.shard_outages);
-            reg.counter("store.failover.attempts")
-                .add(recovery.failovers);
-            reg.counter("store.failover.reads")
-                .add(recovery.failover_reads);
-            reg.counter("engine.frontier.expansions")
-                .add(frontier.expansions);
-            reg.counter("engine.frontier.spill_events")
-                .add(frontier.spill_events);
-            reg.counter("engine.frontier.peak_bytes")
-                .add(frontier.peak_bytes);
-        }
         let outcome = RunOutcome {
             total_matches: metrics.matches,
             total_codes: metrics.codes,
@@ -577,6 +525,9 @@ impl Cluster {
             metrics,
             workers: reports,
             kv,
+            kv_shards: (0..resident.store().num_shards())
+                .map(|s| resident.store().shard_stats(s))
+                .collect(),
             total_tasks,
             effective_tau,
             scheduler: self.config.scheduler,
@@ -1457,7 +1408,7 @@ mod tests {
     // ---- observability ----
 
     #[test]
-    fn observed_cluster_records_into_every_layer() {
+    fn observed_run_leaves_its_phase_spans_and_one_size_sample_per_key() {
         let g = gen::barabasi_albert(100, 4, 19);
         let plan = PlanBuilder::new(&queries::triangle()).best_plan();
         let hub = Arc::new(benu_obs::ObsHub::new());
@@ -1471,27 +1422,14 @@ mod tests {
             Arc::clone(&hub),
         );
         let outcome = cluster.run(&plan).unwrap();
-        let reg = &hub.registry;
-        // Engine counters mirror the typed outcome.
-        assert_eq!(reg.counter("engine.matches").get(), outcome.total_matches);
         assert_eq!(
-            reg.counter("engine.dbq_executions").get(),
-            outcome.metrics.dbq_executions
+            hub.registry.histogram("store.value_bytes").count(),
+            outcome.kv.keys
         );
-        // Store shard counters sum to the store totals.
-        let shard_requests: u64 = (0..2)
-            .map(|i| reg.counter(&format!("store.shard.{i}.requests")).get())
-            .sum();
+        // The per-shard counts the report carries sum to the totals.
+        let shard_requests: u64 = outcome.kv_shards.iter().map(|s| s.requests).sum();
+        assert_eq!(outcome.kv_shards.len(), 2);
         assert_eq!(shard_requests, outcome.kv.requests);
-        // Cache tier counters match the per-run deltas (fresh hub).
-        let hits: u64 = outcome.workers.iter().map(|w| w.cache.hits).sum();
-        assert_eq!(reg.counter("cache.db.hits").get(), hits);
-        // Per-worker counters.
-        let executed: u64 = (0..2)
-            .map(|w| reg.counter(&format!("worker.{w}.tasks_executed")).get())
-            .sum();
-        assert_eq!(executed, outcome.total_tasks as u64);
-        // Phase spans cover the run.
         let spans: Vec<String> = hub
             .tracer
             .events()
@@ -1499,9 +1437,10 @@ mod tests {
             .filter(|e| e.enter)
             .map(|e| e.span)
             .collect();
-        for expected in ["store_load", "plan_compile", "task_generation", "pass.0"] {
-            assert!(spans.contains(&expected.to_string()), "missing {expected}");
-        }
+        assert_eq!(
+            spans,
+            ["store_load", "plan_compile", "task_generation", "pass.0"]
+        );
     }
 
     #[test]
@@ -1533,7 +1472,7 @@ mod tests {
         let b = run();
         assert_eq!(a, b, "deterministic reports must replay identically");
         assert!(
-            a.get_u64("metrics/fault.transient_faults").unwrap_or(0) > 0,
+            a.get_u64("recovery/transient_faults").unwrap_or(0) > 0,
             "the fault plan must actually inject"
         );
         // The trace clock advanced by the virtual backoff the faults cost.

@@ -133,15 +133,9 @@ impl Transport {
         Ok(Some(adj))
     }
 
-    /// Fetches a batch in one round trip per serving shard; `route`
-    /// names the replica offset serving each primary shard's group
-    /// (`|_| 0` reads every primary). Slots of unknown vertices come
-    /// back `None`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transport::fetch`].
-    pub fn fetch_many(
+    /// Fetches a batch in one round trip per serving shard; slots of
+    /// unknown vertices come back `None`.
+    fn fetch_many(
         &self,
         vs: &[VertexId],
         route: impl Fn(usize) -> usize,
@@ -175,13 +169,14 @@ impl Transport {
 
     /// The adjacency sets of `vs`, in order, through `cache`: every key
     /// is probed (counting its hit or miss), the misses travel in one
-    /// [`Transport::fetch_many`] under `route`, and what arrives is
-    /// inserted.
+    /// batch — one round trip per serving shard, `route` naming the
+    /// replica offset that serves each primary shard's group (`|_| 0`
+    /// reads every primary) — and what arrives is inserted.
     ///
     /// # Errors
     ///
-    /// See [`Transport::fetch_many`]; a batch with an unknown vertex
-    /// caches the values that did arrive and reports the first
+    /// See [`Transport::fetch`]; a batch with an unknown vertex caches
+    /// the values that did arrive and reports the first
     /// [`FetchError::Missing`] in key order.
     pub fn fetch_many_through(
         &self,

@@ -6,28 +6,22 @@
 use benu_cluster::analysis::communication_upper_bound;
 use benu_cluster::{Cluster, ClusterConfig};
 use benu_graph::gen;
-use benu_obs::ObsHub;
 use benu_pattern::queries;
 use benu_plan::{GraphStatsEstimator, PlanBuilder};
-use std::sync::Arc;
 
 /// Under DFS every DBQ is exactly one of: answered by the lane's own
 /// table, a shared-cache hit, a shared-cache miss. The lanes' hits reach
-/// the worker reports and the registry in bulk; dropping them breaks the
-/// sum.
+/// the worker reports in bulk; dropping them breaks the sum.
 #[test]
 fn every_dbq_is_a_hit_or_a_miss_of_the_db_cache_tier() {
     let g = gen::barabasi_albert(150, 8, 5);
     let plan = PlanBuilder::new(&queries::clique(4)).best_plan();
     for threads in [1, 2] {
-        let hub = Arc::new(ObsHub::new());
         let config = ClusterConfig::builder()
             .workers(1)
             .threads_per_worker(threads)
             .build();
-        let outcome = Cluster::new_observed(&g, config, Arc::clone(&hub))
-            .run(&plan)
-            .unwrap();
+        let outcome = Cluster::new(&g, config).run(&plan).unwrap();
         let hits: u64 = outcome.workers.iter().map(|w| w.cache.hits).sum();
         let misses: u64 = outcome.workers.iter().map(|w| w.cache.misses).sum();
         assert_eq!(
@@ -39,9 +33,6 @@ fn every_dbq_is_a_hit_or_a_miss_of_the_db_cache_tier() {
         // re-queries the same vertices all the way down a task.
         assert!(misses <= (threads * g.num_vertices()) as u64);
         assert!(outcome.cache_hit_rate() > 0.9);
-        let reg = &hub.registry;
-        assert_eq!(reg.counter("cache.db.hits").get(), hits);
-        assert_eq!(reg.counter("cache.db.misses").get(), misses);
     }
 }
 
@@ -67,6 +58,29 @@ fn cold_cache_traffic_is_what_it_was_without_the_lane_table() {
         (144_830, 1_750, 1_686),
         "bytes, misses, evictions"
     );
+}
+
+/// A lane's triangle cache reports what it evicted: with room for four
+/// sets, every miss past the fourth pushes one out — and the cache's
+/// size changes no instruction count.
+#[test]
+fn a_full_triangle_cache_reports_its_evictions() {
+    let g = gen::barabasi_albert(150, 8, 5);
+    let plan = PlanBuilder::new(&queries::clique(4)).best_plan();
+    let run = |entries| {
+        let config = ClusterConfig::builder()
+            .workers(1)
+            .threads_per_worker(1)
+            .triangle_cache_entries(entries)
+            .build();
+        Cluster::new(&g, config).run(&plan).unwrap()
+    };
+    let (small, roomy) = (run(4), run(1 << 14));
+    let tri = small.workers[0].triangle_cache;
+    assert!(tri.evictions > 0);
+    assert_eq!(tri.evictions, tri.misses - 4);
+    assert_eq!(roomy.workers[0].triangle_cache.evictions, 0);
+    assert_eq!(small.metrics, roomy.metrics);
 }
 
 /// Exp-3's zero-capacity point is the paper's no-cache baseline: every

@@ -81,34 +81,6 @@ impl std::ops::AddAssign for TaskMetrics {
     }
 }
 
-impl TaskMetrics {
-    /// Adds this accumulator into the registry's per-instruction-type
-    /// counters (`engine.*`). Called once per merged batch — per worker
-    /// thread or per run — never on the per-instruction hot path.
-    pub fn record_into(&self, registry: &benu_obs::Registry) {
-        registry.counter("engine.matches").add(self.matches);
-        registry.counter("engine.codes").add(self.codes);
-        registry.counter("engine.code_bytes").add(self.code_bytes);
-        registry
-            .counter("engine.dbq_executions")
-            .add(self.dbq_executions);
-        registry
-            .counter("engine.int_executions")
-            .add(self.int_executions);
-        registry
-            .counter("engine.trc_executions")
-            .add(self.trc_executions);
-        registry
-            .counter("engine.enu_candidates")
-            .add(self.enu_candidates);
-        let (obs_candidates, obs_survivors) = self.obs.totals();
-        registry
-            .counter("engine.obs_candidates")
-            .add(obs_candidates);
-        registry.counter("engine.obs_survivors").add(obs_survivors);
-    }
-}
-
 /// Effectiveness counters of the per-engine execution buffer pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -999,35 +971,6 @@ mod tests {
         assert!(
             m.enu_candidates >= m.matches,
             "every match consumed at least one ENU candidate"
-        );
-    }
-
-    #[test]
-    fn metrics_record_into_registry_counters() {
-        let g = gen::complete(5);
-        let p = queries::triangle();
-        let plan = PlanBuilder::new(&p).best_plan();
-        let compiled = CompiledPlan::compile(&plan);
-        let source = InMemorySource::from_graph(&g);
-        let order = benu_graph::TotalOrder::new(&g);
-        let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CountingConsumer::default();
-        let m = engine.run_all_vertices(&mut c);
-        let registry = benu_obs::Registry::new();
-        m.record_into(&registry);
-        assert_eq!(registry.counter("engine.matches").get(), m.matches);
-        assert_eq!(
-            registry.counter("engine.dbq_executions").get(),
-            m.dbq_executions
-        );
-        assert!(m.trc_executions > 0, "the triangle plan is TRC-backed");
-        assert_eq!(
-            registry.counter("engine.trc_executions").get(),
-            m.trc_executions
-        );
-        assert_eq!(
-            registry.counter("engine.enu_candidates").get(),
-            m.enu_candidates
         );
     }
 

@@ -19,16 +19,17 @@
 //! copies of every value: the primary shard `v % num_shards` plus the
 //! next `R - 1` shards in ring order (the HDFS-style placement backing
 //! HBase regions). [`KvStore::placement`] enumerates that ring, and the
-//! replica-aware accessors ([`KvStore::get_replica`],
-//! [`KvStore::get_many_routed`]) let a caller read from any copy while
-//! the request/byte accounting charges the shard that actually served.
+//! replica-aware accessors ([`KvStore::try_get_replica`],
+//! [`KvStore::try_get_many_routed`]) let a caller read from any copy
+//! while the request/byte accounting charges the shard that actually
+//! served.
 
 pub mod codec;
 
 pub use codec::{Codec, CodecError, CodecKind};
 
 use benu_graph::{AdjSet, Graph, VertexId};
-use benu_obs::{Counter, Histogram, Registry};
+use benu_obs::{Histogram, Registry};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,22 +78,11 @@ struct Shard {
     stats: ShardStats,
 }
 
-/// Registry handles one shard records into (mirrors [`ShardStats`] under
-/// `store.shard.{i}.*` names).
-#[derive(Debug)]
-struct ShardObs {
-    requests: Arc<Counter>,
-    keys: Arc<Counter>,
-    bytes: Arc<Counter>,
-    deduped: Arc<Counter>,
-}
-
-/// Registry handles for the whole store: per-shard counters plus a
-/// deterministic value-size histogram and a wall-clock request-latency
-/// histogram (wall-flagged, so it never enters deterministic snapshots).
+/// The two distributions [`KvStats`] cannot carry: a deterministic
+/// value-size histogram and a wall-clock request-latency histogram
+/// (wall-flagged, so it never enters deterministic snapshots).
 #[derive(Debug)]
 struct StoreObs {
-    shards: Vec<ShardObs>,
     value_bytes: Arc<Histogram>,
     latency_nanos: Arc<Histogram>,
 }
@@ -226,21 +216,14 @@ impl KvStore {
         }
     }
 
-    /// Attaches observability handles: per-shard `store.shard.{i}.*`
-    /// request/key/byte counters, a `store.value_bytes` size histogram,
-    /// and a wall-flagged `store.latency_nanos` request-latency
-    /// histogram. Must be called before the store is shared (the handles
-    /// are registered once; recording afterwards is lock-free).
+    /// Attaches the store's two histograms: a `store.value_bytes` size
+    /// histogram and a wall-flagged `store.latency_nanos`
+    /// request-latency histogram. Request, key and byte *counts* are
+    /// [`KvStore::stats`] / [`KvStore::shard_stats`] and nothing else.
+    /// Must be called before the store is shared (the handles are
+    /// registered once; recording afterwards is lock-free).
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.obs = Some(StoreObs {
-            shards: (0..self.shards.len())
-                .map(|i| ShardObs {
-                    requests: registry.counter(&format!("store.shard.{i}.requests")),
-                    keys: registry.counter(&format!("store.shard.{i}.keys")),
-                    bytes: registry.counter(&format!("store.shard.{i}.bytes")),
-                    deduped: registry.counter(&format!("store.shard.{i}.deduped_keys")),
-                })
-                .collect(),
             value_bytes: registry.histogram("store.value_bytes"),
             latency_nanos: registry.histogram_wall("store.latency_nanos"),
         });
@@ -285,33 +268,30 @@ impl KvStore {
 
     /// Fetches and decodes the adjacency set of `v`, counting the request
     /// and transferred bytes. Returns `None` for unknown vertices.
-    pub fn get(&self, v: VertexId) -> Option<Arc<AdjSet>> {
-        self.get_replica(v, 0)
-    }
-
-    /// Fetches the adjacency set of `v` from replica `offset` of its
-    /// placement, charging the request to the shard that served it (the
-    /// failover read path). Offset 0 is the primary, making
-    /// [`KvStore::get`] a thin alias.
     ///
     /// # Panics
     ///
     /// Panics on a corrupt stored value (use
-    /// [`KvStore::try_get_replica`] to handle that structurally), and
-    /// in debug builds if `offset` is not below the replication factor
-    /// — such a shard holds no copy of `v`.
-    pub fn get_replica(&self, v: VertexId, offset: usize) -> Option<Arc<AdjSet>> {
-        self.try_get_replica(v, offset)
+    /// [`KvStore::try_get_replica`] to handle that structurally).
+    pub fn get(&self, v: VertexId) -> Option<Arc<AdjSet>> {
+        self.try_get_replica(v, 0)
             .unwrap_or_else(|e| panic!("{e}"))
             .map(|(adj, _)| adj)
     }
 
-    /// [`KvStore::get_replica`] with structured corruption handling:
-    /// returns the decoded set together with the wire bytes it cost,
-    /// or a [`CorruptValue`] naming the vertex, serving shard and the
-    /// exact [`CodecError`]. Statistics are charged only after a
-    /// successful decode, so a corrupt read never perturbs the
-    /// communication accounting it aborts.
+    /// Fetches the adjacency set of `v` from replica `offset` of its
+    /// placement, charging the request to the shard that served it (the
+    /// failover read path; offset 0 is the primary). Returns the
+    /// decoded set together with the wire bytes it cost, or a
+    /// [`CorruptValue`] naming the vertex, serving shard and the exact
+    /// [`CodecError`]. Statistics are charged only after a successful
+    /// decode, so a corrupt read never perturbs the communication
+    /// accounting it aborts.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `offset` is not below the replication
+    /// factor — such a shard holds no copy of `v`.
     pub fn try_get_replica(
         &self,
         v: VertexId,
@@ -340,9 +320,6 @@ impl KvStore {
             .bytes
             .fetch_add(value.len() as u64, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
-            obs.shards[s].requests.inc();
-            obs.shards[s].keys.inc();
-            obs.shards[s].bytes.add(value.len() as u64);
             obs.value_bytes.record(value.len() as u64);
             if let Some(t0) = started {
                 obs.latency_nanos.record(t0.elapsed().as_nanos() as u64);
@@ -388,8 +365,14 @@ impl KvStore {
     /// each touched shard is charged exactly one round trip regardless of
     /// how many of its keys appear in `keys` (the HBase `multi-get`
     /// analogue). Returns the values in request order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a corrupt stored value (use
+    /// [`KvStore::try_get_many_routed`] to handle that structurally).
     pub fn get_many(&self, keys: &[VertexId]) -> BatchOutcome {
-        self.get_many_routed(keys, |_| 0)
+        self.try_get_many_routed(keys, |_| 0)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Batched fetch with per-primary replica routing: `route(primary)`
@@ -397,24 +380,8 @@ impl KvStore {
     /// should be served from (0 = no failover). Keys are regrouped by
     /// *serving* shard, so two primaries routed onto the same survivor
     /// still cost one round trip, and accounting charges the shards that
-    /// actually answered.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `route` returns an offset at or above
-    /// the replication factor.
-    pub fn get_many_routed(
-        &self,
-        keys: &[VertexId],
-        route: impl Fn(usize) -> usize,
-    ) -> BatchOutcome {
-        self.try_get_many_routed(keys, route)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`KvStore::get_many_routed`] with structured corruption
-    /// handling: the first damaged value aborts the batch with a
-    /// [`CorruptValue`]. Per-shard statistics are committed only for
+    /// actually answered. The first damaged value aborts the batch with
+    /// a [`CorruptValue`]; per-shard statistics are committed only for
     /// sub-batches that decoded cleanly, so the charge never includes
     /// bytes the caller did not receive.
     ///
@@ -483,12 +450,6 @@ impl KvStore {
                 .stats
                 .deduped
                 .fetch_add(shard_deduped, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.shards[s].requests.inc();
-                obs.shards[s].keys.add(shard_keys);
-                obs.shards[s].bytes.add(shard_bytes);
-                obs.shards[s].deduped.add(shard_deduped);
-            }
             total_bytes += shard_bytes;
         }
         if let (Some(obs), Some(t0)) = (&self.obs, started) {
@@ -703,11 +664,7 @@ mod tests {
         assert_eq!(
             registry.histogram("store.value_bytes").count(),
             store.stats().keys,
-            "histogram mirrors served keys after dedup"
-        );
-        assert_eq!(
-            registry.counter("store.shard.0.deduped_keys").get(),
-            store.shard_stats(0).deduped_keys
+            "one sample per served key after dedup"
         );
         assert_eq!(store.stats().deduped_keys, 2);
     }
@@ -770,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn attached_obs_mirrors_shard_stats() {
+    fn attached_obs_records_the_two_histograms() {
         let g = gen::path(6);
         let registry = Registry::new();
         let mut store = KvStore::from_graph(&g, 2);
@@ -779,23 +736,16 @@ mod tests {
         store.get(1); // shard 1
         store.get_many(&[2, 4, 3]); // shards 0 and 1
         assert_eq!(
-            registry.counter("store.shard.0.requests").get(),
-            store.shard_stats(0).requests
-        );
-        assert_eq!(
-            registry.counter("store.shard.1.bytes").get(),
-            store.shard_stats(1).bytes
-        );
-        assert_eq!(
             registry.histogram("store.value_bytes").count(),
             store.stats().keys
         );
         // Latency is wall-derived: recorded, but deterministic snapshots
         // must exclude it.
         assert!(registry.histogram("store.latency_nanos").count() > 0);
-        assert!(!registry
-            .snapshot_deterministic()
-            .contains_key("store.latency_nanos"));
+        assert!(registry
+            .report(benu_obs::ReportMode::Deterministic)
+            .get("store.latency_nanos")
+            .is_none());
     }
 
     #[test]
@@ -815,7 +765,7 @@ mod tests {
         let store = KvStore::from_graph_replicated(&g, 5, 2);
         for v in g.vertices() {
             for offset in 0..2 {
-                let adj = store.get_replica(v, offset).unwrap();
+                let (adj, _) = store.try_get_replica(v, offset).unwrap().unwrap();
                 assert_eq!(adj.as_slice(), g.neighbors(v), "replica {offset} of {v}");
             }
         }
@@ -826,7 +776,7 @@ mod tests {
         let g = gen::path(8);
         let store = KvStore::from_graph_replicated(&g, 4, 2);
         // Vertex 1's primary is shard 1; its mirror lives on shard 2.
-        store.get_replica(1, 1).unwrap();
+        store.try_get_replica(1, 1).unwrap().unwrap();
         assert_eq!(store.shard_stats(1).requests, 0, "primary was bypassed");
         assert_eq!(store.shard_stats(2).requests, 1);
         assert_eq!(store.shard_stats(2).keys, 1);
@@ -839,7 +789,9 @@ mod tests {
         // Vertices 0 and 4 are primary on shard 0; 1 and 5 on shard 1.
         // Failing shard 0 over to its mirror (shard 1) collapses the
         // whole batch onto one serving shard: one round trip.
-        let batch = store.get_many_routed(&[0, 4, 1, 5], |primary| usize::from(primary == 0));
+        let batch = store
+            .try_get_many_routed(&[0, 4, 1, 5], |primary| usize::from(primary == 0))
+            .unwrap();
         assert_eq!(batch.round_trips, 1);
         assert_eq!(batch.values.iter().filter(|v| v.is_some()).count(), 4);
         assert_eq!(store.shard_stats(0).requests, 0);

@@ -14,10 +14,7 @@
 //!
 //! and brackets the measured region with [`CountingAllocator::snapshot`]
 //! / [`AllocSnapshot::delta_since`]. Counting is two relaxed atomic adds
-//! per allocation. This module is deliberately independent of the `noop`
-//! feature: it measures the *engine's* memory behaviour, not the
-//! observability layer's, so compiling recording out must not disable
-//! it.
+//! per allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -4,48 +4,48 @@
 //! cost, cache hit rates, task and straggler behaviour, per-phase timing —
 //! and adaptive-runtime systems in the same space (HUGE, arXiv:2103.14294;
 //! GNN-PE, arXiv:2511.09052) *drive* scheduling and memory decisions from
-//! live metrics. This crate is the telemetry substrate those decisions
-//! will read: every other workspace crate records into it, and one unified
-//! [`report::Report`] tree is the single serialisation surface for
-//! everything a run measured.
+//! live counters: one number, one decision. Here each of those numbers is
+//! counted once, in the typed stats of the layer that owns it (`KvStats`,
+//! `CacheStats`, `TaskMetrics`, `RecoveryReport`, `WorkerReport`, the
+//! service's lifecycle counters), and reported once, through the
+//! [`report::Report`] tree those structs render themselves into. This
+//! crate holds that tree and what no typed struct can carry.
 //!
 //! Three pieces:
 //!
-//! * [`metrics`] — a lock-light registry of named [`metrics::Counter`]s
-//!   (per-thread sharded; a hot-path increment is one relaxed atomic add
-//!   on a cache-padded cell), [`metrics::Gauge`]s and fixed-bucket
-//!   [`metrics::Histogram`]s. Metrics registered as *wall* (timing-
-//!   derived) are excluded from deterministic snapshots.
+//! * [`report`] — the insertion-ordered key/value tree every layer's
+//!   measurements are rendered into; `benu-bench` emits it with one
+//!   canonical JSON encoding.
 //! * [`trace`] — span-based phase tracing (store load, plan compile, task
 //!   generation, enumeration and recovery passes) stamped with a
 //!   [`trace::VirtualClock`] instead of the wall clock, so a faulted run
 //!   replayed from the same `benu-fault` seed produces a byte-identical
 //!   trace.
-//! * [`report`] — the insertion-ordered key/value tree every layer's
-//!   measurements are merged into; `benu-bench` renders it with one
-//!   canonical JSON encoding.
+//! * [`metrics`] — a registry of named fixed-bucket
+//!   [`metrics::Histogram`]s for distributions (the store's value sizes
+//!   and request latencies). Histograms registered as *wall* (timing-
+//!   derived) are excluded from deterministic snapshots.
 //!
-//! The `noop` cargo feature compiles every recording call into an empty
-//! inline function, giving a compiled-out baseline for overhead A/B runs
-//! (`obs_overhead` bench bin); without the feature, recording is cheap
-//! enough to stay on in production (< 3% on the fig9 enumeration
-//! workload).
+//! An [`ObsHub`] is optional everywhere it is accepted, and cheap enough
+//! to stay on in production (< 3 % on the fig9 enumeration workload, the
+//! `obs_overhead` bench bin's bare-vs-observed A/B).
 
 pub mod alloc;
 pub mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsSnapshot, Registry};
+pub use metrics::{Histogram, Registry};
 pub use report::{Report, Value};
 pub use trace::{SpanGuard, TraceEvent, Tracer, VirtualClock};
 
-/// One observability hub for a run: the metrics registry every layer
-/// records into plus the phase tracer. Shared by `Arc` between the
-/// cluster, its store, its caches and the bench harness.
+/// One observability hub for a run: what has no typed twin in a
+/// `RunOutcome` or a service report — the phase tracer and the store's
+/// histograms. Shared by `Arc` between the front, its deployment and the
+/// bench harness.
 #[derive(Debug, Default)]
 pub struct ObsHub {
-    /// Named counters, gauges and histograms.
+    /// Named histograms.
     pub registry: Registry,
     /// Phase spans on the virtual clock.
     pub tracer: Tracer,
@@ -73,26 +73,14 @@ impl ObsHub {
     }
 
     /// The hub's measurements as one report: a `metrics` subtree
-    /// (name-sorted registry snapshot, wall metrics filtered per `mode`)
+    /// (the registry's histograms, wall ones filtered per `mode`)
     /// and a `trace` subtree (the span events, always deterministic).
     pub fn report(&self, mode: ReportMode) -> Report {
-        let snapshot = match mode {
-            ReportMode::Full => self.registry.snapshot(),
-            ReportMode::Deterministic => self.registry.snapshot_deterministic(),
-        };
         let mut report = Report::new();
-        report.set_tree("metrics", metrics::snapshot_report(&snapshot));
+        report.set_tree("metrics", self.registry.report(mode));
         report.set_tree("trace", self.tracer.to_report());
         report
     }
-}
-
-/// Whether this build actually records (`false` under the `noop`
-/// feature). Bench binaries stamp this into their output so an A/B pair
-/// of runs is self-describing.
-#[inline]
-pub const fn recording_enabled() -> bool {
-    !cfg!(feature = "noop")
 }
 
 /// The one ratio convention of the whole workspace: `num / den` with the
@@ -128,21 +116,9 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn hub_is_shareable() {
         let hub = std::sync::Arc::new(ObsHub::new());
-        let c = hub.registry.counter("x");
-        c.add(3);
-        assert_eq!(hub.registry.counter("x").get(), 3);
-    }
-
-    #[test]
-    #[cfg(feature = "noop")]
-    fn noop_recording_is_compiled_out() {
-        let hub = ObsHub::new();
-        hub.registry.counter("x").add(3);
-        hub.registry.histogram("h").record(7);
-        assert_eq!(hub.registry.counter("x").get(), 0);
-        assert_eq!(hub.registry.histogram("h").count(), 0);
+        hub.registry.histogram("x").record(3);
+        assert_eq!(hub.registry.histogram("x").sum(), 3);
     }
 }

@@ -1,118 +1,29 @@
-//! The lock-light metrics registry.
+//! The histogram registry.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`s
-//! registered once by name; the hot path never touches the registry lock
-//! again. Counters are sharded across cache-padded atomic cells indexed
-//! by a per-thread slot, so a busy increment is one `Relaxed` atomic add
-//! with no cross-thread cache-line ping-pong; aggregation sums the shards
-//! on demand at snapshot time.
+//! Counts live in the typed stats of the layer that owns them
+//! (`KvStats`, `CacheStats`, `TaskMetrics`, `RecoveryReport`, …) and are
+//! rendered from there; what this registry holds is the one kind of
+//! measurement a typed counter cannot carry — a *distribution*. A
+//! [`Histogram`] handle is a cheap `Arc` registered once by name; the
+//! hot path never touches the registry lock again, and recording is
+//! three relaxed atomic adds.
 //!
-//! Metrics registered through the `*_wall` constructors are flagged as
-//! wall-clock-derived (latencies, busy times): they are reported in full
-//! snapshots but excluded from *deterministic* snapshots, which must be
-//! byte-identical across two executions of the same seeded run.
+//! Histograms registered through [`Registry::histogram_wall`] are
+//! flagged as wall-clock-derived (latencies): [`Registry::report`] shows
+//! them in `Full` mode and leaves them out of `Deterministic` reports,
+//! which must be byte-identical across two executions of the same
+//! seeded run.
 
 use crate::report::{Report, Value};
+use crate::ReportMode;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Number of per-thread counter shards. A power of two; more shards trade
-/// memory for less false sharing under high thread counts.
-const COUNTER_SHARDS: usize = 16;
 
 /// Number of histogram buckets: bucket `i` counts values in
 /// `[2^(i-1), 2^i)` (bucket 0 holds zero), which covers the full `u64`
 /// range with a fixed-size array and a branch-free index.
 const HISTOGRAM_BUCKETS: usize = 65;
-
-/// One cache-line-padded atomic cell (avoids false sharing between
-/// shards that land in the same line).
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-#[cfg_attr(feature = "noop", allow(dead_code))]
-static NEXT_THREAD_SLOT: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// This thread's counter shard, assigned round-robin at first use.
-    static THREAD_SLOT: usize =
-        NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) as usize % COUNTER_SHARDS;
-}
-
-/// A monotonic counter, sharded per thread. Increments are one relaxed
-/// atomic add; reads aggregate the shards.
-#[derive(Debug, Default)]
-pub struct Counter {
-    shards: [PaddedU64; COUNTER_SHARDS],
-}
-
-impl Counter {
-    /// A detached counter (not in any registry).
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds `n` to this thread's shard.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "noop"))]
-        THREAD_SLOT.with(|&slot| {
-            self.shards[slot].0.fetch_add(n, Ordering::Relaxed);
-        });
-        #[cfg(feature = "noop")]
-        let _ = n;
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// The aggregated count across all shards.
-    pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-/// A last-write-wins signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A detached gauge.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        #[cfg(not(feature = "noop"))]
-        self.0.store(v, Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = v;
-    }
-
-    /// Adds to the gauge.
-    #[inline]
-    pub fn add(&self, v: i64) {
-        #[cfg(not(feature = "noop"))]
-        self.0.fetch_add(v, Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = v;
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// A fixed-bucket power-of-two histogram over `u64` samples: bucket 0
 /// counts zeros, bucket `i ≥ 1` counts `[2^(i-1), 2^i)`. Recording is
@@ -143,7 +54,6 @@ impl Histogram {
 
     /// The bucket index of `v`: 0 for 0, else `65 − leading_zeros(v)`
     /// clamped into range — i.e. one bucket per power of two.
-    #[cfg_attr(feature = "noop", allow(dead_code))]
     #[inline]
     fn bucket_of(v: u64) -> usize {
         (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
@@ -152,14 +62,9 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-        }
-        #[cfg(feature = "noop")]
-        let _ = v;
+        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -198,75 +103,12 @@ impl Histogram {
     }
 }
 
-/// The value of one metric in a [`MetricsSnapshot`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// An aggregated counter.
-    Counter(u64),
-    /// A gauge reading.
-    Gauge(i64),
-    /// A histogram: sample count, sample sum, and the non-empty
-    /// `(upper_bound, count)` buckets.
-    Histogram {
-        /// Number of samples.
-        count: u64,
-        /// Sum of samples.
-        sum: u64,
-        /// Non-empty buckets as `(upper_bound_exclusive, count)`.
-        buckets: Vec<(u64, u64)>,
-    },
-}
-
-/// A point-in-time, name-sorted view of every registered metric.
-pub type MetricsSnapshot = BTreeMap<String, MetricValue>;
-
-/// Converts a snapshot into a [`Report`] subtree (one entry per metric,
-/// name-sorted, histograms as `{count, sum, mean, buckets}`).
-pub fn snapshot_report(snapshot: &MetricsSnapshot) -> Report {
-    let mut report = Report::new();
-    for (name, value) in snapshot {
-        match value {
-            MetricValue::Counter(n) => report.set(name, *n),
-            MetricValue::Gauge(v) => report.set(name, *v),
-            MetricValue::Histogram {
-                count,
-                sum,
-                buckets,
-            } => {
-                let mut h = Report::new();
-                h.set("count", *count);
-                h.set("sum", *sum);
-                h.set("mean", crate::safe_ratio(*sum as f64, *count as f64));
-                h.set(
-                    "buckets",
-                    Value::List(
-                        buckets
-                            .iter()
-                            .map(|&(bound, n)| {
-                                Value::List(vec![Value::UInt(bound), Value::UInt(n)])
-                            })
-                            .collect(),
-                    ),
-                );
-                report.set_tree(name, h);
-            }
-        }
-    }
-    report
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, (Arc<Counter>, bool)>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, (Arc<Histogram>, bool)>,
-}
-
-/// The named-metric registry. Registration takes the lock once per
+/// The named-histogram registry. Registration takes the lock once per
 /// (name, handle); recording through the returned handles is lock-free.
 #[derive(Debug, Default)]
 pub struct Registry {
-    inner: Mutex<RegistryInner>,
+    /// Name → (handle, wall-derived).
+    histograms: Mutex<BTreeMap<String, (Arc<Histogram>, bool)>>,
 }
 
 impl Registry {
@@ -275,123 +117,62 @@ impl Registry {
         Registry::default()
     }
 
-    /// The counter named `name`, created on first use. Deterministic
-    /// (included in deterministic snapshots).
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.counter_with(name, false)
-    }
-
-    /// A wall-clock-derived counter (excluded from deterministic
-    /// snapshots).
-    pub fn counter_wall(&self, name: &str) -> Arc<Counter> {
-        self.counter_with(name, true)
-    }
-
-    fn counter_with(&self, name: &str, wall: bool) -> Arc<Counter> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        Arc::clone(
-            &inner
-                .counters
-                .entry(name.to_string())
-                .or_insert_with(|| (Arc::new(Counter::new()), wall))
-                .0,
-        )
-    }
-
-    /// The gauge named `name`, created on first use. Gauges are levels,
-    /// never timings, so there is no wall-clock variant.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        Arc::clone(
-            inner
-                .gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
-    }
-
-    /// The histogram named `name`, created on first use.
+    /// The histogram named `name`, created on first use. Deterministic
+    /// (included in deterministic reports).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         self.histogram_with(name, false)
     }
 
     /// A wall-clock-derived histogram (excluded from deterministic
-    /// snapshots).
+    /// reports).
     pub fn histogram_wall(&self, name: &str) -> Arc<Histogram> {
         self.histogram_with(name, true)
     }
 
     fn histogram_with(&self, name: &str, wall: bool) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut histograms = self.histograms.lock().expect("registry poisoned");
         Arc::clone(
-            &inner
-                .histograms
+            &histograms
                 .entry(name.to_string())
                 .or_insert_with(|| (Arc::new(Histogram::new()), wall))
                 .0,
         )
     }
 
-    /// A full snapshot of every metric, including wall-derived ones.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.snapshot_inner(true)
-    }
-
-    /// A snapshot containing only deterministic metrics — the view that
-    /// must be byte-identical across two executions of the same seeded
-    /// run.
-    pub fn snapshot_deterministic(&self) -> MetricsSnapshot {
-        self.snapshot_inner(false)
-    }
-
-    fn snapshot_inner(&self, include_wall: bool) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("registry poisoned");
-        let mut out = MetricsSnapshot::new();
-        for (name, (c, wall)) in &inner.counters {
-            if include_wall || !wall {
-                out.insert(name.clone(), MetricValue::Counter(c.get()));
+    /// Every registered histogram as a [`Report`] subtree: one
+    /// `{count, sum, mean, buckets}` entry each, name-sorted.
+    /// [`ReportMode::Deterministic`] leaves the wall-derived ones out —
+    /// the view that must be byte-identical across two executions of the
+    /// same seeded run.
+    pub fn report(&self, mode: ReportMode) -> Report {
+        let mut report = Report::new();
+        let histograms = self.histograms.lock().expect("registry poisoned");
+        for (name, (hist, wall)) in histograms.iter() {
+            if *wall && mode == ReportMode::Deterministic {
+                continue;
             }
+            let mut h = Report::new();
+            h.set("count", hist.count());
+            h.set("sum", hist.sum());
+            h.set("mean", hist.mean());
+            h.set(
+                "buckets",
+                Value::List(
+                    hist.nonzero_buckets()
+                        .into_iter()
+                        .map(|(bound, n)| Value::List(vec![Value::UInt(bound), Value::UInt(n)]))
+                        .collect(),
+                ),
+            );
+            report.set_tree(name, h);
         }
-        for (name, g) in &inner.gauges {
-            out.insert(name.clone(), MetricValue::Gauge(g.get()));
-        }
-        for (name, (h, wall)) in &inner.histograms {
-            if include_wall || !wall {
-                out.insert(
-                    name.clone(),
-                    MetricValue::Histogram {
-                        count: h.count(),
-                        sum: h.sum(),
-                        buckets: h.nonzero_buckets(),
-                    },
-                );
-            }
-        }
-        out
+        report
     }
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_aggregates_across_threads() {
-        let c = Arc::new(Counter::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.inc();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 8000);
-    }
 
     #[test]
     fn histogram_buckets_by_power_of_two() {
@@ -418,47 +199,34 @@ mod tests {
     #[test]
     fn registry_reuses_handles_by_name() {
         let r = Registry::new();
-        r.counter("a").add(2);
-        r.counter("a").add(3);
-        r.counter("b").inc();
-        let snap = r.snapshot();
-        assert_eq!(snap.get("a"), Some(&MetricValue::Counter(5)));
-        assert_eq!(snap.get("b"), Some(&MetricValue::Counter(1)));
+        r.histogram("a").record(2);
+        r.histogram("a").record(3);
+        r.histogram("b").record(1);
+        let report = r.report(ReportMode::Full);
+        assert_eq!(report.get_u64("a/count"), Some(2));
+        assert_eq!(report.get_u64("a/sum"), Some(5));
+        assert_eq!(report.get_u64("b/count"), Some(1));
     }
 
     #[test]
-    fn deterministic_snapshot_excludes_wall_metrics() {
+    fn deterministic_report_excludes_wall_histograms() {
         let r = Registry::new();
-        r.counter("det").inc();
-        r.counter_wall("wall").inc();
+        r.histogram("det").record(1);
         r.histogram_wall("lat_nanos").record(123);
-        r.gauge("g").set(-4);
-        let full = r.snapshot();
-        assert!(full.contains_key("wall"));
-        assert!(full.contains_key("lat_nanos"));
-        let det = r.snapshot_deterministic();
-        assert!(det.contains_key("det"));
-        assert!(det.contains_key("g"));
-        assert!(!det.contains_key("wall"));
-        assert!(!det.contains_key("lat_nanos"));
+        assert!(r.report(ReportMode::Full).get("lat_nanos").is_some());
+        let det = r.report(ReportMode::Deterministic);
+        assert!(det.get("det").is_some());
+        assert!(det.get("lat_nanos").is_none());
     }
 
     #[test]
-    fn snapshot_report_is_name_sorted() {
+    fn report_is_name_sorted() {
         let r = Registry::new();
-        r.counter("zz").inc();
-        r.counter("aa").inc();
+        r.histogram("zz").record(1);
+        r.histogram("aa").record(1);
         r.histogram("hh").record(3);
-        let report = snapshot_report(&r.snapshot());
+        let report = r.report(ReportMode::Full);
         let keys: Vec<&str> = report.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["aa", "hh", "zz"]);
-    }
-
-    #[test]
-    fn gauge_sets_and_adds() {
-        let g = Gauge::new();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
     }
 }

@@ -17,7 +17,7 @@ pub enum Value {
     Bool(bool),
     /// An unsigned integer (counters, counts, bytes).
     UInt(u64),
-    /// A signed integer (gauges, deltas).
+    /// A signed integer (deltas).
     Int(i64),
     /// A float (ratios, means, seconds).
     Float(f64),

@@ -28,9 +28,11 @@
 //!   as early termination — evaluated at in-order chunk-commit
 //!   boundaries, so results and terminal statuses are identical at any
 //!   concurrency and execution mode.
-//! * **Observability**: per-query compile/queue/execute spans on the
-//!   virtual clock and `service.*` registry counters, all reportable
-//!   through [`QueryService::report`].
+//! * **Observability**: lifecycle counts, plan-cache stats, per-query
+//!   subtrees and (in `Full` mode) what the lanes counted, all in
+//!   [`QueryService::report`] with or without a hub; an attached
+//!   `ObsHub` adds per-query compile/queue/execute spans on the virtual
+//!   clock.
 //! * **Resilience** (`error`, `admission`): with a seeded
 //!   [`benu_fault::FaultPlan`] installed, every request-path failure
 //!   settles exactly one query with a structured [`ServiceError`] —

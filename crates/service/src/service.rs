@@ -43,11 +43,11 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
-use benu_cache::CacheObs;
 use benu_cluster::gate::FaultGate;
 use benu_cluster::pool::{
     self, HandOver, Job, Lane, LaneFault, LanePart, Outcome, Pool, SchedulerKind, Spec,
 };
+use benu_cluster::report::lane_stats_report;
 use benu_cluster::transport::Transport;
 use benu_cluster::{Resident, Split, DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES};
 use benu_engine::{SearchTask, TaskMetrics};
@@ -153,6 +153,11 @@ struct Inner {
     pool: Pool<Ticket>,
     /// One store transport per serving worker.
     transports: Vec<Transport>,
+    /// Every lane visit's [`LanePart`], summed: the lanes' private
+    /// counters (triangle cache, buffer pool, frontier, the db-cache
+    /// hits their tasks answered themselves), busy time and injected
+    /// fault latency.
+    lanes: Mutex<LanePart>,
     queries: Mutex<Vec<Arc<QueryRun>>>,
     completions: AtomicU64,
     /// Queries admitted past the gates and not yet finalised.
@@ -183,10 +188,11 @@ impl QueryService {
         Self::serve(Self::load(g, &config, None), config)
     }
 
-    /// Like [`QueryService::new`], with an observability hub: store and
-    /// cache tiers record into its registry, per-query phase spans land
-    /// on its virtual-clock tracer, and `service.*` counters mirror the
-    /// admission lifecycle.
+    /// Like [`QueryService::new`], with an observability hub: per-query
+    /// phase spans (compile, queue, execute) land on its tracer, whose
+    /// virtual clock advances by each committed chunk's vticks, and the
+    /// store records its two histograms. Every count is in
+    /// [`QueryService::report`] with or without a hub.
     pub fn new_observed(g: &Graph, config: ServiceConfig, hub: Arc<ObsHub>) -> Self {
         Self::serve(Self::load(g, &config, Some(hub)), config)
     }
@@ -227,6 +233,7 @@ impl QueryService {
                 config.fault_plan.clone(),
             ),
             transports: (0..config.workers).map(|_| resident.transport()).collect(),
+            lanes: Mutex::new(LanePart::default()),
             queries: Mutex::new(Vec::new()),
             completions: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
@@ -251,16 +258,7 @@ impl QueryService {
                     triangle_cache_entries: DEFAULT_TRIANGLE_CACHE_ENTRIES,
                     sharers: inner.config.workers,
                 };
-                std::thread::spawn(move || {
-                    pool::lane_loop(&inner.pool, &inner.resident, lane);
-                    // A lane leaves at shutdown or because its worker
-                    // crashed.
-                    if inner.pool.is_dead(machine) {
-                        if let Some(hub) = inner.resident.obs() {
-                            hub.registry.counter("service.worker_crashes").inc();
-                        }
-                    }
-                })
+                std::thread::spawn(move || pool::lane_loop(&inner.pool, &inner.resident, lane))
             })
             .collect();
         QueryService { inner, threads }
@@ -363,10 +361,6 @@ impl QueryService {
         queries.push(Arc::clone(&run));
         inner.admitted.fetch_add(1, Ordering::Relaxed);
         if let Some(hub) = resident.obs() {
-            hub.registry.counter("service.admitted").inc();
-            if hit {
-                hub.registry.counter("service.plan_cache.hits").inc();
-            }
             let _queued = hub.tracer.span(&format!("query.{id}.queue"));
         }
         let mut state = run.state();
@@ -412,7 +406,6 @@ impl QueryService {
                     };
                     let chunks = (0..total_chunks).map(|chunk| (chunk, None));
                     let admitted = inner.pool.admit(id, ticket, weight, chunks);
-                    inner.sync_queue_depth();
                     // The whole pool crashed: nothing can execute this
                     // query and nothing ever will.
                     admitted
@@ -495,9 +488,11 @@ impl QueryService {
     /// The service's report subtree. `Deterministic` mode is built
     /// purely from commit-pipeline state — admission counters, plan
     /// cache, one entry per terminated query — and is identical across
-    /// worker counts and execution modes. `Full` mode adds
-    /// wall-clock latencies and merges the hub's registry/trace report
-    /// when the service is observed.
+    /// worker counts and execution modes. `Full` mode adds wall-clock
+    /// latencies, crash bookkeeping and the `lanes` subtree (what the
+    /// lanes' private caches, pools and frontiers counted — which lane
+    /// ran which chunk is timing), and merges the hub's histogram/trace
+    /// report when the service is observed.
     pub fn report(&self, mode: ReportMode) -> Report {
         let inner = &*self.inner;
         let mut service = Report::new();
@@ -522,6 +517,11 @@ impl QueryService {
                 "requeued_chunks",
                 inner.requeued_chunks.load(Ordering::Relaxed),
             );
+            let total = inner.lanes.lock();
+            let mut lanes = lane_stats_report(&total.stats);
+            lanes.set("busy_nanos", total.busy.as_nanos() as u64);
+            lanes.set("fault_penalty_nanos", total.penalty.as_nanos() as u64);
+            service.set_tree("lanes", lanes);
         }
         let pc = inner.plan_cache.stats();
         let mut plan_cache = Report::new();
@@ -602,9 +602,6 @@ impl Inner {
             .best_plan();
         entry.replanned = true;
         self.replans.fetch_add(1, Ordering::Relaxed);
-        if let Some(hub) = self.resident.obs() {
-            hub.registry.counter("service.feedback.replans").inc();
-        }
         Some(self.plan_cache.replace(entry.canonical.clone(), plan))
     }
 
@@ -633,14 +630,6 @@ impl Inner {
         });
     }
 
-    fn sync_queue_depth(&self) {
-        if let Some(hub) = self.resident.obs() {
-            hub.registry
-                .gauge("service.queue_depth")
-                .set(self.pool.depth() as i64);
-        }
-    }
-
     /// Reacts to a commit-state change: on a fresh terminal, raises the
     /// terminated flag and releases the query's queued chunks; once
     /// every chunk is accounted for, finalises the result.
@@ -652,7 +641,6 @@ impl Inner {
         if commit.terminal().is_some() && !run.terminated.swap(true, Ordering::AcqRel) {
             let released = self.pool.drain(run.id);
             commit.skip(released);
-            self.sync_queue_depth();
         }
         if state.result.is_some() || !state.commit.as_ref().is_some_and(|c| c.is_complete()) {
             return;
@@ -662,37 +650,15 @@ impl Inner {
         if run.counted.swap(false, Ordering::AcqRel) {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
         }
-        let counter = match &out.terminal {
-            Terminal::Completed | Terminal::MaxMatchesReached => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                "service.completed"
-            }
-            Terminal::Cancelled => {
-                self.cancelled.fetch_add(1, Ordering::Relaxed);
-                "service.cancelled"
-            }
-            Terminal::DeadlineExceeded => {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                "service.deadline_exceeded"
-            }
-            Terminal::Failed(_) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                "service.failed"
-            }
-            Terminal::DegradedPartial => {
-                self.degraded.fetch_add(1, Ordering::Relaxed);
-                "service.degraded"
-            }
-            Terminal::Rejected { .. } => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                "service.rejected"
-            }
+        let settled = match &out.terminal {
+            Terminal::Completed | Terminal::MaxMatchesReached => &self.completed,
+            Terminal::Cancelled => &self.cancelled,
+            Terminal::DeadlineExceeded => &self.deadline_exceeded,
+            Terminal::Failed(_) => &self.failed,
+            Terminal::DegradedPartial => &self.degraded,
+            Terminal::Rejected { .. } => &self.rejected,
         };
-        if let Some(hub) = self.resident.obs() {
-            hub.registry.counter(counter).inc();
-            // Committed work only — the deterministic share of the run.
-            out.metrics.record_into(&hub.registry);
-        }
+        settled.fetch_add(1, Ordering::Relaxed);
         // Exhaustively completed queries feed the observed-stats store:
         // their committed metrics cover the full enumeration, so the
         // recorded cardinalities are exact for the plan that ran.
@@ -755,7 +721,6 @@ impl Job for Ticket {
 
     fn start(&self, _machine: usize, chunk: usize, _stolen: bool) -> &[SearchTask] {
         self.run.started.store(true, Ordering::Release);
-        self.inner.sync_queue_depth();
         &self.run.tasks[self.run.chunk_range(chunk)]
     }
 
@@ -827,22 +792,13 @@ impl Job for Ticket {
     }
 
     fn lane_done(&self, _machine: usize, part: LanePart) {
-        let Some(hub) = self.inner.resident.obs() else {
-            return;
-        };
-        // DBQs the lane answered from what its task already held are
-        // hits of the db-cache tier the shared cache never saw.
-        hub.registry
-            .counter("cache.db.hits")
-            .add(part.stats.db_cache_hits);
-        CacheObs::register(&hub.registry, "triangle").record_stats(&part.stats.triangle_cache);
-        // Injected-fault waits (virtual backoff, timeout waits,
-        // slow-shard penalties) are observability, not query latency —
-        // keeping them out of vticks keeps deadline semantics invariant
-        // under recovered faults.
-        hub.registry
-            .counter("service.fault_penalty_nanos")
-            .add(part.penalty.as_nanos() as u64);
+        let mut total = self.inner.lanes.lock();
+        total.busy += part.busy;
+        total.penalty += part.penalty;
+        total.stats.db_cache_hits += part.stats.db_cache_hits;
+        total.stats.triangle_cache += part.stats.triangle_cache;
+        total.stats.pool += part.stats.pool;
+        total.stats.frontier += part.stats.frontier;
     }
 
     /// A serving worker died holding this query's chunk and survivors
@@ -852,16 +808,9 @@ impl Job for Ticket {
     /// the query settled meanwhile, the survivor that is granted the
     /// chunk drops it.)
     fn handed_back(&self, _machine: usize, chunks: &[usize]) {
-        let requeued = chunks.len() as u64;
         self.inner
             .requeued_chunks
-            .fetch_add(requeued, Ordering::Relaxed);
-        if let Some(hub) = self.inner.resident.obs() {
-            hub.registry
-                .counter("service.requeued_chunks")
-                .add(requeued);
-        }
-        self.inner.sync_queue_depth();
+            .fetch_add(chunks.len() as u64, Ordering::Relaxed);
     }
 
     /// The last serving worker died: no survivor can ever run this
@@ -880,6 +829,5 @@ impl Job for Ticket {
             commit.skip(chunks.len());
         }
         self.inner.after_state_change(&self.run, &mut state);
-        self.inner.sync_queue_depth();
     }
 }

@@ -9,11 +9,10 @@
 
 use benu_cluster::{Cluster, ClusterConfig, ExecMode};
 use benu_graph::gen;
-use benu_obs::{ObsHub, ReportMode};
+use benu_obs::{Report, ReportMode};
 use benu_pattern::queries;
 use benu_plan::PlanBuilder;
 use benu_service::{FaultPlan, QueryOptions, QueryService, ResultMode, ServiceConfig, Terminal};
-use std::sync::Arc;
 
 /// 1 % transient store faults and machine 1 dying five tasks in.
 fn weather() -> FaultPlan {
@@ -83,17 +82,46 @@ fn one_fault_plan_gives_the_fault_free_count_on_both_fronts() {
     }
 }
 
+/// Probes the one worker's shared database cache has counted.
+fn shared_probes(service: &QueryService) -> u64 {
+    let shared = service.resident().caches()[0].stats();
+    shared.hits + shared.misses
+}
+
+/// `service/lanes` of a one-lane service once every query settled so
+/// far has been handed over. A lane hands a visit over when it runs out
+/// of the query's chunks — after the last chunk settled the query, so
+/// after `wait` may have returned — and before it starts another
+/// query's: a fence query that has settled orders the hand-over before
+/// this read. The fence is one edge — no TRC, and no DBQ its lane
+/// answers itself — so whether its own visit is in the report yet
+/// changes neither the triangle-cache counters nor `db_cache_hits`.
+fn lanes_after_fence(service: &QueryService) -> Report {
+    let before = shared_probes(service);
+    let fence = service.wait(service.submit(&queries::path(2), QueryOptions::new()));
+    assert_eq!(fence.terminal, Terminal::Completed);
+    assert_eq!(fence.metrics.trc_executions, 0);
+    assert_eq!(
+        shared_probes(service) - before,
+        fence.metrics.dbq_executions
+    );
+    service
+        .report(ReportMode::Full)
+        .get_tree("service")
+        .and_then(|s| s.get_tree("lanes"))
+        .expect("an unobserved service reports its lanes")
+        .clone()
+}
+
 /// Triangle-cache misses of one query served by one lane.
 fn triangle_misses(chunk_tasks: usize) -> (u64, usize) {
     let g = gen::barabasi_albert(400, 6, 5);
-    let hub = Arc::new(ObsHub::new());
-    let service = QueryService::new_observed(
+    let service = QueryService::new(
         &g,
         ServiceConfig::builder()
             .workers(1)
             .chunk_tasks(chunk_tasks)
             .build(),
-        Arc::clone(&hub),
     );
     let id = service.submit(
         &queries::clique(4),
@@ -101,11 +129,9 @@ fn triangle_misses(chunk_tasks: usize) -> (u64, usize) {
     );
     let result = service.wait(id);
     assert_eq!(result.terminal, Terminal::Completed);
-    // A lane reports its executor's counters when its visit ends; joining
-    // the lanes makes sure it has.
-    drop(service);
+    let lanes = lanes_after_fence(&service);
     (
-        hub.registry.counter("cache.triangle.misses").get(),
+        lanes.get_u64("triangle_cache/misses").unwrap(),
         result.chunks_committed,
     )
 }
@@ -121,4 +147,22 @@ fn a_solo_query_keeps_one_executor_across_its_chunks() {
     assert!(many > 20, "{many} chunks");
     assert!(whole > 0, "clique4 must use the triangle cache");
     assert_eq!(chunked, whole);
+}
+
+/// The service-side twin of `cache_accounting.rs`'s identity: under DFS
+/// every DBQ of a query is answered by the lane's own table, by a
+/// shared-cache hit or by a shared-cache miss — read off an unobserved
+/// service.
+#[test]
+fn every_dbq_of_a_served_query_is_a_hit_or_a_miss_of_the_db_cache_tier() {
+    let g = gen::barabasi_albert(150, 8, 5);
+    let service = QueryService::new(&g, ServiceConfig::builder().workers(1).build());
+    let result = service.wait(service.submit(&queries::clique(4), QueryOptions::new()));
+    assert_eq!(result.terminal, Terminal::Completed);
+    let shared = shared_probes(&service);
+    let lane_hits = lanes_after_fence(&service)
+        .get_u64("db_cache_hits")
+        .unwrap();
+    assert!(lane_hits > 0, "clique4 re-queries down a task");
+    assert_eq!(lane_hits + shared, result.metrics.dbq_executions);
 }

@@ -30,9 +30,9 @@
 //!   [`cluster::Resident`]: one resident store shared by many queries,
 //!   with a canonical-pattern plan cache, weighted fair scheduling, and
 //!   deterministic per-query budgets.
-//! * [`obs`] — structured observability: the lock-light metrics registry,
-//!   virtual-time span tracing, and the unified [`obs::Report`] tree
-//!   every run serialises to.
+//! * [`obs`] — structured observability: the unified [`obs::Report`]
+//!   tree every layer's typed stats render into, virtual-time span
+//!   tracing, and a histogram registry.
 //! * [`baselines`] — join-based (CBF-style) and worst-case-optimal
 //!   (BiGJoin-style) competitors.
 //!
