@@ -371,53 +371,6 @@ fn hash_join(
     Some(out)
 }
 
-/// Reorders a counted relation into per-pattern-vertex layout and counts
-/// matches — exposed for tests that need the actual match set.
-pub fn enumerate_matches(
-    g: &Graph,
-    pattern: &Pattern,
-    config: &StarJoinConfig,
-) -> Option<Vec<Vec<VertexId>>> {
-    let symmetry = SymmetryBreaking::compute(pattern);
-    let total_order = TotalOrder::new(g);
-    let mut outcome = BaselineOutcome {
-        completed: true,
-        ..Default::default()
-    };
-    let stars = decompose(pattern);
-    let mut remaining = stars;
-    let mut acc = enumerate_star(
-        g,
-        &remaining.remove(0),
-        &symmetry,
-        &total_order,
-        config,
-        &mut outcome,
-    )?;
-    while !remaining.is_empty() {
-        let idx = remaining
-            .iter()
-            .position(|s| {
-                acc.vars.contains(&s.center) || s.leaves.iter().any(|l| acc.vars.contains(l))
-            })
-            .expect("joinable star exists");
-        let star = remaining.remove(idx);
-        let unit = enumerate_star(g, &star, &symmetry, &total_order, config, &mut outcome)?;
-        acc = hash_join(&acc, &unit, &symmetry, &total_order, config, &mut outcome)?;
-    }
-    let n = pattern.num_vertices();
-    let mut result = Vec::with_capacity(acc.len());
-    for tuple in acc.tuples.chunks(acc.stride()) {
-        let mut m = vec![0 as VertexId; n];
-        for (pos, &var) in acc.vars.iter().enumerate() {
-            m[var] = tuple[pos];
-        }
-        result.push(m);
-    }
-    result.sort_unstable();
-    Some(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,17 +408,6 @@ mod tests {
             let outcome = run(&g, &p, &StarJoinConfig::default());
             assert!(outcome.completed, "{name}");
             assert_eq!(outcome.matches, expected, "{name}: join vs brute force");
-        }
-    }
-
-    #[test]
-    fn match_sets_equal_reference() {
-        let g = gen::erdos_renyi_gnm(25, 90, 31);
-        for (name, p) in [("q1", queries::q1()), ("q6", queries::q6())] {
-            let sb = SymmetryBreaking::compute(&p);
-            let expected = reference::enumerate(&g, &p, &sb);
-            let got = enumerate_matches(&g, &p, &StarJoinConfig::default()).unwrap();
-            assert_eq!(got, expected, "{name}");
         }
     }
 

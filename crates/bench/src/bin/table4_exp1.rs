@@ -13,7 +13,7 @@ use benu_bench::impl_to_json;
 use benu_bench::print_table;
 use benu_graph::gen;
 use benu_pattern::{queries, Pattern};
-use benu_plan::{GraphStatsEstimator, SearchStats};
+use benu_plan::{PlanBuilder, SearchStats};
 
 struct Row {
     case: String,
@@ -30,8 +30,8 @@ impl_to_json!(Row {
 });
 
 fn measure(pattern: &Pattern) -> (f64, f64, f64) {
-    let est = GraphStatsEstimator::generic();
-    let result = benu_plan::search::best_plan(pattern, &est);
+    // The builder's default calibration is the generic (N, M).
+    let result = PlanBuilder::new(pattern).best_plan_result();
     let n = pattern.num_vertices();
     let alpha_rel = 100.0 * result.stats.alpha as f64 / SearchStats::alpha_upper_bound(n);
     let beta_rel = 100.0 * result.stats.beta as f64 / SearchStats::beta_upper_bound(n);

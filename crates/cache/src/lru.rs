@@ -186,11 +186,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         self.tail = NIL;
         self.used = 0;
     }
-
-    /// The least-recently-used key, if any (test/diagnostic hook).
-    pub fn lru_key(&self) -> Option<&K> {
-        (self.tail != NIL).then(|| &self.nodes[self.tail].key)
-    }
 }
 
 #[cfg(test)]
@@ -257,17 +252,6 @@ mod tests {
         assert_eq!(lru.used_cost(), 2);
         assert_eq!(lru.get(&2), Some(&2));
         assert_eq!(lru.get(&3), Some(&3));
-    }
-
-    #[test]
-    fn lru_key_tracks_tail() {
-        let mut lru: Lru<u32, ()> = Lru::new(10);
-        assert!(lru.lru_key().is_none());
-        lru.insert(1, (), 1);
-        lru.insert(2, (), 1);
-        assert_eq!(lru.lru_key(), Some(&1));
-        lru.get(&1);
-        assert_eq!(lru.lru_key(), Some(&2));
     }
 
     #[test]

@@ -33,8 +33,10 @@
 //!   single executor (engine + private triangle cache, DFS or hybrid,
 //!   count or collect) and the single read path (fault gate → cache →
 //!   transport) — and hands the outcome over, per chunk or once at the
-//!   end of the lane's visit as the job asks. It fails soft: store/task
-//!   errors reach the job as values, and a machine that dies — at a
+//!   end of the lane's visit as the job asks. It fails soft: what a
+//!   lane cannot absorb reaches the job as one [`Failure`] value, built
+//!   where it is observed and carried unchanged to [`Cluster::run`]'s
+//!   `Err` (or a query's failed terminal), and a machine that dies — at a
 //!   boundary a [`benu_fault::FaultPlan`] plans, or because a lane
 //!   unwound — has every chunk it had not handed over re-executed on the
 //!   survivors (BENU's idempotent-task recovery, §III-C). [`Cluster::run`]
@@ -55,6 +57,7 @@
 pub mod analysis;
 pub mod balance;
 pub mod config;
+pub mod failure;
 pub mod gate;
 pub mod pool;
 pub mod report;
@@ -70,9 +73,9 @@ pub use config::{
     ClusterConfig, ClusterConfigBuilder, DataPath, ExecMode, DEFAULT_CACHE_SHARDS,
     DEFAULT_TRIANGLE_CACHE_ENTRIES,
 };
+pub use failure::{Cause, Failure};
 pub use pool::SchedulerKind;
 pub use report::{RecoveryReport, RunOutcome, WorkerReport};
 pub use resident::{Resident, Split};
 pub use runtime::Cluster;
 pub use transport::{FetchError, TransportError};
-pub use worker::WorkerError;

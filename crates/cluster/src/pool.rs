@@ -43,10 +43,11 @@
 
 use crate::balance::vticks;
 use crate::config::ExecMode;
+use crate::failure::{Cause, Failure};
 use crate::gate::FaultGate;
 use crate::resident::Resident;
-use crate::transport::{FetchError, Transport};
-use crate::worker::{LaneSource, LaneStats, TaskPanicked};
+use crate::transport::Transport;
+use crate::worker::{LaneSource, LaneStats};
 use benu_engine::{CompiledPlan, MatchSet, SearchTask, TaskMetrics};
 use benu_fault::FaultPlan;
 use std::collections::VecDeque;
@@ -124,22 +125,6 @@ pub struct Spec<'a> {
     pub hand_over: HandOver,
 }
 
-/// Why a chunk failed, in the lane's own terms; each job maps it into
-/// its taxonomy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneFault {
-    /// The lane source parked an unrecoverable access while `task` (under
-    /// hybrid execution: the batch `task` heads) ran.
-    Fetch {
-        /// The access that failed.
-        error: FetchError,
-        /// The task (or batch head) being executed.
-        task: SearchTask,
-    },
-    /// The engine panicked on this task (or the batch it heads).
-    Panicked(SearchTask),
-}
-
 /// What became of a chunk a lane was granted. Only [`Outcome::Done`]
 /// carries results: whether a chunk is dropped or delivered is decided
 /// before anything is done to its rows. (An outcome is passed to its
@@ -151,7 +136,7 @@ pub enum Outcome {
     /// ran is discarded.
     Dropped,
     /// The chunk hit an unrecoverable fault; it contributes nothing.
-    Failed(LaneFault),
+    Failed(Failure),
     /// The chunk ran to completion ([`HandOver::PerChunk`] only).
     Done {
         /// Summed metrics of the chunk's tasks.
@@ -191,8 +176,19 @@ pub struct LanePart {
     pub penalty: Duration,
     /// Per-task records, when the job asked for them.
     pub records: Vec<TaskRecord>,
-    /// The executor's own counters and, under `AtEnd`, its sorted rows.
+    /// The executor's own counters.
     pub stats: LaneStats,
+}
+
+impl std::ops::AddAssign for LanePart {
+    fn add_assign(&mut self, rhs: Self) {
+        self.metrics += rhs.metrics;
+        self.executed += rhs.executed;
+        self.busy += rhs.busy;
+        self.penalty += rhs.penalty;
+        self.records.extend(rhs.records);
+        self.stats += rhs.stats;
+    }
 }
 
 /// A unit of admitted work (see the module docs). The accessors are
@@ -218,8 +214,11 @@ pub trait Job: Send {
     /// [`HandOver::PerChunk`] — ran to completion.
     fn chunk_done(&self, machine: usize, chunk: usize, outcome: Outcome);
 
-    /// The end of one visit of a lane of `machine`.
-    fn lane_done(&self, machine: usize, part: LanePart);
+    /// The end of one visit of a lane of `machine`: what it counted
+    /// and, for a collecting job, the sorted rows its executor still held
+    /// — under [`HandOver::AtEnd`] every row of the visit, under
+    /// `PerChunk` none.
+    fn lane_done(&self, machine: usize, part: LanePart, rows: Option<MatchSet>);
 
     /// `machine` died: `chunks` went back to the queue for the
     /// survivors, and whatever the machine had not handed over is void —
@@ -227,9 +226,10 @@ pub trait Job: Send {
     /// after this call.
     fn handed_back(&self, machine: usize, chunks: &[usize]);
 
-    /// `machine` died last: `chunks` — everything of this job not yet
-    /// handed over — will never run.
-    fn lost(&self, machine: usize, chunks: &[usize]);
+    /// The last machine died: `chunks` — everything of this job not yet
+    /// handed over — will never run, which `failure` says
+    /// ([`Cause::NoSurvivor`]).
+    fn lost(&self, chunks: &[usize], failure: Failure);
 }
 
 /// Backstop of a lane's wait for work: a missed wake-up degrades to a
@@ -493,18 +493,17 @@ impl<J: Job + Clone> Pool<J> {
     ///
     /// # Errors
     ///
-    /// The machine that died last, when no machine is left to run
-    /// anything.
+    /// [`Cause::NoSurvivor`] when no machine is left to run anything.
     pub fn admit(
         &self,
         id: u64,
         job: J,
         weight: u32,
         chunks: impl IntoIterator<Item = (usize, Option<usize>)>,
-    ) -> Result<(), usize> {
+    ) -> Result<(), Failure> {
         let mut st = self.lock();
         if st.dead.iter().all(|&dead| dead) {
-            return Err(st.last_dead);
+            return Err(no_survivor(st.last_dead, chunks.into_iter().count()));
         }
         let machines = st.dead.len();
         let mut entry = Entry::new(id, job, weight, machines);
@@ -615,10 +614,20 @@ impl<J: Job + Clone> Pool<J> {
             if survivors {
                 job.handed_back(machine, &chunks);
             } else {
-                job.lost(machine, &chunks);
+                job.lost(&chunks, no_survivor(machine, chunks.len()));
             }
         }
         self.work.notify_all();
+    }
+}
+
+/// `machine` died last, with `outstanding` chunks of a job left.
+fn no_survivor(machine: usize, outstanding: usize) -> Failure {
+    Failure {
+        cause: Cause::NoSurvivor { outstanding },
+        task: None,
+        machine,
+        attempt: 1,
     }
 }
 
@@ -686,6 +695,16 @@ fn visit<J: Job + Clone>(
         lane.sharers,
         spec.collect,
     );
+    // The one place a failure is built: machine, task and cause are all
+    // in hand here. A job stamps its crash epoch over `attempt`.
+    let failed = |cause, task| {
+        Outcome::Failed(Failure {
+            cause,
+            task: Some(task),
+            machine,
+            attempt: 1,
+        })
+    };
     // A batch reports batch-level metrics: no per-task cost exists.
     let per_task = resident.data().exec_mode == ExecMode::Dfs;
     let mut part = LanePart::default();
@@ -702,13 +721,10 @@ fn visit<J: Job + Clone>(
                 let t0 = Instant::now();
                 let (metrics, penalty) = match executor.run(slice) {
                     Ok(run) => run,
-                    Err(TaskPanicked(task)) => {
-                        break 'chunk Err(Outcome::Failed(LaneFault::Panicked(task)));
-                    }
+                    Err(task) => break 'chunk Err(failed(Cause::EnginePanicked, task)),
                 };
                 if let Some(error) = source.error() {
-                    let task = slice[0];
-                    break 'chunk Err(Outcome::Failed(LaneFault::Fetch { error, task }));
+                    break 'chunk Err(failed(Cause::Fetch(error), slice[0]));
                 }
                 let wall = t0.elapsed() + penalty;
                 part.busy += wall;
@@ -757,8 +773,9 @@ fn visit<J: Job + Clone>(
             other => break other,
         }
     };
-    part.stats = executor.finish();
-    job.lane_done(machine, part);
+    let (stats, rows) = executor.finish();
+    part.stats = stats;
+    job.lane_done(machine, part, rows);
     next
 }
 
@@ -776,11 +793,23 @@ mod tests {
     #[derive(Clone, Debug, PartialEq, Eq)]
     enum Event {
         Dropped(usize),
-        Failed(usize),
-        Done { chunk: usize, rows: usize },
-        LaneDone { machine: usize, executed: usize },
-        HandedBack { machine: usize, chunks: Vec<usize> },
-        Lost { machine: usize, chunks: Vec<usize> },
+        Failed(usize, Failure),
+        Done {
+            chunk: usize,
+            rows: usize,
+        },
+        LaneDone {
+            machine: usize,
+            executed: usize,
+        },
+        HandedBack {
+            machine: usize,
+            chunks: Vec<usize>,
+        },
+        Lost {
+            failure: Failure,
+            chunks: Vec<usize>,
+        },
     }
 
     /// A job that records what reaches it.
@@ -848,7 +877,7 @@ mod tests {
         fn chunk_done(&self, _machine: usize, chunk: usize, outcome: Outcome) {
             self.events.lock().push(match outcome {
                 Outcome::Dropped => Event::Dropped(chunk),
-                Outcome::Failed(_) => Event::Failed(chunk),
+                Outcome::Failed(failure) => Event::Failed(chunk, failure),
                 Outcome::Done { rows, .. } => Event::Done {
                     chunk,
                     rows: rows.len(),
@@ -856,7 +885,7 @@ mod tests {
             });
         }
 
-        fn lane_done(&self, machine: usize, part: LanePart) {
+        fn lane_done(&self, machine: usize, part: LanePart, _rows: Option<MatchSet>) {
             let executed = part.executed;
             self.events
                 .lock()
@@ -870,9 +899,9 @@ mod tests {
                 .push(Event::HandedBack { machine, chunks });
         }
 
-        fn lost(&self, machine: usize, chunks: &[usize]) {
+        fn lost(&self, chunks: &[usize], failure: Failure) {
             let chunks = chunks.to_vec();
-            self.events.lock().push(Event::Lost { machine, chunks });
+            self.events.lock().push(Event::Lost { failure, chunks });
         }
     }
 
@@ -1168,14 +1197,14 @@ mod tests {
         assert_eq!(
             job.events(),
             vec![Event::Lost {
-                machine: 0,
+                failure: no_survivor(0, 3),
                 chunks: vec![0, 1, 2]
             }]
         );
         assert_eq!(pool.depth(), 0);
         assert_eq!(
             pool.admit(4, &job, 1, homeless(1)),
-            Err(0),
+            Err(no_survivor(0, 1)),
             "the pool is dead"
         );
     }
@@ -1287,10 +1316,21 @@ mod tests {
             machine: 0,
             executed: 0,
         };
+        // Built here, with everything in hand: which vertex on which
+        // shard, under which task, on which machine.
+        let failure = Failure {
+            cause: Cause::Fetch(crate::FetchError::Missing {
+                vertex: 2,
+                shard: 0,
+            }),
+            task: Some(SearchTask::whole(0)),
+            machine: 0,
+            attempt: 1,
+        };
         assert_eq!(
             job.events(),
             vec![
-                Event::Failed(0),
+                Event::Failed(0, failure),
                 // The parked error and its executor end with the chunk …
                 lane_done.clone(),
                 // … so the second clique's chunk runs on a clean source.

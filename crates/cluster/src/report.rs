@@ -105,6 +105,23 @@ pub struct RecoveryReport {
     pub slow_penalty_virtual: Duration,
 }
 
+impl std::ops::AddAssign for RecoveryReport {
+    fn add_assign(&mut self, rhs: Self) {
+        self.transient_faults += rhs.transient_faults;
+        self.timeouts += rhs.timeouts;
+        self.retries += rhs.retries;
+        self.worker_crashes += rhs.worker_crashes;
+        self.tasks_requeued += rhs.tasks_requeued;
+        self.recovery_passes += rhs.recovery_passes;
+        self.failovers += rhs.failovers;
+        self.failover_reads += rhs.failover_reads;
+        self.shard_outages += rhs.shard_outages;
+        self.backoff_virtual += rhs.backoff_virtual;
+        self.timeout_wait_virtual += rhs.timeout_wait_virtual;
+        self.slow_penalty_virtual += rhs.slow_penalty_virtual;
+    }
+}
+
 /// Renders [`CacheStats`] as a report subtree with its
 /// [`CacheStats::hit_rate`] derived, not hand-plumbed.
 fn cache_report(stats: &CacheStats) -> Report {

@@ -140,8 +140,9 @@ impl Resident {
 
     /// Chaos hook: applies `rot` to the loaded store while the degree
     /// array (and thus every task list) still describes the intact graph
-    /// — the store-vs-graph disagreement the structured `MissingVertex`
-    /// / `CorruptValue` error paths exist to surface.
+    /// — the store-vs-graph disagreement the `FetchError::Missing` /
+    /// `FetchError::Corrupt` causes of a [`crate::Failure`] exist to
+    /// surface.
     ///
     /// # Panics
     ///

@@ -26,14 +26,12 @@
 
 use crate::balance::CostProfile;
 use crate::config::{ClusterConfig, ExecMode};
+use crate::failure::{Cause, Failure};
 use crate::gate::FaultGate;
-use crate::pool::{
-    self, HandOver, Job, Lane, LaneFault, LanePart, Outcome, Pool, Spec, CHUNK_TASKS,
-};
+use crate::pool::{self, HandOver, Job, Lane, LanePart, Outcome, Pool, Spec, CHUNK_TASKS};
 use crate::report::{RecoveryReport, RunOutcome, WorkerReport};
 use crate::resident::{Resident, Split};
 use crate::transport::Transport;
-use crate::worker::WorkerError;
 use benu_cache::CacheStats;
 use benu_engine::{CompiledPlan, MatchSet, SearchTask};
 use benu_fault::FaultPlan;
@@ -64,10 +62,10 @@ pub struct Cluster {
 /// What the lanes of one run have reported so far.
 struct Progress {
     /// The first unrecoverable failure; the run returns it.
-    error: Option<WorkerError>,
+    error: Option<Failure>,
     /// Per machine, what each visit of its lanes handed over. A machine
     /// that died did not outlive the job: its parts are never read.
-    parts: Vec<Vec<LanePart>>,
+    parts: Vec<Vec<(LanePart, Option<MatchSet>)>>,
     steals: Vec<u64>,
     tasks_requeued: u64,
     /// The crash epoch: 1 + machines whose chunks went back so far.
@@ -78,7 +76,6 @@ struct Progress {
 /// home and cut into chunks, and per machine the transport and gate its
 /// lanes read through.
 struct BatchJob<'a> {
-    resident: &'a Resident,
     compiled: &'a CompiledPlan,
     tasks: Vec<SearchTask>,
     /// Chunk `c` is `tasks[bounds[c]..bounds[c + 1]]`: the shares lie end
@@ -101,10 +98,14 @@ impl BatchJob<'_> {
         chunks.iter().map(|&c| self.range(c).len()).sum()
     }
 
-    /// Records `error` if it is the first and stops the run: lanes drop
-    /// what they are running and every chunk still queued.
-    fn fail(&self, error: WorkerError) {
-        self.progress.lock().error.get_or_insert(error);
+    /// Records `failure` — stamped with the crash epoch it happened in
+    /// — if it is the first, and stops the run: lanes drop what they are
+    /// running and every chunk still queued.
+    fn fail(&self, failure: Failure) {
+        let mut progress = self.progress.lock();
+        let attempt = progress.epoch;
+        progress.error.get_or_insert(Failure { attempt, ..failure });
+        drop(progress);
         self.stop.store(true, Ordering::Release);
     }
 }
@@ -136,27 +137,16 @@ impl Job for &BatchJob<'_> {
         self.stop.load(Ordering::Acquire)
     }
 
-    fn chunk_done(&self, worker: usize, _chunk: usize, outcome: Outcome) {
+    fn chunk_done(&self, _machine: usize, _chunk: usize, outcome: Outcome) {
         // Completed chunks arrive with their lane's part; a dropped one
         // belongs to a run that is already failing.
-        let Outcome::Failed(fault) = outcome else {
-            return;
-        };
-        let attempt = self.progress.lock().epoch;
-        self.fail(match fault {
-            LaneFault::Fetch { error, task } => {
-                WorkerError::from_fetch(error, self.resident.store(), worker, task, attempt)
-            }
-            LaneFault::Panicked(task) => WorkerError::TaskPanicked {
-                worker,
-                task,
-                attempt,
-            },
-        });
+        if let Outcome::Failed(failure) = outcome {
+            self.fail(failure);
+        }
     }
 
-    fn lane_done(&self, machine: usize, part: LanePart) {
-        self.progress.lock().parts[machine].push(part);
+    fn lane_done(&self, machine: usize, part: LanePart, rows: Option<MatchSet>) {
+        self.progress.lock().parts[machine].push((part, rows));
     }
 
     fn handed_back(&self, _machine: usize, chunks: &[usize]) {
@@ -168,10 +158,8 @@ impl Job for &BatchJob<'_> {
         }
     }
 
-    fn lost(&self, _machine: usize, chunks: &[usize]) {
-        self.fail(WorkerError::ClusterLost {
-            outstanding: self.tasks_in(chunks),
-        });
+    fn lost(&self, _chunks: &[usize], failure: Failure) {
+        self.fail(failure);
     }
 }
 
@@ -273,13 +261,13 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Aborts with a [`WorkerError`] when a task queries a vertex the
+    /// Aborts with a [`Failure`] when a task queries a vertex the
     /// store does not hold, a task panics, an injected shard outage
     /// outlasts the retry policy, or every worker crashes with work
     /// still queued. Faults the recovery machinery absorbs (retried
     /// transients, re-executed crashes) do not error — they are reported
     /// in [`RunOutcome::recovery`].
-    pub fn run(&self, plan: &ExecutionPlan) -> Result<RunOutcome, WorkerError> {
+    pub fn run(&self, plan: &ExecutionPlan) -> Result<RunOutcome, Failure> {
         Ok(self.run_inner(plan, false)?.0)
     }
 
@@ -293,7 +281,7 @@ impl Cluster {
     /// # Errors
     ///
     /// See [`Cluster::run`].
-    pub fn run_collect(&self, plan: &ExecutionPlan) -> Result<(RunOutcome, MatchSet), WorkerError> {
+    pub fn run_collect(&self, plan: &ExecutionPlan) -> Result<(RunOutcome, MatchSet), Failure> {
         self.run_inner(plan, true)
     }
 
@@ -301,7 +289,7 @@ impl Cluster {
         &self,
         plan: &ExecutionPlan,
         collect: bool,
-    ) -> Result<(RunOutcome, MatchSet), WorkerError> {
+    ) -> Result<(RunOutcome, MatchSet), Failure> {
         let resident = &self.resident;
         let obs = resident.obs();
         let compiled = {
@@ -358,7 +346,6 @@ impl Cluster {
 
         resident.store().reset_stats();
         let job = BatchJob {
-            resident,
             compiled: &compiled,
             tasks,
             bounds,
@@ -405,9 +392,14 @@ impl Cluster {
                     )
                 })
                 .collect();
-            for (worker, lane) in lanes {
+            for (machine, lane) in lanes {
                 if lane.join().is_err() {
-                    panicked.get_or_insert(WorkerError::ThreadPanicked { worker });
+                    panicked.get_or_insert(Failure {
+                        cause: Cause::LanePanicked,
+                        task: None,
+                        machine,
+                        attempt: 1,
+                    });
                 }
             }
         });
@@ -449,34 +441,38 @@ impl Cluster {
                 // every chunk it ran, the survivors ran again.
                 parts.clear();
             }
+            // One part per lane visit; each part's sorted rows go to the
+            // k-way merge as they are, everything else adds up.
+            let mut total = LanePart::default();
+            let mut thread_busy = Vec::with_capacity(parts.len());
+            for (part, rows) in parts {
+                thread_busy.push(part.busy);
+                lane_matches.extend(rows);
+                total += part;
+            }
+            if let Some(records) = records.as_mut() {
+                records.extend(total.records);
+            }
             let mut report = WorkerReport {
                 worker: w,
                 tasks: assigned[w],
                 steals: progress.steals[w],
+                metrics: total.metrics,
+                busy_time: total.busy,
+                tasks_executed: total.executed,
+                thread_busy,
+                triangle_cache: total.stats.triangle_cache,
+                pool: total.stats.pool,
+                frontier: total.stats.frontier,
                 ..WorkerReport::default()
             };
-            let mut lane_hits = 0;
-            for part in parts {
-                lane_hits += part.stats.db_cache_hits;
-                report.metrics += part.metrics;
-                report.busy_time += part.busy;
-                report.tasks_executed += part.executed;
-                report.thread_busy.push(part.busy);
-                report.triangle_cache += part.stats.triangle_cache;
-                report.pool += part.stats.pool;
-                report.frontier += part.stats.frontier;
-                if let Some(records) = records.as_mut() {
-                    records.extend(part.records);
-                }
-                lane_matches.extend(part.stats.matches);
-            }
             // Per-run cache effectiveness: delta against the persistent
             // cache's counters at run start, plus the tier's hits the
             // lanes answered themselves.
             let now = resident.caches()[w].stats();
             let before = cache_stats_before[w];
             report.cache = CacheStats {
-                hits: now.hits - before.hits + lane_hits,
+                hits: now.hits - before.hits + total.stats.db_cache_hits,
                 misses: now.misses - before.misses,
                 evictions: now.evictions - before.evictions,
             };
@@ -492,15 +488,8 @@ impl Cluster {
             recovery_passes: u64::from(progress.epoch - 1),
             ..RecoveryReport::default()
         };
-        for a in &absorbed {
-            recovery.transient_faults += a.transient_faults;
-            recovery.timeouts += a.timeouts;
-            recovery.retries += a.retries;
-            recovery.backoff_virtual += a.backoff_virtual;
-            recovery.timeout_wait_virtual += a.timeout_wait_virtual;
-            recovery.slow_penalty_virtual += a.slow_penalty_virtual;
-            recovery.failovers += a.failovers;
-            recovery.failover_reads += a.failover_reads;
+        for &a in &absorbed {
+            recovery += a;
         }
         if let Some(plan) = &self.fault_plan {
             // Distinct shards the plan held dark during any epoch this
@@ -560,7 +549,8 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::pool::SchedulerKind;
-    use benu_fault::RetryPolicy;
+    use crate::transport::FetchError;
+    use benu_fault::{FaultKind, RetryPolicy};
     use benu_graph::{gen, VertexId};
     use benu_pattern::queries;
     use benu_plan::PlanBuilder;
@@ -653,7 +643,7 @@ mod tests {
         // Cold plan: Chung-Lu prior (no observation yet). Must be
         // uncompressed so every enumeration level records a slot.
         let cold = PlanBuilder::new(&pattern)
-            .chung_lu(prior.clone())
+            .estimator(prior.clone())
             .best_plan();
         let expected = benu_engine::count_embeddings(&cold, &g);
         let outcome = cluster.run(&cold).unwrap();
@@ -666,9 +656,7 @@ mod tests {
         // Warm plan: re-planned from the observed cardinalities.
         let replan = || {
             let est = benu_plan::FeedbackEstimator::new(prior.clone(), &cold, &outcome.metrics.obs);
-            PlanBuilder::new(&pattern)
-                .observed_feedback(est)
-                .best_plan()
+            PlanBuilder::new(&pattern).estimator(est).best_plan()
         };
         let warm = replan();
         warm.validate().unwrap();
@@ -967,8 +955,8 @@ mod tests {
     /// Store damage applied through [`Resident::corrupt`] (while the task
     /// list still names the vertex) must surface structured errors —
     /// never a panic, never a silent undercount — under both schedulers:
-    /// a dropped vertex as `MissingVertex`, rotten bytes (on every
-    /// replica) as `CorruptValue`.
+    /// a dropped vertex as [`FetchError::Missing`], rotten bytes (on
+    /// every replica) as [`FetchError::Corrupt`], both naming the task.
     #[test]
     fn store_corruption_is_structured_across_schedulers() {
         let g = gen::barabasi_albert(80, 3, 13);
@@ -988,24 +976,29 @@ mod tests {
             };
             let mut missing = cluster();
             missing
-                .resident_mut()
+                .resident
                 .corrupt(|store| assert!(store.remove_vertex(damaged)));
-            match missing.run(&plan) {
-                Err(WorkerError::MissingVertex { vertex, .. }) => {
+            let failure = missing.run(&plan).expect_err("a vertex is gone");
+            match failure.cause {
+                Cause::Fetch(FetchError::Missing { vertex, shard }) => {
                     assert_eq!(vertex, damaged, "{kind}: wrong vertex blamed");
+                    assert_eq!(shard, missing.resident.store().shard_of(damaged));
                 }
-                other => panic!("{kind}: expected MissingVertex, got {other:?}"),
+                other => panic!("{kind}: expected Missing, got {other:?}"),
             }
+            assert!(failure.task.is_some() && failure.name() == "corrupt_value");
             let mut rotten = cluster();
             rotten
-                .resident_mut()
+                .resident
                 .corrupt(|store| assert!(store.corrupt_value(damaged)));
-            match rotten.run(&plan) {
-                Err(WorkerError::CorruptValue { error, .. }) => {
+            let failure = rotten.run(&plan).expect_err("a value is rotten");
+            match failure.cause {
+                Cause::Fetch(FetchError::Corrupt(error)) => {
                     assert_eq!(error.vertex, damaged, "{kind}: wrong vertex blamed");
                 }
-                other => panic!("{kind}: expected CorruptValue, got {other:?}"),
+                other => panic!("{kind}: expected Corrupt, got {other:?}"),
             }
+            assert!(failure.task.is_some() && failure.name() == "corrupt_value");
         }
     }
 
@@ -1287,10 +1280,12 @@ mod tests {
                 .build(),
         );
         cluster.set_fault_plan(Some(FaultPlan::builder(0).transient_rate(0.9).build()));
-        match cluster.run(&query) {
-            Err(WorkerError::StoreUnavailable { error, task, .. }) => {
+        let failure = cluster.run(&query).expect_err("rate 0.9 with 2 attempts");
+        match failure.cause {
+            Cause::Fetch(FetchError::Unavailable(error)) => {
                 assert_eq!(error.attempts, 2);
-                assert!(task.is_some(), "failure happened inside a task");
+                assert_eq!(failure.name(), "retry_exhausted");
+                assert!(failure.task.is_some(), "failure happened inside a task");
             }
             other => panic!("rate 0.9 with 2 attempts must exhaust, got {other:?}"),
         }
@@ -1349,9 +1344,14 @@ mod tests {
             1,
             Some(FaultPlan::builder(0).shard_outage(0, 1).build()),
         );
-        match cluster.run(&query) {
-            Err(WorkerError::StoreUnavailable { error, .. }) => {
+        let failure = cluster
+            .run(&query)
+            .expect_err("single-copy store under outage");
+        match failure.cause {
+            Cause::Fetch(FetchError::Unavailable(error)) => {
                 assert_eq!(error.attempts, 1, "outages must not burn the retry budget");
+                assert_eq!(error.kind, FaultKind::Outage);
+                assert_eq!(failure.dark_shard(), Some(0));
             }
             other => panic!("single-copy store under outage must abort, got {other:?}"),
         }
@@ -1373,8 +1373,8 @@ mod tests {
                     .build(),
             ),
         );
-        match cluster.run(&query) {
-            Err(WorkerError::StoreUnavailable { error, .. }) => {
+        match cluster.run(&query).map_err(|failure| failure.cause) {
+            Err(Cause::Fetch(FetchError::Unavailable(error))) => {
                 assert_eq!(error.attempts, 1);
             }
             other => panic!("total placement-group loss must abort, got {other:?}"),
@@ -1492,11 +1492,11 @@ mod tests {
                 .build(),
         );
         cluster.set_fault_plan(Some(FaultPlan::builder(0).crash(0, 1).crash(1, 1).build()));
-        match cluster.run(&query) {
-            Err(WorkerError::ClusterLost { outstanding }) => {
-                assert!(outstanding > 0, "lost tasks must be reported");
+        match cluster.run(&query).map_err(|failure| failure.cause) {
+            Err(Cause::NoSurvivor { outstanding }) => {
+                assert!(outstanding > 0, "lost chunks must be reported");
             }
-            other => panic!("expected ClusterLost, got {other:?}"),
+            other => panic!("expected NoSurvivor, got {other:?}"),
         }
     }
 }

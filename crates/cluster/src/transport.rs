@@ -55,11 +55,18 @@ impl std::error::Error for TransportError {}
 /// — permanent, since every replica mirrors the same value, so it is
 /// never retried; [`FetchError::Missing`] means the store holds no
 /// value for the vertex at all (only the cache-fronted fetches report
-/// it — the raw [`Transport::fetch`] answers `Ok(None)`).
+/// it — the raw [`Transport::fetch`] answers `Ok(None)`). Every variant
+/// names the vertex and the shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FetchError {
-    /// The vertex does not exist in the store (permanent).
-    Missing(VertexId),
+    /// The vertex does not exist in the store (permanent) — the data
+    /// graph and the task list disagree.
+    Missing {
+        /// The unknown vertex.
+        vertex: VertexId,
+        /// The primary shard that would own it.
+        shard: usize,
+    },
     /// The shard kept refusing for longer than the retry policy allows.
     Unavailable(TransportError),
     /// The stored value decoded to garbage (see
@@ -70,7 +77,9 @@ pub enum FetchError {
 impl std::fmt::Display for FetchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FetchError::Missing(v) => write!(f, "vertex {v} missing from the store"),
+            FetchError::Missing { vertex, shard } => {
+                write!(f, "vertex {vertex} missing from shard {shard}")
+            }
             FetchError::Unavailable(err) => err.fmt(f),
             FetchError::Corrupt(err) => err.fmt(f),
         }
@@ -113,6 +122,13 @@ impl Transport {
     /// The attached store.
     pub fn store(&self) -> &KvStore {
         &self.store
+    }
+
+    fn missing(&self, vertex: VertexId) -> FetchError {
+        FetchError::Missing {
+            vertex,
+            shard: self.store.shard_of(vertex),
+        }
     }
 
     /// Fetches one adjacency set (one round trip) from the `replica`-th
@@ -164,7 +180,7 @@ impl Transport {
         v: VertexId,
         replica: usize,
     ) -> Result<Arc<AdjSet>, FetchError> {
-        cache.get_or_fetch(v, || self.fetch(v, replica)?.ok_or(FetchError::Missing(v)))
+        cache.get_or_fetch(v, || self.fetch(v, replica)?.ok_or_else(|| self.missing(v)))
     }
 
     /// The adjacency sets of `vs`, in order, through `cache`: every key
@@ -225,7 +241,7 @@ impl Transport {
             }
         }
         match first_missing {
-            Some(v) => Err(FetchError::Missing(v)),
+            Some(v) => Err(self.missing(v)),
             None => Ok(out),
         }
     }
@@ -296,7 +312,8 @@ mod tests {
         assert_eq!(t.fetch_through(&cache, 0, 0).unwrap().len(), 2);
         assert_eq!(t.fetch_through(&cache, 0, 0).unwrap().len(), 2);
         assert_eq!(t.requests(), 1, "the second lookup is a cache hit");
-        assert_eq!(t.fetch_through(&cache, 99, 0), Err(FetchError::Missing(99)));
+        let missing = |vertex, shard| FetchError::Missing { vertex, shard };
+        assert_eq!(t.fetch_through(&cache, 99, 0).unwrap_err(), missing(99, 1));
         assert!(!cache.contains(99), "nothing is cached on error");
 
         // A batch probes every key, fetches only the misses, and keeps
@@ -306,9 +323,10 @@ mod tests {
         assert_eq!(sets.len(), 3);
         assert_eq!(t.requests() - before, 2, "1 and 2 sit on different shards");
         assert_eq!(
-            t.fetch_many_through(&cache, &[3, 77, 4, 55], |_| 0),
-            Err(FetchError::Missing(77)),
-            "the first unknown vertex in key order is named"
+            t.fetch_many_through(&cache, &[3, 77, 4, 55], |_| 0)
+                .unwrap_err(),
+            missing(77, 1),
+            "the first unknown vertex in key order is named, with its shard"
         );
         assert!(cache.contains(3) && cache.contains(4));
     }

@@ -1,4 +1,4 @@
-//! The lane source, the lane executor and the batch run's error type.
+//! The lane source and the lane executor.
 //!
 //! Algorithm 2 has one worker body: pull local search tasks, run the
 //! plan against the cache-fronted store, report. [`LaneSource`] is that
@@ -6,224 +6,22 @@
 //! order — and [`LaneExecutor`] its engine half — one engine bound to
 //! one [`DataSource`], running slices of tasks in the configured
 //! [`ExecMode`], and the one place an engine panic is caught. The loop
-//! around the pair is [`crate::pool::lane_loop`], for every runtime.
-//!
-//! Failures are structured — a vertex missing from the store, a store
-//! shard that outlasts the retry policy, or a panicking task aborts a
-//! batch run with a [`WorkerError`] carrying the task, shard and attempt
-//! context instead of poisoning a thread join. Injected worker crashes
-//! are *not* errors: the pool hands the dead machine's chunks to the
-//! survivors.
+//! around the pair is [`crate::pool::lane_loop`], for every runtime,
+//! and it is there that what either half could not absorb — a parked
+//! [`FetchError`], a panicking engine — becomes a [`crate::Failure`].
 
 use crate::config::ExecMode;
 use crate::gate::FaultGate;
-use crate::transport::{FetchError, Transport, TransportError};
+use crate::transport::{FetchError, Transport};
 use benu_cache::{CacheStats, DbCache};
 use benu_engine::{
     CollectingConsumer, CompiledPlan, CountingConsumer, DataSource, FrontierEngine, FrontierStats,
     LocalEngine, MatchConsumer, MatchSet, MemoryBudget, PoolStats, SearchTask, TaskMetrics,
 };
 use benu_graph::{AdjSet, TotalOrder, VertexId};
-use benu_kvstore::{CorruptValue, KvStore};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Renders the task context of an error: `task v3`, `task v3[2/5]`, or
-/// `no task` for failures outside task execution.
-struct TaskLabel(Option<SearchTask>);
-
-impl std::fmt::Display for TaskLabel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            Some(t) => {
-                write!(f, "task v{}", t.start)?;
-                if let Some(split) = t.split {
-                    write!(f, "[{}/{}]", split.index + 1, split.total)?;
-                }
-                Ok(())
-            }
-            None => f.write_str("no task"),
-        }
-    }
-}
-
-/// Why a cluster run aborted. Every variant names the worker; task-level
-/// failures additionally carry the task being executed, the shard
-/// involved and the execution attempt (the run's crash epoch: 1, +1 per
-/// machine whose chunks went back to the survivors), so a one-line log
-/// message localises the failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WorkerError {
-    /// A task queried a vertex the store does not hold — the data graph
-    /// and the task list disagree (corrupted load or bad task input).
-    MissingVertex {
-        /// The worker that issued the query.
-        worker: usize,
-        /// The unknown vertex.
-        vertex: VertexId,
-        /// The shard that would own the vertex.
-        shard: usize,
-        /// The task being executed, if the failure happened inside one.
-        task: Option<SearchTask>,
-        /// The execution attempt (1-based; >1 means after a crash).
-        attempt: u32,
-    },
-    /// A store request failed past every recovery the configuration
-    /// offers: transient faults outlasted the retry policy, or a
-    /// persistent shard outage darkened *every* replica of a placement
-    /// group. With `replication >= 2` a whole-shard outage is absorbed
-    /// by ring failover and never reaches this error — only total data
-    /// loss (all `R` copies dark) aborts the run.
-    StoreUnavailable {
-        /// The worker that gave up.
-        worker: usize,
-        /// The exhausted request.
-        error: TransportError,
-        /// The task being executed, if the failure happened inside one.
-        task: Option<SearchTask>,
-        /// The execution attempt (1-based).
-        attempt: u32,
-    },
-    /// A stored adjacency value failed to decode — the shard's data is
-    /// rotten. Every replica mirrors the same bytes, so neither retries
-    /// nor ring failover can recover; the run aborts like any other
-    /// unrecoverable store fault, with the codec error as context.
-    CorruptValue {
-        /// The worker whose fetch hit the rotten value.
-        worker: usize,
-        /// The decode failure, naming vertex, shard and codec error.
-        error: CorruptValue,
-        /// The task being executed, if the failure happened inside one.
-        task: Option<SearchTask>,
-        /// The execution attempt (1-based).
-        attempt: u32,
-    },
-    /// A task panicked inside the engine.
-    TaskPanicked {
-        /// The worker executing the task.
-        worker: usize,
-        /// The panicking task.
-        task: SearchTask,
-        /// The execution attempt (1-based).
-        attempt: u32,
-    },
-    /// A worker thread died outside of task execution.
-    ThreadPanicked {
-        /// The worker whose thread died.
-        worker: usize,
-    },
-    /// Every worker crashed with work still queued — nothing is left to
-    /// re-execute it on.
-    ClusterLost {
-        /// Tasks that were awaiting re-execution.
-        outstanding: usize,
-    },
-}
-
-impl WorkerError {
-    /// The error for a lane access of `worker` that failed while `task`
-    /// (under hybrid execution: the batch `task` heads — a batch shares
-    /// its store traffic, so a finer attribution does not exist) ran as
-    /// execution `attempt`.
-    pub(crate) fn from_fetch(
-        error: FetchError,
-        store: &KvStore,
-        worker: usize,
-        task: SearchTask,
-        attempt: u32,
-    ) -> Self {
-        let task = Some(task);
-        match error {
-            FetchError::Missing(vertex) => WorkerError::MissingVertex {
-                worker,
-                vertex,
-                shard: store.shard_of(vertex),
-                task,
-                attempt,
-            },
-            FetchError::Unavailable(error) => WorkerError::StoreUnavailable {
-                worker,
-                error,
-                task,
-                attempt,
-            },
-            FetchError::Corrupt(error) => WorkerError::CorruptValue {
-                worker,
-                error,
-                task,
-                attempt,
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for WorkerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkerError::MissingVertex {
-                worker,
-                vertex,
-                shard,
-                task,
-                attempt,
-            } => {
-                write!(
-                    f,
-                    "worker {worker}: vertex {vertex} missing from the store \
-                     (shard {shard}, {}, attempt {attempt})",
-                    TaskLabel(*task)
-                )
-            }
-            WorkerError::StoreUnavailable {
-                worker,
-                error,
-                task,
-                attempt,
-            } => {
-                write!(
-                    f,
-                    "worker {worker}: {error} ({}, attempt {attempt})",
-                    TaskLabel(*task)
-                )
-            }
-            WorkerError::CorruptValue {
-                worker,
-                error,
-                task,
-                attempt,
-            } => {
-                write!(
-                    f,
-                    "worker {worker}: {error} ({}, attempt {attempt})",
-                    TaskLabel(*task)
-                )
-            }
-            WorkerError::TaskPanicked {
-                worker,
-                task,
-                attempt,
-            } => {
-                write!(
-                    f,
-                    "worker {worker}: {} panicked (attempt {attempt})",
-                    TaskLabel(Some(*task))
-                )
-            }
-            WorkerError::ThreadPanicked { worker } => {
-                write!(f, "worker {worker}: thread panicked outside task execution")
-            }
-            WorkerError::ClusterLost { outstanding } => {
-                write!(
-                    f,
-                    "every worker crashed with {outstanding} tasks outstanding"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for WorkerError {}
 
 /// The engine's view of the data graph from inside one execution lane:
 /// the fault gate's verdict first (when a fault plan is installed), then
@@ -303,13 +101,8 @@ impl DataSource for LaneSource<'_> {
     }
 }
 
-/// A task that panicked inside the engine (under hybrid execution: the
-/// head of the panicking batch).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskPanicked(pub SearchTask);
-
-/// What a [`LaneExecutor`]'s engine accumulated over its lifetime.
-#[derive(Default)]
+/// What a [`LaneExecutor`]'s engine counted over its lifetime.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LaneStats {
     /// The engine's private triangle-cache counters.
     pub triangle_cache: CacheStats,
@@ -321,9 +114,15 @@ pub struct LaneStats {
     pub pool: PoolStats,
     /// Frontier counters (all zero under [`ExecMode::Dfs`]).
     pub frontier: FrontierStats,
-    /// Every collected embedding, sorted, when the executor was
-    /// collecting.
-    pub matches: Option<MatchSet>,
+}
+
+impl std::ops::AddAssign for LaneStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.triangle_cache += rhs.triangle_cache;
+        self.db_cache_hits += rhs.db_cache_hits;
+        self.pool += rhs.pool;
+        self.frontier += rhs.frontier;
+    }
 }
 
 enum LaneEngine<'a, S: DataSource + ?Sized> {
@@ -389,10 +188,11 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     ///
     /// # Errors
     ///
-    /// [`TaskPanicked`] when the engine panicked; the executor must not
-    /// run again afterwards ([`LaneExecutor::finish`] still reports what
-    /// it counted).
-    pub fn run(&mut self, tasks: &[SearchTask]) -> Result<(TaskMetrics, Duration), TaskPanicked> {
+    /// The task the engine panicked on (under hybrid execution: the head
+    /// of the panicking batch); the executor must not run again
+    /// afterwards ([`LaneExecutor::finish`] still reports what it
+    /// counted).
+    pub fn run(&mut self, tasks: &[SearchTask]) -> Result<(TaskMetrics, Duration), SearchTask> {
         let consumer: &mut dyn MatchConsumer = match &mut self.collecting {
             Some(collecting) => collecting,
             None => &mut self.counting,
@@ -413,7 +213,7 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
         let penalty = FaultGate::take_task_penalty();
         match run {
             Ok(metrics) => Ok((metrics, penalty)),
-            Err(_) => Err(TaskPanicked(tasks[at])),
+            Err(_) => Err(tasks[at]),
         }
     }
 
@@ -427,41 +227,41 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
             .unwrap_or_default()
     }
 
-    /// Consumes the executor, returning its engine's counters and the
-    /// collected matches — sorted here, on the lane's own thread, so
-    /// sibling lanes sort in parallel and whoever gathers them only
-    /// merges.
-    pub fn finish(self) -> LaneStats {
+    /// Consumes the executor, returning its engine's counters and, when
+    /// it was collecting, every embedding not yet taken — sorted here, on
+    /// the lane's own thread, so sibling lanes sort in parallel and
+    /// whoever gathers them only merges.
+    pub fn finish(self) -> (LaneStats, Option<MatchSet>) {
         let matches = self.collecting.map(|collecting| {
             let mut matches = collecting.into_matches();
             matches.sort();
             matches
         });
-        match self.engine {
+        let stats = match self.engine {
             LaneEngine::Dfs(engine) => LaneStats {
                 triangle_cache: engine.triangle_cache_stats(),
                 db_cache_hits: engine.adj_table_hits(),
                 pool: engine.pool_stats(),
                 frontier: FrontierStats::default(),
-                matches,
             },
             LaneEngine::Hybrid(frontier) => LaneStats {
                 triangle_cache: frontier.triangle_cache_stats(),
                 db_cache_hits: frontier.adj_table_hits(),
                 pool: frontier.pool_stats(),
                 frontier: frontier.stats(),
-                matches,
             },
-        }
+        };
+        (stats, matches)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use benu_engine::SplitSpec;
+    use crate::transport::TransportError;
     use benu_fault::{FaultKind, FaultPlan, RetryPolicy};
     use benu_graph::gen;
+    use benu_kvstore::KvStore;
 
     fn harness(shards: usize) -> (Transport, DbCache) {
         let g = gen::complete(5);
@@ -482,33 +282,18 @@ mod tests {
         let source = LaneSource::new(&transport, &cache, None);
         assert!(source.get_adj(0).len() == 4 && source.error().is_none());
         assert!(source.get_adj(99).is_empty());
-        assert_eq!(source.error(), Some(FetchError::Missing(99)));
+        let missing = FetchError::Missing {
+            vertex: 99,
+            shard: 1,
+        };
+        assert_eq!(source.error(), Some(missing));
         // First error wins; later accesses still serve.
         assert!(source
             .get_adj_batch(&[1, 77])
             .iter()
             .all(|adj| adj.is_empty()));
         assert_eq!(source.get_adj(1).len(), 4);
-        assert_eq!(source.error(), Some(FetchError::Missing(99)));
-    }
-
-    #[test]
-    fn fetch_errors_carry_worker_task_and_attempt_context() {
-        let (transport, _) = harness(2);
-        let task = SearchTask {
-            start: 3,
-            split: Some(SplitSpec { index: 1, total: 5 }),
-        };
-        assert_eq!(
-            WorkerError::from_fetch(FetchError::Missing(99), transport.store(), 3, task, 2),
-            WorkerError::MissingVertex {
-                worker: 3,
-                vertex: 99,
-                shard: 1,
-                task: Some(task),
-                attempt: 2,
-            }
-        );
+        assert_eq!(source.error(), Some(missing));
     }
 
     #[test]
@@ -599,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_gate_parks_unavailable_and_maps_with_context() {
+    fn exhausted_gate_parks_unavailable() {
         let store = Arc::new(KvStore::from_graph(&gen::complete(5), 1));
         let gate = gate(
             &store,
@@ -623,76 +408,7 @@ mod tests {
         };
         assert_eq!(source.error(), Some(FetchError::Unavailable(error)));
         assert!(error.to_string().contains("after 2 attempts"));
-        let task = SearchTask::whole(4);
-        assert_eq!(
-            WorkerError::from_fetch(source.error().unwrap(), &store, 1, task, 1),
-            WorkerError::StoreUnavailable {
-                worker: 1,
-                error,
-                task: Some(task),
-                attempt: 1,
-            }
-        );
         let _ = FaultGate::take_task_penalty();
-    }
-
-    #[test]
-    fn worker_error_displays_context() {
-        let e = WorkerError::MissingVertex {
-            worker: 2,
-            vertex: 7,
-            shard: 1,
-            task: Some(SearchTask::whole(7)),
-            attempt: 1,
-        };
-        assert_eq!(
-            e.to_string(),
-            "worker 2: vertex 7 missing from the store (shard 1, task v7, attempt 1)"
-        );
-        let e = WorkerError::TaskPanicked {
-            worker: 0,
-            task: SearchTask {
-                start: 3,
-                split: Some(SplitSpec { index: 1, total: 5 }),
-            },
-            attempt: 2,
-        };
-        assert_eq!(e.to_string(), "worker 0: task v3[2/5] panicked (attempt 2)");
-        let e = WorkerError::StoreUnavailable {
-            worker: 4,
-            error: TransportError {
-                shard: 3,
-                vertex: 9,
-                attempts: 8,
-                kind: FaultKind::Timeout,
-            },
-            task: None,
-            attempt: 1,
-        };
-        assert_eq!(
-            e.to_string(),
-            "worker 4: shard 3 unavailable for vertex 9 after 8 attempts (no task, attempt 1)"
-        );
-        let e = WorkerError::CorruptValue {
-            worker: 1,
-            error: CorruptValue {
-                vertex: 5,
-                shard: 2,
-                error: benu_kvstore::CodecError::Truncated,
-            },
-            task: Some(SearchTask::whole(5)),
-            attempt: 1,
-        };
-        assert_eq!(
-            e.to_string(),
-            "worker 1: corrupt value for vertex 5 on shard 2: truncated payload \
-             (task v5, attempt 1)"
-        );
-        let e = WorkerError::ClusterLost { outstanding: 12 };
-        assert_eq!(
-            e.to_string(),
-            "every worker crashed with 12 tasks outstanding"
-        );
     }
 
     #[test]
@@ -716,18 +432,8 @@ mod tests {
         assert!(gated.get_adj_batch(&[0, 3])[1].is_empty());
         assert_eq!(gated.error(), Some(err));
         assert_eq!(gate.absorbed().retries, 0);
-        // Healthy keys still serve, and the mapping keeps the context.
+        // Healthy keys still serve.
         assert_eq!(gated.get_adj(0).len(), 2);
-        let task = SearchTask::whole(2);
-        match WorkerError::from_fetch(err, &store, 4, task, 1) {
-            WorkerError::CorruptValue {
-                worker: 4,
-                error,
-                task: Some(named),
-                attempt: 1,
-            } => assert_eq!((error.vertex, named), (3, task)),
-            other => panic!("expected CorruptValue, got {other:?}"),
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use benu_cluster::pool::{
 };
 use benu_cluster::transport::Transport;
 use benu_cluster::{Cluster, ClusterConfig, DataPath, FaultPlan, Resident};
-use benu_engine::{CompiledPlan, SearchTask};
+use benu_engine::{CompiledPlan, MatchSet, SearchTask};
 use benu_graph::{gen, VertexId};
 use benu_pattern::queries;
 use benu_plan::PlanBuilder;
@@ -101,7 +101,7 @@ impl Job for &Counter {
         self.seen.lock().unwrap().done.push(chunk);
     }
 
-    fn lane_done(&self, machine: usize, part: LanePart) {
+    fn lane_done(&self, machine: usize, part: LanePart, _rows: Option<MatchSet>) {
         let mut seen = self.seen.lock().unwrap();
         if !seen.dead[machine] {
             seen.executed[machine] += part.executed;
@@ -117,8 +117,8 @@ impl Job for &Counter {
         seen.handed_back.push((machine, chunks.to_vec()));
     }
 
-    fn lost(&self, machine: usize, chunks: &[usize]) {
-        panic!("machine {machine} died last holding {chunks:?}");
+    fn lost(&self, chunks: &[usize], failure: benu_cluster::Failure) {
+        panic!("{failure}: {chunks:?}");
     }
 }
 

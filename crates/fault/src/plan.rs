@@ -192,11 +192,6 @@ impl FaultPlan {
         }
     }
 
-    /// The latency multiplier of `shard` (1.0 for healthy shards).
-    pub fn latency_multiplier(&self, shard: usize) -> f64 {
-        self.slow.get(&shard).copied().unwrap_or(1.0)
-    }
-
     /// The full (virtual) wait a timed-out round trip blocks for before
     /// the loss is detected — the deadline a real RPC client would spend.
     /// The transport charges it into busy-time accounting on every
@@ -211,11 +206,6 @@ impl FaultPlan {
         self.crashes.get(&worker).copied()
     }
 
-    /// Number of worker crashes the plan describes.
-    pub fn planned_crashes(&self) -> usize {
-        self.crashes.len()
-    }
-
     /// True if `shard` is dark during `pass` (1-based). Pure plan state —
     /// no clock, no counters — so every thread agrees on a shard's
     /// status for the whole pass.
@@ -224,11 +214,6 @@ impl FaultPlan {
             Some(o) => pass >= o.from_pass && o.until_pass.is_none_or(|until| pass < until),
             None => false,
         }
-    }
-
-    /// Number of shard outages the plan describes.
-    pub fn planned_outages(&self) -> usize {
-        self.outages.len()
     }
 
     /// Derives a plan whose *per-request* decision stream (transient
@@ -514,8 +499,6 @@ mod tests {
             .build();
         assert_eq!(plan.latency_penalty(2), Duration::from_micros(400));
         assert_eq!(plan.latency_penalty(0), Duration::ZERO);
-        assert_eq!(plan.latency_multiplier(2), 5.0);
-        assert_eq!(plan.latency_multiplier(1), 1.0);
     }
 
     #[test]
@@ -525,7 +508,7 @@ mod tests {
                 .random_slow_shards(3, 16, 8.0)
                 .build();
             let mut slow: Vec<usize> = (0..16)
-                .filter(|&s| plan.latency_multiplier(s) > 1.0)
+                .filter(|&s| plan.latency_penalty(s) > Duration::ZERO)
                 .collect();
             slow.sort_unstable();
             slow
@@ -552,7 +535,6 @@ mod tests {
         let plan = FaultPlan::builder(0).crash(2, 10).build();
         assert_eq!(plan.crash_after(2), Some(10));
         assert_eq!(plan.crash_after(0), None);
-        assert_eq!(plan.planned_crashes(), 1);
         assert!(plan.has_faults());
     }
 
@@ -572,7 +554,6 @@ mod tests {
         assert!(!plan.outage_at(0, 3));
         // Untouched shards are always healthy.
         assert!(!plan.outage_at(1, 1));
-        assert_eq!(plan.planned_outages(), 2);
         assert_eq!(plan.outage_shards(), vec![0, 2]);
         assert!(plan.has_faults());
     }
@@ -604,7 +585,7 @@ mod tests {
         // Structural faults are shared across scopes.
         for p in [&a, &b] {
             assert!(p.outage_at(1, 1));
-            assert_eq!(p.latency_multiplier(2), 4.0);
+            assert_eq!(p.latency_penalty(2), plan.latency_penalty(2));
             assert_eq!(p.crash_after(0), Some(5));
             assert_eq!(p.fault_rate(), plan.fault_rate());
         }

@@ -247,42 +247,6 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
     b.build()
 }
 
-/// R-MAT (recursive matrix) generator — the classic Graph500-style
-/// power-law generator: each edge recursively descends into one of four
-/// adjacency-matrix quadrants with probabilities `(a, b, c, d)`.
-/// Self-loops and duplicates are dropped, so the edge count is
-/// approximate.
-pub fn rmat(scale_log2: u32, edges: usize, probs: (f64, f64, f64, f64), seed: u64) -> Graph {
-    let (a, b, c, d) = probs;
-    assert!(
-        (a + b + c + d - 1.0).abs() < 1e-9,
-        "quadrant probabilities must sum to 1"
-    );
-    let n = 1usize << scale_log2;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new();
-    builder.reserve_vertices(n);
-    for _ in 0..edges {
-        let (mut u, mut v) = (0usize, 0usize);
-        for _ in 0..scale_log2 {
-            let x: f64 = rng.gen();
-            let (du, dv) = if x < a {
-                (0, 0)
-            } else if x < a + b {
-                (0, 1)
-            } else if x < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
-        }
-        builder.add_edge(u as VertexId, v as VertexId);
-    }
-    builder.build()
-}
-
 /// Uniformly random *connected* simple graph on `n` vertices: a random
 /// spanning tree plus `extra` random additional edges. Used by Exp-1's
 /// "random pattern graphs" workload.
@@ -385,25 +349,6 @@ mod tests {
         let g = grid(3, 4);
         assert_eq!(g.num_vertices(), 12);
         assert_eq!(g.num_edges(), 3 * 3 + 2 * 4);
-    }
-
-    #[test]
-    fn rmat_is_skewed_and_deterministic() {
-        let g1 = rmat(10, 4000, (0.57, 0.19, 0.19, 0.05), 3);
-        let g2 = rmat(10, 4000, (0.57, 0.19, 0.19, 0.05), 3);
-        assert_eq!(g1, g2);
-        assert_eq!(g1.num_vertices(), 1024);
-        assert!(g1.num_edges() > 2000, "most samples survive dedup");
-        // The (0,0)-biased quadrant concentrates degree on low ids.
-        let low: usize = (0..64u32).map(|v| g1.degree(v)).sum();
-        let high: usize = (960..1024u32).map(|v| g1.degree(v)).sum();
-        assert!(low > high * 4, "low {low} vs high {high}");
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn rmat_rejects_bad_probabilities() {
-        rmat(4, 10, (0.5, 0.5, 0.5, 0.5), 0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::{Graph, GraphBuilder, VertexId};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::path::Path;
 
 /// Errors produced while parsing an edge list.
 #[derive(Debug)]
@@ -81,12 +80,6 @@ pub fn read_edge_list<R: Read>(reader: R, renumber: bool) -> Result<Graph, IoErr
         }
     }
     Ok(builder.build())
-}
-
-/// Reads an edge list from a file path.
-pub fn read_edge_list_file(path: impl AsRef<Path>, renumber: bool) -> Result<Graph, IoError> {
-    let file = std::fs::File::open(path)?;
-    read_edge_list(file, renumber)
 }
 
 /// Writes the graph as a SNAP-style edge list (one `u v` pair per line,

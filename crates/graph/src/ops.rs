@@ -148,42 +148,6 @@ pub fn intersect_many_by<'a>(
     }
 }
 
-/// Sorted-set difference `a \ b` into `out`.
-pub fn difference_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() {
-        if j >= b.len() || a[i] < b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else if a[i] > b[j] {
-            j += 1;
-        } else {
-            i += 1;
-            j += 1;
-        }
-    }
-}
-
-/// Sorted-set union of two slices into `out`.
-pub fn union_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        if j >= b.len() || (i < a.len() && a[i] < b[j]) {
-            out.push(a[i]);
-            i += 1;
-        } else if i >= a.len() || b[j] < a[i] {
-            out.push(b[j]);
-            j += 1;
-        } else {
-            out.push(a[i]);
-            i += 1;
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,23 +305,5 @@ mod tests {
         let sets: Vec<&[u32]> = vec![&a, &b, &c];
         intersect_many_into(&sets, &mut out, &mut scratch);
         assert_eq!(out, vec![4, 6]);
-    }
-
-    #[test]
-    fn difference_basic() {
-        let mut out = Vec::new();
-        difference_into(&[1, 2, 3, 4], &[2, 4, 6], &mut out);
-        assert_eq!(out, vec![1, 3]);
-        difference_into(&[1, 2], &[], &mut out);
-        assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn union_basic() {
-        let mut out = Vec::new();
-        union_into(&[1, 3, 5], &[2, 3, 6], &mut out);
-        assert_eq!(out, vec![1, 2, 3, 5, 6]);
-        union_into(&[], &[7], &mut out);
-        assert_eq!(out, vec![7]);
     }
 }

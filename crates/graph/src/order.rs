@@ -39,57 +39,6 @@ impl TotalOrder {
         }
     }
 
-    /// A degeneracy (k-core) order: vertices are repeatedly removed in
-    /// order of minimum *remaining* degree. An alternative `≺` that ranks
-    /// hub-adjacent low-core vertices early; any total order yields the
-    /// same match counts (symmetry breaking only picks which
-    /// representative match survives), so this is a drop-in tuning knob.
-    pub fn degeneracy(g: &Graph) -> Self {
-        let n = g.num_vertices();
-        let mut degree: Vec<usize> = (0..n).map(|v| g.degree(v as VertexId)).collect();
-        let mut removed = vec![false; n];
-        // Bucket queue over remaining degrees.
-        let max_d = degree.iter().copied().max().unwrap_or(0);
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_d + 1];
-        for v in 0..n {
-            buckets[degree[v]].push(v as u32);
-        }
-        let mut rank = vec![0u32; n];
-        let mut next_rank = 0u32;
-        let mut cursor = 0usize;
-        while next_rank < n as u32 {
-            // Find the lowest non-empty bucket (cursor may need to back
-            // up by one after neighbour updates).
-            while cursor > 0 && !buckets[cursor - 1].is_empty() {
-                cursor -= 1;
-            }
-            while cursor <= max_d && buckets[cursor].is_empty() {
-                cursor += 1;
-            }
-            let Some(&v) = buckets[cursor].last() else {
-                break;
-            };
-            buckets[cursor].pop();
-            if removed[v as usize] || degree[v as usize] != cursor {
-                // Stale entry: the vertex moved buckets.
-                if !removed[v as usize] {
-                    buckets[degree[v as usize]].push(v);
-                }
-                continue;
-            }
-            removed[v as usize] = true;
-            rank[v as usize] = next_rank;
-            next_rank += 1;
-            for &w in g.neighbors(v) {
-                if !removed[w as usize] {
-                    degree[w as usize] -= 1;
-                    buckets[degree[w as usize]].push(w);
-                }
-            }
-        }
-        TotalOrder { rank }
-    }
-
     /// The rank of `v` under `≺` (0 = smallest).
     #[inline]
     pub fn rank(&self, v: VertexId) -> u32 {
@@ -150,26 +99,6 @@ mod tests {
         assert!(ord.less(0, 3));
         assert!(!ord.less(3, 0));
         assert_eq!(ord.len(), 4);
-    }
-
-    #[test]
-    fn degeneracy_order_is_a_permutation() {
-        let g = crate::gen::barabasi_albert(100, 3, 7);
-        let ord = TotalOrder::degeneracy(&g);
-        let mut ranks: Vec<u32> = (0..100u32).map(|v| ord.rank(v)).collect();
-        ranks.sort_unstable();
-        assert_eq!(ranks, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn degeneracy_removes_leaves_first() {
-        // Star: peeling removes degree-1 leaves until the centre itself
-        // drops to degree 1, so at least 9 of 10 leaves rank before it
-        // (the last leaf ties with the centre; tie order is free).
-        let g = crate::gen::star(10);
-        let ord = TotalOrder::degeneracy(&g);
-        let before = (1..=10u32).filter(|&leaf| ord.less(leaf, 0)).count();
-        assert!(before >= 9, "only {before} leaves before the hub");
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!
 //! Decoding validates structure end to end (tag, truncation, id
 //! overflow, monotonicity), so a corrupt shard value degrades into an
-//! error the worker taxonomy can route, never undefined behaviour.
+//! error the runtime carries to the caller, never undefined behaviour.
 
 use benu_graph::{AdjSet, VertexId, DENSE_BLOCK_THRESHOLD};
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 /// Wire tag of [`CodecKind::RawU32`].
 const TAG_RAW_U32: u8 = 0x01;
@@ -91,7 +91,7 @@ impl std::str::FromStr for CodecKind {
 
 /// Structured decode failure: what exactly is wrong with a value's
 /// bytes. Carried up through the store's `CorruptValue` and from there
-/// into the worker error taxonomy, so a damaged shard degrades like a
+/// into the run's `Failure`, so a damaged shard degrades like a
 /// fault instead of crashing the enumeration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecError {
@@ -132,7 +132,7 @@ pub trait Codec {
     fn kind(&self) -> CodecKind;
 
     /// Appends the tag byte and the encoded payload to `out`.
-    fn encode_into(&self, neighbors: &[VertexId], out: &mut BytesMut);
+    fn encode_into(&self, neighbors: &[VertexId], out: &mut Vec<u8>);
 
     /// Decodes `payload` (the bytes *after* the tag) into `out`
     /// (cleared first), validating structure and monotonicity.
@@ -147,11 +147,10 @@ impl Codec for RawU32 {
         CodecKind::RawU32
     }
 
-    fn encode_into(&self, neighbors: &[VertexId], out: &mut BytesMut) {
-        // (vendored BytesMut has no reserve; growth is amortised)
-        out.put_u8(TAG_RAW_U32);
+    fn encode_into(&self, neighbors: &[VertexId], out: &mut Vec<u8>) {
+        out.push(TAG_RAW_U32);
         for &v in neighbors {
-            out.put_u32_le(v);
+            out.extend_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -178,12 +177,12 @@ impl Codec for RawU32 {
 pub struct DeltaVarint;
 
 /// Appends `v` as an LEB128 varint (1–5 bytes for a `u32`).
-fn put_varint(mut v: u32, out: &mut BytesMut) {
+fn put_varint(mut v: u32, out: &mut Vec<u8>) {
     while v >= 0x80 {
-        out.put_u8((v as u8 & 0x7f) | 0x80);
+        out.push((v as u8 & 0x7f) | 0x80);
         v >>= 7;
     }
-    out.put_u8(v as u8);
+    out.push(v as u8);
 }
 
 /// Reads one LEB128 varint from `payload[*pos..]`, advancing `pos`.
@@ -215,9 +214,8 @@ impl Codec for DeltaVarint {
         CodecKind::DeltaVarint
     }
 
-    fn encode_into(&self, neighbors: &[VertexId], out: &mut BytesMut) {
-        // (vendored BytesMut has no reserve; growth is amortised)
-        out.put_u8(TAG_DELTA_VARINT);
+    fn encode_into(&self, neighbors: &[VertexId], out: &mut Vec<u8>) {
+        out.push(TAG_DELTA_VARINT);
         let mut prev = 0u32;
         for (i, &v) in neighbors.iter().enumerate() {
             debug_assert!(i == 0 || v > prev, "ids not strictly increasing");
@@ -248,13 +246,13 @@ impl Codec for DeltaVarint {
 
 /// Encodes a strictly increasing id run with the given codec, returning
 /// the tagged wire bytes.
-pub fn encode(kind: CodecKind, neighbors: &[VertexId]) -> Bytes {
-    let mut out = BytesMut::new();
+pub fn encode(kind: CodecKind, neighbors: &[VertexId]) -> Arc<[u8]> {
+    let mut out = Vec::new();
     match kind {
         CodecKind::RawU32 => RawU32.encode_into(neighbors, &mut out),
         CodecKind::DeltaVarint => DeltaVarint.encode_into(neighbors, &mut out),
     }
-    out.freeze()
+    out.into()
 }
 
 /// Decodes a tagged value into a caller-owned buffer (cleared first) —
@@ -371,7 +369,7 @@ mod tests {
             Err(CodecError::Truncated)
         );
         // Raw payload out of order / duplicated.
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         RawU32.encode_into(&[5, 5], &mut wire);
         assert_eq!(decode_into(&wire, &mut out), Err(CodecError::NonMonotonic));
         // Delta varint with a dangling continuation bit.
@@ -385,9 +383,9 @@ mod tests {
             Err(CodecError::NonMonotonic)
         );
         // Gap pushing the running id past u32::MAX.
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         DeltaVarint.encode_into(&[u32::MAX - 1, u32::MAX], &mut wire);
-        let mut bytes = wire.to_vec();
+        let mut bytes = wire.clone();
         *bytes.last_mut().expect("gap byte") = 0x03;
         assert_eq!(decode_into(&bytes, &mut out), Err(CodecError::Overflow));
         // A 5-byte varint whose top nibble spills out of u32.

@@ -30,7 +30,6 @@ pub use codec::{Codec, CodecError, CodecKind};
 
 use benu_graph::{AdjSet, Graph, VertexId};
 use benu_obs::{Histogram, Registry};
-use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,8 +37,8 @@ use std::time::Instant;
 
 /// A value whose stored bytes failed to decode: which vertex, which
 /// shard served it, and the structural [`CodecError`]. Surfaced by the
-/// `try_*` read paths so a damaged shard degrades through the worker
-/// error taxonomy instead of crashing the process.
+/// `try_*` read paths so a damaged shard fails the run or the query that
+/// read it (the runtime's `Failure`) instead of crashing the process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CorruptValue {
     /// The vertex whose value is damaged.
@@ -74,7 +73,7 @@ struct ShardStats {
 /// One partition of the key space (the role of one HBase region server).
 #[derive(Debug)]
 struct Shard {
-    values: HashMap<VertexId, Bytes>,
+    values: HashMap<VertexId, Arc<[u8]>>,
     stats: ShardStats,
 }
 
@@ -159,8 +158,8 @@ impl KvStore {
 
     /// Loads the data graph with `replication` copies of every value:
     /// the primary shard plus the next `replication - 1` shards in ring
-    /// order. Values are cheap to mirror ([`Bytes`] is reference
-    /// counted), so memory grows only by the shared-pointer overhead.
+    /// order. Values are cheap to mirror (an `Arc<[u8]>` each), so
+    /// memory grows only by the shared-pointer overhead.
     ///
     /// # Panics
     ///
@@ -346,10 +345,10 @@ impl KvStore {
     /// with garbage bytes (an unknown codec tag), modelling bit rot in
     /// a region file. Subsequent reads of `v` surface a structured
     /// [`CorruptValue`] through the `try_*` paths — the corrupt-shard
-    /// degradation the worker taxonomy routes like a fault. Returns
-    /// true if the vertex was present.
+    /// degradation the runtime routes like a fault. Returns true if the
+    /// vertex was present.
     pub fn corrupt_value(&mut self, v: VertexId) -> bool {
-        let garbage = Bytes::from_static(&[0xff, 0xde, 0xad]);
+        let garbage: Arc<[u8]> = Arc::from([0xff, 0xde, 0xad]);
         let mut corrupted = false;
         for offset in 0..self.replication {
             let s = self.replica_shard(v, offset);
@@ -514,7 +513,7 @@ impl KvStore {
         let raw: usize = self
             .shards
             .iter()
-            .map(|s| s.values.values().map(Bytes::len).sum::<usize>())
+            .map(|s| s.values.values().map(|value| value.len()).sum::<usize>())
             .sum();
         raw / self.replication
     }

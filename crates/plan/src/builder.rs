@@ -12,61 +12,19 @@
 //! assert!(plan.compressed);
 //! ```
 
-use crate::cost::{CardinalityEstimator, ChungLuEstimator, GraphStatsEstimator};
-use crate::feedback::FeedbackEstimator;
-use crate::generate::raw_plan;
+use crate::cost::{CardinalityEstimator, GraphStatsEstimator};
 use crate::ir::ExecutionPlan;
-use crate::optimize::{optimize, OptLevel};
-use crate::search::{best_plan, BestPlanResult};
+use crate::optimize::OptLevel;
+use crate::search::{best_plan, lower, BestPlanResult};
 use crate::vcbc::compress;
 use benu_pattern::{Pattern, PatternVertex, SymmetryBreaking};
-
-/// Which cardinality model calibrates the best-plan search.
-#[derive(Clone, Debug)]
-enum EstimatorChoice {
-    /// Erdős–Rényi model from (N, M) — the paper's default (SEED §5.1).
-    Stats(GraphStatsEstimator),
-    /// Degree-moment Chung-Lu model — better on power-law graphs.
-    ChungLu(ChungLuEstimator),
-    /// Chung-Lu prior corrected by cardinalities observed while executing
-    /// a previous plan for the same pattern.
-    Feedback(FeedbackEstimator),
-}
-
-impl CardinalityEstimator for EstimatorChoice {
-    fn estimate_component(&self, n_vertices: usize, n_edges: usize) -> f64 {
-        match self {
-            EstimatorChoice::Stats(e) => e.estimate_component(n_vertices, n_edges),
-            EstimatorChoice::ChungLu(e) => e.estimate_component(n_vertices, n_edges),
-            EstimatorChoice::Feedback(e) => e.estimate_component(n_vertices, n_edges),
-        }
-    }
-
-    fn estimate_component_degrees(&self, degrees: &[usize], n_edges: usize) -> f64 {
-        match self {
-            EstimatorChoice::Stats(e) => e.estimate_component_degrees(degrees, n_edges),
-            EstimatorChoice::ChungLu(e) => e.estimate_component_degrees(degrees, n_edges),
-            EstimatorChoice::Feedback(e) => e.estimate_component_degrees(degrees, n_edges),
-        }
-    }
-
-    // Forwarded explicitly: the feedback estimator overrides the subset
-    // estimate with directly observed prefix cardinalities, which the
-    // default component-product implementation would lose.
-    fn estimate_pattern_subset(&self, pattern: &Pattern, vertex_mask: u64) -> f64 {
-        match self {
-            EstimatorChoice::Stats(e) => e.estimate_pattern_subset(pattern, vertex_mask),
-            EstimatorChoice::ChungLu(e) => e.estimate_pattern_subset(pattern, vertex_mask),
-            EstimatorChoice::Feedback(e) => e.estimate_pattern_subset(pattern, vertex_mask),
-        }
-    }
-}
+use std::sync::Arc;
 
 /// Fluent builder producing [`ExecutionPlan`]s.
 #[derive(Clone, Debug)]
 pub struct PlanBuilder<'a> {
     pattern: &'a Pattern,
-    estimator: EstimatorChoice,
+    estimator: Arc<dyn CardinalityEstimator>,
     level: OptLevel,
     compressed: bool,
     symmetry: Option<SymmetryBreaking>,
@@ -88,7 +46,7 @@ impl<'a> PlanBuilder<'a> {
         assert!(pattern.is_connected(), "pattern must be connected");
         PlanBuilder {
             pattern,
-            estimator: EstimatorChoice::Stats(GraphStatsEstimator::generic()),
+            estimator: Arc::new(GraphStatsEstimator::generic()),
             level: OptLevel::Opt3,
             compressed: false,
             symmetry: None,
@@ -97,31 +55,17 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Calibrates the cost model with the data graph's `N` and `M`
-    /// (the paper's Erdős–Rényi model).
-    pub fn graph_stats(mut self, num_vertices: usize, num_edges: usize) -> Self {
-        self.estimator = EstimatorChoice::Stats(GraphStatsEstimator::new(num_vertices, num_edges));
-        self
+    /// (the paper's Erdős–Rényi model, [`GraphStatsEstimator`]).
+    pub fn graph_stats(self, num_vertices: usize, num_edges: usize) -> Self {
+        self.estimator(GraphStatsEstimator::new(num_vertices, num_edges))
     }
 
-    /// Calibrates the cost model with the data graph's degree moments
-    /// (the Chung-Lu model — usually a better fit for power-law graphs).
-    pub fn degree_moments(mut self, g: &benu_graph::Graph) -> Self {
-        self.estimator = EstimatorChoice::ChungLu(ChungLuEstimator::from_graph(g));
-        self
-    }
-
-    /// Calibrates the cost model with a pre-built Chung-Lu estimator, for
-    /// callers holding a degree histogram rather than the graph itself.
-    pub fn chung_lu(mut self, est: ChungLuEstimator) -> Self {
-        self.estimator = EstimatorChoice::ChungLu(est);
-        self
-    }
-
-    /// Calibrates the cost model with a feedback estimator built from a
-    /// previous execution's observed per-instruction cardinalities (see
-    /// [`crate::feedback`]).
-    pub fn observed_feedback(mut self, est: FeedbackEstimator) -> Self {
-        self.estimator = EstimatorChoice::Feedback(est);
+    /// Calibrates the cost model with any [`CardinalityEstimator`]: the
+    /// degree-moment [`crate::ChungLuEstimator`] (usually a better fit
+    /// for power-law graphs), or a [`crate::FeedbackEstimator`] built
+    /// from a previous execution's observed cardinalities.
+    pub fn estimator(mut self, estimator: impl CardinalityEstimator + 'static) -> Self {
+        self.estimator = Arc::new(estimator);
         self
     }
 
@@ -159,6 +103,14 @@ impl<'a> PlanBuilder<'a> {
             .unwrap_or_else(|| SymmetryBreaking::compute(self.pattern))
     }
 
+    /// Compression, when it was asked for.
+    fn finish(&self, mut plan: ExecutionPlan) -> ExecutionPlan {
+        if self.compressed {
+            compress(&mut plan);
+        }
+        plan
+    }
+
     /// Builds a plan for the forced matching order (or the natural order
     /// `0..n` when none was given), applying the selected optimizations
     /// and compression.
@@ -167,13 +119,8 @@ impl<'a> PlanBuilder<'a> {
             .order
             .clone()
             .unwrap_or_else(|| (0..self.pattern.num_vertices()).collect());
-        let sb = self.symmetry_or_default();
-        let mut plan = raw_plan(self.pattern, &order, &sb);
-        optimize(&mut plan, self.level);
-        if self.compressed {
-            compress(&mut plan);
-        }
-        plan
+        let symmetry = self.symmetry_or_default();
+        self.finish(lower(self.pattern, &order, &symmetry, self.level))
     }
 
     /// Runs the best-plan search (Algorithm 3) and returns the winning
@@ -186,11 +133,7 @@ impl<'a> PlanBuilder<'a> {
         if self.order.is_some() {
             return self.build();
         }
-        let mut result = self.best_plan_result();
-        if self.compressed {
-            compress(&mut result.plan);
-        }
-        result.plan
+        self.finish(self.best_plan_result().plan)
     }
 
     /// Runs the best-plan search and returns the full result with cost
@@ -198,17 +141,8 @@ impl<'a> PlanBuilder<'a> {
     /// Always uncompressed; apply [`crate::vcbc::compress`] afterwards if
     /// needed.
     pub fn best_plan_result(&self) -> BestPlanResult {
-        let mut result = best_plan(self.pattern, &self.estimator);
-        if self.symmetry.is_some() || self.level != OptLevel::Opt3 {
-            // Re-derive the plan under the overridden symmetry / level
-            // with the winning order.
-            let order = result.plan.matching_order.clone();
-            let sb = self.symmetry_or_default();
-            let mut plan = raw_plan(self.pattern, &order, &sb);
-            optimize(&mut plan, self.level);
-            result.plan = plan;
-        }
-        result
+        let symmetry = self.symmetry_or_default();
+        best_plan(self.pattern, &*self.estimator, &symmetry, self.level)
     }
 }
 
@@ -250,9 +184,67 @@ mod tests {
     #[test]
     fn degree_moment_calibration_produces_valid_plans() {
         let g = benu_graph::gen::barabasi_albert(200, 4, 11);
+        let moments = crate::ChungLuEstimator::from_graph(&g);
         for (name, p) in queries::evaluation_queries() {
-            let plan = PlanBuilder::new(&p).degree_moments(&g).best_plan();
+            let plan = PlanBuilder::new(&p).estimator(moments.clone()).best_plan();
             plan.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+
+    /// The catalogue, cliques 6–8 and 24 seeded random connected patterns
+    /// on 7 and 8 vertices.
+    fn corpus() -> Vec<Pattern> {
+        let mut patterns: Vec<Pattern> = queries::catalogue().into_iter().map(|(_, q)| q).collect();
+        patterns.extend((6..=8).map(queries::clique));
+        for seed in 0..24u64 {
+            let n = 7 + (seed % 2) as usize;
+            let extra = 1 + (seed as usize * 5) % n;
+            let shape = benu_graph::gen::random_connected(n, extra, seed);
+            let edges: Vec<(usize, usize)> = shape
+                .edges()
+                .map(|(u, v)| (u as usize, v as usize))
+                .collect();
+            patterns.push(Pattern::from_edges(n, &edges));
+        }
+        patterns
+    }
+
+    #[test]
+    fn graph_stats_and_estimator_are_two_doors_to_one_seam() {
+        for (n, m) in [(4_000_000, 34_000_000), (60, 420)] {
+            for (i, p) in corpus().iter().enumerate() {
+                let stats = PlanBuilder::new(p).graph_stats(n, m).best_plan_result();
+                let dynamic = PlanBuilder::new(p)
+                    .estimator(GraphStatsEstimator::new(n, m))
+                    .best_plan_result();
+                assert_eq!(stats.plan, dynamic.plan, "pattern {i} at ({n}, {m})");
+                assert_eq!(
+                    (stats.stats.alpha, stats.stats.beta),
+                    (dynamic.stats.alpha, dynamic.stats.beta),
+                    "pattern {i} at ({n}, {m})"
+                );
+                assert_eq!(stats.comm_cost.to_bits(), dynamic.comm_cost.to_bits());
+                assert_eq!(stats.comp_cost.to_bits(), dynamic.comp_cost.to_bits());
+            }
+        }
+    }
+
+    /// An override changes how the winning order is lowered, never which
+    /// order wins: the rungs of the Fig. 7 ablation share one order, and
+    /// raw (symmetry-free) enumeration walks the order the deduplicated
+    /// one does.
+    #[test]
+    fn an_overridden_symmetry_or_level_keeps_the_winning_order() {
+        for (i, p) in corpus().iter().enumerate() {
+            let order = PlanBuilder::new(p).best_plan().matching_order;
+            let overrides = OptLevel::LADDER
+                .map(|level| PlanBuilder::new(p).optimizations(level))
+                .into_iter()
+                .chain([PlanBuilder::new(p).symmetry(SymmetryBreaking::none())]);
+            for (j, builder) in overrides.enumerate() {
+                let lowered = builder.clone().matching_order(order.clone()).build();
+                assert_eq!(builder.best_plan(), lowered, "pattern {i}, override {j}");
+            }
         }
     }
 

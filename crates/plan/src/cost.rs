@@ -32,7 +32,7 @@ use benu_pattern::pattern::BitIter;
 use benu_pattern::Pattern;
 
 /// Estimates the number of matches of small patterns in the data graph.
-pub trait CardinalityEstimator {
+pub trait CardinalityEstimator: std::fmt::Debug {
     /// Expected number of matches of a *connected* pattern component with
     /// `n_vertices` and `n_edges`.
     fn estimate_component(&self, n_vertices: usize, n_edges: usize) -> f64;
@@ -134,21 +134,11 @@ impl ChungLuEstimator {
     /// vertices in the paper, so degree ≤ 9; 16 leaves headroom).
     pub const MAX_PATTERN_DEGREE: usize = 16;
 
-    /// Computes the degree moments of a data graph.
+    /// Computes the degree moments of a data graph (through its degree
+    /// array: see [`ChungLuEstimator::from_degrees`]).
     pub fn from_graph(g: &benu_graph::Graph) -> Self {
-        let mut moments = vec![0.0f64; Self::MAX_PATTERN_DEGREE + 1];
-        for v in g.vertices() {
-            let d = g.degree(v) as f64;
-            let mut p = 1.0;
-            for m in moments.iter_mut() {
-                *m += p;
-                p *= d;
-            }
-        }
-        ChungLuEstimator {
-            moments,
-            two_m: (2 * g.num_edges()).max(1) as f64,
-        }
+        let degrees: Vec<u32> = g.vertices().map(|v| g.degree(v) as u32).collect();
+        Self::from_degrees(&degrees)
     }
 
     /// Builds directly from a degree histogram (`hist[d]` = #vertices of

@@ -62,20 +62,42 @@ pub struct BestPlanResult {
     pub plan: ExecutionPlan,
     /// Estimated communication cost of the winning matching order.
     pub comm_cost: f64,
-    /// Estimated computation cost of the winning plan.
+    /// Estimated computation cost of the winning order's fully optimized
+    /// plan (what the order was ranked by).
     pub comp_cost: f64,
     /// Search instrumentation.
     pub stats: SearchStats,
 }
 
-/// Runs Algorithm 3: finds the execution plan with minimum
-/// (communication, computation) cost over all matching orders.
-pub fn best_plan(pattern: &Pattern, estimator: &dyn CardinalityEstimator) -> BestPlanResult {
+/// The one lowering path from a matching order to an (uncompressed)
+/// plan: raw generation under `symmetry`, then the optimizations of
+/// `level`.
+pub(crate) fn lower(
+    pattern: &Pattern,
+    order: &[PatternVertex],
+    symmetry: &SymmetryBreaking,
+    level: OptLevel,
+) -> ExecutionPlan {
+    let mut plan = raw_plan(pattern, order, symmetry);
+    optimize(&mut plan, level);
+    plan
+}
+
+/// Runs Algorithm 3: finds the matching order with minimum
+/// (communication, computation) cost — candidate orders are ranked as
+/// the fully optimized plans they lower to under `symmetry`, so the
+/// rungs of an optimization ablation share one order — and returns it
+/// lowered at `level`.
+pub fn best_plan(
+    pattern: &Pattern,
+    estimator: &dyn CardinalityEstimator,
+    symmetry: &SymmetryBreaking,
+    level: OptLevel,
+) -> BestPlanResult {
     let start_time = Instant::now();
     let n = pattern.num_vertices();
     assert!(n >= 2, "patterns need at least two vertices");
     let se = SyntacticEquivalence::compute(pattern);
-    let symmetry = SymmetryBreaking::compute(pattern);
 
     let mut ctx = SearchCtx {
         pattern,
@@ -92,14 +114,16 @@ pub fn best_plan(pattern: &Pattern, estimator: &dyn CardinalityEstimator) -> Bes
     let mut best: Option<(ExecutionPlan, f64)> = None;
     let beta = ctx.candidates.len();
     for order in &ctx.candidates {
-        let mut plan = raw_plan(pattern, order, &symmetry);
-        optimize(&mut plan, OptLevel::Opt3);
+        let plan = lower(pattern, order, symmetry, OptLevel::Opt3);
         let cost = estimate_computation_cost(&plan, estimator);
         if best.as_ref().is_none_or(|(_, c)| cost < *c) {
             best = Some((plan, cost));
         }
     }
-    let (plan, comp_cost) = best.expect("at least one matching order exists");
+    let (mut plan, comp_cost) = best.expect("at least one matching order exists");
+    if level != OptLevel::Opt3 {
+        plan = lower(pattern, &plan.matching_order, symmetry, level);
+    }
     BestPlanResult {
         plan,
         comm_cost: ctx.best_comm,
@@ -177,6 +201,11 @@ mod tests {
 
     fn est() -> GraphStatsEstimator {
         GraphStatsEstimator::new(100_000, 1_000_000)
+    }
+
+    fn best_plan(pattern: &Pattern, estimator: &dyn CardinalityEstimator) -> BestPlanResult {
+        let symmetry = SymmetryBreaking::compute(pattern);
+        super::best_plan(pattern, estimator, &symmetry, OptLevel::Opt3)
     }
 
     #[test]

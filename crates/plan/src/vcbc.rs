@@ -70,27 +70,6 @@ pub fn compress(plan: &mut ExecutionPlan) -> usize {
     k
 }
 
-/// The constraints the engine must enforce when expanding compressed codes
-/// into embeddings: for each unordered pair of non-cover vertices, whether
-/// a symmetry-breaking order applies (the injectivity requirement always
-/// applies). Returned as `(a, b, ordered)` with `ordered = true` meaning
-/// `f_a ≺ f_b` is required.
-pub fn expansion_constraints(plan: &ExecutionPlan) -> Vec<(PatternVertex, PatternVertex, bool)> {
-    let k = cover_prefix_len(&plan.pattern, &plan.matching_order);
-    let non_cover = &plan.matching_order[k..];
-    let mut out = Vec::new();
-    for (i, &a) in non_cover.iter().enumerate() {
-        for &b in &non_cover[i + 1..] {
-            match plan.symmetry.between(a, b) {
-                Some(true) => out.push((a, b, true)),
-                Some(false) => out.push((b, a, true)),
-                None => out.push((a.min(b), a.max(b), false)),
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,29 +153,16 @@ mod tests {
     }
 
     #[test]
-    fn expansion_constraints_cover_non_cover_pairs() {
-        let (plan, _) = demo_compressed();
-        let cons = expansion_constraints(&plan);
-        // Non-cover vertices: 1, 5, 3 — three unordered pairs; the demo
-        // pattern has no symmetry constraints among them.
-        assert_eq!(cons.len(), 3);
-        assert!(cons.iter().all(|&(_, _, ordered)| !ordered));
-    }
-
-    #[test]
-    fn square_expansion_keeps_symmetry_between_non_cover_corners() {
+    fn square_keeps_symmetry_between_non_cover_corners() {
         // Square with order [0, 2, 1, 3]: cover prefix {0, 2}; the
-        // opposite corners 1 and 3 are both non-cover and are related by
-        // symmetry breaking.
+        // opposite corners 1 and 3 are both non-cover and stay related by
+        // symmetry breaking, which code expansion must enforce.
         let p = queries::square();
         let sb = SymmetryBreaking::compute(&p);
         let mut plan = raw_plan(&p, &[0, 2, 1, 3], &sb);
         let k = compress(&mut plan);
         assert_eq!(k, 2);
-        let cons = expansion_constraints(&plan);
-        assert_eq!(cons.len(), 1);
-        let (a, b, ordered) = cons[0];
-        assert!(ordered, "corners {a},{b} must be order-constrained");
+        assert!(plan.symmetry.between(1, 3).is_some());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! one deterministic stream — what [`Sink::Sample`]'s seeded reservoir
 //! and [`Sink::TopK`]'s prefix are defined over.
 
-use crate::error::ServiceError;
 use crate::query::{ResultMode, Terminal};
+use benu_cluster::Failure;
 use benu_engine::{MatchSet, TaskMetrics};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -53,7 +53,7 @@ enum ChunkOutcome {
     // Boxed: an `ExecutedChunk` is hundreds of bytes, `Failed` a handful,
     // and outcomes sit in the reorder map until their turn to commit.
     Executed(Box<ExecutedChunk>),
-    Failed { error: ServiceError },
+    Failed(Failure),
 }
 
 /// The final components of a finished commit pipeline.
@@ -227,8 +227,8 @@ impl CommitState {
     /// dark (no matches, no vticks) and commits continue; otherwise the
     /// query settles as [`Terminal::Failed`] with this error — making
     /// the surfaced error the lowest-indexed failure, deterministically.
-    pub(crate) fn submit_failed(&mut self, chunk: usize, error: ServiceError) {
-        self.submit_outcome(chunk, ChunkOutcome::Failed { error });
+    pub(crate) fn submit_failed(&mut self, chunk: usize, failure: Failure) {
+        self.submit_outcome(chunk, ChunkOutcome::Failed(failure));
     }
 
     fn submit_outcome(&mut self, index: usize, outcome: ChunkOutcome) {
@@ -243,7 +243,7 @@ impl CommitState {
             };
             match outcome {
                 ChunkOutcome::Executed(chunk) => self.commit(*chunk),
-                ChunkOutcome::Failed { error } => self.commit_failed(error),
+                ChunkOutcome::Failed(failure) => self.commit_failed(failure),
             }
         }
         if self.committed + self.dark == self.total_chunks && self.terminal.is_none() {
@@ -261,23 +261,22 @@ impl CommitState {
     /// A failed chunk at its in-order boundary. The deadline pre-check
     /// still wins (a query past its budget is `DeadlineExceeded`, not
     /// `Failed` — same precedence as for a successful chunk).
-    fn commit_failed(&mut self, error: ServiceError) {
+    fn commit_failed(&mut self, failure: Failure) {
         if self.deadline.is_some_and(|d| self.vticks >= d) {
             self.set_terminal(Terminal::DeadlineExceeded);
             self.discarded += 1;
             return;
         }
-        if self.degrade && error.is_degradable() {
-            if let Some(shard) = error.dark_shard() {
-                if !self.dark_shards.contains(&shard) {
-                    self.dark_shards.push(shard);
-                }
+        // Degradable ⇔ a shard outage, which names its dark shard.
+        if let Some(shard) = failure.dark_shard().filter(|_| self.degrade) {
+            if !self.dark_shards.contains(&shard) {
+                self.dark_shards.push(shard);
             }
             self.dark += 1;
             self.next += 1;
             return;
         }
-        self.set_terminal(Terminal::Failed(error));
+        self.set_terminal(Terminal::Failed(failure));
         self.discarded += 1;
     }
 
@@ -372,6 +371,8 @@ impl CommitState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use benu_cluster::{Cause, FaultKind, FetchError, TransportError};
+    use benu_engine::SearchTask;
     use benu_graph::VertexId;
 
     /// A chunk whose matches are the one-vertex rows `[v]`.
@@ -392,8 +393,22 @@ mod tests {
         matches
     }
 
-    fn outage(v: VertexId, shard: usize) -> ServiceError {
-        ServiceError::StoreUnavailable { vertex: v, shard }
+    fn failure(error: FetchError) -> Failure {
+        Failure {
+            cause: Cause::Fetch(error),
+            task: Some(SearchTask::whole(0)),
+            machine: 0,
+            attempt: 1,
+        }
+    }
+
+    fn outage(vertex: VertexId, shard: usize) -> Failure {
+        failure(FetchError::Unavailable(TransportError {
+            shard,
+            vertex,
+            attempts: 1,
+            kind: FaultKind::Outage,
+        }))
     }
 
     #[test]
@@ -537,14 +552,24 @@ mod tests {
     #[test]
     fn non_degradable_errors_fail_even_under_degradation() {
         let mut s = CommitState::new(2, &ResultMode::CountOnly, None, None, true);
-        let rot = ServiceError::CorruptValue {
+        let rot = failure(FetchError::Missing {
             vertex: 5,
-            detail: "missing from the resident store".into(),
-        };
-        s.submit_failed(0, rot.clone());
+            shard: 1,
+        });
+        s.submit_failed(0, rot);
         assert_eq!(s.terminal(), Some(&Terminal::Failed(rot)));
         s.skip(1);
         assert!(s.is_complete());
+        // Nor is an exhausted retry budget, whatever the shard.
+        let mut s = CommitState::new(1, &ResultMode::CountOnly, None, None, true);
+        let spent = failure(FetchError::Unavailable(TransportError {
+            shard: 1,
+            vertex: 5,
+            attempts: 8,
+            kind: FaultKind::Timeout,
+        }));
+        s.submit_failed(0, spent);
+        assert_eq!(s.terminal(), Some(&Terminal::Failed(spent)));
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //!   [`QueryService::report`] with or without a hub; an attached
 //!   `ObsHub` adds per-query compile/queue/execute spans on the virtual
 //!   clock.
-//! * **Resilience** (`error`, `admission`): with a seeded
-//!   [`benu_fault::FaultPlan`] installed, every request-path failure
-//!   settles exactly one query with a structured [`ServiceError`] —
+//! * **Resilience** (`admission`, [`benu_cluster::failure`]): with a
+//!   seeded [`benu_fault::FaultPlan`] installed, every request-path
+//!   failure settles exactly one query with the [`Failure`] its lane
+//!   built — the same value a batch `Cluster::run` returns as `Err` —
 //!   retry with virtual backoff and replica failover first, then
 //!   [`Terminal::Failed`], or [`Terminal::DegradedPartial`] when
 //!   [`ServiceConfig`] opts into absorbing shard outages. A crashed
@@ -68,16 +69,14 @@
 mod admission;
 mod commit;
 mod config;
-mod error;
 mod plan_cache;
 mod query;
 mod service;
 
-pub use benu_cluster::{CodecKind, DataPath};
+pub use benu_cluster::{Cause, CodecKind, DataPath, Failure};
 pub use benu_engine::MatchSet;
 pub use benu_fault::{FaultPlan, FaultPlanBuilder, RetryPolicy};
 pub use config::{ServiceConfig, ServiceConfigBuilder};
-pub use error::ServiceError;
 pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 pub use query::{QueryId, QueryOptions, QueryResult, QueryStatus, ResultMode, Terminal};
 pub use service::{QueryService, AUTO_TAU_VIRTUAL_LANES};

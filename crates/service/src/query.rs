@@ -1,6 +1,7 @@
 //! Query identities, per-query options (budgets, result modes) and the
 //! structured results the service hands back.
 
+use benu_cluster::Failure;
 use benu_engine::{MatchSet, TaskMetrics};
 use std::time::Duration;
 
@@ -130,11 +131,13 @@ pub enum Terminal {
     /// [`crate::QueryService::cancel`] was called before completion.
     Cancelled,
     /// The request path hit an unrecoverable error — retry budget
-    /// spent, shard outage, corrupt value, or the whole worker pool
-    /// lost. Only this query fails; siblings are unaffected. The error
-    /// is the lowest-chunk-indexed failure in commit order, so it is a
-    /// deterministic function of the fault seed.
-    Failed(crate::error::ServiceError),
+    /// spent, shard outage, corrupt value, engine panic, or the whole
+    /// worker pool lost. Only this query fails; siblings are unaffected.
+    /// The [`Failure`] is the one the lane built — naming the task, the
+    /// vertex, the shard — and the lowest-chunk-indexed one in commit
+    /// order, so its cause is a deterministic function of the fault seed
+    /// (which lane ran the chunk is timing: `machine` is not).
+    Failed(Failure),
     /// The query was hit by an unrecoverable shard outage while
     /// [`crate::ServiceConfig::graceful_degradation`] was on: every
     /// reachable chunk committed, chunks needing the dark shards were
@@ -263,9 +266,12 @@ mod tests {
             .name(),
             "rejected"
         );
-        assert_eq!(
-            Terminal::Failed(crate::error::ServiceError::WorkerLost { lane: 0, chunk: 0 }).name(),
-            "failed"
-        );
+        let lost = Failure {
+            cause: benu_cluster::Cause::NoSurvivor { outstanding: 1 },
+            task: None,
+            machine: 0,
+            attempt: 1,
+        };
+        assert_eq!(Terminal::Failed(lost).name(), "failed");
     }
 }

@@ -26,8 +26,9 @@
 //!
 //! Resilience contract (DESIGN.md §4j): with a
 //! [`crate::ServiceConfig::fault_plan`] installed, every failure on the
-//! request path maps onto a structured [`ServiceError`] that settles
-//! *one* query — never a panic, never a sibling. Fault decisions are
+//! request path is one [`benu_cluster::Failure`] — built by the lane
+//! that observed it, committed unchanged — that settles *one* query,
+//! never a panic, never a sibling. Fault decisions are
 //! evaluated per logical adjacency access *in front of* the warm cache
 //! (the query's [`FaultGate`], consulted first by every lane source), so
 //! which chunks of which queries fail is a pure function of the
@@ -35,22 +36,21 @@
 //! timing. A serving worker that crashes dies by the pool's one crash
 //! rule: the chunk it had not handed over goes back to the survivors and
 //! is re-executed byte-identically; only a fully dead pool surfaces
-//! [`ServiceError::WorkerLost`].
+//! ([`benu_cluster::Cause::NoSurvivor`]).
 
 use crate::admission::{self, AdmissionCaps, AdmissionVerdict, LoadSnapshot};
 use crate::commit::{CommitState, ExecutedChunk};
 use crate::config::ServiceConfig;
-use crate::error::ServiceError;
 use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
 use benu_cluster::gate::FaultGate;
-use benu_cluster::pool::{
-    self, HandOver, Job, Lane, LaneFault, LanePart, Outcome, Pool, SchedulerKind, Spec,
-};
+use benu_cluster::pool::{self, HandOver, Job, Lane, LanePart, Outcome, Pool, SchedulerKind, Spec};
 use benu_cluster::report::lane_stats_report;
 use benu_cluster::transport::Transport;
-use benu_cluster::{Resident, Split, DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES};
-use benu_engine::{SearchTask, TaskMetrics};
+use benu_cluster::{
+    Failure, Resident, Split, DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES,
+};
+use benu_engine::{MatchSet, SearchTask, TaskMetrics};
 use benu_graph::Graph;
 use benu_kvstore::KvStore;
 use benu_obs::{ObsHub, Report, ReportMode};
@@ -200,8 +200,8 @@ impl QueryService {
     /// Like [`QueryService::new`], applying `rot` to the resident store
     /// ([`Resident::corrupt`]) after load and before serving. A
     /// chaos-test hook: corrupt or drop stored values and assert the
-    /// request path fails the affected *query* (structured
-    /// [`ServiceError`]) instead of the process.
+    /// request path fails the affected *query* ([`Terminal::Failed`])
+    /// instead of the process.
     pub fn new_corrupted(g: &Graph, config: ServiceConfig, rot: impl FnOnce(&mut KvStore)) -> Self {
         let mut resident = Self::load(g, &config, None);
         resident.corrupt(rot);
@@ -294,8 +294,8 @@ impl QueryService {
     /// snapshot (see `admission`): a shed query settles
     /// immediately as [`Terminal::Rejected`] without executing, and a
     /// submission into a fully dead worker pool settles as
-    /// [`Terminal::Failed`]\([`ServiceError::WorkerLost`]). Both are
-    /// terminal results, not errors of the submit call.
+    /// [`Terminal::Failed`] ([`benu_cluster::Cause::NoSurvivor`]). Both
+    /// are terminal results, not errors of the submit call.
     pub fn submit(&self, pattern: &Pattern, options: QueryOptions) -> QueryId {
         let inner = &*self.inner;
         let mut queries = inner.queries.lock();
@@ -408,9 +408,7 @@ impl QueryService {
                     let admitted = inner.pool.admit(id, ticket, weight, chunks);
                     // The whole pool crashed: nothing can execute this
                     // query and nothing ever will.
-                    admitted
-                        .err()
-                        .map(|lane| Terminal::Failed(ServiceError::WorkerLost { lane, chunk: 0 }))
+                    admitted.err().map(Terminal::Failed)
                 }
             };
             if let Some(terminal) = refused {
@@ -598,7 +596,7 @@ impl Inner {
         let prior = ChungLuEstimator::from_degrees(self.resident.degrees());
         let est = FeedbackEstimator::new(prior, &entry.plan, &entry.obs);
         let plan = PlanBuilder::new(&entry.canonical)
-            .observed_feedback(est)
+            .estimator(est)
             .best_plan();
         entry.replanned = true;
         self.replans.fetch_add(1, Ordering::Relaxed);
@@ -745,10 +743,7 @@ impl Job for Ticket {
         let (inner, run) = (&*self.inner, &self.run);
         let executed = match outcome {
             Outcome::Dropped => None,
-            Outcome::Failed(fault) => Some(Err(match fault {
-                LaneFault::Fetch { error, .. } => ServiceError::from(error),
-                LaneFault::Panicked(task) => ServiceError::TaskPanicked { task },
-            })),
+            Outcome::Failed(failure) => Some(Err(failure)),
             Outcome::Done { metrics, mut rows } => {
                 // The lane's rows are embeddings of the canonical
                 // pattern: permute each in place back to the submitted
@@ -785,20 +780,16 @@ impl Job for Ticket {
                     }
                     commit.submit(executed);
                 }
-                Some(Err(error)) => commit.submit_failed(chunk, error),
+                Some(Err(failure)) => commit.submit_failed(chunk, failure),
             }
         }
         inner.after_state_change(run, &mut state);
     }
 
-    fn lane_done(&self, _machine: usize, part: LanePart) {
-        let mut total = self.inner.lanes.lock();
-        total.busy += part.busy;
-        total.penalty += part.penalty;
-        total.stats.db_cache_hits += part.stats.db_cache_hits;
-        total.stats.triangle_cache += part.stats.triangle_cache;
-        total.stats.pool += part.stats.pool;
-        total.stats.frontier += part.stats.frontier;
+    /// A query hands its rows over per chunk: the lane's executor has
+    /// none left.
+    fn lane_done(&self, _machine: usize, part: LanePart, _rows: Option<MatchSet>) {
+        *self.inner.lanes.lock() += part;
     }
 
     /// A serving worker died holding this query's chunk and survivors
@@ -814,18 +805,12 @@ impl Job for Ticket {
     }
 
     /// The last serving worker died: no survivor can ever run this
-    /// query's outstanding chunks. It fails with
-    /// [`ServiceError::WorkerLost`] — a structured terminal, not a hang
-    /// and not an abort — naming its lowest outstanding chunk (the one
-    /// its commit pipeline is waiting on).
-    fn lost(&self, machine: usize, chunks: &[usize]) {
+    /// query's outstanding chunks. It fails with the pool's `failure` —
+    /// a structured terminal, not a hang and not an abort.
+    fn lost(&self, chunks: &[usize], failure: Failure) {
         let mut state = self.run.state();
         if let Some(commit) = state.commit.as_mut() {
-            let chunk = chunks.iter().copied().min().unwrap_or_default();
-            commit.set_terminal(Terminal::Failed(ServiceError::WorkerLost {
-                lane: machine,
-                chunk,
-            }));
+            commit.set_terminal(Terminal::Failed(failure));
             commit.skip(chunks.len());
         }
         self.inner.after_state_change(&self.run, &mut state);

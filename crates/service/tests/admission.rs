@@ -12,16 +12,23 @@ use benu_graph::gen;
 use benu_obs::ReportMode;
 use benu_pattern::queries;
 use benu_service::{
-    FaultPlan, QueryOptions, QueryResult, QueryService, ResultMode, RetryPolicy, ServiceConfig,
-    Terminal,
+    Failure, FaultPlan, QueryOptions, QueryResult, QueryService, ResultMode, RetryPolicy,
+    ServiceConfig, Terminal,
 };
 
-/// The comparable surface of a result (wall time and completion order
-/// excluded).
+/// The comparable surface of a result (wall time, completion order and
+/// which machine's lane observed a failure excluded).
 fn surface(r: &QueryResult) -> impl PartialEq + std::fmt::Debug {
+    let terminal = match r.terminal {
+        Terminal::Failed(failure) => Terminal::Failed(Failure {
+            machine: 0,
+            ..failure
+        }),
+        ref other => other.clone(),
+    };
     (
         r.id,
-        r.terminal.clone(),
+        terminal,
         r.matches_found,
         r.matches.clone(),
         r.vticks,

@@ -7,9 +7,9 @@
 //! * recovered faults (transients, timeouts, replica failover, worker
 //!   crashes with survivors) are *invisible* — results byte-identical
 //!   to a faultless run across the whole matrix;
-//! * unrecoverable faults settle exactly one query with a structured
-//!   [`ServiceError`] (or [`Terminal::DegradedPartial`] when opted
-//!   in), never a panic and never a sibling;
+//! * unrecoverable faults settle exactly one query with the
+//!   [`Failure`] its lane built (or [`Terminal::DegradedPartial`] when
+//!   opted in), never a panic and never a sibling;
 //! * which queries fail, and with what, is a pure function of the
 //!   fault seed and the execution mode's access granularity —
 //!   identical across worker counts and replays. (DFS
@@ -17,12 +17,12 @@
 //!   deduplicated shard batch, so *failure* outcomes are compared
 //!   within a mode; *recovered* runs are identical across modes too.)
 
-use benu_cluster::ExecMode;
+use benu_cluster::{ExecMode, FaultKind, FetchError};
 use benu_graph::gen;
 use benu_pattern::queries;
 use benu_service::{
-    FaultPlan, QueryOptions, QueryResult, QueryService, ResultMode, RetryPolicy, ServiceConfig,
-    ServiceConfigBuilder, ServiceError, Terminal,
+    Cause, Failure, FaultPlan, QueryOptions, QueryResult, QueryService, ResultMode, RetryPolicy,
+    ServiceConfig, ServiceConfigBuilder, Terminal,
 };
 
 fn graph() -> benu_graph::Graph {
@@ -63,12 +63,21 @@ fn run_mix(config: ServiceConfig) -> Vec<QueryResult> {
     ids.into_iter().map(|id| service.wait(id)).collect()
 }
 
-/// The comparable surface of a result: everything except wall time and
-/// completion order (which legitimately depend on worker timing).
+/// The comparable surface of a result: everything except wall time,
+/// completion order and which machine's lane observed a failure (which
+/// legitimately depend on worker timing). What failed — cause, task,
+/// attempt — is compared.
 fn surface(r: &QueryResult) -> impl PartialEq + std::fmt::Debug {
+    let terminal = match r.terminal {
+        Terminal::Failed(failure) => Terminal::Failed(Failure {
+            machine: 0,
+            ..failure
+        }),
+        ref other => other.clone(),
+    };
     (
         r.id,
-        r.terminal.clone(),
+        terminal,
         r.matches_found,
         r.matches.clone(),
         r.vticks,
@@ -78,6 +87,14 @@ fn surface(r: &QueryResult) -> impl PartialEq + std::fmt::Debug {
         r.dark_shards.clone(),
         r.metrics,
     )
+}
+
+/// The report name of a failed result's failure.
+fn failure_name(r: &QueryResult) -> Option<&'static str> {
+    match &r.terminal {
+        Terminal::Failed(failure) => Some(failure.name()),
+        _ => None,
+    }
 }
 
 /// Runs the mix for one execution mode under every worker count of
@@ -170,14 +187,19 @@ fn retry_exhaustion_fails_only_affected_queries_deterministically() {
         "siblings of a failed query must keep completing: {statuses:?}"
     );
     for r in &failed {
-        assert!(
-            matches!(
-                r.terminal,
-                Terminal::Failed(ServiceError::RetryExhausted { attempts: 2, .. })
-            ),
-            "failure must carry the structured exhaustion error, got {:?}",
-            r.terminal
-        );
+        match r.terminal {
+            Terminal::Failed(Failure {
+                cause: Cause::Fetch(FetchError::Unavailable(error)),
+                task: Some(_),
+                attempt: 1,
+                ..
+            }) => {
+                assert_eq!(error.attempts, 2);
+                assert_ne!(error.kind, FaultKind::Outage);
+            }
+            ref other => panic!("failure must carry the exhausted access, got {other:?}"),
+        }
+        assert_eq!(failure_name(r), Some("retry_exhausted"));
     }
     // Survivors are byte-identical to the faultless run — recovered
     // retries leave no trace in results or virtual latency.
@@ -205,10 +227,9 @@ fn hybrid_batch_faults_surface_the_same_taxonomy() {
             .build()
     });
     assert!(
-        results.iter().any(|r| matches!(
-            r.terminal,
-            Terminal::Failed(ServiceError::RetryExhausted { .. })
-        )),
+        results
+            .iter()
+            .any(|r| failure_name(r) == Some("retry_exhausted")),
         "the hot seed must exhaust at least one query: {:?}",
         results
             .iter()
@@ -226,8 +247,13 @@ fn unreplicated_shard_outage_fails_queries_with_structured_errors() {
         });
         for r in &results {
             match &r.terminal {
-                Terminal::Failed(ServiceError::StoreUnavailable { shard, .. }) => {
-                    assert_eq!(*shard, 0, "the outage names the dark shard");
+                Terminal::Failed(failure) if failure.name() == "store_unavailable" => {
+                    assert_eq!(
+                        failure.dark_shard(),
+                        Some(0),
+                        "the outage names the dark shard"
+                    );
+                    assert!(failure.task.is_some(), "and the task that needed it");
                 }
                 other => panic!(
                     "query {} must fail on the dark shard without degradation, got {other:?}",
@@ -341,10 +367,16 @@ fn dead_pool_surfaces_worker_lost_instead_of_hanging() {
         QueryOptions::new().mode(ResultMode::Collect),
     );
     let result = service.wait(id);
-    match &result.terminal {
-        Terminal::Failed(ServiceError::WorkerLost { lane: 0, .. }) => {}
-        other => panic!("expected WorkerLost from the dead pool, got {other:?}"),
-    }
+    // Everything but the chunk handed over went with machine 0.
+    let lost = |outstanding| Failure {
+        cause: Cause::NoSurvivor { outstanding },
+        task: None,
+        machine: 0,
+        attempt: 1,
+    };
+    let chunks = result.chunks_committed + result.chunks_discarded;
+    assert_eq!(result.terminal, Terminal::Failed(lost(chunks - 1)));
+    assert_eq!(failure_name(&result), Some("worker_lost"));
     assert_eq!(
         result.chunks_committed, 1,
         "the one chunk handed over before the crash still committed"
@@ -353,13 +385,10 @@ fn dead_pool_surfaces_worker_lost_instead_of_hanging() {
     // same structured error instead of queueing forever.
     let late = service.submit(&queries::triangle(), QueryOptions::new());
     let late = service.wait(late);
-    assert!(
-        matches!(
-            late.terminal,
-            Terminal::Failed(ServiceError::WorkerLost { lane: 0, .. })
-        ),
-        "post-crash submissions must fail fast, got {:?}",
-        late.terminal
+    assert_eq!(
+        late.terminal,
+        Terminal::Failed(lost(chunks)),
+        "post-crash submissions must fail fast"
     );
 }
 
@@ -379,17 +408,18 @@ fn corrupt_store_fails_the_query_not_the_process() {
         QueryOptions::new().mode(ResultMode::Collect),
     );
     let result = missing.wait(id);
+    let shard = missing.resident().store().shard_of(100);
     match &result.terminal {
-        Terminal::Failed(ServiceError::CorruptValue {
-            vertex: 100,
-            detail,
-        }) => {
+        Terminal::Failed(failure) => {
+            let gone = FetchError::Missing { vertex: 100, shard };
+            assert_eq!(failure.cause, Cause::Fetch(gone));
+            assert_eq!(failure.name(), "corrupt_value");
             assert!(
-                detail.contains("missing"),
-                "detail names the damage: {detail}"
+                failure.to_string().contains("vertex 100 missing"),
+                "the line names the damage: {failure}"
             );
         }
-        other => panic!("expected CorruptValue for the removed vertex, got {other:?}"),
+        other => panic!("expected a failure for the removed vertex, got {other:?}"),
     }
     // The service keeps serving after the failure (no abort, no wedge).
     assert!(missing.status(id).is_some());
@@ -401,14 +431,17 @@ fn corrupt_store_fails_the_query_not_the_process() {
     );
     let id = rotten.submit(&queries::triangle(), QueryOptions::new());
     let result = rotten.wait(id);
-    assert!(
-        matches!(
-            result.terminal,
-            Terminal::Failed(ServiceError::CorruptValue { vertex: 100, .. })
-        ),
-        "expected CorruptValue for the damaged bytes, got {:?}",
-        result.terminal
-    );
+    match &result.terminal {
+        Terminal::Failed(Failure {
+            cause: Cause::Fetch(FetchError::Corrupt(rot)),
+            task: Some(_),
+            ..
+        }) => {
+            assert_eq!((rot.vertex, rot.shard), (100, shard), "vertex and shard");
+            assert_eq!(failure_name(&result), Some("corrupt_value"));
+        }
+        other => panic!("expected the damaged bytes' codec error, got {other:?}"),
+    }
 }
 
 /// The acceptance scenario: transient faults + a shard outage + a
@@ -526,10 +559,12 @@ fn an_engine_panic_fails_one_query_and_the_lane_keeps_serving() {
             std::thread::sleep(Duration::from_millis(5));
         };
         match &result.terminal {
-            Terminal::Failed(err @ ServiceError::TaskPanicked { .. }) => {
-                assert_eq!(err.name(), "task_panicked");
+            Terminal::Failed(failure) => {
+                assert_eq!(failure.cause, Cause::EnginePanicked, "workers={workers}");
+                assert_eq!(failure.name(), "task_panicked");
+                assert!(failure.task.is_some(), "the panicking task is named");
             }
-            other => panic!("workers={workers}: expected TaskPanicked, got {other:?}"),
+            other => panic!("workers={workers}: expected a failure, got {other:?}"),
         }
         assert_eq!(
             result.matches_found, 0,

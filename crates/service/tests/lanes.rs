@@ -4,15 +4,21 @@
 //! same `benu_cluster::pool::lane_loop`; what differs is who owns the
 //! lanes and when a lane hands over. These tests look at the seam from
 //! the service's side: the same fault plan gives the same answers on
-//! both fronts, and a lane keeps one executor for as long as it is
+//! both fronts, what a lane cannot absorb reaches both fronts as the
+//! same `Failure`, and a lane keeps one executor for as long as it is
 //! granted chunks of the same query.
 
-use benu_cluster::{Cluster, ClusterConfig, ExecMode};
+use benu_cluster::{Cluster, ClusterConfig, ExecMode, Split};
+use benu_engine::CompiledPlan;
 use benu_graph::gen;
+use benu_kvstore::KvStore;
 use benu_obs::{Report, ReportMode};
-use benu_pattern::queries;
+use benu_pattern::{queries, Pattern};
 use benu_plan::PlanBuilder;
-use benu_service::{FaultPlan, QueryOptions, QueryService, ResultMode, ServiceConfig, Terminal};
+use benu_service::{
+    Failure, FaultPlan, QueryOptions, QueryService, ResultMode, RetryPolicy, ServiceConfig,
+    Terminal, AUTO_TAU_VIRTUAL_LANES,
+};
 
 /// 1 % transient store faults and machine 1 dying five tasks in.
 fn weather() -> FaultPlan {
@@ -79,6 +85,138 @@ fn one_fault_plan_gives_the_fault_free_count_on_both_fronts() {
             }
             assert_eq!(crashes, Some(1), "{ctx}: service");
         }
+    }
+}
+
+/// One way to break a run: what to ask, what the store suffers before
+/// serving, and the weather while it does.
+struct Injection {
+    kind: &'static str,
+    pattern: Pattern,
+    rot: fn(&mut KvStore),
+    weather: Option<FaultPlan>,
+    /// What both fronts must report.
+    name: &'static str,
+    line: &'static str,
+}
+
+/// The failure `Cluster::run` returns and the one a served query
+/// settles with, on one machine with one lane each: same graph, same
+/// task list (the service's τ), same single-copy store, no retries.
+fn on_both_fronts(inject: &Injection) -> (Failure, Failure) {
+    let g = gen::barabasi_albert(80, 4, 7);
+    let retry = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    let mut config = ServiceConfig::builder()
+        .workers(1)
+        .chunk_tasks(1)
+        .retry(retry);
+    if let Some(weather) = &inject.weather {
+        config = config.fault_plan(weather.clone());
+    }
+    let service = QueryService::new_corrupted(&g, config.build(), inject.rot);
+    let plan = PlanBuilder::new(&inject.pattern).best_plan();
+    let split = Split::Auto {
+        lanes: AUTO_TAU_VIRTUAL_LANES,
+    };
+    let (tasks, tau) = service
+        .resident()
+        .tasks(&CompiledPlan::compile(&plan), split);
+    // One task per chunk on both fronts: a batch run this small cuts
+    // its chunks that short by itself.
+    assert!(tasks.len() < 64 * 2, "{} tasks", tasks.len());
+    let id = service.submit(&inject.pattern, QueryOptions::new());
+    let served = match service.wait(id).terminal {
+        Terminal::Failed(failure) => failure,
+        other => panic!("{}: the query must fail, got {other:?}", inject.kind),
+    };
+
+    let mut cluster = Cluster::new(
+        &g,
+        ClusterConfig::builder()
+            .workers(1)
+            .threads_per_worker(1)
+            .tau(tau)
+            .retry(retry)
+            .build(),
+    );
+    cluster.resident_mut().corrupt(inject.rot);
+    cluster.set_fault_plan(inject.weather.clone());
+    let batch = cluster.run(&plan).expect_err("the batch run must fail too");
+    (batch, served)
+}
+
+#[test]
+fn what_a_lane_cannot_absorb_is_the_same_failure_on_both_fronts() {
+    let triangle = queries::triangle;
+    let table = [
+        Injection {
+            kind: "missing vertex",
+            pattern: triangle(),
+            rot: |store| assert!(store.remove_vertex(50)),
+            weather: None,
+            name: "corrupt_value",
+            line: "machine 0: vertex 50 missing from shard 0 (task v27, attempt 1)",
+        },
+        Injection {
+            kind: "corrupt value",
+            pattern: triangle(),
+            rot: |store| assert!(store.corrupt_value(50)),
+            weather: None,
+            name: "corrupt_value",
+            line: "machine 0: corrupt value for vertex 50 on shard 0: \
+                   unknown codec tag 0xff (task v27, attempt 1)",
+        },
+        Injection {
+            kind: "retries exhausted",
+            pattern: triangle(),
+            rot: |_| {},
+            // Each front draws its own decision stream; at this rate
+            // both refuse the first access there is.
+            weather: Some(FaultPlan::builder(3).transient_rate(0.999).build()),
+            name: "retry_exhausted",
+            line: "machine 0: shard 0 unavailable for vertex 0 after 1 attempts \
+                   (task v0[1/2], attempt 1)",
+        },
+        Injection {
+            kind: "outage at replication 1",
+            pattern: triangle(),
+            rot: |_| {},
+            weather: Some(FaultPlan::builder(3).shard_outage(0, 1).build()),
+            name: "store_unavailable",
+            line: "machine 0: shard 0 unavailable for vertex 0 after 1 attempts \
+                   (task v0[1/2], attempt 1)",
+        },
+        Injection {
+            kind: "engine panic",
+            // Labels against an unlabelled store trip the engine's
+            // data-label `expect`.
+            pattern: triangle().with_labels(vec![0, 1, 2]),
+            rot: |_| {},
+            weather: None,
+            name: "task_panicked",
+            line: "machine 0: engine panicked (task v0[1/2], attempt 1)",
+        },
+        Injection {
+            kind: "every machine dead",
+            pattern: triangle(),
+            rot: |_| {},
+            weather: Some(FaultPlan::builder(3).crash(0, 1).build()),
+            name: "worker_lost",
+            line: "machine 0: died last with 104 chunks outstanding (attempt 1)",
+        },
+    ];
+    for inject in &table {
+        let (batch, served) = on_both_fronts(inject);
+        let kind = inject.kind;
+        assert_eq!(batch, served, "{kind}: one failure, said once");
+        assert_eq!(batch.name(), inject.name, "{kind}");
+        assert_eq!(batch.to_string(), inject.line, "{kind}");
+        let in_a_task = inject.name != "worker_lost";
+        assert_eq!(batch.task.is_some(), in_a_task, "{kind}: batch");
+        assert_eq!(served.task.is_some(), in_a_task, "{kind}: served");
     }
 }
 

@@ -98,7 +98,7 @@ pub use benu_service as service;
 
 /// Convenience re-exports covering the common end-to-end workflow.
 pub mod prelude {
-    pub use benu_cluster::{Cluster, ClusterConfig, DataPath, RunOutcome};
+    pub use benu_cluster::{Cause, Cluster, ClusterConfig, DataPath, Failure, RunOutcome};
     pub use benu_engine::{LocalEngine, MatchSet};
     pub use benu_fault::{FaultPlan, RetryPolicy};
     pub use benu_graph::{AdjSet, AdjView, Graph, GraphBuilder, TotalOrder, VertexId};

@@ -9,7 +9,7 @@
 //! of fault seeds.
 
 use benu::cluster::{
-    Cluster, ClusterConfig, RecoveryReport, RunOutcome, SchedulerKind, WorkerError,
+    Cause, Cluster, ClusterConfig, FaultKind, FetchError, RecoveryReport, RunOutcome, SchedulerKind,
 };
 use benu::engine::MatchSet;
 use benu::fault::{FaultPlan, RetryPolicy};
@@ -420,12 +420,16 @@ fn unreplicated_outage_fails_fast_with_a_structured_error() {
             .build(),
     );
     cluster.set_fault_plan(Some(FaultPlan::builder(0).shard_outage(0, 1).build()));
-    match cluster.run(&query) {
-        Err(WorkerError::StoreUnavailable { error, .. }) => {
+    let failure = cluster.run(&query).expect_err("the only copy is dark");
+    match failure.cause {
+        Cause::Fetch(FetchError::Unavailable(error)) => {
             assert_eq!(error.attempts, 1, "outages must fail fast, not retry");
+            assert_eq!((error.kind, error.shard), (FaultKind::Outage, 0));
         }
-        other => panic!("expected StoreUnavailable, got {other:?}"),
+        other => panic!("expected an unavailable shard, got {other:?}"),
     }
+    assert_eq!(failure.name(), "store_unavailable");
+    assert!(failure.task.is_some(), "the failing task is named");
 }
 
 #[test]
@@ -448,7 +452,12 @@ fn hopeless_outages_fail_instead_of_undercounting() {
     );
     cluster.set_fault_plan(Some(FaultPlan::builder(2).transient_rate(0.5).build()));
     match cluster.run(&query) {
-        Err(WorkerError::StoreUnavailable { .. }) => {}
-        other => panic!("expected StoreUnavailable, got {other:?}"),
+        Err(failure) if failure.name() == "retry_exhausted" => {
+            assert!(matches!(
+                failure.cause,
+                Cause::Fetch(FetchError::Unavailable(error)) if error.attempts == 1
+            ));
+        }
+        other => panic!("expected an exhausted retry budget, got {other:?}"),
     }
 }
