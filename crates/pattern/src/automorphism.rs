@@ -1,74 +1,102 @@
-//! Exact automorphism enumeration for pattern graphs.
+//! The one search over vertex maps in the pattern layer.
 //!
-//! Patterns are tiny, so a plain backtracking search with degree and
-//! consistency pruning enumerates `Aut(P)` quickly even for the worst case
-//! (`K_10` has `10! = 3 628 800` automorphisms, found in well under a
-//! second). The automorphism group feeds the symmetry-breaking partial
-//! order computation.
+//! `extends_to_isomorphism` answers "does the partial map `fixed`
+//! extend to an isomorphism `p → q`?" by backtracking with degree, label
+//! and adjacency pruning, stopping at the first full map. Everything the
+//! planner needs from `Aut(P)` is asked of it, never enumerated:
+//! [`Pattern::is_isomorphic`] is the search with nothing fixed, [`orbits`]
+//! asks it one `u ↦ v` at a time under a pointwise stabiliser,
+//! [`crate::symmetry`] walks the stabiliser chain with `orbits`,
+//! [`crate::canonical`] prunes its root level with `orbits(p, &[])`, and
+//! [`automorphism_count`] multiplies the chain's orbit sizes. No group is
+//! ever materialised — `K_9`'s 362 880 automorphisms included.
 
 use crate::pattern::{Pattern, PatternVertex};
+use crate::symmetry::SymmetryBreaking;
 
-/// Enumerates every automorphism of `p` as a permutation vector
-/// (`perm[u] = image of u`). The identity is always included and is always
-/// the first element returned.
-pub fn automorphisms(p: &Pattern) -> Vec<Vec<PatternVertex>> {
-    let n = p.num_vertices();
-    let mut result = Vec::new();
-    let mut perm = Vec::with_capacity(n);
-    search(p, &mut perm, &mut result);
-    // Backtracking tries candidates in ascending order, so the identity is
-    // found first; assert the invariant cheaply.
-    debug_assert!(result[0].iter().enumerate().all(|(i, &v)| i == v));
-    result
+/// True if the partial map `fixed` (pairs `u ↦ v` over distinct `u`)
+/// extends to an isomorphism `p → q`: a bijection of the vertices that
+/// keeps degrees, labels and adjacency. Fixed vertices are placed first,
+/// each with its one candidate, so their images are taken before any free
+/// vertex is placed; the free vertices follow in index order.
+pub(crate) fn extends_to_isomorphism(
+    p: &Pattern,
+    q: &Pattern,
+    fixed: &[(PatternVertex, PatternVertex)],
+) -> bool {
+    if p.num_vertices() != q.num_vertices() {
+        return false;
+    }
+    let pinned = fixed.iter().fold(0u64, |acc, &(u, _)| acc | (1 << u));
+    let mut order: Vec<PatternVertex> = fixed.iter().map(|&(u, _)| u).collect();
+    order.extend(p.vertices().filter(|&u| pinned & (1 << u) == 0));
+    place(p, q, &order, fixed, &mut Vec::with_capacity(order.len()))
 }
 
-fn search(p: &Pattern, perm: &mut Vec<PatternVertex>, out: &mut Vec<Vec<PatternVertex>>) {
-    let u = perm.len();
-    if u == p.num_vertices() {
-        out.push(perm.clone());
-        return;
-    }
-    let used: u64 = perm.iter().fold(0, |acc, &v| acc | (1 << v));
-    for cand in p.vertices() {
-        if used & (1 << cand) != 0 || p.degree(cand) != p.degree(u) || p.label(cand) != p.label(u) {
+/// Places `order[images.len()]`, then recurses; `images[i]` is the image
+/// of `order[i]`.
+fn place(
+    p: &Pattern,
+    q: &Pattern,
+    order: &[PatternVertex],
+    fixed: &[(PatternVertex, PatternVertex)],
+    images: &mut Vec<PatternVertex>,
+) -> bool {
+    let i = images.len();
+    let Some(&u) = order.get(i) else { return true };
+    let used = images.iter().fold(0u64, |acc, &v| acc | (1 << v));
+    for cand in q.vertices() {
+        if used & (1 << cand) != 0
+            || fixed.get(i).is_some_and(|&(_, v)| v != cand)
+            || q.degree(cand) != p.degree(u)
+            || q.label(cand) != p.label(u)
+        {
             continue;
         }
-        if (0..u).all(|w| p.has_edge(u, w) == p.has_edge(cand, perm[w])) {
-            perm.push(cand);
-            search(p, perm, out);
-            perm.pop();
-        }
-    }
-}
-
-/// The number of automorphisms `|Aut(P)|`.
-pub fn automorphism_count(p: &Pattern) -> usize {
-    automorphisms(p).len()
-}
-
-/// Orbit partition of `V(P)` under a set of permutations: `orbit[u]` is the
-/// smallest vertex reachable from `u` by applying group elements, acting as
-/// the orbit representative.
-pub fn orbits(n: usize, perms: &[Vec<PatternVertex>]) -> Vec<PatternVertex> {
-    // Union-find over vertices.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let r = find(parent, parent[x]);
-            parent[x] = r;
-        }
-        parent[x]
-    }
-    for perm in perms {
-        for (u, &image) in perm.iter().enumerate().take(n) {
-            let (a, b) = (find(&mut parent, u), find(&mut parent, image));
-            if a != b {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                parent[hi] = lo;
+        let consistent = (order[..i].iter().zip(images.iter()))
+            .all(|(&w, &image)| p.has_edge(u, w) == q.has_edge(cand, image));
+        if consistent {
+            images.push(cand);
+            if place(p, q, order, fixed, images) {
+                return true;
             }
+            images.pop();
         }
     }
-    (0..n).map(|u| find(&mut parent, u)).collect()
+    false
+}
+
+/// The orbit partition of the pointwise stabiliser of `fixed` in
+/// `Aut(p)`: `orbit[u]` is the smallest vertex an automorphism fixing
+/// every vertex of `fixed` can map `u` to (fixed vertices are their own
+/// orbits).
+pub fn orbits(p: &Pattern, fixed: &[PatternVertex]) -> Vec<PatternVertex> {
+    let pinned: Vec<_> = fixed.iter().map(|&u| (u, u)).collect();
+    let moves = |u, v| {
+        !fixed.contains(&u)
+            && !fixed.contains(&v)
+            && extends_to_isomorphism(p, p, &[&pinned[..], &[(u, v)][..]].concat())
+    };
+    let mut orbit: Vec<PatternVertex> = p.vertices().collect();
+    for v in p.vertices() {
+        // The representatives below `v` are the minima of their orbits,
+        // so the first one that reaches `v` is the minimum of `v`'s.
+        if let Some(u) = (0..v).find(|&u| orbit[u] == u && moves(u, v)) {
+            orbit[v] = u;
+        }
+    }
+    orbit
+}
+
+/// `|Aut(P)|` by orbit–stabiliser. Along the stabiliser chain
+/// [`SymmetryBreaking::compute`] walks, each anchor's orbit is the anchor
+/// plus the vertices it is constrained below, and the group's order is the
+/// product of those orbit sizes.
+pub fn automorphism_count(p: &Pattern) -> usize {
+    let sb = SymmetryBreaking::compute(p);
+    p.vertices()
+        .map(|a| 1 + sb.constraints().iter().filter(|&&(x, _)| x == a).count())
+        .product()
 }
 
 #[cfg(test)]
@@ -98,6 +126,7 @@ mod tests {
     fn clique_has_factorial() {
         let p = queries::clique(5);
         assert_eq!(automorphism_count(&p), 120);
+        assert_eq!(automorphism_count(&queries::clique(9)), 362_880);
     }
 
     #[test]
@@ -107,6 +136,7 @@ mod tests {
         // distinct corners.
         let p = Pattern::from_edges(6, &[(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (4, 5)]);
         assert_eq!(automorphism_count(&p), 1);
+        assert_eq!(orbits(&p, &[]), vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -114,28 +144,28 @@ mod tests {
         // Fig. 1a pattern: Aut = {id, (u2 u6)(u3 u5)} (1-based), i.e.
         // 0-based fixes 0 and 3 and swaps 1<->5, 2<->4.
         let p = queries::demo_pattern();
-        let auts = automorphisms(&p);
-        assert_eq!(auts.len(), 2);
-        assert_eq!(auts[1], vec![0, 5, 4, 3, 2, 1]);
+        assert_eq!(automorphism_count(&p), 2);
+        assert_eq!(orbits(&p, &[]), vec![0, 1, 2, 3, 2, 1]);
+        assert!(extends_to_isomorphism(&p, &p, &[(1, 5)]));
+        assert!(!extends_to_isomorphism(&p, &p, &[(1, 5), (2, 2)]));
     }
 
     #[test]
-    fn orbits_of_star() {
-        // Star S3: centre 0, leaves 1..3 form one orbit.
+    fn orbits_of_star_and_its_stabiliser() {
+        // Star S3: centre 0, leaves 1..3 form one orbit; fixing leaf 1
+        // leaves 2 and 3 swappable.
         let p = Pattern::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let auts = automorphisms(&p);
-        let orb = orbits(4, &auts);
-        assert_eq!(orb[0], 0);
-        assert_eq!(orb[1], 1);
-        assert_eq!(orb[2], 1);
-        assert_eq!(orb[3], 1);
+        assert_eq!(orbits(&p, &[]), vec![0, 1, 1, 1]);
+        assert_eq!(orbits(&p, &[1]), vec![0, 1, 2, 2]);
+        assert_eq!(orbits(&p, &[1, 2]), vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn identity_always_first() {
-        for p in [queries::clique(4), queries::q5(), queries::demo_pattern()] {
-            let auts = automorphisms(&p);
-            assert!(auts[0].iter().enumerate().all(|(i, &v)| i == v));
-        }
+    fn a_fixed_pair_restricts_the_search() {
+        let p = queries::path(4);
+        assert!(extends_to_isomorphism(&p, &p, &[(0, 3)]));
+        assert!(!extends_to_isomorphism(&p, &p, &[(0, 1)]));
+        assert!(!extends_to_isomorphism(&p, &p, &[(0, 3), (1, 1)]));
+        assert!(!extends_to_isomorphism(&p, &queries::star(3), &[]));
     }
 }

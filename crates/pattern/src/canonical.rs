@@ -5,14 +5,14 @@
 //! the same execution plan — the serving layer's plan cache keys on
 //! that. This module computes a canonical representative of a pattern's
 //! isomorphism class: the vertex ordering whose incremental adjacency
-//! code is lexicographically smallest, found by the same pruned
-//! backtracking style as [`crate::automorphism`] (orbit representatives
-//! prune the root level; only locally minimal codes are extended).
+//! code is lexicographically smallest, found by a pruned backtracking
+//! search: only locally minimal codes are extended, and the root level
+//! opens one vertex per orbit of `Aut(P)`, asked of
+//! [`crate::automorphism::orbits`].
 //!
 //! Patterns are tiny (`n ≤ 10` in the paper), so the exact search is
-//! cheap; the worst case (`K_n`, where every ordering ties) is the same
-//! factorial frontier `automorphisms` already handles well under a
-//! second for the catalogue sizes.
+//! cheap except where orderings tie: below its one root, `K_n` visits
+//! all `(n − 1)!` orderings.
 //!
 //! The canonical *hash* is an FNV-1a digest of the canonical form. The
 //! plan cache still verifies the canonical [`Pattern`] on a hash hit,
@@ -121,10 +121,10 @@ pub fn canonical_form(p: &Pattern) -> CanonicalForm {
         best_key: Vec::new(),
         best_placed: Vec::new(),
     };
-    // Root-level pruning through the automorphism machinery: vertices in
-    // the same orbit of Aut(P) open identical canonical completions, so
-    // one representative per orbit suffices at level 0.
-    let orbit = automorphism::orbits(p.num_vertices(), &automorphism::automorphisms(p));
+    // Root-level pruning: vertices in the same orbit of Aut(P) open
+    // identical canonical completions, so one representative per orbit
+    // suffices at level 0.
+    let orbit = automorphism::orbits(p, &[]);
     let mut roots: Vec<PatternVertex> = p.vertices().filter(|&v| orbit[v] == v).collect();
     // Same local-minimality restriction as deeper levels: the root code
     // is `(0, label)`, so only minimal-label orbit representatives open.

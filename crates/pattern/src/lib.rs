@@ -5,7 +5,9 @@
 //!
 //! * [`Pattern`] — a bitset-based small-graph type with the operations the
 //!   plan compiler needs (induced subgraphs, connectivity, components).
-//! * [`automorphism`] — exact enumeration of `Aut(P)`.
+//! * [`automorphism`] — the one search over vertex maps (does a partial
+//!   map extend to an isomorphism?), and the orbits, `|Aut(P)|` and
+//!   isomorphism tests asked of it; `Aut(P)` is never enumerated.
 //! * [`canonical`] — automorphism-canonical forms and hashes, the
 //!   plan-cache key of the serving layer (isomorphic submissions share
 //!   one compiled plan).

@@ -249,22 +249,11 @@ impl Pattern {
             && (0..self.n).all(|u| self.label(u) == other.label(perm[u]))
     }
 
-    /// Checks graph isomorphism between two patterns by brute force over
-    /// degree-compatible permutations. Intended for tests and the small
-    /// pattern catalogue only.
+    /// True if some bijection of the vertices carries `self`'s edges and
+    /// labels onto `other`'s: the [`crate::automorphism`] map search with
+    /// nothing fixed.
     pub fn is_isomorphic(&self, other: &Pattern) -> bool {
-        if self.n != other.n || self.num_edges() != other.num_edges() {
-            return false;
-        }
-        let mut deg_a: Vec<usize> = self.vertices().map(|v| self.degree(v)).collect();
-        let mut deg_b: Vec<usize> = other.vertices().map(|v| other.degree(v)).collect();
-        deg_a.sort_unstable();
-        deg_b.sort_unstable();
-        if deg_a != deg_b {
-            return false;
-        }
-        let mut perm: Vec<PatternVertex> = Vec::with_capacity(self.n);
-        self.search_iso(other, &mut perm)
+        crate::automorphism::extends_to_isomorphism(self, other, &[])
     }
 
     /// The pattern with vertices renumbered by `perm` (a bijection
@@ -308,33 +297,6 @@ impl Pattern {
     /// [`crate::canonical`].
     pub fn canonical_form(&self) -> crate::canonical::CanonicalForm {
         crate::canonical::canonical_form(self)
-    }
-
-    fn search_iso(&self, other: &Pattern, perm: &mut Vec<PatternVertex>) -> bool {
-        let u = perm.len();
-        if u == self.n {
-            return true;
-        }
-        let used: u64 = perm.iter().fold(0, |acc, &v| acc | (1 << v));
-        for cand in other.vertices() {
-            if used & (1 << cand) != 0
-                || other.degree(cand) != self.degree(u)
-                || other.label(cand) != self.label(u)
-            {
-                continue;
-            }
-            // Consistency with already-mapped vertices.
-            let ok = (0..u).all(|w| self.has_edge(u, w) == other.has_edge(cand, perm[w]));
-            if !ok {
-                continue;
-            }
-            perm.push(cand);
-            if self.search_iso(other, perm) {
-                return true;
-            }
-            perm.pop();
-        }
-        false
     }
 }
 

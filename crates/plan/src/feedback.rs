@@ -267,7 +267,7 @@ impl CardinalityEstimator for FeedbackEstimator {
 mod tests {
     use super::*;
     use crate::builder::PlanBuilder;
-    use benu_pattern::automorphism::automorphisms;
+    use benu_pattern::automorphism::automorphism_count;
     use benu_pattern::queries;
 
     fn uncompressed_plan(p: &Pattern) -> ExecutionPlan {
@@ -332,7 +332,7 @@ mod tests {
             let n = p.num_vertices();
             let full = (1u64 << n) - 1;
             let e = linear_extensions(sb.constraints(), full).unwrap();
-            let aut = automorphisms(&p).len() as f64;
+            let aut = automorphism_count(&p) as f64;
             let scale = factorial(n) / e;
             assert!(
                 (scale - aut).abs() < 1e-6,
