@@ -24,9 +24,8 @@ pub mod lru;
 use benu_graph::{AdjSet, VertexId};
 use benu_obs::safe_ratio;
 use lru::Lru;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Fixed per-entry bookkeeping overhead charged against the byte budget
 /// (key + pointers + map slot), so a cache full of tiny sets cannot hold
@@ -113,9 +112,22 @@ impl DbCache {
         (v.wrapping_mul(0x9E37_79B9) as usize >> 16) % self.shards.len()
     }
 
+    /// Shard `i`, whatever a thread that unwound holding its lock left of
+    /// it: entries are immutable `Arc`s and the counters plain adds, so
+    /// the structure stays valid.
+    fn shard(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn each_shard(&self) -> impl Iterator<Item = MutexGuard<'_, Shard>> {
+        (0..self.shards.len()).map(|i| self.shard(i))
+    }
+
     /// Looks up `v`, counting a hit or miss.
     pub fn get(&self, v: VertexId) -> Option<Arc<AdjSet>> {
-        let mut shard = self.shards[self.shard_of(v)].lock();
+        let mut shard = self.shard(self.shard_of(v));
         let found = shard.lru.get(&v).map(Arc::clone);
         match found {
             Some(_) => shard.stats.hits += 1,
@@ -128,13 +140,13 @@ impl DbCache {
     /// does not count a hit or miss and does not touch recency — it is a
     /// pure peek that leaves the effectiveness statistics undistorted.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.shards[self.shard_of(v)].lock().lru.peek(&v).is_some()
+        self.shard(self.shard_of(v)).lru.peek(&v).is_some()
     }
 
     /// Inserts the adjacency set of `v`, evicting LRU entries as needed.
     pub fn insert(&self, v: VertexId, adj: Arc<AdjSet>) {
         let cost = (adj.size_bytes() + ENTRY_OVERHEAD_BYTES) as u64;
-        let mut shard = self.shards[self.shard_of(v)].lock();
+        let mut shard = self.shard(self.shard_of(v));
         let rejected = cost > shard.lru.capacity();
         let evicted = shard.lru.insert(v, adj, cost) as u64;
         shard.stats.evictions += evicted;
@@ -176,22 +188,21 @@ impl DbCache {
 
     /// Effectiveness counters, summed over the shards.
     pub fn stats(&self) -> CacheStats {
-        self.shards
-            .iter()
+        self.each_shard()
             .fold(CacheStats::default(), |mut total, shard| {
-                total += shard.lock().stats;
+                total += shard.stats;
                 total
             })
     }
 
     /// Bytes currently held (cost units including entry overhead).
     pub fn used_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().lru.used_cost()).sum()
+        self.each_shard().map(|s| s.lru.used_cost()).sum()
     }
 
     /// Number of cached adjacency sets.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().lru.len()).sum()
+        self.each_shard().map(|s| s.lru.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -201,8 +212,7 @@ impl DbCache {
 
     /// Drops all entries and resets the counters.
     pub fn clear(&self) {
-        for s in &self.shards {
-            let mut shard = s.lock();
+        for mut shard in self.each_shard() {
             shard.lru.clear();
             shard.stats = CacheStats::default();
         }

@@ -39,7 +39,27 @@
 //!   told ([`Job::handed_back`]) so it drops the machine's results. With
 //!   no survivor the outstanding chunks are [`Job::lost`]. Ownership of
 //!   a chunk changes under one lock, so a chunk is never both handed
-//!   over and handed back, and never handed back twice.
+//!   over and handed back, and never handed back twice. Once the pool
+//!   has finished nothing is handed back: its lanes are leaving.
+//!
+//! **One state machine.** All of the above is `State`, the pool's
+//! transition function: `admit`, `drain` and `close` for the fronts;
+//! `grant`, `finish` and `crash` for the lanes. A transition runs under
+//! the pool's one lock, never blocks and never calls a job. It returns
+//! what is left to do outside the lock — which jobs to tell of a crash —
+//! and its wake-up decision: whether a parked lane may now be granted a
+//! chunk or must leave (work was queued, a machine died, or the pool
+//! finished). A [`Pool`] method locks, makes one transition, unlocks,
+//! tells the jobs and notifies exactly when the transition said so, so
+//! an idle lane blocks on the condvar with no timeout. `pool::explore`
+//! (a test) checks every interleaving of these transitions up to a
+//! bound, the wake-up rule included.
+//!
+//! **Admission contract.** A chunk's home, if it has one, is a live
+//! machine: under `Static` a chunk homed on a dead one would never be
+//! granted. Both fronts keep it: a batch run admits its homed chunks
+//! once, before any lane runs; the service admits homeless chunks, at any
+//! time.
 
 use crate::balance::vticks;
 use crate::config::ExecMode;
@@ -51,7 +71,7 @@ use crate::worker::{LaneSource, LaneStats};
 use benu_engine::{CompiledPlan, MatchSet, SearchTask, TaskMetrics};
 use benu_fault::FaultPlan;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tasks per chunk of a batch run, and the default of the service's
@@ -232,11 +252,8 @@ pub trait Job: Send {
     fn lost(&self, chunks: &[usize], failure: Failure);
 }
 
-/// Backstop of a lane's wait for work: a missed wake-up degrades to a
-/// poll at this cadence, never a hang.
-const IDLE_POLL: Duration = Duration::from_millis(10);
-
 /// One admitted job's un-granted chunks and its place in the rotation.
+#[cfg_attr(test, derive(Clone))]
 struct Entry<J> {
     id: u64,
     job: J,
@@ -248,7 +265,7 @@ struct Entry<J> {
     queues: Vec<VecDeque<usize>>,
 }
 
-impl<J> Entry<J> {
+impl<J: Clone> Entry<J> {
     fn new(id: u64, job: J, weight: u32, machines: usize) -> Self {
         let weight = weight.max(1);
         Entry {
@@ -262,6 +279,19 @@ impl<J> Entry<J> {
 
     fn len(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
+    }
+
+    /// `chunk`, off deque `slot`, granted.
+    fn grant(&self, chunk: usize, slot: usize, stolen: bool) -> Grant<J> {
+        Grant {
+            id: self.id,
+            job: self.job.clone(),
+            weight: self.weight,
+            chunk,
+            slot,
+            stolen,
+            done: false,
+        }
     }
 
     /// The next chunk a lane of `machine` may have, and the deque it
@@ -285,27 +315,56 @@ impl<J> Entry<J> {
     }
 }
 
-/// A chunk a machine was granted and has not handed over.
-struct Held<J> {
+/// A chunk of a job granted to a machine: the lane runs it, and the
+/// machine holds it until it is handed over.
+#[derive(Clone)]
+struct Grant<J> {
     id: u64,
     job: J,
     weight: u32,
     chunk: usize,
     /// The deque it was granted off.
     slot: usize,
+    /// It was homed on another machine.
+    stolen: bool,
     /// Ran to completion and kept ([`HandOver::AtEnd`]).
     done: bool,
 }
 
-/// One grant of the queue.
-struct Grant<J> {
-    id: u64,
-    job: J,
-    chunk: usize,
-    stolen: bool,
+/// What a transition leaves the pool to do once the lock is released:
+/// its wake-up decision, and what a crash did to each job.
+#[must_use]
+enum After<J> {
+    /// No parked lane can go on.
+    Rest,
+    /// A parked lane may now be granted a chunk or have to leave: work was
+    /// queued, or the pool finished.
+    Wake,
+    /// A machine died (the first field), which wakes every parked lane:
+    /// the dead machine's to leave, the survivors' for what came back. The
+    /// last field lists each affected job — its id, the job, its chunks.
+    /// If any machine survives (the second field), those chunks went back
+    /// to the queue ([`Job::handed_back`]); if none does, they never run
+    /// ([`Job::lost`]).
+    Crash(usize, bool, Vec<(u64, J, Vec<usize>)>),
 }
 
+impl<J> After<J> {
+    fn wake(wake: bool) -> Self {
+        match wake {
+            true => After::Wake,
+            false => After::Rest,
+        }
+    }
+}
+
+/// The pool's whole concurrency logic: its transition function. Every
+/// step a lane or a front takes is one transition of this state under
+/// the pool's lock; a transition never blocks and never calls a job, and
+/// returns its wake-up decision in an [`After`].
+#[cfg_attr(test, derive(Clone))]
 struct State<J> {
+    kind: SchedulerKind,
     entries: Vec<Entry<J>>,
     /// Position of the entry whose round-robin turn it is. May sit one
     /// past the last entry, meaning "the next admitted job has the
@@ -315,9 +374,10 @@ struct State<J> {
     dead: Vec<bool>,
     /// The machine that died most recently.
     last_dead: usize,
-    /// Tasks each machine completed, across jobs.
-    completed: Vec<u64>,
-    held: Vec<Vec<Held<J>>>,
+    /// Tasks each machine may still complete before its crash boundary
+    /// ([`FaultPlan::crash_after`]), across jobs; `None`: it has none.
+    until_crash: Vec<Option<u64>>,
+    held: Vec<Vec<Grant<J>>>,
     /// Granted chunks still running on live machines.
     running: usize,
     closed: bool,
@@ -332,11 +392,56 @@ impl<J: Clone> State<J> {
         self.closed && self.entries.is_empty() && self.running == 0
     }
 
+    /// Queues `chunks` of `job` under `id`, keeping the admission
+    /// contract (module docs). Wakes parked lanes if anything was queued.
+    fn admit(
+        &mut self,
+        id: u64,
+        job: J,
+        weight: u32,
+        chunks: impl IntoIterator<Item = (usize, Option<usize>)>,
+    ) -> (Result<(), Failure>, After<J>) {
+        if self.dead.iter().all(|&dead| dead) {
+            let failure = no_survivor(self.last_dead, chunks.into_iter().count());
+            return (Err(failure), After::wake(false));
+        }
+        let machines = self.dead.len();
+        let mut entry = Entry::new(id, job, weight, machines);
+        for (chunk, home) in chunks {
+            entry.queues[home.unwrap_or(machines)].push_back(chunk);
+        }
+        let queued = entry.len() > 0;
+        if queued {
+            self.entries.push(entry);
+        }
+        (Ok(()), After::wake(queued))
+    }
+
+    /// Removes job `id`'s un-granted chunks, returning how many. Wakes
+    /// parked lanes if that finished the pool.
+    fn drain(&mut self, id: u64) -> (usize, After<J>) {
+        let Some(at) = self.entries.iter().position(|e| e.id == id) else {
+            return (0, After::wake(false));
+        };
+        let released = self.entries.remove(at).len();
+        if at < self.cursor {
+            self.cursor -= 1;
+        }
+        (released, After::wake(self.finished()))
+    }
+
+    /// Nothing more will be admitted. Wakes parked lanes if that
+    /// finished the pool.
+    fn close(&mut self) -> After<J> {
+        self.closed = true;
+        After::wake(self.finished())
+    }
+
     /// Grants a lane of `machine` the next chunk of the first entry, from
     /// the one whose turn it is, that has one for it. The grant consumes
     /// one credit; an exhausted credit (or an emptied entry) rotates the
     /// cursor.
-    fn grant(&mut self, machine: usize, kind: SchedulerKind) -> Option<Grant<J>> {
+    fn grant(&mut self, machine: usize) -> Option<Grant<J>> {
         if self.dead[machine] {
             return None;
         }
@@ -346,18 +451,11 @@ impl<J: Clone> State<J> {
             // admitted behind it.
             let cur = (self.cursor + step) % n;
             let entry = &mut self.entries[cur];
-            let Some((chunk, slot)) = entry.take(machine, kind) else {
+            let Some((chunk, slot)) = entry.take(machine, self.kind) else {
                 continue;
             };
-            let (id, job) = (entry.id, entry.job.clone());
-            self.held[machine].push(Held {
-                id,
-                job: job.clone(),
-                weight: entry.weight,
-                chunk,
-                slot,
-                done: false,
-            });
+            let grant = entry.grant(chunk, slot, slot != machine && slot != self.dead.len());
+            self.held[machine].push(grant.clone());
             entry.credit -= 1;
             let exhausted_turn = entry.credit == 0;
             if exhausted_turn {
@@ -371,24 +469,54 @@ impl<J: Clone> State<J> {
                 self.cursor = cur + usize::from(exhausted_turn);
             }
             self.running += 1;
-            let stolen = slot != machine && slot != self.dead.len();
-            return Some(Grant {
-                id,
-                job,
-                chunk,
-                stolen,
-            });
+            return Some(grant);
         }
         None
     }
 
-    /// The crash rule, under the lock: marks `machine` dead and moves
-    /// every chunk it held or had queued at its home back to the
-    /// survivors — homed chunks dealt round-robin, homeless ones to the
-    /// front, where their job is waiting on them — or, with no survivor,
-    /// takes every queued chunk out for good. Returns whether anyone
-    /// survives and, per job, the chunks affected.
-    fn crash(&mut self, machine: usize) -> (bool, Vec<(J, Vec<usize>)>) {
+    /// A lane of `machine` finished running `grant`'s `tasks` tasks:
+    /// counts them toward the machine's crash boundary and, if the
+    /// machine lives, releases the chunk (`keep` = false: it is being
+    /// handed over now) or marks it done and still the machine's. If the
+    /// machine is dead — by this boundary or a sibling's — the chunk went
+    /// back with everything else it held. Wakes parked lanes if the
+    /// machine died here or the pool finished.
+    fn finish(&mut self, machine: usize, grant: &Grant<J>, tasks: usize, keep: bool) -> After<J> {
+        if self.dead[machine] {
+            return After::wake(false);
+        }
+        if let Some(left) = &mut self.until_crash[machine] {
+            *left = left.saturating_sub(tasks as u64);
+            if *left == 0 {
+                return self.crash(machine);
+            }
+        }
+        let held = &mut self.held[machine];
+        let at = held
+            .iter()
+            .rposition(|h| h.id == grant.id && h.chunk == grant.chunk)
+            .expect("a live machine holds what it was granted");
+        if keep {
+            held[at].done = true;
+        } else {
+            held.swap_remove(at);
+        }
+        self.running -= 1;
+        After::wake(self.finished())
+    }
+
+    /// The crash rule: marks `machine` dead and moves every chunk it held
+    /// or had queued at its home back to the survivors — homed chunks
+    /// dealt round-robin, homeless ones to the front, where their job is
+    /// waiting on them — or, with no survivor, takes every queued chunk
+    /// out for good ([`After::Crash`]). A machine dies once, and
+    /// not after the pool finished: every lane is leaving then, so
+    /// nothing handed back could run, and a lane that unwinds fails its
+    /// run by unwinding.
+    fn crash(&mut self, machine: usize) -> After<J> {
+        if self.dead[machine] || self.finished() {
+            return After::wake(false);
+        }
         self.dead[machine] = true;
         self.last_dead = machine;
         let machines = self.dead.len();
@@ -397,21 +525,11 @@ impl<J: Clone> State<J> {
         self.running -= back.iter().filter(|h| !h.done).count();
         // What was queued at the dead machine's home — or, with nobody
         // left to run it, anywhere.
-        let lost = if survivors.is_empty() {
-            0..=machines
-        } else {
-            machine..=machine
-        };
         for entry in &mut self.entries {
-            for slot in lost.clone() {
-                back.extend(entry.queues[slot].drain(..).map(|chunk| Held {
-                    id: entry.id,
-                    job: entry.job.clone(),
-                    weight: entry.weight,
-                    chunk,
-                    slot,
-                    done: false,
-                }));
+            for slot in (0..=machines).filter(|&slot| slot == machine || survivors.is_empty()) {
+                for chunk in std::mem::take(&mut entry.queues[slot]) {
+                    back.push(entry.grant(chunk, slot, false));
+                }
             }
         }
         self.entries.retain(|entry| entry.len() > 0);
@@ -427,14 +545,12 @@ impl<J: Clone> State<J> {
             }
             // The job's entry, re-admitted at the back of the rotation if
             // its last chunk had been granted.
-            let at = match self.entries.iter().position(|e| e.id == h.id) {
-                Some(at) => at,
-                None => {
-                    self.entries
-                        .push(Entry::new(h.id, h.job, h.weight, machines));
-                    self.entries.len() - 1
-                }
-            };
+            let at = self.entries.iter().position(|e| e.id == h.id);
+            let at = at.unwrap_or_else(|| {
+                self.entries
+                    .push(Entry::new(h.id, h.job, h.weight, machines));
+                self.entries.len() - 1
+            });
             let queues = &mut self.entries[at].queues;
             if h.slot == machines {
                 queues[machines].push_front(h.chunk);
@@ -442,42 +558,40 @@ impl<J: Clone> State<J> {
                 queues[survivors[dealt % survivors.len()]].push_back(h.chunk);
             }
         }
-        let jobs = jobs.into_iter().map(|job| (job.1, job.2)).collect();
-        (!survivors.is_empty(), jobs)
+        After::Crash(machine, !survivors.is_empty(), jobs)
     }
 }
 
 /// The chunk queue, the machines' liveness and the wake-up signal the
 /// lanes of one runtime share. Whoever owns the lanes' lifetime creates
 /// the pool and spawns [`lane_loop`] on it — a batch run for one call,
-/// the service for its life.
+/// the service for its life. Every method takes the lock, makes one
+/// transition of the pool's state, and — the lock released — tells jobs
+/// of a crash and wakes parked lanes exactly when the transition said so.
 pub struct Pool<J> {
     state: Mutex<State<J>>,
-    /// Signalled when work appears or the pool finishes.
+    /// Parked lanes wait here.
     work: Condvar,
-    kind: SchedulerKind,
-    /// The crash schedule ([`FaultPlan::crash_after`]), if any.
-    crash_plan: Option<Arc<FaultPlan>>,
 }
 
 impl<J: Job + Clone> Pool<J> {
     /// A pool for `machines` machines granting homed chunks by `kind`,
     /// crashing machines as `crash_plan` schedules.
-    pub fn new(machines: usize, kind: SchedulerKind, crash_plan: Option<Arc<FaultPlan>>) -> Self {
+    pub fn new(machines: usize, kind: SchedulerKind, crash_plan: Option<&FaultPlan>) -> Self {
+        let until_crash = |m| crash_plan.and_then(|plan| plan.crash_after(m));
         Pool {
             state: Mutex::new(State {
+                kind,
                 entries: Vec::new(),
                 cursor: 0,
                 dead: vec![false; machines],
                 last_dead: 0,
-                completed: vec![0; machines],
+                until_crash: (0..machines).map(until_crash).collect(),
                 held: (0..machines).map(|_| Vec::new()).collect(),
                 running: 0,
                 closed: false,
             }),
             work: Condvar::new(),
-            kind,
-            crash_plan,
         }
     }
 
@@ -486,6 +600,27 @@ impl<J: Job + Clone> Pool<J> {
     /// must still run for that lane's machine.
     fn lock(&self) -> MutexGuard<'_, State<J>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Makes one transition under the lock, then, with the lock
+    /// released, tells every job a crash affected what it did to it — so
+    /// a job may call back into the pool — and wakes the parked lanes
+    /// exactly when the transition said so.
+    fn step<T>(&self, transition: impl FnOnce(&mut State<J>) -> (T, After<J>)) -> T {
+        let (out, after) = transition(&mut self.lock());
+        if let After::Crash(machine, survivors, jobs) = &after {
+            for (_, job, chunks) in jobs {
+                if *survivors {
+                    job.handed_back(*machine, chunks);
+                } else {
+                    job.lost(chunks, no_survivor(*machine, chunks.len()));
+                }
+            }
+        }
+        if !matches!(after, After::Rest) {
+            self.work.notify_all();
+        }
+        out
     }
 
     /// Admits `job` under `id` with the given `(chunk, home)` pairs, in
@@ -501,37 +636,13 @@ impl<J: Job + Clone> Pool<J> {
         weight: u32,
         chunks: impl IntoIterator<Item = (usize, Option<usize>)>,
     ) -> Result<(), Failure> {
-        let mut st = self.lock();
-        if st.dead.iter().all(|&dead| dead) {
-            return Err(no_survivor(st.last_dead, chunks.into_iter().count()));
-        }
-        let machines = st.dead.len();
-        let mut entry = Entry::new(id, job, weight, machines);
-        for (chunk, home) in chunks {
-            entry.queues[home.unwrap_or(machines)].push_back(chunk);
-        }
-        if entry.len() > 0 {
-            st.entries.push(entry);
-            self.work.notify_all();
-        }
-        Ok(())
+        self.step(|st| st.admit(id, job, weight, chunks))
     }
 
     /// Removes job `id`'s un-granted chunks (cancellation, budget
     /// termination), returning how many were released.
     pub fn drain(&self, id: u64) -> usize {
-        let mut st = self.lock();
-        let Some(at) = st.entries.iter().position(|e| e.id == id) else {
-            return 0;
-        };
-        let released = st.entries.remove(at).len();
-        if at < st.cursor {
-            st.cursor -= 1;
-        }
-        if st.finished() {
-            self.work.notify_all();
-        }
-        released
+        self.step(|st| st.drain(id))
     }
 
     /// Total un-granted chunks across every admitted job.
@@ -542,8 +653,7 @@ impl<J: Job + Clone> Pool<J> {
     /// Nothing more will be admitted: lanes leave once the queue is
     /// empty and nothing is running.
     pub fn close(&self) {
-        self.lock().closed = true;
-        self.work.notify_all();
+        self.step(|st| ((), st.close()));
     }
 
     /// True once `machine` has died.
@@ -553,82 +663,43 @@ impl<J: Job + Clone> Pool<J> {
 
     /// The next grant for a lane of `machine`. With `wait`, blocks until
     /// there is one; `None` then means there never will be (the machine
-    /// died, or the pool finished).
+    /// died, or the pool finished). A grant only takes work, so it never
+    /// wakes anyone.
     fn next(&self, machine: usize, wait: bool) -> Option<Grant<J>> {
         let mut st = self.lock();
         loop {
-            let grant = st.grant(machine, self.kind);
+            let grant = st.grant(machine);
             if grant.is_some() || !wait || st.dead[machine] || st.finished() {
                 return grant;
             }
-            st = self
-                .work
-                .wait_timeout(st, IDLE_POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+            st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// A lane of `machine` finished running `grant`'s `tasks` tasks:
-    /// counts them toward the machine's crash boundary and, if the
-    /// machine lives, releases the chunk (`keep` = false: it is being
-    /// handed over now) or marks it done and still the machine's.
-    /// Returns false when the machine is dead — by this boundary or a
-    /// sibling's — and the chunk went back with everything else it held.
+    /// [`State::finish`]; false when the machine is dead and the chunk
+    /// went back.
     fn finish(&self, machine: usize, grant: &Grant<J>, tasks: usize, keep: bool) -> bool {
-        let mut st = self.lock();
-        if st.dead[machine] {
-            return false;
-        }
-        st.completed[machine] += tasks as u64;
-        let plan = self.crash_plan.as_ref();
-        let boundary = plan.and_then(|plan| plan.crash_after(machine));
-        if boundary.is_some_and(|after| st.completed[machine] >= after) {
-            self.die(machine, st);
-            return false;
-        }
-        let held = &mut st.held[machine];
-        let at = held
-            .iter()
-            .rposition(|h| h.id == grant.id && h.chunk == grant.chunk)
-            .expect("a live machine holds what it was granted");
-        if keep {
-            held[at].done = true;
-        } else {
-            held.swap_remove(at);
-        }
-        st.running -= 1;
-        if st.finished() {
-            self.work.notify_all();
-        }
-        true
+        self.step(|st| {
+            let after = st.finish(machine, grant, tasks, keep);
+            (!st.dead[machine], after)
+        })
     }
+}
 
-    /// The crash rule: `machine` dies, and every affected job is told
-    /// what that did to it — outside the lock, so a job may call back
-    /// into the pool — before the survivors are woken.
-    fn die(&self, machine: usize, mut st: MutexGuard<'_, State<J>>) {
-        let (survivors, jobs) = st.crash(machine);
-        drop(st);
-        for (job, chunks) in jobs {
-            if survivors {
-                job.handed_back(machine, &chunks);
-            } else {
-                job.lost(&chunks, no_survivor(machine, chunks.len()));
-            }
-        }
-        self.work.notify_all();
+/// The one place a failure is built: cause, task and machine are all in
+/// hand in the pool. A job stamps its crash epoch over `attempt`.
+fn failure(cause: Cause, task: Option<SearchTask>, machine: usize) -> Failure {
+    Failure {
+        cause,
+        task,
+        machine,
+        attempt: 1,
     }
 }
 
 /// `machine` died last, with `outstanding` chunks of a job left.
 fn no_survivor(machine: usize, outstanding: usize) -> Failure {
-    Failure {
-        cause: Cause::NoSurvivor { outstanding },
-        task: None,
-        machine,
-        attempt: 1,
-    }
+    failure(Cause::NoSurvivor { outstanding }, None, machine)
 }
 
 /// One lane: a thread of `machine`, reading through that machine's
@@ -643,20 +714,14 @@ pub struct Lane {
     pub sharers: usize,
 }
 
-/// Applies the crash rule to a lane's machine if the lane unwinds, so
-/// nobody waits on what it held.
-struct Bail<'a, J: Job + Clone> {
-    pool: &'a Pool<J>,
-    machine: usize,
-}
+/// Applies the crash rule to a lane's machine (the pool, the machine) if
+/// the lane unwinds, so nobody waits on what it held.
+struct Bail<'a, J: Job + Clone>(&'a Pool<J>, usize);
 
 impl<J: Job + Clone> Drop for Bail<'_, J> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let st = self.pool.lock();
-            if !st.dead[self.machine] {
-                self.pool.die(self.machine, st);
-            }
+            self.0.step(|st| ((), st.crash(self.1)));
         }
     }
 }
@@ -664,10 +729,7 @@ impl<J: Job + Clone> Drop for Bail<'_, J> {
 /// The lane body every runtime spawns: takes grants from `pool` until
 /// the lane's machine dies or the pool finishes.
 pub fn lane_loop<J: Job + Clone>(pool: &Pool<J>, resident: &Resident, lane: Lane) {
-    let _bail = Bail {
-        pool,
-        machine: lane.machine,
-    };
+    let _bail = Bail(pool, lane.machine);
     let mut next = pool.next(lane.machine, true);
     while let Some(grant) = next {
         next = visit(pool, resident, lane, grant).or_else(|| pool.next(lane.machine, true));
@@ -695,16 +757,7 @@ fn visit<J: Job + Clone>(
         lane.sharers,
         spec.collect,
     );
-    // The one place a failure is built: machine, task and cause are all
-    // in hand here. A job stamps its crash epoch over `attempt`.
-    let failed = |cause, task| {
-        Outcome::Failed(Failure {
-            cause,
-            task: Some(task),
-            machine,
-            attempt: 1,
-        })
-    };
+    let failed = |cause, task| Outcome::Failed(failure(cause, Some(task), machine));
     // A batch reports batch-level metrics: no per-task cost exists.
     let per_task = resident.data().exec_mode == ExecMode::Dfs;
     let mut part = LanePart::default();
@@ -780,14 +833,17 @@ fn visit<J: Job + Clone>(
 }
 
 #[cfg(test)]
+mod explore;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DataPath;
     use benu_graph::{gen, Graph, VertexId};
     use benu_pattern::queries;
     use benu_plan::PlanBuilder;
-    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     /// What a [`Recorder`] saw, in arrival order.
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -847,7 +903,11 @@ mod tests {
         }
 
         fn events(&self) -> Vec<Event> {
-            self.events.lock().clone()
+            self.events.lock().unwrap().clone()
+        }
+
+        fn log(&self, event: Event) {
+            self.events.lock().unwrap().push(event);
         }
     }
 
@@ -875,7 +935,7 @@ mod tests {
         }
 
         fn chunk_done(&self, _machine: usize, chunk: usize, outcome: Outcome) {
-            self.events.lock().push(match outcome {
+            self.log(match outcome {
                 Outcome::Dropped => Event::Dropped(chunk),
                 Outcome::Failed(failure) => Event::Failed(chunk, failure),
                 Outcome::Done { rows, .. } => Event::Done {
@@ -887,21 +947,17 @@ mod tests {
 
         fn lane_done(&self, machine: usize, part: LanePart, _rows: Option<MatchSet>) {
             let executed = part.executed;
-            self.events
-                .lock()
-                .push(Event::LaneDone { machine, executed });
+            self.log(Event::LaneDone { machine, executed });
         }
 
         fn handed_back(&self, machine: usize, chunks: &[usize]) {
             let chunks = chunks.to_vec();
-            self.events
-                .lock()
-                .push(Event::HandedBack { machine, chunks });
+            self.log(Event::HandedBack { machine, chunks });
         }
 
         fn lost(&self, chunks: &[usize], failure: Failure) {
             let chunks = chunks.to_vec();
-            self.events.lock().push(Event::Lost { failure, chunks });
+            self.log(Event::Lost { failure, chunks });
         }
     }
 
@@ -1042,17 +1098,15 @@ mod tests {
 
     // ---- the crash rule, on the queue alone ----
 
-    fn crashing(machine: usize, after: u64) -> Option<Arc<FaultPlan>> {
-        Some(Arc::new(
-            FaultPlan::builder(0).crash(machine, after).build(),
-        ))
+    fn crashing(machine: usize, after: u64) -> FaultPlan {
+        FaultPlan::builder(0).crash(machine, after).build()
     }
 
     #[test]
     fn per_chunk_crash_hands_back_exactly_the_held_chunk() {
         let r = resident(2);
         let job = Recorder::new(&r, HandOver::PerChunk, 3);
-        let pool = Pool::new(2, SchedulerKind::Static, crashing(1, 2));
+        let pool = Pool::new(2, SchedulerKind::Static, Some(&crashing(1, 2)));
         pool.admit(7, &job, 1, homeless(4)).unwrap();
         // Machine 1 hands chunk 0 over (1 task < 2), then dies at the
         // boundary of chunk 1 — which it still holds.
@@ -1081,7 +1135,7 @@ mod tests {
     fn a_retired_entry_is_revived_by_a_hand_back() {
         let r = resident(2);
         let job = Recorder::new(&r, HandOver::PerChunk, 3);
-        let pool = Pool::new(2, SchedulerKind::Static, crashing(1, 1));
+        let pool = Pool::new(2, SchedulerKind::Static, Some(&crashing(1, 1)));
         pool.admit(7, &job, 1, homeless(2)).unwrap();
         let c0 = pool.next(0, false).unwrap();
         let c1 = pool.next(1, false).unwrap();
@@ -1096,7 +1150,7 @@ mod tests {
     fn at_end_crash_hands_back_everything_the_machine_ran_and_had_queued() {
         let r = resident(3);
         let job = Recorder::new(&r, HandOver::AtEnd, 1);
-        let pool = Pool::new(3, SchedulerKind::Static, crashing(0, 3));
+        let pool = Pool::new(3, SchedulerKind::Static, Some(&crashing(0, 3)));
         // Chunks 0..4 homed on machine 0, 4..6 on machine 1, 6..8 on 2.
         let homes = (0..8).map(|c| (c, Some([0, 0, 0, 0, 1, 1, 2, 2][c])));
         pool.admit(0, &job, 1, homes).unwrap();
@@ -1135,7 +1189,7 @@ mod tests {
         let r = resident(3);
         let job = Recorder::new(&r, HandOver::AtEnd, 1);
         let plan = FaultPlan::builder(0).crash(0, 1).crash(1, 3).build();
-        let pool = Pool::new(3, SchedulerKind::Static, Some(Arc::new(plan)));
+        let pool = Pool::new(3, SchedulerKind::Static, Some(&plan));
         let homes = (0..6).map(|c| (c, Some(c / 2)));
         pool.admit(0, &job, 1, homes).unwrap();
         let first = pool.next(0, false).unwrap();
@@ -1168,7 +1222,7 @@ mod tests {
         // goes back with the rest; nothing waits in a dead deque.
         let r = resident(2);
         let job = Recorder::new(&r, HandOver::AtEnd, 1);
-        let pool = Pool::new(2, SchedulerKind::WorkStealing, crashing(1, 1));
+        let pool = Pool::new(2, SchedulerKind::WorkStealing, Some(&crashing(1, 1)));
         pool.admit(0, &job, 1, (0..4).map(|c| (c, Some(0))))
             .unwrap();
         let loot = pool.next(1, false).unwrap();
@@ -1190,7 +1244,7 @@ mod tests {
     fn the_last_machine_takes_every_outstanding_chunk_with_it() {
         let r = resident(1);
         let job = Recorder::new(&r, HandOver::PerChunk, 3);
-        let pool = Pool::new(1, SchedulerKind::Static, crashing(0, 1));
+        let pool = Pool::new(1, SchedulerKind::Static, Some(&crashing(0, 1)));
         pool.admit(3, &job, 1, homeless(3)).unwrap();
         let held = pool.next(0, false).unwrap();
         assert!(!pool.finish(0, &held, 1, false));
@@ -1213,7 +1267,7 @@ mod tests {
     fn an_idle_lane_stays_while_a_running_chunk_may_come_back() {
         let r = resident(2);
         let job = Recorder::new(&r, HandOver::AtEnd, 1);
-        let pool = Pool::new(2, SchedulerKind::Static, crashing(0, 1));
+        let pool = Pool::new(2, SchedulerKind::Static, Some(&crashing(0, 1)));
         pool.admit(0, &job, 1, [(0, Some(0))]).unwrap();
         pool.close();
         let running = pool.next(0, false).unwrap();
@@ -1227,6 +1281,30 @@ mod tests {
         let back = pool.next(1, true).expect("the handed-back chunk");
         assert!(pool.finish(1, &back, 1, true));
         assert!(pool.next(1, true).is_none(), "now the pool is finished");
+    }
+
+    #[test]
+    fn a_lane_unwinding_after_the_pool_finished_hands_nothing_back() {
+        // The shortest interleaving `explore` finds for this: under
+        // `AtEnd` a machine keeps what it ran, and handing that back once
+        // the pool finished would give it to lanes that are leaving —
+        // granted again, or stranded once they have left.
+        let r = resident(2);
+        let job = Recorder::new(&r, HandOver::AtEnd, 1);
+        let pool = Pool::new(2, SchedulerKind::Static, None);
+        pool.admit(0, &job, 1, [(0, Some(0)), (1, Some(1))])
+            .unwrap();
+        pool.close();
+        for machine in [0, 1] {
+            let grant = pool.next(machine, false).unwrap();
+            assert!(pool.finish(machine, &grant, 1, true));
+        }
+        assert!(pool.lock().finished());
+        // What `Bail` does when a lane of machine 1 unwinds now, in
+        // `Job::lane_done`.
+        pool.step(|st| ((), st.crash(1)));
+        assert!(pool.next(0, true).is_none(), "nothing to grant");
+        assert!(job.events().is_empty(), "nothing handed back");
     }
 
     // ---- the lane loop against a recording job ----

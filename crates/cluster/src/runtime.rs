@@ -38,10 +38,9 @@ use benu_fault::FaultPlan;
 use benu_graph::Graph;
 use benu_obs::ObsHub;
 use benu_plan::ExecutionPlan;
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Chunks a DFS run cuts per lane (at most [`CHUNK_TASKS`] tasks each).
@@ -90,6 +89,12 @@ struct BatchJob<'a> {
 }
 
 impl BatchJob<'_> {
+    /// What the lanes reported, whatever a lane that unwound holding the
+    /// lock left of it: the run fails with `LanePanicked` anyway.
+    fn progress(&self) -> MutexGuard<'_, Progress> {
+        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn range(&self, chunk: usize) -> Range<usize> {
         self.bounds[chunk]..self.bounds[chunk + 1]
     }
@@ -102,7 +107,7 @@ impl BatchJob<'_> {
     /// — if it is the first, and stops the run: lanes drop what they are
     /// running and every chunk still queued.
     fn fail(&self, failure: Failure) {
-        let mut progress = self.progress.lock();
+        let mut progress = self.progress();
         let attempt = progress.epoch;
         progress.error.get_or_insert(Failure { attempt, ..failure });
         drop(progress);
@@ -123,7 +128,7 @@ impl Job for &BatchJob<'_> {
     fn start(&self, machine: usize, chunk: usize, stolen: bool) -> &[SearchTask] {
         let range = self.range(chunk);
         if stolen {
-            self.progress.lock().steals[machine] += range.len() as u64;
+            self.progress().steals[machine] += range.len() as u64;
         }
         &self.tasks[range]
     }
@@ -146,11 +151,11 @@ impl Job for &BatchJob<'_> {
     }
 
     fn lane_done(&self, machine: usize, part: LanePart, rows: Option<MatchSet>) {
-        self.progress.lock().parts[machine].push((part, rows));
+        self.progress().parts[machine].push((part, rows));
     }
 
     fn handed_back(&self, _machine: usize, chunks: &[usize]) {
-        let mut progress = self.progress.lock();
+        let mut progress = self.progress();
         progress.tasks_requeued += self.tasks_in(chunks) as u64;
         progress.epoch += 1;
         for gate in self.gates.iter().flatten() {
@@ -369,7 +374,7 @@ impl Cluster {
         };
         let cache_stats_before: Vec<CacheStats> =
             resident.caches().iter().map(|c| c.stats()).collect();
-        let pool = Pool::new(p, self.config.scheduler, self.fault_plan.clone());
+        let pool = Pool::new(p, self.config.scheduler, self.fault_plan.as_deref());
         pool.admit(0, &job, 1, homes.into_iter().enumerate())
             .expect("a new pool has every machine alive");
         pool.close();
@@ -413,7 +418,9 @@ impl Cluster {
             progress,
             ..
         } = job;
-        let progress = progress.into_inner();
+        let progress = progress
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(err) = progress.error.or(panicked) {
             return Err(err);
         }

@@ -1,9 +1,10 @@
 //! The lane pool with lanes racing on real threads.
 //!
-//! `pool.rs`' own tests drive the queue by hand, one grant at a time;
-//! here `lane_loop` runs on several threads per machine against a job
-//! that only counts, so the exactly-once and crash guarantees are
-//! checked under whatever interleaving the host produces.
+//! Every interleaving of the pool's transitions is checked by
+//! `pool::explore` on the bare state machine, up to a bound; here
+//! `lane_loop` runs on several threads per machine against a job that
+//! only counts — a smoke test that the lanes drive that state machine as
+//! it was checked.
 
 use benu_cluster::gate::FaultGate;
 use benu_cluster::pool::{
@@ -15,11 +16,12 @@ use benu_engine::{CompiledPlan, MatchSet, SearchTask};
 use benu_graph::{gen, VertexId};
 use benu_pattern::queries;
 use benu_plan::PlanBuilder;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 const MACHINES: usize = 3;
 const LANES_PER_MACHINE: usize = 2;
 const CHUNK_TASKS: usize = 4;
+const CRASH_AFTER: u64 = 10;
 
 /// What the lanes told a [`Counter`].
 #[derive(Default)]
@@ -128,16 +130,12 @@ fn resident() -> Resident {
 }
 
 /// Runs `job` to the end on `MACHINES × LANES_PER_MACHINE` racing lanes,
-/// chunk `c` homed on machine `c % MACHINES` when `homed`.
-fn race(
-    resident: &Resident,
-    job: &Counter,
-    kind: SchedulerKind,
-    homed: bool,
-    crashes: Option<FaultPlan>,
-) {
-    let pool = Pool::new(MACHINES, kind, crashes.map(Arc::new));
-    let chunks = (0..job.chunks()).map(|c| (c, homed.then_some(c % MACHINES)));
+/// chunk `c` homed on machine `c % MACHINES`, machine 1 crashing at its
+/// boundary after `CRASH_AFTER` tasks.
+fn race(resident: &Resident, job: &Counter, kind: SchedulerKind) {
+    let crash = FaultPlan::builder(0).crash(1, CRASH_AFTER).build();
+    let pool = Pool::new(MACHINES, kind, Some(&crash));
+    let chunks = (0..job.chunks()).map(|c| (c, Some(c % MACHINES)));
     pool.admit(0, job, 1, chunks).unwrap();
     pool.close();
     std::thread::scope(|scope| {
@@ -153,100 +151,57 @@ fn race(
     });
 }
 
+/// The smoke test of what `pool::explore` checks exhaustively on the
+/// bare state machine: with real lanes racing and one machine crashing,
+/// every chunk is delivered exactly once.
 #[test]
-fn every_chunk_is_granted_exactly_once_with_lanes_racing() {
+fn racing_lanes_deliver_every_chunk_exactly_once_through_a_crash() {
     let resident = resident();
     for kind in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-        for (hand_over, homed) in [(HandOver::AtEnd, true), (HandOver::PerChunk, false)] {
+        for hand_over in [HandOver::AtEnd, HandOver::PerChunk] {
             let job = Counter::new(&resident, hand_over);
-            race(&resident, &job, kind, homed, None);
+            race(&resident, &job, kind);
+            let all: Vec<usize> = (0..job.chunks()).collect();
             let seen = job.seen.into_inner().unwrap();
-            let mut started: Vec<usize> = seen.started.iter().map(|s| s.1).collect();
-            started.sort_unstable();
-            let all: Vec<usize> = (0..job.tasks.len().div_ceil(CHUNK_TASKS)).collect();
-            assert_eq!(
-                started, all,
-                "{kind}/{hand_over:?}: a chunk ran twice or never"
-            );
-            for &(machine, chunk, stolen) in &seen.started {
-                if homed && kind == SchedulerKind::Static {
-                    assert_eq!(machine, chunk % MACHINES, "static crossed homes");
-                }
-                assert_eq!(stolen, homed && machine != chunk % MACHINES);
-            }
+            let ctx = format!("{kind}/{hand_over:?}");
             match hand_over {
+                // What the dead machine ran is void; what the survivors
+                // hand over at the end covers every task once.
                 HandOver::AtEnd => {
-                    assert_eq!(seen.executed.iter().sum::<usize>(), job.tasks.len());
-                    assert!(seen.done.is_empty());
+                    assert_eq!(
+                        seen.executed.iter().sum::<usize>(),
+                        job.tasks.len(),
+                        "{ctx}"
+                    );
+                    let mut survived: Vec<usize> = seen
+                        .started
+                        .iter()
+                        .filter(|s| !seen.dead[s.0])
+                        .map(|s| s.1)
+                        .collect();
+                    survived.sort_unstable();
+                    assert_eq!(survived, all, "{ctx}: survivors ran a chunk twice or never");
                 }
+                // What machine 1 delivered stays delivered; what it held
+                // or had queued went back.
                 HandOver::PerChunk => {
                     let mut done = seen.done;
                     done.sort_unstable();
-                    assert_eq!(done, all);
+                    assert_eq!(done, all, "{ctx}: a chunk was delivered twice or never");
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn a_crash_mid_job_reruns_exactly_what_was_not_handed_over() {
-    let resident = resident();
-    let all: Vec<usize> = (0..300usize.div_ceil(CHUNK_TASKS)).collect();
-    for kind in [SchedulerKind::Static, SchedulerKind::WorkStealing] {
-        // AtEnd: everything machine 1 ran dies with it; what the
-        // survivors hand over at the end covers every task once.
-        let job = Counter::new(&resident, HandOver::AtEnd);
-        let plan = FaultPlan::builder(0).crash(1, 10).build();
-        race(&resident, &job, kind, true, Some(plan));
-        let seen = job.seen.into_inner().unwrap();
-        assert_eq!(
-            seen.executed.iter().sum::<usize>(),
-            job.tasks.len(),
-            "{kind}"
-        );
-        // Under work stealing thieves may empty machine 1 before it
-        // reaches its boundary; if it died, it died once, and each chunk
-        // went back at most once.
-        assert!(seen.handed_back.len() <= 1, "{kind}");
-        if kind == SchedulerKind::Static {
-            assert_eq!(seen.handed_back.len(), 1);
-        }
-        for (machine, chunks) in &seen.handed_back {
-            assert_eq!(*machine, 1);
-            let mut back = chunks.clone();
-            back.sort_unstable();
-            back.dedup();
-            assert_eq!(back.len(), chunks.len(), "{kind}: a chunk went back twice");
-            // Everything machine 1 started is among them.
-            for &(m, chunk, _) in &seen.started {
-                assert!(
-                    m != 1 || back.contains(&chunk),
-                    "{kind}: chunk {chunk} stranded"
-                );
+            // Under work stealing thieves may empty machine 1 before it
+            // reaches its boundary; if it died, it died once.
+            assert!(seen.handed_back.len() <= 1, "{ctx}");
+            if kind == SchedulerKind::Static {
+                assert_eq!(seen.handed_back.len(), 1, "{ctx}");
             }
-        }
-        let mut survived: Vec<usize> = seen
-            .started
-            .iter()
-            .filter(|s| s.0 != 1)
-            .map(|s| s.1)
-            .collect();
-        survived.sort_unstable();
-        assert_eq!(survived, all, "{kind}: survivors must run every chunk once");
-
-        // PerChunk: what machine 1 had already delivered stays
-        // delivered; what it held or had queued at its home goes back.
-        // Either mistake shows as a chunk delivered twice or never.
-        let job = Counter::new(&resident, HandOver::PerChunk);
-        let plan = FaultPlan::builder(0).crash(1, 10).build();
-        race(&resident, &job, kind, true, Some(plan));
-        let seen = job.seen.into_inner().unwrap();
-        let mut done = seen.done;
-        done.sort_unstable();
-        assert_eq!(done, all, "{kind}: a chunk was delivered twice or never");
-        if kind == SchedulerKind::Static {
-            assert_eq!(seen.handed_back.len(), 1);
+            for (machine, chunks) in &seen.handed_back {
+                let mut back = chunks.clone();
+                back.sort_unstable();
+                back.dedup();
+                assert_eq!((*machine, back.len()), (1, chunks.len()), "{ctx}");
+            }
         }
     }
 }

@@ -16,9 +16,8 @@ use benu_engine::CompiledPlan;
 use benu_pattern::canonical::fingerprint;
 use benu_pattern::{Pattern, PatternVertex};
 use benu_plan::{ExecutionPlan, PlanBuilder};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One cached compilation: the canonical pattern it belongs to, the
 /// chosen execution plan, and its compiled form shared by every worker
@@ -71,6 +70,12 @@ impl PlanCache {
         }
     }
 
+    /// The LRU list, whatever a thread that unwound holding its lock left
+    /// of it: every update is one `remove` or `push` of a shared plan.
+    fn entries(&self) -> MutexGuard<'_, Vec<(u64, Arc<CachedPlan>)>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Resolves `pattern` to a compiled plan: canonicalise, look up by
     /// canonical hash (verified against the canonical form), compile on
     /// a miss. Returns the shared plan, the placement mapping canonical
@@ -83,7 +88,7 @@ impl PlanCache {
     ) -> (Arc<CachedPlan>, Vec<PatternVertex>, bool) {
         let form = pattern.canonical_form();
         let hash = fingerprint(&form.pattern);
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries();
         if let Some(pos) = entries
             .iter()
             .position(|(h, e)| *h == hash && e.canonical == form.pattern)
@@ -127,7 +132,7 @@ impl PlanCache {
             plan,
             compiled,
         });
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries();
         if let Some(pos) = entries
             .iter()
             .position(|(h, e)| *h == hash && e.canonical == cached.canonical)
@@ -150,7 +155,7 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.entries.lock().len(),
+            entries: self.entries().len(),
         }
     }
 }

@@ -57,9 +57,8 @@ use benu_obs::{ObsHub, Report, ReportMode};
 use benu_pattern::canonical::fingerprint;
 use benu_pattern::{Pattern, PatternVertex};
 use benu_plan::{ChungLuEstimator, ExecutionPlan, FeedbackEstimator, PlanBuilder, PlanObs};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -74,6 +73,13 @@ const PLAN_CACHE_ENTRIES: usize = 32;
 /// results at any concurrency"), so τ must be a pure function of the
 /// graph and the plan.
 pub const AUTO_TAU_VIRTUAL_LANES: usize = 8;
+
+/// `mutex`'s value, whatever a lane that unwound holding it left of it:
+/// the service's locks guard plain data, and a query that a failing lane
+/// touched settles through its commit pipeline, not through a panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Mutable per-query state behind one lock: the commit pipeline while
 /// the query runs, the final result once it terminates.
@@ -107,7 +113,7 @@ struct QueryRun {
     /// Counted against the inflight cap (admitted past the gates and
     /// not yet finalised).
     counted: AtomicBool,
-    state: std::sync::Mutex<RunState>,
+    state: Mutex<RunState>,
     /// Signalled, under `state`, when the result is in.
     settled: Condvar,
 }
@@ -116,7 +122,7 @@ impl QueryRun {
     /// The commit pipeline or the result, whatever a lane that unwound
     /// holding the lock left of it.
     fn state(&self) -> MutexGuard<'_, RunState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.state)
     }
 
     /// The task-index range of `chunk`.
@@ -230,7 +236,7 @@ impl QueryService {
             pool: Pool::new(
                 config.workers,
                 SchedulerKind::Static,
-                config.fault_plan.clone(),
+                config.fault_plan.as_deref(),
             ),
             transports: (0..config.workers).map(|_| resident.transport()).collect(),
             lanes: Mutex::new(LanePart::default()),
@@ -298,7 +304,7 @@ impl QueryService {
     /// are terminal results, not errors of the submit call.
     pub fn submit(&self, pattern: &Pattern, options: QueryOptions) -> QueryId {
         let inner = &*self.inner;
-        let mut queries = inner.queries.lock();
+        let mut queries = lock(&inner.queries);
         let id = queries.len() as QueryId;
         let resident = &inner.resident;
         let (plan, placement, hit) = {
@@ -352,7 +358,7 @@ impl QueryService {
             started: AtomicBool::new(false),
             terminated: AtomicBool::new(false),
             counted: AtomicBool::new(false),
-            state: std::sync::Mutex::new(RunState {
+            state: Mutex::new(RunState {
                 commit: Some(commit),
                 result: None,
             }),
@@ -428,7 +434,7 @@ impl QueryService {
 
     /// Non-blocking lifecycle view; `None` for an unknown id.
     pub fn status(&self, id: QueryId) -> Option<QueryStatus> {
-        let run = Arc::clone(self.inner.queries.lock().get(id as usize)?);
+        let run = Arc::clone(lock(&self.inner.queries).get(id as usize)?);
         let state = run.state();
         Some(match &state.result {
             Some(result) => QueryStatus::Finished(result.clone()),
@@ -444,7 +450,7 @@ impl QueryService {
     /// this call made the transition; false if the query already
     /// terminated (or the id is unknown).
     pub fn cancel(&self, id: QueryId) -> bool {
-        let Some(run) = self.inner.queries.lock().get(id as usize).map(Arc::clone) else {
+        let Some(run) = lock(&self.inner.queries).get(id as usize).map(Arc::clone) else {
             return false;
         };
         let mut state = run.state();
@@ -465,9 +471,7 @@ impl QueryService {
     /// Panics if `id` was never returned by [`QueryService::submit`].
     pub fn wait(&self, id: QueryId) -> QueryResult {
         let run = Arc::clone(
-            self.inner
-                .queries
-                .lock()
+            lock(&self.inner.queries)
                 .get(id as usize)
                 .expect("unknown query id"),
         );
@@ -515,7 +519,7 @@ impl QueryService {
                 "requeued_chunks",
                 inner.requeued_chunks.load(Ordering::Relaxed),
             );
-            let total = inner.lanes.lock();
+            let total = lock(&inner.lanes);
             let mut lanes = lane_stats_report(&total.stats);
             lanes.set("busy_nanos", total.busy.as_nanos() as u64);
             lanes.set("fault_penalty_nanos", total.penalty.as_nanos() as u64);
@@ -529,7 +533,7 @@ impl QueryService {
         plan_cache.set("entries", pc.entries);
         service.set_tree("plan_cache", plan_cache);
         service.set("feedback_replans", inner.replans.load(Ordering::Relaxed));
-        for run in inner.queries.lock().iter() {
+        for run in lock(&inner.queries).iter() {
             let state = run.state();
             let Some(result) = &state.result else {
                 continue;
@@ -586,7 +590,7 @@ impl Inner {
     /// compilation. Pure function of the recorded observation.
     fn maybe_replan(&self, current: &Arc<CachedPlan>) -> Option<Arc<CachedPlan>> {
         let hash = fingerprint(&current.canonical);
-        let mut feedback = self.feedback.lock();
+        let mut feedback = lock(&self.feedback);
         let entry = feedback
             .iter_mut()
             .find(|e| e.hash == hash && e.canonical == current.canonical)?;
@@ -609,7 +613,7 @@ impl Inner {
     /// commutes, so the record is completion-order-independent).
     fn record_feedback(&self, run: &QueryRun, obs: &PlanObs) {
         let hash = fingerprint(&run.plan.canonical);
-        let mut feedback = self.feedback.lock();
+        let mut feedback = lock(&self.feedback);
         if let Some(entry) = feedback
             .iter_mut()
             .find(|e| e.hash == hash && e.canonical == run.plan.canonical)
@@ -789,7 +793,7 @@ impl Job for Ticket {
     /// A query hands its rows over per chunk: the lane's executor has
     /// none left.
     fn lane_done(&self, _machine: usize, part: LanePart, _rows: Option<MatchSet>) {
-        *self.inner.lanes.lock() += part;
+        *lock(&self.inner.lanes) += part;
     }
 
     /// A serving worker died holding this query's chunk and survivors
