@@ -31,21 +31,6 @@ macro_rules! impl_to_json_scalar {
 
 impl_to_json_scalar!(u32, u64, usize, i64, f64, bool, String);
 
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Value {
-        Value::List(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Value {
-        match self {
-            Some(v) => v.to_json(),
-            None => Value::Null,
-        }
-    }
-}
-
 impl ToJson for Report {
     fn to_json(&self) -> Value {
         Value::Tree(self.clone())
@@ -84,17 +69,9 @@ mod tests {
         name: String,
         count: u64,
         ratio: f64,
-        busy: Vec<f64>,
-        skipped: Option<u32>,
     }
 
-    impl_to_json!(Row {
-        name,
-        count,
-        ratio,
-        busy,
-        skipped
-    });
+    impl_to_json!(Row { name, count, ratio });
 
     #[test]
     fn renders_struct_via_macro() {
@@ -102,28 +79,10 @@ mod tests {
             name: "q1".into(),
             count: 42,
             ratio: 1.5,
-            busy: vec![0.25, 0.75],
-            skipped: None,
         };
         assert_eq!(
             row.to_json().render_json(),
-            "{\n  \"name\": \"q1\",\n  \"count\": 42,\n  \"ratio\": 1.5,\n  \
-             \"busy\": [\n    0.25,\n    0.75\n  ],\n  \"skipped\": null\n}\n"
+            "{\n  \"name\": \"q1\",\n  \"count\": 42,\n  \"ratio\": 1.5\n}\n"
         );
-    }
-
-    #[test]
-    fn arrays_of_records_render_as_json_array() {
-        let rows = vec![Row {
-            name: "x".into(),
-            count: 1,
-            ratio: 0.5,
-            busy: vec![],
-            skipped: Some(3),
-        }];
-        let json = rows.to_json().render_json();
-        assert!(json.starts_with("[\n"));
-        assert!(json.contains("\"busy\": []"));
-        assert!(json.contains("\"skipped\": 3"));
     }
 }

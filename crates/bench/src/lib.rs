@@ -1,14 +1,16 @@
-//! Shared harness utilities for the experiment binaries.
+//! The experiment harness.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index and EXPERIMENTS.md for recorded
-//! results). All binaries accept `--scale <f64>` to grow or shrink the
-//! dataset presets and `--json <path>` to additionally dump
-//! machine-readable results.
+//! [`paper`] is the paper's evaluation — every table and figure, and the
+//! claims made about each — which the `paper` binary prints. The other
+//! binaries under `src/bin/` measure extensions beyond the paper (see
+//! DESIGN.md §4 for the index and EXPERIMENTS.md for recorded results).
+//! All binaries accept `--scale <f64>` to grow or shrink the dataset
+//! presets and `--json <path>` to additionally dump machine-readable
+//! results.
 
-pub mod cells;
 pub mod cli;
 pub mod json;
+pub mod paper;
 pub mod report;
 
 use benu_graph::datasets::Dataset;
@@ -26,11 +28,6 @@ pub fn load_dataset(dataset: Dataset, scale: f64) -> Graph {
         g.adjacency_bytes()
     );
     g
-}
-
-/// Formats a `Duration` the way the paper's tables do (seconds).
-pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
 }
 
 /// Renders a fixed-width text table: a header row plus data rows.
@@ -66,11 +63,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn secs_formats() {
-        assert_eq!(secs(std::time::Duration::from_millis(1234)), "1.23s");
-    }
 
     #[test]
     fn dataset_loads() {

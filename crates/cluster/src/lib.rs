@@ -54,7 +54,6 @@
 //!   [`RunOutcome`] — exactly the measurements behind Table V, Fig. 8,
 //!   Fig. 9 and Fig. 10.
 
-pub mod analysis;
 pub mod balance;
 pub mod config;
 pub mod failure;

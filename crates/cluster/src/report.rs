@@ -10,7 +10,7 @@
 
 use crate::balance::{self, CostProfile};
 use crate::config::ExecMode;
-use crate::pool::SchedulerKind;
+use crate::pool::{SchedulerKind, TaskRecord};
 use crate::worker::LaneStats;
 use benu_cache::CacheStats;
 use benu_engine::{FrontierStats, PoolStats, TaskMetrics};
@@ -272,10 +272,11 @@ pub struct RunOutcome {
     pub spill_events: u64,
     /// Largest charged frontier footprint of any single thread, in bytes.
     pub peak_frontier_bytes: u64,
-    /// Per-task durations, when
+    /// One record per task — its wall time and, under DFS, its
+    /// deterministic cost in vticks — when
     /// [`ClusterConfig::collect_task_profile`](crate::ClusterConfig::collect_task_profile)
     /// is set.
-    pub task_times: Option<Vec<Duration>>,
+    pub task_records: Option<Vec<TaskRecord>>,
     /// What fault injection and recovery did (all zeros without a fault
     /// plan).
     pub recovery: RecoveryReport,
@@ -466,13 +467,13 @@ impl RunOutcome {
             r.set("elapsed_seconds", self.elapsed.as_secs_f64());
             r.set("makespan_seconds", self.makespan().as_secs_f64());
             r.set("load_imbalance", self.load_imbalance());
-            if let Some(times) = &self.task_times {
+            if let Some(records) = &self.task_records {
                 r.set(
                     "task_times_seconds",
                     Value::List(
-                        times
+                        records
                             .iter()
-                            .map(|d| Value::Float(d.as_secs_f64()))
+                            .map(|t| Value::Float(t.wall.as_secs_f64()))
                             .collect(),
                     ),
                 );

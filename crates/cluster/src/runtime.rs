@@ -532,13 +532,11 @@ impl Cluster {
             frontier_expansions: frontier.expansions,
             spill_events: frontier.spill_events,
             peak_frontier_bytes: frontier.peak_bytes,
-            task_times: records
-                .as_ref()
-                .map(|records| records.iter().map(|r| r.wall).collect()),
             recovery,
             // Hybrid execution records no per-task cost; an all-zero
             // profile fed back in would switch splitting off entirely.
             cost_profile: records
+                .as_ref()
                 .map(|records| {
                     records
                         .iter()
@@ -547,6 +545,7 @@ impl Cluster {
                 })
                 .filter(|costs| !costs.is_empty())
                 .map(|costs| CostProfile::from_task_costs(resident.degrees().len(), costs)),
+            task_records: records,
         };
         Ok((outcome, MatchSet::merge_sorted(lane_matches)))
     }
@@ -843,7 +842,7 @@ mod tests {
     }
 
     #[test]
-    fn task_times_are_collected_when_requested() {
+    fn task_records_are_collected_when_requested() {
         let g = gen::erdos_renyi_gnm(50, 120, 2);
         let plan = PlanBuilder::new(&queries::triangle()).best_plan();
         let cluster = Cluster::new(
@@ -855,8 +854,12 @@ mod tests {
                 .build(),
         );
         let outcome = cluster.run(&plan).unwrap();
-        let times = outcome.task_times.as_ref().unwrap();
-        assert_eq!(times.len(), outcome.total_tasks);
+        let records = outcome.task_records.as_ref().unwrap();
+        assert_eq!(records.len(), outcome.total_tasks);
+        assert!(
+            records.iter().all(|r| r.vticks.is_some()),
+            "DFS prices every task"
+        );
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! tier's hit count still covers every DBQ, and what the shared cache
 //! fetches and evicts is what its capacity implies.
 
-use benu_cluster::analysis::communication_upper_bound;
 use benu_cluster::{Cluster, ClusterConfig};
 use benu_graph::gen;
 use benu_pattern::queries;
-use benu_plan::{GraphStatsEstimator, PlanBuilder};
+use benu_plan::PlanBuilder;
 
 /// Under DFS every DBQ is exactly one of: answered by the lane's own
 /// table, a shared-cache hit, a shared-cache miss. The lanes' hits reach
@@ -103,17 +102,22 @@ fn a_disabled_cache_sends_every_dbq_to_the_store() {
     assert_eq!(outcome.kv.keys, outcome.metrics.dbq_executions);
 }
 
-/// The checkable half of the paper's §V-A bound: once a machine's cache
-/// holds the whole data graph, every worker faults each adjacency set at
-/// most once, so a run reads at most `p·|V(G)|` keys from the store —
+/// The whole-graph case of the paper's §V-A bound: once a machine's
+/// cache holds every adjacency set it reads, each worker faults each set
+/// at most once, so a run reads at most `p·|V(G)|` keys from the store —
 /// whatever the pattern. (One thread per worker: concurrent threads may
 /// race on the same cold miss and double-fetch.)
+///
+/// "Holds every set" is not `capacity ≥ adjacency_bytes()`: the cache
+/// charges `ENTRY_OVERHEAD_BYTES` (48 B) per entry on top of the list and
+/// splits its capacity over `cache_shards`, so a cache of exactly the
+/// graph's adjacency bytes still evicts. On `ok` × 0.03 with 4 workers ×
+/// 1 thread at that capacity, q4 reads 13 150 keys and q5 131 072
+/// against `p·|V|` = 480. The 64 MB cache here is far past both charges.
 #[test]
 fn a_graph_sized_cache_keeps_store_reads_within_the_whole_graph_bound() {
     let g = gen::barabasi_albert(300, 5, 11);
-    let est = GraphStatsEstimator::new(g.num_vertices(), g.num_edges());
     let capacity = 64 << 20;
-    assert!(capacity >= g.adjacency_bytes());
     for (name, pattern) in [("triangle", queries::triangle()), ("q4", queries::q4())] {
         let plan = PlanBuilder::new(&pattern).best_plan();
         for workers in [1, 4] {
@@ -122,16 +126,13 @@ fn a_graph_sized_cache_keeps_store_reads_within_the_whole_graph_bound() {
                 .threads_per_worker(1)
                 .cache_capacity_bytes(capacity)
                 .build();
-            let bound = communication_upper_bound(&plan, &g, &est, capacity, 1, workers);
-            assert!(bound.whole_graph);
-            assert_eq!(bound.queries, (workers * g.num_vertices()) as f64);
+            let bound = (workers * g.num_vertices()) as u64;
             let outcome = Cluster::new(&g, config).run(&plan).unwrap();
             assert!(outcome.kv.keys > 0, "{name}: a cold run reads the store");
             assert!(
-                outcome.kv.keys as f64 <= bound.queries,
-                "{name} on {workers} worker(s): {} keys read, bound {}",
-                outcome.kv.keys,
-                bound.queries
+                outcome.kv.keys <= bound,
+                "{name} on {workers} worker(s): {} keys read, bound {bound}",
+                outcome.kv.keys
             );
         }
     }

@@ -27,7 +27,6 @@ pub mod datasets;
 pub mod gen;
 pub mod graph;
 pub mod io;
-pub mod neighborhood;
 pub mod ops;
 pub mod order;
 pub mod stats;

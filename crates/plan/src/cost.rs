@@ -257,11 +257,6 @@ pub fn estimate_communication_cost(plan: &ExecutionPlan, est: &dyn CardinalityEs
     cost
 }
 
-/// Convenience: the mask of the first `len` vertices of a matching order.
-pub fn order_prefix_mask(order: &[usize], len: usize) -> u64 {
-    order[..len].iter().fold(0u64, |m, &v| m | (1 << v))
-}
-
 /// Iterates the vertices of a mask (re-export convenience for callers).
 pub fn mask_vertices(mask: u64) -> impl Iterator<Item = usize> {
     BitIter(mask)
