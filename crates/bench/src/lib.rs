@@ -1,15 +1,12 @@
 //! The experiment harness.
 //!
-//! [`paper`] is the paper's evaluation — every table and figure, and the
-//! claims made about each — which the `paper` binary prints. The other
-//! binaries under `src/bin/` measure extensions beyond the paper (see
-//! DESIGN.md §4 for the index and EXPERIMENTS.md for recorded results).
-//! All binaries accept `--scale <f64>` to grow or shrink the dataset
-//! presets and `--json <path>` to additionally dump machine-readable
-//! results.
+//! [`paper`] is the paper's evaluation — every table and figure — and
+//! the experiments on the extensions beyond it, each with the claims
+//! made about it. The one binary, `paper`, prints them (see DESIGN.md §4
+//! for the index and EXPERIMENTS.md for recorded results); `--scale
+//! <f64>` grows or shrinks the dataset presets and `--json <path>`
+//! additionally dumps machine-readable results.
 
-pub mod cli;
-pub mod json;
 pub mod paper;
 pub mod report;
 

@@ -1,10 +1,13 @@
-//! The paper's evaluation (§VII) as data.
+//! The paper's evaluation (§VII) as data, and the guarantees of the
+//! extensions beyond it.
 //!
 //! One function per table or figure returns its rows, and [`claims`]
 //! restates the paper's relative claims about that table as named
-//! predicates over the same rows. The `paper` bin prints both and
-//! writes both with `--json`; `tests/paper_claims.rs` asserts them at a
-//! small scale.
+//! predicates over the same rows. Three more experiments do the same for
+//! the extensions: hybrid execution under a memory budget, exact counts
+//! under injected faults, and the cardinality estimators. The `paper`
+//! bin prints rows and verdicts and writes both with `--json`;
+//! `tests/paper_claims.rs` asserts them at a small scale.
 //!
 //! Rows are [`Report`]s, so the text table, the JSON dump and the
 //! claims read one set of values. Every value a claim reads is a
@@ -17,17 +20,26 @@
 
 use crate::load_dataset;
 use benu_baselines::{starjoin, wcoj, BaselineOutcome};
-use benu_cluster::{balance, Cluster, ClusterConfig, ClusterConfigBuilder, RunOutcome};
+use benu_cluster::{
+    balance, Cluster, ClusterConfig, ClusterConfigBuilder, CodecKind, ExecMode, FaultPlan,
+    RunOutcome,
+};
 use benu_graph::datasets::Dataset;
 use benu_graph::{gen, stats, Graph};
-use benu_obs::{Report, Value};
+use benu_obs::{ObsHub, Report, ReportMode, Value};
+use benu_pattern::automorphism::automorphism_count;
 use benu_pattern::{queries, Pattern};
 use benu_plan::optimize::OptLevel;
-use benu_plan::{PlanBuilder, SearchStats};
+use benu_plan::{
+    CardinalityEstimator, ChungLuEstimator, FeedbackEstimator, GraphStatsEstimator, PlanBuilder,
+    SearchStats,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// The paper's tables and figures, in its order.
+/// The paper's tables and figures, in its order, then the extensions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Experiment {
     /// Table I: motif counts of the five data graphs.
@@ -46,11 +58,17 @@ pub enum Experiment {
     Table6,
     /// Fig. 10: machine scalability.
     Fig10,
+    /// Hybrid execution under a memory budget against DFS.
+    Budget,
+    /// Match counts under transient faults, a crash and dark shards.
+    Faults,
+    /// Cardinality estimators against true counts.
+    Estimators,
 }
 
 impl Experiment {
-    /// Every experiment, in the paper's order.
-    pub const ALL: [Experiment; 8] = [
+    /// Every experiment: the paper's, in its order, then the extensions.
+    pub const ALL: [Experiment; 11] = [
         Experiment::Table1,
         Experiment::Table4,
         Experiment::Fig7,
@@ -59,6 +77,16 @@ impl Experiment {
         Experiment::Table5,
         Experiment::Table6,
         Experiment::Fig10,
+        Experiment::Budget,
+        Experiment::Faults,
+        Experiment::Estimators,
+    ];
+
+    /// The extensions beyond the paper.
+    pub const EXT: [Experiment; 3] = [
+        Experiment::Budget,
+        Experiment::Faults,
+        Experiment::Estimators,
     ];
 
     /// The name the `paper` bin takes.
@@ -72,6 +100,9 @@ impl Experiment {
             Experiment::Table5 => "table5",
             Experiment::Table6 => "table6",
             Experiment::Fig10 => "fig10",
+            Experiment::Budget => "budget",
+            Experiment::Faults => "faults",
+            Experiment::Estimators => "estimators",
         }
     }
 
@@ -90,6 +121,8 @@ impl Experiment {
             Experiment::Fig7 | Experiment::Fig8 | Experiment::Fig9 => 0.15,
             Experiment::Table5 | Experiment::Fig10 => 0.08,
             Experiment::Table6 => 0.03,
+            Experiment::Budget | Experiment::Estimators => 0.05,
+            Experiment::Faults => 0.1,
         }
     }
 
@@ -103,6 +136,11 @@ impl Experiment {
             Experiment::Table5 => "Table V — BENU vs the join baseline (4 workers × 1 lane)",
             Experiment::Table6 => "Table VI — BENU vs WCOJ (4 workers × 1 lane)",
             Experiment::Fig10 => "Fig. 10 — simulated makespan over per-task vticks",
+            Experiment::Budget => {
+                "Hybrid execution under a memory budget (ok, 4 workers × 1 lane, no cache, τ 32)"
+            }
+            Experiment::Faults => "Exact counts under faults, q3 on as (4 workers × 1 lane)",
+            Experiment::Estimators => "Cardinality estimators: Erdős–Rényi, Chung-Lu, feedback",
         }
     }
 }
@@ -113,9 +151,11 @@ pub struct Setup {
     /// Dataset scale; `None` runs each experiment at its
     /// [`Experiment::default_scale`].
     pub scale: Option<f64>,
-    /// Replaces the datasets Tables I, V, VI and Fig. 10 sweep.
+    /// Replaces the datasets Tables I, V, VI, Fig. 10 and the estimator
+    /// comparison sweep.
     pub datasets: Option<Vec<Dataset>>,
-    /// Replaces the queries Tables V, VI and Fig. 10 sweep.
+    /// Replaces the queries Tables V, VI, Fig. 10 and the estimator
+    /// comparison sweep.
     pub queries: Option<Vec<String>>,
     /// Table IV: random connected patterns averaged per size (the paper
     /// averages 1000).
@@ -187,6 +227,9 @@ pub fn run(experiment: Experiment, setup: &Setup) -> Table {
         Experiment::Table5 => table5(setup, scale),
         Experiment::Table6 => table6(setup, scale),
         Experiment::Fig10 => fig10(setup, scale),
+        Experiment::Budget => budget(scale),
+        Experiment::Faults => faults(scale),
+        Experiment::Estimators => estimators(setup, scale),
     };
     Table {
         experiment,
@@ -195,7 +238,7 @@ pub fn run(experiment: Experiment, setup: &Setup) -> Table {
     }
 }
 
-/// One of the paper's claims, judged on a table's rows.
+/// One claim, the paper's or an extension's, judged on a table's rows.
 #[derive(Clone, Debug)]
 pub struct Claim {
     /// What is claimed, in terms of the rows.
@@ -641,6 +684,167 @@ fn fig10(setup: &Setup, scale: f64) -> Vec<Report> {
     scaling
 }
 
+/// DFS once per store codec, then hybrid execution at budgets from one
+/// that must spill to unbounded (0), all over the raw codec.
+const BUDGET_ARMS: [(&str, CodecKind, ExecMode, usize); 6] = [
+    ("dfs", CodecKind::RawU32, ExecMode::Dfs, 0),
+    ("dfs", CodecKind::DeltaVarint, ExecMode::Dfs, 0),
+    ("hybrid 4 KB", CodecKind::RawU32, ExecMode::Hybrid, 4 << 10),
+    (
+        "hybrid 64 KB",
+        CodecKind::RawU32,
+        ExecMode::Hybrid,
+        64 << 10,
+    ),
+    ("hybrid 1 MB", CodecKind::RawU32, ExecMode::Hybrid, 1 << 20),
+    ("hybrid unbounded", CodecKind::RawU32, ExecMode::Hybrid, 0),
+];
+
+fn budget(scale: f64) -> Vec<Report> {
+    let g = load_dataset(Dataset::Orkut, scale);
+    let mut rows = Vec::new();
+    for name in ["q5", "clique4"] {
+        let plan = best_plan(&g, &named_pattern(name), false);
+        for (arm, codec, mode, budget) in BUDGET_ARMS {
+            // A fresh cluster with no database cache: every adjacency read
+            // is a store round trip, so batching shows in the count.
+            let config = lanes(4)
+                .cache_capacity_bytes(0)
+                .tau(32)
+                .codec(codec)
+                .exec_mode(mode)
+                .memory_budget_bytes(budget)
+                .build();
+            let o = Cluster::new(&g, config)
+                .run(&plan)
+                .expect("a tight budget spills, it does not fail");
+            rows.push(row([
+                ("query", name.into()),
+                ("arm", arm.into()),
+                ("codec", codec.name().into()),
+                ("matches", o.total_matches.into()),
+                ("round_trips", o.kv.requests.into()),
+                ("store_bytes", o.kv.bytes.into()),
+                ("expansions", o.frontier_expansions.into()),
+                ("spills", o.spill_events.into()),
+                ("peak_frontier_bytes", o.peak_frontier_bytes.into()),
+            ]));
+        }
+    }
+    rows
+}
+
+/// A fingerprint of a report, equal for equal reports.
+fn digest(report: &Report) -> String {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    Value::Tree(report.clone()).render_json().hash(&mut hasher);
+    format!("{:016x}", hasher.finish())
+}
+
+fn faults(scale: f64) -> Vec<Report> {
+    let g = load_dataset(Dataset::AsSkitter, scale);
+    let plan = best_plan(&g, &queries::q3(), true);
+    let run = |replication: usize, faults: Option<FaultPlan>, hub: bool| {
+        let config = lanes(4).replication(replication).build();
+        let mut cluster = match hub {
+            true => Cluster::new_observed(&g, config, Arc::new(ObsHub::new())),
+            false => Cluster::new(&g, config),
+        };
+        cluster.set_fault_plan(faults);
+        cluster.run(&plan).expect("every fault here is survivable")
+    };
+    let mut rows = Vec::new();
+    // Every rate also crashes worker 1 after its fifth task.
+    for rate in [0.0, 0.001, 0.01, 0.05] {
+        let faults = FaultPlan::builder(0).transient_rate(rate).crash(1, 5);
+        let o = run(1, Some(faults.build()), false);
+        rows.push(row([
+            ("fault_rate_pct", (100.0 * rate).into()),
+            ("matches", o.total_matches.into()),
+            ("faults", o.recovery.transient_faults.into()),
+            ("retries", o.recovery.retries.into()),
+            ("crashes", o.recovery.worker_crashes.into()),
+            ("requeued", o.recovery.tasks_requeued.into()),
+        ]));
+    }
+    // Whole shards dark from the first pass under two copies of every
+    // value; shards 0 and 2 share no placement group.
+    for dark in [&[][..], &[0], &[0, 2]] {
+        let faults = dark
+            .iter()
+            .fold(FaultPlan::builder(0), |f, &shard| f.shard_outage(shard, 1));
+        let o = run(2, Some(faults.build()), false);
+        let label: Vec<String> = dark.iter().map(usize::to_string).collect();
+        rows.push(row([
+            ("replication", 2usize.into()),
+            ("dark_shards", label.join("+").into()),
+            ("matches", o.total_matches.into()),
+            ("failover_reads", o.recovery.failover_reads.into()),
+            ("retries", o.recovery.retries.into()),
+        ]));
+    }
+    // A fault-free run, where every field of the report replays, without
+    // and with an ObsHub attached.
+    for hub in [false, true] {
+        let o = run(1, None, hub);
+        let report = o.report(ReportMode::Deterministic);
+        rows.push(row([
+            ("obs_hub", hub.into()),
+            ("matches", o.total_matches.into()),
+            ("report_digest", digest(&report).into()),
+        ]));
+    }
+    rows
+}
+
+/// `max(estimate / truth, truth / estimate)`, both floored away from
+/// zero: 1 is exact.
+fn q_error(estimate: f64, truth: f64) -> f64 {
+    let (e, t) = (estimate.max(1e-9), truth.max(1e-9));
+    (e / t).max(t / e)
+}
+
+fn estimators(setup: &Setup, scale: f64) -> Vec<Report> {
+    let mut rows = Vec::new();
+    let all = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8", "q9"];
+    let sweep = [
+        Dataset::AsSkitter,
+        Dataset::LiveJournal,
+        Dataset::FriendSter,
+    ];
+    for dataset in setup.datasets(&sweep) {
+        let g = load_dataset(dataset, scale);
+        let er = GraphStatsEstimator::new(g.num_vertices(), g.num_edges());
+        let cl = ChungLuEstimator::from_graph(&g);
+        let cluster = Cluster::new(&g, lanes(4).build());
+        for (name, pattern) in setup.queries(&all) {
+            // Uncompressed: a compressed plan drops the last enumeration
+            // levels, and with them the slots the feedback model reads.
+            let plan = best_plan(&g, &pattern, false);
+            let o = cluster.run(&plan).expect("cluster run failed");
+            let fb = FeedbackEstimator::new(cl.clone(), &plan, &o.metrics.obs);
+            // Ordered maps, as the models count them.
+            let truth = o.total_matches * automorphism_count(&pattern) as u64;
+            let everything = (1u64 << pattern.num_vertices()) - 1;
+            let q = |model: &dyn CardinalityEstimator| {
+                q_error(
+                    model.estimate_pattern_subset(&pattern, everything),
+                    truth as f64,
+                )
+            };
+            rows.push(row([
+                ("graph", dataset.abbrev().into()),
+                ("query", name.as_str().into()),
+                ("ordered_matches", truth.into()),
+                ("er_q_error", q(&er).into()),
+                ("cl_q_error", q(&cl).into()),
+                ("fb_q_error", q(&fb).into()),
+            ]));
+        }
+    }
+    rows
+}
+
 fn num(r: &Report, key: &str) -> f64 {
     r.get_f64(key)
         .unwrap_or_else(|| panic!("row has no number {key:?}"))
@@ -659,6 +863,12 @@ fn rows_where<'a>(t: &'a Table, key: &str, value: &str) -> Vec<&'a Report> {
         t,
         |r| matches!(r.get(key), Some(Value::Str(s)) if s == value),
     )
+}
+
+/// The row of `rows` that has `key` set to `value`.
+fn only<'a>(rows: &[&'a Report], key: &str, value: &str) -> &'a Report {
+    let found = rows.iter().find(|r| text(r, key) == value);
+    found.unwrap_or_else(|| panic!("no row with {key} {value:?}"))
 }
 
 fn select(t: &Table, keep: impl Fn(&Report) -> bool) -> Vec<&Report> {
@@ -1015,6 +1225,132 @@ pub fn claims(t: &Table) -> Vec<Claim> {
                     },
                 ),
             ]
+        }
+        Experiment::Budget => {
+            let (dfs, hybrid) = (
+                rows_where(t, "arm", "dfs"),
+                select(t, |r| text(r, "arm") != "dfs"),
+            );
+            vec![
+                per_group(&all, &["query"], "every arm counts what DFS counts", |r| {
+                    let m = series(r, "matches");
+                    (m.iter().all(|&x| x == m[0]), shown(&m[..1]))
+                }),
+                per_group(
+                    &hybrid,
+                    &["query"],
+                    "round trips never rise as the budget grows",
+                    |r| {
+                        let trips = series(r, "round_trips");
+                        (never_rises(&trips), shown(&trips))
+                    },
+                ),
+                per_group(
+                    &hybrid,
+                    &["query"],
+                    "the 4 KB budget spills and the unbounded one does not",
+                    |r| {
+                        let (tight, free) = (
+                            num(only(r, "arm", "hybrid 4 KB"), "spills"),
+                            num(only(r, "arm", "hybrid unbounded"), "spills"),
+                        );
+                        (tight > 0.0 && free == 0.0, shown(&[tight, free]))
+                    },
+                ),
+                per_group(
+                    &all,
+                    &["query"],
+                    "unbounded hybrid cuts DFS's round trips ≥ 100×",
+                    |r| {
+                        // A group's first row is DFS over the raw codec.
+                        let (dfs, hybrid) = (
+                            num(r[0], "round_trips"),
+                            num(only(r, "arm", "hybrid unbounded"), "round_trips"),
+                        );
+                        (100.0 * hybrid <= dfs, shown(&[dfs, hybrid]))
+                    },
+                ),
+                per_group(
+                    &dfs,
+                    &["query"],
+                    "DFS store bytes under delta-varint are ≤ 0.3 × raw",
+                    |r| {
+                        let bytes = |codec| num(only(r, "codec", codec), "store_bytes");
+                        let share = bytes("delta-varint") / bytes("raw-u32");
+                        (share <= 0.3, format!("{share:.3}"))
+                    },
+                ),
+            ]
+        }
+        Experiment::Faults => {
+            let rates = select(t, |r| r.get("fault_rate_pct").is_some());
+            let faulted = select(t, |r| r.get_f64("fault_rate_pct").is_some_and(|p| p > 0.0));
+            let dark = select(
+                t,
+                |r| matches!(r.get("dark_shards"), Some(Value::Str(s)) if !s.is_empty()),
+            );
+            let digests = select(t, |r| r.get("obs_hub").is_some())
+                .into_iter()
+                .map(|r| text(r, "report_digest"))
+                .collect::<Vec<_>>();
+            let matches = series(&all, "matches");
+            vec![
+                claim(
+                    "no fault, crash or dark shard changes the count",
+                    matches.iter().all(|&m| m == matches[0]),
+                    shown(&matches),
+                ),
+                per_group(
+                    &faulted,
+                    &["fault_rate_pct"],
+                    "every non-zero rate injects a fault",
+                    |r| {
+                        let f = num(r[0], "faults");
+                        (f >= 1.0, shown(&[f]))
+                    },
+                ),
+                per_group(
+                    &rates,
+                    &["fault_rate_pct"],
+                    "worker 1 crashes once and its tasks are requeued",
+                    |r| {
+                        let (crashes, requeued) = (num(r[0], "crashes"), num(r[0], "requeued"));
+                        (
+                            crashes == 1.0 && requeued > 0.0,
+                            format!("{crashes} crash, {requeued} requeued"),
+                        )
+                    },
+                ),
+                claim(
+                    "an ObsHub leaves the deterministic run report unchanged",
+                    digests[0] == digests[1],
+                    digests.join(" vs "),
+                ),
+                per_group(
+                    &dark,
+                    &["dark_shards"],
+                    "with two copies, dark shards' reads fail over without a retry",
+                    |r| {
+                        let (reads, retries) = (num(r[0], "failover_reads"), num(r[0], "retries"));
+                        (
+                            reads > 0.0 && retries == 0.0,
+                            format!("{reads} failover reads, {retries} retries"),
+                        )
+                    },
+                ),
+            ]
+        }
+        Experiment::Estimators => {
+            let mean = |key| {
+                let q = series(&all, key);
+                q.iter().sum::<f64>() / q.len().max(1) as f64
+            };
+            let (fb, cl, er) = (mean("fb_q_error"), mean("cl_q_error"), mean("er_q_error"));
+            vec![claim(
+                "mean q-error: feedback < Chung-Lu < Erdős–Rényi",
+                fb < cl && cl < er,
+                format!("{fb:.2} < {cl:.2} < {er:.2}"),
+            )]
         }
     }
 }

@@ -1,15 +1,13 @@
 //! The unified bench report envelope (schema `benu/report-v2`).
 //!
-//! Every experiment binary's `--json` dump is one [`BenchReport`]: the
-//! schema tag, the bench name, the parameters the run was invoked with,
-//! and a list of result rows. Rows are either existing per-bin record
-//! structs (anything [`ToJson`]) or [`benu_obs::Report`] trees — cluster
-//! rows embed [`benu_cluster::RunOutcome::report`] so every bin exposes
-//! the same run-level shape. The golden-file snapshot test
-//! (`tests/report_schema.rs`) pins this schema; bump [`SCHEMA`] when
+//! The `paper` binary's `--json` dump is one [`BenchReport`]: the schema
+//! tag, the bench name, the parameters the run was invoked with, and a
+//! list of result rows, each a [`Report`] tree. The golden-file snapshot
+//! test (`tests/report_schema.rs`) pins this schema, with a
+//! [`benu_cluster::RunOutcome::report`] as its row; bump [`SCHEMA`] when
 //! changing it.
 
-use crate::json::{Report, ToJson, Value};
+use benu_obs::{Report, Value};
 
 /// The schema tag every unified dump carries.
 pub const SCHEMA: &str = "benu/report-v2";
@@ -38,26 +36,9 @@ impl BenchReport {
         self
     }
 
-    /// Appends a result row (any [`ToJson`] record or `Report` tree).
-    pub fn push_row(&mut self, row: &(impl ToJson + ?Sized)) -> &mut Self {
-        self.rows.push(row.to_json());
-        self
-    }
-
-    /// Appends a row with the cluster run's unified report embedded under
-    /// a `"run"` key — how cluster-driving bins expose the full
-    /// per-layer breakdown next to their headline columns.
-    pub fn push_row_with_run(&mut self, row: &(impl ToJson + ?Sized), run: &Report) -> &mut Self {
-        let mut fields = match row.to_json() {
-            Value::Tree(fields) => fields,
-            other => {
-                let mut fields = Report::new();
-                fields.set("row", other);
-                fields
-            }
-        };
-        fields.set_tree("run", run.clone());
-        self.rows.push(Value::Tree(fields));
+    /// Appends a result row.
+    pub fn push_row(&mut self, row: &Report) -> &mut Self {
+        self.rows.push(Value::Tree(row.clone()));
         self
     }
 
@@ -110,19 +91,5 @@ mod tests {
         let params_pos = json.find("\"params\"").unwrap();
         let rows_pos = json.find("\"rows\"").unwrap();
         assert!(schema_pos < bench_pos && bench_pos < params_pos && params_pos < rows_pos);
-    }
-
-    #[test]
-    fn run_subtree_rides_along_with_the_row() {
-        let mut report = BenchReport::new("demo");
-        let mut row = Report::new();
-        row.set("variant", "tau");
-        let mut run = Report::new();
-        run.set("total_matches", 99u64);
-        report.push_row_with_run(&row, &run);
-        let json = report.to_json().render_json();
-        assert!(json.contains("\"variant\": \"tau\""));
-        assert!(json.contains("\"run\": {"));
-        assert!(json.contains("\"total_matches\": 99"));
     }
 }

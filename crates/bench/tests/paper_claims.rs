@@ -1,4 +1,5 @@
-//! The paper's relative claims (§VII) hold on the evaluation's own rows.
+//! The paper's relative claims (§VII), and the extensions' guarantees,
+//! hold on the evaluation's own rows.
 //!
 //! Each test runs one experiment of `benu_bench::paper` at a scale a
 //! debug build finishes in seconds and asserts every claim
@@ -7,7 +8,7 @@
 //! the same claims at the default scales; EXPERIMENTS.md records both.
 //!
 //! Scales and caps, chosen so the whole file runs in under a minute in
-//! a debug build (37 s on a 2-core host):
+//! a debug build (53–55 s on a 2-core host):
 //! - Table I: every stand-in × 0.03.
 //! - Table IV: no data graph; 5 random patterns per size.
 //! - Fig. 7: lj × 0.015. Fig. 8: ok × 0.01. Fig. 9: ok × 0.03.
@@ -17,6 +18,8 @@
 //!   work budget 8 × 10⁶ extension steps (the bin's 512 MB / 3 × 10⁸
 //!   take 22–49 s of release time per dense cell at × 0.03).
 //! - Fig. 10: q5 on ok and fs × 0.01.
+//! - Budget: ok × 0.01. Faults: as × 0.05. Estimators: as and lj × 0.01
+//!   (fs adds a minute and a half).
 
 use benu_bench::paper::{self, Experiment, Setup, Table};
 use benu_graph::datasets::Dataset;
@@ -142,4 +145,23 @@ fn fig10_simulated_speedup_grows_with_workers() {
         ..at(0.01)
     };
     assert_claims(&paper::run(Experiment::Fig10, &setup), &[]);
+}
+
+#[test]
+fn budget_hybrid_batches_reads_and_spills_without_losing_a_match() {
+    assert_claims(&paper::run(Experiment::Budget, &at(0.01)), &[]);
+}
+
+#[test]
+fn faults_crashes_and_dark_shards_leave_the_count_exact() {
+    assert_claims(&paper::run(Experiment::Faults, &at(0.05)), &[]);
+}
+
+#[test]
+fn estimators_feedback_beats_chung_lu_beats_erdos_renyi() {
+    let setup = Setup {
+        datasets: Some(vec![Dataset::AsSkitter, Dataset::LiveJournal]),
+        ..at(0.01)
+    };
+    assert_claims(&paper::run(Experiment::Estimators, &setup), &[]);
 }

@@ -29,24 +29,6 @@ impl ExecMode {
     }
 }
 
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dfs" => Ok(ExecMode::Dfs),
-            "hybrid" => Ok(ExecMode::Hybrid),
-            other => Err(format!("unknown exec mode '{other}' (dfs|hybrid)")),
-        }
-    }
-}
-
 /// Default internal shard count of a worker's database cache.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// Default capacity, in entries, of an engine's private triangle cache.
@@ -387,13 +369,8 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_round_trips_through_names() {
+    fn exec_mode_defaults_to_dfs() {
         assert_eq!(ExecMode::default(), ExecMode::Dfs);
-        for mode in [ExecMode::Dfs, ExecMode::Hybrid] {
-            assert_eq!(mode.name().parse::<ExecMode>().unwrap(), mode);
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert!("bfs".parse::<ExecMode>().is_err());
     }
 
     #[test]

@@ -106,20 +106,6 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "static" | "round-robin" | "rr" => Ok(SchedulerKind::Static),
-            "work-stealing" | "stealing" | "ws" => Ok(SchedulerKind::WorkStealing),
-            other => Err(format!(
-                "unknown scheduler {other:?} (expected \"static\" or \"work-stealing\")"
-            )),
-        }
-    }
-}
-
 /// When a lane hands a job's results over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HandOver {
@@ -1083,16 +1069,8 @@ mod tests {
     }
 
     #[test]
-    fn kind_parses_and_displays() {
-        use std::str::FromStr;
-        assert_eq!(SchedulerKind::from_str("static"), Ok(SchedulerKind::Static));
-        assert_eq!(SchedulerKind::from_str("rr"), Ok(SchedulerKind::Static));
-        assert_eq!(
-            SchedulerKind::from_str("work-stealing"),
-            Ok(SchedulerKind::WorkStealing)
-        );
+    fn kind_displays_its_name() {
         assert_eq!(SchedulerKind::WorkStealing.to_string(), "work-stealing");
-        assert!(SchedulerKind::from_str("lottery").is_err());
         assert_eq!(SchedulerKind::default(), SchedulerKind::Static);
     }
 

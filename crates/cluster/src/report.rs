@@ -395,8 +395,8 @@ impl RunOutcome {
         r.set("total_codes", self.total_codes);
         r.set("total_tasks", self.total_tasks);
         r.set("effective_tau", self.effective_tau);
-        r.set("scheduler", self.scheduler.to_string());
-        r.set("exec_mode", self.exec_mode.to_string());
+        r.set("scheduler", self.scheduler.name());
+        r.set("exec_mode", self.exec_mode.name());
         r.set("total_steals", self.total_steals());
         r.set("communication_bytes", self.communication_bytes());
         r.set("cache_hit_rate", self.cache_hit_rate());

@@ -101,8 +101,9 @@ impl std::error::Error for FaultError {}
 
 /// A deterministic, seeded description of every fault a run will see.
 ///
-/// Build one with [`FaultPlan::builder`]. All rates are per store round
-/// trip; crashes are per worker, at a task boundary.
+/// Build one with [`FaultPlan::builder`]. Rates are shares of (shard,
+/// key) pairs whose attempt faults ([`FaultPlanBuilder::transient_rate`]);
+/// crashes are per worker, at a task boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -147,19 +148,6 @@ impl FaultPlan {
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Combined per-round-trip fault probability.
-    pub fn fault_rate(&self) -> f64 {
-        self.transient_rate + self.timeout_rate
-    }
-
-    /// True if the plan can inject anything at all.
-    pub fn has_faults(&self) -> bool {
-        self.fault_rate() > 0.0
-            || !self.slow.is_empty()
-            || !self.crashes.is_empty()
-            || !self.outages.is_empty()
     }
 
     /// The fault (if any) injected into the `attempt`-th round trip for
@@ -230,13 +218,6 @@ impl FaultPlan {
             ..self.clone()
         }
     }
-
-    /// The shards the plan darkens at some point, in ascending order.
-    pub fn outage_shards(&self) -> Vec<usize> {
-        let mut shards: Vec<usize> = self.outages.keys().copied().collect();
-        shards.sort_unstable();
-        shards
-    }
 }
 
 /// Fluent builder for [`FaultPlan`].
@@ -244,7 +225,12 @@ impl FaultPlan {
 pub struct FaultPlanBuilder(FaultPlan);
 
 impl FaultPlanBuilder {
-    /// Per-round-trip probability of an immediate transient error.
+    /// The share of (shard, key) pairs whose attempt draws an immediate
+    /// transient error. The draw is keyed on (shard, key, attempt), not
+    /// on the round trip ([`FaultPlan::fault_for`]): a pair whose first
+    /// attempt faults faults on every access to it, and its retries draw
+    /// afresh. How many faults a run sees therefore follows how often
+    /// the faulting pairs are read, not the rate times the round trips.
     ///
     /// # Panics
     ///
@@ -255,7 +241,8 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Per-round-trip probability of a simulated timeout.
+    /// The share of (shard, key) pairs whose attempt draws a simulated
+    /// timeout, keyed like [`FaultPlanBuilder::transient_rate`].
     ///
     /// # Panics
     ///
@@ -483,7 +470,6 @@ mod tests {
     #[test]
     fn benign_plan_injects_nothing() {
         let plan = FaultPlan::benign(99);
-        assert!(!plan.has_faults());
         for v in 0..100 {
             assert_eq!(plan.fault_for(0, v, 0), None);
         }
@@ -535,7 +521,6 @@ mod tests {
         let plan = FaultPlan::builder(0).crash(2, 10).build();
         assert_eq!(plan.crash_after(2), Some(10));
         assert_eq!(plan.crash_after(0), None);
-        assert!(plan.has_faults());
     }
 
     #[test]
@@ -554,8 +539,6 @@ mod tests {
         assert!(!plan.outage_at(0, 3));
         // Untouched shards are always healthy.
         assert!(!plan.outage_at(1, 1));
-        assert_eq!(plan.outage_shards(), vec![0, 2]);
-        assert!(plan.has_faults());
     }
 
     #[test]
@@ -564,7 +547,7 @@ mod tests {
             let plan = FaultPlan::builder(seed)
                 .random_shard_outages(2, 8, 1)
                 .build();
-            plan.outage_shards()
+            (0..8).filter(|&s| plan.outage_at(s, 1)).collect::<Vec<_>>()
         };
         assert_eq!(pick(9), pick(9));
         assert_eq!(pick(9).len(), 2);
@@ -587,7 +570,10 @@ mod tests {
             assert!(p.outage_at(1, 1));
             assert_eq!(p.latency_penalty(2), plan.latency_penalty(2));
             assert_eq!(p.crash_after(0), Some(5));
-            assert_eq!(p.fault_rate(), plan.fault_rate());
+            assert_eq!(
+                (p.transient_rate, p.timeout_rate),
+                (plan.transient_rate, plan.timeout_rate)
+            );
         }
         // Per-request decisions are independent per scope, and each
         // scope replays its own stream exactly.

@@ -26,9 +26,9 @@
 //!   and request latencies). Histograms registered as *wall* (timing-
 //!   derived) are excluded from deterministic snapshots.
 //!
-//! An [`ObsHub`] is optional everywhere it is accepted, and cheap enough
-//! to stay on in production (< 3 % on the fig9 enumeration workload, the
-//! `obs_overhead` bench bin's bare-vs-observed A/B).
+//! An [`ObsHub`] is optional everywhere it is accepted, and attaching one
+//! changes nothing in a run's deterministic report (the `faults`
+//! experiment of `benu-bench` checks it).
 
 pub mod alloc;
 pub mod metrics;

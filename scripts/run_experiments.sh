@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper's evaluation with the
-# `paper` bin: rewrites experiment_logs.txt and the bench_results/*.json
-# files named below, and nothing else. Pass a scale override as $1
+# Regenerates every table and figure of the paper's evaluation, and the
+# extension experiments, with the `paper` bin: rewrites
+# experiment_logs.txt and the bench_results/*.json files named below, and
+# nothing else. Pass a scale override as $1
 # (default: each experiment's own default scale). Exits non-zero when a
 # gated claim does not hold; the remaining experiments still run.
 set -uo pipefail
@@ -37,6 +38,8 @@ run table5_fs.json table5 --datasets fs
 run table5_uk.json table5 --datasets uk --queries q1,q2,q3,q4,q5
 run table6.json table6
 run fig10_fsq9.json fig10
+# budget, faults and estimators in one file.
+run ext.json ext
 
 echo "All experiments written to experiment_logs.txt and bench_results/*.json"
 exit $status
