@@ -28,8 +28,13 @@
 //!   as early termination — evaluated at in-order chunk-commit
 //!   boundaries, so results and terminal statuses are identical at any
 //!   concurrency and execution mode.
-//! * **Observability**: lifecycle counts, plan-cache stats, per-query
-//!   subtrees and (in `Full` mode) what the lanes counted, all in
+//! * **Delivery once**: [`QueryService::wait`] hands a query's result
+//!   over and the service forgets the query; a settled query nobody has
+//!   waited on yet holds only its result. What the service keeps of
+//!   served queries is one fixed-size record per pattern class, so its
+//!   memory grows with the classes served, not the queries.
+//! * **Observability**: lifecycle counts, plan-cache stats, per-class
+//!   sums and (in `Full` mode) what the lanes counted, all in
 //!   [`QueryService::report`] with or without a hub; an attached
 //!   `ObsHub` adds per-query compile/queue/execute spans on the virtual
 //!   clock.

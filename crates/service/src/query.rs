@@ -5,8 +5,9 @@ use benu_cluster::Failure;
 use benu_engine::{MatchSet, TaskMetrics};
 use std::time::Duration;
 
-/// Identifies one submitted query for the lifetime of a service
-/// (sequential from 0 in admission order).
+/// Identifies one submitted query until its result is consumed by
+/// [`crate::QueryService::wait`] (sequential from 0 in admission order,
+/// never reused).
 pub type QueryId = u64;
 
 /// What a query delivers. Every mode is enforced *inside* the worker
@@ -39,16 +40,6 @@ impl ResultMode {
     /// Whether the engine must materialise embeddings for this mode.
     pub(crate) fn needs_matches(&self) -> bool {
         !matches!(self, ResultMode::CountOnly)
-    }
-
-    /// Stable lower-case name (reports, logs).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ResultMode::CountOnly => "count",
-            ResultMode::Collect => "collect",
-            ResultMode::TopK(_) => "top_k",
-            ResultMode::Sample { .. } => "sample",
-        }
     }
 }
 
@@ -255,8 +246,6 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(ResultMode::CountOnly.name(), "count");
-        assert_eq!(ResultMode::Sample { n: 1, seed: 0 }.name(), "sample");
         assert_eq!(Terminal::DeadlineExceeded.name(), "deadline_exceeded");
         assert_eq!(Terminal::DegradedPartial.name(), "degraded_partial");
         assert_eq!(

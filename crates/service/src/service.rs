@@ -18,6 +18,13 @@
 //! feeds the outcome to its [`CommitState`], which enforces in-order
 //! commit and every budget.
 //!
+//! Lifecycle: the service holds a query from admission until
+//! [`QueryService::wait`] takes its result — a result is delivered once.
+//! The task list, placement and fault gate are the [`Ticket`]'s and go
+//! with the pool's last ticket; the commit pipeline goes at settle. What
+//! outlives the query is its share of one [`ClassRecord`] per pattern
+//! class: summed counts and feedback, the same for any number of queries.
+//!
 //! Determinism contract: a query's terminal status, match count,
 //! committed match stream and virtual-time latency are a pure function
 //! of `(graph, pattern, options, chunk_tasks)` — independent of worker
@@ -57,6 +64,7 @@ use benu_obs::{ObsHub, Report, ReportMode};
 use benu_pattern::canonical::fingerprint;
 use benu_pattern::{Pattern, PatternVertex};
 use benu_plan::{ChungLuEstimator, ExecutionPlan, FeedbackEstimator, PlanBuilder, PlanObs};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -82,29 +90,22 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Mutable per-query state behind one lock: the commit pipeline while
-/// the query runs, the final result once it terminates.
+/// the query runs, the final result once it terminates, neither once
+/// [`QueryService::wait`] took the result.
 struct RunState {
     commit: Option<CommitState>,
     result: Option<QueryResult>,
 }
 
 /// One admitted query, shared between the submitter and the workers.
+/// What only its chunks need is in the [`Ticket`]'s [`Work`], so a
+/// settled query nobody has waited on yet holds little besides its
+/// result.
 struct QueryRun {
     id: QueryId,
-    options: QueryOptions,
     plan: Arc<CachedPlan>,
-    /// `placement[i]` = submitted-pattern vertex at canonical position
-    /// `i` (plans are compiled for the canonical numbering).
-    placement: Vec<PatternVertex>,
-    tasks: Vec<SearchTask>,
-    chunk_tasks: usize,
     plan_cache_hit: bool,
     submitted_at: Instant,
-    /// The query's fault gate, over the service fault plan scoped by
-    /// query id: each query draws its own per-request decision stream
-    /// while structural faults (outages, slow shards, crashes) stay
-    /// shared. `None` serves faultlessly.
-    gate: Option<FaultGate>,
     /// First chunk granted — flips `Queued` to `Running`.
     started: AtomicBool,
     /// Terminal decided: workers skip granted chunks and abort DFS
@@ -124,35 +125,89 @@ impl QueryRun {
     fn state(&self) -> MutexGuard<'_, RunState> {
         lock(&self.state)
     }
+}
 
-    /// The task-index range of `chunk`.
-    fn chunk_range(&self, chunk: usize) -> std::ops::Range<usize> {
-        let start = chunk * self.chunk_tasks;
-        start..self.tasks.len().min(start + self.chunk_tasks)
+/// One pattern class's record: what its settled queries add up to, and
+/// the observed cardinalities feedback re-planning reads. Every count is
+/// a sum, so the record — and the report and re-planning built on it —
+/// is independent of completion order, and it costs the same for one
+/// query of the class as for a million.
+struct ClassRecord {
+    canonical: Pattern,
+    tally: Tally,
+    /// Recorded once an exhaustively completed query observed the plan
+    /// it ran (with [`ServiceConfig::feedback_replanning`] on).
+    feedback: Option<Feedback>,
+}
+
+/// A class's settled queries, summed.
+#[derive(Default)]
+struct Tally {
+    /// Settled queries per [`Terminal::name`].
+    terminals: BTreeMap<&'static str, u64>,
+    matches_found: u64,
+    vticks: u64,
+    chunks_committed: u64,
+    chunks_discarded: u64,
+    plan_cache_hits: u64,
+    exhaustive: u64,
+    /// Submission-to-terminal wall time (reported in `Full` mode only).
+    wall_nanos: u64,
+}
+
+impl Tally {
+    fn add(&mut self, result: &QueryResult) {
+        *self.terminals.entry(result.terminal.name()).or_default() += 1;
+        self.matches_found += result.matches_found;
+        self.vticks += result.vticks;
+        self.chunks_committed += result.chunks_committed as u64;
+        self.chunks_discarded += result.chunks_discarded as u64;
+        self.plan_cache_hits += u64::from(result.plan_cache_hit);
+        self.exhaustive += u64::from(result.exhaustive);
+        self.wall_nanos += result.wall.as_nanos() as u64;
+    }
+
+    fn report(&self, mode: ReportMode) -> Report {
+        let mut r = Report::new();
+        for (&terminal, &n) in &self.terminals {
+            r.set(terminal, n);
+        }
+        r.set("matches_found", self.matches_found);
+        r.set("vticks", self.vticks);
+        r.set("chunks_committed", self.chunks_committed);
+        r.set("chunks_discarded", self.chunks_discarded);
+        r.set("plan_cache_hits", self.plan_cache_hits);
+        r.set("exhaustive", self.exhaustive);
+        if mode == ReportMode::Full {
+            // Wall latency depends on worker timing — real
+            // observability, but not part of the deterministic surface.
+            r.set("wall_nanos", self.wall_nanos);
+        }
+        r
     }
 }
 
-/// One pattern class's observed-cardinality record: the plan the
-/// observation was made against and the accumulated per-instruction
-/// counts of every exhaustively completed query that ran it. Counter
-/// accumulation is commutative, so the record — and the re-planning it
-/// drives — is independent of completion order.
-struct FeedbackEntry {
-    hash: u64,
-    canonical: Pattern,
+/// The plan an observation was made against and the accumulated
+/// per-instruction counts of every exhaustively completed query that
+/// ran it.
+struct Feedback {
     plan: ExecutionPlan,
     obs: PlanObs,
     replanned: bool,
 }
 
+/// The class store: records by canonical fingerprint, verified against
+/// the canonical pattern (a bucket holds more than one record only on a
+/// fingerprint collision).
+type Classes = BTreeMap<u64, Vec<ClassRecord>>;
+
 struct Inner {
     config: ServiceConfig,
     resident: Resident,
     plan_cache: PlanCache,
-    /// Observed-stats store keyed by the plan cache's canonical hash
-    /// (innermost lock — taken under `queries` and query-state locks,
-    /// never the reverse).
-    feedback: Mutex<Vec<FeedbackEntry>>,
+    /// One record per pattern class served (innermost lock — taken
+    /// under the admission and query-state locks, never the reverse).
+    classes: Mutex<Classes>,
     replans: AtomicU64,
     /// The chunk queue and liveness of the service's lanes; every
     /// admitted query is a [`Ticket`] on it.
@@ -164,7 +219,13 @@ struct Inner {
     /// hits their tasks answered themselves), busy time and injected
     /// fault latency.
     lanes: Mutex<LanePart>,
-    queries: Mutex<Vec<Arc<QueryRun>>>,
+    /// Serialises admission; holds the next [`QueryId`]. Ids are never
+    /// reused.
+    admission: Mutex<QueryId>,
+    /// Admitted queries whose result has not been taken by
+    /// [`QueryService::wait`] (taken under `admission`, never the
+    /// reverse).
+    queries: Mutex<BTreeMap<QueryId, Arc<QueryRun>>>,
     completions: AtomicU64,
     /// Queries admitted past the gates and not yet finalised.
     inflight: AtomicUsize,
@@ -229,7 +290,7 @@ impl QueryService {
     fn serve(resident: Resident, config: ServiceConfig) -> Self {
         let inner = Arc::new(Inner {
             plan_cache: PlanCache::new(PLAN_CACHE_ENTRIES),
-            feedback: Mutex::new(Vec::new()),
+            classes: Mutex::new(BTreeMap::new()),
             replans: AtomicU64::new(0),
             // Chunks have no home machine, so the grant policy for homed
             // chunks never applies.
@@ -240,7 +301,8 @@ impl QueryService {
             ),
             transports: (0..config.workers).map(|_| resident.transport()).collect(),
             lanes: Mutex::new(LanePart::default()),
-            queries: Mutex::new(Vec::new()),
+            admission: Mutex::new(0),
+            queries: Mutex::new(BTreeMap::new()),
             completions: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             admitted: AtomicU64::new(0),
@@ -304,8 +366,9 @@ impl QueryService {
     /// are terminal results, not errors of the submit call.
     pub fn submit(&self, pattern: &Pattern, options: QueryOptions) -> QueryId {
         let inner = &*self.inner;
-        let mut queries = lock(&inner.queries);
-        let id = queries.len() as QueryId;
+        let mut next_id = lock(&inner.admission);
+        let id = *next_id;
+        *next_id += 1;
         let resident = &inner.resident;
         let (plan, placement, hit) = {
             let _span = resident
@@ -343,18 +406,17 @@ impl QueryService {
             .fault_plan
             .as_ref()
             .map(|plan| resident.gate(Arc::new(plan.scoped(id))));
-        let weight = options.weight;
-        let deadline = options.deadline_vticks;
+        let work = Arc::new(Work {
+            tasks,
+            placement,
+            collect: options.mode.needs_matches(),
+            gate,
+        });
         let run = Arc::new(QueryRun {
             id,
-            options,
             plan,
-            placement,
-            tasks,
-            chunk_tasks: inner.config.chunk_tasks,
             plan_cache_hit: hit,
             submitted_at: Instant::now(),
-            gate,
             started: AtomicBool::new(false),
             terminated: AtomicBool::new(false),
             counted: AtomicBool::new(false),
@@ -364,7 +426,7 @@ impl QueryService {
             }),
             settled: Condvar::new(),
         });
-        queries.push(Arc::clone(&run));
+        lock(&inner.queries).insert(id, Arc::clone(&run));
         inner.admitted.fetch_add(1, Ordering::Relaxed);
         if let Some(hub) = resident.obs() {
             let _queued = hub.tracer.span(&format!("query.{id}.queue"));
@@ -397,7 +459,7 @@ impl QueryService {
                     queued_chunks: inner.pool.depth(),
                 },
                 total_chunks,
-                deadline,
+                options.deadline_vticks,
             );
             let refused = match verdict {
                 AdmissionVerdict::Shed { retry_after_vticks } => {
@@ -409,9 +471,10 @@ impl QueryService {
                     let ticket = Ticket {
                         inner: Arc::clone(&self.inner),
                         run: Arc::clone(&run),
+                        work,
                     };
                     let chunks = (0..total_chunks).map(|chunk| (chunk, None));
-                    let admitted = inner.pool.admit(id, ticket, weight, chunks);
+                    let admitted = inner.pool.admit(id, ticket, options.weight, chunks);
                     // The whole pool crashed: nothing can execute this
                     // query and nothing ever will.
                     admitted.err().map(Terminal::Failed)
@@ -427,19 +490,24 @@ impl QueryService {
                 inner.after_state_change(&run, &mut state);
             }
         }
-        drop(state);
-        drop(queries);
         id
     }
 
-    /// Non-blocking lifecycle view; `None` for an unknown id.
+    /// The run of `id` while its result has not been taken.
+    fn run(&self, id: QueryId) -> Option<Arc<QueryRun>> {
+        lock(&self.inner.queries).get(&id).map(Arc::clone)
+    }
+
+    /// Non-blocking lifecycle view; `None` for an unknown id and for a
+    /// query whose result [`QueryService::wait`] has already handed over.
     pub fn status(&self, id: QueryId) -> Option<QueryStatus> {
-        let run = Arc::clone(lock(&self.inner.queries).get(id as usize)?);
+        let run = self.run(id)?;
         let state = run.state();
-        Some(match &state.result {
-            Some(result) => QueryStatus::Finished(result.clone()),
-            None if run.started.load(Ordering::Acquire) => QueryStatus::Running,
-            None => QueryStatus::Queued,
+        Some(match (&state.commit, &state.result) {
+            (_, Some(result)) => QueryStatus::Finished(result.clone()),
+            (None, None) => return None,
+            _ if run.started.load(Ordering::Acquire) => QueryStatus::Running,
+            _ => QueryStatus::Queued,
         })
     }
 
@@ -448,9 +516,9 @@ impl QueryService {
     /// with [`Terminal::Cancelled`] (committed work stays reported as the
     /// partial it is — [`QueryResult::is_partial`]). Returns true when
     /// this call made the transition; false if the query already
-    /// terminated (or the id is unknown).
+    /// terminated, its result was consumed, or the id is unknown.
     pub fn cancel(&self, id: QueryId) -> bool {
-        let Some(run) = lock(&self.inner.queries).get(id as usize).map(Arc::clone) else {
+        let Some(run) = self.run(id) else {
             return false;
         };
         let mut state = run.state();
@@ -464,34 +532,42 @@ impl QueryService {
         true
     }
 
-    /// Blocks until `id` terminates and returns its result.
+    /// Blocks until `id` terminates and hands its result over. A result
+    /// is delivered once: the service then forgets the query, so
+    /// [`QueryService::status`] returns `None` and
+    /// [`QueryService::cancel`] false for it, as for an id never issued.
+    /// Its counts live on in the per-class records of
+    /// [`QueryService::report`].
     ///
     /// # Panics
     ///
-    /// Panics if `id` was never returned by [`QueryService::submit`].
+    /// Panics if `id` was never returned by [`QueryService::submit`] or
+    /// its result was already consumed by an earlier `wait`.
     pub fn wait(&self, id: QueryId) -> QueryResult {
-        let run = Arc::clone(
-            lock(&self.inner.queries)
-                .get(id as usize)
-                .expect("unknown query id"),
-        );
+        const GONE: &str = "unknown or already consumed query id";
+        let run = self.run(id).expect(GONE);
         let mut state = run.state();
-        loop {
-            if let Some(result) = &state.result {
-                return result.clone();
-            }
+        while state.commit.is_some() {
             state = run
                 .settled
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        let result = state.result.take().expect(GONE);
+        drop(state);
+        lock(&self.inner.queries).remove(&id);
+        result
     }
 
     /// The service's report subtree. `Deterministic` mode is built
     /// purely from commit-pipeline state — admission counters, plan
-    /// cache, one entry per terminated query — and is identical across
-    /// worker counts and execution modes. `Full` mode adds wall-clock
-    /// latencies, crash bookkeeping and the `lanes` subtree (what the
+    /// cache, and one `class.<hash>` subtree per pattern class served
+    /// (`hash` = [`Pattern::canonical_hash`], in ascending order) that
+    /// sums its settled queries: counts per terminal, matches, vticks,
+    /// committed / discarded chunks, plan-cache hits, exhaustive runs.
+    /// It is identical across worker counts, execution modes and
+    /// completion orders. `Full` mode adds the classes' summed wall
+    /// latency, crash bookkeeping and the `lanes` subtree (what the
     /// lanes' private caches, pools and frontiers counted — which lane
     /// ran which chunk is timing), and merges the hub's histogram/trace
     /// report when the service is observed.
@@ -533,34 +609,14 @@ impl QueryService {
         plan_cache.set("entries", pc.entries);
         service.set_tree("plan_cache", plan_cache);
         service.set("feedback_replans", inner.replans.load(Ordering::Relaxed));
-        for run in lock(&inner.queries).iter() {
-            let state = run.state();
-            let Some(result) = &state.result else {
-                continue;
-            };
-            let mut q = Report::new();
-            q.set("terminal", result.terminal.name());
-            q.set("mode", run.options.mode.name());
-            q.set("matches_found", result.matches_found);
-            q.set("vticks", result.vticks);
-            q.set("chunks_committed", result.chunks_committed);
-            q.set("chunks_discarded", result.chunks_discarded);
-            q.set("exhaustive", result.exhaustive);
-            q.set("plan_cache_hit", result.plan_cache_hit);
-            if let Terminal::Failed(err) = &result.terminal {
-                q.set("error", err.name());
+        for (hash, bucket) in lock(&inner.classes).iter() {
+            for (i, class) in bucket.iter().enumerate() {
+                let key = match i {
+                    0 => format!("class.{hash}"),
+                    _ => format!("class.{hash}.{i}"),
+                };
+                service.set_tree(&key, class.tally.report(mode));
             }
-            if !result.dark_shards.is_empty() {
-                q.set("dark_shards", result.dark_shards.len());
-            }
-            if mode == ReportMode::Full {
-                // Completion order and wall latency depend on worker
-                // timing — real observability, but not part of the
-                // deterministic surface.
-                q.set("completion_index", result.completion_index);
-                q.set("wall_nanos", result.wall.as_nanos() as u64);
-            }
-            service.set_tree(&format!("query.{}", run.id), q);
         }
         let mut report = Report::new();
         report.set_tree("service", service);
@@ -589,47 +645,63 @@ impl Inner {
     /// feedback estimator, replace the cache entry, and serve the new
     /// compilation. Pure function of the recorded observation.
     fn maybe_replan(&self, current: &Arc<CachedPlan>) -> Option<Arc<CachedPlan>> {
-        let hash = fingerprint(&current.canonical);
-        let mut feedback = lock(&self.feedback);
-        let entry = feedback
+        let mut classes = lock(&self.classes);
+        let class = classes
+            .get_mut(&fingerprint(&current.canonical))?
             .iter_mut()
-            .find(|e| e.hash == hash && e.canonical == current.canonical)?;
-        if entry.replanned || entry.plan != current.plan || entry.obs.is_empty() {
+            .find(|c| c.canonical == current.canonical)?;
+        let feedback = class.feedback.as_mut()?;
+        if feedback.replanned || feedback.plan != current.plan || feedback.obs.is_empty() {
             return None;
         }
         let prior = ChungLuEstimator::from_degrees(self.resident.degrees());
-        let est = FeedbackEstimator::new(prior, &entry.plan, &entry.obs);
-        let plan = PlanBuilder::new(&entry.canonical)
+        let est = FeedbackEstimator::new(prior, &feedback.plan, &feedback.obs);
+        let plan = PlanBuilder::new(&class.canonical)
             .estimator(est)
             .best_plan();
-        entry.replanned = true;
+        feedback.replanned = true;
         self.replans.fetch_add(1, Ordering::Relaxed);
-        Some(self.plan_cache.replace(entry.canonical.clone(), plan))
+        Some(self.plan_cache.replace(class.canonical.clone(), plan))
     }
 
-    /// Records a completed query's observed per-instruction
-    /// cardinalities against its pattern class. Only observations made
-    /// against the plan already on record accumulate (counter addition
-    /// commutes, so the record is completion-order-independent).
-    fn record_feedback(&self, run: &QueryRun, obs: &PlanObs) {
-        let hash = fingerprint(&run.plan.canonical);
-        let mut feedback = lock(&self.feedback);
-        if let Some(entry) = feedback
-            .iter_mut()
-            .find(|e| e.hash == hash && e.canonical == run.plan.canonical)
-        {
-            if entry.plan == run.plan.plan {
-                entry.obs += *obs;
+    /// Folds a settled query into its pattern class's record. An
+    /// exhaustively completed query's committed metrics cover the full
+    /// enumeration, so with feedback re-planning on its observed
+    /// per-instruction cardinalities are exact for the plan that ran,
+    /// and accumulate against the plan already on record (counter
+    /// addition commutes, so the record is completion-order-independent).
+    fn record(&self, run: &QueryRun, result: &QueryResult) {
+        let canonical = &run.plan.canonical;
+        let mut classes = lock(&self.classes);
+        let bucket = classes.entry(fingerprint(canonical)).or_default();
+        let class = match bucket.iter().position(|c| c.canonical == *canonical) {
+            Some(at) => &mut bucket[at],
+            None => {
+                bucket.push(ClassRecord {
+                    canonical: canonical.clone(),
+                    tally: Tally::default(),
+                    feedback: None,
+                });
+                bucket.last_mut().expect("just pushed")
             }
+        };
+        class.tally.add(result);
+        let obs = &result.metrics.obs;
+        if !self.config.feedback_replanning
+            || !result.exhaustive
+            || result.terminal != Terminal::Completed
+            || obs.is_empty()
+        {
             return;
         }
-        feedback.push(FeedbackEntry {
-            hash,
-            canonical: run.plan.canonical.clone(),
+        let feedback = class.feedback.get_or_insert_with(|| Feedback {
             plan: run.plan.plan.clone(),
-            obs: *obs,
+            obs: PlanObs::default(),
             replanned: false,
         });
+        if feedback.plan == run.plan.plan {
+            feedback.obs += *obs;
+        }
     }
 
     /// Reacts to a commit-state change: on a fresh terminal, raises the
@@ -661,17 +733,7 @@ impl Inner {
             Terminal::Rejected { .. } => &self.rejected,
         };
         settled.fetch_add(1, Ordering::Relaxed);
-        // Exhaustively completed queries feed the observed-stats store:
-        // their committed metrics cover the full enumeration, so the
-        // recorded cardinalities are exact for the plan that ran.
-        if self.config.feedback_replanning
-            && out.exhaustive
-            && matches!(out.terminal, Terminal::Completed)
-            && !out.metrics.obs.is_empty()
-        {
-            self.record_feedback(run, &out.metrics.obs);
-        }
-        state.result = Some(QueryResult {
+        let result = QueryResult {
             id: run.id,
             terminal: out.terminal,
             matches_found: out.matches_found,
@@ -685,7 +747,9 @@ impl Inner {
             completion_index: self.completions.fetch_add(1, Ordering::SeqCst),
             metrics: out.metrics,
             wall: run.submitted_at.elapsed(),
-        });
+        };
+        self.record(run, &result);
+        state.result = Some(result);
         run.settled.notify_all();
     }
 }
@@ -701,20 +765,48 @@ fn chunk_vticks(tasks: usize, m: &TaskMetrics) -> u64 {
     tasks as u64 + benu_cluster::balance::vticks(m)
 }
 
-/// One admitted query as the pool sees it: the query and the service
-/// its outcomes are booked with. Tickets live in the queue and in lanes'
-/// hands only while the query has chunks outstanding.
+/// What a query's chunks need and nothing after them: its task list,
+/// the map back to the submitted numbering and its fault gate. Only
+/// tickets hold it, so it goes with the last of them.
+struct Work {
+    tasks: Vec<SearchTask>,
+    /// `placement[i]` = submitted-pattern vertex at canonical position
+    /// `i` (plans are compiled for the canonical numbering).
+    placement: Vec<PatternVertex>,
+    /// The result mode materialises embeddings.
+    collect: bool,
+    /// The query's fault gate, over the service fault plan scoped by
+    /// query id: each query draws its own per-request decision stream
+    /// while structural faults (outages, slow shards, crashes) stay
+    /// shared. `None` serves faultlessly.
+    gate: Option<FaultGate>,
+}
+
+/// One admitted query as the pool sees it: the query, its work and the
+/// service its outcomes are booked with. Tickets live in the queue and
+/// in lanes' hands only while the query has chunks outstanding.
 #[derive(Clone)]
 struct Ticket {
     inner: Arc<Inner>,
     run: Arc<QueryRun>,
+    work: Arc<Work>,
+}
+
+impl Ticket {
+    /// The tasks of `chunk`.
+    fn chunk_tasks(&self, chunk: usize) -> &[SearchTask] {
+        let chunk_tasks = self.inner.config.chunk_tasks;
+        let start = chunk * chunk_tasks;
+        let tasks = &self.work.tasks;
+        &tasks[start..tasks.len().min(start + chunk_tasks)]
+    }
 }
 
 impl Job for Ticket {
     fn spec(&self) -> Spec<'_> {
         Spec {
             plan: &self.run.plan.compiled,
-            collect: self.run.options.mode.needs_matches(),
+            collect: self.work.collect,
             profile: false,
             // Budgets are evaluated over the in-order chunk stream.
             hand_over: HandOver::PerChunk,
@@ -723,11 +815,11 @@ impl Job for Ticket {
 
     fn start(&self, _machine: usize, chunk: usize, _stolen: bool) -> &[SearchTask] {
         self.run.started.store(true, Ordering::Release);
-        &self.run.tasks[self.run.chunk_range(chunk)]
+        self.chunk_tasks(chunk)
     }
 
     fn reads(&self, machine: usize) -> (&Transport, Option<&FaultGate>) {
-        (&self.inner.transports[machine], self.run.gate.as_ref())
+        (&self.inner.transports[machine], self.work.gate.as_ref())
     }
 
     /// Terminal decided: granted chunks are skipped, a DFS chunk aborts
@@ -755,9 +847,10 @@ impl Job for Ticket {
                 // sorted order — the chunk's rows never live in a second
                 // buffer, and none of this runs for a chunk that is not
                 // delivered.
-                let mut row = vec![0; run.placement.len()];
+                let placement = &self.work.placement;
+                let mut row = vec![0; placement.len()];
                 for i in 0..rows.len() {
-                    for (&v, &to) in rows.get(i).iter().zip(&run.placement) {
+                    for (&v, &to) in rows.get(i).iter().zip(placement) {
                         row[to] = v;
                     }
                     rows.set_row(i, &row);
@@ -767,7 +860,7 @@ impl Job for Ticket {
                     chunk,
                     count: metrics.matches,
                     matches: rows,
-                    vticks: chunk_vticks(run.chunk_range(chunk).len(), &metrics),
+                    vticks: chunk_vticks(self.chunk_tasks(chunk).len(), &metrics),
                     metrics,
                 }))
             }

@@ -142,3 +142,16 @@ fn every_admission_reaches_a_terminal_under_churn() {
         );
     }
 }
+
+#[test]
+#[should_panic(expected = "unknown or already consumed query id")]
+fn a_result_is_delivered_once() {
+    // `wait` hands the result over and the service forgets the query:
+    // it is then as unknown as an id never issued.
+    let service = service(1);
+    let id = service.submit(&queries::triangle(), QueryOptions::new());
+    assert_eq!(service.wait(id).terminal, Terminal::Completed);
+    assert_eq!(service.status(id), None);
+    assert!(!service.cancel(id));
+    service.wait(id);
+}

@@ -421,8 +421,23 @@ fn corrupt_store_fails_the_query_not_the_process() {
         }
         other => panic!("expected a failure for the removed vertex, got {other:?}"),
     }
-    // The service keeps serving after the failure (no abort, no wedge).
-    assert!(missing.status(id).is_some());
+    // The result was handed over once: the service no longer knows the
+    // query.
+    assert_eq!(missing.status(id), None);
+    assert!(!missing.cancel(id));
+    // The service keeps serving after the failure (no abort, no wedge):
+    // a follow-up whose limit is met before the damaged vertex's chunk
+    // commits completes with what an undamaged service answers.
+    let first = QueryOptions::new().mode(ResultMode::TopK(5));
+    let follow = missing.wait(missing.submit(&queries::triangle(), first.clone()));
+    let pristine = QueryService::new(
+        &g,
+        ServiceConfig::builder().workers(2).chunk_tasks(16).build(),
+    );
+    let oracle = pristine.wait(pristine.submit(&queries::triangle(), first));
+    assert_eq!(follow.terminal, Terminal::Completed);
+    assert_eq!((follow.matches_found, follow.matches.len()), (5, 5));
+    assert_eq!(follow.matches, oracle.matches, "the same first five");
 
     let rotten = QueryService::new_corrupted(
         &g,

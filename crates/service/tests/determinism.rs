@@ -12,8 +12,8 @@
 
 use benu_cluster::ExecMode;
 use benu_graph::gen;
-use benu_obs::ReportMode;
-use benu_pattern::queries;
+use benu_obs::{Report, ReportMode};
+use benu_pattern::{queries, Pattern};
 use benu_service::{QueryOptions, QueryResult, QueryService, ResultMode, ServiceConfig, Terminal};
 
 /// The comparable surface of a result: everything except wall time and
@@ -33,42 +33,52 @@ fn surface(r: &QueryResult) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// Submits the fixed mix and waits for every query, in id order.
-fn run_mix(config: ServiceConfig) -> (Vec<QueryResult>, benu_obs::Report) {
-    let g = gen::barabasi_albert(150, 4, 7);
-    let service = QueryService::new(&g, config);
-    let ids = vec![
-        service.submit(&queries::triangle(), QueryOptions::new()),
-        service.submit(
-            &queries::q1(),
-            QueryOptions::new().mode(ResultMode::Collect),
-        ),
+/// The fixed mix: every truncation mode and a plan-cache hit.
+fn mix() -> Vec<(Pattern, QueryOptions)> {
+    vec![
+        (queries::triangle(), QueryOptions::new()),
+        (queries::q1(), QueryOptions::new().mode(ResultMode::Collect)),
         // Budgeted queries: every truncation mode is in the mix.
-        service.submit(&queries::triangle(), QueryOptions::new().max_matches(100)),
-        service.submit(&queries::q1(), QueryOptions::new().deadline_vticks(2_000)),
-        service.submit(
-            &queries::triangle(),
+        (queries::triangle(), QueryOptions::new().max_matches(100)),
+        (queries::q1(), QueryOptions::new().deadline_vticks(2_000)),
+        (
+            queries::triangle(),
             QueryOptions::new().mode(ResultMode::TopK(7)),
         ),
-        service.submit(
-            &queries::q2(),
+        (
+            queries::q2(),
             QueryOptions::new().mode(ResultMode::Sample { n: 5, seed: 42 }),
         ),
         // A relabeled triangle — plan-cache hit, same results.
-        service.submit(
-            &benu_pattern::Pattern::from_edges(3, &[(2, 1), (1, 0), (0, 2)]),
+        (
+            Pattern::from_edges(3, &[(2, 1), (1, 0), (0, 2)]),
             QueryOptions::new().mode(ResultMode::Collect),
         ),
-    ];
+    ]
+}
+
+/// Submits `queries` and waits for every one, in id order.
+fn run(config: ServiceConfig, queries: &[(Pattern, QueryOptions)]) -> (Vec<QueryResult>, Report) {
+    let g = gen::barabasi_albert(150, 4, 7);
+    let service = QueryService::new(&g, config);
+    let ids: Vec<_> = queries
+        .iter()
+        .map(|(pattern, options)| service.submit(pattern, options.clone()))
+        .collect();
     let results: Vec<QueryResult> = ids.into_iter().map(|id| service.wait(id)).collect();
     let report = service.report(ReportMode::Deterministic);
     (results, report)
 }
 
+/// Submits the fixed mix and waits for every query, in id order.
+fn run_mix(config: ServiceConfig) -> (Vec<QueryResult>, Report) {
+    run(config, &mix())
+}
+
 #[test]
 fn results_are_identical_across_concurrency_and_modes() {
     let base = ServiceConfig::builder().chunk_tasks(16);
-    let mut baseline: Option<(Vec<QueryResult>, benu_obs::Report)> = None;
+    let mut baseline: Option<(Vec<QueryResult>, Report)> = None;
     for workers in [1, 3] {
         for exec_mode in [ExecMode::Dfs, ExecMode::Hybrid] {
             let config = base.clone().workers(workers).exec_mode(exec_mode).build();
@@ -105,6 +115,43 @@ fn results_are_identical_across_concurrency_and_modes() {
     assert!(!results[4].exhaustive, "TopK completes without exhausting");
     assert_eq!(results[5].matches.len(), 5, "reservoir filled");
     assert!(results[6].plan_cache_hit, "relabeled pattern must hit");
+}
+
+#[test]
+fn the_report_sums_what_wait_handed_over() {
+    // The deterministic report is one record per pattern class, folded
+    // from results the service no longer holds: each class's sums must
+    // be the sums over the results `wait` returned.
+    let config = || ServiceConfig::builder().workers(2).chunk_tasks(16).build();
+    let queries = mix();
+    let (results, report) = run(config(), &queries);
+    let mut sums = std::collections::BTreeMap::<u64, (u64, u64)>::new();
+    for ((pattern, _), r) in queries.iter().zip(&results) {
+        let class = sums.entry(pattern.canonical_hash()).or_default();
+        class.0 += r.matches_found;
+        class.1 += r.vticks;
+    }
+    assert_eq!(sums.len(), 3, "triangle, q1 and q2");
+    for (hash, (matches_found, vticks)) in &sums {
+        let class = format!("service/class.{hash}");
+        let read = |key: &str| report.get_u64(&format!("{class}/{key}"));
+        assert_eq!(read("matches_found"), Some(*matches_found), "{class}");
+        assert_eq!(read("vticks"), Some(*vticks), "{class}");
+        assert!(*vticks > 0, "{class} did work");
+    }
+    let classes = report.get_tree("service").expect("service subtree").iter();
+    let reported = classes.filter(|(key, _)| key.starts_with("class.")).count();
+    assert_eq!(
+        reported,
+        sums.len(),
+        "one record per class, nothing per query"
+    );
+
+    // A query that does less shows in the report.
+    let mut capped = queries;
+    capped[0].1 = QueryOptions::new().max_matches(10);
+    let (_, capped_report) = run(config(), &capped);
+    assert_ne!(capped_report, report, "the report reads the results");
 }
 
 #[test]
