@@ -21,9 +21,10 @@
 use crate::load_dataset;
 use benu_baselines::{starjoin, wcoj, BaselineOutcome};
 use benu_cluster::{
-    balance, Cluster, ClusterConfig, ClusterConfigBuilder, CodecKind, ExecMode, FaultPlan,
-    RunOutcome,
+    balance, pool, Cluster, ClusterConfig, ClusterConfigBuilder, CodecKind, ExecMode, FaultPlan,
+    Layout, RunOutcome, SchedulerKind, Split,
 };
+use benu_engine::{CompiledPlan, SearchTask};
 use benu_graph::datasets::Dataset;
 use benu_graph::{gen, stats, Graph};
 use benu_obs::{ObsHub, Report, ReportMode, Value};
@@ -34,8 +35,7 @@ use benu_plan::{
     CardinalityEstimator, ChungLuEstimator, FeedbackEstimator, GraphStatsEstimator, PlanBuilder,
     SearchStats,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -135,7 +135,7 @@ impl Experiment {
             Experiment::Fig9 => "Fig. 9 — task splitting, q5 on ok (4 workers × 1 lane)",
             Experiment::Table5 => "Table V — BENU vs the join baseline (4 workers × 1 lane)",
             Experiment::Table6 => "Table VI — BENU vs WCOJ (4 workers × 1 lane)",
-            Experiment::Fig10 => "Fig. 10 — simulated makespan over per-task vticks",
+            Experiment::Fig10 => "Fig. 10 — the pool replayed in vticks, 2 lanes per machine",
             Experiment::Budget => {
                 "Hybrid execution under a memory budget (ok, 4 workers × 1 lane, no cache, τ 32)"
             }
@@ -614,74 +614,96 @@ fn table6(setup: &Setup, scale: f64) -> Vec<Report> {
     rows
 }
 
-/// Makespan, in vticks, of tasks dealt round-robin to `workers` machines
-/// whose `lanes` each pull the machine's next queued task.
-fn simulated_makespan(costs: &[u64], workers: usize, lanes: usize) -> u64 {
-    (0..workers)
-        .map(|w| {
-            let mut free_at: BinaryHeap<Reverse<u64>> = vec![Reverse(0); lanes].into();
-            for &cost in costs.iter().skip(w).step_by(workers) {
-                let Reverse(t) = free_at.pop().expect("at least one lane");
-                free_at.push(Reverse(t + cost));
-            }
-            free_at.into_iter().map(|Reverse(t)| t).max().unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0)
-}
+/// Lanes per machine in Fig. 10's replays.
+const FIG10_LANES: usize = 2;
 
+/// Every {scheduler kind × split × placement} at 1–16 machines, the lane
+/// pool replayed over per-task vticks. The workloads are q5 on ok, q5 and
+/// q9 on fs, and q5 on a Barabási–Albert graph (6 edges per new vertex,
+/// seed 7), whose hubs are what splitting and placement are for. The BA
+/// graph has 3 125 000 × scale² vertices: 20 000 at the default × 0.08,
+/// 312 at × 0.01. `--datasets` replaces ok and fs, `--queries` every
+/// graph's queries. q9 on ok, the paper's fourth curve, does not finish
+/// in minutes even at × 0.03: the dense graph holds ≫ 10¹⁰ of its
+/// matches.
 fn fig10(setup: &Setup, scale: f64) -> Vec<Report> {
-    // q9 on ok's stand-in, the paper's fourth curve, does not finish in
-    // minutes even at × 0.03: the dense graph holds ≫ 10¹⁰ of its matches.
-    let mut scaling = Vec::new();
-    let mut balancing = Vec::new();
-    for dataset in setup.datasets(&[Dataset::FriendSter]) {
-        let g = load_dataset(dataset, scale);
-        for (name, pattern) in setup.queries(&["q5", "q9"]) {
-            let plan = best_plan(&g, &pattern, true);
-            // Per-task costs from one single-lane run, split finely enough
-            // that no unsplittable hub task flattens the curve; the
-            // scheduler is then simulated for every worker count.
-            let config = lanes(1).tau(24).collect_task_profile(true).build();
-            let profiled = Cluster::new(&g, config)
-                .run(&plan)
-                .expect("cluster run failed");
-            let costs = task_vticks(&profiled);
-            let base = simulated_makespan(&costs, 1, 2);
-            for workers in [1, 2, 4, 8, 16] {
-                let makespan = simulated_makespan(&costs, workers, 2);
-                scaling.push(row([
-                    ("graph", dataset.abbrev().into()),
-                    ("query", name.as_str().into()),
-                    ("workers", workers.into()),
-                    ("lanes_per_worker", 2usize.into()),
-                    ("makespan_vticks", makespan.into()),
-                    ("speedup", (base as f64 / makespan.max(1) as f64).into()),
-                ]));
-            }
-            // Load balancing A/B on 4 workers: degree-driven τ, then
-            // splitting and placement from the first arm's observed costs.
-            let config = lanes(4).tau_auto(true).collect_task_profile(true).build();
-            let mut cluster = Cluster::new(&g, config);
-            let degree_arm = cluster.run(&plan).expect("degree arm failed");
-            cluster.clear_caches();
-            cluster.set_cost_profile(degree_arm.cost_profile.clone());
-            let cost_arm = cluster.run(&plan).expect("cost arm failed");
-            for (arm, o) in [("degree_tau", &degree_arm), ("observed_cost", &cost_arm)] {
-                balancing.push(row([
-                    ("graph", dataset.abbrev().into()),
-                    ("query", name.as_str().into()),
-                    ("arm", arm.into()),
-                    ("tasks", o.total_tasks.into()),
-                    ("threshold", o.effective_tau.into()),
-                    ("work_imbalance", o.work_imbalance().into()),
-                    ("matches", o.total_matches.into()),
-                ]));
+    let mut graphs: Vec<(&str, Graph, &[&str])> = setup
+        .datasets(&[Dataset::Orkut, Dataset::FriendSter])
+        .into_iter()
+        .map(|d| {
+            let queries: &[&str] = if d == Dataset::FriendSter {
+                &["q5", "q9"]
+            } else {
+                &["q5"]
+            };
+            (d.abbrev(), load_dataset(d, scale), queries)
+        })
+        .collect();
+    let ba_vertices = (3_125_000.0 * scale * scale).round() as usize;
+    eprintln!("[workload] ba: barabasi_albert({ba_vertices}, 6, 7)");
+    graphs.push(("ba", gen::barabasi_albert(ba_vertices, 6, 7), &["q5"]));
+    let mut rows = Vec::new();
+    for (graph, g, queries) in &graphs {
+        // Only the task list is read off this cluster.
+        let probe = Cluster::new(g, lanes(1).build());
+        for (query, pattern) in setup.queries(queries) {
+            let plan = best_plan(g, &pattern, true);
+            let compiled = CompiledPlan::compile(&plan);
+            // One single-lane run per split threshold prices its tasks —
+            // and gives the per-vertex profile LPT places by — and every
+            // layout of that task list is then replayed.
+            let profiled = |tau| {
+                let config = lanes(1).tau(tau).collect_task_profile(true).build();
+                let o = Cluster::new(g, config)
+                    .run(&plan)
+                    .expect("cluster run failed");
+                let tasks = o.task_records.iter().flatten().map(|r| r.task);
+                let vticks: HashMap<SearchTask, u64> = tasks.zip(task_vticks(&o)).collect();
+                (vticks, o.cost_profile.expect("DFS records task costs"))
+            };
+            let mut costs = BTreeMap::new();
+            // The paper's τ, a fine τ, and `auto_tau`.
+            let splits = [("tau 500", Some(500)), ("tau 24", Some(24)), ("auto", None)];
+            for ((split, fixed), lpt) in splits.into_iter().flat_map(|s| [(s, false), (s, true)]) {
+                let mut base = [0; 2];
+                for machines in [1usize, 2, 4, 8, 16] {
+                    let lanes = machines * FIG10_LANES;
+                    let split_at = fixed.map_or(Split::Auto { lanes }, Split::Fixed);
+                    let (tasks, tau) = probe.resident().tasks(&compiled, split_at);
+                    let (vticks, profile) = costs.entry(tau).or_insert_with(|| profiled(tau));
+                    let n = tasks.len();
+                    let profile = lpt.then_some(&*profile);
+                    let layout = Layout::new(tasks, machines, FIG10_LANES, ExecMode::Dfs, profile);
+                    let chunks = layout.replay_chunks(|t| vticks[t]);
+                    for (k, kind) in [SchedulerKind::Static, SchedulerKind::WorkStealing]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        let r = pool::replay(&chunks, machines, FIG10_LANES, kind, None);
+                        if machines == 1 {
+                            base[k] = r.makespan;
+                        }
+                        let speedup = base[k] as f64 / r.makespan.max(1) as f64;
+                        rows.push(row([
+                            ("graph", (*graph).into()),
+                            ("query", query.as_str().into()),
+                            ("kind", kind.name().into()),
+                            ("split", split.into()),
+                            ("placement", if lpt { "lpt" } else { "round-robin" }.into()),
+                            ("machines", machines.into()),
+                            ("tau", tau.into()),
+                            ("tasks", n.into()),
+                            ("makespan_vticks", r.makespan.into()),
+                            ("speedup", speedup.into()),
+                            ("steals", r.steals.into()),
+                            ("imbalance", r.imbalance.into()),
+                        ]));
+                    }
+                }
             }
         }
     }
-    scaling.extend(balancing);
-    scaling
+    rows
 }
 
 /// DFS once per store codec, then hybrid execution at budgets from one
@@ -1198,30 +1220,35 @@ pub fn claims(t: &Table) -> Vec<Claim> {
             ]
         }
         Experiment::Fig10 => {
-            let (scaling, balancing) = (
-                select(t, |r| r.get("speedup").is_some()),
-                select(t, |r| r.get("arm").is_some()),
-            );
+            let spread = select(t, |r| num(r, "machines") >= 2.0);
             vec![
                 per_group(
-                    &scaling,
-                    &["graph", "query"],
-                    "the simulated speedup never falls as workers are added",
+                    &all,
+                    &["graph", "query", "kind", "split", "placement"],
+                    "the replayed speedup never falls as machines are added",
                     |r| {
                         let s = series(r, "speedup");
                         (never_falls(&s), shown(&s))
                     },
                 ),
                 per_group(
-                    &balancing,
-                    &["graph", "query"],
-                    "observed-cost splitting keeps work imbalance ≤ 1.05 × degree-τ's",
+                    &spread,
+                    &["graph", "query", "kind", "split", "machines"],
+                    "with ≥ 2 machines LPT placement's makespan is ≤ round-robin's under the same split",
                     |r| {
-                        let (d, c) = (num(r[0], "work_imbalance"), num(r[1], "work_imbalance"));
-                        (
-                            c <= d * 1.05 + 1e-9 && num(r[0], "matches") == num(r[1], "matches"),
-                            format!("{d:.3} → {c:.3}"),
-                        )
+                        let makespan = |p| num(only(r, "placement", p), "makespan_vticks");
+                        let (rr, lpt) = (makespan("round-robin"), makespan("lpt"));
+                        (lpt <= rr, shown(&[rr, lpt]))
+                    },
+                ),
+                per_group(
+                    &all,
+                    &["graph", "query", "split", "placement", "machines"],
+                    "work stealing's makespan is ≤ static's under the same split and placement",
+                    |r| {
+                        let makespan = |k| num(only(r, "kind", k), "makespan_vticks");
+                        let (fixed, stealing) = (makespan("static"), makespan("work-stealing"));
+                        (stealing <= fixed, shown(&[fixed, stealing]))
                     },
                 ),
             ]

@@ -17,7 +17,7 @@
 //! - Table VI: ok and fs × 0.01 without q5, WCOJ memory cap 96 MB and
 //!   work budget 8 × 10⁶ extension steps (the bin's 512 MB / 3 × 10⁸
 //!   take 22–49 s of release time per dense cell at × 0.03).
-//! - Fig. 10: q5 on ok and fs × 0.01.
+//! - Fig. 10: q5 on ok and fs × 0.01 and on a 312-vertex BA graph.
 //! - Budget: ok × 0.01. Faults: as × 0.05. Estimators: as and lj × 0.01
 //!   (fs adds a minute and a half).
 
@@ -138,7 +138,7 @@ fn table6_wcoj_fails_on_dense_graphs_only() {
 }
 
 #[test]
-fn fig10_simulated_speedup_grows_with_workers() {
+fn fig10_replayed_speedup_grows_and_lpt_and_stealing_never_lose() {
     let setup = Setup {
         datasets: Some(vec![Dataset::Orkut, Dataset::FriendSter]),
         queries: Some(vec!["q5".to_string()]),

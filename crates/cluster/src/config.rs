@@ -135,10 +135,11 @@ pub struct ClusterConfig {
     pub triangle_cache_entries: usize,
     /// Record one entry per task in the lane loop — the task, its share
     /// of wall time and, under DFS, its deterministic cost in vticks —
-    /// kept as `RunOutcome::task_records` (Figs. 9 and 10), from which
-    /// `RunOutcome::cost_profile` ([`crate::CostProfile`], fed back via
-    /// [`crate::Cluster::set_cost_profile`] to drive splitting and
-    /// placement from observed cost) is derived. Off by default: on a
+    /// kept as `RunOutcome::task_records` (Fig. 9; Fig. 10 replays the
+    /// pool over them), from which `RunOutcome::cost_profile`
+    /// ([`crate::CostProfile`], fed back via
+    /// [`crate::Cluster::set_cost_profile`] to place tasks by observed
+    /// cost) is derived. Off by default: on a
     /// warm enumeration an always-on record would be several times
     /// everything else a run allocates (it quadruples the ledger's
     /// `enum_warm` peak heap).

@@ -41,7 +41,9 @@
 //!   unwound — has every chunk it had not handed over re-executed on the
 //!   survivors (BENU's idempotent-task recovery, §III-C). [`Cluster::run`]
 //!   is one job on a pool of scoped lanes; `benu-service` keeps a pool
-//!   for its life and admits one job per query;
+//!   for its life and admits one job per query; [`pool::replay`] runs a
+//!   batch run's [`Layout`] through the same state machine in virtual
+//!   time (Fig. 10), the workspace's one model of scheduling;
 //! * **gate** — with a fault plan installed (via
 //!   [`Cluster::set_fault_plan`]), each machine's [`gate::FaultGate`]
 //!   decides every injected store fault per logical adjacency access,
@@ -76,5 +78,5 @@ pub use failure::{Cause, Failure};
 pub use pool::SchedulerKind;
 pub use report::{RecoveryReport, RunOutcome, WorkerReport};
 pub use resident::{Resident, Split};
-pub use runtime::Cluster;
+pub use runtime::{Cluster, Layout};
 pub use transport::{FetchError, TransportError};

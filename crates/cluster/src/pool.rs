@@ -370,6 +370,24 @@ struct State<J> {
 }
 
 impl<J: Clone> State<J> {
+    /// The state of a pool for `machines` machines granting homed chunks
+    /// by `kind` and crashing machines as `crash_plan` schedules, before
+    /// anything is admitted: [`Pool::new`]'s, and [`replay`]'s.
+    fn new(machines: usize, kind: SchedulerKind, crash_plan: Option<&FaultPlan>) -> Self {
+        let until_crash = |m| crash_plan.and_then(|plan| plan.crash_after(m));
+        State {
+            kind,
+            entries: Vec::new(),
+            cursor: 0,
+            dead: vec![false; machines],
+            last_dead: 0,
+            until_crash: (0..machines).map(until_crash).collect(),
+            held: (0..machines).map(|_| Vec::new()).collect(),
+            running: 0,
+            closed: false,
+        }
+    }
+
     /// Nothing is queued, nothing is running and nothing more will be
     /// admitted: no lane can ever be granted anything again. While a
     /// chunk is running its machine may still die and hand work back, so
@@ -564,19 +582,8 @@ impl<J: Job + Clone> Pool<J> {
     /// A pool for `machines` machines granting homed chunks by `kind`,
     /// crashing machines as `crash_plan` schedules.
     pub fn new(machines: usize, kind: SchedulerKind, crash_plan: Option<&FaultPlan>) -> Self {
-        let until_crash = |m| crash_plan.and_then(|plan| plan.crash_after(m));
         Pool {
-            state: Mutex::new(State {
-                kind,
-                entries: Vec::new(),
-                cursor: 0,
-                dead: vec![false; machines],
-                last_dead: 0,
-                until_crash: (0..machines).map(until_crash).collect(),
-                held: (0..machines).map(|_| Vec::new()).collect(),
-                running: 0,
-                closed: false,
-            }),
+            state: Mutex::new(State::new(machines, kind, crash_plan)),
             work: Condvar::new(),
         }
     }
@@ -817,6 +824,9 @@ fn visit<J: Job + Clone>(
     job.lane_done(machine, part, rows);
     next
 }
+
+mod replay;
+pub use replay::{replay, Replay, ReplayChunk};
 
 #[cfg(test)]
 mod explore;

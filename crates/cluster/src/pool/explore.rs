@@ -44,6 +44,7 @@
 
 use super::{After, Entry, Grant, HandOver, SchedulerKind, State};
 use crate::failure::Cause;
+use benu_fault::FaultPlan;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -137,25 +138,13 @@ struct Node {
 impl Node {
     fn initial(bound: &Bound) -> Node {
         let machines = bound.machines;
-        let until_crash = (0..machines)
-            .map(|m| (bound.crashes == Crashes::AtBoundaries && m < 2).then(|| 2 - m as u64))
-            .collect();
+        let crash_plan = (bound.crashes == Crashes::AtBoundaries)
+            .then(|| FaultPlan::builder(0).crash(0, 2).crash(1, 1).build());
         let lanes = match bound.front {
             Front::Batch => [Phase::Asking; 2],
             Front::Service => [Phase::Asking, Phase::Gone],
         };
-        // As `Pool::new` builds it.
-        let state = State {
-            kind: bound.kind,
-            entries: Vec::new(),
-            cursor: 0,
-            dead: vec![false; machines],
-            last_dead: 0,
-            until_crash,
-            held: vec![Vec::new(); machines],
-            running: 0,
-            closed: false,
-        };
+        let state = State::new(machines, bound.kind, crash_plan.as_ref());
         let mut node = Node {
             state,
             lanes: vec![lanes; machines],

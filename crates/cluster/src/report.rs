@@ -284,7 +284,7 @@ pub struct RunOutcome {
     /// [`ClusterConfig::collect_task_profile`](crate::ClusterConfig::collect_task_profile)
     /// is set (DFS execution only). Feed it back via
     /// [`Cluster::set_cost_profile`](crate::Cluster::set_cost_profile) to
-    /// drive the next run's splitting and placement from observed cost.
+    /// place the next run's tasks by observed cost.
     pub cost_profile: Option<CostProfile>,
 }
 
@@ -343,16 +343,12 @@ impl RunOutcome {
     /// scheduler. Returns 0.0 — never NaN — for a run with no workers or
     /// no executed work.
     pub fn work_imbalance(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 0.0;
-        }
-        let work: Vec<f64> = self
+        let work: Vec<u64> = self
             .workers
             .iter()
-            .map(|w| balance::vticks(&w.metrics) as f64)
+            .map(|w| balance::vticks(&w.metrics))
             .collect();
-        let mean = safe_ratio(work.iter().sum::<f64>(), work.len() as f64);
-        safe_ratio(work.iter().cloned().fold(0.0f64, f64::max), mean)
+        balance::imbalance(&work)
     }
 
     /// Load imbalance: max over workers of busy time divided by the mean

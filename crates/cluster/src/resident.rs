@@ -16,13 +16,12 @@
 //! ([`Resident::executor`]) — so the two cannot drift apart on any of
 //! it.
 
-use crate::balance::CostProfile;
 use crate::config::DataPath;
 use crate::gate::FaultGate;
 use crate::transport::Transport;
 use crate::worker::LaneExecutor;
 use benu_cache::DbCache;
-use benu_engine::task::{effective_tau, generate_tasks_from_degrees};
+use benu_engine::task::{auto_tau, generate_tasks_from_degrees};
 use benu_engine::{CompiledPlan, DataSource, MemoryBudget, SearchTask};
 use benu_fault::FaultPlan;
 use benu_graph::{Graph, TotalOrder};
@@ -32,20 +31,12 @@ use std::sync::Arc;
 
 /// How [`Resident::tasks`] picks the §V-B split threshold.
 #[derive(Clone, Copy, Debug)]
-pub enum Split<'a> {
+pub enum Split {
     /// Split at the static degree threshold τ (0 disables splitting).
     Fixed(usize),
     /// Pick τ adaptively from the start-vertex degree distribution for
     /// `lanes` execution lanes (`benu_engine::task::auto_tau`).
     Auto {
-        /// Execution lanes the extra-subtask budget is sized for.
-        lanes: usize,
-    },
-    /// Split at an observed-cost threshold θ from a previous run's
-    /// profile (reported in place of τ).
-    Observed {
-        /// The per-start-vertex observed costs.
-        profile: &'a CostProfile,
         /// Execution lanes the extra-subtask budget is sized for.
         lanes: usize,
     },
@@ -174,29 +165,16 @@ impl Resident {
 
     /// Generates the (split) task list for a compiled plan through the
     /// engine's single §V-B implementation, returning the tasks and the
-    /// threshold actually used: τ, or the observed-cost θ under
-    /// [`Split::Observed`]. A plan without a second pattern vertex has no
-    /// candidate set to divide and is never split. Pure function of
-    /// `(degrees, plan shape, split)`.
-    pub fn tasks(&self, compiled: &CompiledPlan, split: Split<'_>) -> (Vec<SearchTask>, usize) {
+    /// threshold τ actually used. A plan without a second pattern vertex
+    /// has no candidate set to divide and is never split (τ = 0). Pure
+    /// function of `(degrees, plan shape, split)`.
+    pub fn tasks(&self, compiled: &CompiledPlan, split: Split) -> (Vec<SearchTask>, usize) {
         let second_adjacent = compiled.second_adjacent;
-        let has_second = compiled.second_vertex.is_some();
-        let (tau_auto, tau, lanes) = match split {
-            Split::Observed { profile, lanes } if has_second => {
-                let (tasks, theta) = profile.generate_tasks(&self.degrees, lanes, second_adjacent);
-                return (tasks, theta as usize);
-            }
-            Split::Observed { lanes, .. } | Split::Auto { lanes } => (true, 0, lanes),
-            Split::Fixed(tau) => (false, tau, 0),
+        let tau = match split {
+            _ if compiled.second_vertex.is_none() => 0,
+            Split::Fixed(tau) => tau,
+            Split::Auto { lanes } => auto_tau(&self.degrees, lanes, second_adjacent),
         };
-        let tau = effective_tau(
-            &self.degrees,
-            has_second,
-            second_adjacent,
-            tau_auto,
-            tau,
-            lanes,
-        );
         let tasks = generate_tasks_from_degrees(&self.degrees, tau, second_adjacent);
         (tasks, tau)
     }
@@ -293,13 +271,6 @@ mod tests {
             benu_engine::task::auto_tau(r.degrees(), 8, triangle.second_adjacent)
         );
         assert!(auto.len() > unsplit.len());
-        // An all-zero profile observes nothing worth splitting.
-        let profile = CostProfile::from_task_costs(g.num_vertices(), []);
-        let observed = Split::Observed {
-            profile: &profile,
-            lanes: 8,
-        };
-        assert_eq!(r.tasks(&triangle, observed).0.len(), g.num_vertices());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! calls — plus what turns a plan into a [`Job`]: the §V-B split, the
 //! paper's even shuffle (or longest-first placement from an observed
 //! [`CostProfile`]) that gives every task a home machine, chunks of up
-//! to [`CHUNK_TASKS`] consecutive tasks of one home, and one [`Transport`]
+//! to [`CHUNK_TASKS`] consecutive tasks of one home — the [`Layout`],
+//! which [`pool::replay`] also runs — and one [`Transport`]
 //! (and, with a [`FaultPlan`], one [`FaultGate`]) per machine. A run
 //! admits that job to a [`Pool`] of its own, spawns `workers ×
 //! threads_per_worker` scoped lanes on [`pool::lane_loop`] for the
@@ -28,7 +29,9 @@ use crate::balance::CostProfile;
 use crate::config::{ClusterConfig, ExecMode};
 use crate::failure::{Cause, Failure};
 use crate::gate::FaultGate;
-use crate::pool::{self, HandOver, Job, Lane, LanePart, Outcome, Pool, Spec, CHUNK_TASKS};
+use crate::pool::{
+    self, HandOver, Job, Lane, LanePart, Outcome, Pool, ReplayChunk, Spec, CHUNK_TASKS,
+};
 use crate::report::{RecoveryReport, RunOutcome, WorkerReport};
 use crate::resident::{Resident, Split};
 use crate::transport::Transport;
@@ -71,15 +74,93 @@ struct Progress {
     epoch: u32,
 }
 
-/// One `run` call as a [`Job`]: the plan, the task list laid out home by
-/// home and cut into chunks, and per machine the transport and gate its
-/// lanes read through.
+/// A batch run's chunk layout: every task homed on a machine, the
+/// machines' shares laid end to end and each cut front to back into
+/// chunks. [`Cluster::run`] admits it to the pool; [`pool::replay`] runs
+/// the same layout in virtual time.
+#[derive(Debug)]
+pub struct Layout {
+    /// The tasks, machine 0's share first.
+    tasks: Vec<SearchTask>,
+    /// Chunk `c` is `tasks[bounds[c]..bounds[c + 1]]`.
+    bounds: Vec<usize>,
+    /// Chunk `c`'s home machine.
+    homes: Vec<usize>,
+    /// Per machine, the tasks homed on it.
+    assigned: Vec<usize>,
+}
+
+impl Layout {
+    /// Homes `tasks` on `machines` machines of `lanes` lanes each — dealt
+    /// round-robin, the paper's even shuffle, or with a `profile`
+    /// longest-processing-time-first onto the least-loaded machine, each
+    /// share heaviest-first (the steal priority) — and cuts the shares
+    /// into chunks for `exec_mode`.
+    pub fn new(
+        tasks: Vec<SearchTask>,
+        machines: usize,
+        lanes: usize,
+        exec_mode: ExecMode,
+        profile: Option<&CostProfile>,
+    ) -> Self {
+        let total = tasks.len();
+        let shares: Vec<Vec<SearchTask>> = match profile {
+            Some(profile) => profile.assign_lpt(tasks, machines),
+            None => (0..machines)
+                .map(|w| tasks.iter().skip(w).step_by(machines).copied().collect())
+                .collect(),
+        };
+        // A hybrid chunk is one frontier batch — its length decides which
+        // fetches siblings share — so it is fixed. Under DFS a chunk is
+        // only a scheduling quantum: short enough that every lane gets
+        // `DFS_CHUNKS_PER_LANE` of them, so the last lane running holds
+        // the others up for a few percent of the run at most.
+        let chunk_len = match exec_mode {
+            ExecMode::Hybrid => CHUNK_TASKS,
+            ExecMode::Dfs => {
+                (total / (machines * lanes * DFS_CHUNKS_PER_LANE)).clamp(1, CHUNK_TASKS)
+            }
+        };
+        let mut layout = Layout {
+            tasks: Vec::with_capacity(total),
+            bounds: Vec::new(),
+            homes: Vec::new(),
+            assigned: shares.iter().map(Vec::len).collect(),
+        };
+        for (w, share) in shares.into_iter().enumerate() {
+            let end = layout.tasks.len() + share.len();
+            for start in (layout.tasks.len()..end).step_by(chunk_len) {
+                layout.bounds.push(start);
+                layout.homes.push(w);
+            }
+            layout.tasks.extend(share);
+        }
+        layout.bounds.push(total);
+        layout
+    }
+
+    fn range(&self, chunk: usize) -> Range<usize> {
+        self.bounds[chunk]..self.bounds[chunk + 1]
+    }
+
+    /// The chunks as [`pool::replay`] runs them, each taking the summed
+    /// `vticks` of its tasks.
+    pub fn replay_chunks(&self, vticks: impl Fn(&SearchTask) -> u64) -> Vec<ReplayChunk> {
+        (0..self.homes.len())
+            .map(|c| ReplayChunk {
+                home: self.homes[c],
+                tasks: self.range(c).len(),
+                vticks: self.tasks[self.range(c)].iter().map(&vticks).sum(),
+            })
+            .collect()
+    }
+}
+
+/// One `run` call as a [`Job`]: the plan, its [`Layout`], and per
+/// machine the transport and gate its lanes read through.
 struct BatchJob<'a> {
     compiled: &'a CompiledPlan,
-    tasks: Vec<SearchTask>,
-    /// Chunk `c` is `tasks[bounds[c]..bounds[c + 1]]`: the shares lie end
-    /// to end and each is cut front to back.
-    bounds: Vec<usize>,
+    layout: Layout,
     transports: Vec<Transport>,
     gates: Option<Vec<FaultGate>>,
     collect: bool,
@@ -95,12 +176,8 @@ impl BatchJob<'_> {
         self.progress.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn range(&self, chunk: usize) -> Range<usize> {
-        self.bounds[chunk]..self.bounds[chunk + 1]
-    }
-
     fn tasks_in(&self, chunks: &[usize]) -> usize {
-        chunks.iter().map(|&c| self.range(c).len()).sum()
+        chunks.iter().map(|&c| self.layout.range(c).len()).sum()
     }
 
     /// Records `failure` — stamped with the crash epoch it happened in
@@ -126,11 +203,11 @@ impl Job for &BatchJob<'_> {
     }
 
     fn start(&self, machine: usize, chunk: usize, stolen: bool) -> &[SearchTask] {
-        let range = self.range(chunk);
+        let range = self.layout.range(chunk);
         if stolen {
             self.progress().steals[machine] += range.len() as u64;
         }
-        &self.tasks[range]
+        &self.layout.tasks[range]
     }
 
     fn reads(&self, machine: usize) -> (&Transport, Option<&FaultGate>) {
@@ -230,12 +307,23 @@ impl Cluster {
 
     /// Installs (or removes, with `None`) an observed-cost profile from a
     /// previous run (see [`ClusterConfig::collect_task_profile`]).
-    /// Subsequent runs split tasks at an observed-cost threshold instead
-    /// of the degree proxy, place them longest-first onto the least
-    /// loaded worker, and order each worker's share heaviest-first (the
-    /// steal priority). All decisions are pure functions of the profile,
-    /// so runs stay deterministic under the static scheduler.
+    /// Subsequent runs still split at the configured τ (or `auto_tau`),
+    /// and place the tasks longest-first onto the least loaded worker,
+    /// each worker's share heaviest-first (the steal priority), instead
+    /// of dealing them round-robin. Placement is a pure function of the
+    /// profile, so runs stay deterministic under the static scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile does not cover exactly the resident graph's
+    /// vertices: a profile of another graph would place by wrong costs.
     pub fn set_cost_profile(&mut self, profile: Option<CostProfile>) {
+        let vertices = self.resident.degrees().len();
+        let covered = profile.as_ref().map_or(vertices, CostProfile::len);
+        assert!(
+            covered == vertices,
+            "cost profile covers {covered} vertices, the resident graph has {vertices}"
+        );
         self.cost_profile = profile.map(Arc::new);
     }
 
@@ -244,17 +332,6 @@ impl Cluster {
     /// warmth is otherwise deliberate.
     pub fn clear_caches(&self) {
         self.resident.clear_caches();
-    }
-
-    /// How this cluster splits tasks: an installed cost profile overrides
-    /// both degree-based policies.
-    fn split(&self) -> Split<'_> {
-        let lanes = self.config.workers * self.config.threads_per_worker;
-        match &self.cost_profile {
-            Some(profile) => Split::Observed { profile, lanes },
-            None if self.config.tau_auto => Split::Auto { lanes },
-            None => Split::Fixed(self.config.tau),
-        }
     }
 
     /// Runs `plan`, counting matches (Algorithm 2 lines 3–8). Store
@@ -301,59 +378,30 @@ impl Cluster {
             let _span = obs.map(|h| h.tracer.span("plan_compile"));
             CompiledPlan::compile(plan)
         };
+        let p = self.config.workers;
+        let lanes = p * self.config.threads_per_worker;
+        let split = match self.config.tau_auto {
+            true => Split::Auto { lanes },
+            false => Split::Fixed(self.config.tau),
+        };
         let (tasks, effective_tau) = {
             let _span = obs.map(|h| h.tracer.span("task_generation"));
-            resident.tasks(&compiled, self.split())
+            resident.tasks(&compiled, split)
         };
         let total_tasks = tasks.len();
-        let p = self.config.workers;
-
-        // Homes. Default: round robin — the even shuffle of tasks to
-        // reducers. With a cost profile installed: longest-processing-
-        // time-first onto the least-loaded worker, each share ordered
-        // heaviest-first (the steal priority). The scheduler decides
-        // whether chunks may migrate afterwards.
-        let shares: Vec<Vec<SearchTask>> = match &self.cost_profile {
-            Some(profile) => profile.assign_lpt(tasks, p),
-            None => {
-                let mut shares: Vec<Vec<SearchTask>> = vec![Vec::new(); p];
-                for (i, t) in tasks.into_iter().enumerate() {
-                    shares[i % p].push(t);
-                }
-                shares
-            }
-        };
-        let assigned: Vec<usize> = shares.iter().map(Vec::len).collect();
-        // A hybrid chunk is one frontier batch — its length decides which
-        // fetches siblings share — so it is fixed. Under DFS a chunk is
-        // only a scheduling quantum: short enough that every lane gets
-        // `DFS_CHUNKS_PER_LANE` of them, so the last lane running holds
-        // the others up for a few percent of the run at most.
-        let chunk_len = match self.config.data.exec_mode {
-            ExecMode::Hybrid => CHUNK_TASKS,
-            ExecMode::Dfs => {
-                let lanes = p * self.config.threads_per_worker;
-                (total_tasks / (lanes * DFS_CHUNKS_PER_LANE)).clamp(1, CHUNK_TASKS)
-            }
-        };
-        let mut tasks = Vec::with_capacity(total_tasks);
-        let mut bounds = Vec::new();
-        let mut homes = Vec::new();
-        for (w, share) in shares.into_iter().enumerate() {
-            let end = tasks.len() + share.len();
-            for start in (tasks.len()..end).step_by(chunk_len) {
-                bounds.push(start);
-                homes.push(Some(w));
-            }
-            tasks.extend(share);
-        }
-        bounds.push(total_tasks);
-
+        let mut layout = Layout::new(
+            tasks,
+            p,
+            self.config.threads_per_worker,
+            self.config.data.exec_mode,
+            self.cost_profile.as_deref(),
+        );
+        // Admission consumes the homes; the run keeps only the chunks.
+        let homes = std::mem::take(&mut layout.homes);
         resident.store().reset_stats();
         let job = BatchJob {
             compiled: &compiled,
-            tasks,
-            bounds,
+            layout,
             transports: (0..p).map(|_| resident.transport()).collect(),
             // One gate per worker machine: its verdicts stand in front of
             // the machine's cache, shared by the machine's threads.
@@ -375,7 +423,7 @@ impl Cluster {
         let cache_stats_before: Vec<CacheStats> =
             resident.caches().iter().map(|c| c.stats()).collect();
         let pool = Pool::new(p, self.config.scheduler, self.fault_plan.as_deref());
-        pool.admit(0, &job, 1, homes.into_iter().enumerate())
+        pool.admit(0, &job, 1, homes.into_iter().map(Some).enumerate())
             .expect("a new pool has every machine alive");
         pool.close();
 
@@ -462,7 +510,7 @@ impl Cluster {
             }
             let mut report = WorkerReport {
                 worker: w,
-                tasks: assigned[w],
+                tasks: job.layout.assigned[w],
                 steals: progress.steals[w],
                 metrics: total.metrics,
                 busy_time: total.busy,
@@ -533,8 +581,8 @@ impl Cluster {
             spill_events: frontier.spill_events,
             peak_frontier_bytes: frontier.peak_bytes,
             recovery,
-            // Hybrid execution records no per-task cost; an all-zero
-            // profile fed back in would switch splitting off entirely.
+            // Hybrid execution records no per-task cost: no profile,
+            // rather than an all-zero one that would place blindly.
             cost_profile: records
                 .as_ref()
                 .map(|records| {
@@ -605,14 +653,19 @@ mod tests {
         assert_eq!(profile.len(), 300);
         assert!(profile.total() > 0, "BA graph has triangles to find");
 
-        // Pass 2: same cluster, observed-cost splitting + LPT placement.
+        // Pass 2: same cluster, same split, LPT placement.
         cluster.clear_caches();
         cluster.set_cost_profile(Some(profile));
         let second = cluster.run(&plan).unwrap();
         assert_eq!(second.total_matches, first.total_matches);
+        assert_eq!(
+            (second.total_tasks, second.effective_tau),
+            (first.total_tasks, first.effective_tau),
+            "a profile places tasks; it does not split them"
+        );
         assert!(
             second.work_imbalance() <= first.work_imbalance() + 1e-9,
-            "cost-driven splitting must not worsen work imbalance: {} -> {}",
+            "cost-driven placement must not worsen work imbalance: {} -> {}",
             first.work_imbalance(),
             second.work_imbalance()
         );
@@ -638,6 +691,16 @@ mod tests {
         assert_eq!(third.total_tasks, second.total_tasks);
         assert_eq!(third.effective_tau, second.effective_tau);
         assert_eq!(third.metrics.obs, second.metrics.obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "cost profile covers 3 vertices, the resident graph has 300")]
+    fn a_profile_of_another_graph_is_rejected_at_install() {
+        let g = gen::barabasi_albert(300, 4, 5);
+        let mut cluster = small_cluster(&g, 2, 1);
+        cluster.set_cost_profile(Some(CostProfile::from_task_costs(3, [])));
+        // Unchecked, the run would read costs the profile does not have.
+        let _ = cluster.run(&PlanBuilder::new(&queries::triangle()).best_plan());
     }
 
     #[test]

@@ -8,10 +8,11 @@ use benu_pattern::queries;
 use benu_plan::PlanBuilder;
 
 /// Regression: hybrid execution records no per-task cost, and used to
-/// hand back an all-zero profile — which, installed, picks θ = 1 over
-/// all-zero costs and silently switches task splitting off.
+/// hand back an all-zero profile — which, installed, placed every task
+/// as if it cost nothing. A DFS profile, installed, places tasks and
+/// keeps the configured split.
 #[test]
-fn hybrid_runs_report_no_cost_profile_and_dfs_profiles_still_split() {
+fn hybrid_runs_report_no_cost_profile_and_dfs_profiles_keep_the_split() {
     let g = gen::star(200);
     let plan = PlanBuilder::new(&queries::triangle()).best_plan();
     let config = |mode| {
@@ -32,13 +33,17 @@ fn hybrid_runs_report_no_cost_profile_and_dfs_profiles_still_split() {
     let first = cluster.run(&plan).unwrap();
     let profile = first.cost_profile.clone().expect("DFS records task costs");
     assert!(profile.total() > 0);
+    assert!(
+        first.total_tasks > g.num_vertices(),
+        "auto τ splits the hub"
+    );
     cluster.set_cost_profile(Some(profile));
     let second = cluster.run(&plan).unwrap();
     assert_eq!(second.total_matches, first.total_matches);
-    assert!(
-        second.total_tasks > g.num_vertices(),
-        "the observed-cost profile must still split the hub: {} tasks",
-        second.total_tasks
+    assert_eq!(
+        (second.total_tasks, second.effective_tau),
+        (first.total_tasks, first.effective_tau),
+        "an installed profile keeps the configured split"
     );
 }
 

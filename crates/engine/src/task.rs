@@ -77,21 +77,29 @@ pub fn generate_tasks_from_degrees(
     let n = degrees.len();
     let mut tasks = Vec::with_capacity(n);
     for (v, &d) in degrees.iter().enumerate() {
-        let degree = d as usize;
-        let candidate_bound = if second_adjacent { degree } else { n };
-        if tau > 0 && degree >= tau && candidate_bound > tau {
-            let total = subtask_total(candidate_bound, tau);
-            for index in 0..total {
-                tasks.push(SearchTask {
-                    start: v as VertexId,
-                    split: Some(SplitSpec { index, total }),
-                });
+        let start = v as VertexId;
+        match split_bound(d as usize, n, tau, second_adjacent) {
+            Some(bound) => {
+                let total = subtask_total(bound, tau);
+                let split = (0..total).map(|index| SplitSpec { index, total });
+                tasks.extend(split.map(|split| SearchTask {
+                    start,
+                    split: Some(split),
+                }));
             }
-        } else {
-            tasks.push(SearchTask::whole(v as VertexId));
+            None => tasks.push(SearchTask::whole(start)),
         }
     }
     tasks
+}
+
+/// The candidate bound a start vertex of `degree` in a graph of `n`
+/// vertices is split over at threshold `tau` (0: never), or `None` if its
+/// task stays whole: the one split predicate, which [`auto_tau`] counts
+/// with.
+fn split_bound(degree: usize, n: usize, tau: usize, second_adjacent: bool) -> Option<usize> {
+    let bound = if second_adjacent { degree } else { n };
+    (tau > 0 && degree >= tau && bound > tau).then_some(bound)
 }
 
 /// Number of subtasks a candidate bound splits into at threshold `tau`.
@@ -103,27 +111,6 @@ pub fn generate_tasks_from_degrees(
 fn subtask_total(candidate_bound: usize, tau: usize) -> u32 {
     u32::try_from(candidate_bound.div_ceil(tau))
         .expect("subtask count overflows u32 — raise the split threshold τ")
-}
-
-/// The split threshold a runtime generates a plan's task list with: `0`
-/// when the plan has no second pattern vertex (there is no candidate set
-/// to divide), the adaptive [`auto_tau`] choice for `lanes` execution
-/// lanes under `tau_auto`, else the static `tau`.
-pub fn effective_tau(
-    degrees: &[u32],
-    has_second: bool,
-    second_adjacent: bool,
-    tau_auto: bool,
-    tau: usize,
-    lanes: usize,
-) -> usize {
-    if !has_second {
-        0
-    } else if tau_auto {
-        auto_tau(degrees, lanes, second_adjacent)
-    } else {
-        tau
-    }
 }
 
 /// How many extra subtasks per execution lane the adaptive threshold
@@ -144,18 +131,10 @@ pub fn auto_tau(degrees: &[u32], lanes: usize, second_adjacent: bool) -> usize {
     let n = degrees.len();
     let budget = lanes.max(1) * AUTO_TAU_EXTRA_PER_LANE;
     let extra = |tau: usize| -> usize {
-        degrees
+        let split = degrees
             .iter()
-            .map(|&d| {
-                let degree = d as usize;
-                let bound = if second_adjacent { degree } else { n };
-                if degree >= tau && bound > tau {
-                    bound.div_ceil(tau) - 1
-                } else {
-                    0
-                }
-            })
-            .sum()
+            .filter_map(|&d| split_bound(d as usize, n, tau, second_adjacent));
+        split.map(|bound| bound.div_ceil(tau) - 1).sum()
     };
     // At τ = max bound nothing splits (extra = 0 ≤ budget), so the
     // search interval always contains a feasible point.

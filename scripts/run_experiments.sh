@@ -32,12 +32,12 @@ run fig7.json fig7
 run fig8.json fig8
 run fig9.json fig9
 # Table V one stand-in per file; uk runs q1-q5 only, its other cells
-# take hours. fig10_fsq9.json holds the default curves, q5 and q9 on fs.
+# take hours.
 run table5_as.json table5 --datasets as
 run table5_fs.json table5 --datasets fs
 run table5_uk.json table5 --datasets uk --queries q1,q2,q3,q4,q5
 run table6.json table6
-run fig10_fsq9.json fig10
+run fig10.json fig10
 # budget, faults and estimators in one file.
 run ext.json ext
 
