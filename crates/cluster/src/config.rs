@@ -1,6 +1,7 @@
 //! Cluster configuration.
 
 use crate::pool::SchedulerKind;
+pub use benu_engine::exec::DEFAULT_TRIANGLE_CACHE_ENTRIES;
 use benu_fault::RetryPolicy;
 use benu_kvstore::CodecKind;
 
@@ -31,8 +32,6 @@ impl ExecMode {
 
 /// Default internal shard count of a worker's database cache.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
-/// Default capacity, in entries, of an engine's private triangle cache.
-pub const DEFAULT_TRIANGLE_CACHE_ENTRIES: usize = 1 << 14;
 
 /// The data plane both runtimes sit on (paper §III, Fig. 2): what the
 /// sharded store holds, how big the per-machine cache in front of it is,

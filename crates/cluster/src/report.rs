@@ -541,10 +541,7 @@ mod tests {
     #[test]
     fn report_surfaces_observed_slot_cardinalities() {
         let mut o = RunOutcome::default();
-        if let Some(s) = o.metrics.obs.slot_mut(2) {
-            s.candidates = 10;
-            s.survivors = 4;
-        }
+        o.metrics.obs.record(2, 10, 4);
         let r = o.report(ReportMode::Deterministic);
         assert_eq!(r.get_u64("engine/obs/slot_02/candidates"), Some(10));
         assert_eq!(r.get_u64("engine/obs/slot_02/survivors"), Some(4));

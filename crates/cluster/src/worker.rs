@@ -125,17 +125,15 @@ impl std::ops::AddAssign for LaneStats {
     }
 }
 
-enum LaneEngine<'a, S: DataSource + ?Sized> {
-    Dfs(LocalEngine<'a, S>),
-    Hybrid(FrontierEngine<'a, S>),
-}
-
 /// One execution lane: an engine bound to a data source, running slices
 /// of search tasks in a fixed [`ExecMode`] and counting or collecting
 /// their matches. The single place `(plan, source, tasks)` becomes
-/// [`TaskMetrics`], and the one unwind boundary around the engine.
+/// [`TaskMetrics`], and the one unwind boundary around the engine. The
+/// engine is the frontier driver under both modes: under
+/// [`ExecMode::Dfs`] it hands each task to the interpreter it wraps.
 pub struct LaneExecutor<'a, S: DataSource + ?Sized> {
-    engine: LaneEngine<'a, S>,
+    engine: FrontierEngine<'a, S>,
+    mode: ExecMode,
     counting: CountingConsumer,
     collecting: Option<CollectingConsumer>,
 }
@@ -161,10 +159,8 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
         // not this lane's.
         let _ = FaultGate::take_task_penalty();
         LaneExecutor {
-            engine: match mode {
-                ExecMode::Dfs => LaneEngine::Dfs(engine),
-                ExecMode::Hybrid => LaneEngine::Hybrid(FrontierEngine::new(engine, budget)),
-            },
+            engine: FrontierEngine::new(engine, budget),
+            mode,
             counting: CountingConsumer::default(),
             collecting: collect.then(CollectingConsumer::default),
         }
@@ -175,9 +171,9 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     /// `hybrid_batch` under hybrid execution (sibling tasks of a batch
     /// share their store reads).
     pub fn stride(&self, hybrid_batch: usize) -> usize {
-        match self.engine {
-            LaneEngine::Dfs(_) => 1,
-            LaneEngine::Hybrid(_) => hybrid_batch.max(1),
+        match self.mode {
+            ExecMode::Dfs => 1,
+            ExecMode::Hybrid => hybrid_batch.max(1),
         }
     }
 
@@ -199,8 +195,8 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
         };
         let engine = &mut self.engine;
         let mut at = 0;
-        let run = catch_unwind(AssertUnwindSafe(|| match engine {
-            LaneEngine::Dfs(engine) => {
+        let run = catch_unwind(AssertUnwindSafe(|| match self.mode {
+            ExecMode::Dfs => {
                 let mut metrics = TaskMetrics::default();
                 for (i, &task) in tasks.iter().enumerate() {
                     at = i;
@@ -208,7 +204,7 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
                 }
                 metrics
             }
-            LaneEngine::Hybrid(frontier) => frontier.run_batch(tasks, consumer),
+            ExecMode::Hybrid => engine.run_batch(tasks, consumer),
         }));
         let penalty = FaultGate::take_task_penalty();
         match run {
@@ -237,19 +233,12 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
             matches.sort();
             matches
         });
-        let stats = match self.engine {
-            LaneEngine::Dfs(engine) => LaneStats {
-                triangle_cache: engine.triangle_cache_stats(),
-                db_cache_hits: engine.adj_table_hits(),
-                pool: engine.pool_stats(),
-                frontier: FrontierStats::default(),
-            },
-            LaneEngine::Hybrid(frontier) => LaneStats {
-                triangle_cache: frontier.triangle_cache_stats(),
-                db_cache_hits: frontier.adj_table_hits(),
-                pool: frontier.pool_stats(),
-                frontier: frontier.stats(),
-            },
+        let engine = &self.engine;
+        let stats = LaneStats {
+            triangle_cache: engine.triangle_cache_stats(),
+            db_cache_hits: engine.adj_table_hits(),
+            pool: engine.pool_stats(),
+            frontier: engine.stats(),
         };
         (stats, matches)
     }

@@ -172,7 +172,7 @@ impl<'a> Window<'a> {
 /// The candidates an ENU iterates out of `len`: the task's slice of them
 /// at the split point, all of them everywhere else.
 #[inline]
-pub(crate) fn enu_range(is_second: bool, task: &SearchTask, len: usize) -> Range<usize> {
+fn enu_range(is_second: bool, task: &SearchTask, len: usize) -> Range<usize> {
     match (is_second, task.split) {
         (true, Some(split)) => split.range(len),
         _ => 0..len,
@@ -256,6 +256,23 @@ pub(crate) enum Slot {
 }
 
 impl Slot {
+    /// A second handle on a shared value, for loading a frontier
+    /// snapshot back into the slot file.
+    ///
+    /// # Panics
+    ///
+    /// On `Buf`: an owned buffer has one holder, and snapshots freeze
+    /// every one of them.
+    pub(crate) fn share(&self) -> Slot {
+        match self {
+            Slot::Empty => Slot::Empty,
+            Slot::Buf(_) => panic!("snapshots hold no owned buffer"),
+            Slot::Adj(a) => Slot::Adj(Arc::clone(a)),
+            Slot::Tri(t) => Slot::Tri(Arc::clone(t)),
+            Slot::Frozen(v) => Slot::Frozen(Arc::clone(v)),
+        }
+    }
+
     pub(crate) fn as_slice(&self) -> &[VertexId] {
         match self {
             Slot::Empty => panic!("read of undefined register (plan validated, so this is a bug)"),
@@ -493,48 +510,66 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
         match self.exec_straight(pc, task, consumer, metrics) {
             StraightEnd::Pruned | StraightEnd::Done => {}
             StraightEnd::Foreach(fpc) => {
-                let plan = self.plan;
                 let CInstr::Foreach {
-                    vertex,
                     source,
                     is_second,
                     tail,
-                } = &plan.instrs[fpc]
+                    ..
+                } = self.plan.instrs[fpc]
                 else {
                     unreachable!("exec_straight stops only at Foreach")
                 };
-                if *tail && !consumer.needs_matches() {
-                    let len = self.slots[*source].as_slice().len();
-                    count_tail_enu(fpc, *is_second, task, len, metrics);
+                if tail && !consumer.needs_matches() {
+                    let len = self.slots[source].as_slice().len();
+                    count_tail_enu(fpc, is_second, task, len, metrics);
                     return;
                 }
-                let vertex = *vertex;
                 // Take the candidate set out of its slot for the
                 // duration of the loop; nothing below reads it (its
                 // only other possible reader is RES in compressed
                 // plans, where this vertex has no Foreach at all).
-                let slot = std::mem::take(&mut self.slots[*source]);
-                let items = slot.as_slice();
-                let items = &items[enu_range(*is_second, task, items.len())];
-                let considered = items.len() as u64;
-                metrics.enu_candidates += considered;
-                let mut survivors = 0u64;
-                for &x in items {
-                    if !self.label_ok(vertex, x) {
-                        continue;
-                    }
-                    survivors += 1;
-                    self.f[vertex] = x;
-                    self.step(fpc + 1, task, consumer, metrics);
-                }
-                self.f[vertex] = UNSET;
-                self.slots[*source] = slot;
-                if let Some(s) = metrics.obs.slot_mut(fpc) {
-                    s.candidates += considered;
-                    s.survivors += survivors;
-                }
+                let slot = std::mem::take(&mut self.slots[source]);
+                self.for_each_candidate(fpc, slot.as_slice(), task, metrics, |engine, metrics| {
+                    engine.step(fpc + 1, task, consumer, metrics)
+                });
+                self.slots[source] = slot;
             }
         }
+    }
+
+    /// Iterates the `Foreach` at `fpc` over `items`: the task's range of
+    /// them, label-checked, each survivor mapped into `f` before `body`
+    /// runs — the recursion under DFS, a new frontier entry under the
+    /// hybrid driver. The ENU's counters are kept here for both.
+    #[inline]
+    pub(crate) fn for_each_candidate(
+        &mut self,
+        fpc: usize,
+        items: &[VertexId],
+        task: &SearchTask,
+        metrics: &mut TaskMetrics,
+        mut body: impl FnMut(&mut Self, &mut TaskMetrics),
+    ) {
+        let CInstr::Foreach {
+            vertex, is_second, ..
+        } = self.plan.instrs[fpc]
+        else {
+            unreachable!("candidates are iterated at a Foreach")
+        };
+        let items = &items[enu_range(is_second, task, items.len())];
+        let considered = items.len() as u64;
+        metrics.enu_candidates += considered;
+        let mut survivors = 0u64;
+        for &x in items {
+            if !self.label_ok(vertex, x) {
+                continue;
+            }
+            survivors += 1;
+            self.f[vertex] = x;
+            body(self, metrics);
+        }
+        self.f[vertex] = UNSET;
+        metrics.obs.record(fpc, considered, survivors);
     }
 
     /// Executes the straight-line segment starting at `pc`: every
@@ -573,10 +608,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                         Some(adj) => Arc::clone(adj),
                         None => self.adj_table.get_or_fetch(v, self.source),
                     };
-                    if let Some(s) = metrics.obs.slot_mut(pc) {
-                        s.candidates += 1;
-                        s.survivors += adj.as_slice().len() as u64;
-                    }
+                    metrics.obs.record(pc, 1, adj.as_slice().len() as u64);
                     self.set_slot(*target, Slot::Adj(adj));
                 }
                 CInstr::Intersect {
@@ -595,10 +627,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                         let window = Window::fold(self.order, &self.f, filters);
                         let items = self.slots[t].as_slice();
                         let passing = items.iter().filter(|&&x| window.admits(x)).count();
-                        if let Some(s) = metrics.obs.slot_mut(pc) {
-                            s.candidates += 1;
-                            s.survivors += passing as u64;
-                        }
+                        metrics.obs.record(pc, 1, passing as u64);
                         if passing == 0 {
                             return StraightEnd::Pruned;
                         }
@@ -615,10 +644,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     };
                     self.compute_intersection(operands, filters, &mut buf);
                     let empty = buf.is_empty();
-                    if let Some(s) = metrics.obs.slot_mut(pc) {
-                        s.candidates += 1;
-                        s.survivors += buf.len() as u64;
-                    }
+                    metrics.obs.record(pc, 1, buf.len() as u64);
                     self.slots[target] = Slot::Buf(buf);
                     if empty {
                         return StraightEnd::Pruned; // failed partial match: backtrack
@@ -646,10 +672,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                             view::intersect_into(a_view, b_view, out)
                         });
                         let empty = tri.is_empty();
-                        if let Some(s) = metrics.obs.slot_mut(pc) {
-                            s.candidates += 1;
-                            s.survivors += tri.len() as u64;
-                        }
+                        metrics.obs.record(pc, 1, tri.len() as u64);
                         self.set_slot(target, Slot::Tri(tri));
                         empty
                     } else {
@@ -676,10 +699,7 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                                 buf.is_empty()
                             },
                         );
-                        if let Some(s) = metrics.obs.slot_mut(pc) {
-                            s.candidates += 1;
-                            s.survivors += buf.len() as u64;
-                        }
+                        metrics.obs.record(pc, 1, buf.len() as u64);
                         self.slots[target] = Slot::Buf(buf);
                         empty
                     };
@@ -846,10 +866,7 @@ fn count_tail_enu(
     let considered = enu_range(is_second, task, len).len() as u64;
     metrics.enu_candidates += considered;
     metrics.matches += considered;
-    if let Some(s) = metrics.obs.slot_mut(fpc) {
-        s.candidates += considered;
-        s.survivors += considered;
-    }
+    metrics.obs.record(fpc, considered, considered);
 }
 
 #[cfg(test)]

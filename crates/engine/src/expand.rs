@@ -207,35 +207,38 @@ fn count_backtrack(
     }
     let cur = members[depth];
     let mut count = 0;
-    'cand: for &x in images[cur] {
-        for (prev_depth, &y) in chosen.iter().enumerate() {
-            let prev = members[prev_depth];
-            if x == y {
-                continue 'cand;
-            }
-            let (a, b) = (prev.min(cur), prev.max(cur));
-            match info.pair_order[a][b] {
-                Some(true) => {
-                    // non_cover[a] ≺ non_cover[b] required.
-                    let (va, vb) = if prev < cur { (y, x) } else { (x, y) };
-                    if !order.less(va, vb) {
-                        continue 'cand;
-                    }
-                }
-                Some(false) => {
-                    let (va, vb) = if prev < cur { (y, x) } else { (x, y) };
-                    if !order.less(vb, va) {
-                        continue 'cand;
-                    }
-                }
-                None => {}
-            }
+    for &x in images[cur] {
+        let fits =
+            (chosen.iter().zip(members)).all(|(&y, &prev)| admits(info, order, prev, y, cur, x));
+        if fits {
+            chosen.push(x);
+            count += count_backtrack(info, images, order, members, chosen);
+            chosen.pop();
         }
-        chosen.push(x);
-        count += count_backtrack(info, images, order, members, chosen);
-        chosen.pop();
     }
     count
+}
+
+/// True when `x` may image non-cover vertex `cur` beside `y` imaging
+/// non-cover vertex `prev`: the two differ (injectivity) and satisfy the
+/// symmetry order the pair carries, if any.
+#[inline]
+fn admits(
+    info: &ExpansionInfo,
+    order: &TotalOrder,
+    prev: usize,
+    y: VertexId,
+    cur: usize,
+    x: VertexId,
+) -> bool {
+    // `lo` images the lower non-cover index of the pair.
+    let (lo, hi) = if prev < cur { (y, x) } else { (x, y) };
+    x != y
+        && match info.pair_order[prev.min(cur)][prev.max(cur)] {
+            Some(true) => order.less(lo, hi),
+            Some(false) => order.less(hi, lo),
+            None => true,
+        }
 }
 
 /// Enumerates the embeddings of one code, writing each non-cover mapping
@@ -264,28 +267,11 @@ fn expand_rec(
         return;
     }
     let cur_vertex = info.non_cover[depth];
-    'cand: for &x in images[depth] {
-        for prev_depth in 0..depth {
-            let prev_vertex = info.non_cover[prev_depth];
-            let y = f[prev_vertex];
-            if x == y {
-                continue 'cand;
-            }
-            let (a, b) = (prev_depth.min(depth), prev_depth.max(depth));
-            if let Some(req) = info.pair_order[a][b] {
-                let (va, vb) = if a == prev_depth { (y, x) } else { (x, y) };
-                let holds = if req {
-                    order.less(va, vb)
-                } else {
-                    order.less(vb, va)
-                };
-                if !holds {
-                    continue 'cand;
-                }
-            }
+    for &x in images[depth] {
+        if (0..depth).all(|prev| admits(info, order, prev, f[info.non_cover[prev]], depth, x)) {
+            f[cur_vertex] = x;
+            expand_rec(info, images, order, f, depth + 1, consumer);
         }
-        f[cur_vertex] = x;
-        expand_rec(info, images, order, f, depth + 1, consumer);
     }
     f[cur_vertex] = VertexId::MAX;
 }

@@ -29,10 +29,10 @@
 
 use crate::compile::{CInstr, CompiledPlan};
 use crate::consumer::MatchConsumer;
-use crate::exec::{enu_range, LocalEngine, PoolStats, Slot, StraightEnd, TaskMetrics, UNSET};
+use crate::exec::{LocalEngine, PoolStats, Slot, StraightEnd, TaskMetrics, UNSET};
 use crate::source::DataSource;
 use crate::task::SearchTask;
-use benu_graph::{AdjSet, VertexId};
+use benu_graph::VertexId;
 use std::sync::Arc;
 
 /// Fixed byte charge per frontier entry (the entry struct, its `Arc`
@@ -92,37 +92,14 @@ impl std::ops::AddAssign for FrontierStats {
     }
 }
 
-/// A frozen register value shared across a level's sibling entries.
-#[derive(Clone, Debug, Default)]
-enum FrSlot {
-    #[default]
-    Empty,
-    /// Shared adjacency set (cheap `Arc` pass-through, never charged).
-    Adj(Arc<AdjSet>),
-    /// Shared triangle set, passing through like `Adj`.
-    Tri(Arc<[VertexId]>),
-    /// A frozen set buffer: an owned intersection result promoted to an
-    /// `Arc` at freeze time (charged, thawed back into the pool at batch
-    /// end).
-    Frozen(Arc<Vec<VertexId>>),
-}
-
-impl FrSlot {
-    fn as_slice(&self) -> &[VertexId] {
-        match self {
-            FrSlot::Empty => panic!("read of undefined frontier register"),
-            FrSlot::Adj(a) => a.as_slice(),
-            FrSlot::Tri(t) => t,
-            FrSlot::Frozen(v) => v,
-        }
-    }
-}
-
 /// The register file of one frontier level, shared by every child entry
-/// forked from the same parent.
+/// forked from the same parent: the interpreter's own [`Slot`]s with
+/// every owned buffer frozen into a shared `Slot::Frozen` (charged, and
+/// thawed back into the pool at batch end). Adjacency and triangle sets
+/// pass through as the `Arc`s they already are.
 #[derive(Debug)]
 struct Snapshot {
-    slots: Vec<FrSlot>,
+    slots: Vec<Slot>,
 }
 
 /// One partial embedding awaiting expansion: a full mapping array plus
@@ -177,9 +154,11 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
         self.engine.adj_table_hits()
     }
 
-    /// Unwraps the inner engine.
-    pub fn into_inner(self) -> LocalEngine<'a, S> {
-        self.engine
+    /// Runs one task depth-first on the wrapped interpreter, as
+    /// [`LocalEngine::run_task`] does: a task-scoped adjacency table,
+    /// point gets, no frontier.
+    pub fn run_task(&mut self, task: SearchTask, consumer: &mut dyn MatchConsumer) -> TaskMetrics {
+        self.engine.run_task(task, consumer)
     }
 
     /// Runs a batch of tasks breadth-first and reports into `consumer`.
@@ -202,7 +181,7 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
         self.engine.clear_adj_table();
         let plan = self.engine.plan;
         let root_snap = Arc::new(Snapshot {
-            slots: vec![FrSlot::Empty; plan.num_slots],
+            slots: (0..plan.num_slots).map(|_| Slot::Empty).collect(),
         });
         // Snapshots stay alive until the batch completes so child levels
         // can share ancestor registers; thawed back into the pool below.
@@ -283,40 +262,24 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
                         used_bytes += owned + snap_cost;
                         let snap = Arc::new(snap);
                         arena.push(Arc::clone(&snap));
-                        let CInstr::Foreach {
-                            vertex,
-                            source,
-                            is_second,
-                            ..
-                        } = &plan.instrs[fpc]
-                        else {
+                        let CInstr::Foreach { source, .. } = plan.instrs[fpc] else {
                             unreachable!("exec_straight stops only at Foreach")
                         };
-                        let items = snap.slots[*source].as_slice();
-                        let range = enu_range(*is_second, &task, items.len());
-                        let considered = range.len() as u64;
-                        metrics.enu_candidates += considered;
-                        let mut survivors = 0u64;
-                        for &x in &items[range] {
-                            if !self.engine.label_ok(*vertex, x) {
-                                continue;
-                            }
-                            survivors += 1;
-                            let mut f = self.engine.f.clone();
-                            f[*vertex] = x;
-                            used_bytes += entry_cost;
-                            next.push(Entry {
-                                task_idx: e.task_idx,
-                                f,
-                                snap: Arc::clone(&snap),
-                            });
-                        }
-                        // Mirror the DFS engine's per-slot observation so
-                        // frontier and DFS metrics stay byte-identical.
-                        if let Some(s) = metrics.obs.slot_mut(fpc) {
-                            s.candidates += considered;
-                            s.survivors += survivors;
-                        }
+                        let items = snap.slots[source].as_slice();
+                        self.engine.for_each_candidate(
+                            fpc,
+                            items,
+                            &task,
+                            &mut metrics,
+                            |engine, _| {
+                                used_bytes += entry_cost;
+                                next.push(Entry {
+                                    task_idx: e.task_idx,
+                                    f: engine.f.clone(),
+                                    snap: Arc::clone(&snap),
+                                });
+                            },
+                        );
                         next_pc = fpc + 1;
                         if !spilled && self.budget.exceeded(used_bytes) {
                             spilled = true;
@@ -338,7 +301,7 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
         while let Some(snap) = arena.pop() {
             if let Ok(snap) = Arc::try_unwrap(snap) {
                 for slot in snap.slots {
-                    if let FrSlot::Frozen(buf) = slot {
+                    if let Slot::Frozen(buf) = slot {
                         if let Ok(buf) = Arc::try_unwrap(buf) {
                             self.engine.pool_put(buf);
                         }
@@ -352,15 +315,9 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
     /// Restores an entry's execution state into the engine.
     fn load(&mut self, e: &Entry) {
         self.engine.f.copy_from_slice(&e.f);
-        for (i, fs) in e.snap.slots.iter().enumerate() {
-            let value = match fs {
-                FrSlot::Empty => Slot::Empty,
-                FrSlot::Adj(a) => Slot::Adj(Arc::clone(a)),
-                FrSlot::Tri(t) => Slot::Tri(Arc::clone(t)),
-                FrSlot::Frozen(v) => Slot::Frozen(Arc::clone(v)),
-            };
+        for (i, slot) in e.snap.slots.iter().enumerate() {
             // `set_slot` recycles any displaced owned buffer.
-            self.engine.set_slot(i, value);
+            self.engine.set_slot(i, slot.share());
         }
     }
 
@@ -373,14 +330,11 @@ impl<'a, S: DataSource + ?Sized> FrontierEngine<'a, S> {
             .slots
             .iter_mut()
             .map(|s| match std::mem::take(s) {
-                Slot::Empty => FrSlot::Empty,
-                Slot::Adj(a) => FrSlot::Adj(a),
-                Slot::Tri(t) => FrSlot::Tri(t),
-                Slot::Frozen(v) => FrSlot::Frozen(v),
                 Slot::Buf(v) => {
                     owned += v.len() * std::mem::size_of::<VertexId>();
-                    FrSlot::Frozen(Arc::new(v))
+                    Slot::Frozen(Arc::new(v))
                 }
+                shared => shared,
             })
             .collect();
         (Snapshot { slots }, owned)

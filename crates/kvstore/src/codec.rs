@@ -263,6 +263,8 @@ pub fn decode(value: &[u8]) -> Result<AdjSet, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     const KINDS: [CodecKind; 2] = [CodecKind::RawU32, CodecKind::DeltaVarint];
 
@@ -375,6 +377,51 @@ mod tests {
             decode_into(&[TAG_DELTA_VARINT, 0xff, 0xff, 0xff, 0xff, 0x1f], &mut out),
             Err(CodecError::Overflow)
         );
+    }
+
+    /// Decodes `value` through both entry points: each returns the same
+    /// `CodecError`, or both the same strictly increasing run.
+    fn decode_both(value: &[u8], out: &mut Vec<VertexId>) {
+        let into = decode_into(value, out).map(|_| ());
+        let owned = decode(value);
+        match &owned {
+            Ok(set) => assert_eq!(Ok(set.as_slice()), into.map(|()| &out[..]), "{value:?}"),
+            Err(e) => assert_eq!(into, Err(*e), "{value:?}"),
+        }
+        assert!(
+            owned.is_err() || out.windows(2).all(|w| w[0] < w[1]),
+            "{value:?} decoded to a run that is not strictly increasing"
+        );
+    }
+
+    #[test]
+    fn decode_fails_cleanly_on_arbitrary_bytes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xc0dec);
+        let (mut buf, mut out) = ([0u8; 64], Vec::new());
+        for _ in 0..100_000 {
+            let value = &mut buf[..rng.gen_range(0..=64usize)];
+            rng.fill_bytes(value);
+            if let Some(tag) = value.first_mut() {
+                // Two draws in three lead with a valid tag, so most
+                // values reach the payload decoders.
+                *tag = [TAG_RAW_U32, TAG_DELTA_VARINT, *tag][rng.gen_range(0..3usize)];
+            }
+            decode_both(value, &mut out);
+        }
+        // Every prefix of every valid encoding: a cut decodes to a prefix
+        // of the run or fails. (`decode` adds only the set build to
+        // `decode_into`, and thousands of prefixes of the long runs
+        // through it would cost a second in debug.)
+        for ids in adversarial_sets() {
+            for kind in KINDS {
+                let wire = encode(kind, &ids);
+                for end in 0..=wire.len() {
+                    if decode_into(&wire[..end], &mut out).is_ok() {
+                        assert!(out[..] == ids[..out.len()], "{} cut at {end}", kind.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,11 +58,15 @@ impl Default for PlanObs {
 }
 
 impl PlanObs {
-    /// Mutable access to a slot, `None` beyond the cap (so recording in
-    /// the hot loop is a branch plus two adds).
+    /// Adds one observation of the instruction at `pc` — `candidates`
+    /// considered, `survivors` kept — and ignores slots beyond the cap,
+    /// so recording in the hot loop is a branch plus two adds.
     #[inline]
-    pub fn slot_mut(&mut self, pc: usize) -> Option<&mut SlotObs> {
-        self.slots.get_mut(pc)
+    pub fn record(&mut self, pc: usize, candidates: u64, survivors: u64) {
+        if let Some(slot) = self.slots.get_mut(pc) {
+            slot.candidates += candidates;
+            slot.survivors += survivors;
+        }
     }
 
     /// True if no slot recorded anything.
@@ -278,11 +282,10 @@ mod tests {
     fn plan_obs_defaults_merge_and_iterate() {
         let mut a = PlanObs::default();
         assert!(a.is_empty());
-        a.slot_mut(3).unwrap().candidates += 5;
-        a.slot_mut(3).unwrap().survivors += 2;
+        a.record(3, 5, 2);
         let mut b = PlanObs::default();
-        b.slot_mut(3).unwrap().candidates += 1;
-        b.slot_mut(7).unwrap().survivors += 4;
+        b.record(3, 1, 0);
+        b.record(7, 0, 4);
         a += b;
         let nz: Vec<_> = a.iter_nonzero().collect();
         assert_eq!(
@@ -306,7 +309,9 @@ mod tests {
         );
         assert_eq!(a.totals(), (6, 6));
         // Out-of-range slots are ignored, not panicked on.
-        assert!(a.slot_mut(MAX_OBS_SLOTS).is_none());
+        let before = a;
+        a.record(MAX_OBS_SLOTS, 1, 1);
+        assert_eq!(a, before);
     }
 
     #[test]

@@ -230,12 +230,6 @@ struct Inner {
     /// Queries admitted past the gates and not yet finalised.
     inflight: AtomicUsize,
     admitted: AtomicU64,
-    completed: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    failed: AtomicU64,
-    degraded: AtomicU64,
-    rejected: AtomicU64,
     requeued_chunks: AtomicU64,
 }
 
@@ -306,12 +300,6 @@ impl QueryService {
             completions: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             requeued_chunks: AtomicU64::new(0),
             resident,
             config,
@@ -575,15 +563,23 @@ impl QueryService {
         let inner = &*self.inner;
         let mut service = Report::new();
         service.set("admitted", inner.admitted.load(Ordering::Relaxed));
-        service.set("completed", inner.completed.load(Ordering::Relaxed));
-        service.set("cancelled", inner.cancelled.load(Ordering::Relaxed));
+        // The lifecycle counts are the classes' terminal tallies summed.
+        let mut settled = BTreeMap::<&str, u64>::new();
+        for class in lock(&inner.classes).values().flatten() {
+            for (&terminal, &n) in &class.tally.terminals {
+                *settled.entry(terminal).or_default() += n;
+            }
+        }
+        let count = |terminal: &str| settled.get(terminal).copied().unwrap_or(0);
         service.set(
-            "deadline_exceeded",
-            inner.deadline_exceeded.load(Ordering::Relaxed),
+            "completed",
+            count("completed") + count("max_matches_reached"),
         );
-        service.set("failed", inner.failed.load(Ordering::Relaxed));
-        service.set("degraded", inner.degraded.load(Ordering::Relaxed));
-        service.set("rejected", inner.rejected.load(Ordering::Relaxed));
+        for terminal in ["cancelled", "deadline_exceeded", "failed"] {
+            service.set(terminal, count(terminal));
+        }
+        service.set("degraded", count("degraded_partial"));
+        service.set("rejected", count("rejected"));
         service.set("queue_depth", inner.pool.depth());
         if mode == ReportMode::Full {
             // Which chunk a crash finds a worker holding depends on the
@@ -724,15 +720,6 @@ impl Inner {
         if run.counted.swap(false, Ordering::AcqRel) {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
         }
-        let settled = match &out.terminal {
-            Terminal::Completed | Terminal::MaxMatchesReached => &self.completed,
-            Terminal::Cancelled => &self.cancelled,
-            Terminal::DeadlineExceeded => &self.deadline_exceeded,
-            Terminal::Failed(_) => &self.failed,
-            Terminal::DegradedPartial => &self.degraded,
-            Terminal::Rejected { .. } => &self.rejected,
-        };
-        settled.fetch_add(1, Ordering::Relaxed);
         let result = QueryResult {
             id: run.id,
             terminal: out.terminal,

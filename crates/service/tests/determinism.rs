@@ -117,6 +117,30 @@ fn results_are_identical_across_concurrency_and_modes() {
     assert!(results[6].plan_cache_hit, "relabeled pattern must hit");
 }
 
+/// Asserts that the report's lifecycle counts are the terminals of
+/// `results` counted: `completed` includes `max_matches_reached`, and
+/// `degraded` is `degraded_partial`.
+fn assert_lifecycle_counts(results: &[QueryResult], report: &Report) {
+    for (key, terminals) in [
+        ("completed", &["completed", "max_matches_reached"][..]),
+        ("cancelled", &["cancelled"]),
+        ("deadline_exceeded", &["deadline_exceeded"]),
+        ("failed", &["failed"]),
+        ("degraded", &["degraded_partial"]),
+        ("rejected", &["rejected"]),
+    ] {
+        let counted = results
+            .iter()
+            .filter(|r| terminals.contains(&r.terminal.name()))
+            .count();
+        assert_eq!(
+            report.get_u64(&format!("service/{key}")),
+            Some(counted as u64),
+            "service/{key}"
+        );
+    }
+}
+
 #[test]
 fn the_report_sums_what_wait_handed_over() {
     // The deterministic report is one record per pattern class, folded
@@ -146,6 +170,28 @@ fn the_report_sums_what_wait_handed_over() {
         sums.len(),
         "one record per class, nothing per query"
     );
+    assert_lifecycle_counts(&results, &report);
+
+    // A chunk cap below every query's footprint sheds each query that
+    // admission evaluates, whatever the backlog; a query terminal at
+    // admission settles without being evaluated.
+    let mut shed = queries.clone();
+    shed.push((queries::triangle(), QueryOptions::new().max_matches(0)));
+    shed.push((
+        queries::triangle(),
+        QueryOptions::new().mode(ResultMode::TopK(0)),
+    ));
+    let one_chunk_cap = ServiceConfig::builder()
+        .workers(2)
+        .chunk_tasks(16)
+        .max_queued_chunks(1)
+        .build();
+    let (shed_results, shed_report) = run(one_chunk_cap, &shed);
+    let reached = |terminal: &str| shed_results.iter().any(|r| r.terminal.name() == terminal);
+    for terminal in ["completed", "max_matches_reached", "rejected"] {
+        assert!(reached(terminal), "the capped mix reaches {terminal}");
+    }
+    assert_lifecycle_counts(&shed_results, &shed_report);
 
     // A query that does less shows in the report.
     let mut capped = queries;
