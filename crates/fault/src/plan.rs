@@ -32,10 +32,6 @@ use std::time::Duration;
 
 /// Salt separating store-fault decisions from other decision streams.
 const SALT_STORE: u64 = 0x51;
-/// Salt for the slow-shard sampler in [`FaultPlanBuilder::random_slow_shards`].
-const SALT_SLOW: u64 = 0x5C;
-/// Salt for the outage sampler in [`FaultPlanBuilder::random_shard_outages`].
-const SALT_OUTAGE: u64 = 0x07;
 /// Salt for [`FaultPlan::scoped`] seed derivation.
 const SALT_SCOPE: u64 = 0x5E;
 
@@ -273,24 +269,6 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Samples `count` distinct slow shards out of `num_shards` with the
-    /// plan's seeded RNG (deterministic per seed), all at `multiplier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > num_shards` or `multiplier < 1`.
-    pub fn random_slow_shards(mut self, count: usize, num_shards: usize, multiplier: f64) -> Self {
-        assert!(count <= num_shards, "cannot slow more shards than exist");
-        assert!(multiplier >= 1.0, "latency multiplier must be ≥ 1");
-        let mut rng = ChaCha8Rng::seed_from_u64(mix(self.0.seed, SALT_SLOW, 0, 0));
-        let mut remaining: Vec<usize> = (0..num_shards).collect();
-        for _ in 0..count {
-            let i = rng.gen_range(0..remaining.len());
-            self.0.slow.insert(remaining.swap_remove(i), multiplier);
-        }
-        self
-    }
-
     /// The baseline round-trip latency the slow-shard multipliers scale
     /// (virtual time; never slept).
     pub fn base_latency(mut self, latency: Duration) -> Self {
@@ -365,34 +343,6 @@ impl FaultPlanBuilder {
                 until_pass: Some(until_pass),
             },
         );
-        self
-    }
-
-    /// Samples `count` distinct shards out of `num_shards` with the
-    /// plan's seeded RNG (deterministic per seed) and takes each down
-    /// persistently from pass `from_pass`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > num_shards` or `from_pass` is zero.
-    pub fn random_shard_outages(mut self, count: usize, num_shards: usize, from_pass: u32) -> Self {
-        assert!(count <= num_shards, "cannot darken more shards than exist");
-        assert!(
-            from_pass >= 1,
-            "outage passes are 1-based (pass 0 does not exist)"
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(mix(self.0.seed, SALT_OUTAGE, 0, 0));
-        let mut remaining: Vec<usize> = (0..num_shards).collect();
-        for _ in 0..count {
-            let i = rng.gen_range(0..remaining.len());
-            self.0.outages.insert(
-                remaining.swap_remove(i),
-                Outage {
-                    from_pass,
-                    until_pass: None,
-                },
-            );
-        }
         self
     }
 
@@ -488,22 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn random_slow_shards_are_seed_deterministic() {
-        let pick = |seed| {
-            let plan = FaultPlan::builder(seed)
-                .random_slow_shards(3, 16, 8.0)
-                .build();
-            let mut slow: Vec<usize> = (0..16)
-                .filter(|&s| plan.latency_penalty(s) > Duration::ZERO)
-                .collect();
-            slow.sort_unstable();
-            slow
-        };
-        assert_eq!(pick(5), pick(5));
-        assert_eq!(pick(5).len(), 3);
-    }
-
-    #[test]
     fn timeout_wait_defaults_and_round_trips() {
         let plan = FaultPlan::benign(0);
         assert!(
@@ -539,20 +473,6 @@ mod tests {
         assert!(!plan.outage_at(0, 3));
         // Untouched shards are always healthy.
         assert!(!plan.outage_at(1, 1));
-    }
-
-    #[test]
-    fn random_outages_are_seed_deterministic() {
-        let pick = |seed| {
-            let plan = FaultPlan::builder(seed)
-                .random_shard_outages(2, 8, 1)
-                .build();
-            (0..8).filter(|&s| plan.outage_at(s, 1)).collect::<Vec<_>>()
-        };
-        assert_eq!(pick(9), pick(9));
-        assert_eq!(pick(9).len(), 2);
-        // A different seed eventually picks a different set.
-        assert!((0..32).any(|s| pick(s) != pick(9)));
     }
 
     #[test]

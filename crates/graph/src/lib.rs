@@ -18,7 +18,6 @@
 //! * [`gen`] — deterministic synthetic graph generators (Erdős–Rényi,
 //!   Chung-Lu power-law, Barabási–Albert, and fixed motifs) used to stand
 //!   in for the SNAP/LAW datasets of the paper.
-//! * [`io`] — SNAP-style edge-list reading/writing.
 //! * [`datasets`] — seeded scale-down presets of the paper's five data
 //!   graphs (`as`, `lj`, `ok`, `uk`, `fs`).
 
@@ -26,7 +25,6 @@ pub mod adj;
 pub mod datasets;
 pub mod gen;
 pub mod graph;
-pub mod io;
 pub mod ops;
 pub mod order;
 pub mod stats;

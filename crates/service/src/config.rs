@@ -67,10 +67,10 @@ pub struct ServiceConfig {
     /// Off by default (an outage then fails the affected query).
     pub graceful_degradation: bool,
     /// Feedback-driven re-planning: record the per-instruction observed
-    /// cardinalities of every exhaustively completed query against its
-    /// plan-cache canonical key, and recompile the cached plan with a
-    /// [`benu_plan::FeedbackEstimator`] the next time the pattern class
-    /// is submitted. One recompilation per class; re-planning is a pure
+    /// cardinalities of every exhaustively completed query in its
+    /// pattern class's record, and recompile the class's plan with a
+    /// [`benu_plan::FeedbackEstimator`] the next time the class is
+    /// submitted. One recompilation per class; re-planning is a pure
     /// function of the recorded observation, so a sequential
     /// submit–wait–submit sequence is byte-deterministic. Off by
     /// default.

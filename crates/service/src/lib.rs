@@ -12,11 +12,14 @@
 //!
 //! The moving parts:
 //!
-//! * **Admission & plan cache** ([`QueryService::submit`]): patterns
-//!   are resolved through an LRU [`PlanCache`] keyed on the
-//!   automorphism-canonical form ([`benu_pattern::canonical`]), so any
-//!   relabeling or automorphic image of an already-served pattern skips
-//!   plan search and compilation.
+//! * **Admission & the class table** ([`QueryService::submit`]): each
+//!   pattern resolves to its class — every relabeling or automorphic
+//!   image of one canonical pattern ([`benu_pattern::canonical`]) — whose
+//!   one record holds the compiled plan ([`CachedPlan`], resident for
+//!   the 32 classes used most recently, counted by [`PlanCacheStats`]),
+//!   the summed results of its queries and, with feedback re-planning
+//!   on, their observed cardinalities. A served class skips plan search
+//!   and compilation.
 //! * **One runtime** ([`benu_cluster::pool`]): an admitted query is a
 //!   job on the same lane pool a batch `Cluster::run` uses; the service's
 //!   workers are its lanes. Work is granted in bounded *chunks* through
@@ -31,8 +34,8 @@
 //! * **Delivery once**: [`QueryService::wait`] hands a query's result
 //!   over and the service forgets the query; a settled query nobody has
 //!   waited on yet holds only its result. What the service keeps of
-//!   served queries is one fixed-size record per pattern class, so its
-//!   memory grows with the classes served, not the queries.
+//!   served queries is its class's record, so its memory grows with the
+//!   classes served, not the queries.
 //! * **Observability**: lifecycle counts, plan-cache stats, per-class
 //!   sums and (in `Full` mode) what the lanes counted, all in
 //!   [`QueryService::report`] with or without a hub; an attached
@@ -57,8 +60,8 @@
 //!
 //! let g = gen::complete(6);
 //! let service = QueryService::new(&g, ServiceConfig::default());
-//! // Two queries in flight at once; the second hits the plan cache
-//! // (a relabeled triangle is the same canonical pattern).
+//! // Two queries in flight at once; the second hits its class's plan
+//! // (any relabeled triangle is the same canonical pattern).
 //! let a = service.submit(&queries::triangle(), QueryOptions::new());
 //! let b = service.submit(
 //!     &queries::triangle(),
@@ -74,7 +77,6 @@
 mod admission;
 mod commit;
 mod config;
-mod plan_cache;
 mod query;
 mod service;
 
@@ -82,6 +84,5 @@ pub use benu_cluster::{Cause, CodecKind, DataPath, Failure};
 pub use benu_engine::MatchSet;
 pub use benu_fault::{FaultPlan, FaultPlanBuilder, RetryPolicy};
 pub use config::{ServiceConfig, ServiceConfigBuilder};
-pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 pub use query::{QueryId, QueryOptions, QueryResult, QueryStatus, ResultMode, Terminal};
-pub use service::{QueryService, AUTO_TAU_VIRTUAL_LANES};
+pub use service::{CachedPlan, PlanCacheStats, QueryService, AUTO_TAU_VIRTUAL_LANES};

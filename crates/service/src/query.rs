@@ -188,8 +188,8 @@ pub struct QueryResult {
     pub matches_found: u64,
     /// Materialised embeddings per the result mode, one row each of one
     /// flat buffer (`matches.rows()`, `matches.get(i)`), indexed by the
-    /// *submitted* pattern's vertex numbering (plan-cache remapping is
-    /// internal). Empty for `CountOnly`.
+    /// *submitted* pattern's vertex numbering (the remapping from the
+    /// class's canonical numbering is internal). Empty for `CountOnly`.
     pub matches: MatchSet,
     /// Committed virtual-time ticks — the query's deterministic
     /// latency measure.
@@ -199,7 +199,8 @@ pub struct QueryResult {
     /// Chunks released without contributing (early termination,
     /// cancellation).
     pub chunks_discarded: usize,
-    /// Whether the compiled plan came from the plan cache.
+    /// Whether the query's pattern class had its compiled plan resident
+    /// (no compile at admission).
     pub plan_cache_hit: bool,
     /// True iff every chunk committed — the enumeration was exhaustive
     /// (a satisfied `TopK` is `Completed` but not exhaustive).

@@ -5,8 +5,8 @@
 //! in a sharded store plus one persistent database cache per worker,
 //! the same layer the batch [`benu_cluster::Cluster`] runs on — and
 //! serves any number of concurrent pattern queries against it. Admission
-//! compiles (or plan-cache-resolves) the pattern, evaluates the
-//! [`crate::admission`] gates against the current backlog, generates
+//! resolves the pattern to its [`Class`] (taking the class's resident
+//! plan or compiling one), evaluates the [`crate::admission`] gates against the current backlog, generates
 //! the split task list through [`Resident::tasks`], and admits the query
 //! to the service's [`Pool`] as a [`Job`] of fixed task-index-range
 //! *chunks* without a home machine. The service's lanes — one thread per
@@ -22,8 +22,14 @@
 //! [`QueryService::wait`] takes its result — a result is delivered once.
 //! The task list, placement and fault gate are the [`Ticket`]'s and go
 //! with the pool's last ticket; the commit pipeline goes at settle. What
-//! outlives the query is its share of one [`ClassRecord`] per pattern
-//! class: summed counts and feedback, the same for any number of queries.
+//! outlives the query is its share of its pattern class's record.
+//!
+//! The class table: one [`Class`] per pattern class — every relabeling
+//! or automorphic image of one canonical pattern — keyed by canonical
+//! fingerprint. It holds the class's compiled plan while the class is
+//! among the [`PLAN_CACHE_ENTRIES`] used most recently, its summed
+//! tally, and the observations feedback re-planning reads; an evicted
+//! plan is recompiled on the next miss, and the rest of the record stays.
 //!
 //! Determinism contract: a query's terminal status, match count,
 //! committed match stream and virtual-time latency are a pure function
@@ -31,7 +37,7 @@
 //! count, execution mode, and whatever else is running concurrently.
 //! See DESIGN.md "Runtime" and §4h.
 //!
-//! Resilience contract (DESIGN.md §4j): with a
+//! Resilience contract (DESIGN.md §4h): with a
 //! [`crate::ServiceConfig::fault_plan`] installed, every failure on the
 //! request path is one [`benu_cluster::Failure`] — built by the lane
 //! that observed it, committed unchanged — that settles *one* query,
@@ -48,7 +54,6 @@
 use crate::admission::{self, AdmissionCaps, AdmissionVerdict, LoadSnapshot};
 use crate::commit::{CommitState, ExecutedChunk};
 use crate::config::ServiceConfig;
-use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
 use benu_cluster::gate::FaultGate;
 use benu_cluster::pool::{self, HandOver, Job, Lane, LanePart, Outcome, Pool, SchedulerKind, Spec};
@@ -57,7 +62,7 @@ use benu_cluster::transport::Transport;
 use benu_cluster::{
     Failure, Resident, Split, DEFAULT_CACHE_SHARDS, DEFAULT_TRIANGLE_CACHE_ENTRIES,
 };
-use benu_engine::{MatchSet, SearchTask, TaskMetrics};
+use benu_engine::{CompiledPlan, MatchSet, SearchTask, TaskMetrics};
 use benu_graph::Graph;
 use benu_kvstore::KvStore;
 use benu_obs::{ObsHub, Report, ReportMode};
@@ -70,7 +75,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Compiled plans the plan cache retains (LRU over canonical forms).
+/// Pattern classes whose compiled plan stays resident (LRU).
 const PLAN_CACHE_ENTRIES: usize = 32;
 
 /// The service's one task-split policy: every query's task list is split
@@ -103,6 +108,8 @@ struct RunState {
 /// result.
 struct QueryRun {
     id: QueryId,
+    /// The query's pattern class: its index in [`Inner::classes`].
+    class: usize,
     plan: Arc<CachedPlan>,
     plan_cache_hit: bool,
     submitted_at: Instant,
@@ -127,17 +134,62 @@ impl QueryRun {
     }
 }
 
-/// One pattern class's record: what its settled queries add up to, and
-/// the observed cardinalities feedback re-planning reads. Every count is
-/// a sum, so the record — and the report and re-planning built on it —
-/// is independent of completion order, and it costs the same for one
-/// query of the class as for a million.
-struct ClassRecord {
+/// One compilation of a pattern class's canonical pattern: the chosen
+/// execution plan and its compiled form, shared by every query of the
+/// class while the plan is resident. Embeddings it produces are in the
+/// canonical numbering; each query maps them back with its placement.
+#[derive(Debug)]
+pub struct CachedPlan {
+    /// The best execution plan found for the canonical pattern.
+    pub plan: ExecutionPlan,
+    /// The compiled register machine workers interpret.
+    pub compiled: CompiledPlan,
+}
+
+impl CachedPlan {
+    fn new(plan: ExecutionPlan) -> Arc<Self> {
+        let compiled = CompiledPlan::compile(&plan);
+        Arc::new(CachedPlan { plan, compiled })
+    }
+}
+
+/// Plan-cache counters (monotonic over the service's lifetime).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Submissions whose class had its plan resident.
+    pub hits: u64,
+    /// Submissions that compiled their class's plan.
+    pub misses: u64,
+    /// Plans dropped by the LRU bound.
+    pub evictions: u64,
+    /// Classes whose plan is resident.
+    pub entries: usize,
+}
+
+/// One pattern class — every relabeling and automorphic image of one
+/// canonical pattern. It holds the class's compiled plan while that is
+/// resident, what its settled queries add up to, and the observed
+/// cardinalities feedback re-planning reads. Every count is a sum, so
+/// the record — and the report and re-planning built on it — is
+/// independent of completion order, and it costs the same for one query
+/// of the class as for a million.
+struct Class {
     canonical: Pattern,
+    /// Resident while the class is among the [`PLAN_CACHE_ENTRIES`] used
+    /// most recently; dropped (and recompiled on the next miss) after.
+    plan: Option<Arc<CachedPlan>>,
+    /// The last submission that used `plan` (ids rise in submission
+    /// order, so this is the LRU clock).
+    last_used: QueryId,
     tally: Tally,
-    /// Recorded once an exhaustively completed query observed the plan
-    /// it ran (with [`ServiceConfig::feedback_replanning`] on).
-    feedback: Option<Feedback>,
+    /// Per-instruction counts of the class's exhaustively completed
+    /// queries before its re-plan (with
+    /// [`ServiceConfig::feedback_replanning`] on). Until then every query
+    /// ran the statistics plan — a pure function of the canonical pattern
+    /// and the graph size — so they all observe one plan.
+    obs: PlanObs,
+    /// Re-planned from `obs`; a class is re-planned at most once.
+    replanned: bool,
 }
 
 /// A class's settled queries, summed.
@@ -187,28 +239,64 @@ impl Tally {
     }
 }
 
-/// The plan an observation was made against and the accumulated
-/// per-instruction counts of every exhaustively completed query that
-/// ran it.
-struct Feedback {
-    plan: ExecutionPlan,
-    obs: PlanObs,
-    replanned: bool,
+/// The class table: every class submitted, in order of first submission
+/// (classes are never removed, so an index stays valid), an index by
+/// canonical fingerprint verified against the canonical pattern (one
+/// fingerprint names more than one class only on a collision), and the
+/// plan-cache counters.
+#[derive(Default)]
+struct Classes {
+    all: Vec<Class>,
+    by_hash: BTreeMap<u64, Vec<usize>>,
+    plans: PlanCacheStats,
 }
 
-/// The class store: records by canonical fingerprint, verified against
-/// the canonical pattern (a bucket holds more than one record only on a
-/// fingerprint collision).
-type Classes = BTreeMap<u64, Vec<ClassRecord>>;
+impl Classes {
+    /// Classes re-planned from their observations.
+    fn replans(&self) -> u64 {
+        self.all.iter().filter(|c| c.replanned).count() as u64
+    }
+
+    /// The index of `canonical`'s class, created empty on first sight.
+    fn find_or_insert(&mut self, canonical: Pattern) -> usize {
+        let same = self.by_hash.entry(fingerprint(&canonical)).or_default();
+        if let Some(&at) = same.iter().find(|&&at| self.all[at].canonical == canonical) {
+            return at;
+        }
+        same.push(self.all.len());
+        self.all.push(Class {
+            canonical,
+            plan: None,
+            last_used: 0,
+            tally: Tally::default(),
+            obs: PlanObs::default(),
+            replanned: false,
+        });
+        self.all.len() - 1
+    }
+
+    /// Counts a miss and makes room for one more resident plan: at the
+    /// bound, the least recently used class drops its plan (and keeps
+    /// its tally and observations).
+    fn miss(&mut self) {
+        self.plans.misses += 1;
+        if self.plans.entries < PLAN_CACHE_ENTRIES {
+            self.plans.entries += 1;
+            return;
+        }
+        let resident = self.all.iter_mut().filter(|c| c.plan.is_some());
+        let coldest = resident.min_by_key(|c| c.last_used);
+        coldest.expect("a full table holds resident plans").plan = None;
+        self.plans.evictions += 1;
+    }
+}
 
 struct Inner {
     config: ServiceConfig,
     resident: Resident,
-    plan_cache: PlanCache,
-    /// One record per pattern class served (innermost lock — taken
+    /// One record per pattern class submitted (innermost lock — taken
     /// under the admission and query-state locks, never the reverse).
     classes: Mutex<Classes>,
-    replans: AtomicU64,
     /// The chunk queue and liveness of the service's lanes; every
     /// admitted query is a [`Ticket`] on it.
     pool: Pool<Ticket>,
@@ -283,9 +371,7 @@ impl QueryService {
 
     fn serve(resident: Resident, config: ServiceConfig) -> Self {
         let inner = Arc::new(Inner {
-            plan_cache: PlanCache::new(PLAN_CACHE_ENTRIES),
-            classes: Mutex::new(BTreeMap::new()),
-            replans: AtomicU64::new(0),
+            classes: Mutex::new(Classes::default()),
             // Chunks have no home machine, so the grant policy for homed
             // chunks never applies.
             pool: Pool::new(
@@ -327,13 +413,13 @@ impl QueryService {
 
     /// Plan-cache counters.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.inner.plan_cache.stats()
+        lock(&self.inner.classes).plans
     }
 
     /// Pattern classes re-planned from observed cardinalities so far
     /// (always 0 unless [`ServiceConfig::feedback_replanning`] is set).
     pub fn feedback_replans(&self) -> u64 {
-        self.inner.replans.load(Ordering::Relaxed)
+        lock(&self.inner.classes).replans()
     }
 
     /// Un-granted chunks currently queued across every admitted query.
@@ -358,24 +444,11 @@ impl QueryService {
         let id = *next_id;
         *next_id += 1;
         let resident = &inner.resident;
-        let (plan, placement, hit) = {
+        let (class, plan, placement, hit) = {
             let _span = resident
                 .obs()
                 .map(|h| h.tracer.span(&format!("query.{id}.compile")));
-            inner.plan_cache.get_or_compile(
-                pattern,
-                resident.store().num_vertices(),
-                resident.num_edges(),
-            )
-        };
-        // Feedback re-planning: a repeat submission of an observed
-        // pattern class swaps in a plan re-ranked from the recorded
-        // cardinalities (once per class; still inside the admission
-        // lock, so the swap is ordered with every other submission).
-        let plan = if inner.config.feedback_replanning {
-            inner.maybe_replan(&plan).unwrap_or(plan)
-        } else {
-            plan
+            inner.resolve(id, pattern)
         };
         let split = Split::Auto {
             lanes: AUTO_TAU_VIRTUAL_LANES,
@@ -402,6 +475,7 @@ impl QueryService {
         });
         let run = Arc::new(QueryRun {
             id,
+            class,
             plan,
             plan_cache_hit: hit,
             submitted_at: Instant::now(),
@@ -415,7 +489,6 @@ impl QueryService {
             settled: Condvar::new(),
         });
         lock(&inner.queries).insert(id, Arc::clone(&run));
-        inner.admitted.fetch_add(1, Ordering::Relaxed);
         if let Some(hub) = resident.obs() {
             let _queued = hub.tracer.span(&format!("query.{id}.queue"));
         }
@@ -426,7 +499,8 @@ impl QueryService {
             .is_some_and(|c| c.terminal().is_some())
         {
             // Terminal at admission: deadline 0, max_matches 0, TopK(0),
-            // or an empty task list. Nothing is queued.
+            // or an empty task list. Admitted, but nothing is queued.
+            inner.admitted.fetch_add(1, Ordering::Relaxed);
             run.terminated.store(true, Ordering::Release);
             state
                 .commit
@@ -454,6 +528,7 @@ impl QueryService {
                     Some(Terminal::Rejected { retry_after_vticks })
                 }
                 AdmissionVerdict::Admit => {
+                    inner.admitted.fetch_add(1, Ordering::Relaxed);
                     run.counted.store(true, Ordering::Release);
                     inner.inflight.fetch_add(1, Ordering::AcqRel);
                     let ticket = Ticket {
@@ -565,7 +640,7 @@ impl QueryService {
         service.set("admitted", inner.admitted.load(Ordering::Relaxed));
         // The lifecycle counts are the classes' terminal tallies summed.
         let mut settled = BTreeMap::<&str, u64>::new();
-        for class in lock(&inner.classes).values().flatten() {
+        for class in &lock(&inner.classes).all {
             for (&terminal, &n) in &class.tally.terminals {
                 *settled.entry(terminal).or_default() += n;
             }
@@ -597,16 +672,20 @@ impl QueryService {
             lanes.set("fault_penalty_nanos", total.penalty.as_nanos() as u64);
             service.set_tree("lanes", lanes);
         }
-        let pc = inner.plan_cache.stats();
+        let classes = lock(&inner.classes);
+        let pc = classes.plans;
         let mut plan_cache = Report::new();
         plan_cache.set("hits", pc.hits);
         plan_cache.set("misses", pc.misses);
         plan_cache.set("evictions", pc.evictions);
         plan_cache.set("entries", pc.entries);
         service.set_tree("plan_cache", plan_cache);
-        service.set("feedback_replans", inner.replans.load(Ordering::Relaxed));
-        for (hash, bucket) in lock(&inner.classes).iter() {
-            for (i, class) in bucket.iter().enumerate() {
+        service.set("feedback_replans", classes.replans());
+        for (hash, same) in &classes.by_hash {
+            // A class is reported once a query of it settled.
+            let same = same.iter().map(|&at| &classes.all[at]);
+            let settled = same.filter(|c| !c.tally.terminals.is_empty());
+            for (i, class) in settled.enumerate() {
                 let key = match i {
                     0 => format!("class.{hash}"),
                     _ => format!("class.{hash}.{i}"),
@@ -635,68 +714,79 @@ impl Drop for QueryService {
 }
 
 impl Inner {
-    /// Feedback re-planning at admission: when the submitted pattern
-    /// class has an observation recorded against exactly the cached
-    /// plan and has not been re-planned yet, recompile with the
-    /// feedback estimator, replace the cache entry, and serve the new
-    /// compilation. Pure function of the recorded observation.
-    fn maybe_replan(&self, current: &Arc<CachedPlan>) -> Option<Arc<CachedPlan>> {
+    /// Resolves `pattern` to its class and the plan to run, under the
+    /// admission lock: canonicalise once, find or create the class, and
+    /// take its resident plan (a hit) or compile one from graph
+    /// statistics (a miss, which may evict another class's plan). With
+    /// feedback re-planning on, a class with observed exhaustive runs
+    /// that was not re-planned yet swaps in a plan re-ranked from those
+    /// cardinalities — once per class, ordered with every other
+    /// submission. Returns the class's index, the plan, the placement
+    /// mapping canonical positions to `pattern`'s vertices, and whether
+    /// this was a hit.
+    fn resolve(
+        &self,
+        id: QueryId,
+        pattern: &Pattern,
+    ) -> (usize, Arc<CachedPlan>, Vec<PatternVertex>, bool) {
+        let form = pattern.canonical_form();
         let mut classes = lock(&self.classes);
-        let class = classes
-            .get_mut(&fingerprint(&current.canonical))?
-            .iter_mut()
-            .find(|c| c.canonical == current.canonical)?;
-        let feedback = class.feedback.as_mut()?;
-        if feedback.replanned || feedback.plan != current.plan || feedback.obs.is_empty() {
-            return None;
+        let at = classes.find_or_insert(form.pattern);
+        let class = &mut classes.all[at];
+        class.last_used = id;
+        let cached = class.plan.clone();
+        let replan = self.config.feedback_replanning && !class.replanned && !class.obs.is_empty();
+        if cached.is_some() {
+            classes.plans.hits += 1;
+        } else {
+            classes.miss();
         }
-        let prior = ChungLuEstimator::from_degrees(self.resident.degrees());
-        let est = FeedbackEstimator::new(prior, &feedback.plan, &feedback.obs);
-        let plan = PlanBuilder::new(&class.canonical)
-            .estimator(est)
-            .best_plan();
-        feedback.replanned = true;
-        self.replans.fetch_add(1, Ordering::Relaxed);
-        Some(self.plan_cache.replace(class.canonical.clone(), plan))
+        if let (Some(plan), false) = (&cached, replan) {
+            return (at, Arc::clone(plan), form.placement, true);
+        }
+        // Compile outside the table's lock, which every settling query
+        // takes. Only `submit`, serialised by the admission lock, changes
+        // a class's plan, so the class is still as it is left here.
+        let class = &classes.all[at];
+        let (canonical, obs) = (class.canonical.clone(), class.obs);
+        drop(classes);
+        let hit = cached.is_some();
+        let resident = &self.resident;
+        let mut plan = cached.unwrap_or_else(|| {
+            let builder = PlanBuilder::new(&canonical);
+            let builder =
+                builder.graph_stats(resident.store().num_vertices(), resident.num_edges());
+            CachedPlan::new(builder.best_plan())
+        });
+        if replan {
+            let prior = ChungLuEstimator::from_degrees(resident.degrees());
+            let est = FeedbackEstimator::new(prior, &plan.plan, &obs);
+            plan = CachedPlan::new(PlanBuilder::new(&canonical).estimator(est).best_plan());
+        }
+        let mut classes = lock(&self.classes);
+        let class = &mut classes.all[at];
+        class.plan = Some(Arc::clone(&plan));
+        class.replanned |= replan;
+        (at, plan, form.placement, hit)
     }
 
     /// Folds a settled query into its pattern class's record. An
     /// exhaustively completed query's committed metrics cover the full
     /// enumeration, so with feedback re-planning on its observed
-    /// per-instruction cardinalities are exact for the plan that ran,
-    /// and accumulate against the plan already on record (counter
-    /// addition commutes, so the record is completion-order-independent).
+    /// per-instruction cardinalities are exact for the plan that ran, and
+    /// add to the class's observations until the class is re-planned
+    /// (counter addition commutes, so the record is
+    /// completion-order-independent).
     fn record(&self, run: &QueryRun, result: &QueryResult) {
-        let canonical = &run.plan.canonical;
         let mut classes = lock(&self.classes);
-        let bucket = classes.entry(fingerprint(canonical)).or_default();
-        let class = match bucket.iter().position(|c| c.canonical == *canonical) {
-            Some(at) => &mut bucket[at],
-            None => {
-                bucket.push(ClassRecord {
-                    canonical: canonical.clone(),
-                    tally: Tally::default(),
-                    feedback: None,
-                });
-                bucket.last_mut().expect("just pushed")
-            }
-        };
+        let class = &mut classes.all[run.class];
         class.tally.add(result);
-        let obs = &result.metrics.obs;
-        if !self.config.feedback_replanning
-            || !result.exhaustive
-            || result.terminal != Terminal::Completed
-            || obs.is_empty()
+        if self.config.feedback_replanning
+            && !class.replanned
+            && result.exhaustive
+            && result.terminal == Terminal::Completed
         {
-            return;
-        }
-        let feedback = class.feedback.get_or_insert_with(|| Feedback {
-            plan: run.plan.plan.clone(),
-            obs: PlanObs::default(),
-            replanned: false,
-        });
-        if feedback.plan == run.plan.plan {
-            feedback.obs += *obs;
+            class.obs += result.metrics.obs;
         }
     }
 

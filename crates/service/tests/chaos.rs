@@ -2,7 +2,7 @@
 //!
 //! Seeded fault injection against the serving layer, crossed over
 //! worker counts and execution modes. The resilience
-//! contract under test (DESIGN.md §4j):
+//! contract under test (DESIGN.md §4h):
 //!
 //! * recovered faults (transients, timeouts, replica failover, worker
 //!   crashes with survivors) are *invisible* — results byte-identical

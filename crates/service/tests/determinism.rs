@@ -119,8 +119,15 @@ fn results_are_identical_across_concurrency_and_modes() {
 
 /// Asserts that the report's lifecycle counts are the terminals of
 /// `results` counted: `completed` includes `max_matches_reached`, and
-/// `degraded` is `degraded_partial`.
+/// `degraded` is `degraded_partial`. `admitted` counts every submission
+/// admission did not shed.
 fn assert_lifecycle_counts(results: &[QueryResult], report: &Report) {
+    let admitted = results.iter().filter(|r| r.terminal.name() != "rejected");
+    assert_eq!(
+        report.get_u64("service/admitted"),
+        Some(admitted.count() as u64),
+        "service/admitted"
+    );
     for (key, terminals) in [
         ("completed", &["completed", "max_matches_reached"][..]),
         ("cancelled", &["cancelled"]),

@@ -1,8 +1,8 @@
 //! Feedback-driven re-planning at the serving layer.
 //!
 //! With `feedback_replanning` on, an exhaustively completed query
-//! records its observed per-instruction cardinalities against the plan
-//! cache's canonical key; the next submission of the same pattern class
+//! records its observed per-instruction cardinalities in its pattern
+//! class's record; the next submission of the same pattern class
 //! is recompiled with the feedback estimator. These tests pin the
 //! contract: counts never change, re-planning happens exactly once per
 //! class, and a sequential submit–wait–submit sequence is

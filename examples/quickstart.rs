@@ -9,8 +9,8 @@ use benu::prelude::*;
 use benu::{graph::gen, pattern::queries};
 
 fn main() {
-    // 1. A data graph. Real deployments read a SNAP edge list via
-    //    `benu::graph::io`; here we generate a clustered power-law graph.
+    // 1. A data graph: a clustered power-law graph standing in for a
+    //    SNAP dataset.
     let g = gen::chung_lu_power_law(gen::PowerLawConfig {
         n: 2_000,
         m: 12_000,

@@ -2,7 +2,7 @@
 # Lists every `pub fn` under crates/*/src (the benchmark crates `ledger`
 # and `bench` excepted) that nothing but its own unit tests calls: its
 # name occurs in no other .rs file of the repository, and in its own file
-# only on the defining line or below `#[cfg(test)]`.
+# only on the defining line, in comments or below `#[cfg(test)]`.
 # Prints `file: name` per finding; CI requires no output.
 #
 # A name is matched as a whole word, so a function sharing its name with
@@ -16,7 +16,8 @@ mapfile -t scanned < <(printf '%s\n' "${all[@]}" |
 
 # Pass 1 (every file): in how many files does each word occur?
 # Pass 2 (scanned files): the `pub fn` names, and the words of the rest
-# of the non-test lines of the same file.
+# of the non-test, non-comment lines of the same file (a name in its own
+# docs is not a use; a doctest in another file still is).
 awk -v nall="${#all[@]}" '
     FNR == 1 { nfile++; in_tests = 0 }
     nfile <= nall {
@@ -29,7 +30,7 @@ awk -v nall="${#all[@]}" '
         next
     }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-    in_tests { next }
+    in_tests || /^[[:space:]]*\/\// { next }
     {
         line = $0
         if (match(line, /pub (const )?fn [A-Za-z0-9_]+/)) {

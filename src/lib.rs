@@ -28,7 +28,8 @@
 //!   runtime over it: scheduler, workers, fault recovery and metrics.
 //! * [`service`] — the concurrent multi-query serving layer over the same
 //!   [`cluster::Resident`]: one resident store shared by many queries,
-//!   with a canonical-pattern plan cache, weighted fair scheduling, and
+//!   with one record per canonical pattern class (its compiled plan,
+//!   summed results and observations), weighted fair scheduling, and
 //!   deterministic per-query budgets.
 //! * [`obs`] — structured observability: the unified [`obs::Report`]
 //!   tree every layer's typed stats render into, virtual-time span
@@ -66,7 +67,7 @@
 //!
 //! // Two queries in flight at once: an exhaustive count and a
 //! // budget-capped collection. The second triangle submission reuses
-//! // the first's compiled plan via the canonical-pattern plan cache.
+//! // the first's compiled plan: both are one canonical pattern class.
 //! let count = service.submit(&benu::pattern::queries::triangle(), QueryOptions::new());
 //! let capped = service.submit(
 //!     &benu::pattern::queries::triangle(),
