@@ -2,9 +2,10 @@
 //!
 //! The engine's "steady-state allocations per task = 0" claim needs an
 //! observable, not an assertion: a [`CountingAllocator`] wraps the system
-//! allocator and counts every allocation event and requested byte. A
-//! test or bench binary installs it once (see
-//! `crates/engine/tests/steady_state_allocs.rs`):
+//! allocator and counts every allocation event and requested byte, and
+//! keeps the bytes live. A test or bench binary installs it once (see
+//! `crates/engine/tests/steady_state_allocs.rs`, and
+//! `crates/service/tests/soak.rs` for the live reading):
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -13,19 +14,21 @@
 //! ```
 //!
 //! and brackets the measured region with [`CountingAllocator::snapshot`]
-//! / [`AllocSnapshot::delta_since`]. Counting is two relaxed atomic adds
-//! per allocation.
+//! / [`AllocSnapshot::delta_since`], or reads
+//! [`CountingAllocator::live_bytes`]. Counting is three relaxed atomic
+//! adds per allocation and one per free.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A [`GlobalAlloc`] wrapper over [`System`] that counts allocation
-/// events and requested bytes. `const`-constructible so it can be a
-/// `#[global_allocator]` static.
+/// events and requested bytes and keeps the bytes live.
+/// `const`-constructible so it can be a `#[global_allocator]` static.
 #[derive(Debug)]
 pub struct CountingAllocator {
     allocs: AtomicU64,
     bytes: AtomicU64,
+    live: AtomicU64,
 }
 
 impl CountingAllocator {
@@ -34,7 +37,20 @@ impl CountingAllocator {
         CountingAllocator {
             allocs: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
+            live: AtomicU64::new(0),
         }
+    }
+
+    /// Bytes allocated and not freed yet: allocations and growing
+    /// reallocs add, frees and shrinking reallocs subtract.
+    pub fn live_bytes(&self) -> u64 {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    fn count(&self, bytes: usize) {
+        self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.live.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// The counters right now. Monotonic; subtract two snapshots with
@@ -57,30 +73,28 @@ impl Default for CountingAllocator {
 // updates have no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(layout.size() as u64, Ordering::Relaxed);
+        self.count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.live.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(layout.size() as u64, Ordering::Relaxed);
+        self.count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A growing realloc is a fresh reservation of the delta; shrinks
-        // and no-ops cost nothing new.
+        // A growing realloc is a fresh reservation of the delta; a shrink
+        // frees its delta, and a no-op costs nothing.
         if new_size > layout.size() {
-            self.allocs.fetch_add(1, Ordering::Relaxed);
-            self.bytes
-                .fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
+            self.count(new_size - layout.size());
+        } else {
+            let freed = (layout.size() - new_size) as u64;
+            self.live.fetch_sub(freed, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -118,13 +132,17 @@ mod tests {
         unsafe {
             let p = counter.alloc(layout);
             assert!(!p.is_null());
+            assert_eq!(counter.live_bytes(), 256, "alloc");
             let p = counter.realloc(p, layout, 512);
             assert!(!p.is_null());
+            assert_eq!(counter.live_bytes(), 512, "grow");
             let grown = Layout::from_size_align(512, 8).unwrap();
             let p = counter.realloc(p, grown, 128); // shrink: free
             assert!(!p.is_null());
+            assert_eq!(counter.live_bytes(), 128, "shrink");
             let shrunk = Layout::from_size_align(128, 8).unwrap();
             counter.dealloc(p, shrunk);
+            assert_eq!(counter.live_bytes(), 0, "dealloc");
         }
         let snap = counter.snapshot();
         assert_eq!(snap.allocs, 2, "alloc + growing realloc");

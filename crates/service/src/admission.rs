@@ -37,6 +37,8 @@
 //! committed chunk books at least one tick). It is advisory — a hint
 //! for caller-side backoff, not a reservation.
 
+use benu_cluster::Failure;
+
 /// The admission gates, snapshot from [`crate::ServiceConfig`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AdmissionCaps {
@@ -61,7 +63,9 @@ pub(crate) struct LoadSnapshot {
     pub queued_chunks: usize,
 }
 
-/// What admission decided for one submission.
+/// What admission decided for one submission. [`evaluate`] decides
+/// between the first two; the service decides the last two itself,
+/// before and after asking it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum AdmissionVerdict {
     /// Enqueue the query.
@@ -74,6 +78,12 @@ pub(crate) enum AdmissionVerdict {
         /// is never advised).
         retry_after_vticks: u64,
     },
+    /// The query is terminal before it is asked (deadline 0,
+    /// `max_matches` 0, `TopK(0)`, no tasks): admitted, nothing queued.
+    Decided,
+    /// Admitted into a pool whose every machine died: the query fails
+    /// with this [`Failure`] ([`benu_cluster::Cause::NoSurvivor`]).
+    Lost(Failure),
 }
 
 /// Evaluates one submission against the backlog. Pure — callers pass a

@@ -19,18 +19,18 @@
 //! one deterministic stream — what [`Sink::Sample`]'s seeded reservoir
 //! and [`Sink::TopK`]'s prefix are defined over.
 
-use crate::query::{ResultMode, Terminal};
+use crate::query::{QueryId, QueryResult, ResultMode, Terminal};
 use benu_cluster::Failure;
 use benu_engine::{MatchSet, TaskMetrics};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// One executed chunk as reported by a worker.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct ExecutedChunk {
-    /// Chunk index in `0..total_chunks`.
-    pub chunk: usize,
     /// Matches in submitted numbering, sorted (empty for `CountOnly`).
     pub matches: MatchSet,
     /// Matches found by the chunk (equals `matches.len()` whenever the
@@ -43,34 +43,15 @@ pub(crate) struct ExecutedChunk {
     pub metrics: TaskMetrics,
 }
 
-/// What a worker reported for one chunk: results, or the first error
-/// its deterministic access stream hit. Failures ride the same
-/// in-order pipeline as results, so the error (or dark shard) a query
-/// surfaces is always the lowest-indexed failing chunk's — independent
-/// of worker timing.
-#[derive(Debug)]
-enum ChunkOutcome {
-    // Boxed: an `ExecutedChunk` is hundreds of bytes, `Failed` a handful,
-    // and outcomes sit in the reorder map until their turn to commit.
-    Executed(Box<ExecutedChunk>),
-    Failed(Failure),
-}
-
-/// The final components of a finished commit pipeline.
-pub(crate) struct CommitOutcome {
-    pub terminal: Terminal,
-    pub matches_found: u64,
-    pub matches: MatchSet,
-    pub vticks: u64,
-    pub committed: usize,
-    pub discarded: usize,
-    /// Dark shards behind skipped (degraded) chunks, ascending.
-    pub dark_shards: Vec<usize>,
-    pub exhaustive: bool,
-    pub metrics: TaskMetrics,
-}
+/// What a lane reported for one chunk: results, or the first error its
+/// deterministic access stream hit. Failures ride the same in-order
+/// pipeline as results, so the error (or dark shard) a query surfaces is
+/// always the lowest-indexed failing chunk's — independent of worker
+/// timing.
+pub(crate) type Delivery = Result<ExecutedChunk, Failure>;
 
 /// Where committed matches go, per result mode.
+#[cfg_attr(test, derive(Clone))]
 pub(crate) enum Sink {
     /// Count only; nothing materialised.
     Count,
@@ -154,12 +135,14 @@ impl Sink {
 
 /// In-order commit state of one query. All methods run under the
 /// query's lock; workers only *execute* concurrently.
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct CommitState {
     total_chunks: usize,
     /// Next chunk index eligible to commit.
     next: usize,
-    /// Executed chunks waiting for their predecessors.
-    pending: BTreeMap<usize, ChunkOutcome>,
+    /// Delivered chunks waiting for their predecessors. Boxed: an
+    /// `ExecutedChunk` is hundreds of bytes, a failure a handful.
+    pending: BTreeMap<usize, Result<Box<ExecutedChunk>, Failure>>,
     committed: usize,
     discarded: usize,
     /// Chunks skipped dark under graceful degradation.
@@ -215,35 +198,25 @@ impl CommitState {
         state
     }
 
-    /// Records a chunk that executed, commits every in-order chunk that
-    /// became eligible, and evaluates budgets at each boundary.
-    pub(crate) fn submit(&mut self, chunk: ExecutedChunk) {
-        self.submit_outcome(chunk.chunk, ChunkOutcome::Executed(Box::new(chunk)));
-    }
-
-    /// Records a chunk whose execution hit an unrecoverable error. The
-    /// failure is evaluated at the chunk's in-order commit position:
-    /// under graceful degradation a degradable error marks the chunk
-    /// dark (no matches, no vticks) and commits continue; otherwise the
-    /// query settles as [`Terminal::Failed`] with this error — making
-    /// the surfaced error the lowest-indexed failure, deterministically.
-    pub(crate) fn submit_failed(&mut self, chunk: usize, failure: Failure) {
-        self.submit_outcome(chunk, ChunkOutcome::Failed(failure));
-    }
-
-    fn submit_outcome(&mut self, index: usize, outcome: ChunkOutcome) {
-        if self.terminal.is_some() {
+    /// Accounts chunk `index` as a lane handed it over. A dropped chunk
+    /// (`None`) and every chunk of a terminated query are discarded. An
+    /// executed chunk commits with every in-order chunk it made eligible,
+    /// budgets evaluated at each boundary. A failure is evaluated at its
+    /// in-order position: under graceful degradation a degradable error
+    /// marks the chunk dark (no matches, no vticks) and commits continue;
+    /// otherwise the query settles as [`Terminal::Failed`] with this error
+    /// — the lowest-indexed failure, deterministically.
+    pub(crate) fn deliver(&mut self, index: usize, delivery: Option<Delivery>) {
+        let Some(delivery) = delivery.filter(|_| self.terminal.is_none()) else {
             self.discarded += 1;
             return;
-        }
-        self.pending.insert(index, outcome);
+        };
+        self.pending.insert(index, delivery.map(Box::new));
         while self.terminal.is_none() {
-            let Some(outcome) = self.pending.remove(&self.next) else {
-                break;
-            };
-            match outcome {
-                ChunkOutcome::Executed(chunk) => self.commit(*chunk),
-                ChunkOutcome::Failed(failure) => self.commit_failed(failure),
+            match self.pending.remove(&self.next) {
+                Some(Ok(chunk)) => self.commit(*chunk),
+                Some(Err(failure)) => self.commit_failed(failure),
+                None => break,
             }
         }
         if self.committed + self.dark == self.total_chunks && self.terminal.is_none() {
@@ -281,7 +254,6 @@ impl CommitState {
     }
 
     fn commit(&mut self, chunk: ExecutedChunk) {
-        debug_assert_eq!(chunk.chunk, self.next);
         if self.deadline.is_some_and(|d| self.vticks >= d) {
             self.set_terminal(Terminal::DeadlineExceeded);
             self.discarded += 1;
@@ -343,27 +315,86 @@ impl CommitState {
         self.terminal.as_ref()
     }
 
+    /// Chunks not delivered yet: neither committed, discarded, dark nor
+    /// waiting for their predecessors.
+    pub(crate) fn outstanding(&self) -> usize {
+        self.total_chunks - self.committed - self.discarded - self.dark - self.pending.len()
+    }
+
     /// Every chunk accounted for — the query can finalise.
     pub(crate) fn is_complete(&self) -> bool {
         self.terminal.is_some() && self.committed + self.discarded + self.dark == self.total_chunks
     }
 
-    /// Tears the state down into its result components. Dark chunks are
+    /// Tears the state down into query `id`'s result. Dark chunks are
     /// folded into `discarded` (they contributed nothing); the dark
-    /// shards behind them are reported separately.
-    pub(crate) fn finish(mut self) -> CommitOutcome {
+    /// shards behind them are reported separately. The service stamps
+    /// what the pipeline cannot know: the completion order and the wall
+    /// time.
+    pub(crate) fn finish(&mut self, id: QueryId, plan_cache_hit: bool) -> QueryResult {
         debug_assert!(self.is_complete());
         self.dark_shards.sort_unstable();
-        CommitOutcome {
-            terminal: self.terminal.unwrap_or(Terminal::Completed),
+        QueryResult {
+            id,
+            terminal: self.terminal.clone().unwrap_or(Terminal::Completed),
             matches_found: self.matches_found,
-            matches: self.sink.into_matches(),
+            matches: std::mem::replace(&mut self.sink, Sink::Count).into_matches(),
             vticks: self.vticks,
-            committed: self.committed,
-            discarded: self.discarded + self.dark,
-            dark_shards: self.dark_shards,
+            chunks_committed: self.committed,
+            chunks_discarded: self.discarded + self.dark,
+            plan_cache_hit,
             exhaustive: self.committed == self.total_chunks,
+            dark_shards: std::mem::take(&mut self.dark_shards),
+            completion_index: 0,
             metrics: self.metrics,
+            wall: Duration::ZERO,
+        }
+    }
+}
+
+/// Every field, destructured so that a new one cannot be missed: what
+/// the lifecycle explorer tells states apart by.
+#[cfg(test)]
+impl std::hash::Hash for CommitState {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        let CommitState {
+            total_chunks,
+            next,
+            pending,
+            committed,
+            discarded,
+            dark,
+            dark_shards,
+            degrade,
+            matches_found,
+            vticks,
+            // Sums of the chunks' metrics, which the explorer leaves zero.
+            metrics: _,
+            sink,
+            deadline,
+            max_matches,
+            terminal,
+        } = self;
+        (total_chunks, next, committed, discarded, dark, dark_shards).hash(h);
+        (degrade, matches_found, vticks, deadline, max_matches).hash(h);
+        for (chunk, outcome) in pending {
+            match outcome {
+                Ok(c) => (chunk, c.count, c.vticks, c.matches.len()).hash(h),
+                Err(f) => (chunk, format!("{f:?}")).hash(h),
+            }
+        }
+        terminal.as_ref().map(|t| format!("{t:?}")).hash(h);
+        match sink {
+            Sink::Count => 0.hash(h),
+            Sink::Collect(kept) => (1, kept.len()).hash(h),
+            Sink::TopK { k, kept } => (2, k, kept.len()).hash(h),
+            // The explorer runs no `Sample` query: the generator is left out.
+            Sink::Sample {
+                n,
+                rng: _,
+                seen,
+                reservoir,
+            } => (3, n, seen, reservoir.len()).hash(h),
         }
     }
 }
@@ -375,16 +406,22 @@ mod tests {
     use benu_engine::SearchTask;
     use benu_graph::VertexId;
 
-    /// A chunk whose matches are the one-vertex rows `[v]`.
-    fn chunk(i: usize, rows: impl IntoIterator<Item = VertexId>, vticks: u64) -> ExecutedChunk {
+    /// Delivers chunk `i`, executed, whose matches are the one-vertex
+    /// rows `[v]`.
+    fn done(s: &mut CommitState, i: usize, rows: impl IntoIterator<Item = VertexId>, vticks: u64) {
         let matches = set(rows);
-        ExecutedChunk {
-            chunk: i,
+        let chunk = ExecutedChunk {
             count: matches.len() as u64,
             matches,
             vticks,
             metrics: TaskMetrics::default(),
-        }
+        };
+        s.deliver(i, Some(Ok(chunk)));
+    }
+
+    /// Delivers chunk `i`, failed.
+    fn fail(s: &mut CommitState, i: usize, failure: Failure) {
+        s.deliver(i, Some(Err(failure)));
     }
 
     fn set(rows: impl IntoIterator<Item = VertexId>) -> MatchSet {
@@ -414,12 +451,12 @@ mod tests {
     #[test]
     fn out_of_order_submission_commits_in_order() {
         let mut s = CommitState::new(3, &ResultMode::Collect, None, None, false);
-        s.submit(chunk(2, [2], 1));
-        s.submit(chunk(0, [0], 1));
+        done(&mut s, 2, [2], 1);
+        done(&mut s, 0, [0], 1);
         assert!(s.terminal().is_none(), "chunk 1 still outstanding");
-        s.submit(chunk(1, [1], 1));
+        done(&mut s, 1, [1], 1);
         assert!(s.is_complete());
-        let out = s.finish();
+        let out = s.finish(0, false);
         assert_eq!(out.terminal, Terminal::Completed);
         assert_eq!(out.matches_found, 3);
         assert_eq!(out.matches, set([0, 1, 2]), "stream is chunk-ordered");
@@ -431,13 +468,13 @@ mod tests {
         // Deadline 2: chunk 0 (2 ticks) commits, chunk 1 hits the
         // boundary and is dropped — a deadline of 0 would commit nothing.
         let mut s = CommitState::new(2, &ResultMode::CountOnly, Some(2), None, false);
-        s.submit(chunk(0, [0, 1], 2));
-        s.submit(chunk(1, [2], 1));
+        done(&mut s, 0, [0, 1], 2);
+        done(&mut s, 1, [2], 1);
         assert!(s.is_complete());
-        let out = s.finish();
+        let out = s.finish(0, false);
         assert_eq!(out.terminal, Terminal::DeadlineExceeded);
         assert_eq!((out.matches_found, out.vticks), (2, 2));
-        assert_eq!((out.committed, out.discarded), (1, 1));
+        assert_eq!((out.chunks_committed, out.chunks_discarded), (1, 1));
         assert!(!out.exhaustive);
     }
 
@@ -447,17 +484,17 @@ mod tests {
         assert_eq!(s.terminal(), Some(&Terminal::DeadlineExceeded));
         s.skip(2);
         assert!(s.is_complete());
-        assert_eq!(s.finish().matches_found, 0);
+        assert_eq!(s.finish(0, false).matches_found, 0);
     }
 
     #[test]
     fn max_matches_clamps_within_the_boundary_chunk() {
         let mut s = CommitState::new(2, &ResultMode::Collect, None, Some(3), false);
-        s.submit(chunk(0, [0, 1], 1));
+        done(&mut s, 0, [0, 1], 1);
         assert!(s.terminal().is_none(), "2 of 3 committed");
-        s.submit(chunk(1, [2, 3, 4], 1));
+        done(&mut s, 1, [2, 3, 4], 1);
         assert_eq!(s.terminal(), Some(&Terminal::MaxMatchesReached));
-        let out = s.finish();
+        let out = s.finish(0, false);
         assert_eq!(out.matches_found, 3, "count clamps at the cap");
         assert_eq!(out.matches, set([0, 1, 2]), "prefix of the stream");
     }
@@ -465,10 +502,10 @@ mod tests {
     #[test]
     fn topk_satisfied_is_completed_not_partial() {
         let mut s = CommitState::new(3, &ResultMode::TopK(2), None, None, false);
-        s.submit(chunk(0, [0, 1, 2], 1));
+        done(&mut s, 0, [0, 1, 2], 1);
         assert_eq!(s.terminal(), Some(&Terminal::Completed));
         s.skip(2); // the drained remainder
-        let out = s.finish();
+        let out = s.finish(0, false);
         assert_eq!(out.terminal, Terminal::Completed);
         assert_eq!(out.matches_found, 2);
         assert_eq!(out.matches, set([0, 1]));
@@ -481,9 +518,9 @@ mod tests {
             let mode = ResultMode::Sample { n: 5, seed: 42 };
             let mut s = CommitState::new(chunks.len(), &mode, None, None, false);
             for (i, c) in chunks.iter().enumerate() {
-                s.submit(chunk(i, c.clone(), 1));
+                done(&mut s, i, c.clone(), 1);
             }
-            let out = s.finish();
+            let out = s.finish(0, false);
             assert_eq!(out.terminal, Terminal::Completed);
             assert_eq!(out.matches_found, 100, "sampling still counts exactly");
             out.matches
@@ -498,16 +535,16 @@ mod tests {
     #[test]
     fn cancellation_discards_pending_and_late_chunks() {
         let mut s = CommitState::new(3, &ResultMode::CountOnly, None, None, false);
-        s.submit(chunk(2, [0], 1)); // pending, out of order
+        done(&mut s, 2, [0], 1); // pending, out of order
         assert!(s.set_terminal(Terminal::Cancelled), "first transition wins");
         assert!(!s.set_terminal(Terminal::Completed));
-        s.submit(chunk(0, [1], 1)); // in-flight arrival after cancel
+        done(&mut s, 0, [1], 1); // in-flight arrival after cancel
         s.skip(1); // drained from the queue
         assert!(s.is_complete());
-        let out = s.finish();
+        let out = s.finish(0, false);
         assert_eq!(out.terminal, Terminal::Cancelled);
         assert_eq!(out.matches_found, 0, "no silent partial counts");
-        assert_eq!((out.committed, out.discarded), (0, 3));
+        assert_eq!((out.chunks_committed, out.chunks_discarded), (0, 3));
     }
 
     #[test]
@@ -515,17 +552,17 @@ mod tests {
         // Failures arrive out of order; the surfaced error must be chunk
         // 1's, not chunk 2's — in-order evaluation, worker timing moot.
         let mut s = CommitState::new(4, &ResultMode::Collect, None, None, false);
-        s.submit_failed(2, outage(20, 2));
-        s.submit_failed(1, outage(10, 1));
+        fail(&mut s, 2, outage(20, 2));
+        fail(&mut s, 1, outage(10, 1));
         assert!(s.terminal().is_none(), "chunk 0 still outstanding");
-        s.submit(chunk(0, [0], 1));
+        done(&mut s, 0, [0], 1);
         assert_eq!(s.terminal(), Some(&Terminal::Failed(outage(10, 1))));
         s.skip(1); // the drained remainder
         assert!(s.is_complete());
-        let out = s.finish();
+        let out = s.finish(0, false);
         assert_eq!(out.terminal, Terminal::Failed(outage(10, 1)));
         assert_eq!(out.matches_found, 1, "work before the failure stays");
-        assert_eq!((out.committed, out.discarded), (1, 3));
+        assert_eq!((out.chunks_committed, out.chunks_discarded), (1, 3));
         assert!(
             out.dark_shards.is_empty(),
             "no degradation without the flag"
@@ -535,16 +572,16 @@ mod tests {
     #[test]
     fn degradation_skips_dark_chunks_and_keeps_committing() {
         let mut s = CommitState::new(4, &ResultMode::Collect, None, None, true);
-        s.submit(chunk(0, [0], 1));
-        s.submit_failed(1, outage(10, 3));
-        s.submit(chunk(2, [2], 1));
-        s.submit_failed(3, outage(11, 1));
+        done(&mut s, 0, [0], 1);
+        fail(&mut s, 1, outage(10, 3));
+        done(&mut s, 2, [2], 1);
+        fail(&mut s, 3, outage(11, 1));
         assert!(s.is_complete());
-        let out = s.finish();
+        let out = s.finish(0, false);
         assert_eq!(out.terminal, Terminal::DegradedPartial);
         assert_eq!(out.matches, set([0, 2]), "reachable chunks committed");
         assert_eq!(out.vticks, 2, "dark chunks cost no virtual time");
-        assert_eq!((out.committed, out.discarded), (2, 2));
+        assert_eq!((out.chunks_committed, out.chunks_discarded), (2, 2));
         assert_eq!(out.dark_shards, vec![1, 3], "sorted, deduplicated");
         assert!(!out.exhaustive);
     }
@@ -556,7 +593,7 @@ mod tests {
             vertex: 5,
             shard: 1,
         });
-        s.submit_failed(0, rot);
+        fail(&mut s, 0, rot);
         assert_eq!(s.terminal(), Some(&Terminal::Failed(rot)));
         s.skip(1);
         assert!(s.is_complete());
@@ -568,7 +605,7 @@ mod tests {
             attempts: 8,
             kind: FaultKind::Timeout,
         }));
-        s.submit_failed(0, spent);
+        fail(&mut s, 0, spent);
         assert_eq!(s.terminal(), Some(&Terminal::Failed(spent)));
     }
 
@@ -577,19 +614,19 @@ mod tests {
         // The failing chunk sits past the deadline boundary: the query is
         // DeadlineExceeded (budget semantics are fault-independent).
         let mut s = CommitState::new(2, &ResultMode::CountOnly, Some(1), None, false);
-        s.submit(chunk(0, [0], 1));
-        s.submit_failed(1, outage(9, 0));
+        done(&mut s, 0, [0], 1);
+        fail(&mut s, 1, outage(9, 0));
         assert!(s.is_complete());
-        assert_eq!(s.finish().terminal, Terminal::DeadlineExceeded);
+        assert_eq!(s.finish(0, false).terminal, Terminal::DeadlineExceeded);
     }
 
     #[test]
     fn all_chunks_dark_is_still_degraded_partial() {
         let mut s = CommitState::new(2, &ResultMode::CountOnly, None, None, true);
-        s.submit_failed(0, outage(0, 0));
-        s.submit_failed(1, outage(1, 0));
+        fail(&mut s, 0, outage(0, 0));
+        fail(&mut s, 1, outage(1, 0));
         assert!(s.is_complete());
-        let out = s.finish();
+        let out = s.finish(0, false);
         assert_eq!(out.terminal, Terminal::DegradedPartial);
         assert_eq!(out.matches_found, 0);
         assert_eq!(out.dark_shards, vec![0]);

@@ -77,6 +77,7 @@
 mod admission;
 mod commit;
 mod config;
+mod lifecycle;
 mod query;
 mod service;
 

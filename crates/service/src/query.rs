@@ -160,18 +160,21 @@ impl Terminal {
     }
 }
 
-/// A non-blocking view of a query's lifecycle.
+/// A non-blocking view of a query's lifecycle. It only moves forward:
+/// `Queued`, `Running`, `Finished`, then — once [`crate::QueryService::wait`]
+/// handed the result over — no status at all.
 // A `Finished` status carries the full result by value; the enum is a
 // transient poll return, never stored in bulk, so the size skew is
 // preferable to handing callers a box.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryStatus {
-    /// Admitted, no chunk executed yet.
+    /// Admitted, no chunk started yet.
     Queued,
-    /// At least one chunk pulled by a worker.
+    /// A worker started one of its chunks, or its terminal is decided
+    /// and chunks are still out.
     Running,
-    /// Terminal; the result is final.
+    /// Terminal, every chunk accounted for; the result is final.
     Finished(QueryResult),
 }
 

@@ -15,14 +15,19 @@
 //! run it with the regular engine (DFS task-at-a-time, or the
 //! memory-bounded hybrid as one frontier batch), and hand it over
 //! *per chunk*: the query's job permutes and sorts the chunk's rows and
-//! feeds the outcome to its [`CommitState`], which enforces in-order
-//! commit and every budget.
+//! hands them to the run's lifecycle, whose [`CommitState`] enforces
+//! in-order commit and every budget.
 //!
-//! Lifecycle: the service holds a query from admission until
-//! [`QueryService::wait`] takes its result — a result is delivered once.
-//! The task list, placement and fault gate are the [`Ticket`]'s and go
-//! with the pool's last ticket; the commit pipeline goes at settle. What
-//! outlives the query is its share of its pattern class's record.
+//! Lifecycle: each run's bookkeeping is one [`Lifecycle`] under the
+//! run's lock (see `lifecycle`): every entry point here — `submit`, a
+//! lane's `start` and `chunk_done`, `cancel`, the pool's `lost`, `wait` —
+//! makes one pure transition of it and applies the [`Effects`] it
+//! returned in [`Inner::apply`], the one place that raises the stop bit,
+//! moves the inflight count, drains the pool and books a settled result.
+//! The service holds a query from admission until `wait` takes its
+//! result — a result is delivered once. The task list, placement and
+//! fault gate are the [`Ticket`]'s and go with the pool's last ticket.
+//! What outlives the query is its share of its pattern class's record.
 //!
 //! The class table: one [`Class`] per pattern class — every relabeling
 //! or automorphic image of one canonical pattern — keyed by canonical
@@ -54,7 +59,8 @@
 use crate::admission::{self, AdmissionCaps, AdmissionVerdict, LoadSnapshot};
 use crate::commit::{CommitState, ExecutedChunk};
 use crate::config::ServiceConfig;
-use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus, Terminal};
+use crate::lifecycle::{Effects, Lifecycle};
+use crate::query::{QueryId, QueryOptions, QueryResult, QueryStatus};
 use benu_cluster::gate::FaultGate;
 use benu_cluster::pool::{self, HandOver, Job, Lane, LanePart, Outcome, Pool, SchedulerKind, Spec};
 use benu_cluster::report::lane_stats_report;
@@ -94,14 +100,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Mutable per-query state behind one lock: the commit pipeline while
-/// the query runs, the final result once it terminates, neither once
-/// [`QueryService::wait`] took the result.
-struct RunState {
-    commit: Option<CommitState>,
-    result: Option<QueryResult>,
-}
-
 /// One admitted query, shared between the submitter and the workers.
 /// What only its chunks need is in the [`Ticket`]'s [`Work`], so a
 /// settled query nobody has waited on yet holds little besides its
@@ -111,26 +109,21 @@ struct QueryRun {
     /// The query's pattern class: its index in [`Inner::classes`].
     class: usize,
     plan: Arc<CachedPlan>,
-    plan_cache_hit: bool,
     submitted_at: Instant,
-    /// First chunk granted — flips `Queued` to `Running`.
-    started: AtomicBool,
-    /// Terminal decided: workers skip granted chunks and abort DFS
-    /// chunks at the next task boundary.
+    /// The stop bit, the lifecycle's one lock-free mirror: up once the
+    /// terminal is decided, so lanes skip granted chunks and a DFS chunk
+    /// aborts at its next task. Only [`Inner::apply`] writes it.
     terminated: AtomicBool,
-    /// Counted against the inflight cap (admitted past the gates and
-    /// not yet finalised).
-    counted: AtomicBool,
-    state: Mutex<RunState>,
-    /// Signalled, under `state`, when the result is in.
+    life: Mutex<Lifecycle>,
+    /// Signalled, under `life`, when the run settles.
     settled: Condvar,
 }
 
 impl QueryRun {
-    /// The commit pipeline or the result, whatever a lane that unwound
-    /// holding the lock left of it.
-    fn state(&self) -> MutexGuard<'_, RunState> {
-        lock(&self.state)
+    /// The lifecycle, whatever a lane that unwound holding the lock left
+    /// of it.
+    fn life(&self) -> MutexGuard<'_, Lifecycle> {
+        lock(&self.life)
     }
 }
 
@@ -195,7 +188,7 @@ struct Class {
 /// A class's settled queries, summed.
 #[derive(Default)]
 struct Tally {
-    /// Settled queries per [`Terminal::name`].
+    /// Settled queries per [`Terminal::name`](crate::Terminal::name).
     terminals: BTreeMap<&'static str, u64>,
     matches_found: u64,
     vticks: u64,
@@ -295,7 +288,7 @@ struct Inner {
     config: ServiceConfig,
     resident: Resident,
     /// One record per pattern class submitted (innermost lock — taken
-    /// under the admission and query-state locks, never the reverse).
+    /// under the admission and run locks, never the reverse).
     classes: Mutex<Classes>,
     /// The chunk queue and liveness of the service's lanes; every
     /// admitted query is a [`Ticket`] on it.
@@ -308,16 +301,16 @@ struct Inner {
     /// fault latency.
     lanes: Mutex<LanePart>,
     /// Serialises admission; holds the next [`QueryId`]. Ids are never
-    /// reused.
+    /// reused, so the ids issued are every submission, each admitted or
+    /// shed once its `submit` lets go of this lock.
     admission: Mutex<QueryId>,
     /// Admitted queries whose result has not been taken by
     /// [`QueryService::wait`] (taken under `admission`, never the
     /// reverse).
     queries: Mutex<BTreeMap<QueryId, Arc<QueryRun>>>,
     completions: AtomicU64,
-    /// Queries admitted past the gates and not yet finalised.
+    /// Runs queued on the pool and not settled.
     inflight: AtomicUsize,
-    admitted: AtomicU64,
     requeued_chunks: AtomicU64,
 }
 
@@ -349,8 +342,9 @@ impl QueryService {
     /// Like [`QueryService::new`], applying `rot` to the resident store
     /// ([`Resident::corrupt`]) after load and before serving. A
     /// chaos-test hook: corrupt or drop stored values and assert the
-    /// request path fails the affected *query* ([`Terminal::Failed`])
-    /// instead of the process.
+    /// request path fails the affected *query*
+    /// ([`Terminal::Failed`](crate::Terminal::Failed)) instead of the
+    /// process.
     pub fn new_corrupted(g: &Graph, config: ServiceConfig, rot: impl FnOnce(&mut KvStore)) -> Self {
         let mut resident = Self::load(g, &config, None);
         resident.corrupt(rot);
@@ -385,7 +379,6 @@ impl QueryService {
             queries: Mutex::new(BTreeMap::new()),
             completions: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
-            admitted: AtomicU64::new(0),
             requeued_chunks: AtomicU64::new(0),
             resident,
             config,
@@ -433,11 +426,12 @@ impl QueryService {
     /// task lists are a deterministic function of the submission order.
     ///
     /// Admission control runs under the same lock against the backlog
-    /// snapshot (see `admission`): a shed query settles
-    /// immediately as [`Terminal::Rejected`] without executing, and a
-    /// submission into a fully dead worker pool settles as
-    /// [`Terminal::Failed`] ([`benu_cluster::Cause::NoSurvivor`]). Both
-    /// are terminal results, not errors of the submit call.
+    /// snapshot (see `admission`): a shed query settles immediately as
+    /// [`Terminal::Rejected`](crate::Terminal::Rejected) without
+    /// executing, and a submission into a fully dead worker pool settles
+    /// as [`Terminal::Failed`](crate::Terminal::Failed)
+    /// ([`benu_cluster::Cause::NoSurvivor`]). Both are terminal results,
+    /// not errors of the submit call.
     pub fn submit(&self, pattern: &Pattern, options: QueryOptions) -> QueryId {
         let inner = &*self.inner;
         let mut next_id = lock(&inner.admission);
@@ -473,43 +467,26 @@ impl QueryService {
             collect: options.mode.needs_matches(),
             gate,
         });
+        // Terminal at admission: deadline 0, max_matches 0, TopK(0), or an
+        // empty task list. Admitted, but nothing is queued.
+        let decided = commit.terminal().is_some();
         let run = Arc::new(QueryRun {
             id,
             class,
             plan,
-            plan_cache_hit: hit,
             submitted_at: Instant::now(),
-            started: AtomicBool::new(false),
             terminated: AtomicBool::new(false),
-            counted: AtomicBool::new(false),
-            state: Mutex::new(RunState {
-                commit: Some(commit),
-                result: None,
-            }),
+            life: Mutex::new(Lifecycle::new(id, hit, commit)),
             settled: Condvar::new(),
         });
         lock(&inner.queries).insert(id, Arc::clone(&run));
         if let Some(hub) = resident.obs() {
             let _queued = hub.tracer.span(&format!("query.{id}.queue"));
         }
-        let mut state = run.state();
-        if state
-            .commit
-            .as_ref()
-            .is_some_and(|c| c.terminal().is_some())
-        {
-            // Terminal at admission: deadline 0, max_matches 0, TopK(0),
-            // or an empty task list. Admitted, but nothing is queued.
-            inner.admitted.fetch_add(1, Ordering::Relaxed);
-            run.terminated.store(true, Ordering::Release);
-            state
-                .commit
-                .as_mut()
-                .expect("commit present until finalised")
-                .skip(total_chunks);
-            inner.after_state_change(&run, &mut state);
-        } else {
-            let verdict = admission::evaluate(
+        let mut life = run.life();
+        let mut verdict = match decided {
+            true => AdmissionVerdict::Decided,
+            false => admission::evaluate(
                 AdmissionCaps {
                     max_inflight_queries: inner.config.max_inflight_queries,
                     max_queued_chunks: inner.config.max_queued_chunks,
@@ -522,37 +499,23 @@ impl QueryService {
                 },
                 total_chunks,
                 options.deadline_vticks,
-            );
-            let refused = match verdict {
-                AdmissionVerdict::Shed { retry_after_vticks } => {
-                    Some(Terminal::Rejected { retry_after_vticks })
-                }
-                AdmissionVerdict::Admit => {
-                    inner.admitted.fetch_add(1, Ordering::Relaxed);
-                    run.counted.store(true, Ordering::Release);
-                    inner.inflight.fetch_add(1, Ordering::AcqRel);
-                    let ticket = Ticket {
-                        inner: Arc::clone(&self.inner),
-                        run: Arc::clone(&run),
-                        work,
-                    };
-                    let chunks = (0..total_chunks).map(|chunk| (chunk, None));
-                    let admitted = inner.pool.admit(id, ticket, options.weight, chunks);
-                    // The whole pool crashed: nothing can execute this
-                    // query and nothing ever will.
-                    admitted.err().map(Terminal::Failed)
-                }
+            ),
+        };
+        if verdict == AdmissionVerdict::Admit {
+            let ticket = Ticket {
+                inner: Arc::clone(&self.inner),
+                run: Arc::clone(&run),
+                work,
             };
-            if let Some(terminal) = refused {
-                let commit = state
-                    .commit
-                    .as_mut()
-                    .expect("commit present until finalised");
-                commit.set_terminal(terminal);
-                commit.skip(total_chunks);
-                inner.after_state_change(&run, &mut state);
+            let chunks = (0..total_chunks).map(|chunk| (chunk, None));
+            // The whole pool crashed: nothing can execute this query and
+            // nothing ever will.
+            if let Err(failure) = inner.pool.admit(id, ticket, options.weight, chunks) {
+                verdict = AdmissionVerdict::Lost(failure);
             }
         }
+        let effects = life.admit(verdict);
+        inner.apply(&run, &mut life, effects);
         id
     }
 
@@ -561,37 +524,29 @@ impl QueryService {
         lock(&self.inner.queries).get(&id).map(Arc::clone)
     }
 
-    /// Non-blocking lifecycle view; `None` for an unknown id and for a
-    /// query whose result [`QueryService::wait`] has already handed over.
+    /// Non-blocking lifecycle view, a read of the run's phase; `None` for
+    /// an unknown id and for a query whose result [`QueryService::wait`]
+    /// has already handed over.
     pub fn status(&self, id: QueryId) -> Option<QueryStatus> {
-        let run = self.run(id)?;
-        let state = run.state();
-        Some(match (&state.commit, &state.result) {
-            (_, Some(result)) => QueryStatus::Finished(result.clone()),
-            (None, None) => return None,
-            _ if run.started.load(Ordering::Acquire) => QueryStatus::Running,
-            _ => QueryStatus::Queued,
-        })
+        self.run(id)?.life().status()
     }
 
     /// Cancels `id`. Queued chunks are released immediately, an in-flight
     /// DFS chunk aborts at its next task boundary, and the query settles
-    /// with [`Terminal::Cancelled`] (committed work stays reported as the
-    /// partial it is — [`QueryResult::is_partial`]). Returns true when
+    /// with [`Terminal::Cancelled`](crate::Terminal::Cancelled)
+    /// (committed work stays reported as the partial it is —
+    /// [`QueryResult::is_partial`]). Returns true when
     /// this call made the transition; false if the query already
     /// terminated, its result was consumed, or the id is unknown.
     pub fn cancel(&self, id: QueryId) -> bool {
         let Some(run) = self.run(id) else {
             return false;
         };
-        let mut state = run.state();
-        let Some(commit) = state.commit.as_mut() else {
+        let mut life = run.life();
+        let Some(effects) = life.cancel() else {
             return false;
         };
-        if !commit.set_terminal(Terminal::Cancelled) {
-            return false;
-        }
-        self.inner.after_state_change(&run, &mut state);
+        self.inner.apply(&run, &mut life, effects);
         true
     }
 
@@ -609,15 +564,15 @@ impl QueryService {
     pub fn wait(&self, id: QueryId) -> QueryResult {
         const GONE: &str = "unknown or already consumed query id";
         let run = self.run(id).expect(GONE);
-        let mut state = run.state();
-        while state.commit.is_some() {
-            state = run
+        let mut life = run.life();
+        while life.live() {
+            life = run
                 .settled
-                .wait(state)
+                .wait(life)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        let result = state.result.take().expect(GONE);
-        drop(state);
+        let result = life.take().expect(GONE);
+        drop(life);
         lock(&self.inner.queries).remove(&id);
         result
     }
@@ -636,16 +591,23 @@ impl QueryService {
     /// report when the service is observed.
     pub fn report(&self, mode: ReportMode) -> Report {
         let inner = &*self.inner;
-        let mut service = Report::new();
-        service.set("admitted", inner.admitted.load(Ordering::Relaxed));
+        // One snapshot of the class table, taken before the admission lock
+        // is let go (locks in order: admission, classes), so every id
+        // issued is a submission admitted or shed.
+        let (issued, classes) = {
+            let next_id = lock(&inner.admission);
+            (*next_id, lock(&inner.classes))
+        };
         // The lifecycle counts are the classes' terminal tallies summed.
         let mut settled = BTreeMap::<&str, u64>::new();
-        for class in &lock(&inner.classes).all {
+        for class in &classes.all {
             for (&terminal, &n) in &class.tally.terminals {
                 *settled.entry(terminal).or_default() += n;
             }
         }
         let count = |terminal: &str| settled.get(terminal).copied().unwrap_or(0);
+        let mut service = Report::new();
+        service.set("admitted", issued - count("rejected"));
         service.set(
             "completed",
             count("completed") + count("max_matches_reached"),
@@ -672,7 +634,6 @@ impl QueryService {
             lanes.set("fault_penalty_nanos", total.penalty.as_nanos() as u64);
             service.set_tree("lanes", lanes);
         }
-        let classes = lock(&inner.classes);
         let pc = classes.plans;
         let mut plan_cache = Report::new();
         plan_cache.set("hits", pc.hits);
@@ -770,64 +731,45 @@ impl Inner {
         (at, plan, form.placement, hit)
     }
 
-    /// Folds a settled query into its pattern class's record. An
-    /// exhaustively completed query's committed metrics cover the full
-    /// enumeration, so with feedback re-planning on its observed
-    /// per-instruction cardinalities are exact for the plan that ran, and
-    /// add to the class's observations until the class is re-planned
-    /// (counter addition commutes, so the record is
-    /// completion-order-independent).
-    fn record(&self, run: &QueryRun, result: &QueryResult) {
+    /// Folds a settled query into its pattern class's record. With
+    /// feedback re-planning on, a run whose observations `feed` its class
+    /// (see [`Effects::feed`]) adds its per-instruction cardinalities —
+    /// exact for the plan that ran — to the class's observations until
+    /// the class is re-planned (counter addition commutes, so the record
+    /// is completion-order-independent).
+    fn record(&self, class: usize, result: &QueryResult, feed: bool) {
         let mut classes = lock(&self.classes);
-        let class = &mut classes.all[run.class];
+        let class = &mut classes.all[class];
         class.tally.add(result);
-        if self.config.feedback_replanning
-            && !class.replanned
-            && result.exhaustive
-            && result.terminal == Terminal::Completed
-        {
+        if feed && self.config.feedback_replanning && !class.replanned {
             class.obs += result.metrics.obs;
         }
     }
 
-    /// Reacts to a commit-state change: on a fresh terminal, raises the
-    /// terminated flag and releases the query's queued chunks; once
-    /// every chunk is accounted for, finalises the result.
-    fn after_state_change(&self, run: &Arc<QueryRun>, state: &mut RunState) {
-        let commit = state
-            .commit
-            .as_mut()
-            .expect("commit present until finalised");
-        if commit.terminal().is_some() && !run.terminated.swap(true, Ordering::AcqRel) {
-            let released = self.pool.drain(run.id);
-            commit.skip(released);
+    /// Applies what a transition of `run`'s lifecycle returned, under the
+    /// run's lock: the stop bit, the inflight slot, the pool's drain (fed
+    /// back to the lifecycle), and at settle the stamped result booked in
+    /// its class and the waiters woken.
+    fn apply(&self, run: &QueryRun, life: &mut Lifecycle, effects: Effects) {
+        if effects.stop {
+            run.terminated.store(true, Ordering::Release);
         }
-        if state.result.is_some() || !state.commit.as_ref().is_some_and(|c| c.is_complete()) {
-            return;
+        if effects.take_slot {
+            self.inflight.fetch_add(1, Ordering::AcqRel);
         }
-        let commit = state.commit.take().expect("checked above");
-        let out = commit.finish();
-        if run.counted.swap(false, Ordering::AcqRel) {
+        if effects.drain {
+            let released = life.released(self.pool.drain(run.id));
+            self.apply(run, life, released);
+        }
+        if effects.release_slot {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
         }
-        let result = QueryResult {
-            id: run.id,
-            terminal: out.terminal,
-            matches_found: out.matches_found,
-            matches: out.matches,
-            vticks: out.vticks,
-            chunks_committed: out.committed,
-            chunks_discarded: out.discarded,
-            plan_cache_hit: run.plan_cache_hit,
-            exhaustive: out.exhaustive,
-            dark_shards: out.dark_shards,
-            completion_index: self.completions.fetch_add(1, Ordering::SeqCst),
-            metrics: out.metrics,
-            wall: run.submitted_at.elapsed(),
-        };
-        self.record(run, &result);
-        state.result = Some(result);
-        run.settled.notify_all();
+        if let Some(result) = life.result_mut().filter(|_| effects.settle) {
+            result.completion_index = self.completions.fetch_add(1, Ordering::SeqCst);
+            result.wall = run.submitted_at.elapsed();
+            self.record(run.class, result, effects.feed);
+            run.settled.notify_all();
+        }
     }
 }
 
@@ -891,7 +833,7 @@ impl Job for Ticket {
     }
 
     fn start(&self, _machine: usize, chunk: usize, _stolen: bool) -> &[SearchTask] {
-        self.run.started.store(true, Ordering::Release);
+        self.run.life().start();
         self.chunk_tasks(chunk)
     }
 
@@ -905,13 +847,12 @@ impl Job for Ticket {
         self.run.terminated.load(Ordering::Acquire)
     }
 
-    /// Feeds one chunk's outcome to the query's commit pipeline. A chunk
-    /// of a terminated query is accounted as discarded; a chunk whose
-    /// access stream hit an unrecoverable fault — or whose engine
-    /// panicked — reports [`CommitState::submit_failed`] instead of
-    /// results: whatever partial matches the engine produced before the
-    /// failure went with its executor, which is what keeps failure
-    /// outcomes deterministic.
+    /// Hands one chunk's outcome to the run's lifecycle. A chunk of a
+    /// terminated query is accounted as discarded; a chunk whose access
+    /// stream hit an unrecoverable fault — or whose engine panicked —
+    /// delivers its [`Failure`] instead of results: whatever partial
+    /// matches the engine produced before the failure went with its
+    /// executor, which is what keeps failure outcomes deterministic.
     fn chunk_done(&self, _machine: usize, chunk: usize, outcome: Outcome) {
         let (inner, run) = (&*self.inner, &self.run);
         let executed = match outcome {
@@ -934,7 +875,6 @@ impl Job for Ticket {
                 }
                 rows.sort();
                 Some(Ok(ExecutedChunk {
-                    chunk,
                     count: metrics.matches,
                     matches: rows,
                     vticks: chunk_vticks(self.chunk_tasks(chunk).len(), &metrics),
@@ -944,20 +884,12 @@ impl Job for Ticket {
         };
         let obs = inner.resident.obs().filter(|_| executed.is_some());
         let _span = obs.map(|h| h.tracer.span(&format!("query.{}.execute", run.id)));
-        let mut state = run.state();
-        if let Some(commit) = state.commit.as_mut() {
-            match executed {
-                None => commit.skip(1),
-                Some(Ok(executed)) => {
-                    if let Some(hub) = obs {
-                        hub.tracer.clock().advance(executed.vticks);
-                    }
-                    commit.submit(executed);
-                }
-                Some(Err(failure)) => commit.submit_failed(chunk, failure),
-            }
+        let mut life = run.life();
+        if let (Some(hub), Some(Ok(executed))) = (obs, &executed) {
+            hub.tracer.clock().advance(executed.vticks);
         }
-        inner.after_state_change(run, &mut state);
+        let effects = life.chunk(chunk, executed);
+        inner.apply(run, &mut life, effects);
     }
 
     /// A query hands its rows over per chunk: the lane's executor has
@@ -982,11 +914,8 @@ impl Job for Ticket {
     /// query's outstanding chunks. It fails with the pool's `failure` —
     /// a structured terminal, not a hang and not an abort.
     fn lost(&self, chunks: &[usize], failure: Failure) {
-        let mut state = self.run.state();
-        if let Some(commit) = state.commit.as_mut() {
-            commit.set_terminal(Terminal::Failed(failure));
-            commit.skip(chunks.len());
-        }
-        self.inner.after_state_change(&self.run, &mut state);
+        let mut life = self.run.life();
+        let effects = life.lost(chunks.len(), failure);
+        self.inner.apply(&self.run, &mut life, effects);
     }
 }

@@ -134,3 +134,25 @@ fn truncated_queries_do_not_pollute_the_stats_store() {
     assert_eq!(service.feedback_replans(), 1);
     assert_eq!(repeat.matches_found, full.matches_found);
 }
+
+#[test]
+fn a_satisfied_topk_does_not_feed_the_stats_store() {
+    // A satisfied `TopK` is `Completed` but not exhaustive: it observed a
+    // prefix of the work, so it must not feed the estimator either. The
+    // full run after it compiles from the cold cache; its repeat is the
+    // class's one re-plan.
+    let g = gen::barabasi_albert(200, 4, 19);
+    let service = QueryService::new(&g, config(true));
+    let top = service.wait(service.submit(
+        &queries::q1(),
+        QueryOptions::new().mode(ResultMode::TopK(1)),
+    ));
+    assert_eq!(top.terminal, Terminal::Completed);
+    assert!(!top.exhaustive, "TopK(1) must stop before the last chunk");
+    let full = service.wait(service.submit(&queries::q1(), QueryOptions::new()));
+    assert!(full.exhaustive);
+    assert_eq!(service.feedback_replans(), 0, "the TopK run fed the class");
+    let repeat = service.wait(service.submit(&queries::q1(), QueryOptions::new()));
+    assert_eq!(service.feedback_replans(), 1);
+    assert_eq!(repeat.matches_found, full.matches_found);
+}

@@ -5,48 +5,17 @@
 //! what it reports of served queries is one fixed-size record per
 //! pattern class. So live heap is bounded by the queries in flight, not
 //! by the queries served. This test serves a long closed-loop mix and
-//! reads live heap — counted by this binary's own global allocator — at
-//! a quarter, half and all of the way through.
+//! reads live heap — counted by this binary's global allocator, the
+//! workspace's `CountingAllocator` — at a quarter, half and all of the
+//! way through.
 
 use benu_graph::gen;
+use benu_obs::alloc::CountingAllocator;
 use benu_pattern::queries;
 use benu_service::{QueryOptions, QueryService, ResultMode, ServiceConfig, Terminal};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Live heap bytes. Statistics only, so every access is `Relaxed`.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-
-/// A [`GlobalAlloc`] over [`System`] that keeps [`LIVE`].
-struct LiveAlloc;
-
-// SAFETY: every call is forwarded verbatim to `System`; the counter
-// updates never touch the returned memory or the layout.
-unsafe impl GlobalAlloc for LiveAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
-static ALLOC: LiveAlloc = LiveAlloc;
+static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// Queries served in all, by [`CLIENTS`] closed-loop clients.
 const QUERIES: usize = 2_000;
@@ -96,7 +65,7 @@ fn live_heap_does_not_grow_with_the_queries_served() {
                 });
             }
         });
-        live.push(LIVE.load(Ordering::Relaxed));
+        live.push(ALLOC.live_bytes());
     }
     let mb = |bytes: u64| bytes as f64 / (1 << 20) as f64;
     let (quarter, half, end) = (live[0], live[1], live[3]);
