@@ -801,7 +801,10 @@ fn visit<J: Job + Clone>(
         // the visit ends with it.
         let broken = matches!(ran, Err(Outcome::Failed(_)));
         match (ran, spec.hand_over) {
-            (Err(outcome), _) => job.chunk_done(machine, grant.chunk, outcome),
+            (Err(outcome), _) => {
+                executor.discard();
+                job.chunk_done(machine, grant.chunk, outcome);
+            }
             (Ok(metrics), HandOver::PerChunk) => {
                 let rows = executor.take_rows();
                 job.chunk_done(machine, grant.chunk, Outcome::Done { metrics, rows });

@@ -354,11 +354,16 @@ impl Cluster {
     }
 
     /// Runs `plan` and additionally collects every (expanded) embedding,
-    /// sorted. Each lane collects into one buffer and sorts it on its own
-    /// thread; the buffers are then merged into one of exactly the final
-    /// size. The high-water mark is the lanes' buffers (grown by
-    /// doubling) plus that merged buffer — about twice the embeddings'
-    /// own bytes, with no per-embedding allocation anywhere.
+    /// sorted. Every embedding is materialised once, into a buffer of its
+    /// final size: a lane keeps a compressed plan's codes until it
+    /// finishes, then expands them into one exact buffer and sorts it in
+    /// place on its own thread; the merge grows the largest lane's buffer
+    /// to the total and fills it from the back, freeing each other part
+    /// as it empties. The high-water mark is the embeddings' own bytes
+    /// plus the larger of the codes (while lanes finish) and the parts
+    /// other than the largest (while they merge) — at most 1.5 × the
+    /// embeddings' bytes on two lanes, plus the run's own state, with no
+    /// per-embedding allocation anywhere.
     ///
     /// # Errors
     ///

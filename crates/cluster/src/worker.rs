@@ -135,13 +135,14 @@ pub struct LaneExecutor<'a, S: DataSource + ?Sized> {
     engine: FrontierEngine<'a, S>,
     mode: ExecMode,
     counting: CountingConsumer,
-    collecting: Option<CollectingConsumer>,
+    collecting: Option<CollectingConsumer<'a>>,
 }
 
 impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
     /// Binds an engine to `source`. `budget` bounds the frontier under
     /// [`ExecMode::Hybrid`]; `collect` switches from counting matches to
-    /// materialising them. The lane loop gets its executors from
+    /// collecting them — a compressed plan's as codes, expanded only
+    /// when they are handed over. The lane loop gets its executors from
     /// [`crate::Resident::executor`], which supplies the order, the mode
     /// and the lane's share of the budget.
     pub fn new(
@@ -162,7 +163,7 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
             engine: FrontierEngine::new(engine, budget),
             mode,
             counting: CountingConsumer::default(),
-            collecting: collect.then(CollectingConsumer::default),
+            collecting: collect.then(|| CollectingConsumer::new(compiled, order)),
         }
     }
 
@@ -213,24 +214,35 @@ impl<'a, S: DataSource + ?Sized> LaneExecutor<'a, S> {
         }
     }
 
-    /// Takes the embeddings collected since the last call, in engine
-    /// order — a chunk's rows, for a job that hands over per chunk.
-    /// Empty when the executor is counting.
+    /// Takes the embeddings collected since the last hand-over, in
+    /// engine order — a chunk's rows, for a job that hands over per
+    /// chunk; a compressed plan's codes are expanded here, into a buffer
+    /// of exactly their size. Empty when the executor is counting.
     pub fn take_rows(&mut self) -> MatchSet {
         self.collecting
             .as_mut()
-            .map(|collecting| std::mem::take(collecting).into_matches())
+            .map(CollectingConsumer::take_matches)
             .unwrap_or_default()
     }
 
+    /// Forgets what was collected since the last hand-over without
+    /// expanding it: the rows of a dropped or failed chunk.
+    pub fn discard(&mut self) {
+        if let Some(collecting) = &mut self.collecting {
+            collecting.clear();
+        }
+    }
+
     /// Consumes the executor, returning its engine's counters and, when
-    /// it was collecting, every embedding not yet taken — sorted here, on
-    /// the lane's own thread, so sibling lanes sort in parallel and
-    /// whoever gathers them only merges.
+    /// it was collecting, every embedding not yet taken — in one buffer
+    /// of exactly their size, sorted in it here, on the lane's own
+    /// thread, so sibling lanes expand and sort in parallel and whoever
+    /// gathers them only merges.
     pub fn finish(self) -> (LaneStats, Option<MatchSet>) {
-        let matches = self.collecting.map(|collecting| {
-            let mut matches = collecting.into_matches();
+        let matches = self.collecting.map(|mut collecting| {
+            let mut matches = collecting.take_matches();
             matches.sort();
+            matches.shrink_to_fit();
             matches
         });
         let engine = &self.engine;

@@ -20,7 +20,7 @@
 //! without touching the shared database cache.
 
 use crate::compile::{CFilters, CInstr, COperand, CompiledPlan};
-use crate::consumer::MatchConsumer;
+use crate::consumer::{Code, MatchConsumer};
 use crate::expand;
 use crate::source::DataSource;
 use crate::task::SearchTask;
@@ -842,7 +842,13 @@ impl<'a, S: DataSource + ?Sized> LocalEngine<'a, S> {
                     metrics.code_bytes += (4 * (helve_len + image_entries)) as u64;
                     if consumer.needs_matches() {
                         self.expand_f.copy_from_slice(&self.f);
-                        expand::expand_code(info, images, self.order, &mut self.expand_f, consumer);
+                        consumer.on_code(Code {
+                            info,
+                            order: self.order,
+                            images,
+                            count,
+                            f: &mut self.expand_f,
+                        });
                     }
                 }
                 self.label_scratch = label_scratch;
@@ -1025,12 +1031,12 @@ mod tests {
         let source = InMemorySource::from_graph(&g);
         let order = benu_graph::TotalOrder::new(&g);
         let mut engine = LocalEngine::new(&compiled, &source, &order);
-        let mut c = CollectingConsumer::default();
+        let mut c = CollectingConsumer::new(&compiled, &order);
         let m = engine.run_all_vertices(&mut c);
         assert_eq!(m.matches, 10);
-        assert_eq!(c.matches().len(), 10);
+        assert_eq!(c.embeddings(), 10);
         assert!(m.codes > 0 && m.codes <= 10, "codes compress the output");
-        for matched in c.matches().rows() {
+        for matched in c.take_matches().rows() {
             // Every reported triple really is a triangle.
             assert!(g.has_edge(matched[0], matched[1]));
             assert!(g.has_edge(matched[1], matched[2]));
@@ -1098,16 +1104,16 @@ mod tests {
 
             // First pass: every buffer take misses an empty pool.
             let mut engine = LocalEngine::new(&compiled, &source, &order);
-            let mut cold = CollectingConsumer::default();
+            let mut cold = CollectingConsumer::new(&compiled, &order);
             let m_cold = engine.run_all_vertices(&mut cold);
             // Second pass on the same engine: takes are served from the
             // recycled buffers; nothing observable may change.
-            let mut warm = CollectingConsumer::default();
+            let mut warm = CollectingConsumer::new(&compiled, &order);
             let m_warm = engine.run_all_vertices(&mut warm);
 
             assert_eq!(m_cold, m_warm, "{name}: metrics diverge cold vs warm pool");
-            for (pass, consumer) in [("cold", cold), ("warm", warm)] {
-                let mut got = consumer.into_matches();
+            for (pass, mut consumer) in [("cold", cold), ("warm", warm)] {
+                let mut got = consumer.take_matches();
                 got.sort();
                 assert_eq!(
                     got.to_vecs(),
@@ -1157,14 +1163,14 @@ mod tests {
             let compiled = CompiledPlan::compile(&plan);
             let order = benu_graph::TotalOrder::new(&g);
             let mut on_blocks = LocalEngine::new(&compiled, &blocked, &order);
-            let mut cb = CollectingConsumer::default();
+            let mut cb = CollectingConsumer::new(&compiled, &order);
             let mb = on_blocks.run_all_vertices(&mut cb);
             let mut on_slices = LocalEngine::new(&compiled, &scalar, &order);
-            let mut cs = CollectingConsumer::default();
+            let mut cs = CollectingConsumer::new(&compiled, &order);
             let ms = on_slices.run_all_vertices(&mut cs);
             assert_eq!(mb, ms, "{name}: metrics diverge across kernels");
-            let mut eb = cb.into_matches();
-            let mut es = cs.into_matches();
+            let mut eb = cb.take_matches();
+            let mut es = cs.take_matches();
             eb.sort();
             es.sort();
             assert_eq!(eb, es, "{name}: block kernels changed the match set");

@@ -244,23 +244,23 @@ fn admits(
 /// Enumerates the embeddings of one code, writing each non-cover mapping
 /// into `f` and handing it to `consumer` (cover vertices must already be
 /// set in `f`).
-pub fn expand_code(
+pub fn expand_code<C: MatchConsumer + ?Sized>(
     info: &ExpansionInfo,
     images: &[&[VertexId]],
     order: &TotalOrder,
     f: &mut [VertexId],
-    consumer: &mut dyn MatchConsumer,
+    consumer: &mut C,
 ) {
     expand_rec(info, images, order, f, 0, consumer);
 }
 
-fn expand_rec(
+fn expand_rec<C: MatchConsumer + ?Sized>(
     info: &ExpansionInfo,
     images: &[&[VertexId]],
     order: &TotalOrder,
     f: &mut [VertexId],
     depth: usize,
-    consumer: &mut dyn MatchConsumer,
+    consumer: &mut C,
 ) {
     if depth == info.non_cover.len() {
         consumer.on_match(f);
@@ -292,7 +292,25 @@ fn binomial(n: u64, k: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consumer::CollectingConsumer;
+    use crate::consumer::FnConsumer;
+    use crate::matches::MatchSet;
+
+    fn expand_all(
+        info: &ExpansionInfo,
+        images: &[&[VertexId]],
+        order: &TotalOrder,
+        f: &mut [VertexId],
+    ) -> MatchSet {
+        let mut seen = MatchSet::default();
+        expand_code(
+            info,
+            images,
+            order,
+            f,
+            &mut FnConsumer(|row: &[VertexId]| seen.push(row)),
+        );
+        seen
+    }
 
     fn count_code_embeddings(
         info: &ExpansionInfo,
@@ -384,11 +402,10 @@ mod tests {
         let count = count_code_embeddings(&i, &[&a, &b], &order);
         let mut f = vec![u32::MAX; 3];
         f[1] = 9; // pretend cover vertex
-        let mut seen = CollectingConsumer::default();
-        expand_code(&i, &[&a, &b], &order, &mut f, &mut seen);
-        assert_eq!(seen.matches().len() as u64, count);
+        let seen = expand_all(&i, &[&a, &b], &order, &mut f);
+        assert_eq!(seen.len() as u64, count);
         // Every emitted embedding respects injectivity.
-        for m in seen.matches().rows() {
+        for m in seen.rows() {
             assert_ne!(m[0], m[2]);
         }
     }
@@ -400,9 +417,8 @@ mod tests {
         let a: Vec<u32> = vec![1, 2, 3];
         assert_eq!(count_code_embeddings(&i, &[&a, &a], &order), 3);
         let mut f = vec![u32::MAX; 2];
-        let mut seen = CollectingConsumer::default();
-        expand_code(&i, &[&a, &a], &order, &mut f, &mut seen);
-        assert!(seen.matches().rows().all(|m| m[1] < m[0]));
+        let seen = expand_all(&i, &[&a, &a], &order, &mut f);
+        assert!(seen.rows().all(|m| m[1] < m[0]));
     }
 
     #[test]

@@ -406,12 +406,12 @@ mod tests {
         let source = InMemorySource::from_graph(g);
         let order = TotalOrder::new(g);
         let mut engine = LocalEngine::new(compiled, &source, &order);
-        let mut c = CollectingConsumer::default();
+        let mut c = CollectingConsumer::new(compiled, &order);
         let mut total = TaskMetrics::default();
         for &t in tasks {
             total += engine.run_task(t, &mut c);
         }
-        let mut m = c.into_matches();
+        let mut m = c.take_matches();
         m.sort();
         (total, m)
     }
@@ -426,9 +426,9 @@ mod tests {
         let order = TotalOrder::new(g);
         let engine = LocalEngine::new(compiled, &source, &order);
         let mut fe = FrontierEngine::new(engine, budget);
-        let mut c = CollectingConsumer::default();
+        let mut c = CollectingConsumer::new(compiled, &order);
         let metrics = fe.run_batch(tasks, &mut c);
-        let mut m = c.into_matches();
+        let mut m = c.take_matches();
         m.sort();
         (metrics, m, fe.stats())
     }

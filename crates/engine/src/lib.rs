@@ -38,7 +38,7 @@ pub mod source;
 pub mod task;
 
 pub use compile::CompiledPlan;
-pub use consumer::{CollectingConsumer, CountingConsumer, FnConsumer, MatchConsumer};
+pub use consumer::{Code, CollectingConsumer, CountingConsumer, FnConsumer, MatchConsumer};
 pub use exec::{LocalEngine, PoolStats, TaskMetrics};
 pub use frontier::{FrontierEngine, FrontierStats, MemoryBudget};
 pub use matches::MatchSet;
@@ -79,9 +79,9 @@ pub fn collect_embeddings(plan: &ExecutionPlan, g: &Graph) -> MatchSet {
     let source = InMemorySource::from_graph(g);
     let order = TotalOrder::new(g);
     let mut engine = LocalEngine::new(&compiled, &source, &order);
-    let mut consumer = CollectingConsumer::default();
+    let mut consumer = CollectingConsumer::new(&compiled, &order);
     engine.run_all_vertices(&mut consumer);
-    let mut out = consumer.into_matches();
+    let mut out = consumer.take_matches();
     out.sort();
     out
 }

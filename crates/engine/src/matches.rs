@@ -96,9 +96,9 @@ impl MatchSet {
         self.flat.truncate(rows * self.arity);
     }
 
-    /// Sorts the rows lexicographically. Rows of up to eight vertices are
-    /// sorted in place as `[VertexId; N]` values; wider ones through a
-    /// sorted index and one gather.
+    /// Sorts the rows lexicographically, in place. Rows of up to eight
+    /// vertices are sorted as `[VertexId; N]` values; wider ones through
+    /// a sorted index whose cycles then move the rows.
     pub fn sort(&mut self) {
         macro_rules! in_place {
             ($($n:literal)*) => {
@@ -112,49 +112,110 @@ impl MatchSet {
     }
 
     fn sort_by_index(&mut self) {
+        // `index[i]` is the row that belongs at row `i`.
         let mut index: Vec<usize> = (0..self.len()).collect();
         index.sort_unstable_by(|&a, &b| self.get(a).cmp(self.get(b)));
-        let mut flat = Vec::with_capacity(self.flat.len());
-        for i in index {
-            flat.extend_from_slice(self.get(i));
+        let arity = self.arity;
+        let mut held = vec![0; arity];
+        for start in 0..index.len() {
+            if index[start] == start {
+                continue;
+            }
+            // Walk the cycle through `start`: each row moves into the
+            // hole the previous move left, and `start`'s own row, held
+            // aside, fills the last one.
+            held.copy_from_slice(self.get(start));
+            let mut hole = start;
+            loop {
+                let from = std::mem::replace(&mut index[hole], hole);
+                if from == start {
+                    self.set_row(hole, &held);
+                    break;
+                }
+                self.flat
+                    .copy_within(from * arity..(from + 1) * arity, hole * arity);
+                hole = from;
+            }
         }
-        self.flat = flat;
     }
 
-    /// Merges sorted sets into one sorted set: a k-way cursor into one
-    /// buffer reserved at its final size. The parts are consumed, and a
-    /// single non-empty part is handed back as it is.
+    /// Merges sorted sets into one sorted set, in place: the largest part
+    /// grows to the total and is filled from the back, each step taking
+    /// the greatest remaining last row of all parts, and every other
+    /// part is freed as it empties. The parts are consumed; the result's
+    /// capacity is its length, and a single non-empty part is handed
+    /// back as it is.
     ///
     /// # Panics
     ///
     /// Panics if two non-empty parts differ in arity.
     pub fn merge_sorted(mut parts: Vec<MatchSet>) -> MatchSet {
         parts.retain(|part| !part.is_empty());
-        if parts.len() <= 1 {
-            return parts.pop().unwrap_or_default();
-        }
-        let mut merged = MatchSet {
-            arity: parts[0].arity,
-            flat: Vec::with_capacity(parts.iter().map(|part| part.flat.len()).sum()),
+        let Some(largest) = (0..parts.len()).max_by_key(|&i| parts[i].flat.len()) else {
+            return MatchSet::default();
         };
-        let mut cursors: Vec<_> = parts.iter().map(|part| part.rows().peekable()).collect();
-        loop {
-            let mut least: Option<(usize, &[VertexId])> = None;
-            for (i, cursor) in cursors.iter_mut().enumerate() {
-                if let Some(&row) = cursor.peek() {
-                    // Ties go to the earlier part; equal rows are
-                    // indistinguishable either way.
-                    if least.is_none_or(|(_, best)| row < best) {
-                        least = Some((i, row));
+        let mut merged = parts.swap_remove(largest);
+        if parts.is_empty() {
+            return merged;
+        }
+        let arity = merged.arity;
+        assert!(
+            parts.iter().all(|part| part.arity == arity),
+            "rows of one set share one arity"
+        );
+        // `own` ends the merged part's rows not yet moved, `ends[i]` part
+        // i's; whatever lies between `own` and `write` is free, and
+        // `write` always equals `own` plus the parts' rows left, so the
+        // merged part's own rows are in place once the others run out.
+        let mut own = merged.flat.len();
+        let mut ends: Vec<usize> = parts.iter().map(|part| part.flat.len()).collect();
+        let mut write = own + ends.iter().sum::<usize>();
+        merged.flat.reserve_exact(write - own);
+        merged.flat.resize(write, 0);
+        merged.flat.shrink_to_fit();
+        while write > own {
+            let mut greatest: Option<usize> = None;
+            let mut top = &merged.flat[own.saturating_sub(arity)..own];
+            for (i, &end) in ends.iter().enumerate() {
+                let row = &parts[i].flat[end.saturating_sub(arity)..end];
+                // Equal rows are indistinguishable: either may go first.
+                if row > top {
+                    (greatest, top) = (Some(i), row);
+                }
+            }
+            write -= arity;
+            match greatest {
+                None => {
+                    merged.flat.copy_within(own - arity..own, write);
+                    own -= arity;
+                }
+                Some(i) => {
+                    let end = ends[i];
+                    merged.flat[write..write + arity]
+                        .copy_from_slice(&parts[i].flat[end - arity..end]);
+                    ends[i] -= arity;
+                    if ends[i] == 0 {
+                        parts[i] = MatchSet::default();
                     }
                 }
             }
-            let Some((i, row)) = least else {
-                return merged;
-            };
-            merged.push(row);
-            cursors[i].next();
         }
+        merged
+    }
+
+    /// A set with room for exactly `rows` rows of `arity` vertices.
+    pub(crate) fn with_capacity(arity: usize, rows: usize) -> MatchSet {
+        let mut set = MatchSet {
+            arity,
+            flat: Vec::new(),
+        };
+        set.flat.reserve_exact(arity * rows);
+        set
+    }
+
+    /// Frees the buffer's capacity beyond its rows.
+    pub fn shrink_to_fit(&mut self) {
+        self.flat.shrink_to_fit();
     }
 
     /// The rows as individually owned vectors — for tests and callers
@@ -200,9 +261,15 @@ mod tests {
             let mut rows = random_rows(&mut rng, arity, 300);
             let mut flat = set(&rows);
             assert_eq!((flat.len(), flat.arity()), (300, arity));
+            let buffer = (flat.flat.as_ptr(), flat.flat.capacity());
             flat.sort();
             rows.sort_unstable();
             assert_eq!(flat.to_vecs(), rows, "arity {arity}");
+            assert_eq!(
+                (flat.flat.as_ptr(), flat.flat.capacity()),
+                buffer,
+                "arity {arity}: sorted in its own buffer"
+            );
         }
     }
 
@@ -224,11 +291,58 @@ mod tests {
                 parts[part].push(row);
             }
             parts.iter_mut().for_each(MatchSet::sort);
+            let merging = parts.iter().filter(|part| !part.is_empty()).count() > 1;
             let merged = MatchSet::merge_sorted(parts);
             rows.sort_unstable();
             assert_eq!(merged.to_vecs(), rows, "case {case}: {ways} ways");
             assert_eq!(merged.len(), rows.len());
+            if merging {
+                assert_eq!(merged.flat.capacity(), merged.flat.len(), "case {case}");
+            }
         }
+    }
+
+    #[test]
+    fn the_back_merge_fills_the_largest_part_in_place() {
+        // The largest part sits in the middle, holds the smallest and
+        // the greatest rows, and has spare capacity; the empty parts
+        // around it are skipped.
+        let mut largest = set(&[vec![0, 0], vec![2, 2], vec![2, 2], vec![9, 9]]);
+        largest.flat.reserve_exact(64);
+        let parts = vec![
+            MatchSet::default(),
+            set(&[vec![1, 1], vec![2, 2]]),
+            largest,
+            set(&[vec![3, 3]]),
+            set(&[vec![1, 2], vec![1, 2], vec![8, 9]]),
+            MatchSet::default(),
+        ];
+        let merged = MatchSet::merge_sorted(parts);
+        assert_eq!(
+            merged.to_vecs(),
+            [
+                [0, 0],
+                [1, 1],
+                [1, 2],
+                [1, 2],
+                [2, 2],
+                [2, 2],
+                [2, 2],
+                [3, 3],
+                [8, 9],
+                [9, 9]
+            ]
+        );
+        assert_eq!(merged.flat.capacity(), 20, "the spare room is given back");
+        // Only empty parts: nothing, of no arity.
+        let empty = MatchSet::merge_sorted(vec![MatchSet::default(); 3]);
+        assert_eq!((empty.len(), empty.arity()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "share one arity")]
+    fn merging_parts_of_different_widths_is_refused() {
+        MatchSet::merge_sorted(vec![set(&[vec![1, 2]]), set(&[vec![1, 2, 3]])]);
     }
 
     #[test]

@@ -139,9 +139,9 @@ fn check(what: &str, plan: &ExecutionPlan, g: &Graph, data_labels: &[u32], tau: 
     let expected =
         reference::enumerate_labeled(g, &plan.pattern, &plan.symmetry, Some(data_labels));
 
-    let mut collected = CollectingConsumer::default();
+    let mut collected = CollectingConsumer::new(&compiled, &order);
     let general = inputs.dfs(&mut collected);
-    let mut matches = collected.into_matches();
+    let mut matches = collected.take_matches();
     matches.sort();
     assert_eq!(
         matches.to_vecs(),
@@ -159,10 +159,10 @@ fn check(what: &str, plan: &ExecutionPlan, g: &Graph, data_labels: &[u32], tau: 
     ] {
         let counted = inputs.frontier(budget, &mut CountingConsumer::default());
         assert_eq!(counted, general, "{what}: frontier counting at {label}");
-        let mut collected = CollectingConsumer::default();
+        let mut collected = CollectingConsumer::new(&compiled, &order);
         let metrics = inputs.frontier(budget, &mut collected);
         assert_eq!(metrics, general, "{what}: frontier collecting at {label}");
-        let mut matches = collected.into_matches();
+        let mut matches = collected.take_matches();
         matches.sort();
         assert_eq!(
             matches.to_vecs(),

@@ -2,7 +2,8 @@
 //! counting `#[global_allocator]`: once the buffer pool and the triangle
 //! cache are warm, running tasks allocates nothing, and a triangle-cache
 //! miss allocates its cached value and nothing else; collecting the
-//! embeddings of a compressed plan adds the growth of one buffer, not an
+//! embeddings of a compressed plan adds the growth of the one buffer its
+//! codes are kept in and the one exact buffer they expand into, not an
 //! allocation per embedding or per code. A single `#[test]` so no
 //! sibling test allocates concurrently under the same counter.
 
@@ -113,9 +114,11 @@ fn clique5_allocates_once_per_triangle_cache_miss() {
     );
 }
 
-/// chordal_square under a VCBC-compressed plan, every embedding expanded
-/// into a fresh `CollectingConsumer` per pass: a settled pass allocates
-/// only as the consumer's one buffer doubles — ⌈log₂ rows⌉ and a small
+/// chordal_square under a VCBC-compressed plan, collected by a fresh
+/// `CollectingConsumer` per pass and expanded by `take_matches`: a
+/// settled pass allocates only as the consumer's one code buffer doubles
+/// (its codes take fewer words than the rows they expand to), then the
+/// exact row buffer and two scratch vectors — ⌈log₂ rows⌉ and a small
 /// constant, however many codes and embeddings went by.
 fn collecting_a_compressed_plan_allocates_for_buffer_growth_only() {
     let g = gen::barabasi_albert(1000, 8, 3);
@@ -130,13 +133,16 @@ fn collecting_a_compressed_plan_allocates_for_buffer_growth_only() {
     let mut engine = LocalEngine::with_triangle_cache(&compiled, &source, &order, 1 << 18);
     let run_pass = |engine: &mut LocalEngine<'_, InMemorySource>| -> (u64, usize, u64) {
         let before = ALLOC.snapshot();
-        let mut consumer = CollectingConsumer::default();
+        let mut consumer = CollectingConsumer::new(&compiled, &order);
         let codes: u64 = tasks
             .iter()
             .map(|&task| engine.run_task(task, &mut consumer).codes)
             .sum();
+        let held = consumer.embeddings();
+        let rows = consumer.take_matches().len();
         let allocs = ALLOC.snapshot().delta_since(&before).allocs;
-        (codes, consumer.matches().len(), allocs)
+        assert_eq!(held, rows as u64, "the codes expand to what they count");
+        (codes, rows, allocs)
     };
 
     let (codes, rows, _) = run_pass(&mut engine);

@@ -14,21 +14,26 @@
 //! ```
 //!
 //! and brackets the measured region with [`CountingAllocator::snapshot`]
-//! / [`AllocSnapshot::delta_since`], or reads
-//! [`CountingAllocator::live_bytes`]. Counting is three relaxed atomic
-//! adds per allocation and one per free.
+//! / [`AllocSnapshot::delta_since`], reads
+//! [`CountingAllocator::live_bytes`], or brackets it with
+//! [`CountingAllocator::reset_peak`] / [`CountingAllocator::peak_bytes`]
+//! for its high-water mark (`crates/cluster/tests/collect_memory.rs`).
+//! Counting is three relaxed atomic adds and one `fetch_max` per
+//! allocation and one subtraction per free.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A [`GlobalAlloc`] wrapper over [`System`] that counts allocation
-/// events and requested bytes and keeps the bytes live.
-/// `const`-constructible so it can be a `#[global_allocator]` static.
+/// events and requested bytes and keeps the bytes live and their
+/// high-water mark. `const`-constructible so it can be a
+/// `#[global_allocator]` static.
 #[derive(Debug)]
 pub struct CountingAllocator {
     allocs: AtomicU64,
     bytes: AtomicU64,
     live: AtomicU64,
+    peak: AtomicU64,
 }
 
 impl CountingAllocator {
@@ -38,6 +43,7 @@ impl CountingAllocator {
             allocs: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             live: AtomicU64::new(0),
+            peak: AtomicU64::new(0),
         }
     }
 
@@ -47,10 +53,22 @@ impl CountingAllocator {
         self.live.load(Ordering::Relaxed)
     }
 
+    /// Restarts the high-water mark from the bytes live right now.
+    pub fn reset_peak(&self) {
+        self.peak.store(self.live_bytes(), Ordering::Relaxed);
+    }
+
+    /// The most bytes live at once since the last
+    /// [`CountingAllocator::reset_peak`] (since construction before it).
+    pub fn peak_bytes(&self) -> u64 {
+        self.peak.load(Ordering::Relaxed)
+    }
+
     fn count(&self, bytes: usize) {
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.live.fetch_add(bytes as u64, Ordering::Relaxed);
+        let live = self.live.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+        self.peak.fetch_max(live, Ordering::Relaxed);
     }
 
     /// The counters right now. Monotonic; subtract two snapshots with
@@ -147,6 +165,35 @@ mod tests {
         let snap = counter.snapshot();
         assert_eq!(snap.allocs, 2, "alloc + growing realloc");
         assert_eq!(snap.bytes, 256 + 256, "initial size + growth delta");
+    }
+
+    #[test]
+    fn the_peak_is_the_most_live_at_once_since_the_reset() {
+        let counter = CountingAllocator::new();
+        let (small, large) = (
+            Layout::from_size_align(100, 8).unwrap(),
+            Layout::from_size_align(1000, 8).unwrap(),
+        );
+        unsafe {
+            let kept = counter.alloc(small);
+            let p = counter.alloc(large);
+            counter.dealloc(p, large);
+            assert_eq!((counter.live_bytes(), counter.peak_bytes()), (100, 1100));
+            counter.reset_peak();
+            assert_eq!(counter.peak_bytes(), 100, "restarts from the live bytes");
+            let p = counter.alloc(small);
+            let p = counter.realloc(p, small, 300);
+            assert_eq!(
+                counter.peak_bytes(),
+                400,
+                "a growing realloc counts its delta"
+            );
+            let shrunk = counter.realloc(p, Layout::from_size_align(300, 8).unwrap(), 50);
+            assert_eq!(counter.peak_bytes(), 400, "frees never lower it");
+            counter.dealloc(shrunk, Layout::from_size_align(50, 8).unwrap());
+            counter.dealloc(kept, small);
+        }
+        assert_eq!((counter.live_bytes(), counter.peak_bytes()), (0, 400));
     }
 
     #[test]
