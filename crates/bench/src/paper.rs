@@ -21,8 +21,8 @@
 use crate::load_dataset;
 use benu_baselines::{starjoin, wcoj, BaselineOutcome};
 use benu_cluster::{
-    balance, pool, Cluster, ClusterConfig, ClusterConfigBuilder, CodecKind, ExecMode, FaultPlan,
-    Layout, RunOutcome, SchedulerKind, Split,
+    balance, pool, Cluster, ClusterConfig, ClusterConfigBuilder, CodecKind, CostProfile, ExecMode,
+    FaultPlan, Layout, RunOutcome, SchedulerKind, Split,
 };
 use benu_engine::{CompiledPlan, SearchTask};
 use benu_graph::datasets::Dataset;
@@ -498,14 +498,14 @@ fn fig8(scale: f64) -> Vec<Report> {
 fn fig9(scale: f64) -> Vec<Report> {
     let g = load_dataset(Dataset::Orkut, scale);
     let plan = best_plan(&g, &queries::q5(), true);
+    let compiled = CompiledPlan::compile(&plan);
     [0, 24, 64]
         .into_iter()
         .map(|tau| {
-            let config = lanes(4).tau(tau).collect_task_profile(true).build();
-            let o = Cluster::new(&g, config)
-                .run(&plan)
-                .expect("cluster run failed");
-            let mut costs = task_vticks(&o);
+            let cluster = Cluster::new(&g, lanes(4).tau(tau).build());
+            let o = cluster.run(&plan).expect("cluster run failed");
+            let (tasks, _) = cluster.resident().tasks(&compiled, Split::Fixed(tau));
+            let mut costs = balance::price(&g, &compiled, &tasks);
             costs.sort_unstable();
             let p99 = costs[(costs.len() * 99 / 100).min(costs.len() - 1)];
             row([
@@ -518,16 +518,6 @@ fn fig9(scale: f64) -> Vec<Report> {
                 ("matches", o.total_matches.into()),
             ])
         })
-        .collect()
-}
-
-/// Per-task vticks of a DFS run that collected its task profile.
-fn task_vticks(o: &RunOutcome) -> Vec<u64> {
-    o.task_records
-        .as_ref()
-        .expect("task profile collected")
-        .iter()
-        .map(|r| r.vticks.expect("DFS prices every task"))
         .collect()
 }
 
@@ -649,17 +639,17 @@ fn fig10(setup: &Setup, scale: f64) -> Vec<Report> {
         for (query, pattern) in setup.queries(queries) {
             let plan = best_plan(g, &pattern, true);
             let compiled = CompiledPlan::compile(&plan);
-            // One single-lane run per split threshold prices its tasks —
-            // and gives the per-vertex profile LPT places by — and every
-            // layout of that task list is then replayed.
-            let profiled = |tau| {
-                let config = lanes(1).tau(tau).collect_task_profile(true).build();
-                let o = Cluster::new(g, config)
-                    .run(&plan)
-                    .expect("cluster run failed");
-                let tasks = o.task_records.iter().flatten().map(|r| r.task);
-                let vticks: HashMap<SearchTask, u64> = tasks.zip(task_vticks(&o)).collect();
-                (vticks, o.cost_profile.expect("DFS records task costs"))
+            // One pricing pass per split threshold gives its tasks their
+            // vticks — and the per-vertex profile LPT places by — and
+            // every layout of that task list is then replayed.
+            let profiled = |tasks: &[SearchTask]| {
+                let costs = balance::price(g, &compiled, tasks);
+                let priced = tasks.iter().copied().zip(costs);
+                let vticks: HashMap<SearchTask, u64> = priced.clone().collect();
+                (
+                    vticks,
+                    CostProfile::from_task_costs(g.num_vertices(), priced),
+                )
             };
             let mut costs = BTreeMap::new();
             // The paper's τ, a fine τ, and `auto_tau`.
@@ -670,7 +660,7 @@ fn fig10(setup: &Setup, scale: f64) -> Vec<Report> {
                     let lanes = machines * FIG10_LANES;
                     let split_at = fixed.map_or(Split::Auto { lanes }, Split::Fixed);
                     let (tasks, tau) = probe.resident().tasks(&compiled, split_at);
-                    let (vticks, profile) = costs.entry(tau).or_insert_with(|| profiled(tau));
+                    let (vticks, profile) = costs.entry(tau).or_insert_with(|| profiled(&tasks));
                     let n = tasks.len();
                     let profile = lpt.then_some(&*profile);
                     let layout = Layout::new(tasks, machines, FIG10_LANES, ExecMode::Dfs, profile);
@@ -747,9 +737,9 @@ fn budget(scale: f64) -> Vec<Report> {
                 ("matches", o.total_matches.into()),
                 ("round_trips", o.kv.requests.into()),
                 ("store_bytes", o.kv.bytes.into()),
-                ("expansions", o.frontier_expansions.into()),
-                ("spills", o.spill_events.into()),
-                ("peak_frontier_bytes", o.peak_frontier_bytes.into()),
+                ("expansions", o.frontier.expansions.into()),
+                ("spills", o.frontier.spill_events.into()),
+                ("peak_frontier_bytes", o.frontier.peak_bytes.into()),
             ]));
         }
     }

@@ -1,24 +1,29 @@
-//! Observed-cost placement.
+//! Task costs and cost-driven placement.
 //!
 //! The §V-B split divides a hub's task by its degree, a proxy for its
-//! cost. Where the task lands is a second decision: the paper deals tasks
-//! round-robin. A [`CostProfile`] — the per-start-vertex work a previous
-//! run *observed* — makes that decision from the real thing:
-//! longest-processing-time-first onto the least-loaded machine, each
-//! machine's share ordered heaviest-first, so under work stealing the
-//! heavy tasks start earliest and thieves steal from the light tail
-//! ([`CostProfile::assign_lpt`]). The split stays the configured τ or
-//! `auto_tau`: replaying the pool (`pool::replay`, Fig. 10) showed a
-//! threshold on observed cost dominated by LPT placement over a degree
-//! split on every row recorded.
+//! cost. A task's real cost is measured in *vticks* — the engine's
+//! deterministic instruction counters (ENU candidates + DBQ + INT + TRC
+//! executions) — so it depends on the graph, the plan and the task only,
+//! never on where, when or how warm it ran: [`price`] computes it by
+//! running each task once in memory. Fig. 9 judges a split by the
+//! largest priced task, and Fig. 10 replays the pool (`pool::replay`)
+//! over priced tasks.
 //!
-//! Cost is measured in *vticks* — the engine's deterministic instruction
-//! counters (ENU candidates + DBQ + INT + TRC executions) — so a
-//! profile, and the placement derived from it, is a pure function of the
-//! run that produced it.
+//! Where a task lands is a second decision: the paper, and the live
+//! [`Cluster`](crate::Cluster), deal tasks round-robin. A
+//! [`CostProfile`] — per-start-vertex priced work — makes that decision
+//! from the real thing in the replay: longest-processing-time-first onto
+//! the least-loaded machine, each machine's share ordered heaviest-first,
+//! so under work stealing the heavy tasks start earliest and thieves
+//! steal from the light tail ([`CostProfile::assign_lpt`]). The split
+//! stays the configured τ or `auto_tau`: the replay showed a threshold
+//! on observed cost dominated by LPT placement over a degree split on
+//! every row recorded.
 
-use benu_engine::{SearchTask, TaskMetrics};
-use benu_graph::VertexId;
+use benu_engine::{
+    CompiledPlan, CountingConsumer, InMemorySource, LocalEngine, SearchTask, TaskMetrics,
+};
+use benu_graph::{Graph, TotalOrder, VertexId};
 use benu_obs::safe_ratio;
 use std::cmp::Reverse;
 
@@ -29,6 +34,23 @@ pub fn vticks(m: &TaskMetrics) -> u64 {
     m.enu_candidates + m.dbq_executions + m.int_executions + m.trc_executions
 }
 
+/// The [`vticks`] of each of `tasks` under `plan` on `g`, in task order:
+/// every task run once, counting, on one engine over the graph in
+/// memory. A task's count does not depend on the engine's history (the
+/// triangle cache changes where a TRC's answer comes from, not whether
+/// it executes), so this is what any run — DFS or hybrid, on any
+/// machine — spends on the task.
+pub fn price(g: &Graph, plan: &CompiledPlan, tasks: &[SearchTask]) -> Vec<u64> {
+    let source = InMemorySource::from_graph(g);
+    let order = TotalOrder::new(g);
+    let mut engine = LocalEngine::new(plan, &source, &order);
+    let mut consumer = CountingConsumer::default();
+    tasks
+        .iter()
+        .map(|&task| vticks(&engine.run_task(task, &mut consumer)))
+        .collect()
+}
+
 /// The busiest machine's work over the mean machine's (1.0 = balanced);
 /// 0.0 — never NaN — with no machine or no work.
 pub fn imbalance(work: &[u64]) -> f64 {
@@ -36,25 +58,22 @@ pub fn imbalance(work: &[u64]) -> f64 {
     safe_ratio(work.iter().copied().max().unwrap_or(0) as f64, mean)
 }
 
-/// Per-start-vertex observed execution cost from a completed run, in
-/// vticks. Built by the cluster when
-/// [`ClusterConfig::collect_task_profile`](crate::ClusterConfig::collect_task_profile)
-/// is set; install it back with
-/// [`Cluster::set_cost_profile`](crate::Cluster::set_cost_profile) to
-/// place tasks by observed cost.
+/// Per-start-vertex execution cost in vticks, built from [`price`]d
+/// tasks; [`Layout::new`](crate::Layout::new) places a replayed run's
+/// tasks by it (Fig. 10).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CostProfile {
-    /// `costs[v]` = total observed vticks of start vertex `v`, summed
-    /// over its subtasks.
+    /// `costs[v]` = total vticks of start vertex `v`, summed over its
+    /// subtasks.
     costs: Vec<u64>,
 }
 
 impl CostProfile {
     /// Builds a profile for `n` start vertices from `(task, vticks)`
-    /// records; subtask costs of the same start vertex accumulate.
-    pub fn from_task_costs(n: usize, records: impl IntoIterator<Item = (SearchTask, u64)>) -> Self {
+    /// pairs; subtask costs of the same start vertex accumulate.
+    pub fn from_task_costs(n: usize, priced: impl IntoIterator<Item = (SearchTask, u64)>) -> Self {
         let mut costs = vec![0u64; n];
-        for (task, cost) in records {
+        for (task, cost) in priced {
             if let Some(c) = costs.get_mut(task.start as usize) {
                 *c += cost;
             }
@@ -62,27 +81,12 @@ impl CostProfile {
         CostProfile { costs }
     }
 
-    /// Observed cost of start vertex `v` (0 for unseen vertices).
+    /// Cost of start vertex `v` (0 for unseen vertices).
     pub fn cost(&self, v: VertexId) -> u64 {
         self.costs.get(v as usize).copied().unwrap_or(0)
     }
 
-    /// Number of start vertices covered.
-    pub fn len(&self) -> usize {
-        self.costs.len()
-    }
-
-    /// True when the profile covers no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.costs.is_empty()
-    }
-
-    /// Total observed vticks across all start vertices.
-    pub fn total(&self) -> u64 {
-        self.costs.iter().sum()
-    }
-
-    /// Estimated cost of one (sub)task: the start vertex's observed cost
+    /// Estimated cost of one (sub)task: the start vertex's cost
     /// divided evenly over its split, since
     /// [`benu_engine::SplitSpec::range`] divides the candidate range into
     /// near-equal slices.
@@ -142,7 +146,6 @@ mod tests {
         assert_eq!(p.cost(0), 5);
         assert_eq!(p.cost(1), 16);
         assert_eq!(p.cost(2), 0);
-        assert_eq!(p.total(), 21);
         // Subtask cost is the vertex cost spread over the split.
         assert_eq!(p.task_cost(&t1a), 8);
     }

@@ -132,17 +132,6 @@ pub struct ClusterConfig {
     pub tau_auto: bool,
     /// Per-thread triangle-cache capacity in entries.
     pub triangle_cache_entries: usize,
-    /// Record one entry per task in the lane loop — the task, its share
-    /// of wall time and, under DFS, its deterministic cost in vticks —
-    /// kept as `RunOutcome::task_records` (Fig. 9; Fig. 10 replays the
-    /// pool over them), from which `RunOutcome::cost_profile`
-    /// ([`crate::CostProfile`], fed back via
-    /// [`crate::Cluster::set_cost_profile`] to place tasks by observed
-    /// cost) is derived. Off by default: on a
-    /// warm enumeration an always-on record would be several times
-    /// everything else a run allocates (it quadruples the ledger's
-    /// `enum_warm` peak heap).
-    pub collect_task_profile: bool,
     /// Task scheduling policy (static round-robin by default, matching
     /// the paper's even shuffle).
     pub scheduler: SchedulerKind,
@@ -158,7 +147,6 @@ impl Default for ClusterConfig {
             tau: 500,
             tau_auto: false,
             triangle_cache_entries: DEFAULT_TRIANGLE_CACHE_ENTRIES,
-            collect_task_profile: false,
             scheduler: SchedulerKind::Static,
         }
     }
@@ -229,12 +217,6 @@ impl ClusterConfigBuilder {
     /// Per-thread triangle-cache entries.
     pub fn triangle_cache_entries(mut self, n: usize) -> Self {
         self.0.triangle_cache_entries = n;
-        self
-    }
-
-    /// Record the per-task profile (durations and observed costs).
-    pub fn collect_task_profile(mut self, yes: bool) -> Self {
-        self.0.collect_task_profile = yes;
         self
     }
 
@@ -329,7 +311,6 @@ mod tests {
             .tau(123)
             .tau_auto(true)
             .triangle_cache_entries(64)
-            .collect_task_profile(true)
             .scheduler(SchedulerKind::WorkStealing)
             .retry(data.retry)
             .replication(data.replication)
@@ -345,7 +326,6 @@ mod tests {
             tau: 123,
             tau_auto: true,
             triangle_cache_entries: 64,
-            collect_task_profile: true,
             scheduler: SchedulerKind::WorkStealing,
         };
         assert_eq!(built, literal);
@@ -364,7 +344,6 @@ mod tests {
         assert_ne!(built.tau, d.tau);
         assert_ne!(built.tau_auto, d.tau_auto);
         assert_ne!(built.triangle_cache_entries, d.triangle_cache_entries);
-        assert_ne!(built.collect_task_profile, d.collect_task_profile);
         assert_ne!(built.scheduler, d.scheduler);
     }
 

@@ -51,10 +51,10 @@
 //!   the whole story is summarised in the outcome's [`RecoveryReport`].
 //!   Stragglers are handled before they form: by task splitting at τ
 //!   (§V-B) and, optionally, work stealing;
-//! * per-worker communication bytes, cache statistics, busy time, steal
-//!   counts and an optional per-task profile are reported in the
-//!   [`RunOutcome`] — exactly the measurements behind Table V, Fig. 8,
-//!   Fig. 9 and Fig. 10.
+//! * per-worker communication bytes, cache statistics, busy time and
+//!   steal counts are reported in the [`RunOutcome`] — the measurements
+//!   behind Table V, Fig. 8 and Fig. 9 — and [`balance::price`] prices
+//!   each task in vticks, which Fig. 9 and Fig. 10 read.
 
 pub mod balance;
 pub mod config;

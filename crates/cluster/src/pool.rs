@@ -61,8 +61,6 @@
 //! once, before any lane runs; the service admits homeless chunks, at any
 //! time.
 
-use crate::balance::vticks;
-use crate::config::ExecMode;
 use crate::failure::{Cause, Failure};
 use crate::gate::FaultGate;
 use crate::resident::Resident;
@@ -125,8 +123,6 @@ pub struct Spec<'a> {
     pub plan: &'a CompiledPlan,
     /// Materialise embeddings instead of counting them.
     pub collect: bool,
-    /// Record one [`TaskRecord`] per task in the [`LanePart`].
-    pub profile: bool,
     /// The hand-over granularity.
     pub hand_over: HandOver,
 }
@@ -153,19 +149,6 @@ pub enum Outcome {
     },
 }
 
-/// One task's entry in a lane's profile ([`Spec::profile`]).
-#[derive(Clone, Copy, Debug)]
-pub struct TaskRecord {
-    /// The task.
-    pub task: SearchTask,
-    /// Its duration including the virtual latency its store traffic was
-    /// charged; a hybrid batch's duration is shared evenly by its tasks.
-    pub wall: Duration,
-    /// Its deterministic cost ([`vticks`]); `None` under hybrid
-    /// execution, which reports batch-level metrics only.
-    pub vticks: Option<u64>,
-}
-
 /// What one visit of a lane to a job accumulated.
 #[derive(Default)]
 pub struct LanePart {
@@ -180,8 +163,6 @@ pub struct LanePart {
     pub busy: Duration,
     /// The virtual-latency share of `busy`.
     pub penalty: Duration,
-    /// Per-task records, when the job asked for them.
-    pub records: Vec<TaskRecord>,
     /// The executor's own counters.
     pub stats: LaneStats,
 }
@@ -192,7 +173,6 @@ impl std::ops::AddAssign for LanePart {
         self.executed += rhs.executed;
         self.busy += rhs.busy;
         self.penalty += rhs.penalty;
-        self.records.extend(rhs.records);
         self.stats += rhs.stats;
     }
 }
@@ -751,8 +731,6 @@ fn visit<J: Job + Clone>(
         spec.collect,
     );
     let failed = |cause, task| Outcome::Failed(failure(cause, Some(task), machine));
-    // A batch reports batch-level metrics: no per-task cost exists.
-    let per_task = resident.data().exec_mode == ExecMode::Dfs;
     let mut part = LanePart::default();
     let next = loop {
         let tasks = job.start(machine, grant.chunk, grant.stolen);
@@ -772,18 +750,8 @@ fn visit<J: Job + Clone>(
                 if let Some(error) = source.error() {
                     break 'chunk Err(failed(Cause::Fetch(error), slice[0]));
                 }
-                let wall = t0.elapsed() + penalty;
-                part.busy += wall;
+                part.busy += t0.elapsed() + penalty;
                 part.penalty += penalty;
-                if spec.profile {
-                    let share = wall / slice.len() as u32;
-                    let cost = per_task.then(|| vticks(&metrics));
-                    part.records.extend(slice.iter().map(|&task| TaskRecord {
-                        task,
-                        wall: share,
-                        vticks: cost,
-                    }));
-                }
                 ran += metrics;
             }
             if job.stopped() {
@@ -915,7 +883,6 @@ mod tests {
             Spec {
                 plan: &self.compiled,
                 collect: true,
-                profile: false,
                 hand_over: self.hand_over,
             }
         }

@@ -8,9 +8,9 @@
 //! field, leaving exactly the values that are byte-identical across two
 //! executions of the same seeded run.
 
-use crate::balance::{self, CostProfile};
+use crate::balance;
 use crate::config::ExecMode;
-use crate::pool::{SchedulerKind, TaskRecord};
+use crate::pool::SchedulerKind;
 use crate::worker::LaneStats;
 use benu_cache::CacheStats;
 use benu_engine::{FrontierStats, PoolStats, TaskMetrics};
@@ -24,7 +24,7 @@ pub struct WorkerReport {
     /// Worker index.
     pub worker: usize,
     /// Number of (sub)tasks homed on this worker by the round-robin
-    /// shuffle (or the observed-cost placement).
+    /// shuffle.
     pub tasks: usize,
     /// Number of (sub)tasks this worker executed and handed over (a
     /// worker that crashed hands over nothing). Equal to `tasks` under
@@ -237,10 +237,9 @@ impl WorkerReport {
 /// The outcome of one cluster run.
 #[derive(Clone, Debug, Default)]
 pub struct RunOutcome {
-    /// Total embeddings found (expanded count for compressed plans).
+    /// Total embeddings found (expanded count for compressed plans;
+    /// `metrics.matches`).
     pub total_matches: u64,
-    /// Total VCBC codes emitted (zero for uncompressed plans).
-    pub total_codes: u64,
     /// Wall-clock time of the parallel execution (excluding store
     /// loading and plan compilation, matching the paper's "pure
     /// enumeration" timing).
@@ -266,26 +265,13 @@ pub struct RunOutcome {
     /// The adjacency wire codec the store was built with (decides what
     /// `kv.bytes` measures).
     pub codec: benu_kvstore::CodecKind,
-    /// Frontier levels expanded with a batched read (zero under DFS).
-    pub frontier_expansions: u64,
-    /// Task batches that exceeded the byte budget and drained via DFS.
-    pub spill_events: u64,
-    /// Largest charged frontier footprint of any single thread, in bytes.
-    pub peak_frontier_bytes: u64,
-    /// One record per task — its wall time and, under DFS, its
-    /// deterministic cost in vticks — when
-    /// [`ClusterConfig::collect_task_profile`](crate::ClusterConfig::collect_task_profile)
-    /// is set.
-    pub task_records: Option<Vec<TaskRecord>>,
+    /// The workers' hybrid-frontier counters summed: levels expanded
+    /// with a batched read and budget spills (zero under DFS), and the
+    /// largest charged frontier footprint of any single thread.
+    pub frontier: FrontierStats,
     /// What fault injection and recovery did (all zeros without a fault
     /// plan).
     pub recovery: RecoveryReport,
-    /// Per-start-vertex observed costs, collected when
-    /// [`ClusterConfig::collect_task_profile`](crate::ClusterConfig::collect_task_profile)
-    /// is set (DFS execution only). Feed it back via
-    /// [`Cluster::set_cost_profile`](crate::Cluster::set_cost_profile) to
-    /// place the next run's tasks by observed cost.
-    pub cost_profile: Option<CostProfile>,
 }
 
 impl RunOutcome {
@@ -372,7 +358,7 @@ impl RunOutcome {
     /// every bench bin serialises (schema `benu/report-v2`, see
     /// DESIGN.md "Observability"). [`ReportMode::Deterministic`] drops
     /// every wall-clock-derived field (elapsed, makespan, busy times,
-    /// imbalance ratios, task times). Of what remains, the match, code
+    /// imbalance ratios). Of what remains, the match, code
     /// and task counts, `effective_tau` and the engine's instruction and
     /// cardinality counters are the same for every execution of the same
     /// seeded run on any cluster; the buffer-pool, frontier, per-worker
@@ -388,7 +374,7 @@ impl RunOutcome {
     pub fn report(&self, mode: ReportMode) -> Report {
         let mut r = Report::new();
         r.set("total_matches", self.total_matches);
-        r.set("total_codes", self.total_codes);
+        r.set("total_codes", self.metrics.codes);
         r.set("total_tasks", self.total_tasks);
         r.set("effective_tau", self.effective_tau);
         r.set("scheduler", self.scheduler.name());
@@ -417,12 +403,7 @@ impl RunOutcome {
         }
         engine.set_tree("obs", obs);
         engine.set_tree("pool", pool_report(&self.pool_stats()));
-        let frontier = FrontierStats {
-            expansions: self.frontier_expansions,
-            spill_events: self.spill_events,
-            peak_bytes: self.peak_frontier_bytes,
-        };
-        engine.set_tree("frontier", frontier_report(&frontier));
+        engine.set_tree("frontier", frontier_report(&self.frontier));
         r.set_tree("engine", engine);
 
         let kv_tree = |kv: &KvStats| {
@@ -463,17 +444,6 @@ impl RunOutcome {
             r.set("elapsed_seconds", self.elapsed.as_secs_f64());
             r.set("makespan_seconds", self.makespan().as_secs_f64());
             r.set("load_imbalance", self.load_imbalance());
-            if let Some(records) = &self.task_records {
-                r.set(
-                    "task_times_seconds",
-                    Value::List(
-                        records
-                            .iter()
-                            .map(|t| Value::Float(t.wall.as_secs_f64()))
-                            .collect(),
-                    ),
-                );
-            }
         }
         r
     }

@@ -3,9 +3,8 @@
 //! `Cluster` is a [`Resident`] deployment — the sharded store and one
 //! persistent database cache per worker machine, surviving across `run`
 //! calls — plus what turns a plan into a [`Job`]: the §V-B split, the
-//! paper's even shuffle (or longest-first placement from an observed
-//! [`CostProfile`]) that gives every task a home machine, chunks of up
-//! to [`CHUNK_TASKS`] consecutive tasks of one home — the [`Layout`],
+//! paper's even shuffle that gives every task a home machine, chunks of
+//! up to [`CHUNK_TASKS`] consecutive tasks of one home — the [`Layout`],
 //! which [`pool::replay`] also runs — and one [`Transport`]
 //! (and, with a [`FaultPlan`], one [`FaultGate`]) per machine. A run
 //! admits that job to a [`Pool`] of its own, spawns `workers ×
@@ -58,7 +57,6 @@ pub struct Cluster {
     resident: Resident,
     config: ClusterConfig,
     fault_plan: Option<Arc<FaultPlan>>,
-    cost_profile: Option<Arc<CostProfile>>,
 }
 
 /// What the lanes of one run have reported so far.
@@ -164,7 +162,6 @@ struct BatchJob<'a> {
     transports: Vec<Transport>,
     gates: Option<Vec<FaultGate>>,
     collect: bool,
-    profile: bool,
     stop: AtomicBool,
     progress: Mutex<Progress>,
 }
@@ -197,7 +194,6 @@ impl Job for &BatchJob<'_> {
         Spec {
             plan: self.compiled,
             collect: self.collect,
-            profile: self.profile,
             hand_over: HandOver::AtEnd,
         }
     }
@@ -277,7 +273,6 @@ impl Cluster {
             ),
             config,
             fault_plan: None,
-            cost_profile: None,
         }
     }
 
@@ -303,28 +298,6 @@ impl Cluster {
     /// crashes hand the dead machine's chunks to the survivors.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan.map(Arc::new);
-    }
-
-    /// Installs (or removes, with `None`) an observed-cost profile from a
-    /// previous run (see [`ClusterConfig::collect_task_profile`]).
-    /// Subsequent runs still split at the configured τ (or `auto_tau`),
-    /// and place the tasks longest-first onto the least loaded worker,
-    /// each worker's share heaviest-first (the steal priority), instead
-    /// of dealing them round-robin. Placement is a pure function of the
-    /// profile, so runs stay deterministic under the static scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile does not cover exactly the resident graph's
-    /// vertices: a profile of another graph would place by wrong costs.
-    pub fn set_cost_profile(&mut self, profile: Option<CostProfile>) {
-        let vertices = self.resident.degrees().len();
-        let covered = profile.as_ref().map_or(vertices, CostProfile::len);
-        assert!(
-            covered == vertices,
-            "cost profile covers {covered} vertices, the resident graph has {vertices}"
-        );
-        self.cost_profile = profile.map(Arc::new);
     }
 
     /// Drops every cached adjacency set and resets the cache counters —
@@ -399,7 +372,7 @@ impl Cluster {
             p,
             self.config.threads_per_worker,
             self.config.data.exec_mode,
-            self.cost_profile.as_deref(),
+            None,
         );
         // Admission consumes the homes; the run keeps only the chunks.
         let homes = std::mem::take(&mut layout.homes);
@@ -415,7 +388,6 @@ impl Cluster {
                 .as_ref()
                 .map(|plan| (0..p).map(|_| resident.gate(Arc::clone(plan))).collect()),
             collect,
-            profile: self.config.collect_task_profile,
             stop: AtomicBool::new(false),
             progress: Mutex::new(Progress {
                 error: None,
@@ -494,7 +466,6 @@ impl Cluster {
 
         let mut reports: Vec<WorkerReport> = Vec::with_capacity(p);
         let mut lane_matches: Vec<MatchSet> = Vec::new();
-        let mut records = self.config.collect_task_profile.then(Vec::new);
         for (w, mut parts) in progress.parts.into_iter().enumerate() {
             if dead[w] {
                 // The dead machine's results are discarded wholesale:
@@ -509,9 +480,6 @@ impl Cluster {
                 thread_busy.push(part.busy);
                 lane_matches.extend(rows);
                 total += part;
-            }
-            if let Some(records) = records.as_mut() {
-                records.extend(total.records);
             }
             let mut report = WorkerReport {
                 worker: w,
@@ -569,7 +537,6 @@ impl Cluster {
         }
         let outcome = RunOutcome {
             total_matches: metrics.matches,
-            total_codes: metrics.codes,
             elapsed,
             metrics,
             workers: reports,
@@ -582,23 +549,8 @@ impl Cluster {
             scheduler: self.config.scheduler,
             exec_mode: self.config.data.exec_mode,
             codec: self.config.data.codec,
-            frontier_expansions: frontier.expansions,
-            spill_events: frontier.spill_events,
-            peak_frontier_bytes: frontier.peak_bytes,
+            frontier,
             recovery,
-            // Hybrid execution records no per-task cost: no profile,
-            // rather than an all-zero one that would place blindly.
-            cost_profile: records
-                .as_ref()
-                .map(|records| {
-                    records
-                        .iter()
-                        .filter_map(|r| Some((r.task, r.vticks?)))
-                        .collect::<Vec<_>>()
-                })
-                .filter(|costs| !costs.is_empty())
-                .map(|costs| CostProfile::from_task_costs(resident.degrees().len(), costs)),
-            task_records: records,
         };
         Ok((outcome, MatchSet::merge_sorted(lane_matches)))
     }
@@ -638,74 +590,6 @@ mod tests {
         let executed: usize = outcome.workers.iter().map(|w| w.tasks_executed).sum();
         assert_eq!(executed, 6);
         assert!(outcome.recovery.is_clean(), "no fault plan, no recovery");
-    }
-
-    #[test]
-    fn cost_profile_feedback_loop_preserves_counts_and_balances_work() {
-        let g = gen::barabasi_albert(300, 4, 5);
-        let plan = PlanBuilder::new(&queries::triangle()).best_plan();
-        let config = ClusterConfig::builder()
-            .workers(4)
-            .threads_per_worker(1)
-            .tau_auto(true)
-            .collect_task_profile(true)
-            .build();
-
-        // Pass 1: degree-driven auto τ, collecting per-task costs.
-        let mut cluster = Cluster::new(&g, config);
-        let first = cluster.run(&plan).unwrap();
-        let profile = first.cost_profile.clone().expect("profile was requested");
-        assert_eq!(profile.len(), 300);
-        assert!(profile.total() > 0, "BA graph has triangles to find");
-
-        // Pass 2: same cluster, same split, LPT placement.
-        cluster.clear_caches();
-        cluster.set_cost_profile(Some(profile));
-        let second = cluster.run(&plan).unwrap();
-        assert_eq!(second.total_matches, first.total_matches);
-        assert_eq!(
-            (second.total_tasks, second.effective_tau),
-            (first.total_tasks, first.effective_tau),
-            "a profile places tasks; it does not split them"
-        );
-        assert!(
-            second.work_imbalance() <= first.work_imbalance() + 1e-9,
-            "cost-driven placement must not worsen work imbalance: {} -> {}",
-            first.work_imbalance(),
-            second.work_imbalance()
-        );
-
-        // Determinism: a fresh cluster with the same profile reproduces
-        // the second pass byte-for-byte on the deterministic fields.
-        let mut cluster2 = Cluster::new(
-            &g,
-            ClusterConfig::builder()
-                .workers(4)
-                .threads_per_worker(1)
-                .tau_auto(true)
-                .collect_task_profile(true)
-                .build(),
-        );
-        // Re-derive pass 1's profile on the fresh cluster to mirror the
-        // exact pipeline.
-        let profile2 = cluster2.run(&plan).unwrap().cost_profile.unwrap();
-        cluster2.set_cost_profile(Some(profile2));
-        cluster2.clear_caches();
-        let third = cluster2.run(&plan).unwrap();
-        assert_eq!(third.total_matches, second.total_matches);
-        assert_eq!(third.total_tasks, second.total_tasks);
-        assert_eq!(third.effective_tau, second.effective_tau);
-        assert_eq!(third.metrics.obs, second.metrics.obs);
-    }
-
-    #[test]
-    #[should_panic(expected = "cost profile covers 3 vertices, the resident graph has 300")]
-    fn a_profile_of_another_graph_is_rejected_at_install() {
-        let g = gen::barabasi_albert(300, 4, 5);
-        let mut cluster = small_cluster(&g, 2, 1);
-        cluster.set_cost_profile(Some(CostProfile::from_task_costs(3, [])));
-        // Unchecked, the run would read costs the profile does not have.
-        let _ = cluster.run(&PlanBuilder::new(&queries::triangle()).best_plan());
     }
 
     #[test]
@@ -906,27 +790,6 @@ mod tests {
             misses(&second),
             0,
             "warm second run must report zero per-run misses"
-        );
-    }
-
-    #[test]
-    fn task_records_are_collected_when_requested() {
-        let g = gen::erdos_renyi_gnm(50, 120, 2);
-        let plan = PlanBuilder::new(&queries::triangle()).best_plan();
-        let cluster = Cluster::new(
-            &g,
-            ClusterConfig::builder()
-                .workers(2)
-                .threads_per_worker(1)
-                .collect_task_profile(true)
-                .build(),
-        );
-        let outcome = cluster.run(&plan).unwrap();
-        let records = outcome.task_records.as_ref().unwrap();
-        assert_eq!(records.len(), outcome.total_tasks);
-        assert!(
-            records.iter().all(|r| r.vticks.is_some()),
-            "DFS prices every task"
         );
     }
 

@@ -47,7 +47,7 @@ fn run_collect_materialises_each_embedding_once() {
         let (outcome, matches) = cluster.run_collect(&plan).expect("the run succeeds");
         let peak = ALLOC.peak_bytes() - before;
         assert_eq!(matches.len() as u64, outcome.total_matches, "{mode:?}");
-        assert!(outcome.total_codes > 0, "{mode:?}: the plan emits codes");
+        assert!(outcome.metrics.codes > 0, "{mode:?}: the plan emits codes");
         let payload = (matches.len() * matches.arity() * 4) as u64;
         assert!(
             payload > 2 << 20,

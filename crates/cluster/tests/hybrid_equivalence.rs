@@ -66,8 +66,8 @@ fn hybrid_matches_dfs_across_schedulers_faults_and_budgets() {
             let faults = faulty.then(chaos_plan);
             let (dfs, dfs_matches) = run(&g, &plan, scheduler, ExecMode::Dfs, 0, faults.clone());
             assert_eq!(dfs.exec_mode, ExecMode::Dfs);
-            assert_eq!(dfs.frontier_expansions, 0, "DFS never expands a frontier");
-            assert_eq!(dfs.spill_events, 0);
+            assert_eq!(dfs.frontier.expansions, 0, "DFS never expands a frontier");
+            assert_eq!(dfs.frontier.spill_events, 0);
             for (label, budget) in BUDGETS {
                 let (hy, hy_matches) = run(
                     &g,
@@ -80,14 +80,17 @@ fn hybrid_matches_dfs_across_schedulers_faults_and_budgets() {
                 let ctx = format!("{scheduler:?}/faulty={faulty}/budget={label}");
                 assert_eq!(hy.exec_mode, ExecMode::Hybrid);
                 assert_eq!(hy.total_matches, dfs.total_matches, "{ctx}: count diverged");
-                assert_eq!(hy.total_codes, dfs.total_codes, "{ctx}: codes diverged");
+                assert_eq!(hy.metrics.codes, dfs.metrics.codes, "{ctx}: codes diverged");
                 assert_eq!(hy_matches, dfs_matches, "{ctx}: match set diverged");
                 // Instruction-level metrics are order-free counts, so
                 // they agree exactly too.
                 assert_eq!(hy.metrics, dfs.metrics, "{ctx}: metrics diverged");
                 if budget == 0 {
-                    assert_eq!(hy.spill_events, 0, "{ctx}: unbounded must not spill");
-                    assert!(hy.frontier_expansions > 0, "{ctx}: hybrid must batch");
+                    assert_eq!(
+                        hy.frontier.spill_events, 0,
+                        "{ctx}: unbounded must not spill"
+                    );
+                    assert!(hy.frontier.expansions > 0, "{ctx}: hybrid must batch");
                 }
             }
         }
@@ -111,11 +114,9 @@ fn frontier_report_replays_byte_identically_on_deterministic_configs() {
         .build();
     let a = Cluster::new(&g, cfg).run(&plan).unwrap();
     let b = Cluster::new(&g, cfg).run(&plan).unwrap();
-    assert_eq!(a.frontier_expansions, b.frontier_expansions);
-    assert_eq!(a.spill_events, b.spill_events);
-    assert_eq!(a.peak_frontier_bytes, b.peak_frontier_bytes);
+    assert_eq!(a.frontier, b.frontier);
     assert_eq!(a.total_matches, b.total_matches);
-    assert!(a.frontier_expansions > 0);
+    assert!(a.frontier.expansions > 0);
 }
 
 #[test]
@@ -129,5 +130,8 @@ fn tight_budget_spills_yet_finishes_with_exact_counts() {
     let cfg = config(SchedulerKind::Static, ExecMode::Hybrid, 256, false);
     let outcome = Cluster::new(&g, cfg).run(&plan).unwrap();
     assert_eq!(outcome.total_matches, expected);
-    assert!(outcome.spill_events > 0, "256 bytes must force spills");
+    assert!(
+        outcome.frontier.spill_events > 0,
+        "256 bytes must force spills"
+    );
 }

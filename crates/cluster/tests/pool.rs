@@ -79,7 +79,6 @@ impl Job for &Counter {
         Spec {
             plan: &self.compiled,
             collect: false,
-            profile: false,
             hand_over: self.hand_over,
         }
     }

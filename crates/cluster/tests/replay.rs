@@ -4,7 +4,8 @@
 //! state machine, with a clock instead of threads. Under the static
 //! scheduler at one lane per machine — where a batch run's per-machine
 //! work and its crash recovery replay (DESIGN §4c) — it reports what
-//! `Cluster::run` does.
+//! `Cluster::run` does, each task priced by `balance::price`: so these
+//! tests also check the pricing, machine by machine, against a real run.
 
 use benu_cluster::pool::{replay, Replay};
 use benu_cluster::{
@@ -31,27 +32,24 @@ fn cluster(g: &Graph, crash: Option<&FaultPlan>) -> Cluster {
         .workers(MACHINES)
         .threads_per_worker(1)
         .tau(TAU)
-        .collect_task_profile(true)
         .build();
     let mut cluster = Cluster::new(g, config);
     cluster.set_fault_plan(crash.cloned());
     cluster
 }
 
-/// `cluster`'s layout for `plan` replayed, each task priced by what
-/// `run` recorded for it.
+/// `cluster`'s layout for `plan` on `g` replayed, each task priced by
+/// [`balance::price`].
 fn replayed(
+    g: &Graph,
     cluster: &Cluster,
     plan: &ExecutionPlan,
-    run: &RunOutcome,
     crash: Option<&FaultPlan>,
 ) -> Replay {
-    let records = run.task_records.iter().flatten();
-    let vticks: HashMap<SearchTask, u64> = records
-        .map(|r| (r.task, r.vticks.expect("DFS prices every task")))
-        .collect();
     let compiled = CompiledPlan::compile(plan);
     let (tasks, _) = cluster.resident().tasks(&compiled, Split::Fixed(TAU));
+    let priced = balance::price(g, &compiled, &tasks);
+    let vticks: HashMap<SearchTask, u64> = tasks.iter().copied().zip(priced).collect();
     let layout = Layout::new(tasks, MACHINES, 1, ExecMode::Dfs, None);
     let chunks = layout.replay_chunks(|t| vticks[t]);
     replay(&chunks, MACHINES, 1, SchedulerKind::Static, crash)
@@ -68,7 +66,7 @@ fn the_replay_runs_on_each_machine_what_the_run_ran() {
     let (g, plan) = setup();
     let cluster = cluster(&g, None);
     let run = cluster.run(&plan).unwrap();
-    let r = replayed(&cluster, &plan, &run, None);
+    let r = replayed(&g, &cluster, &plan, None);
     assert_eq!((r.work.clone(), r.executed.clone()), per_machine(&run));
     assert_eq!((r.steals, r.handed_back), (0, 0));
     assert_eq!(r.imbalance, run.work_imbalance());
@@ -79,12 +77,11 @@ fn the_replay_runs_on_each_machine_what_the_run_ran() {
 fn a_replayed_crash_hands_back_what_the_run_requeued_and_costs_time() {
     let (g, plan) = setup();
     let crash = FaultPlan::builder(0).crash(1, 23).build();
-    let clean = cluster(&g, None);
-    let clean = replayed(&clean, &plan, &clean.run(&plan).unwrap(), None);
     let faulted = cluster(&g, Some(&crash));
     let run = faulted.run(&plan).unwrap();
     assert_eq!(run.recovery.worker_crashes, 1);
-    let r = replayed(&faulted, &plan, &run, Some(&crash));
+    let clean = replayed(&g, &faulted, &plan, None);
+    let r = replayed(&g, &faulted, &plan, Some(&crash));
     assert!(r.handed_back > 0);
     assert_eq!(r.handed_back, run.recovery.tasks_requeued);
     assert_eq!((r.work.clone(), r.executed.clone()), per_machine(&run));

@@ -826,7 +826,6 @@ impl Job for Ticket {
         Spec {
             plan: &self.run.plan.compiled,
             collect: self.work.collect,
-            profile: false,
             // Budgets are evaluated over the in-order chunk stream.
             hand_over: HandOver::PerChunk,
         }

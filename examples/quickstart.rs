@@ -51,7 +51,7 @@ fn main() {
     let outcome = cluster.run(&plan).expect("cluster run failed");
 
     println!("matches     : {}", outcome.total_matches);
-    println!("VCBC codes  : {}", outcome.total_codes);
+    println!("VCBC codes  : {}", outcome.metrics.codes);
     println!("tasks       : {}", outcome.total_tasks);
     println!("elapsed     : {:.2?}", outcome.elapsed);
     println!(

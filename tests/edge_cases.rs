@@ -118,6 +118,6 @@ fn compressed_plan_on_graph_without_matches_emits_no_codes() {
     let cluster = Cluster::new(&g, ClusterConfig::default());
     let outcome = cluster.run(&plan).unwrap();
     assert_eq!(outcome.total_matches, 0);
-    assert_eq!(outcome.total_codes, 0);
+    assert_eq!(outcome.metrics.codes, 0);
     assert_eq!(outcome.metrics.code_bytes, 0);
 }
