@@ -2,9 +2,8 @@
 //!
 //! A tiny fully-deterministic run — complete graph, triangle query, one
 //! worker, one thread, static scheduler, fixed fault seed — is rendered
-//! through the whole reporting stack (`RunOutcome::report` +
-//! `ObsHub::report` in deterministic mode, wrapped in the `BenchReport`
-//! envelope) and byte-compared against `tests/golden/report_schema.json`.
+//! through the whole reporting stack (`RunOutcome::report` in
+//! deterministic mode, wrapped in the `BenchReport` envelope) and byte-compared against `tests/golden/report_schema.json`.
 //! Any schema change — a renamed key, a reordered field, a new metric in
 //! the deterministic view — fails this test and forces a conscious
 //! golden update (run with `UPDATE_GOLDEN=1` to regenerate, then review
@@ -14,10 +13,9 @@ use benu_bench::report::BenchReport;
 use benu_cluster::{Cluster, ClusterConfig, SchedulerKind};
 use benu_fault::FaultPlan;
 use benu_graph::gen;
-use benu_obs::{ObsHub, Report, ReportMode};
+use benu_obs::{Report, ReportMode};
 use benu_pattern::queries;
 use benu_plan::PlanBuilder;
-use std::sync::Arc;
 
 /// One deterministic faulted run as the report row the snapshot holds.
 fn snapshot_row() -> Report {
@@ -27,22 +25,17 @@ fn snapshot_row() -> Report {
         .graph_stats(g.num_vertices(), g.num_edges())
         .compressed(true)
         .best_plan();
-    let hub = Arc::new(ObsHub::new());
-    let mut cluster = Cluster::new_observed(
+    let mut cluster = Cluster::new(
         &g,
         ClusterConfig::builder()
             .workers(1)
             .threads_per_worker(1)
             .scheduler(SchedulerKind::Static)
             .build(),
-        Arc::clone(&hub),
     );
     cluster.set_fault_plan(Some(FaultPlan::builder(42).transient_rate(0.03).build()));
     let outcome = cluster.run(&plan).expect("deterministic run failed");
-
-    let mut run = outcome.report(ReportMode::Deterministic);
-    run.merge(hub.report(ReportMode::Deterministic));
-    run
+    outcome.report(ReportMode::Deterministic)
 }
 
 /// That row in the `BenchReport` envelope, as canonical JSON text.
@@ -91,8 +84,6 @@ fn snapshot_carries_every_layers_subtree() {
         "\"store\"",
         "\"workers\"",
         "\"recovery\"",
-        "\"metrics\"",
-        "\"trace\"",
         "\"cache\"",
         "\"exec_mode\"",
         "\"pool\"",
@@ -102,19 +93,4 @@ fn snapshot_carries_every_layers_subtree() {
     ] {
         assert!(rendered.contains(needle), "missing {needle}");
     }
-}
-
-/// Counted once, reported once: the hub's `metrics` subtree holds only
-/// what no typed struct carries — the store's deterministic histogram —
-/// so a counter mirrored back into the registry shows up here as a new
-/// key before it shows up as a second source of truth.
-#[test]
-fn the_metrics_subtree_is_the_one_histogram_and_repeats_nothing() {
-    let row = snapshot_row();
-    let metrics = row.get_tree("metrics").expect("metrics subtree");
-    let keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys, ["store.value_bytes"]);
-    let histogram = metrics.get_tree("store.value_bytes").unwrap();
-    assert_eq!(histogram.get_u64("count"), row.get_u64("store/keys"));
-    assert_eq!(histogram.get_u64("sum"), row.get_u64("store/bytes"));
 }

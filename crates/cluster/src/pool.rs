@@ -928,7 +928,7 @@ mod tests {
     }
 
     fn resident_of(g: &Graph, machines: usize) -> Resident {
-        Resident::load(g, machines, machines, &DataPath::default(), 2, None)
+        Resident::load(g, machines, machines, &DataPath::default(), 2)
     }
 
     fn resident(machines: usize) -> Resident {

@@ -4,15 +4,14 @@
 //! sharded into an adjacency store, one database cache per worker
 //! machine in front of it, and a task list split at τ (§V-B). A
 //! [`Resident`] is that plane, loaded — the store, the total order and
-//! degree array task generation and symmetry breaking read, the
-//! per-worker cache tier, and — when loaded with one — the hub that
-//! takes the phase spans and the store's two histograms. Both fronts are clients of it: the batch [`crate::Cluster`]
-//! turns a plan into one job on the lane pool ([`crate::pool`]),
-//! `benu-service` admits one per query and adds admission and a commit
-//! pipeline. Everything that touches what is resident goes through here
-//! — loading ([`Resident::load`]), the chaos hook
-//! ([`Resident::corrupt`]), fault gates ([`Resident::gate`]), the §V-B
-//! task split ([`Resident::tasks`]) and lane construction
+//! degree array task generation and symmetry breaking read, and the
+//! per-worker cache tier. Both fronts are clients of it: the batch
+//! [`crate::Cluster`] turns a plan into one job on the lane pool
+//! ([`crate::pool`]), `benu-service` admits one per query and adds
+//! admission and a commit pipeline. Everything that touches what is
+//! resident goes through here — loading ([`Resident::load`]), the chaos
+//! hook ([`Resident::corrupt`]), fault gates ([`Resident::gate`]), the
+//! §V-B task split ([`Resident::tasks`]) and lane construction
 //! ([`Resident::executor`]) — so the two cannot drift apart on any of
 //! it.
 
@@ -26,7 +25,6 @@ use benu_engine::{CompiledPlan, DataSource, MemoryBudget, SearchTask};
 use benu_fault::FaultPlan;
 use benu_graph::{Graph, TotalOrder};
 use benu_kvstore::KvStore;
-use benu_obs::ObsHub;
 use std::sync::Arc;
 
 /// How [`Resident::tasks`] picks the §V-B split threshold.
@@ -52,18 +50,14 @@ pub struct Resident {
     num_edges: usize,
     caches: Vec<Arc<DbCache>>,
     data: DataPath,
-    obs: Option<Arc<ObsHub>>,
 }
 
 impl Resident {
     /// Loads `g` into a store of `shards` shards (Algorithm 2 line 1 —
     /// the pattern-independent preprocessing) laid out and encoded per
     /// `data`, and creates one database cache of `cache_shards` internal
-    /// shards per worker. With `obs`, the load runs inside a
-    /// `store_load` span and the store records its value-size and
-    /// latency histograms into the hub's registry; the store's and the
-    /// caches' counts stay where they are read from
-    /// ([`KvStore::stats`], [`DbCache::stats`]).
+    /// shards per worker. The store's and the caches' counts are read
+    /// from [`KvStore::stats`] and [`DbCache::stats`].
     ///
     /// # Panics
     ///
@@ -75,27 +69,18 @@ impl Resident {
         workers: usize,
         data: &DataPath,
         cache_shards: usize,
-        obs: Option<Arc<ObsHub>>,
     ) -> Self {
-        let store = {
-            let _span = obs.as_ref().map(|h| h.tracer.span("store_load"));
-            let mut store = KvStore::from_graph_with(g, shards, data.replication, data.codec);
-            if let Some(hub) = &obs {
-                store.attach_obs(&hub.registry);
-            }
-            Arc::new(store)
-        };
+        let store = KvStore::from_graph_with(g, shards, data.replication, data.codec);
         let caches = (0..workers)
             .map(|_| Arc::new(DbCache::new(data.cache_capacity_bytes, cache_shards)))
             .collect();
         Resident {
-            store,
+            store: Arc::new(store),
             order: TotalOrder::new(g),
             degrees: g.vertices().map(|v| g.degree(v) as u32).collect(),
             num_edges: g.num_edges(),
             caches,
             data: *data,
-            obs,
         }
     }
 
@@ -122,11 +107,6 @@ impl Resident {
     /// The data-plane configuration the deployment was loaded with.
     pub fn data(&self) -> &DataPath {
         &self.data
-    }
-
-    /// The observability hub, when loaded with one.
-    pub fn obs(&self) -> Option<&Arc<ObsHub>> {
-        self.obs.as_ref()
     }
 
     /// Chaos hook: applies `rot` to the loaded store while the degree
@@ -225,7 +205,7 @@ mod tests {
     use benu_plan::PlanBuilder;
 
     fn load(g: &Graph, shards: usize, data: &DataPath) -> Resident {
-        Resident::load(g, shards, 2, data, 2, None)
+        Resident::load(g, shards, 2, data, 2)
     }
 
     #[test]

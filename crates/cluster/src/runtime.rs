@@ -38,12 +38,11 @@ use benu_cache::CacheStats;
 use benu_engine::{CompiledPlan, MatchSet, SearchTask};
 use benu_fault::FaultPlan;
 use benu_graph::Graph;
-use benu_obs::ObsHub;
 use benu_plan::ExecutionPlan;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Chunks a DFS run cuts per lane (at most [`CHUNK_TASKS`] tasks each).
 const DFS_CHUNKS_PER_LANE: usize = 64;
@@ -246,21 +245,6 @@ impl Cluster {
     /// (Algorithm 2 line 1 — the pattern-independent preprocessing) and
     /// creates the per-machine caches.
     pub fn new(g: &Graph, config: ClusterConfig) -> Self {
-        Self::build(g, config, None)
-    }
-
-    /// Like [`Cluster::new`], with an observability hub that receives
-    /// what the typed [`RunOutcome`] cannot carry: phase spans (store
-    /// load, plan compile, task generation, execution) on the hub's
-    /// virtual clock, which each run's injected fault latency advances,
-    /// and the store's value-size and request-latency histograms. The
-    /// histograms accumulate for the hub's lifetime — pass a fresh hub
-    /// for per-run numbers. Every count is in the [`RunOutcome`].
-    pub fn new_observed(g: &Graph, config: ClusterConfig, hub: Arc<ObsHub>) -> Self {
-        Self::build(g, config, Some(hub))
-    }
-
-    fn build(g: &Graph, config: ClusterConfig, obs: Option<Arc<ObsHub>>) -> Self {
         config.validate();
         Cluster {
             resident: Resident::load(
@@ -269,7 +253,6 @@ impl Cluster {
                 config.workers,
                 &config.data,
                 config.cache_shards,
-                obs,
             ),
             config,
             fault_plan: None,
@@ -351,21 +334,14 @@ impl Cluster {
         collect: bool,
     ) -> Result<(RunOutcome, MatchSet), Failure> {
         let resident = &self.resident;
-        let obs = resident.obs();
-        let compiled = {
-            let _span = obs.map(|h| h.tracer.span("plan_compile"));
-            CompiledPlan::compile(plan)
-        };
+        let compiled = CompiledPlan::compile(plan);
         let p = self.config.workers;
         let lanes = p * self.config.threads_per_worker;
         let split = match self.config.tau_auto {
             true => Split::Auto { lanes },
             false => Split::Fixed(self.config.tau),
         };
-        let (tasks, effective_tau) = {
-            let _span = obs.map(|h| h.tracer.span("task_generation"));
-            resident.tasks(&compiled, split)
-        };
+        let (tasks, effective_tau) = resident.tasks(&compiled, split);
         let total_tasks = tasks.len();
         let mut layout = Layout::new(
             tasks,
@@ -404,7 +380,6 @@ impl Cluster {
             .expect("a new pool has every machine alive");
         pool.close();
 
-        let run_span = obs.map(|h| h.tracer.span("pass.0"));
         let started = Instant::now();
         let mut panicked = None;
         std::thread::scope(|scope| {
@@ -451,18 +426,6 @@ impl Cluster {
         }
         let absorbed: Vec<RecoveryReport> =
             gates.iter().flatten().map(FaultGate::absorbed).collect();
-        if let Some(hub) = obs {
-            // Charge the run's injected virtual latency into the trace
-            // clock before its span closes: trace timestamps are a
-            // deterministic function of the fault seed, never the wall
-            // clock.
-            let virtual_total: Duration = absorbed
-                .iter()
-                .map(|a| a.backoff_virtual + a.timeout_wait_virtual + a.slow_penalty_virtual)
-                .sum();
-            hub.tracer.clock().advance(virtual_total.as_nanos() as u64);
-        }
-        drop(run_span);
 
         let mut reports: Vec<WorkerReport> = Vec::with_capacity(p);
         let mut lane_matches: Vec<MatchSet> = Vec::new();
@@ -1346,54 +1309,35 @@ mod tests {
         assert!(a.recovery.failover_reads > 0);
     }
 
-    // ---- observability ----
+    // ---- reports ----
 
     #[test]
-    fn observed_run_leaves_its_phase_spans_and_one_size_sample_per_key() {
+    fn per_shard_requests_sum_to_the_run_total() {
         let g = gen::barabasi_albert(100, 4, 19);
         let plan = PlanBuilder::new(&queries::triangle()).best_plan();
-        let hub = Arc::new(benu_obs::ObsHub::new());
-        let cluster = Cluster::new_observed(
+        let cluster = Cluster::new(
             &g,
             ClusterConfig::builder()
                 .workers(2)
                 .threads_per_worker(1)
                 .cache_capacity_bytes(1 << 20)
                 .build(),
-            Arc::clone(&hub),
         );
         let outcome = cluster.run(&plan).unwrap();
-        assert_eq!(
-            hub.registry.histogram("store.value_bytes").count(),
-            outcome.kv.keys
-        );
-        // The per-shard counts the report carries sum to the totals.
         let shard_requests: u64 = outcome.kv_shards.iter().map(|s| s.requests).sum();
         assert_eq!(outcome.kv_shards.len(), 2);
         assert_eq!(shard_requests, outcome.kv.requests);
-        let spans: Vec<String> = hub
-            .tracer
-            .events()
-            .into_iter()
-            .filter(|e| e.enter)
-            .map(|e| e.span)
-            .collect();
-        assert_eq!(
-            spans,
-            ["store_load", "plan_compile", "task_generation", "pass.0"]
-        );
     }
 
     #[test]
-    fn faulted_observed_runs_are_byte_identical_across_executions() {
+    fn faulted_runs_are_byte_identical_across_executions() {
         // The acceptance configuration: 1 worker × 1 thread, static
-        // scheduler, fixed fault seed. The deterministic report — metric
-        // snapshot plus trace — must not differ between two executions.
+        // scheduler, fixed fault seed. The deterministic report must not
+        // differ between two executions.
         let g = gen::barabasi_albert(80, 3, 17);
         let plan = PlanBuilder::new(&queries::triangle()).best_plan();
         let run = || {
-            let hub = Arc::new(benu_obs::ObsHub::new());
-            let mut cluster = Cluster::new_observed(
+            let mut cluster = Cluster::new(
                 &g,
                 ClusterConfig::builder()
                     .workers(1)
@@ -1401,13 +1345,12 @@ mod tests {
                     .cache_capacity_bytes(0)
                     .tau(20)
                     .build(),
-                Arc::clone(&hub),
             );
             cluster.set_fault_plan(Some(FaultPlan::builder(42).transient_rate(0.03).build()));
-            let outcome = cluster.run(&plan).unwrap();
-            let mut report = hub.report(benu_obs::ReportMode::Deterministic);
-            report.merge(outcome.report(benu_obs::ReportMode::Deterministic));
-            report
+            cluster
+                .run(&plan)
+                .unwrap()
+                .report(benu_obs::ReportMode::Deterministic)
         };
         let a = run();
         let b = run();
@@ -1416,7 +1359,7 @@ mod tests {
             a.get_u64("recovery/transient_faults").unwrap_or(0) > 0,
             "the fault plan must actually inject"
         );
-        // The trace clock advanced by the virtual backoff the faults cost.
+        // The virtual backoff the faults cost is part of the report.
         let backoff = a.get_u64("recovery/backoff_virtual_nanos").unwrap();
         assert!(backoff > 0);
     }

@@ -125,7 +125,7 @@ impl Job for &Counter {
 
 fn resident() -> Resident {
     let g = gen::barabasi_albert(300, 4, 17);
-    Resident::load(&g, MACHINES, MACHINES, &DataPath::default(), 2, None)
+    Resident::load(&g, MACHINES, MACHINES, &DataPath::default(), 2)
 }
 
 /// Runs `job` to the end on `MACHINES × LANES_PER_MACHINE` racing lanes,

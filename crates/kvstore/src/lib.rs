@@ -29,11 +29,9 @@ pub mod codec;
 pub use codec::{Codec, CodecError, CodecKind};
 
 use benu_graph::{AdjSet, Graph, VertexId};
-use benu_obs::{Histogram, Registry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A value whose stored bytes failed to decode: which vertex, which
 /// shard served it, and the structural [`CodecError`]. Surfaced by the
@@ -77,15 +75,6 @@ struct Shard {
     stats: ShardStats,
 }
 
-/// The two distributions [`KvStats`] cannot carry: a deterministic
-/// value-size histogram and a wall-clock request-latency histogram
-/// (wall-flagged, so it never enters deterministic snapshots).
-#[derive(Debug)]
-struct StoreObs {
-    value_bytes: Arc<Histogram>,
-    latency_nanos: Arc<Histogram>,
-}
-
 /// A sharded, read-only key-value store mapping each data vertex to its
 /// encoded adjacency set.
 #[derive(Debug)]
@@ -94,7 +83,6 @@ pub struct KvStore {
     num_vertices: usize,
     replication: usize,
     codec: CodecKind,
-    obs: Option<StoreObs>,
 }
 
 /// The single source of truth for value placement: replica `offset` of
@@ -211,21 +199,7 @@ impl KvStore {
             num_vertices: g.num_vertices(),
             replication,
             codec,
-            obs: None,
         }
-    }
-
-    /// Attaches the store's two histograms: a `store.value_bytes` size
-    /// histogram and a wall-flagged `store.latency_nanos`
-    /// request-latency histogram. Request, key and byte *counts* are
-    /// [`KvStore::stats`] / [`KvStore::shard_stats`] and nothing else.
-    /// Must be called before the store is shared (the handles are
-    /// registered once; recording afterwards is lock-free).
-    pub fn attach_obs(&mut self, registry: &Registry) {
-        self.obs = Some(StoreObs {
-            value_bytes: registry.histogram("store.value_bytes"),
-            latency_nanos: registry.histogram_wall("store.latency_nanos"),
-        });
     }
 
     /// Number of shards.
@@ -301,7 +275,6 @@ impl KvStore {
             "replica offset {offset} outside replication factor {}",
             self.replication
         );
-        let started = self.obs.as_ref().map(|_| Instant::now());
         let s = self.replica_shard(v, offset);
         let shard = &self.shards[s];
         let Some(value) = shard.values.get(&v) else {
@@ -318,12 +291,6 @@ impl KvStore {
             .stats
             .bytes
             .fetch_add(value.len() as u64, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.value_bytes.record(value.len() as u64);
-            if let Some(t0) = started {
-                obs.latency_nanos.record(t0.elapsed().as_nanos() as u64);
-            }
-        }
         Ok(Some((Arc::new(decoded), value.len() as u64)))
     }
 
@@ -393,7 +360,6 @@ impl KvStore {
         keys: &[VertexId],
         route: impl Fn(usize) -> usize,
     ) -> Result<BatchOutcome, CorruptValue> {
-        let started = self.obs.as_ref().map(|_| Instant::now());
         let mut values: Vec<Option<Arc<AdjSet>>> = vec![None; keys.len()];
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, &v) in keys.iter().enumerate() {
@@ -436,9 +402,6 @@ impl KvStore {
                     })?;
                     shard_keys += 1;
                     shard_bytes += value.len() as u64;
-                    if let Some(obs) = &self.obs {
-                        obs.value_bytes.record(value.len() as u64);
-                    }
                     values[i] = Some(Arc::new(decoded));
                 }
             }
@@ -450,9 +413,6 @@ impl KvStore {
                 .deduped
                 .fetch_add(shard_deduped, Ordering::Relaxed);
             total_bytes += shard_bytes;
-        }
-        if let (Some(obs), Some(t0)) = (&self.obs, started) {
-            obs.latency_nanos.record(t0.elapsed().as_nanos() as u64);
         }
         Ok(BatchOutcome {
             values,
@@ -654,16 +614,14 @@ mod tests {
     }
 
     #[test]
-    fn obs_histogram_counts_unique_keys_only() {
+    fn repeated_keys_in_a_batch_are_served_and_charged_once() {
         let g = gen::path(6);
-        let registry = Registry::new();
-        let mut store = KvStore::from_graph(&g, 2);
-        store.attach_obs(&registry);
+        let store = KvStore::from_graph(&g, 2);
         store.get_many(&[2, 2, 4, 2]);
         assert_eq!(
-            registry.histogram("store.value_bytes").count(),
             store.stats().keys,
-            "one sample per served key after dedup"
+            2,
+            "one charge per served key after dedup"
         );
         assert_eq!(store.stats().deduped_keys, 2);
     }
@@ -723,28 +681,6 @@ mod tests {
             store.total_value_bytes(),
             g.adjacency_bytes() + g.num_vertices()
         );
-    }
-
-    #[test]
-    fn attached_obs_records_the_two_histograms() {
-        let g = gen::path(6);
-        let registry = Registry::new();
-        let mut store = KvStore::from_graph(&g, 2);
-        store.attach_obs(&registry);
-        store.get(0); // shard 0
-        store.get(1); // shard 1
-        store.get_many(&[2, 4, 3]); // shards 0 and 1
-        assert_eq!(
-            registry.histogram("store.value_bytes").count(),
-            store.stats().keys
-        );
-        // Latency is wall-derived: recorded, but deterministic snapshots
-        // must exclude it.
-        assert!(registry.histogram("store.latency_nanos").count() > 0);
-        assert!(registry
-            .report(benu_obs::ReportMode::Deterministic)
-            .get("store.latency_nanos")
-            .is_none());
     }
 
     #[test]

@@ -38,9 +38,7 @@
 //!   classes served, not the queries.
 //! * **Observability**: lifecycle counts, plan-cache stats, per-class
 //!   sums and (in `Full` mode) what the lanes counted, all in
-//!   [`QueryService::report`] with or without a hub; an attached
-//!   `ObsHub` adds per-query compile/queue/execute spans on the virtual
-//!   clock.
+//!   [`QueryService::report`].
 //! * **Resilience** (`admission`, [`benu_cluster::failure`]): with a
 //!   seeded [`benu_fault::FaultPlan`] installed, every request-path
 //!   failure settles exactly one query with the [`Failure`] its lane

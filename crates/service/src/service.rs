@@ -71,7 +71,7 @@ use benu_cluster::{
 use benu_engine::{CompiledPlan, MatchSet, SearchTask, TaskMetrics};
 use benu_graph::Graph;
 use benu_kvstore::KvStore;
-use benu_obs::{ObsHub, Report, ReportMode};
+use benu_obs::{Report, ReportMode};
 use benu_pattern::canonical::fingerprint;
 use benu_pattern::{Pattern, PatternVertex};
 use benu_plan::{ChungLuEstimator, ExecutionPlan, FeedbackEstimator, PlanBuilder, PlanObs};
@@ -327,16 +327,7 @@ impl QueryService {
     /// Loads `g` into the service's sharded store and starts the worker
     /// pool.
     pub fn new(g: &Graph, config: ServiceConfig) -> Self {
-        Self::serve(Self::load(g, &config, None), config)
-    }
-
-    /// Like [`QueryService::new`], with an observability hub: per-query
-    /// phase spans (compile, queue, execute) land on its tracer, whose
-    /// virtual clock advances by each committed chunk's vticks, and the
-    /// store records its two histograms. Every count is in
-    /// [`QueryService::report`] with or without a hub.
-    pub fn new_observed(g: &Graph, config: ServiceConfig, hub: Arc<ObsHub>) -> Self {
-        Self::serve(Self::load(g, &config, Some(hub)), config)
+        Self::serve(Self::load(g, &config), config)
     }
 
     /// Like [`QueryService::new`], applying `rot` to the resident store
@@ -346,12 +337,12 @@ impl QueryService {
     /// ([`Terminal::Failed`](crate::Terminal::Failed)) instead of the
     /// process.
     pub fn new_corrupted(g: &Graph, config: ServiceConfig, rot: impl FnOnce(&mut KvStore)) -> Self {
-        let mut resident = Self::load(g, &config, None);
+        let mut resident = Self::load(g, &config);
         resident.corrupt(rot);
         Self::serve(resident, config)
     }
 
-    fn load(g: &Graph, config: &ServiceConfig, obs: Option<Arc<ObsHub>>) -> Resident {
+    fn load(g: &Graph, config: &ServiceConfig) -> Resident {
         config.validate();
         Resident::load(
             g,
@@ -359,7 +350,6 @@ impl QueryService {
             config.workers,
             &config.data,
             DEFAULT_CACHE_SHARDS,
-            obs,
         )
     }
 
@@ -438,12 +428,7 @@ impl QueryService {
         let id = *next_id;
         *next_id += 1;
         let resident = &inner.resident;
-        let (class, plan, placement, hit) = {
-            let _span = resident
-                .obs()
-                .map(|h| h.tracer.span(&format!("query.{id}.compile")));
-            inner.resolve(id, pattern)
-        };
+        let (class, plan, placement, hit) = inner.resolve(id, pattern);
         let split = Split::Auto {
             lanes: AUTO_TAU_VIRTUAL_LANES,
         };
@@ -480,9 +465,6 @@ impl QueryService {
             settled: Condvar::new(),
         });
         lock(&inner.queries).insert(id, Arc::clone(&run));
-        if let Some(hub) = resident.obs() {
-            let _queued = hub.tracer.span(&format!("query.{id}.queue"));
-        }
         let mut life = run.life();
         let mut verdict = match decided {
             true => AdmissionVerdict::Decided,
@@ -587,8 +569,7 @@ impl QueryService {
     /// completion orders. `Full` mode adds the classes' summed wall
     /// latency, crash bookkeeping and the `lanes` subtree (what the
     /// lanes' private caches, pools and frontiers counted — which lane
-    /// ran which chunk is timing), and merges the hub's histogram/trace
-    /// report when the service is observed.
+    /// ran which chunk is timing).
     pub fn report(&self, mode: ReportMode) -> Report {
         let inner = &*self.inner;
         // One snapshot of the class table, taken before the admission lock
@@ -656,11 +637,6 @@ impl QueryService {
         }
         let mut report = Report::new();
         report.set_tree("service", service);
-        if mode == ReportMode::Full {
-            if let Some(hub) = inner.resident.obs() {
-                report.merge(hub.report(mode));
-            }
-        }
         report
     }
 }
@@ -881,12 +857,7 @@ impl Job for Ticket {
                 }))
             }
         };
-        let obs = inner.resident.obs().filter(|_| executed.is_some());
-        let _span = obs.map(|h| h.tracer.span(&format!("query.{}.execute", run.id)));
         let mut life = run.life();
-        if let (Some(hub), Some(Ok(executed))) = (obs, &executed) {
-            hub.tracer.clock().advance(executed.vticks);
-        }
         let effects = life.chunk(chunk, executed);
         inner.apply(run, &mut life, effects);
     }

@@ -32,8 +32,8 @@
 //!   summed results and observations), weighted fair scheduling, and
 //!   deterministic per-query budgets.
 //! * [`obs`] — structured observability: the unified [`obs::Report`]
-//!   tree every layer's typed stats render into, virtual-time span
-//!   tracing, and a histogram registry.
+//!   tree every layer's typed stats render into, and a counting
+//!   allocator for heap measurements.
 //! * [`baselines`] — join-based (CBF-style) and worst-case-optimal
 //!   (BiGJoin-style) competitors.
 //!
@@ -104,7 +104,7 @@ pub mod prelude {
     pub use benu_fault::{FaultPlan, RetryPolicy};
     pub use benu_graph::{AdjSet, AdjView, Graph, GraphBuilder, TotalOrder, VertexId};
     pub use benu_kvstore::{CodecKind, KvStore};
-    pub use benu_obs::{ObsHub, Report, ReportMode};
+    pub use benu_obs::{Report, ReportMode};
     pub use benu_pattern::{Pattern, PatternVertex};
     pub use benu_plan::{ExecutionPlan, PlanBuilder};
     pub use benu_service::{
