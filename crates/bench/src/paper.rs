@@ -498,7 +498,8 @@ fn fig8(scale: f64) -> Vec<Report> {
 /// [`balance::price`] only the tasks `priced` does not hold yet. A task's
 /// vticks depend on the graph, the plan and the task alone, so one map
 /// per (graph, query) serves every τ: their task lists share each task
-/// whose start vertex none of them splits.
+/// whose start vertex none of them splits. For the same reason the new
+/// tasks are priced on every core, one engine per core.
 fn price_new(
     g: &Graph,
     compiled: &CompiledPlan,
@@ -510,8 +511,26 @@ fn price_new(
         .filter(|t| !priced.contains_key(t))
         .copied()
         .collect();
-    let costs = balance::price(g, compiled, &new);
-    priced.extend(new.into_iter().zip(costs));
+    // Dealt round-robin rather than cut into contiguous ranges: hubs
+    // cluster in the id order, so the two halves of a Fig. 9 task list
+    // differ in work by 2.5–9 ×.
+    let cores = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(new.len());
+    let dealt: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cores)
+            .map(|core| {
+                let hand: Vec<SearchTask> = new.iter().skip(core).step_by(cores).copied().collect();
+                scope.spawn(move || balance::price(g, compiled, &hand))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("pricing thread panicked"))
+            .collect()
+    });
+    let costs = (0..new.len()).map(|i| dealt[i % cores][i / cores]);
+    priced.extend(new.iter().copied().zip(costs));
     tasks.iter().map(|t| priced[t]).collect()
 }
 

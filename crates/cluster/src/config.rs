@@ -2,7 +2,6 @@
 
 use crate::pool::SchedulerKind;
 pub use benu_engine::exec::DEFAULT_TRIANGLE_CACHE_ENTRIES;
-use benu_fault::RetryPolicy;
 use benu_kvstore::CodecKind;
 
 /// How worker threads drive the execution engine.
@@ -35,7 +34,7 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
 /// The data plane both runtimes sit on (paper §III, Fig. 2): what the
 /// sharded store holds, how big the per-machine cache in front of it is,
-/// how reads survive faults, and how lanes drive the engine over it.
+/// and how lanes drive the engine over it.
 /// Embedded as `data` in both [`ClusterConfig`] and
 /// `benu_service::ServiceConfig`, so one deployment is described once;
 /// [`crate::Resident::load`] is its only consumer.
@@ -58,11 +57,6 @@ pub struct DataPath {
     /// `run.store.bytes` roughly in half on power-law graphs. Decoded
     /// sets are byte-identical across codecs.
     pub codec: CodecKind,
-    /// How fault gates retry injected transient store faults and
-    /// timeouts (capped exponential backoff with deterministic jitter,
-    /// virtual time — never slept). Only consulted when a fault plan is
-    /// installed.
-    pub retry: RetryPolicy,
     /// How lanes drive the engine: classic task-at-a-time DFS (the
     /// default) or the memory-bounded BFS/DFS hybrid with
     /// frontier-batched store reads.
@@ -82,7 +76,6 @@ impl Default for DataPath {
             cache_capacity_bytes: 64 << 20,
             replication: 1,
             codec: CodecKind::RawU32,
-            retry: RetryPolicy::default(),
             exec_mode: ExecMode::Dfs,
             memory_budget_bytes: 0,
         }
@@ -94,10 +87,8 @@ impl DataPath {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid retry policy or a replication factor outside
-    /// `1..=shards`.
+    /// Panics on a replication factor outside `1..=shards`.
     pub fn validate(&self, shards: usize) {
-        self.retry.validate();
         assert!(
             (1..=shards).contains(&self.replication),
             "replication factor must be within 1..=store shards"
@@ -114,22 +105,15 @@ pub struct ClusterConfig {
     pub workers: usize,
     /// Working threads per worker (the paper uses 24).
     pub threads_per_worker: usize,
-    /// The shared data plane: store layout, cache capacity, retry policy
-    /// and execution mode (builder setters forward into it).
+    /// The shared data plane: store layout, cache capacity and execution
+    /// mode (builder setters forward into it).
     pub data: DataPath,
     /// Internal shard count of each worker's cache (contention tuning
     /// only).
     pub cache_shards: usize,
     /// Task-splitting degree threshold τ (paper: 500); 0 disables
-    /// splitting. Ignored when [`ClusterConfig::tau_auto`] is set.
+    /// splitting.
     pub tau: usize,
-    /// Pick τ adaptively from the start-vertex degree distribution
-    /// instead of using the static [`ClusterConfig::tau`]: the smallest
-    /// threshold whose extra subtasks stay within a per-lane budget
-    /// (journal refinement of paper §V-B), so hub-vertex skew stops
-    /// serializing behind one worker without flooding the scheduler.
-    /// The chosen value is reported as `RunOutcome::effective_tau`.
-    pub tau_auto: bool,
     /// Per-thread triangle-cache capacity in entries.
     pub triangle_cache_entries: usize,
     /// Task scheduling policy (static round-robin by default, matching
@@ -145,7 +129,6 @@ impl Default for ClusterConfig {
             data: DataPath::default(),
             cache_shards: DEFAULT_CACHE_SHARDS,
             tau: 500,
-            tau_auto: false,
             triangle_cache_entries: DEFAULT_TRIANGLE_CACHE_ENTRIES,
             scheduler: SchedulerKind::Static,
         }
@@ -207,13 +190,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Pick τ adaptively from the degree distribution (overrides
-    /// [`ClusterConfigBuilder::tau`]).
-    pub fn tau_auto(mut self, yes: bool) -> Self {
-        self.0.tau_auto = yes;
-        self
-    }
-
     /// Per-thread triangle-cache entries.
     pub fn triangle_cache_entries(mut self, n: usize) -> Self {
         self.0.triangle_cache_entries = n;
@@ -223,12 +199,6 @@ impl ClusterConfigBuilder {
     /// Task scheduling policy.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
         self.0.scheduler = kind;
-        self
-    }
-
-    /// Retry policy for injected transient store faults.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.0.data.retry = policy;
         self
     }
 
@@ -296,10 +266,6 @@ mod tests {
             cache_capacity_bytes: 1 << 22,
             replication: 2,
             codec: CodecKind::DeltaVarint,
-            retry: RetryPolicy {
-                max_attempts: 7,
-                ..RetryPolicy::default()
-            },
             exec_mode: ExecMode::Hybrid,
             memory_budget_bytes: 1 << 20,
         };
@@ -309,10 +275,8 @@ mod tests {
             .cache_capacity_bytes(data.cache_capacity_bytes)
             .cache_shards(2)
             .tau(123)
-            .tau_auto(true)
             .triangle_cache_entries(64)
             .scheduler(SchedulerKind::WorkStealing)
-            .retry(data.retry)
             .replication(data.replication)
             .exec_mode(data.exec_mode)
             .memory_budget_bytes(data.memory_budget_bytes)
@@ -324,7 +288,6 @@ mod tests {
             data,
             cache_shards: 2,
             tau: 123,
-            tau_auto: true,
             triangle_cache_entries: 64,
             scheduler: SchedulerKind::WorkStealing,
         };
@@ -337,12 +300,10 @@ mod tests {
         assert_ne!(built.data.cache_capacity_bytes, d.data.cache_capacity_bytes);
         assert_ne!(built.data.replication, d.data.replication);
         assert_ne!(built.data.codec, d.data.codec);
-        assert_ne!(built.data.retry, d.data.retry);
         assert_ne!(built.data.exec_mode, d.data.exec_mode);
         assert_ne!(built.data.memory_budget_bytes, d.data.memory_budget_bytes);
         assert_ne!(built.cache_shards, d.cache_shards);
         assert_ne!(built.tau, d.tau);
-        assert_ne!(built.tau_auto, d.tau_auto);
         assert_ne!(built.triangle_cache_entries, d.triangle_cache_entries);
         assert_ne!(built.scheduler, d.scheduler);
     }

@@ -10,11 +10,11 @@
 //! and nothing is fetched here, so a refused attempt never reaches the
 //! store and the store's request/byte accounting keeps reconciling with
 //! the transport's. Injected transient faults and timeouts are retried
-//! under the [`RetryPolicy`] with capped exponential backoff and
-//! deterministic jitter, replica failover happens inside an attempt, and
-//! a served access leaves with the replica offset the miss path must
-//! read. Only an exhausted budget or a hopeless outage surfaces, as a
-//! [`TransportError`].
+//! under the plan's [`FaultPlan::retry`] policy, with capped exponential
+//! backoff and deterministic jitter, replica failover happens inside an
+//! attempt, and a served access leaves with the replica offset the miss
+//! path must read. Only an exhausted budget or a hopeless outage
+//! surfaces, as a [`TransportError`].
 //!
 //! # Failover routing
 //!
@@ -41,7 +41,7 @@
 
 use crate::report::RecoveryReport;
 use crate::transport::TransportError;
-use benu_fault::{FaultError, FaultKind, FaultPlan, RetryPolicy};
+use benu_fault::{FaultError, FaultKind, FaultPlan};
 use benu_graph::VertexId;
 use benu_kvstore::KvStore;
 use std::cell::Cell;
@@ -61,7 +61,6 @@ thread_local! {
 pub struct FaultGate {
     store: Arc<KvStore>,
     plan: Arc<FaultPlan>,
-    retry: RetryPolicy,
     /// The crash epoch outage windows are evaluated against (1-based,
     /// +1 per [`FaultGate::advance_epoch`]). It publishes no other data
     /// — an attempt reads it once and decides against whichever epoch it
@@ -90,13 +89,11 @@ struct Route {
 
 impl FaultGate {
     /// Gates accesses to `store` by `plan`, retrying injected faults
-    /// with `retry`.
-    pub fn new(store: Arc<KvStore>, plan: Arc<FaultPlan>, retry: RetryPolicy) -> Self {
-        retry.validate();
+    /// under the plan's own [`FaultPlan::retry`] policy.
+    pub fn new(store: Arc<KvStore>, plan: Arc<FaultPlan>) -> Self {
         FaultGate {
             store,
             plan,
-            retry,
             epoch: AtomicU32::new(1),
             transient: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
@@ -233,7 +230,8 @@ impl FaultGate {
     /// vertex of `vs` placed on it.
     pub fn verdict_many(&self, vs: &[VertexId]) -> Result<Vec<usize>, TransportError> {
         let key = vs.iter().copied().min().unwrap_or(0) as u64;
-        let max_attempts = self.retry.max_attempts;
+        let retry = self.plan.retry();
+        let max_attempts = retry.max_attempts;
         for attempt in 0..max_attempts {
             let fault = match self.route(vs, attempt) {
                 Ok(route) => {
@@ -276,7 +274,7 @@ impl FaultGate {
                 return Err(gave_up(max_attempts));
             }
             self.retries.fetch_add(1, Ordering::Relaxed);
-            let backoff = self.retry.backoff(self.plan.seed(), key, attempt + 1);
+            let backoff = retry.backoff(self.plan.seed(), key, attempt + 1);
             self.book(&self.backoff_nanos, backoff);
         }
         unreachable!("retry loop returns on success or exhausted attempts")
@@ -334,9 +332,9 @@ mod tests {
     use super::*;
     use benu_graph::gen;
 
-    fn gate(store: KvStore, plan: FaultPlan, retry: RetryPolicy) -> FaultGate {
+    fn gate(store: KvStore, plan: FaultPlan) -> FaultGate {
         let _ = FaultGate::take_task_penalty();
-        FaultGate::new(Arc::new(store), Arc::new(plan), retry)
+        FaultGate::new(Arc::new(store), Arc::new(plan))
     }
 
     #[test]
@@ -348,7 +346,6 @@ mod tests {
                 .timeout_rate(0.4)
                 .timeout_wait(wait)
                 .build(),
-            RetryPolicy::default(),
         );
         let wall = std::time::Instant::now();
         for v in 0..16u32 {
@@ -381,7 +378,6 @@ mod tests {
                 .base_latency(Duration::from_millis(10))
                 .slow_shard(0, 3.0)
                 .build(),
-            RetryPolicy::default(),
         );
         let wall = std::time::Instant::now();
         gate.verdict(0).unwrap(); // shard 0: slow
@@ -405,7 +401,6 @@ mod tests {
         let gate = gate(
             KvStore::from_graph(&gen::complete(8), 4),
             FaultPlan::builder(0).shard_outage(1, 1).build(),
-            RetryPolicy::default(),
         );
         let err = gate.verdict(1).unwrap_err();
         assert_eq!(err.shard, 1);
@@ -428,7 +423,6 @@ mod tests {
         let gate = gate(
             KvStore::from_graph(&gen::complete(8), 4),
             FaultPlan::builder(0).shard_outage_window(2, 2, 3).build(),
-            RetryPolicy::default(),
         );
         assert!(gate.verdict(2).is_ok(), "epoch 1 predates the outage");
         gate.advance_epoch();
@@ -442,17 +436,13 @@ mod tests {
 
     // ---- routing decisions (one attempt, no retry loop) ----
 
-    fn default_gate(store: KvStore, plan: FaultPlan) -> FaultGate {
-        gate(store, plan, RetryPolicy::default())
-    }
-
     fn replicated(shards: usize, replication: usize) -> KvStore {
         KvStore::from_graph_replicated(&gen::complete(8), shards, replication)
     }
 
     #[test]
     fn benign_plan_routes_every_access_to_the_primary() {
-        let g = default_gate(
+        let g = gate(
             KvStore::from_graph(&gen::complete(8), 2),
             FaultPlan::benign(0),
         );
@@ -466,7 +456,7 @@ mod tests {
     fn batch_decisions_fail_as_a_unit_and_replay() {
         let plan = FaultPlan::builder(2).transient_rate(0.5).build();
         let store = || KvStore::from_graph(&gen::complete(8), 4);
-        let g = default_gate(store(), plan.clone());
+        let g = gate(store(), plan.clone());
         let keys: Vec<VertexId> = (0..8).collect();
         // Deterministic: either the whole batch is refused or every
         // group is routed to its primary.
@@ -474,7 +464,7 @@ mod tests {
             assert_eq!(route.offsets, vec![0; 4]);
         }
         // Same decision on a replay.
-        let replay = default_gate(store(), plan);
+        let replay = gate(store(), plan);
         assert_eq!(
             g.route(&keys, 1).map(|r| r.offsets),
             replay.route(&keys, 1).map(|r| r.offsets)
@@ -484,7 +474,7 @@ mod tests {
 
     #[test]
     fn primary_outage_fails_over_to_the_mirror() {
-        let g = default_gate(
+        let g = gate(
             replicated(4, 2),
             FaultPlan::builder(0).shard_outage(0, 1).build(),
         );
@@ -502,7 +492,7 @@ mod tests {
     #[test]
     fn all_replicas_dark_surfaces_an_outage() {
         // Vertex 0's whole placement group {0, 1} is dark.
-        let g = default_gate(
+        let g = gate(
             replicated(4, 2),
             FaultPlan::builder(0)
                 .shard_outage(0, 1)
@@ -522,7 +512,7 @@ mod tests {
         // Primary dark; mirror healthy but heavily fault-injected. The
         // refusal must be retryable (the mirror can recover), and some
         // attempt must eventually be served by it.
-        let g = default_gate(
+        let g = gate(
             replicated(4, 2),
             FaultPlan::builder(3)
                 .shard_outage(0, 1)
@@ -550,7 +540,7 @@ mod tests {
 
     #[test]
     fn batches_fail_over_per_primary_group() {
-        let g = default_gate(
+        let g = gate(
             replicated(4, 2),
             FaultPlan::builder(0).shard_outage(0, 1).build(),
         );
@@ -563,7 +553,7 @@ mod tests {
     #[test]
     fn slow_shard_penalty_prices_the_serving_replica() {
         // Shard 0 is dark *and* slow; its mirror (shard 1) is healthy.
-        let g = default_gate(
+        let g = gate(
             replicated(4, 2),
             FaultPlan::builder(0)
                 .base_latency(Duration::from_micros(100))
@@ -579,7 +569,7 @@ mod tests {
         assert_eq!(penalty(&[0, 2]), Duration::from_micros(100));
         // Unreplicated, penalties accumulate per touched shard:
         // 200µs (shard 0 at 3×) + 100µs (shard 1 at 2×) + 0.
-        let g = default_gate(
+        let g = gate(
             KvStore::from_graph(&gen::complete(8), 4),
             FaultPlan::builder(0)
                 .base_latency(Duration::from_micros(100))

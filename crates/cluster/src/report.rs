@@ -254,9 +254,9 @@ pub struct RunOutcome {
     pub kv_shards: Vec<KvStats>,
     /// Total tasks executed (after splitting).
     pub total_tasks: usize,
-    /// The split threshold τ the run actually used: the static
-    /// configuration value, or the adaptive choice when
-    /// `ClusterConfig::tau_auto` is set (0 = splitting disabled).
+    /// The split threshold τ the run actually used: the configured
+    /// `ClusterConfig::tau`, or 0 when splitting is disabled or the plan
+    /// has no second pattern vertex to split on.
     pub effective_tau: usize,
     /// The scheduling policy this run used.
     pub scheduler: SchedulerKind,

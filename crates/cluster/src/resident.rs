@@ -138,9 +138,9 @@ impl Resident {
     }
 
     /// A fault gate deciding `plan` over the store's layout, retrying
-    /// per the deployment's [`DataPath::retry`].
+    /// per the plan's own policy.
     pub fn gate(&self, plan: Arc<FaultPlan>) -> FaultGate {
-        FaultGate::new(Arc::clone(&self.store), plan, self.data.retry)
+        FaultGate::new(Arc::clone(&self.store), plan)
     }
 
     /// Generates the (split) task list for a compiled plan through the

@@ -277,7 +277,7 @@ impl Cluster {
 
     /// Installs (or removes, with `None`) the fault plan subsequent runs
     /// inject from. Transient faults and timeouts are retried per the
-    /// configured [`crate::DataPath::retry`] policy; planned worker
+    /// plan's own [`FaultPlan::retry`] policy; planned worker
     /// crashes hand the dead machine's chunks to the survivors.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan.map(Arc::new);
@@ -336,12 +336,7 @@ impl Cluster {
         let resident = &self.resident;
         let compiled = CompiledPlan::compile(plan);
         let p = self.config.workers;
-        let lanes = p * self.config.threads_per_worker;
-        let split = match self.config.tau_auto {
-            true => Split::Auto { lanes },
-            false => Split::Fixed(self.config.tau),
-        };
-        let (tasks, effective_tau) = resident.tasks(&compiled, split);
+        let (tasks, effective_tau) = resident.tasks(&compiled, Split::Fixed(self.config.tau));
         let total_tasks = tasks.len();
         let mut layout = Layout::new(
             tasks,
@@ -524,6 +519,7 @@ mod tests {
     use super::*;
     use crate::pool::SchedulerKind;
     use crate::transport::FetchError;
+    use benu_engine::task::auto_tau;
     use benu_fault::{FaultKind, RetryPolicy};
     use benu_graph::{gen, VertexId};
     use benu_pattern::queries;
@@ -939,40 +935,32 @@ mod tests {
     #[test]
     fn adaptive_tau_splits_hubs_and_keeps_counts_exact() {
         // A star hub serializes behind one worker under static τ = 0;
-        // tau_auto must split it, report the chosen threshold, and leave
-        // the count untouched.
+        // the τ `auto_tau` picks from the degrees must split it, be
+        // reported as the run's threshold, and leave the count untouched.
         let g = gen::star(300);
         let plan = PlanBuilder::new(&queries::triangle()).best_plan();
-        let static_run = Cluster::new(&g, ClusterConfig::builder().workers(4).tau(0).build())
+        let unsplit = Cluster::new(&g, ClusterConfig::builder().workers(4).tau(0).build());
+        let static_run = unsplit.run(&plan).unwrap();
+        let lanes = 4 * unsplit.config().threads_per_worker;
+        let tau = auto_tau(unsplit.resident().degrees(), lanes, true);
+        assert_eq!(
+            tau,
+            auto_tau(unsplit.resident().degrees(), lanes, true),
+            "a pure function of the degrees and the lane count"
+        );
+        let auto_run = Cluster::new(&g, ClusterConfig::builder().workers(4).tau(tau).build())
             .run(&plan)
             .unwrap();
-        let auto_run = Cluster::new(
-            &g,
-            ClusterConfig::builder().workers(4).tau_auto(true).build(),
-        )
-        .run(&plan)
-        .unwrap();
         assert_eq!(auto_run.total_matches, static_run.total_matches);
         assert_eq!(static_run.effective_tau, 0);
-        assert!(
-            auto_run.effective_tau > 0,
-            "tau_auto must report its choice"
-        );
+        assert!(tau > 0, "the star's hub must be split");
+        assert_eq!(auto_run.effective_tau, tau, "the run reports its τ");
         assert!(
             auto_run.total_tasks > static_run.total_tasks,
             "the hub must split ({} vs {} tasks)",
             auto_run.total_tasks,
             static_run.total_tasks
         );
-        // Same-shape reruns choose the same threshold (pure function of
-        // the degree distribution and the lane count).
-        let replay = Cluster::new(
-            &g,
-            ClusterConfig::builder().workers(4).tau_auto(true).build(),
-        )
-        .run(&plan)
-        .unwrap();
-        assert_eq!(replay.effective_tau, auto_run.effective_tau);
     }
 
     #[test]
@@ -1177,13 +1165,17 @@ mod tests {
                 .workers(2)
                 .threads_per_worker(1)
                 .cache_capacity_bytes(0)
+                .build(),
+        );
+        cluster.set_fault_plan(Some(
+            FaultPlan::builder(0)
+                .transient_rate(0.9)
                 .retry(RetryPolicy {
                     max_attempts: 2,
                     ..RetryPolicy::default()
                 })
                 .build(),
-        );
-        cluster.set_fault_plan(Some(FaultPlan::builder(0).transient_rate(0.9).build()));
+        ));
         let failure = cluster.run(&query).expect_err("rate 0.9 with 2 attempts");
         match failure.cause {
             Cause::Fetch(FetchError::Unavailable(error)) => {

@@ -272,9 +272,9 @@ mod tests {
         )
     }
 
-    fn gate(store: &Arc<KvStore>, plan: FaultPlan, retry: RetryPolicy) -> FaultGate {
+    fn gate(store: &Arc<KvStore>, plan: FaultPlan) -> FaultGate {
         let _ = FaultGate::take_task_penalty();
-        FaultGate::new(Arc::clone(store), Arc::new(plan), retry)
+        FaultGate::new(Arc::clone(store), Arc::new(plan))
     }
 
     #[test]
@@ -315,11 +315,7 @@ mod tests {
     #[test]
     fn gated_source_retries_to_success_and_reconciles_with_the_store() {
         let store = Arc::new(KvStore::from_graph(&gen::complete(16), 4));
-        let gate = gate(
-            &store,
-            FaultPlan::builder(12).transient_rate(0.4).build(),
-            RetryPolicy::default(),
-        );
+        let gate = gate(&store, FaultPlan::builder(12).transient_rate(0.4).build());
         let transport = Transport::new(Arc::clone(&store));
         let cache = DbCache::new(0, 2);
         let source = LaneSource::new(&transport, &cache, Some(&gate));
@@ -349,11 +345,7 @@ mod tests {
     #[test]
     fn gated_source_rides_out_a_shard_outage_on_the_mirror() {
         let store = Arc::new(KvStore::from_graph_replicated(&gen::complete(16), 4, 2));
-        let gate = gate(
-            &store,
-            FaultPlan::builder(0).shard_outage(0, 1).build(),
-            RetryPolicy::default(),
-        );
+        let gate = gate(&store, FaultPlan::builder(0).shard_outage(0, 1).build());
         let transport = Transport::new(Arc::clone(&store));
         let cache = DbCache::new(0, 2);
         let source = LaneSource::new(&transport, &cache, Some(&gate));
@@ -389,11 +381,13 @@ mod tests {
         let store = Arc::new(KvStore::from_graph(&gen::complete(5), 1));
         let gate = gate(
             &store,
-            FaultPlan::builder(0).transient_rate(0.995).build(),
-            RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            },
+            FaultPlan::builder(0)
+                .transient_rate(0.995)
+                .retry(RetryPolicy {
+                    max_attempts: 2,
+                    ..RetryPolicy::default()
+                })
+                .build(),
         );
         let transport = Transport::new(Arc::clone(&store));
         let cache = DbCache::new(0, 2);
@@ -428,7 +422,7 @@ mod tests {
         assert!(err.to_string().contains("corrupt value for vertex 3"));
         // Gated: corruption never burns retry budget — every replica
         // mirrors the same bytes, so retrying cannot help.
-        let gate = gate(&store, FaultPlan::benign(0), RetryPolicy::default());
+        let gate = gate(&store, FaultPlan::benign(0));
         let gated = LaneSource::new(&transport, &cache, Some(&gate));
         assert!(gated.get_adj_batch(&[0, 3])[1].is_empty());
         assert_eq!(gated.error(), Some(err));
@@ -441,7 +435,7 @@ mod tests {
     fn benign_gate_matches_the_ungated_source() {
         let g = gen::barabasi_albert(40, 3, 7);
         let store = Arc::new(KvStore::from_graph(&g, 2));
-        let gate = gate(&store, FaultPlan::benign(0), RetryPolicy::default());
+        let gate = gate(&store, FaultPlan::benign(0));
         let (plain_t, gated_t) = (
             Transport::new(Arc::clone(&store)),
             Transport::new(Arc::clone(&store)),

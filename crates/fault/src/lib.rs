@@ -16,7 +16,9 @@
 //!   global ordering dependence.
 //! * [`RetryPolicy`] — capped exponential backoff with deterministic
 //!   jitter; the wait is virtual time, charged into busy-time accounting
-//!   by the consumer instead of slept.
+//!   by the consumer instead of slept. A plan carries its policy
+//!   ([`FaultPlanBuilder::retry`]): only the faults it injects are
+//!   retried.
 //!
 //! The crate is pure decisions: it knows no store and fetches nothing.
 //! Everything that applies a plan to a deployment — the fault gate's

@@ -25,6 +25,7 @@
 //!   outage holds, so only replica failover — never a retry — can serve
 //!   the data.
 
+use crate::retry::RetryPolicy;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
@@ -108,6 +109,7 @@ pub struct FaultPlan {
     slow: HashMap<usize, f64>,
     base_latency: Duration,
     timeout_wait: Duration,
+    retry: RetryPolicy,
     crashes: HashMap<usize, u64>,
     outages: HashMap<usize, Outage>,
 }
@@ -131,6 +133,7 @@ impl FaultPlan {
             slow: HashMap::new(),
             base_latency: Duration::from_micros(200),
             timeout_wait: Duration::from_millis(10),
+            retry: RetryPolicy::default(),
             crashes: HashMap::new(),
             outages: HashMap::new(),
         })
@@ -184,6 +187,12 @@ impl FaultPlan {
         self.timeout_wait
     }
 
+    /// How a gate over this plan retries the transient faults and
+    /// timeouts it injects. A plan that injects neither never consults it.
+    pub fn retry(&self) -> RetryPolicy {
+        self.retry
+    }
+
     /// The number of tasks after which `worker` crashes, if the plan
     /// crashes it at all. A worker crashes at most once per run.
     pub fn crash_after(&self, worker: usize) -> Option<u64> {
@@ -203,9 +212,9 @@ impl FaultPlan {
     /// Derives a plan whose *per-request* decision stream (transient
     /// errors, timeouts, retry jitter) is independent of this plan's and
     /// of any other scope's, while the *structural* state — slow shards,
-    /// worker crashes, shard outages, latencies, rates — is shared
-    /// verbatim. This is how concurrent queries draw independent
-    /// deterministic fault streams against the same injected
+    /// worker crashes, shard outages, latencies, rates, the retry policy
+    /// — is shared verbatim. This is how concurrent queries draw
+    /// independent deterministic fault streams against the same injected
     /// infrastructure failures: scope by query id and every scope sees
     /// the same dark shards, but faults different round trips.
     pub fn scoped(&self, scope: u64) -> FaultPlan {
@@ -284,6 +293,14 @@ impl FaultPlanBuilder {
         self
     }
 
+    /// How gates retry injected transient faults and timeouts (capped
+    /// exponential backoff with deterministic jitter, virtual time).
+    /// Defaults to [`RetryPolicy::default`].
+    pub fn retry(mut self, policy: RetryPolicy) -> Self {
+        self.0.retry = policy;
+        self
+    }
+
     /// Crashes `worker` at the task boundary after it has completed
     /// `after_tasks` tasks (its `after_tasks`-th completion kills it).
     ///
@@ -350,12 +367,13 @@ impl FaultPlanBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if timeouts are enabled with a zero `timeout_wait`: a
-    /// timeout that waits for nothing is indistinguishable from a
-    /// transient error and would silently corrupt the virtual-time
-    /// accounting. Checked here rather than in the setters because the
-    /// two can be configured in either order.
+    /// Panics on an invalid retry policy, or if timeouts are enabled
+    /// with a zero `timeout_wait`: a timeout that waits for nothing is
+    /// indistinguishable from a transient error and would silently
+    /// corrupt the virtual-time accounting. Checked here rather than in
+    /// the setters because the two can be configured in either order.
     pub fn build(self) -> FaultPlan {
+        self.0.retry.validate();
         assert!(
             self.0.timeout_rate <= 0.0 || !self.0.timeout_wait.is_zero(),
             "timeout_wait must be positive when timeouts are enabled \
@@ -451,6 +469,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one attempt")]
+    fn zero_attempt_retry_policy_is_rejected() {
+        FaultPlan::builder(0)
+            .retry(RetryPolicy {
+                max_attempts: 0,
+                ..RetryPolicy::default()
+            })
+            .build();
+    }
+
+    #[test]
     fn crash_plan_round_trips() {
         let plan = FaultPlan::builder(0).crash(2, 10).build();
         assert_eq!(plan.crash_after(2), Some(10));
@@ -503,6 +532,22 @@ mod tests {
         assert_eq!(stream(&a), stream(&plan.scoped(0)), "scopes replay");
         assert_ne!(stream(&a), stream(&b), "scopes draw independently");
         assert_ne!(stream(&a), stream(&plan), "scope 0 is not the parent");
+    }
+
+    #[test]
+    fn scoped_plans_keep_the_retry_policy() {
+        assert_eq!(FaultPlan::benign(0).retry(), RetryPolicy::default());
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
+        let plan = FaultPlan::builder(5)
+            .transient_rate(0.2)
+            .retry(policy)
+            .build();
+        for scope in 0..4 {
+            assert_eq!(plan.scoped(scope).retry(), policy);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! service state, the same queries are shed — load-shedding is
 //! replayable, which is what lets the chaos suite assert on it.
 //!
-//! Three independent gates, all optional (a zero cap disables a gate):
+//! Two independent gates, both optional (a zero cap disables a gate):
 //!
 //! 1. **Inflight queries** — non-terminal admitted queries, capped by
 //!    [`crate::ServiceConfig::max_inflight_queries`].
@@ -22,14 +22,10 @@
 //!    [`crate::ServiceConfig::max_queued_chunks`]. Charging the incoming
 //!    query's full footprint up front keeps one huge query from
 //!    squeezing past a nearly-full backlog.
-//! 3. **Deadline feasibility** — gated by
-//!    [`crate::ServiceConfig::admission_deadline_aware`]: a query whose
-//!    virtual-time budget is below the backlog's minimum drain cost —
-//!    one vtick per task across the queued chunks — is declared urgent
-//!    by its tight deadline, and a backlogged service sheds it up front
-//!    instead of serving it late. (Per-query budgets are never charged
-//!    for queue time; this gate is a service-level urgency heuristic,
-//!    not a change to deadline semantics.)
+//!
+//! No gate reads a query's deadline: a deadline is charged only for the
+//! query's own committed vticks, never for time spent queued, so the
+//! backlog ahead of a query says nothing about whether it can meet it.
 //!
 //! The `retry_after_vticks` carried by the rejection is a lower bound on
 //! the service virtual time that must elapse before the backlog that
@@ -47,11 +43,6 @@ pub(crate) struct AdmissionCaps {
     /// Max un-granted chunks including the incoming query's
     /// (0 = unbounded).
     pub max_queued_chunks: usize,
-    /// Shed queries whose deadline the backlog makes infeasible.
-    pub deadline_aware: bool,
-    /// Tasks per chunk — the per-chunk floor of the backlog's drain
-    /// cost (each committed task books at least one vtick).
-    pub chunk_tasks: usize,
 }
 
 /// The service's backlog at the admission point.
@@ -92,7 +83,6 @@ pub(crate) fn evaluate(
     caps: AdmissionCaps,
     load: LoadSnapshot,
     incoming_chunks: usize,
-    deadline_vticks: Option<u64>,
 ) -> AdmissionVerdict {
     let shed = AdmissionVerdict::Shed {
         retry_after_vticks: (load.queued_chunks as u64).max(1),
@@ -102,13 +92,6 @@ pub(crate) fn evaluate(
     }
     if caps.max_queued_chunks > 0 && load.queued_chunks + incoming_chunks > caps.max_queued_chunks {
         return shed;
-    }
-    if caps.deadline_aware {
-        if let Some(d) = deadline_vticks {
-            if d < (load.queued_chunks * caps.chunk_tasks) as u64 {
-                return shed;
-            }
-        }
     }
     AdmissionVerdict::Admit
 }
@@ -120,8 +103,6 @@ mod tests {
     const OPEN: AdmissionCaps = AdmissionCaps {
         max_inflight_queries: 0,
         max_queued_chunks: 0,
-        deadline_aware: false,
-        chunk_tasks: 1,
     };
 
     fn load(inflight: usize, queued: usize) -> LoadSnapshot {
@@ -134,7 +115,7 @@ mod tests {
     #[test]
     fn zero_caps_admit_everything() {
         assert_eq!(
-            evaluate(OPEN, load(10_000, 1_000_000), 5_000, Some(0)),
+            evaluate(OPEN, load(10_000, 1_000_000), 5_000),
             AdmissionVerdict::Admit
         );
     }
@@ -145,9 +126,9 @@ mod tests {
             max_inflight_queries: 2,
             ..OPEN
         };
-        assert_eq!(evaluate(caps, load(1, 0), 4, None), AdmissionVerdict::Admit);
+        assert_eq!(evaluate(caps, load(1, 0), 4), AdmissionVerdict::Admit);
         assert_eq!(
-            evaluate(caps, load(2, 7), 4, None),
+            evaluate(caps, load(2, 7), 4),
             AdmissionVerdict::Shed {
                 retry_after_vticks: 7
             }
@@ -160,9 +141,9 @@ mod tests {
             max_queued_chunks: 10,
             ..OPEN
         };
-        assert_eq!(evaluate(caps, load(1, 6), 4, None), AdmissionVerdict::Admit);
+        assert_eq!(evaluate(caps, load(1, 6), 4), AdmissionVerdict::Admit);
         assert_eq!(
-            evaluate(caps, load(1, 6), 5, None),
+            evaluate(caps, load(1, 6), 5),
             AdmissionVerdict::Shed {
                 retry_after_vticks: 6
             },
@@ -177,59 +158,10 @@ mod tests {
             ..OPEN
         };
         assert_eq!(
-            evaluate(caps, load(1, 0), 1, None),
+            evaluate(caps, load(1, 0), 1),
             AdmissionVerdict::Shed {
                 retry_after_vticks: 1
             }
-        );
-    }
-
-    #[test]
-    fn deadline_awareness_is_opt_in() {
-        let aware = AdmissionCaps {
-            deadline_aware: true,
-            ..OPEN
-        };
-        // Budget 3 < 8 queued chunks' guaranteed drain cost: dead on
-        // arrival under the flag, admitted without it.
-        assert_eq!(
-            evaluate(aware, load(1, 8), 2, Some(3)),
-            AdmissionVerdict::Shed {
-                retry_after_vticks: 8
-            }
-        );
-        assert_eq!(
-            evaluate(OPEN, load(1, 8), 2, Some(3)),
-            AdmissionVerdict::Admit
-        );
-        // Budget-free queries and feasible budgets pass.
-        assert_eq!(
-            evaluate(aware, load(1, 8), 2, None),
-            AdmissionVerdict::Admit
-        );
-        assert_eq!(
-            evaluate(aware, load(1, 8), 2, Some(8)),
-            AdmissionVerdict::Admit
-        );
-    }
-
-    #[test]
-    fn deadline_floor_scales_with_chunk_tasks() {
-        let aware = AdmissionCaps {
-            deadline_aware: true,
-            chunk_tasks: 64,
-            ..OPEN
-        };
-        // 8 queued chunks × 64 tasks = 512 vticks of guaranteed work.
-        assert_eq!(
-            evaluate(aware, load(1, 8), 2, Some(511)),
-            AdmissionVerdict::Shed {
-                retry_after_vticks: 8
-            }
-        );
-        assert_eq!(
-            evaluate(aware, load(1, 8), 2, Some(512)),
-            AdmissionVerdict::Admit
         );
     }
 }

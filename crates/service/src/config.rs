@@ -1,7 +1,7 @@
 //! Serving-layer configuration.
 
 use benu_cluster::{CodecKind, DataPath, ExecMode};
-use benu_fault::{FaultPlan, RetryPolicy};
+use benu_fault::FaultPlan;
 use std::sync::Arc;
 
 /// Shape and tuning of the query service. One service owns one
@@ -18,10 +18,9 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// The data plane, described exactly as the batch cluster describes
     /// it: cache capacity per worker, store replication and codec
-    /// (fixed when the resident graph is loaded), the retry policy for
-    /// injected faults (ignored without a fault plan), and the execution
-    /// mode and pool-wide frontier budget of every query. Builder
-    /// setters forward into it.
+    /// (fixed when the resident graph is loaded), and the execution mode
+    /// and pool-wide frontier budget of every query. Builder setters
+    /// forward into it.
     pub data: DataPath,
     /// Tasks per scheduling chunk — the pull, fairness and budget-commit
     /// granularity. A worker books at most one chunk before the fair
@@ -40,7 +39,8 @@ pub struct ServiceConfig {
     /// ([`FaultPlan::scoped`] by query id) while structural faults —
     /// shard outages, slow shards, worker crashes — are shared, so the
     /// set of queries a given seed fails is reproducible regardless of
-    /// thread timing or cache state. `None` serves faultlessly.
+    /// thread timing or cache state. Every scope keeps the plan's retry
+    /// policy. `None` serves faultlessly.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Admission cap on queries that are admitted but not yet terminal
     /// (0 = unbounded). A submission over the cap is shed with
@@ -50,16 +50,6 @@ pub struct ServiceConfig {
     /// (0 = unbounded). A submission whose chunks would push the queue
     /// past the cap is shed with [`crate::Terminal::Rejected`].
     pub max_queued_chunks: usize,
-    /// Deadline-aware load shedding: refuse a query whose virtual-time
-    /// deadline is below the backlog's minimum drain cost — one vtick
-    /// per task over the `queued_chunks × chunk_tasks` tasks already
-    /// waiting. Per-query budgets are never charged for queue time, so
-    /// this gate is a service-level urgency heuristic, not a change to
-    /// deadline semantics: a tight deadline declares the query urgent,
-    /// and a backlogged service sheds it up front instead of serving it
-    /// late. Off by default — a zero deadline then still admits and
-    /// settles as [`crate::Terminal::DeadlineExceeded`].
-    pub admission_deadline_aware: bool,
     /// Absorb unrecoverable shard outages instead of failing the query:
     /// chunks whose data is dark are skipped, every reachable chunk
     /// commits, and the query settles as
@@ -87,7 +77,6 @@ impl Default for ServiceConfig {
             fault_plan: None,
             max_inflight_queries: 0,
             max_queued_chunks: 0,
-            admission_deadline_aware: false,
             graceful_degradation: false,
             feedback_replanning: false,
         }
@@ -114,7 +103,7 @@ impl ServiceConfig {
     /// # Panics
     ///
     /// Panics on zero workers or chunk size, or an invalid [`DataPath`]
-    /// (replication factor outside `1..=store shards`, bad retry policy).
+    /// (replication factor outside `1..=store shards`).
     pub fn validate(&self) {
         assert!(self.workers >= 1, "need at least one worker");
         assert!(self.chunk_tasks >= 1, "need at least one task per chunk");
@@ -182,12 +171,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Retry policy for injected transient faults and timeouts.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.0.data.retry = retry;
-        self
-    }
-
     /// Admission cap on non-terminal queries (0 = unbounded).
     pub fn max_inflight_queries(mut self, n: usize) -> Self {
         self.0.max_inflight_queries = n;
@@ -197,12 +180,6 @@ impl ServiceConfigBuilder {
     /// Admission cap on queued chunks across queries (0 = unbounded).
     pub fn max_queued_chunks(mut self, n: usize) -> Self {
         self.0.max_queued_chunks = n;
-        self
-    }
-
-    /// Shed queries whose deadline the current backlog cannot meet.
-    pub fn admission_deadline_aware(mut self, yes: bool) -> Self {
-        self.0.admission_deadline_aware = yes;
         self
     }
 
@@ -241,10 +218,6 @@ mod tests {
             cache_capacity_bytes: 1 << 20,
             replication: 2,
             codec: CodecKind::DeltaVarint,
-            retry: RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            },
             exec_mode: ExecMode::Hybrid,
             memory_budget_bytes: 4 << 10,
         };
@@ -258,10 +231,8 @@ mod tests {
             .replication(data.replication)
             .codec(data.codec)
             .fault_plan(plan.clone())
-            .retry(data.retry)
             .max_inflight_queries(8)
             .max_queued_chunks(100)
-            .admission_deadline_aware(true)
             .graceful_degradation(true)
             .feedback_replanning(true)
             .build();
@@ -273,7 +244,6 @@ mod tests {
             fault_plan: Some(Arc::new(plan)),
             max_inflight_queries: 8,
             max_queued_chunks: 100,
-            admission_deadline_aware: true,
             graceful_degradation: true,
             feedback_replanning: true,
         };
@@ -282,7 +252,6 @@ mod tests {
         assert_ne!(data.cache_capacity_bytes, d.cache_capacity_bytes);
         assert_ne!(data.replication, d.replication);
         assert_ne!(data.codec, d.codec);
-        assert_ne!(data.retry, d.retry);
         assert_ne!(data.exec_mode, d.exec_mode);
         assert_ne!(data.memory_budget_bytes, d.memory_budget_bytes);
         // One data plane, two front doors: the same values set through
@@ -291,7 +260,6 @@ mod tests {
             .cache_capacity_bytes(data.cache_capacity_bytes)
             .replication(data.replication)
             .codec(data.codec)
-            .retry(data.retry)
             .exec_mode(data.exec_mode)
             .memory_budget_bytes(data.memory_budget_bytes)
             .build();

@@ -93,7 +93,8 @@ impl QueryOptions {
         self
     }
 
-    /// Sets the virtual-time deadline in engine ticks.
+    /// Sets the virtual-time deadline in engine ticks, charged for the
+    /// query's own committed work only, never for time spent queued.
     pub fn deadline_vticks(mut self, ticks: u64) -> Self {
         self.deadline_vticks = Some(ticks);
         self
@@ -134,8 +135,8 @@ pub enum Terminal {
     /// reachable chunk committed, chunks needing the dark shards were
     /// skipped, and [`QueryResult::dark_shards`] names the outage.
     DegradedPartial,
-    /// Admission control shed the query (inflight or queue cap hit, or
-    /// a deadline the current backlog cannot meet). Nothing executed;
+    /// Admission control shed the query (inflight or queue cap hit).
+    /// Nothing executed;
     /// resubmitting after roughly `retry_after_vticks` of service
     /// virtual time is the caller's move.
     Rejected {

@@ -472,15 +472,12 @@ impl QueryService {
                 AdmissionCaps {
                     max_inflight_queries: inner.config.max_inflight_queries,
                     max_queued_chunks: inner.config.max_queued_chunks,
-                    deadline_aware: inner.config.admission_deadline_aware,
-                    chunk_tasks: inner.config.chunk_tasks,
                 },
                 LoadSnapshot {
                     inflight_queries: inner.inflight.load(Ordering::Acquire),
                     queued_chunks: inner.pool.depth(),
                 },
                 total_chunks,
-                options.deadline_vticks,
             ),
         };
         if verdict == AdmissionVerdict::Admit {

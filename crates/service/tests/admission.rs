@@ -156,40 +156,49 @@ fn rejected_then_resubmitted_completes_identically() {
 }
 
 #[test]
-fn deadline_aware_admission_sheds_infeasible_deadlines_under_backlog() {
+fn a_deadline_is_charged_for_the_querys_own_work_not_its_queue_time() {
     let g = gen::barabasi_albert(250, 5, 7);
-    let config = || {
-        ServiceConfig::builder()
-            .workers(1)
-            .chunk_tasks(16)
-            .admission_deadline_aware(true)
-            .build()
+    let config = || ServiceConfig::builder().workers(1).chunk_tasks(16).build();
+    // Solo baseline: what the triangle costs on an idle service.
+    let solo = {
+        let service = QueryService::new(&g, config());
+        service.wait(service.submit(&queries::triangle(), QueryOptions::new()))
     };
+    assert_eq!(solo.terminal, Terminal::Completed);
+    // A deadline 10 % above the solo cost.
+    let deadline = solo.vticks + solo.vticks / 10;
+
+    // Queue heavy queries until draining the backlog alone — at least
+    // one vtick per queued task — would cost twice the deadline. A gate
+    // comparing the deadline with the backlog would shed the triangle.
     let service = QueryService::new(&g, config());
-    // A heavy query queues far more chunks than one worker can drain
-    // before the next submit lands; a 1-vtick deadline cannot beat that
-    // backlog's guaranteed drain cost.
-    let heavy = service.submit(&queries::q2(), QueryOptions::new());
-    let urgent = service.submit(&queries::triangle(), QueryOptions::new().deadline_vticks(1));
-    let urgent = service.wait(urgent);
-    match urgent.terminal {
-        Terminal::Rejected { retry_after_vticks } => {
-            assert!(retry_after_vticks >= 1, "drain hint is never zero")
-        }
-        other => panic!("expected a deadline-aware shed, got {other:?}"),
+    let mut backlog = Vec::new();
+    while service.queue_depth() as u64 * 16 <= 2 * deadline {
+        assert!(backlog.len() < 500, "the backlog never built up");
+        backlog.push(service.submit(&queries::q2(), QueryOptions::new()));
     }
-    assert_nothing_executed(&urgent);
-    assert_eq!(service.wait(heavy).terminal, Terminal::Completed);
-    // The same urgent query against an idle service is admitted — and
-    // then settles through normal deadline semantics, not admission.
-    let idle = QueryService::new(&g, config());
-    let id = idle.submit(&queries::triangle(), QueryOptions::new().deadline_vticks(1));
-    let result = idle.wait(id);
+    let id = service.submit(
+        &queries::triangle(),
+        QueryOptions::new().deadline_vticks(deadline),
+    );
+    let result = service.wait(id);
     assert_eq!(
         result.terminal,
-        Terminal::DeadlineExceeded,
-        "deadline-aware admission never rejects against an empty backlog"
+        Terminal::Completed,
+        "the backlog ahead of a query is not charged to its deadline"
     );
+    assert_eq!(result.vticks, solo.vticks);
+    assert_eq!(result.matches_found, solo.matches_found);
+    for heavy in backlog {
+        service.cancel(heavy);
+        service.wait(heavy);
+    }
+
+    // A deadline the query's own work cannot meet: an idle service
+    // admits it, and it settles through deadline semantics.
+    let idle = QueryService::new(&g, config());
+    let id = idle.submit(&queries::triangle(), QueryOptions::new().deadline_vticks(1));
+    assert_eq!(idle.wait(id).terminal, Terminal::DeadlineExceeded);
 }
 
 #[test]
@@ -241,12 +250,12 @@ fn weighted_fairness_survives_sibling_failure_and_recovery() {
                 FaultPlan::builder(23)
                     .transient_rate(0.06)
                     .crash(1, 16) // one 16-task chunk in
+                    .retry(RetryPolicy {
+                        max_attempts: 2,
+                        ..RetryPolicy::default()
+                    })
                     .build(),
             )
-            .retry(RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            })
             .build()
     };
     let faultless = mix(ServiceConfig::builder()

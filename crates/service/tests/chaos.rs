@@ -160,14 +160,14 @@ fn retry_exhaustion_fails_only_affected_queries_deterministically() {
     // own scoped decision stream, so some queries exhaust the budget
     // and some survive — a per-query outcome, not a service-wide one.
     let results = mode_invariant(ExecMode::Dfs, |workers, exec_mode| {
-        let plan = FaultPlan::builder(23).transient_rate(0.06).build();
-        base(workers, exec_mode)
-            .fault_plan(plan)
+        let plan = FaultPlan::builder(23)
+            .transient_rate(0.06)
             .retry(RetryPolicy {
                 max_attempts: 2,
                 ..RetryPolicy::default()
             })
-            .build()
+            .build();
+        base(workers, exec_mode).fault_plan(plan).build()
     });
     let statuses: Vec<_> = results.iter().map(|r| r.terminal.name()).collect();
     let failed: Vec<_> = results
@@ -211,20 +211,55 @@ fn retry_exhaustion_fails_only_affected_queries_deterministically() {
 }
 
 #[test]
+fn scoped_gates_retry_under_the_plans_policy() {
+    // Each query gates its reads through the plan scoped to it, and
+    // every scope keeps the plan's retry policy: under the default
+    // policy a transient plan is invisible, and the same plan with no
+    // retries fails queries on the first refused access.
+    let faultless = run_mix(base(4, ExecMode::Dfs).build());
+    let plan = || FaultPlan::builder(5).transient_rate(0.05);
+    let retried = run_mix(base(4, ExecMode::Dfs).fault_plan(plan().build()).build());
+    for (got, want) in retried.iter().zip(&faultless) {
+        assert_eq!(surface(got), surface(want), "query {} diverged", got.id);
+    }
+    let unretried = run_mix(
+        base(4, ExecMode::Dfs)
+            .fault_plan(plan().retry(RetryPolicy::none()).build())
+            .build(),
+    );
+    let names: Vec<_> = unretried.iter().map(|r| r.terminal.name()).collect();
+    assert!(
+        unretried
+            .iter()
+            .any(|r| failure_name(r) == Some("retry_exhausted")),
+        "without retries the plan's faults must surface: {names:?}"
+    );
+    for r in &unretried {
+        if let Terminal::Failed(failure) = r.terminal {
+            assert_eq!(failure.name(), "retry_exhausted");
+            assert!(matches!(
+                failure.cause,
+                Cause::Fetch(FetchError::Unavailable(error)) if error.attempts == 1
+            ));
+        }
+    }
+}
+
+#[test]
 fn hybrid_batch_faults_surface_the_same_taxonomy() {
     // Hybrid draws one fault decision per deduplicated shard batch; a
     // rate hot enough to exhaust two attempts across a chunk's batches
     // fails queries with the same structured error, deterministically
     // across worker counts.
     let results = mode_invariant(ExecMode::Hybrid, |workers, exec_mode| {
-        let plan = FaultPlan::builder(31).transient_rate(0.45).build();
-        base(workers, exec_mode)
-            .fault_plan(plan)
+        let plan = FaultPlan::builder(31)
+            .transient_rate(0.45)
             .retry(RetryPolicy {
                 max_attempts: 2,
                 ..RetryPolicy::default()
             })
-            .build()
+            .build();
+        base(workers, exec_mode).fault_plan(plan).build()
     });
     assert!(
         results
@@ -475,6 +510,10 @@ fn seeded_chaos_scenario_replays_identically() {
             .timeout_rate(0.01)
             .shard_outage(2, 1)
             .crash(3, 32) // two 16-task chunks in
+            .retry(RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            })
             .build();
         let service = QueryService::new(
             &g,
@@ -483,10 +522,6 @@ fn seeded_chaos_scenario_replays_identically() {
                 .store_shards(4)
                 .chunk_tasks(16)
                 .fault_plan(plan)
-                .retry(RetryPolicy {
-                    max_attempts: 2,
-                    ..RetryPolicy::default()
-                })
                 .graceful_degradation(true)
                 .build(),
         );

@@ -102,17 +102,10 @@ struct Injection {
 
 /// The failure `Cluster::run` returns and the one a served query
 /// settles with, on one machine with one lane each: same graph, same
-/// task list (the service's τ), same single-copy store, no retries.
+/// task list (the service's τ), same single-copy store, same weather.
 fn on_both_fronts(inject: &Injection) -> (Failure, Failure) {
     let g = gen::barabasi_albert(80, 4, 7);
-    let retry = RetryPolicy {
-        max_attempts: 1,
-        ..RetryPolicy::default()
-    };
-    let mut config = ServiceConfig::builder()
-        .workers(1)
-        .chunk_tasks(1)
-        .retry(retry);
+    let mut config = ServiceConfig::builder().workers(1).chunk_tasks(1);
     if let Some(weather) = &inject.weather {
         config = config.fault_plan(weather.clone());
     }
@@ -139,7 +132,6 @@ fn on_both_fronts(inject: &Injection) -> (Failure, Failure) {
             .workers(1)
             .threads_per_worker(1)
             .tau(tau)
-            .retry(retry)
             .build(),
     );
     cluster.resident_mut().corrupt(inject.rot);
@@ -174,8 +166,13 @@ fn what_a_lane_cannot_absorb_is_the_same_failure_on_both_fronts() {
             pattern: triangle(),
             rot: |_| {},
             // Each front draws its own decision stream; at this rate
-            // both refuse the first access there is.
-            weather: Some(FaultPlan::builder(3).transient_rate(0.999).build()),
+            // both refuse the first access there is, and neither retries.
+            weather: Some(
+                FaultPlan::builder(3)
+                    .transient_rate(0.999)
+                    .retry(RetryPolicy::none())
+                    .build(),
+            ),
             name: "retry_exhausted",
             line: "machine 0: shard 0 unavailable for vertex 0 after 1 attempts \
                    (task v0[1/2], attempt 1)",

@@ -444,13 +444,17 @@ fn hopeless_outages_fail_instead_of_undercounting() {
             .workers(2)
             .threads_per_worker(1)
             .cache_capacity_bytes(0)
+            .build(),
+    );
+    cluster.set_fault_plan(Some(
+        FaultPlan::builder(2)
+            .transient_rate(0.5)
             .retry(RetryPolicy {
                 max_attempts: 1, // no retries at all
                 ..RetryPolicy::default()
             })
             .build(),
-    );
-    cluster.set_fault_plan(Some(FaultPlan::builder(2).transient_rate(0.5).build()));
+    ));
     match cluster.run(&query) {
         Err(failure) if failure.name() == "retry_exhausted" => {
             assert!(matches!(
